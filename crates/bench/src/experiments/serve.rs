@@ -21,8 +21,8 @@
 //!
 //! Each client-count row reports throughput, per-opcode p50/p99 latency,
 //! the shared cache's hit rate, and the `serve` span subtree (serve →
-//! conn → decode/handle/encode with per-opcode children) captured by the
-//! dsv-obs recorder running on the server thread. A final
+//! conn → recv_wait/decode/handle/encode with per-opcode children)
+//! captured by the dsv-obs recorder running on the server thread. A final
 //! *remote-sharded topology* row replays the same workload at the
 //! highest client count with the front end's objects living on two
 //! bare-store shard servers (`StoreService` over loopback, the
@@ -82,8 +82,9 @@ pub struct ServeRow {
     pub cache_hits: u64,
     /// hits / lookups (0 when no lookups).
     pub cache_hit_rate: f64,
-    /// The `serve` span subtree (serve → conn → decode/handle/encode)
-    /// from the recorder running on the server thread.
+    /// The `serve` span subtree (serve → conn →
+    /// recv_wait/decode/handle/encode) from the recorder running on the
+    /// server thread.
     pub phases: Vec<PhaseSpan>,
 }
 
@@ -443,7 +444,10 @@ mod tests {
         // client and in the post-run verification pass); here we check
         // the sweep's shape and the written artifact.
         let rows = run(Scale::Quick);
-        assert!(rows.len() >= 3, "need single-, multi-client, and sharded rows");
+        assert!(
+            rows.len() >= 3,
+            "need single-, multi-client, and sharded rows"
+        );
         assert!(rows.iter().any(|r| r.clients > 1), "no concurrent row");
         assert!(
             rows.iter().any(|r| r.remote_shards >= 2),

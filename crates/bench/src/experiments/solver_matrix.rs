@@ -8,7 +8,7 @@
 //! Instances are hybrid (per-version chunked costs revealed), so
 //! hybrid-capable solvers search the three-mode model. Bounds are fixed
 //! mid-frontier: `β = 1.5 ×` MCA storage, `θ = 1.5 ×` the SPT's Σ/max
-//! recreation. Run via `cargo run -p dsv-bench --bin solver_matrix`
+//! recreation. Run via `cargo run -p dsv-bench -- solver_matrix`
 //! (`--quick` for the CI smoke, which also asserts that every registered
 //! solver produces at least one validating plan and that no portfolio
 //! result is worse than the Table-1 prescribed solver's).

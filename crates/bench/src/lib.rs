@@ -5,8 +5,9 @@
 //! Each module in [`experiments`] corresponds to one element of the
 //! paper's evaluation (§5) and produces the same rows/series the paper
 //! reports, printed as aligned tables and written as CSV under
-//! `target/experiments/`. Binaries (`src/bin/fig12.rs` …) are thin
-//! wrappers; `repro_all` runs everything in sequence. Criterion benches
+//! `target/experiments/`. The one binary, `dsv-bench <experiment>
+//! [--quick]`, runs any of them by name and `dsv-bench all` runs the
+//! paper reproduction in sequence. Criterion benches
 //! (in `benches/`) cover the runtime-flavoured results. Every experiment
 //! reaches the solver suite through the planner (`dsv_core::plan` with a
 //! `PlanSpec` naming a registry solver); `experiments::solver_matrix`

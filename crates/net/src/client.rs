@@ -31,6 +31,7 @@ use dsv_storage::{Object, ObjectId, RecreationWork, StoreStats};
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Bounded exponential backoff for transport-level retries.
@@ -99,17 +100,25 @@ fn retryable(err: &NetError) -> bool {
     )
 }
 
-/// Process-unique commit tokens: a counter mixed with the process id so
-/// tokens from a restarted client never collide with ones the server
-/// already recorded. Never returns 0 (the wire's "no token" value).
-fn next_token() -> u64 {
+/// Process-unique commit tokens: a counter mixed with the process id and
+/// the process's start time, so tokens from a restarted client never
+/// collide with ones the server already recorded. The time is sampled
+/// once — `n ^ constant` is distinct for every `n`, where a fresh clock
+/// reading per call could cancel the counter's step and repeat a token.
+/// Never returns 0 (the wire's "no token" value). Public for callers that
+/// build their own [`Request::Commit`] and send it through
+/// [`Client::call`].
+pub fn next_token() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(1);
+    static STARTED: OnceLock<u64> = OnceLock::new();
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let pid = std::process::id() as u64;
-    let t = std::time::UNIX_EPOCH
-        .elapsed()
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
+    let t = *STARTED.get_or_init(|| {
+        std::time::UNIX_EPOCH
+            .elapsed()
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0)
+    });
     let mut z = n ^ (pid << 32) ^ t;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

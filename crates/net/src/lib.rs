@@ -77,4 +77,4 @@ pub use proto::{
     WireMode, WireRecovery, WireSolver,
 };
 pub use remote::{RemoteStore, StoreService, StoreServiceConfig, FRAME_SLACK};
-pub use server::{ConnHandler, ServeControl, Server, ServerOptions};
+pub use server::{session, ConnHandler, ServeControl, Server, ServerOptions};

@@ -1,17 +1,358 @@
 //! Request/response bodies for the `dsvd` protocol.
 //!
-//! Bodies are hand-encoded little-endian (no serde in the offline build):
-//! integers as fixed-width LE, booleans as one byte (`0`/`1`), options as
-//! a presence byte followed by the value, strings and byte blobs as a
-//! `u32` length prefix followed by the raw bytes. Decoding is strict —
-//! unknown enum discriminants, non-UTF-8 strings, short bodies, and
-//! trailing bytes all surface as [`NetError::Malformed`], never a panic.
+//! Every message is one row of a table — [`Request`] and [`Response`]
+//! below — giving its opcode, its name, and its fields in wire order;
+//! the enum, `opcode()`, `name()`, `encode()` and `decode()` are all
+//! generated from that row, so a message's layout is stated exactly
+//! once. Field types encode through the crate-private [`Wire`] trait:
+//! integers as fixed-width little-endian, booleans as one byte (`0`/`1`),
+//! options as a presence byte followed by the value, strings and byte
+//! blobs as a `u32` length prefix followed by the raw bytes, lists as a
+//! `u32` count followed by the elements, structs as their fields in
+//! order, enums as a selector byte followed by the arm's fields.
+//! Decoding is strict — unknown selectors, non-UTF-8 strings, short
+//! bodies, counts the body cannot hold, and trailing bytes all surface as
+//! [`NetError::Malformed`], never a panic.
 //!
-//! See the crate docs for the opcode table and frame layout.
+//! See the crate docs for the frame layout and DISTRIBUTION.md for the
+//! message table in prose.
 
 use crate::frame::{errcode, opcode, Frame, NetError};
 use dsv_core::{ChunkingSpec, ModePolicy, Problem, SolverChoice};
-use dsv_storage::{CacheStats, Object, ObjectId, OpCounters, RecreationWork, ShardStats, StoreStats};
+use dsv_storage::{
+    CacheStats, Object, ObjectId, OpCounters, RecreationWork, ShardStats, StoreStats,
+};
+
+// ---------------------------------------------------------------------
+// the codec: one trait, its primitive impls, two derive macros
+
+/// Strict decoding cursor over a frame body.
+pub(crate) struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.buf.len())
+            .ok_or(NetError::Malformed("body shorter than declared field"))?;
+        let slice = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(slice)
+    }
+
+    fn u8(&mut self) -> Result<u8, NetError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A `u32`-length-prefixed run of raw bytes, borrowed from the body.
+    fn blob(&mut self) -> Result<&'a [u8], NetError> {
+        let len = u32::get(self)? as usize;
+        self.take(len)
+    }
+
+    /// Bytes not yet consumed — bounds a declared element count before
+    /// any `Vec::with_capacity`.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Decoders must consume exactly the body; trailing bytes mean the
+    /// peer and we disagree about the layout.
+    fn finish(self) -> Result<(), NetError> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(NetError::Malformed("trailing bytes after body"))
+        }
+    }
+}
+
+/// A value with a fixed place in a frame body.
+pub(crate) trait Wire: Sized {
+    /// Fewest bytes one encoded value occupies (at least 1). A list
+    /// decoder checks its declared count against this and the bytes
+    /// left *before* allocating, so a corrupt count cannot trigger an
+    /// outsized reservation.
+    const MIN_SIZE: usize;
+    /// Most elements a list of `Self` may declare, and what to call a
+    /// frame that declares more — for element types whose real lists are
+    /// small however large the frame.
+    const MAX_RUN: (usize, &'static str) = (usize::MAX, "");
+
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(c: &mut Cursor) -> Result<Self, NetError>;
+}
+
+macro_rules! wire_int {
+    ($($ty:ty),+) => {$(
+        impl Wire for $ty {
+            const MIN_SIZE: usize = std::mem::size_of::<$ty>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(c: &mut Cursor) -> Result<Self, NetError> {
+                let bytes = c.take(Self::MIN_SIZE)?;
+                Ok(<$ty>::from_le_bytes(
+                    bytes.try_into().expect("take returned MIN_SIZE bytes"),
+                ))
+            }
+        }
+    )+};
+}
+wire_int!(u16, u32, u64);
+
+/// Counts travel as `u64` whatever the platform's pointer width.
+impl Wire for usize {
+    const MIN_SIZE: usize = 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        Ok(u64::get(c)? as usize)
+    }
+}
+
+impl Wire for bool {
+    const MIN_SIZE: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        match c.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(NetError::Malformed("boolean byte not 0/1")),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_SIZE: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => buf.push(0),
+            Some(v) => {
+                buf.push(1);
+                v.put(buf);
+            }
+        }
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        match c.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(c)?)),
+            _ => Err(NetError::Malformed("option byte not 0/1")),
+        }
+    }
+}
+
+/// A byte blob is one length-prefixed copy, not a list of elements
+/// (`u8` itself is deliberately not `Wire`, which is what keeps this
+/// impl apart from the list impl below).
+impl Wire for Vec<u8> {
+    const MIN_SIZE: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self);
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        Ok(c.blob()?.to_vec())
+    }
+}
+
+impl Wire for String {
+    const MIN_SIZE: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        String::from_utf8(c.blob()?.to_vec()).map_err(|_| NetError::Malformed("string not UTF-8"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_SIZE: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        let n = u32::get(c)? as usize;
+        if n > T::MAX_RUN.0 {
+            return Err(NetError::Malformed(T::MAX_RUN.1));
+        }
+        if n > c.remaining() / T::MIN_SIZE {
+            return Err(NetError::Malformed("count exceeds body"));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(c)?);
+        }
+        Ok(out)
+    }
+}
+
+impl Wire for ObjectId {
+    const MIN_SIZE: usize = 16;
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.0);
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        let bytes = c.take(16)?;
+        Ok(ObjectId(bytes.try_into().expect("take returned 16 bytes")))
+    }
+}
+
+/// Objects travel in their canonical *uncompressed* [`Object::encode`]
+/// form (tag, base id, varint payload) as a length-prefixed blob — the
+/// receiving store re-encodes per its own compression policy, so the wire
+/// stays layout-agnostic and [`Object::decode`]'s strictness doubles as
+/// body validation.
+impl Wire for Object {
+    const MIN_SIZE: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.encode(false).put(buf);
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        Object::decode(c.blob()?).map_err(|_| NetError::Malformed("object blob failed to decode"))
+    }
+}
+
+/// Derives [`Wire`] for a plain struct: its fields, in the order listed
+/// (which is the wire order, whatever the declaration order). An
+/// optional `[at most N, "what"]` caps how many a list may declare.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident: $fty:ty),+ $(,)? } $([at most $max:expr, $what:literal])?) => {
+        impl Wire for $ty {
+            const MIN_SIZE: usize = 0 $(+ <$fty as Wire>::MIN_SIZE)+;
+            $(const MAX_RUN: (usize, &'static str) = ($max, $what);)?
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$field.put(buf);)+
+            }
+            fn get(c: &mut Cursor) -> Result<Self, NetError> {
+                Ok($ty { $($field: <$fty as Wire>::get(c)?),+ })
+            }
+        }
+    };
+}
+
+/// Derives [`Wire`] for a tagged enum: one selector byte, then the arm's
+/// fields in the order listed. Each arm's `( … )` is used both as the
+/// match pattern when encoding and as the constructor when decoding, so
+/// it names the bindings its field list declares.
+macro_rules! wire_enum {
+    ($ty:ty, $unknown:literal;
+     $($tag:literal => ($($arm:tt)+) { $($field:ident: $fty:ty),* }),+ $(,)?) => {
+        impl Wire for $ty {
+            const MIN_SIZE: usize = 1;
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($($arm)+ => {
+                        buf.push($tag);
+                        $($field.put(buf);)*
+                    })+
+                }
+            }
+            fn get(c: &mut Cursor) -> Result<Self, NetError> {
+                Ok(match c.u8()? {
+                    $($tag => {
+                        $(let $field = <$fty as Wire>::get(c)?;)*
+                        $($arm)+
+                    })+
+                    _ => return Err(NetError::Malformed($unknown)),
+                })
+            }
+        }
+    };
+}
+
+/// Defines one direction of the protocol from its message table. Each
+/// row reads `OPCODE, "name" => Variant`, optionally followed by
+/// `{ field: Type, … }` or `(binding: Type)` — the fields in wire order.
+/// Generated from the rows: the enum itself, `opcode()`, `name()`,
+/// `encode()` and `decode()`. To add an operation, add a row here and
+/// its constant in [`opcode`]; nothing else in this crate names the
+/// layout.
+macro_rules! messages {
+    (
+        $(#[$enum_meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$meta:meta])*
+                $op:ident, $label:literal => $variant:ident
+                    $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty),+ $(,)? })?
+                    $(($inner:ident: $ity:ty))?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$enum_meta])*
+        pub enum $name {
+            $(
+                $(#[$meta])*
+                $variant $({ $($(#[$fmeta])* $field: $fty),+ })? $(($ity))?
+            ),+
+        }
+
+        // The three matches below bind every field of every variant;
+        // only `encode` reads them.
+        #[allow(unused_variables)]
+        impl $name {
+            /// The opcode this message travels under.
+            pub fn opcode(&self) -> u8 {
+                match self {
+                    $($name::$variant $({ $($field),+ })? $(($inner))? => opcode::$op),+
+                }
+            }
+
+            /// Short stable name, for span labels and diagnostics.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($name::$variant $({ $($field),+ })? $(($inner))? => $label),+
+                }
+            }
+
+            /// The frame for this message: fields in table order.
+            pub fn encode(&self) -> Frame {
+                let mut body = Vec::new();
+                match self {
+                    $($name::$variant $({ $($field),+ })? $(($inner))? => {
+                        $($($field.put(&mut body);)+)?
+                        $($inner.put(&mut body);)?
+                    })+
+                }
+                Frame::new(self.opcode(), body)
+            }
+
+            /// Strict inverse of [`Self::encode`]: the body must hold
+            /// exactly the opcode's fields.
+            pub fn decode(frame: &Frame) -> Result<$name, NetError> {
+                let mut c = Cursor::new(&frame.body);
+                let msg = match frame.opcode {
+                    $(opcode::$op => $name::$variant
+                        $({ $($field: <$fty as Wire>::get(&mut c)?),+ })?
+                        $((<$ity as Wire>::get(&mut c)?))?,)+
+                    other => return Err(NetError::UnknownOpcode(other)),
+                };
+                c.finish()?;
+                Ok(msg)
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------
+// the types that travel inside messages
 
 /// Solver selection on the wire — mirrors [`SolverChoice`] with an owned
 /// name.
@@ -62,73 +403,6 @@ impl WireMode {
             }),
         }
     }
-}
-
-/// Client → server messages. One request maps to exactly one response
-/// frame (the matching `*Ok` opcode or an error frame).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Handshake; must be the first frame on a connection.
-    Hello {
-        version: u16,
-    },
-    Ping,
-    Commit {
-        /// Idempotency token: the server records the response per token,
-        /// so a commit retried after a lost response (same token) replays
-        /// the recorded answer instead of double-applying. `0` opts out.
-        token: u64,
-        branch: String,
-        message: String,
-        online: bool,
-        /// Reveal neighborhood for `--online` placement.
-        hops: u32,
-        /// `--theta`: recreation bound in bytes.
-        theta: Option<u64>,
-        data: Vec<u8>,
-    },
-    Checkout {
-        version: u32,
-    },
-    Optimize {
-        problem: Problem,
-        solver: WireSolver,
-        mode: WireMode,
-        reveal_hops: u32,
-        hop_bound: Option<u32>,
-    },
-    Stats,
-    Shutdown,
-    /// Verify the served repository's integrity (`dsv fsck --remote`);
-    /// with `repair`, also resolve pending journals and GC orphans.
-    Fsck {
-        repair: bool,
-    },
-    /// Store a batch of objects on a bare store server (v3). Objects
-    /// travel in their canonical uncompressed encoding; the server
-    /// re-encodes per its own compression policy. Idempotent
-    /// (content-addressed), so blind retries are safe.
-    StorePut {
-        objs: Vec<Object>,
-    },
-    /// Fetch a batch of objects by id (v3). The response carries one
-    /// presence-tagged slot per id, in input order.
-    StoreGet {
-        ids: Vec<ObjectId>,
-    },
-    /// Membership of each id (v3).
-    StoreContains {
-        ids: Vec<ObjectId>,
-    },
-    /// Remove each id; unknown ids are ignored (v3).
-    StoreRemove {
-        ids: Vec<ObjectId>,
-    },
-    /// Enumerate every object id the store holds (v3) — the fsck /
-    /// orphan-scan surface.
-    StoreObjectIds,
-    /// The store's fill and operation counters (v3).
-    StoreStats,
 }
 
 /// One portfolio candidate's numbers, mirroring
@@ -203,562 +477,269 @@ pub struct FsckSummary {
     pub recovery: Option<WireRecovery>,
 }
 
-/// Server → client messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    HelloOk {
-        version: u16,
-    },
-    Pong,
-    CommitOk {
-        /// The new version's numeric id (`CommitId.0`).
-        id: u32,
-        bytes: u64,
-        online: bool,
-    },
-    CheckoutOk {
-        data: Vec<u8>,
-        work: RecreationWork,
-    },
-    OptimizeOk(OptimizeSummary),
-    StatsOk(StatsSummary),
-    ShutdownOk,
-    FsckOk(FsckSummary),
-    /// Ids of the objects a `StorePut` stored, in input order (v3).
-    StorePutOk {
-        ids: Vec<ObjectId>,
-    },
-    /// One slot per requested id, in input order; `None` = not held (v3).
-    StoreGetOk {
-        objs: Vec<Option<Object>>,
-    },
-    /// Membership per requested id, in input order (v3).
-    StoreContainsOk {
-        present: Vec<bool>,
-    },
-    /// Acknowledges a `StoreRemove` (v3).
-    StoreRemoveOk,
-    /// Every object id held, unspecified order (v3).
-    StoreObjectIdsOk {
-        ids: Vec<ObjectId>,
-    },
-    /// Fill and operation counters of the served store (v3).
-    StoreStatsOk(StoreStats),
-    Error {
-        code: u16,
-        message: String,
-    },
+/// The one rendering of an fsck outcome: `dsv fsck` prints it whether
+/// the check ran locally or behind `--remote`, and
+/// `dsv_vcs::FsckReport` displays through it.
+impl std::fmt::Display for FsckSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "fsck: {} versions, {} objects checked",
+            self.versions_checked, self.objects_checked
+        )?;
+        match self.recovery {
+            None | Some(WireRecovery::Clean) => {}
+            Some(WireRecovery::RolledForward { removed }) => {
+                write!(f, "; journal rolled forward ({removed} stale removed)")?
+            }
+            Some(WireRecovery::RolledBack { removed }) => {
+                write!(f, "; journal rolled back ({removed} orphans removed)")?
+            }
+        }
+        if self.bad_addresses > 0 {
+            write!(f, "; {} BAD ADDRESSES", self.bad_addresses)?;
+        }
+        if self.unreadable > 0 {
+            write!(f, "; {} UNREADABLE VERSIONS", self.unreadable)?;
+        }
+        if self.orphans_removed > 0 {
+            write!(f, "; {} orphans removed", self.orphans_removed)?;
+        } else if self.orphans > 0 {
+            write!(f, "; {} orphans", self.orphans)?;
+        }
+        if self.journal_pending {
+            write!(f, "; REPACK JOURNAL PENDING")?;
+        }
+        write!(f, "; {}", if self.clean { "clean" } else { "NOT CLEAN" })
+    }
 }
+
+wire_struct!(RecreationWork {
+    objects_fetched: usize,
+    bytes_read: u64,
+    bytes_written: u64,
+    cache_hits: usize,
+    bytes_saved: u64,
+});
+wire_struct!(CacheStats {
+    budget_bytes: u64,
+    bytes: u64,
+    entries: usize,
+    lookups: u64,
+    hits: u64,
+    misses: u64,
+    admitted: u64,
+    rejected: u64,
+    evictions: u64,
+    bytes_saved: u64,
+});
+// Shard count is server-controlled but still bounded defensively: the
+// stores cap at well under 2^16 shards.
+wire_struct!(ShardStats { objects: usize, bytes: u64, batch_ns: u64 }
+    [at most 1 << 16, "implausible shard count"]);
+wire_struct!(OpCounters {
+    puts: u64,
+    gets: u64,
+    batch_puts: u64,
+    batch_put_objects: u64,
+    batch_gets: u64,
+    batch_get_objects: u64,
+    removes: u64,
+});
+wire_struct!(StoreStats {
+    objects: usize,
+    bytes: u64,
+    shards: Vec<ShardStats>,
+    ops: OpCounters,
+});
+wire_struct!(CandidateNumbers {
+    objective: u64,
+    storage: u64,
+    sum_recreation: u64,
+    max_recreation: u64,
+    feasible: bool,
+});
+wire_struct!(CandidateLine { solver: String, outcome: Result<CandidateNumbers, String> }
+    [at most 1 << 16, "implausible candidate count"]);
+wire_struct!(OptimizeSummary {
+    problem: String,
+    solver: String,
+    feasible: bool,
+    portfolio: bool,
+    storage_before: u64,
+    storage_after: u64,
+    materialized: u64,
+    chunked: u64,
+    planned_storage_cost: u64,
+    planned_max_recreation: u64,
+    planned_sum_recreation: u64,
+    candidates: Vec<CandidateLine>,
+});
+wire_struct!(StatsSummary {
+    stats: StoreStats,
+    logical_bytes: u64,
+    cache: Option<CacheStats>,
+});
+wire_struct!(FsckSummary {
+    clean: bool,
+    versions_checked: u64,
+    objects_checked: u64,
+    bad_addresses: u64,
+    unreadable: u64,
+    orphans: u64,
+    orphans_removed: u64,
+    journal_pending: bool,
+    recovery: Option<WireRecovery>,
+});
+
+// Every problem is a kind byte plus one u64 bound, and the unbounded
+// kinds carry a zero — a fixed-width shape `wire_enum!`'s per-arm field
+// lists cannot say, so this one enum is written out.
+impl Wire for Problem {
+    const MIN_SIZE: usize = 9;
+    fn put(&self, buf: &mut Vec<u8>) {
+        let (kind, bound) = match *self {
+            Problem::MinStorage => (1, 0),
+            Problem::MinRecreation => (2, 0),
+            Problem::MinSumRecreationGivenStorage { beta } => (3, beta),
+            Problem::MinMaxRecreationGivenStorage { beta } => (4, beta),
+            Problem::MinStorageGivenSumRecreation { theta } => (5, theta),
+            Problem::MinStorageGivenMaxRecreation { theta } => (6, theta),
+        };
+        buf.push(kind);
+        bound.put(buf);
+    }
+    fn get(c: &mut Cursor) -> Result<Self, NetError> {
+        let kind = c.u8()?;
+        let bound = u64::get(c)?;
+        Ok(match kind {
+            1 => Problem::MinStorage,
+            2 => Problem::MinRecreation,
+            3 => Problem::MinSumRecreationGivenStorage { beta: bound },
+            4 => Problem::MinMaxRecreationGivenStorage { beta: bound },
+            5 => Problem::MinStorageGivenSumRecreation { theta: bound },
+            6 => Problem::MinStorageGivenMaxRecreation { theta: bound },
+            _ => return Err(NetError::Malformed("unknown problem kind")),
+        })
+    }
+}
+wire_enum!(WireSolver, "unknown solver selector";
+    0 => (WireSolver::Auto) {},
+    1 => (WireSolver::Named(name)) { name: String },
+    2 => (WireSolver::Portfolio) {},
+);
+wire_enum!(WireMode, "unknown mode selector";
+    0 => (WireMode::Auto) {},
+    1 => (WireMode::Binary) {},
+    2 => (WireMode::Hybrid { min_size, avg_size, max_size })
+        { min_size: u64, avg_size: u64, max_size: u64 },
+);
+// The recovery selector doubles as the option's presence byte (0 = no
+// recovery ran). `WireRecovery` alone is deliberately not `Wire`, which
+// is what keeps this impl apart from the blanket `Option<T>` one.
+wire_enum!(Option<WireRecovery>, "unknown recovery selector";
+    0 => (None) {},
+    1 => (Some(WireRecovery::Clean)) {},
+    2 => (Some(WireRecovery::RolledForward { removed })) { removed: u64 },
+    3 => (Some(WireRecovery::RolledBack { removed })) { removed: u64 },
+);
+wire_enum!(Result<CandidateNumbers, String>, "candidate outcome byte not 0/1";
+    1 => (Ok(numbers)) { numbers: CandidateNumbers },
+    0 => (Err(error)) { error: String },
+);
 
 // ---------------------------------------------------------------------
-// encoding primitives
+// the message tables
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(buf, 0),
-        Some(v) => {
-            put_u8(buf, 1);
-            put_u64(buf, v);
-        }
+messages! {
+    /// Client → server messages. One request maps to exactly one response
+    /// frame (the matching `*Ok` opcode or an error frame).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request {
+        /// Handshake; must be the first frame on a connection.
+        HELLO, "hello" => Hello { version: u16 },
+        PING, "ping" => Ping,
+        COMMIT, "commit" => Commit {
+            /// Idempotency token: the server records the response per token,
+            /// so a commit retried after a lost response (same token) replays
+            /// the recorded answer instead of double-applying. `0` opts out.
+            token: u64,
+            branch: String,
+            message: String,
+            online: bool,
+            /// Reveal neighborhood for `--online` placement.
+            hops: u32,
+            /// `--theta`: recreation bound in bytes.
+            theta: Option<u64>,
+            data: Vec<u8>,
+        },
+        CHECKOUT, "checkout" => Checkout { version: u32 },
+        OPTIMIZE, "optimize" => Optimize {
+            problem: Problem,
+            solver: WireSolver,
+            mode: WireMode,
+            reveal_hops: u32,
+            hop_bound: Option<u32>,
+        },
+        STATS, "stats" => Stats,
+        SHUTDOWN, "shutdown" => Shutdown,
+        /// Verify the served repository's integrity (`dsv fsck --remote`);
+        /// with `repair`, also resolve pending journals and GC orphans.
+        FSCK, "fsck" => Fsck { repair: bool },
+        /// Store a batch of objects on a bare store server (v3). Objects
+        /// travel in their canonical uncompressed encoding; the server
+        /// re-encodes per its own compression policy. Idempotent
+        /// (content-addressed), so blind retries are safe.
+        STORE_PUT, "store.put" => StorePut { objs: Vec<Object> },
+        /// Fetch a batch of objects by id (v3). The response carries one
+        /// presence-tagged slot per id, in input order.
+        STORE_GET, "store.get" => StoreGet { ids: Vec<ObjectId> },
+        /// Membership of each id (v3).
+        STORE_CONTAINS, "store.contains" => StoreContains { ids: Vec<ObjectId> },
+        /// Remove each id; unknown ids are ignored (v3).
+        STORE_REMOVE, "store.remove" => StoreRemove { ids: Vec<ObjectId> },
+        /// Enumerate every object id the store holds (v3) — the fsck /
+        /// orphan-scan surface.
+        STORE_IDS, "store.ids" => StoreObjectIds,
+        /// The store's fill and operation counters (v3).
+        STORE_STATS, "store.stats" => StoreStats,
     }
 }
 
-fn put_opt_u32(buf: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        None => put_u8(buf, 0),
-        Some(v) => {
-            put_u8(buf, 1);
-            put_u32(buf, v);
-        }
-    }
-}
-
-fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u32(buf, v.len() as u32);
-    buf.extend_from_slice(v);
-}
-
-fn put_string(buf: &mut Vec<u8>, v: &str) {
-    put_bytes(buf, v.as_bytes());
-}
-
-/// Strict decoding cursor over a frame body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(NetError::Malformed("body shorter than declared field"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, NetError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(NetError::Malformed("boolean byte not 0/1")),
-        }
-    }
-
-    fn u16(&mut self) -> Result<u16, NetError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, NetError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(NetError::Malformed("option byte not 0/1")),
-        }
-    }
-
-    fn opt_u32(&mut self) -> Result<Option<u32>, NetError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            _ => Err(NetError::Malformed("option byte not 0/1")),
-        }
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, NetError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, NetError> {
-        String::from_utf8(self.bytes()?).map_err(|_| NetError::Malformed("string not UTF-8"))
-    }
-
-    /// Bytes not yet consumed — used to sanity-bound declared element
-    /// counts before any `Vec::with_capacity`.
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Decoders must consume exactly the body; trailing bytes mean the
-    /// peer and we disagree about the layout.
-    fn finish(self) -> Result<(), NetError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(NetError::Malformed("trailing bytes after body"))
-        }
-    }
-}
-
-fn put_id(buf: &mut Vec<u8>, id: ObjectId) {
-    buf.extend_from_slice(&id.0);
-}
-
-fn get_id(c: &mut Cursor) -> Result<ObjectId, NetError> {
-    let b = c.take(16)?;
-    let mut out = [0u8; 16];
-    out.copy_from_slice(b);
-    Ok(ObjectId(out))
-}
-
-fn put_ids(buf: &mut Vec<u8>, ids: &[ObjectId]) {
-    put_u32(buf, ids.len() as u32);
-    for &id in ids {
-        put_id(buf, id);
-    }
-}
-
-/// Decodes a `u32`-counted run of 16-byte ids. The declared count is
-/// checked against the remaining body *before* allocation, so a corrupt
-/// prefix cannot trigger an outsized reservation.
-fn get_ids(c: &mut Cursor) -> Result<Vec<ObjectId>, NetError> {
-    let n = c.u32()? as usize;
-    if n.checked_mul(16).map_or(true, |need| need > c.remaining()) {
-        return Err(NetError::Malformed("id count exceeds body"));
-    }
-    (0..n).map(|_| get_id(c)).collect()
-}
-
-/// Objects travel in their canonical *uncompressed* [`Object::encode`]
-/// form (tag, base id, varint payload) as a length-prefixed blob — the
-/// receiving store re-encodes per its own compression policy, so the wire
-/// stays layout-agnostic and [`Object::decode`]'s strictness doubles as
-/// body validation.
-fn put_object(buf: &mut Vec<u8>, obj: &Object) {
-    put_bytes(buf, &obj.encode(false));
-}
-
-fn get_object(c: &mut Cursor) -> Result<Object, NetError> {
-    let bytes = c.bytes()?;
-    Object::decode(&bytes).map_err(|_| NetError::Malformed("object blob failed to decode"))
-}
-
-fn put_objects(buf: &mut Vec<u8>, objs: &[Object]) {
-    put_u32(buf, objs.len() as u32);
-    for obj in objs {
-        put_object(buf, obj);
-    }
-}
-
-fn get_objects(c: &mut Cursor) -> Result<Vec<Object>, NetError> {
-    let n = c.u32()? as usize;
-    // Every object blob costs at least its 4-byte length prefix.
-    if n.checked_mul(4).map_or(true, |need| need > c.remaining()) {
-        return Err(NetError::Malformed("object count exceeds body"));
-    }
-    (0..n).map(|_| get_object(c)).collect()
-}
-
-fn put_problem(buf: &mut Vec<u8>, p: Problem) {
-    let (kind, bound) = match p {
-        Problem::MinStorage => (1, 0),
-        Problem::MinRecreation => (2, 0),
-        Problem::MinSumRecreationGivenStorage { beta } => (3, beta),
-        Problem::MinMaxRecreationGivenStorage { beta } => (4, beta),
-        Problem::MinStorageGivenSumRecreation { theta } => (5, theta),
-        Problem::MinStorageGivenMaxRecreation { theta } => (6, theta),
-    };
-    put_u8(buf, kind);
-    put_u64(buf, bound);
-}
-
-fn get_problem(c: &mut Cursor) -> Result<Problem, NetError> {
-    let kind = c.u8()?;
-    let bound = c.u64()?;
-    Ok(match kind {
-        1 => Problem::MinStorage,
-        2 => Problem::MinRecreation,
-        3 => Problem::MinSumRecreationGivenStorage { beta: bound },
-        4 => Problem::MinMaxRecreationGivenStorage { beta: bound },
-        5 => Problem::MinStorageGivenSumRecreation { theta: bound },
-        6 => Problem::MinStorageGivenMaxRecreation { theta: bound },
-        _ => return Err(NetError::Malformed("unknown problem kind")),
-    })
-}
-
-fn put_work(buf: &mut Vec<u8>, w: &RecreationWork) {
-    put_u64(buf, w.objects_fetched as u64);
-    put_u64(buf, w.bytes_read);
-    put_u64(buf, w.bytes_written);
-    put_u64(buf, w.cache_hits as u64);
-    put_u64(buf, w.bytes_saved);
-}
-
-fn get_work(c: &mut Cursor) -> Result<RecreationWork, NetError> {
-    Ok(RecreationWork {
-        objects_fetched: c.u64()? as usize,
-        bytes_read: c.u64()?,
-        bytes_written: c.u64()?,
-        cache_hits: c.u64()? as usize,
-        bytes_saved: c.u64()?,
-    })
-}
-
-fn put_store_stats(buf: &mut Vec<u8>, s: &StoreStats) {
-    put_u64(buf, s.objects as u64);
-    put_u64(buf, s.bytes);
-    put_u32(buf, s.shards.len() as u32);
-    for shard in &s.shards {
-        put_u64(buf, shard.objects as u64);
-        put_u64(buf, shard.bytes);
-        put_u64(buf, shard.batch_ns);
-    }
-    let ops = &s.ops;
-    for v in [
-        ops.puts,
-        ops.gets,
-        ops.batch_puts,
-        ops.batch_put_objects,
-        ops.batch_gets,
-        ops.batch_get_objects,
-        ops.removes,
-    ] {
-        put_u64(buf, v);
-    }
-}
-
-fn get_store_stats(c: &mut Cursor) -> Result<StoreStats, NetError> {
-    let objects = c.u64()? as usize;
-    let bytes = c.u64()?;
-    let n_shards = c.u32()? as usize;
-    // Shard count is server-controlled but still bounded defensively:
-    // the stores cap at well under 2^16 shards.
-    if n_shards > 1 << 16 {
-        return Err(NetError::Malformed("implausible shard count"));
-    }
-    let mut shards = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        shards.push(ShardStats {
-            objects: c.u64()? as usize,
-            bytes: c.u64()?,
-            batch_ns: c.u64()?,
-        });
-    }
-    let ops = OpCounters {
-        puts: c.u64()?,
-        gets: c.u64()?,
-        batch_puts: c.u64()?,
-        batch_put_objects: c.u64()?,
-        batch_gets: c.u64()?,
-        batch_get_objects: c.u64()?,
-        removes: c.u64()?,
-    };
-    Ok(StoreStats {
-        objects,
-        bytes,
-        shards,
-        ops,
-    })
-}
-
-fn put_cache_stats(buf: &mut Vec<u8>, s: &CacheStats) {
-    put_u64(buf, s.budget_bytes);
-    put_u64(buf, s.bytes);
-    put_u64(buf, s.entries as u64);
-    put_u64(buf, s.lookups);
-    put_u64(buf, s.hits);
-    put_u64(buf, s.misses);
-    put_u64(buf, s.admitted);
-    put_u64(buf, s.rejected);
-    put_u64(buf, s.evictions);
-    put_u64(buf, s.bytes_saved);
-}
-
-fn get_cache_stats(c: &mut Cursor) -> Result<CacheStats, NetError> {
-    Ok(CacheStats {
-        budget_bytes: c.u64()?,
-        bytes: c.u64()?,
-        entries: c.u64()? as usize,
-        lookups: c.u64()?,
-        hits: c.u64()?,
-        misses: c.u64()?,
-        admitted: c.u64()?,
-        rejected: c.u64()?,
-        evictions: c.u64()?,
-        bytes_saved: c.u64()?,
-    })
-}
-
-impl Request {
-    pub fn opcode(&self) -> u8 {
-        match self {
-            Request::Hello { .. } => opcode::HELLO,
-            Request::Ping => opcode::PING,
-            Request::Commit { .. } => opcode::COMMIT,
-            Request::Checkout { .. } => opcode::CHECKOUT,
-            Request::Optimize { .. } => opcode::OPTIMIZE,
-            Request::Stats => opcode::STATS,
-            Request::Shutdown => opcode::SHUTDOWN,
-            Request::Fsck { .. } => opcode::FSCK,
-            Request::StorePut { .. } => opcode::STORE_PUT,
-            Request::StoreGet { .. } => opcode::STORE_GET,
-            Request::StoreContains { .. } => opcode::STORE_CONTAINS,
-            Request::StoreRemove { .. } => opcode::STORE_REMOVE,
-            Request::StoreObjectIds => opcode::STORE_IDS,
-            Request::StoreStats => opcode::STORE_STATS,
-        }
-    }
-
-    pub fn encode(&self) -> Frame {
-        let mut body = Vec::new();
-        match self {
-            Request::Hello { version } => put_u16(&mut body, *version),
-            Request::Ping
-            | Request::Stats
-            | Request::Shutdown
-            | Request::StoreObjectIds
-            | Request::StoreStats => {}
-            Request::StorePut { objs } => put_objects(&mut body, objs),
-            Request::StoreGet { ids }
-            | Request::StoreContains { ids }
-            | Request::StoreRemove { ids } => put_ids(&mut body, ids),
-            Request::Commit {
-                token,
-                branch,
-                message,
-                online,
-                hops,
-                theta,
-                data,
-            } => {
-                put_u64(&mut body, *token);
-                put_string(&mut body, branch);
-                put_string(&mut body, message);
-                put_bool(&mut body, *online);
-                put_u32(&mut body, *hops);
-                put_opt_u64(&mut body, *theta);
-                put_bytes(&mut body, data);
-            }
-            Request::Checkout { version } => put_u32(&mut body, *version),
-            Request::Fsck { repair } => put_bool(&mut body, *repair),
-            Request::Optimize {
-                problem,
-                solver,
-                mode,
-                reveal_hops,
-                hop_bound,
-            } => {
-                put_problem(&mut body, *problem);
-                match solver {
-                    WireSolver::Auto => put_u8(&mut body, 0),
-                    WireSolver::Named(name) => {
-                        put_u8(&mut body, 1);
-                        put_string(&mut body, name);
-                    }
-                    WireSolver::Portfolio => put_u8(&mut body, 2),
-                }
-                match mode {
-                    WireMode::Auto => put_u8(&mut body, 0),
-                    WireMode::Binary => put_u8(&mut body, 1),
-                    WireMode::Hybrid {
-                        min_size,
-                        avg_size,
-                        max_size,
-                    } => {
-                        put_u8(&mut body, 2);
-                        put_u64(&mut body, *min_size);
-                        put_u64(&mut body, *avg_size);
-                        put_u64(&mut body, *max_size);
-                    }
-                }
-                put_u32(&mut body, *reveal_hops);
-                put_opt_u32(&mut body, *hop_bound);
-            }
-        }
-        Frame::new(self.opcode(), body)
-    }
-
-    pub fn decode(frame: &Frame) -> Result<Request, NetError> {
-        let mut c = Cursor::new(&frame.body);
-        let req = match frame.opcode {
-            opcode::HELLO => Request::Hello { version: c.u16()? },
-            opcode::PING => Request::Ping,
-            opcode::COMMIT => Request::Commit {
-                token: c.u64()?,
-                branch: c.string()?,
-                message: c.string()?,
-                online: c.bool()?,
-                hops: c.u32()?,
-                theta: c.opt_u64()?,
-                data: c.bytes()?,
-            },
-            opcode::CHECKOUT => Request::Checkout { version: c.u32()? },
-            opcode::FSCK => Request::Fsck { repair: c.bool()? },
-            opcode::OPTIMIZE => {
-                let problem = get_problem(&mut c)?;
-                let solver = match c.u8()? {
-                    0 => WireSolver::Auto,
-                    1 => WireSolver::Named(c.string()?),
-                    2 => WireSolver::Portfolio,
-                    _ => return Err(NetError::Malformed("unknown solver selector")),
-                };
-                let mode = match c.u8()? {
-                    0 => WireMode::Auto,
-                    1 => WireMode::Binary,
-                    2 => WireMode::Hybrid {
-                        min_size: c.u64()?,
-                        avg_size: c.u64()?,
-                        max_size: c.u64()?,
-                    },
-                    _ => return Err(NetError::Malformed("unknown mode selector")),
-                };
-                Request::Optimize {
-                    problem,
-                    solver,
-                    mode,
-                    reveal_hops: c.u32()?,
-                    hop_bound: c.opt_u32()?,
-                }
-            }
-            opcode::STATS => Request::Stats,
-            opcode::SHUTDOWN => Request::Shutdown,
-            opcode::STORE_PUT => Request::StorePut {
-                objs: get_objects(&mut c)?,
-            },
-            opcode::STORE_GET => Request::StoreGet {
-                ids: get_ids(&mut c)?,
-            },
-            opcode::STORE_CONTAINS => Request::StoreContains {
-                ids: get_ids(&mut c)?,
-            },
-            opcode::STORE_REMOVE => Request::StoreRemove {
-                ids: get_ids(&mut c)?,
-            },
-            opcode::STORE_IDS => Request::StoreObjectIds,
-            opcode::STORE_STATS => Request::StoreStats,
-            other => return Err(NetError::UnknownOpcode(other)),
-        };
-        c.finish()?;
-        Ok(req)
+messages! {
+    /// Server → client messages.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response {
+        HELLO_OK, "hello_ok" => HelloOk { version: u16 },
+        PONG, "pong" => Pong,
+        COMMIT_OK, "commit_ok" => CommitOk {
+            /// The new version's numeric id (`CommitId.0`).
+            id: u32,
+            bytes: u64,
+            online: bool,
+        },
+        CHECKOUT_OK, "checkout_ok" => CheckoutOk { work: RecreationWork, data: Vec<u8> },
+        OPTIMIZE_OK, "optimize_ok" => OptimizeOk(summary: OptimizeSummary),
+        STATS_OK, "stats_ok" => StatsOk(summary: StatsSummary),
+        SHUTDOWN_OK, "shutdown_ok" => ShutdownOk,
+        FSCK_OK, "fsck_ok" => FsckOk(summary: FsckSummary),
+        /// Ids of the objects a `StorePut` stored, in input order (v3).
+        STORE_PUT_OK, "store.put_ok" => StorePutOk { ids: Vec<ObjectId> },
+        /// One slot per requested id, in input order; `None` = not held (v3).
+        STORE_GET_OK, "store.get_ok" => StoreGetOk { objs: Vec<Option<Object>> },
+        /// Membership per requested id, in input order (v3).
+        STORE_CONTAINS_OK, "store.contains_ok" => StoreContainsOk { present: Vec<bool> },
+        /// Acknowledges a `StoreRemove` (v3).
+        STORE_REMOVE_OK, "store.remove_ok" => StoreRemoveOk,
+        /// Every object id held, unspecified order (v3).
+        STORE_IDS_OK, "store.ids_ok" => StoreObjectIdsOk { ids: Vec<ObjectId> },
+        /// Fill and operation counters of the served store (v3).
+        STORE_STATS_OK, "store.stats_ok" => StoreStatsOk(stats: StoreStats),
+        ERROR, "error" => Error { code: u16, message: String },
     }
 }
 
 impl Response {
-    pub fn opcode(&self) -> u8 {
-        match self {
-            Response::HelloOk { .. } => opcode::HELLO_OK,
-            Response::Pong => opcode::PONG,
-            Response::CommitOk { .. } => opcode::COMMIT_OK,
-            Response::CheckoutOk { .. } => opcode::CHECKOUT_OK,
-            Response::OptimizeOk(_) => opcode::OPTIMIZE_OK,
-            Response::StatsOk(_) => opcode::STATS_OK,
-            Response::ShutdownOk => opcode::SHUTDOWN_OK,
-            Response::FsckOk(_) => opcode::FSCK_OK,
-            Response::StorePutOk { .. } => opcode::STORE_PUT_OK,
-            Response::StoreGetOk { .. } => opcode::STORE_GET_OK,
-            Response::StoreContainsOk { .. } => opcode::STORE_CONTAINS_OK,
-            Response::StoreRemoveOk => opcode::STORE_REMOVE_OK,
-            Response::StoreObjectIdsOk { .. } => opcode::STORE_IDS_OK,
-            Response::StoreStatsOk(_) => opcode::STORE_STATS_OK,
-            Response::Error { .. } => opcode::ERROR,
-        }
-    }
-
     /// Structured error frame for a codec/server failure.
     pub fn error_for(err: &NetError) -> Response {
         Response::Error {
@@ -773,262 +754,5 @@ impl Response {
             code: errcode::SERVER,
             message: message.into(),
         }
-    }
-
-    pub fn encode(&self) -> Frame {
-        let mut body = Vec::new();
-        match self {
-            Response::HelloOk { version } => put_u16(&mut body, *version),
-            Response::Pong | Response::ShutdownOk | Response::StoreRemoveOk => {}
-            Response::StorePutOk { ids } | Response::StoreObjectIdsOk { ids } => {
-                put_ids(&mut body, ids)
-            }
-            Response::StoreGetOk { objs } => {
-                put_u32(&mut body, objs.len() as u32);
-                for slot in objs {
-                    match slot {
-                        None => put_u8(&mut body, 0),
-                        Some(obj) => {
-                            put_u8(&mut body, 1);
-                            put_object(&mut body, obj);
-                        }
-                    }
-                }
-            }
-            Response::StoreContainsOk { present } => {
-                put_u32(&mut body, present.len() as u32);
-                for &p in present {
-                    put_bool(&mut body, p);
-                }
-            }
-            Response::StoreStatsOk(s) => put_store_stats(&mut body, s),
-            Response::CommitOk { id, bytes, online } => {
-                put_u32(&mut body, *id);
-                put_u64(&mut body, *bytes);
-                put_bool(&mut body, *online);
-            }
-            Response::CheckoutOk { data, work } => {
-                put_work(&mut body, work);
-                put_bytes(&mut body, data);
-            }
-            Response::OptimizeOk(s) => {
-                put_string(&mut body, &s.problem);
-                put_string(&mut body, &s.solver);
-                put_bool(&mut body, s.feasible);
-                put_bool(&mut body, s.portfolio);
-                put_u64(&mut body, s.storage_before);
-                put_u64(&mut body, s.storage_after);
-                put_u64(&mut body, s.materialized);
-                put_u64(&mut body, s.chunked);
-                put_u64(&mut body, s.planned_storage_cost);
-                put_u64(&mut body, s.planned_max_recreation);
-                put_u64(&mut body, s.planned_sum_recreation);
-                put_u32(&mut body, s.candidates.len() as u32);
-                for c in &s.candidates {
-                    put_string(&mut body, &c.solver);
-                    match &c.outcome {
-                        Ok(n) => {
-                            put_u8(&mut body, 1);
-                            put_u64(&mut body, n.objective);
-                            put_u64(&mut body, n.storage);
-                            put_u64(&mut body, n.sum_recreation);
-                            put_u64(&mut body, n.max_recreation);
-                            put_bool(&mut body, n.feasible);
-                        }
-                        Err(e) => {
-                            put_u8(&mut body, 0);
-                            put_string(&mut body, e);
-                        }
-                    }
-                }
-            }
-            Response::StatsOk(s) => {
-                put_store_stats(&mut body, &s.stats);
-                put_u64(&mut body, s.logical_bytes);
-                match &s.cache {
-                    None => put_u8(&mut body, 0),
-                    Some(c) => {
-                        put_u8(&mut body, 1);
-                        put_cache_stats(&mut body, c);
-                    }
-                }
-            }
-            Response::FsckOk(s) => {
-                put_bool(&mut body, s.clean);
-                put_u64(&mut body, s.versions_checked);
-                put_u64(&mut body, s.objects_checked);
-                put_u64(&mut body, s.bad_addresses);
-                put_u64(&mut body, s.unreadable);
-                put_u64(&mut body, s.orphans);
-                put_u64(&mut body, s.orphans_removed);
-                put_bool(&mut body, s.journal_pending);
-                match s.recovery {
-                    None => put_u8(&mut body, 0),
-                    Some(WireRecovery::Clean) => put_u8(&mut body, 1),
-                    Some(WireRecovery::RolledForward { removed }) => {
-                        put_u8(&mut body, 2);
-                        put_u64(&mut body, removed);
-                    }
-                    Some(WireRecovery::RolledBack { removed }) => {
-                        put_u8(&mut body, 3);
-                        put_u64(&mut body, removed);
-                    }
-                }
-            }
-            Response::Error { code, message } => {
-                put_u16(&mut body, *code);
-                put_string(&mut body, message);
-            }
-        }
-        Frame::new(self.opcode(), body)
-    }
-
-    pub fn decode(frame: &Frame) -> Result<Response, NetError> {
-        let mut c = Cursor::new(&frame.body);
-        let resp = match frame.opcode {
-            opcode::HELLO_OK => Response::HelloOk { version: c.u16()? },
-            opcode::PONG => Response::Pong,
-            opcode::COMMIT_OK => Response::CommitOk {
-                id: c.u32()?,
-                bytes: c.u64()?,
-                online: c.bool()?,
-            },
-            opcode::CHECKOUT_OK => {
-                let work = get_work(&mut c)?;
-                Response::CheckoutOk {
-                    data: c.bytes()?,
-                    work,
-                }
-            }
-            opcode::OPTIMIZE_OK => {
-                let problem = c.string()?;
-                let solver = c.string()?;
-                let feasible = c.bool()?;
-                let portfolio = c.bool()?;
-                let storage_before = c.u64()?;
-                let storage_after = c.u64()?;
-                let materialized = c.u64()?;
-                let chunked = c.u64()?;
-                let planned_storage_cost = c.u64()?;
-                let planned_max_recreation = c.u64()?;
-                let planned_sum_recreation = c.u64()?;
-                let n = c.u32()? as usize;
-                if n > 1 << 16 {
-                    return Err(NetError::Malformed("implausible candidate count"));
-                }
-                let mut candidates = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let solver = c.string()?;
-                    let outcome = match c.u8()? {
-                        1 => Ok(CandidateNumbers {
-                            objective: c.u64()?,
-                            storage: c.u64()?,
-                            sum_recreation: c.u64()?,
-                            max_recreation: c.u64()?,
-                            feasible: c.bool()?,
-                        }),
-                        0 => Err(c.string()?),
-                        _ => return Err(NetError::Malformed("candidate outcome byte not 0/1")),
-                    };
-                    candidates.push(CandidateLine { solver, outcome });
-                }
-                Response::OptimizeOk(OptimizeSummary {
-                    problem,
-                    solver,
-                    feasible,
-                    portfolio,
-                    storage_before,
-                    storage_after,
-                    materialized,
-                    chunked,
-                    planned_storage_cost,
-                    planned_max_recreation,
-                    planned_sum_recreation,
-                    candidates,
-                })
-            }
-            opcode::STATS_OK => {
-                let stats = get_store_stats(&mut c)?;
-                let logical_bytes = c.u64()?;
-                let cache = match c.u8()? {
-                    0 => None,
-                    1 => Some(get_cache_stats(&mut c)?),
-                    _ => return Err(NetError::Malformed("option byte not 0/1")),
-                };
-                Response::StatsOk(StatsSummary {
-                    stats,
-                    logical_bytes,
-                    cache,
-                })
-            }
-            opcode::SHUTDOWN_OK => Response::ShutdownOk,
-            opcode::FSCK_OK => {
-                let clean = c.bool()?;
-                let versions_checked = c.u64()?;
-                let objects_checked = c.u64()?;
-                let bad_addresses = c.u64()?;
-                let unreadable = c.u64()?;
-                let orphans = c.u64()?;
-                let orphans_removed = c.u64()?;
-                let journal_pending = c.bool()?;
-                let recovery = match c.u8()? {
-                    0 => None,
-                    1 => Some(WireRecovery::Clean),
-                    2 => Some(WireRecovery::RolledForward { removed: c.u64()? }),
-                    3 => Some(WireRecovery::RolledBack { removed: c.u64()? }),
-                    _ => return Err(NetError::Malformed("unknown recovery selector")),
-                };
-                Response::FsckOk(FsckSummary {
-                    clean,
-                    versions_checked,
-                    objects_checked,
-                    bad_addresses,
-                    unreadable,
-                    orphans,
-                    orphans_removed,
-                    journal_pending,
-                    recovery,
-                })
-            }
-            opcode::STORE_PUT_OK => Response::StorePutOk {
-                ids: get_ids(&mut c)?,
-            },
-            opcode::STORE_GET_OK => {
-                let n = c.u32()? as usize;
-                // Every slot costs at least its presence byte.
-                if n > c.remaining() {
-                    return Err(NetError::Malformed("slot count exceeds body"));
-                }
-                let mut objs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    objs.push(match c.u8()? {
-                        0 => None,
-                        1 => Some(get_object(&mut c)?),
-                        _ => return Err(NetError::Malformed("presence byte not 0/1")),
-                    });
-                }
-                Response::StoreGetOk { objs }
-            }
-            opcode::STORE_CONTAINS_OK => {
-                let n = c.u32()? as usize;
-                if n > c.remaining() {
-                    return Err(NetError::Malformed("membership count exceeds body"));
-                }
-                let present = (0..n).map(|_| c.bool()).collect::<Result<Vec<_>, _>>()?;
-                Response::StoreContainsOk { present }
-            }
-            opcode::STORE_REMOVE_OK => Response::StoreRemoveOk,
-            opcode::STORE_IDS_OK => Response::StoreObjectIdsOk {
-                ids: get_ids(&mut c)?,
-            },
-            opcode::STORE_STATS_OK => Response::StoreStatsOk(get_store_stats(&mut c)?),
-            opcode::ERROR => Response::Error {
-                code: c.u16()?,
-                message: c.string()?,
-            },
-            other => return Err(NetError::UnknownOpcode(other)),
-        };
-        c.finish()?;
-        Ok(resp)
     }
 }

@@ -36,14 +36,12 @@
 //! until each response fits.
 
 use crate::client::{Client, RetryPolicy};
-use crate::frame::{errcode, read_frame, write_frame, NetError, DEFAULT_MAX_FRAME};
+use crate::frame::{errcode, NetError, DEFAULT_MAX_FRAME};
 use crate::proto::{Request, Response};
-use crate::server::{ConnHandler, ServeControl, Server};
-use crate::PROTOCOL_VERSION;
+use crate::server::{session, Server};
 use dsv_obs as obs;
 use dsv_storage::{Object, ObjectId, ObjectStore, OpCounters, StoreError, StoreStats};
 use parking_lot::Mutex;
-use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -263,9 +261,7 @@ impl ObjectStore for RemoteStore {
     /// packers) goes through `get`/`get_batch`, where the failure is
     /// structured.
     fn contains(&self, id: ObjectId) -> bool {
-        self.send_contains(&[id])
-            .map(|v| v[0])
-            .unwrap_or(false)
+        self.send_contains(&[id]).map(|v| v[0]).unwrap_or(false)
     }
 
     fn total_bytes(&self) -> u64 {
@@ -378,18 +374,27 @@ impl<S: ObjectStore + Sync> StoreService<S> {
 
     /// Run the accept loop on `server` until a client sends `Shutdown`.
     pub fn serve(&self, server: &Server) {
-        let _span = obs::span!("store-serve").entered();
-        server.serve(self);
+        let span = obs::span!("store-serve").entered();
+        let serve = span.handle();
+        let StoreServiceConfig {
+            max_frame,
+            read_timeout,
+        } = self.config;
+        server.serve(&|stream: TcpStream| {
+            session(&stream, max_frame, read_timeout, &serve, |req| {
+                self.handle_request(req)
+            })
+        });
     }
 
-    fn handle_request(&self, req: Request) -> (Response, ServeControl) {
-        let resp = match req {
+    fn handle_request(&self, req: Request) -> Response {
+        match req {
             Request::Hello { .. } => Response::Error {
                 code: errcode::BAD_REQUEST,
                 message: "unexpected Hello after handshake".into(),
             },
             Request::Ping => Response::Pong,
-            Request::Shutdown => return (Response::ShutdownOk, ServeControl::Shutdown),
+            Request::Shutdown => Response::ShutdownOk,
             Request::StorePut { objs } => match self.store.put_batch(&objs) {
                 Ok(ids) => Response::StorePutOk { ids },
                 Err(e) => Response::server_error(e.to_string()),
@@ -438,111 +443,7 @@ impl<S: ObjectStore + Sync> StoreService<S> {
                           dial a dsvd repository front end instead"
                     .into(),
             },
-        };
-        (resp, ServeControl::Continue)
-    }
-
-    /// One framed conversation. Same error taxonomy as the repository
-    /// server: timeout and clean EOF close silently, an oversized frame
-    /// is reported then closed (the stream is only framed up to the bad
-    /// prefix), a malformed body is reported and the connection lives on.
-    fn session(&self, stream: &TcpStream) -> ServeControl {
-        let max = self.config.max_frame;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(self.config.read_timeout);
-        let mut reader = BufReader::new(stream);
-        let mut writer = BufWriter::new(stream);
-        let respond = |resp: &Response, w: &mut BufWriter<&TcpStream>| -> bool {
-            let frame = resp.encode();
-            obs::counter!("net.bytes_out", frame.wire_len());
-            write_frame(w, &frame).is_ok()
-        };
-
-        // Handshake: the first frame must be a matching Hello.
-        match read_frame(&mut reader, max) {
-            Ok(frame) => match Request::decode(&frame) {
-                Ok(Request::Hello { version }) if version == PROTOCOL_VERSION => {
-                    obs::counter!("net.bytes_in", frame.wire_len());
-                    if !respond(
-                        &Response::HelloOk {
-                            version: PROTOCOL_VERSION,
-                        },
-                        &mut writer,
-                    ) {
-                        return ServeControl::Continue;
-                    }
-                }
-                Ok(Request::Hello { version }) => {
-                    let resp = Response::Error {
-                        code: errcode::VERSION_MISMATCH,
-                        message: format!(
-                            "server speaks protocol v{PROTOCOL_VERSION}, client sent v{version}"
-                        ),
-                    };
-                    respond(&resp, &mut writer);
-                    return ServeControl::Continue;
-                }
-                Ok(_) => {
-                    let resp = Response::Error {
-                        code: errcode::BAD_REQUEST,
-                        message: "first frame must be Hello".into(),
-                    };
-                    respond(&resp, &mut writer);
-                    return ServeControl::Continue;
-                }
-                Err(e) => {
-                    respond(&Response::error_for(&e), &mut writer);
-                    return ServeControl::Continue;
-                }
-            },
-            Err(e) => {
-                if !matches!(e, NetError::Eof) {
-                    respond(&Response::error_for(&e), &mut writer);
-                }
-                return ServeControl::Continue;
-            }
         }
-
-        loop {
-            let frame = match read_frame(&mut reader, max) {
-                Ok(frame) => frame,
-                Err(NetError::Eof) => return ServeControl::Continue,
-                Err(e @ NetError::FrameTooLarge { .. }) => {
-                    respond(&Response::error_for(&e), &mut writer);
-                    return ServeControl::Continue;
-                }
-                // Idle timeout: silent close (an error frame would
-                // desynchronize a client reusing the idle connection).
-                Err(NetError::Timeout) => return ServeControl::Continue,
-                Err(_) => return ServeControl::Continue,
-            };
-            obs::counter!("net.bytes_in", frame.wire_len());
-            obs::counter!("net.requests", 1);
-            let req = match Request::decode(&frame) {
-                Ok(req) => req,
-                Err(e) => {
-                    if respond(&Response::error_for(&e), &mut writer) {
-                        continue;
-                    }
-                    return ServeControl::Continue;
-                }
-            };
-            let (resp, control) = self.handle_request(req);
-            let sent = respond(&resp, &mut writer);
-            if control == ServeControl::Shutdown {
-                return ServeControl::Shutdown;
-            }
-            if !sent {
-                return ServeControl::Continue;
-            }
-        }
-    }
-}
-
-impl<S: ObjectStore + Sync> ConnHandler for StoreService<S> {
-    fn handle(&self, stream: TcpStream) -> ServeControl {
-        obs::counter!("net.connections", 1);
-        self.session(&stream)
     }
 }
 
@@ -753,10 +654,7 @@ mod tests {
             data: vec![9u8; 32 * 1024],
         };
         let huge_id = seed.put(&huge).unwrap();
-        assert!(matches!(
-            tight.get(huge_id).unwrap_err(),
-            StoreError::Io(_)
-        ));
+        assert!(matches!(tight.get(huge_id).unwrap_err(), StoreError::Io(_)));
         assert_eq!(tight.get(ids[0]).unwrap(), objs[0]);
     }
 
@@ -779,7 +677,9 @@ mod tests {
     #[test]
     fn sharded_remote_equals_local() {
         use dsv_storage::ShardedStore;
-        let guards: Vec<_> = (0..3).map(|_| spawn_store_server(DEFAULT_MAX_FRAME)).collect();
+        let guards: Vec<_> = (0..3)
+            .map(|_| spawn_store_server(DEFAULT_MAX_FRAME))
+            .collect();
         let shards = guards
             .iter()
             .map(|(addr, _)| RemoteStore::connect(addr).unwrap())

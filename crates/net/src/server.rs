@@ -6,18 +6,24 @@
 //! bounded channel — the accept loop blocks once `queue_depth`
 //! connections are waiting, so a flood of clients cannot pile up
 //! unbounded sockets. Each worker hands the raw stream to the
-//! [`ConnHandler`]; the semantics layer (request decode/dispatch) lives
-//! above this crate.
+//! [`ConnHandler`], which for both services in this workspace is one call
+//! to [`session`] — the framed request/response conversation, written
+//! once — around the service's own `Request -> Response` function.
 //!
 //! Shutdown: when a handler returns [`ServeControl::Shutdown`], the flag
 //! flips and the worker dials the listener once so the blocked `accept`
 //! wakes, observes the flag, and exits; remaining queued connections are
 //! dropped and `serve` returns after all workers drain.
 
+use crate::frame::{errcode, read_frame, write_frame, NetError, PROTOCOL_VERSION};
+use crate::proto::{Request, Response};
+use dsv_obs as obs;
 use parking_lot::Mutex;
+use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
+use std::time::Duration;
 
 /// What the connection handler wants the accept loop to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,5 +139,117 @@ impl Server {
             // Closing the channel ends every worker's recv loop.
             drop(tx);
         });
+    }
+}
+
+/// One framed conversation on an accepted stream: the `Hello` handshake,
+/// then request → `handle` → response until the peer leaves. A
+/// `ShutdownOk` response is sent and then ends the whole server.
+///
+/// Errors that cannot be reported in-band (the stream is gone or
+/// unframed) just end the connection: a clean close and an idle timeout
+/// close silently, an oversized frame is reported then closed (the
+/// stream is only framed up to the bad length prefix), and a malformed
+/// body or unknown opcode is reported and the connection lives on.
+///
+/// Instrumented as `conn → recv_wait / decode / handle / encode` under
+/// `serve` (the service's own span), with a child named after the
+/// request under each `handle`, plus the `net.connections`,
+/// `net.requests`, `net.bytes_in` and `net.bytes_out` counters.
+/// `recv_wait` is the blocking read, so it is the client's think time
+/// and the body's transfer — `decode` is the codec alone.
+pub fn session(
+    stream: &TcpStream,
+    max_frame: u32,
+    read_timeout: Option<Duration>,
+    serve: &obs::SpanHandle,
+    handle: impl Fn(Request) -> Response,
+) -> ServeControl {
+    let conn_span = serve.child("conn").entered();
+    let conn = conn_span.handle();
+    obs::counter!("net.connections", 1);
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(read_timeout);
+    let mut reader = BufReader::new(stream);
+    let mut writer = BufWriter::new(stream);
+    let mut respond = |resp: &Response| -> bool {
+        let frame = resp.encode();
+        obs::counter!("net.bytes_out", frame.wire_len());
+        write_frame(&mut writer, &frame).is_ok()
+    };
+
+    // Handshake: the first frame must be a matching Hello.
+    let hello = match read_frame(&mut reader, max_frame) {
+        Ok(frame) => frame,
+        Err(NetError::Eof) => return ServeControl::Continue,
+        Err(e) => {
+            respond(&Response::error_for(&e));
+            return ServeControl::Continue;
+        }
+    };
+    let reply = match Request::decode(&hello) {
+        Ok(Request::Hello { version }) if version == PROTOCOL_VERSION => {
+            obs::counter!("net.bytes_in", hello.wire_len());
+            Response::HelloOk {
+                version: PROTOCOL_VERSION,
+            }
+        }
+        Ok(Request::Hello { version }) => Response::Error {
+            code: errcode::VERSION_MISMATCH,
+            message: format!("server speaks protocol v{PROTOCOL_VERSION}, client sent v{version}"),
+        },
+        Ok(_) => Response::Error {
+            code: errcode::BAD_REQUEST,
+            message: "first frame must be Hello".into(),
+        },
+        Err(e) => Response::error_for(&e),
+    };
+    if !respond(&reply) || !matches!(reply, Response::HelloOk { .. }) {
+        return ServeControl::Continue;
+    }
+
+    loop {
+        let received = conn
+            .child("recv_wait")
+            .in_scope(|| read_frame(&mut reader, max_frame));
+        let frame = match received {
+            Ok(frame) => frame,
+            Err(e @ NetError::FrameTooLarge { .. }) => {
+                respond(&Response::error_for(&e));
+                return ServeControl::Continue;
+            }
+            // Clean close between frames, a vanished peer, or an idle
+            // timeout: close silently. An error frame written on timeout
+            // would sit in the socket buffer and desynchronize a client
+            // that later reuses the idle connection — it would read the
+            // stale frame as the reply to its next request.
+            Err(_) => return ServeControl::Continue,
+        };
+        obs::counter!("net.bytes_in", frame.wire_len());
+        obs::counter!("net.requests", 1);
+        let decoded = conn.child("decode").in_scope(|| Request::decode(&frame));
+        let req = match decoded {
+            Ok(req) => req,
+            // Frame boundaries are intact; report in-band and keep the
+            // connection alive.
+            Err(e) => {
+                if respond(&Response::error_for(&e)) {
+                    continue;
+                }
+                return ServeControl::Continue;
+            }
+        };
+        let resp = {
+            let handling = conn.child("handle").entered();
+            let _op = handling.handle().child(req.name()).entered();
+            handle(req)
+        };
+        let sent = conn.child("encode").in_scope(|| respond(&resp));
+        if matches!(resp, Response::ShutdownOk) {
+            return ServeControl::Shutdown;
+        }
+        if !sent {
+            return ServeControl::Continue;
+        }
     }
 }

@@ -81,13 +81,21 @@
 //! available parallelism.
 //!
 //! `--remote <host:port>` (accepted anywhere on the command line) routes
-//! the command to a running `dsvd` server over the `dsv-net` protocol
-//! instead of opening a repository locally; the repo-dir positional is
-//! omitted since the server owns its repository. Output is identical to
-//! the local command — remote checkouts are byte-for-byte the same data.
-//! `--cache-bytes` is rejected remotely: every remote checkout is served
-//! through the server's single shared cache arena. `dsv --remote <addr>
-//! shutdown` stops the server.
+//! `commit`, `checkout`, `optimize`, `stats`, `store` and `fsck` to a
+//! running `dsvd` server over the `dsv-net` protocol instead of opening a
+//! repository locally; the repo-dir positional is omitted since the
+//! server owns its repository. These six commands are one code path: the
+//! arguments are parsed once into a protocol request, the request is
+//! executed by the same `Dsvd` handler either in-process or behind the
+//! socket, and the response is rendered once — so flags, output and
+//! errors cannot differ between the two. Only two epilogues are specific
+//! to a backend, both local: a multi-version `checkout --cache-bytes`
+//! ends with the cache's own line (remotely the cache is the server's,
+//! `--cache-bytes` is rejected, and `stats` shows it as `server cache`),
+//! and `stats` ends with this process's metrics. Operation counters
+//! always describe the process that owns the store — this one locally,
+//! the server remotely. `ping` and `shutdown` exist only with
+//! `--remote`.
 //!
 //! `--trace` (or `DSV_TRACE=1`) installs a [`dsv_obs`] span recorder
 //! around the whole command and prints the aggregated call tree — wall
@@ -99,12 +107,11 @@
 //! JSON; `stats` prints both in human form.
 
 use dsv_core::solvers::{registry, Support};
-use dsv_core::{ChunkingSpec, ModePolicy, PlanSpec, Problem, SolverChoice};
-use dsv_net::proto::{OptimizeSummary, WireMode, WireSolver};
+use dsv_core::{ChunkingSpec, Problem};
+use dsv_net::proto::{OptimizeSummary, Request, Response, WireMode, WireSolver};
 use dsv_obs as obs;
-use dsv_storage::{FileStore, ObjectStore, ShardedStore, StoreStats, MAX_SHARDS};
-use dsv_vcs::serve::summarize_report;
-use dsv_vcs::{persist, CommitId, Placement, RepoStore, Repository};
+use dsv_storage::{CacheStats, FileStore, ShardedStore, StoreStats, MAX_SHARDS};
+use dsv_vcs::{persist, CommitId, Dsvd, DsvdConfig, RepoStore, Repository};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -149,10 +156,7 @@ fn run(args: &[String]) -> Result<(), String> {
     } else {
         None
     };
-    let mut result = match &remote {
-        Some(addr) => dispatch_remote(&args, addr),
-        None => dispatch(&args),
-    };
+    let mut result = dispatch(&args, remote.as_deref());
     if let Some(recorder) = recorder {
         obs::set_global_recorder(None);
         let tree = recorder.snapshot();
@@ -168,8 +172,332 @@ fn run(args: &[String]) -> Result<(), String> {
     result
 }
 
-fn dispatch(args: &[String]) -> Result<(), String> {
+fn dispatch(args: &[String], remote: Option<&str>) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
+    match (cmd, remote) {
+        // The commands a repository directory and a `dsvd` server both
+        // answer. Each raises every argument error before it opens its
+        // backend, so mistakes read the same with and without `--remote`.
+        ("commit", _) => commit(args, remote),
+        ("checkout", _) => checkout(args, remote),
+        ("optimize", _) => optimize(args, remote),
+        ("stats" | "store", _) => stats(cmd, args, remote),
+        ("fsck", _) => fsck(args, remote),
+        ("ping", Some(addr)) => {
+            connect(addr)?.ping().map_err(stringify)?;
+            println!("pong from {addr} (protocol v{})", dsv_net::PROTOCOL_VERSION);
+            Ok(())
+        }
+        ("shutdown", Some(addr)) => {
+            connect(addr)?.shutdown().map_err(stringify)?;
+            println!("server at {addr} shutting down");
+            Ok(())
+        }
+        (other, Some(_)) => Err(format!(
+            "command '{other}' is not supported over --remote \
+             (supported: ping, commit, checkout, optimize, stats, store, fsck, shutdown)"
+        )),
+        (_, None) => local_only(cmd, args),
+    }
+}
+
+/// Where a served command executes: the repository directory opened
+/// in-process, or a `dsvd` across the wire. Both answer a [`Request`]
+/// with a [`Response`] through the same `Dsvd::handle`.
+enum Backend {
+    Local(Box<Dsvd<RepoStore>>),
+    Remote(dsv_net::Client),
+}
+
+impl Backend {
+    /// Opens the repository at `positional[1]`, or dials `remote`.
+    /// `cache_bytes` sizes the local checkout cache (0 = none); a server
+    /// brings its own.
+    fn open(
+        remote: Option<&str>,
+        positional: &[String],
+        cache_bytes: u64,
+    ) -> Result<Backend, String> {
+        match remote {
+            Some(addr) => connect(addr).map(Backend::Remote),
+            None => {
+                let root = repo_dir(positional, 1)?;
+                let repo = persist::load(&root, true).map_err(stringify)?;
+                let config = DsvdConfig {
+                    cache_bytes,
+                    ..DsvdConfig::default()
+                };
+                // With the save root, mutations persist exactly as a
+                // serving dsvd's do: commits re-save the metadata (and
+                // roll back in memory if that fails), optimize runs the
+                // journaled two-phase repack.
+                let dsvd = Dsvd::new(repo, config).with_save_root(root);
+                Ok(Backend::Local(Box::new(dsvd)))
+            }
+        }
+    }
+
+    /// One request, one response; an error response becomes `Err` with
+    /// the server's message, whichever side of a socket it ran on.
+    fn call(&mut self, req: Request) -> Result<Response, String> {
+        match self {
+            Backend::Local(dsvd) => match dsvd.handle(req) {
+                Response::Error { message, .. } => Err(message),
+                resp => Ok(resp),
+            },
+            Backend::Remote(client) => client.call(&req).map_err(stringify),
+        }
+    }
+}
+
+fn connect(addr: &str) -> Result<dsv_net::Client, String> {
+    dsv_net::Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))
+}
+
+/// A response of the wrong kind for its request: the peer and this
+/// binary disagree about the protocol.
+fn unexpected(resp: &Response) -> String {
+    format!("unexpected '{}' response", resp.name())
+}
+
+/// The arguments after the command and — locally — the repository
+/// directory, which a server-owned repository does not take.
+fn operands<'a>(positional: &'a [String], remote: Option<&str>) -> Result<&'a [String], String> {
+    if remote.is_some() {
+        return Ok(&positional[1..]);
+    }
+    repo_dir(positional, 1)?;
+    Ok(&positional[2..])
+}
+
+/// `dsv commit`: one file becomes the next version on a branch.
+fn commit(args: &[String], remote: Option<&str>) -> Result<(), String> {
+    // Strip flags before resolving positionals so they may appear
+    // anywhere: `dsv commit --online repo file` works.
+    let mut positional: Vec<String> = Vec::new();
+    let mut online = false;
+    let mut hops: Option<u32> = None;
+    let mut theta: Option<u64> = None;
+    let mut branch = "main".to_owned();
+    let mut message = "(no message)".to_owned();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--online" => online = true,
+            "--online-hops" => {
+                let v = iter.next().ok_or("--online-hops needs a value")?;
+                hops = Some(
+                    v.parse()
+                        .map_err(|_| format!("invalid --online-hops '{v}'"))?,
+                );
+            }
+            "--theta" => {
+                let v = iter.next().ok_or("--theta needs a value (bytes)")?;
+                theta = Some(v.parse().map_err(|_| format!("invalid --theta '{v}'"))?);
+            }
+            "-b" => branch = iter.next().ok_or("-b needs a branch name")?.clone(),
+            "-m" => message = iter.next().ok_or("-m needs a message")?.clone(),
+            a if a.starts_with("--") => {
+                return Err(format!("unknown commit flag '{arg}' (see: dsv help)"))
+            }
+            _ => positional.push(arg.clone()),
+        }
+    }
+    if hops.is_some() && !online {
+        return Err("--online-hops requires --online".into());
+    }
+    let file = operands(&positional, remote)?.first().ok_or(
+        "usage: dsv commit <repo> <file> [--online] [--theta <bytes>] \
+         (no <repo> with --remote)",
+    )?;
+    let data = std::fs::read(file).map_err(|e| format!("reading {file}: {e}"))?;
+    let req = Request::Commit {
+        token: dsv_net::client::next_token(),
+        branch: branch.clone(),
+        message,
+        online,
+        hops: hops.unwrap_or(dsv_vcs::OnlineOptions::default().hops as u32),
+        theta,
+        data,
+    };
+    match Backend::open(remote, &positional, 0)?.call(req)? {
+        Response::CommitOk { id, bytes, online } => {
+            let how = if online { ", online placement" } else { "" };
+            println!(
+                "committed {} on '{branch}' ({bytes} bytes{how})",
+                CommitId(id)
+            );
+            Ok(())
+        }
+        other => Err(unexpected(&other)),
+    }
+}
+
+/// `dsv checkout`: one version to a file or stdout, or a measured sweep
+/// over several.
+fn checkout(args: &[String], remote: Option<&str>) -> Result<(), String> {
+    let mut positional: Vec<String> = Vec::new();
+    let mut cache_bytes = 0u64;
+    let mut out_path: Option<String> = None;
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--cache-bytes" if remote.is_some() => {
+                return Err(
+                    "--cache-bytes is server-side with --remote: every remote checkout \
+                     is served through the dsvd shared cache (see: dsvd --cache-bytes)"
+                        .into(),
+                )
+            }
+            "--cache-bytes" => {
+                let v = iter.next().ok_or("--cache-bytes needs a value")?;
+                cache_bytes = v
+                    .parse()
+                    .map_err(|_| format!("invalid --cache-bytes '{v}'"))?;
+            }
+            "-o" => out_path = Some(iter.next().ok_or("-o needs a path")?.clone()),
+            a if a.starts_with("--") => {
+                return Err(format!("unknown checkout flag '{arg}' (see: dsv help)"))
+            }
+            _ => positional.push(arg.clone()),
+        }
+    }
+    let versions: Vec<CommitId> = operands(&positional, remote)?
+        .iter()
+        .map(|s| parse_version(Some(s)))
+        .collect::<Result<_, _>>()?;
+    if versions.is_empty() {
+        return Err(
+            "usage: dsv checkout <repo> <version>... [-o out-file] [--cache-bytes <n>] \
+             (no <repo> or --cache-bytes with --remote)"
+                .into(),
+        );
+    }
+    if versions.len() > 1 && out_path.is_some() {
+        return Err("-o needs exactly one version".into());
+    }
+    let mut backend = Backend::open(remote, &positional, cache_bytes)?;
+    let mut checkout =
+        |version: CommitId| match backend.call(Request::Checkout { version: version.0 })? {
+            Response::CheckoutOk { data, work } => Ok((data, work)),
+            other => Err(unexpected(&other)),
+        };
+    if let [version] = versions[..] {
+        let (data, _work) = checkout(version)?;
+        match out_path {
+            Some(path) => {
+                std::fs::write(&path, &data).map_err(|e| e.to_string())?;
+                println!("checked out {version} to {path} ({} bytes)", data.len());
+            }
+            None => {
+                use std::io::Write;
+                std::io::stdout()
+                    .write_all(&data)
+                    .map_err(|e| e.to_string())?;
+            }
+        }
+        return Ok(());
+    }
+    // A multi-version sweep reports recreation work per version
+    // instead of streaming contents — the mode that makes a
+    // cache observable (prefix sharing, hits).
+    let mut total = dsv_storage::RecreationWork::default();
+    for &version in &versions {
+        let (data, work) = checkout(version)?;
+        total.add(work);
+        println!(
+            "{version}: {} bytes (read {}, cache hits {}, saved {})",
+            data.len(),
+            work.bytes_read,
+            work.cache_hits,
+            work.bytes_saved
+        );
+    }
+    println!(
+        "total: read {} bytes, {} cache hits, saved {} bytes",
+        total.bytes_read, total.cache_hits, total.bytes_saved
+    );
+    // Local epilogue: this process owns the cache.
+    if let Backend::Local(dsvd) = &backend {
+        if let Some(cache) = dsvd.cache() {
+            print_cache_stats("cache", &cache.stats());
+        }
+    }
+    Ok(())
+}
+
+/// `dsv optimize`: re-plan and repack under one of the six problems.
+fn optimize(args: &[String], remote: Option<&str>) -> Result<(), String> {
+    let at = if remote.is_some() { 1 } else { 2 };
+    let req = parse_optimize(args, parse_problem(args, at)?)?;
+    match Backend::open(remote, args, 0)?.call(req)? {
+        Response::OptimizeOk(summary) => {
+            print_optimize_summary(&summary);
+            Ok(())
+        }
+        other => Err(unexpected(&other)),
+    }
+}
+
+/// `dsv stats` and `dsv store [--json]`: one `Stats` request, rendered three
+/// ways.
+fn stats(cmd: &str, args: &[String], remote: Option<&str>) -> Result<(), String> {
+    let json = cmd == "store" && args.iter().any(|a| a == "--json");
+    let positional: Vec<String> = args.iter().filter(|a| *a != "--json").cloned().collect();
+    let mut backend = Backend::open(remote, &positional, 0)?;
+    let summary = match backend.call(Request::Stats)? {
+        Response::StatsOk(summary) => summary,
+        other => return Err(unexpected(&other)),
+    };
+    if json {
+        println!(
+            "{}",
+            store_stats_json(&summary.stats, summary.logical_bytes)
+        );
+        return Ok(());
+    }
+    print_store_stats(&summary.stats, summary.logical_bytes);
+    if cmd == "stats" {
+        if let Some(cache) = &summary.cache {
+            print_cache_stats("server cache", cache);
+        }
+        // Local epilogue: the work was done in this process.
+        let metrics = obs::metrics().snapshot();
+        if matches!(backend, Backend::Local(_)) && !metrics.is_empty() {
+            println!("metrics this process:");
+            print!("{}", metrics.render());
+        }
+    }
+    Ok(())
+}
+
+/// `dsv fsck [--repair]`: nonzero exit when the repository is not clean.
+fn fsck(args: &[String], remote: Option<&str>) -> Result<(), String> {
+    let repair = args.iter().any(|a| a == "--repair");
+    let positional: Vec<String> = args.iter().filter(|a| *a != "--repair").cloned().collect();
+    match Backend::open(remote, &positional, 0)?.call(Request::Fsck { repair })? {
+        Response::FsckOk(summary) => {
+            println!("{summary}");
+            if summary.clean {
+                Ok(())
+            } else if repair {
+                Err("repository is not clean after repair".into())
+            } else {
+                let target = match remote {
+                    Some(addr) => format!("--remote {addr} fsck"),
+                    None => format!("fsck {}", positional[1]),
+                };
+                Err(format!(
+                    "repository is not clean (try: dsv {target} --repair)"
+                ))
+            }
+        }
+        other => Err(unexpected(&other)),
+    }
+}
+
+/// The commands that only make sense on a repository directory.
+fn local_only(cmd: &str, args: &[String]) -> Result<(), String> {
     match cmd {
         "init" => {
             // Parse and strip `--shards <n>` / `--remote-shards <addr,...>`
@@ -223,7 +551,9 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             }
             let objects = root.join("objects");
             let store = match (&shards, &remote_shards) {
-                (None, None) => RepoStore::Flat(FileStore::open(&objects, true).map_err(stringify)?),
+                (None, None) => {
+                    RepoStore::Flat(FileStore::open(&objects, true).map_err(stringify)?)
+                }
                 (Some(n), None) => RepoStore::Sharded(
                     ShardedStore::open_sharded(&objects, *n, true).map_err(stringify)?,
                 ),
@@ -248,145 +578,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     addrs.len(),
                     addrs.join(", ")
                 ),
-            }
-            Ok(())
-        }
-        "commit" => {
-            // Strip flags before resolving positionals so they may appear
-            // anywhere: `dsv commit --online repo file` works.
-            let mut positional: Vec<String> = Vec::new();
-            let mut online = false;
-            let mut hops: Option<usize> = None;
-            let mut theta: Option<u64> = None;
-            let mut branch = "main".to_owned();
-            let mut message = "(no message)".to_owned();
-            let mut iter = args.iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--online" => online = true,
-                    "--online-hops" => {
-                        let v = iter.next().ok_or("--online-hops needs a value")?;
-                        hops = Some(
-                            v.parse()
-                                .map_err(|_| format!("invalid --online-hops '{v}'"))?,
-                        );
-                    }
-                    "--theta" => {
-                        let v = iter.next().ok_or("--theta needs a value (bytes)")?;
-                        theta = Some(v.parse().map_err(|_| format!("invalid --theta '{v}'"))?);
-                    }
-                    "-b" => branch = iter.next().ok_or("-b needs a branch name")?.clone(),
-                    "-m" => message = iter.next().ok_or("-m needs a message")?.clone(),
-                    a if a.starts_with("--") => {
-                        return Err(format!("unknown commit flag '{arg}' (see: dsv help)"))
-                    }
-                    _ => positional.push(arg.clone()),
-                }
-            }
-            if hops.is_some() && !online {
-                return Err("--online-hops requires --online".into());
-            }
-            let root = repo_dir(&positional, 1)?;
-            let file = positional
-                .get(2)
-                .ok_or("usage: dsv commit <repo> <file> [--online] [--theta <bytes>]")?;
-            let data = std::fs::read(file).map_err(|e| format!("reading {file}: {e}"))?;
-            let mut repo = persist::load(&root, true).map_err(stringify)?;
-            let id = if online {
-                let mut opts = dsv_vcs::OnlineOptions::default();
-                if let Some(h) = hops {
-                    opts.hops = h;
-                }
-                opts.max_recreation_bytes = theta;
-                repo.commit_online(&branch, &data, &message, opts)
-            } else {
-                repo.commit_bounded(&branch, &data, &message, theta)
-            }
-            .map_err(stringify)?;
-            persist::save(&repo, &root).map_err(stringify)?;
-            let how = if online { ", online placement" } else { "" };
-            println!("committed {id} on '{branch}' ({} bytes{how})", data.len());
-            Ok(())
-        }
-        "checkout" => {
-            let mut positional: Vec<String> = Vec::new();
-            let mut cache_bytes: Option<u64> = None;
-            let mut out_path: Option<String> = None;
-            let mut iter = args.iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--cache-bytes" => {
-                        let v = iter.next().ok_or("--cache-bytes needs a value")?;
-                        cache_bytes = Some(
-                            v.parse()
-                                .map_err(|_| format!("invalid --cache-bytes '{v}'"))?,
-                        );
-                    }
-                    "-o" => out_path = Some(iter.next().ok_or("-o needs a path")?.clone()),
-                    a if a.starts_with("--") => {
-                        return Err(format!("unknown checkout flag '{arg}' (see: dsv help)"))
-                    }
-                    _ => positional.push(arg.clone()),
-                }
-            }
-            let root = repo_dir(&positional, 1)?;
-            if positional.len() < 3 {
-                return Err(
-                    "usage: dsv checkout <repo> <version>... [-o out-file] [--cache-bytes <n>]"
-                        .into(),
-                );
-            }
-            let versions: Vec<CommitId> = positional[2..]
-                .iter()
-                .map(|s| parse_version(Some(s)))
-                .collect::<Result<_, _>>()?;
-            let mut repo = persist::load(&root, true).map_err(stringify)?;
-            let cache = cache_bytes.map(|b| repo.enable_checkout_cache(b));
-            if versions.len() == 1 {
-                let version = versions[0];
-                let data = repo.checkout(version).map_err(stringify)?;
-                match out_path {
-                    Some(path) => {
-                        std::fs::write(&path, &data).map_err(|e| e.to_string())?;
-                        println!("checked out {version} to {path} ({} bytes)", data.len());
-                    }
-                    None => {
-                        use std::io::Write;
-                        std::io::stdout()
-                            .write_all(&data)
-                            .map_err(|e| e.to_string())?;
-                    }
-                }
-            } else {
-                // A multi-version sweep reports recreation work per
-                // version instead of streaming contents — the mode that
-                // makes `--cache-bytes` observable (prefix sharing, hits).
-                if out_path.is_some() {
-                    return Err("-o needs exactly one version".into());
-                }
-                let mut total = dsv_storage::RecreationWork::default();
-                for &version in &versions {
-                    let (data, work) = repo.checkout_measured(version).map_err(stringify)?;
-                    total.add(work);
-                    println!(
-                        "{version}: {} bytes (read {}, cache hits {}, saved {})",
-                        data.len(),
-                        work.bytes_read,
-                        work.cache_hits,
-                        work.bytes_saved
-                    );
-                }
-                println!(
-                    "total: read {} bytes, {} cache hits, saved {} bytes",
-                    total.bytes_read, total.cache_hits, total.bytes_saved
-                );
-                if let Some(cache) = cache {
-                    let s = cache.stats();
-                    println!(
-                        "cache: {}/{} bytes used, {} entries, {} hits / {} misses, {} evictions",
-                        s.bytes, s.budget_bytes, s.entries, s.hits, s.misses, s.evictions
-                    );
-                }
             }
             Ok(())
         }
@@ -439,30 +630,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        "store" => {
-            let json = args.iter().any(|a| a == "--json");
-            let positional: Vec<String> = args.iter().filter(|a| *a != "--json").cloned().collect();
-            let root = repo_dir(&positional, 1)?;
-            let repo = persist::load(&root, true).map_err(stringify)?;
-            let stats = repo.store().stats();
-            if json {
-                println!("{}", store_stats_json(&stats, repo.logical_bytes()));
-            } else {
-                print_store_stats(&stats, repo.logical_bytes());
-            }
-            Ok(())
-        }
-        "stats" => {
-            let root = repo_dir(args, 1)?;
-            let repo = persist::load(&root, true).map_err(stringify)?;
-            print_store_stats(&repo.store().stats(), repo.logical_bytes());
-            let metrics = obs::metrics().snapshot();
-            if !metrics.is_empty() {
-                println!("metrics this process:");
-                print!("{}", metrics.render());
-            }
-            Ok(())
-        }
         "solvers" => {
             let (name_h, hybrid_h, problems_h) = ("name", "hybrid", "problems");
             println!("{name_h:<12} {hybrid_h:<8} {problems_h:<22} description");
@@ -497,40 +664,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 );
             }
             Ok(())
-        }
-        "optimize" => {
-            let root = repo_dir(args, 1)?;
-            let problem = parse_problem(args, 2)?;
-            let mut repo = persist::load(&root, true).map_err(stringify)?;
-            let spec = parse_plan_spec(args, problem, repo.placement())?;
-            // The journaled two-phase repack: a crash at any point leaves
-            // either the old plan or the new one, and `dsv fsck --repair`
-            // (or the next load) resolves the journal.
-            let report = repo.optimize_durable(&spec, &root).map_err(stringify)?;
-            print_optimize_summary(&summarize_report(&report));
-            Ok(())
-        }
-        "fsck" => {
-            let repair = args.iter().any(|a| a == "--repair");
-            let positional: Vec<String> =
-                args.iter().filter(|a| *a != "--repair").cloned().collect();
-            let root = repo_dir(&positional, 1)?;
-            let mut repo = persist::load(&root, true).map_err(stringify)?;
-            let report = if repair {
-                dsv_vcs::fsck::fsck_repair(&mut repo, Some(&root)).map_err(stringify)?
-            } else {
-                dsv_vcs::fsck::fsck(&repo, Some(&root))
-            };
-            println!("{report}");
-            if report.is_clean() {
-                Ok(())
-            } else {
-                Err(if repair {
-                    "repository is not clean after repair".into()
-                } else {
-                    "repository is not clean (try: dsv fsck --repair)".into()
-                })
-            }
         }
         "help" | "--help" | "-h" => {
             println!(
@@ -572,9 +705,9 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             );
             println!("       dsv --trace-json <path> ...  write the span tree as JSON");
             println!(
-                "       dsv --remote <host:port> ...  route the command to a dsvd server \
-                 (no repo-dir; supports ping, commit, checkout, optimize, stats, store, \
-                 fsck, shutdown)"
+                "       dsv --remote <host:port> ...  run commit, checkout, optimize, stats, \
+                 store or fsck on a dsvd server: same flags and output, no <repo>, no \
+                 --cache-bytes (the cache is the server's); also ping, shutdown"
             );
             Ok(())
         }
@@ -582,310 +715,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Routes a command over the `dsv-net` protocol to a `dsvd` server. The
-/// repo-dir positional is omitted in remote mode — the server owns its
-/// repository — and output is identical to the local command.
-fn dispatch_remote(args: &[String], addr: &str) -> Result<(), String> {
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    match cmd {
-        "ping" | "commit" | "checkout" | "optimize" | "stats" | "store" | "fsck" | "shutdown" => {}
-        other => {
-            return Err(format!(
-                "command '{other}' is not supported over --remote \
-                 (supported: ping, commit, checkout, optimize, stats, store, fsck, shutdown)"
-            ))
-        }
-    }
-    let mut client =
-        dsv_net::Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    match cmd {
-        "ping" => {
-            client.ping().map_err(stringify)?;
-            println!("pong from {addr} (protocol v{})", dsv_net::PROTOCOL_VERSION);
-            Ok(())
-        }
-        "commit" => {
-            let mut positional: Vec<String> = Vec::new();
-            let mut online = false;
-            let mut hops: Option<usize> = None;
-            let mut theta: Option<u64> = None;
-            let mut branch = "main".to_owned();
-            let mut message = "(no message)".to_owned();
-            let mut iter = args.iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--online" => online = true,
-                    "--online-hops" => {
-                        let v = iter.next().ok_or("--online-hops needs a value")?;
-                        hops = Some(
-                            v.parse()
-                                .map_err(|_| format!("invalid --online-hops '{v}'"))?,
-                        );
-                    }
-                    "--theta" => {
-                        let v = iter.next().ok_or("--theta needs a value (bytes)")?;
-                        theta = Some(v.parse().map_err(|_| format!("invalid --theta '{v}'"))?);
-                    }
-                    "-b" => branch = iter.next().ok_or("-b needs a branch name")?.clone(),
-                    "-m" => message = iter.next().ok_or("-m needs a message")?.clone(),
-                    a if a.starts_with("--") => {
-                        return Err(format!("unknown commit flag '{arg}' (see: dsv help)"))
-                    }
-                    _ => positional.push(arg.clone()),
-                }
-            }
-            if hops.is_some() && !online {
-                return Err("--online-hops requires --online".into());
-            }
-            let file = positional
-                .get(1)
-                .ok_or("usage: dsv --remote <addr> commit <file> [--online] [--theta <bytes>]")?;
-            let data = std::fs::read(file).map_err(|e| format!("reading {file}: {e}"))?;
-            let hops = hops.unwrap_or(dsv_vcs::OnlineOptions::default().hops);
-            let (id, bytes, online) = client
-                .commit(&branch, &message, online, hops as u32, theta, data)
-                .map_err(stringify)?;
-            let how = if online { ", online placement" } else { "" };
-            println!(
-                "committed {} on '{branch}' ({bytes} bytes{how})",
-                CommitId(id)
-            );
-            Ok(())
-        }
-        "checkout" => {
-            let mut positional: Vec<String> = Vec::new();
-            let mut out_path: Option<String> = None;
-            let mut iter = args.iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--cache-bytes" => {
-                        return Err(
-                            "--cache-bytes is server-side with --remote: every remote checkout \
-                             is served through the dsvd shared cache (see: dsvd --cache-bytes)"
-                                .into(),
-                        )
-                    }
-                    "-o" => out_path = Some(iter.next().ok_or("-o needs a path")?.clone()),
-                    a if a.starts_with("--") => {
-                        return Err(format!("unknown checkout flag '{arg}' (see: dsv help)"))
-                    }
-                    _ => positional.push(arg.clone()),
-                }
-            }
-            if positional.len() < 2 {
-                return Err(
-                    "usage: dsv --remote <addr> checkout <version>... [-o out-file]".into(),
-                );
-            }
-            let versions: Vec<CommitId> = positional[1..]
-                .iter()
-                .map(|s| parse_version(Some(s)))
-                .collect::<Result<_, _>>()?;
-            if versions.len() == 1 {
-                let version = versions[0];
-                let (data, _work) = client.checkout(version.0).map_err(stringify)?;
-                match out_path {
-                    Some(path) => {
-                        std::fs::write(&path, &data).map_err(|e| e.to_string())?;
-                        println!("checked out {version} to {path} ({} bytes)", data.len());
-                    }
-                    None => {
-                        use std::io::Write;
-                        std::io::stdout()
-                            .write_all(&data)
-                            .map_err(|e| e.to_string())?;
-                    }
-                }
-            } else {
-                if out_path.is_some() {
-                    return Err("-o needs exactly one version".into());
-                }
-                let mut total = dsv_storage::RecreationWork::default();
-                for &version in &versions {
-                    let (data, work) = client.checkout(version.0).map_err(stringify)?;
-                    total.add(work);
-                    println!(
-                        "{version}: {} bytes (read {}, cache hits {}, saved {})",
-                        data.len(),
-                        work.bytes_read,
-                        work.cache_hits,
-                        work.bytes_saved
-                    );
-                }
-                println!(
-                    "total: read {} bytes, {} cache hits, saved {} bytes",
-                    total.bytes_read, total.cache_hits, total.bytes_saved
-                );
-            }
-            Ok(())
-        }
-        "optimize" => {
-            let problem = parse_problem(args, 1)?;
-            let (solver, mode, reveal_hops, hop_bound) = parse_remote_plan(args)?;
-            let summary = client
-                .optimize(problem, solver, mode, reveal_hops, hop_bound)
-                .map_err(stringify)?;
-            print_optimize_summary(&summary);
-            Ok(())
-        }
-        "stats" => {
-            let summary = client.stats().map_err(stringify)?;
-            print_store_stats(&summary.stats, summary.logical_bytes);
-            if let Some(s) = summary.cache {
-                println!(
-                    "server cache: {}/{} bytes used, {} entries, {} hits / {} misses, {} evictions",
-                    s.bytes, s.budget_bytes, s.entries, s.hits, s.misses, s.evictions
-                );
-            }
-            Ok(())
-        }
-        "store" => {
-            let json = args.iter().any(|a| a == "--json");
-            let summary = client.stats().map_err(stringify)?;
-            if json {
-                println!(
-                    "{}",
-                    store_stats_json(&summary.stats, summary.logical_bytes)
-                );
-            } else {
-                print_store_stats(&summary.stats, summary.logical_bytes);
-            }
-            Ok(())
-        }
-        "fsck" => {
-            let repair = args.iter().any(|a| a == "--repair");
-            let s = client.fsck(repair).map_err(stringify)?;
-            match &s.recovery {
-                None | Some(dsv_net::proto::WireRecovery::Clean) => {}
-                Some(dsv_net::proto::WireRecovery::RolledForward { removed }) => {
-                    println!("recovery: rolled repack forward ({removed} stale objects removed)")
-                }
-                Some(dsv_net::proto::WireRecovery::RolledBack { removed }) => {
-                    println!("recovery: rolled repack back ({removed} new objects removed)")
-                }
-            }
-            println!(
-                "fsck: {} versions, {} objects checked; {} bad addresses, {} unreadable, \
-                 {} orphans ({} removed){}; {}",
-                s.versions_checked,
-                s.objects_checked,
-                s.bad_addresses,
-                s.unreadable,
-                s.orphans,
-                s.orphans_removed,
-                if s.journal_pending {
-                    "; repack journal pending"
-                } else {
-                    ""
-                },
-                if s.clean { "clean" } else { "NOT CLEAN" }
-            );
-            if s.clean {
-                Ok(())
-            } else {
-                Err(if repair {
-                    "remote repository is not clean after repair".into()
-                } else {
-                    "remote repository is not clean (try: dsv --remote <addr> fsck --repair)".into()
-                })
-            }
-        }
-        "shutdown" => {
-            client.shutdown().map_err(stringify)?;
-            println!("server at {addr} shutting down");
-            Ok(())
-        }
-        _ => unreachable!("filtered above"),
-    }
-}
-
-/// Remote flavor of [`parse_plan_spec`]: same flags, same validation and
-/// defaults, but producing the wire selectors the server rebuilds its
-/// `PlanSpec` from. Solver-name typos are still caught client-side so
-/// the error matches the local one before any network round-trip.
-fn parse_remote_plan(args: &[String]) -> Result<(WireSolver, WireMode, u32, Option<u32>), String> {
-    const VALUE_FLAGS: [&str; 3] = ["--solver", "--hops", "--hop-bound"];
-    const BARE_FLAGS: [&str; 3] = ["--portfolio", "--hybrid", "--binary"];
-    let mut skip_value = false;
-    for arg in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            skip_value = true;
-        } else if arg.starts_with("--") && !BARE_FLAGS.contains(&arg.as_str()) {
-            return Err(format!("unknown optimize flag '{arg}' (see: dsv help)"));
-        }
-    }
-    for flag in VALUE_FLAGS {
-        match args.iter().filter(|a| *a == flag).count() {
-            0 => {}
-            1 => match flag_value(args, flag) {
-                None => return Err(format!("{flag} needs a value")),
-                Some(v) if v.starts_with("--") => {
-                    return Err(format!("{flag} needs a value, got flag '{v}'"))
-                }
-                Some(_) => {}
-            },
-            _ => return Err(format!("{flag} given more than once")),
-        }
-    }
-    let reveal_hops = match flag_value(args, "--hops") {
-        Some(h) => h
-            .parse::<u32>()
-            .map_err(|_| format!("invalid --hops '{h}'"))?,
-        None => 5,
-    };
-    let hop_bound = match flag_value(args, "--hop-bound") {
-        Some(h) => Some(
-            h.parse::<u32>()
-                .map_err(|_| format!("invalid --hop-bound '{h}'"))?,
-        ),
-        None => None,
-    };
-    let portfolio = args.iter().any(|a| a == "--portfolio");
-    let named = flag_value(args, "--solver");
-    if portfolio && named.is_some() {
-        return Err("--portfolio and --solver are mutually exclusive".into());
-    }
-    let solver = if portfolio {
-        WireSolver::Portfolio
-    } else if let Some(name) = named {
-        if dsv_core::solvers::by_name(name).is_none() {
-            return Err(format!(
-                "no solver named '{name}' in the registry (see: dsv solvers)"
-            ));
-        }
-        WireSolver::Named(name.to_owned())
-    } else {
-        WireSolver::Auto
-    };
-    let hybrid = args.iter().any(|a| a == "--hybrid");
-    let binary = args.iter().any(|a| a == "--binary");
-    if hybrid && binary {
-        return Err("--hybrid and --binary are mutually exclusive".into());
-    }
-    let mode = if hybrid {
-        // The server substitutes its own chunker granularity when its
-        // placement is chunked, mirroring the local rule.
-        let c = ChunkingSpec::default();
-        WireMode::Hybrid {
-            min_size: c.min_size as u64,
-            avg_size: c.avg_size as u64,
-            max_size: c.max_size as u64,
-        }
-    } else if binary {
-        WireMode::Binary
-    } else {
-        WireMode::Auto
-    };
-    Ok((solver, mode, reveal_hops, hop_bound))
-}
-
-/// Renders an optimize outcome — the one code path for both the local
-/// `optimize` command (via [`summarize_report`]) and the remote one (the
-/// summary as decoded off the wire), keeping their output identical.
+/// Renders an optimize outcome.
 fn print_optimize_summary(s: &OptimizeSummary) {
     println!(
         "{}: {} -> {} bytes on disk ({} materialized, {} chunked, planned maxR {})",
@@ -923,6 +753,15 @@ fn print_optimize_summary(s: &OptimizeSummary) {
             if s.feasible { "" } else { "  [infeasible]" }
         );
     }
+}
+
+/// One line of checkout-cache fill and hit counters; `whose` says which
+/// process owns the cache.
+fn print_cache_stats(whose: &str, s: &CacheStats) {
+    println!(
+        "{whose}: {}/{} bytes used, {} entries, {} hits / {} misses, {} evictions",
+        s.bytes, s.budget_bytes, s.entries, s.hits, s.misses, s.evictions
+    );
 }
 
 /// Renders a [`StoreStats`] snapshot — works for any `ObjectStore`
@@ -999,7 +838,7 @@ fn extract_threads(args: &[String]) -> Result<Vec<String>, String> {
 
 /// Strips a global `--remote <host:port>` flag. When present, the
 /// command is routed to a `dsvd` server over the wire protocol instead
-/// of opening a repository locally (see [`dispatch_remote`]).
+/// of opening a repository locally (see [`Backend`]).
 fn extract_remote(args: &[String]) -> Result<(Vec<String>, Option<String>), String> {
     let mut out = Vec::with_capacity(args.len());
     let mut remote = None;
@@ -1121,11 +960,10 @@ fn parse_version(arg: Option<&String>) -> Result<CommitId, String> {
         .map_err(|_| format!("invalid version '{s}'"))
 }
 
-fn parse_plan_spec(
-    args: &[String],
-    problem: Problem,
-    placement: Placement,
-) -> Result<PlanSpec, String> {
+/// The `optimize` flags as the protocol request both backends execute.
+/// Which chunker a `--hybrid` solve uses on a chunked-placement
+/// repository is the handler's rule (`Dsvd`), not the command line's.
+fn parse_optimize(args: &[String], problem: Problem) -> Result<Request, String> {
     // Reject misspelled/valueless flags outright: a typo silently falling
     // back to the default solve would misreport what was optimized.
     const VALUE_FLAGS: [&str; 3] = ["--solver", "--hops", "--hop-bound"];
@@ -1155,56 +993,60 @@ fn parse_plan_spec(
             _ => return Err(format!("{flag} given more than once")),
         }
     }
-    let mut spec = PlanSpec::new(problem);
-    match flag_value(args, "--hops") {
-        Some(h) => {
-            let hops = h
-                .parse::<usize>()
-                .map_err(|_| format!("invalid --hops '{h}'"))?;
-            spec = spec.reveal_hops(hops);
-        }
-        None => spec = spec.reveal_hops(5),
-    }
-    if let Some(h) = flag_value(args, "--hop-bound") {
-        let bound = h
-            .parse::<u32>()
-            .map_err(|_| format!("invalid --hop-bound '{h}'"))?;
-        spec = spec.hop_bound(bound);
-    }
+    let reveal_hops = match flag_value(args, "--hops") {
+        Some(h) => h.parse().map_err(|_| format!("invalid --hops '{h}'"))?,
+        None => 5,
+    };
+    let hop_bound = match flag_value(args, "--hop-bound") {
+        Some(h) => Some(
+            h.parse()
+                .map_err(|_| format!("invalid --hop-bound '{h}'"))?,
+        ),
+        None => None,
+    };
     let portfolio = args.iter().any(|a| a == "--portfolio");
-    let solver = flag_value(args, "--solver");
-    if portfolio && solver.is_some() {
+    let named = flag_value(args, "--solver");
+    if portfolio && named.is_some() {
         return Err("--portfolio and --solver are mutually exclusive".into());
     }
-    if portfolio {
-        spec = spec.solver(SolverChoice::Portfolio);
-    } else if let Some(name) = solver {
-        // Catch typos before the repository is loaded and re-diffed.
+    let solver = if portfolio {
+        WireSolver::Portfolio
+    } else if let Some(name) = named {
+        // Catch typos before the repository is loaded (or the network
+        // crossed) and re-diffed.
         if dsv_core::solvers::by_name(name).is_none() {
             return Err(format!(
                 "no solver named '{name}' in the registry (see: dsv solvers)"
             ));
         }
-        spec = spec.solver(SolverChoice::named(name));
-    }
+        WireSolver::Named(name.to_owned())
+    } else {
+        WireSolver::Auto
+    };
     let hybrid = args.iter().any(|a| a == "--hybrid");
     let binary = args.iter().any(|a| a == "--binary");
     if hybrid && binary {
         return Err("--hybrid and --binary are mutually exclusive".into());
     }
-    if hybrid {
-        // A chunked-placement repository keeps its own chunker
-        // parameters; forcing hybrid must not re-chunk it at a different
-        // granularity.
-        let chunking = match placement {
-            Placement::Chunked(params) => params.into(),
-            Placement::GreedyDelta => ChunkingSpec::default(),
-        };
-        spec = spec.modes(ModePolicy::Hybrid(chunking));
+    let mode = if hybrid {
+        let c = ChunkingSpec::default();
+        WireMode::Hybrid {
+            min_size: c.min_size as u64,
+            avg_size: c.avg_size as u64,
+            max_size: c.max_size as u64,
+        }
     } else if binary {
-        spec = spec.modes(ModePolicy::Binary);
-    }
-    Ok(spec)
+        WireMode::Binary
+    } else {
+        WireMode::Auto
+    };
+    Ok(Request::Optimize {
+        problem,
+        solver,
+        mode,
+        reveal_hops,
+        hop_bound,
+    })
 }
 
 fn parse_problem(args: &[String], idx: usize) -> Result<Problem, String> {

@@ -36,8 +36,8 @@
 //! first start. `--cache-bytes` does not apply.
 //!
 //! `--trace` / `--trace-json` record the full serve span tree
-//! (`serve → conn → decode/handle/encode`, with a per-opcode child under
-//! each `handle`) exactly like the `dsv` CLI's global flags, and the
+//! (`serve → conn → recv_wait/decode/handle/encode`, with a per-opcode
+//! child under each `handle`) exactly like the `dsv` CLI's global flags, and the
 //! `net.requests` / `net.bytes_in` / `net.bytes_out` counters land in
 //! the metrics registry.
 

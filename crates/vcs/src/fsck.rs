@@ -27,6 +27,7 @@
 use crate::error::VcsError;
 use crate::persist;
 use crate::repo::Repository;
+use dsv_net::proto::{FsckSummary, WireRecovery};
 use dsv_obs as obs;
 use dsv_storage::{Materializer, Object, ObjectId, ObjectStore};
 use std::collections::HashSet;
@@ -86,49 +87,37 @@ impl FsckReport {
             && self.orphans.is_empty()
             && !self.journal_pending
     }
+
+    /// The report flattened to counts: what travels in a `FsckOk` frame
+    /// (the offending ids stay on this side) and what gets printed.
+    pub fn summary(&self) -> FsckSummary {
+        FsckSummary {
+            clean: self.is_clean(),
+            versions_checked: self.versions_checked as u64,
+            objects_checked: self.objects_checked as u64,
+            bad_addresses: self.bad_addresses.len() as u64,
+            unreadable: self.unreadable.len() as u64,
+            orphans: self.orphans.len() as u64,
+            orphans_removed: self.orphans_removed as u64,
+            journal_pending: self.journal_pending,
+            recovery: self.recovery.as_ref().map(|r| match *r {
+                Recovery::Clean => WireRecovery::Clean,
+                Recovery::RolledForward { removed } => WireRecovery::RolledForward {
+                    removed: removed as u64,
+                },
+                Recovery::RolledBack { removed } => WireRecovery::RolledBack {
+                    removed: removed as u64,
+                },
+            }),
+        }
+    }
 }
 
+/// Renders through the summary's `Display`, so a report reads the same
+/// printed here, by `dsv fsck`, or by `dsv --remote … fsck`.
 impl fmt::Display for FsckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fsck: {} versions, {} objects checked",
-            self.versions_checked, self.objects_checked
-        )?;
-        if let Some(rec) = &self.recovery {
-            match rec {
-                Recovery::Clean => {}
-                Recovery::RolledForward { removed } => {
-                    write!(f, "; journal rolled forward ({removed} stale removed)")?
-                }
-                Recovery::RolledBack { removed } => {
-                    write!(f, "; journal rolled back ({removed} orphans removed)")?
-                }
-            }
-        }
-        if !self.bad_addresses.is_empty() {
-            write!(f, "; {} BAD ADDRESSES", self.bad_addresses.len())?;
-        }
-        if !self.unreadable.is_empty() {
-            write!(f, "; {} UNREADABLE VERSIONS", self.unreadable.len())?;
-        }
-        if self.orphans_removed > 0 {
-            write!(f, "; {} orphans removed", self.orphans_removed)?;
-        } else if !self.orphans.is_empty() {
-            write!(f, "; {} orphans", self.orphans.len())?;
-        }
-        if self.journal_pending {
-            write!(f, "; REPACK JOURNAL PENDING")?;
-        }
-        write!(
-            f,
-            "; {}",
-            if self.is_clean() {
-                "clean"
-            } else {
-                "NOT CLEAN"
-            }
-        )
+        self.summary().fmt(f)
     }
 }
 

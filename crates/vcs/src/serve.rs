@@ -19,34 +19,37 @@
 //!   answered from a bounded replay log when the token was already
 //!   applied, so a client retrying after a lost response cannot
 //!   double-commit;
-//! * **observability** — the conversation is span-instrumented
-//!   `serve → conn → decode/handle/encode` with a per-opcode child under
-//!   `handle`, plus `net.requests` / `net.bytes_in` / `net.bytes_out`
-//!   counters, so `--trace-json` on the server captures per-opcode
-//!   subtrees.
+//! * **observability** — the conversation ([`dsv_net::session`]) is
+//!   span-instrumented `serve → conn → recv_wait/decode/handle/encode`
+//!   with a per-opcode child under `handle`, plus `net.requests` /
+//!   `net.bytes_in` / `net.bytes_out` counters, so `--trace-json` on the
+//!   server captures per-opcode subtrees.
 //!
-//! Protocol robustness: oversized frames, truncated streams, unknown
-//! opcodes, and malformed bodies each produce a structured error frame
-//! (where the stream is still framed) or a clean close — never a panic
-//! or a hang; a read timeout bounds how long an idle or stalled client
-//! can pin a worker.
+//! The request → response mapping itself is [`Dsvd::handle`], which the
+//! `dsv` CLI also calls directly for its local commands — one
+//! implementation of every operation, with or without a socket.
+//!
+//! Protocol robustness lives in the shared session loop: oversized
+//! frames, truncated streams, unknown opcodes, and malformed bodies each
+//! produce a structured error frame (where the stream is still framed)
+//! or a clean close — never a panic or a hang; a read timeout bounds how
+//! long an idle or stalled client can pin a worker.
 
-use crate::fsck::{self, FsckReport, Recovery};
+use crate::fsck;
 use crate::optimize::OptimizeReport;
 use crate::repo::{OnlineOptions, Placement, Repository};
 use crate::{persist, CommitId};
 use dsv_core::{ChunkingSpec, ModePolicy, PlanSpec, Problem};
-use dsv_net::frame::{errcode, read_frame, write_frame, NetError, PROTOCOL_VERSION};
+use dsv_net::frame::errcode;
 use dsv_net::proto::{
-    CandidateLine, CandidateNumbers, FsckSummary, OptimizeSummary, Request, Response, StatsSummary,
-    WireMode, WireRecovery, WireSolver,
+    CandidateLine, CandidateNumbers, OptimizeSummary, Request, Response, StatsSummary, WireMode,
+    WireSolver,
 };
-use dsv_net::server::{ConnHandler, ServeControl, Server};
+use dsv_net::server::{session, Server};
 use dsv_obs as obs;
 use dsv_storage::{CheckoutCache, ObjectStore};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -146,27 +149,32 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
     /// Run the accept loop on `server` until a client sends `Shutdown`.
     /// Blocks the calling thread; spans land in that thread's recorder.
     pub fn serve(&self, server: &Server) {
-        let span = obs::span!("serve");
-        let handle = span.handle();
-        let _serve = span.entered();
-        let handler = DsvdConn {
-            dsvd: self,
-            serve: handle,
-        };
-        server.serve(&handler);
+        let span = obs::span!("serve").entered();
+        let serve = span.handle();
+        let DsvdConfig {
+            max_frame,
+            read_timeout,
+            ..
+        } = self.config;
+        server.serve(&|stream: TcpStream| {
+            session(&stream, max_frame, read_timeout, &serve, |req| {
+                self.handle(req)
+            })
+        });
     }
 
-    fn handle_request(&self, req: Request) -> (Response, ServeControl) {
+    /// Executes one request against the repository. Opens no spans of
+    /// its own beyond the operation's (`commit`, `checkout`, …), so a
+    /// caller without a connection — the local `dsv` CLI — traces the
+    /// same tree it would calling the repository directly.
+    pub fn handle(&self, req: Request) -> Response {
         match req {
             // A second Hello after the handshake is a sequencing bug.
-            Request::Hello { .. } => (
-                Response::Error {
-                    code: errcode::BAD_REQUEST,
-                    message: "unexpected Hello after handshake".into(),
-                },
-                ServeControl::Continue,
-            ),
-            Request::Ping => (Response::Pong, ServeControl::Continue),
+            Request::Hello { .. } => Response::Error {
+                code: errcode::BAD_REQUEST,
+                message: "unexpected Hello after handshake".into(),
+            },
+            Request::Ping => Response::Pong,
             Request::Commit {
                 token,
                 branch,
@@ -184,7 +192,7 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                 if token != 0 {
                     if let Some(resp) = self.replay.lock().get(token) {
                         obs::counter!("net.commit_replays", 1);
-                        return (resp, ServeControl::Continue);
+                        return resp;
                     }
                 }
                 let checkpoint = repo.checkpoint();
@@ -198,7 +206,7 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                 } else {
                     repo.commit_bounded(&branch, &data, &message, theta)
                 };
-                let resp = match result {
+                match result {
                     Ok(id) => {
                         let ok = Response::CommitOk {
                             id: id.0,
@@ -216,16 +224,13 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                         }
                     }
                     Err(e) => Response::server_error(e.to_string()),
-                };
-                (resp, ServeControl::Continue)
+                }
             }
             Request::Checkout { version } => {
-                let repo = self.repo.read();
-                let resp = match repo.checkout_measured(CommitId(version)) {
+                match self.repo.read().checkout_measured(CommitId(version)) {
                     Ok((data, work)) => Response::CheckoutOk { data, work },
                     Err(e) => Response::server_error(e.to_string()),
-                };
-                (resp, ServeControl::Continue)
+                }
             }
             Request::Optimize {
                 problem,
@@ -233,36 +238,28 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                 mode,
                 reveal_hops,
                 hop_bound,
-            } => (
-                self.optimize(problem, solver, mode, reveal_hops, hop_bound),
-                ServeControl::Continue,
-            ),
+            } => self.optimize(problem, solver, mode, reveal_hops, hop_bound),
             Request::Stats => {
                 let repo = self.repo.read();
-                let summary = StatsSummary {
+                Response::StatsOk(StatsSummary {
                     stats: repo.store().stats(),
                     logical_bytes: repo.logical_bytes(),
                     cache: self.cache.as_ref().map(|c| c.stats()),
-                };
-                (Response::StatsOk(summary), ServeControl::Continue)
+                })
             }
             Request::Fsck { repair } => {
-                let resp = if repair {
+                if repair {
                     let mut repo = self.repo.write();
                     match fsck::fsck_repair(&mut repo, self.save_root.as_deref()) {
-                        Ok(report) => Response::FsckOk(summarize_fsck(&report)),
+                        Ok(report) => Response::FsckOk(report.summary()),
                         Err(e) => Response::server_error(e.to_string()),
                     }
                 } else {
                     let repo = self.repo.read();
-                    Response::FsckOk(summarize_fsck(&fsck::fsck(
-                        &repo,
-                        self.save_root.as_deref(),
-                    )))
-                };
-                (resp, ServeControl::Continue)
+                    Response::FsckOk(fsck::fsck(&repo, self.save_root.as_deref()).summary())
+                }
             }
-            Request::Shutdown => (Response::ShutdownOk, ServeControl::Shutdown),
+            Request::Shutdown => Response::ShutdownOk,
             // The bare-store opcodes are served by `dsvd --store-server`
             // (`dsv_net::remote::StoreService`); a repository front end
             // owns its store and does not expose raw object access.
@@ -271,15 +268,12 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
             | Request::StoreContains { .. }
             | Request::StoreRemove { .. }
             | Request::StoreObjectIds
-            | Request::StoreStats => (
-                Response::Error {
-                    code: errcode::BAD_REQUEST,
-                    message: "object-store opcodes are only served by a store server \
-                              (dsvd --store-server), not a repository server"
-                        .into(),
-                },
-                ServeControl::Continue,
-            ),
+            | Request::StoreStats => Response::Error {
+                code: errcode::BAD_REQUEST,
+                message: "object-store opcodes are only served by a store server \
+                          (dsvd --store-server), not a repository server"
+                    .into(),
+            },
         }
     }
 
@@ -362,29 +356,6 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
     }
 }
 
-/// Flattens an [`FsckReport`] to wire counts.
-pub fn summarize_fsck(report: &FsckReport) -> FsckSummary {
-    FsckSummary {
-        clean: report.is_clean(),
-        versions_checked: report.versions_checked as u64,
-        objects_checked: report.objects_checked as u64,
-        bad_addresses: report.bad_addresses.len() as u64,
-        unreadable: report.unreadable.len() as u64,
-        orphans: report.orphans.len() as u64,
-        orphans_removed: report.orphans_removed as u64,
-        journal_pending: report.journal_pending,
-        recovery: report.recovery.as_ref().map(|r| match r {
-            Recovery::Clean => WireRecovery::Clean,
-            Recovery::RolledForward { removed } => WireRecovery::RolledForward {
-                removed: *removed as u64,
-            },
-            Recovery::RolledBack { removed } => WireRecovery::RolledBack {
-                removed: *removed as u64,
-            },
-        }),
-    }
-}
-
 /// Flattens an [`OptimizeReport`] to the owned-string wire summary.
 pub fn summarize_report(report: &OptimizeReport) -> OptimizeSummary {
     let p = &report.provenance;
@@ -417,155 +388,5 @@ pub fn summarize_report(report: &OptimizeReport) -> OptimizeSummary {
                 },
             })
             .collect(),
-    }
-}
-
-/// Connection handler: one protocol conversation per accepted stream.
-struct DsvdConn<'a, S: ObjectStore> {
-    dsvd: &'a Dsvd<S>,
-    serve: obs::SpanHandle,
-}
-
-impl<S: ObjectStore + Send + Sync> DsvdConn<'_, S> {
-    /// Runs the framed conversation; errors that cannot be reported
-    /// in-band (the stream is gone or unframed) just end the connection.
-    fn session(&self, stream: &TcpStream, conn: &obs::SpanHandle) -> ServeControl {
-        let max = self.dsvd.config.max_frame;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(self.dsvd.config.read_timeout);
-        let mut reader = BufReader::new(stream);
-        let mut writer = BufWriter::new(stream);
-        let respond = |resp: &Response, w: &mut BufWriter<&TcpStream>| -> bool {
-            let frame = resp.encode();
-            obs::counter!("net.bytes_out", frame.wire_len());
-            write_frame(w, &frame).is_ok()
-        };
-
-        // Handshake: the first frame must be a matching Hello.
-        match read_frame(&mut reader, max) {
-            Ok(frame) => match Request::decode(&frame) {
-                Ok(Request::Hello { version }) if version == PROTOCOL_VERSION => {
-                    obs::counter!("net.bytes_in", frame.wire_len());
-                    if !respond(
-                        &Response::HelloOk {
-                            version: PROTOCOL_VERSION,
-                        },
-                        &mut writer,
-                    ) {
-                        return ServeControl::Continue;
-                    }
-                }
-                Ok(Request::Hello { version }) => {
-                    let resp = Response::Error {
-                        code: errcode::VERSION_MISMATCH,
-                        message: format!(
-                            "server speaks protocol v{PROTOCOL_VERSION}, client sent v{version}"
-                        ),
-                    };
-                    respond(&resp, &mut writer);
-                    return ServeControl::Continue;
-                }
-                Ok(_) => {
-                    let resp = Response::Error {
-                        code: errcode::BAD_REQUEST,
-                        message: "first frame must be Hello".into(),
-                    };
-                    respond(&resp, &mut writer);
-                    return ServeControl::Continue;
-                }
-                Err(e) => {
-                    respond(&Response::error_for(&e), &mut writer);
-                    return ServeControl::Continue;
-                }
-            },
-            Err(e) => {
-                if !matches!(e, NetError::Eof) {
-                    respond(&Response::error_for(&e), &mut writer);
-                }
-                return ServeControl::Continue;
-            }
-        }
-
-        loop {
-            let decode = conn.child("decode").entered();
-            let frame = match read_frame(&mut reader, max) {
-                Ok(frame) => frame,
-                // Clean close between frames: the client is done.
-                Err(NetError::Eof) => return ServeControl::Continue,
-                // The stream is framed only up to the bad length prefix —
-                // report in-band, then close.
-                Err(e @ NetError::FrameTooLarge { .. }) => {
-                    drop(decode);
-                    respond(&Response::error_for(&e), &mut writer);
-                    return ServeControl::Continue;
-                }
-                // Idle timeout between frames: close silently, like a
-                // dropped connection. An error frame written here would
-                // sit in the socket buffer and desynchronize a client
-                // that later reuses the idle connection — it would read
-                // the stale frame as the reply to its next request.
-                Err(NetError::Timeout) => return ServeControl::Continue,
-                Err(_) => return ServeControl::Continue,
-            };
-            obs::counter!("net.bytes_in", frame.wire_len());
-            obs::counter!("net.requests", 1);
-            let req = match Request::decode(&frame) {
-                Ok(req) => req,
-                // Frame boundaries are intact; report in-band and keep
-                // the connection alive.
-                Err(e) => {
-                    drop(decode);
-                    if respond(&Response::error_for(&e), &mut writer) {
-                        continue;
-                    }
-                    return ServeControl::Continue;
-                }
-            };
-            drop(decode);
-
-            let handle_span = conn.child("handle");
-            let op = handle_span.handle();
-            let _handle = handle_span.entered();
-            let op_name = match &req {
-                Request::Hello { .. } => "hello",
-                Request::Ping => "ping",
-                Request::Commit { .. } => "commit",
-                Request::Checkout { .. } => "checkout",
-                Request::Optimize { .. } => "optimize",
-                Request::Stats => "stats",
-                Request::Shutdown => "shutdown",
-                Request::Fsck { .. } => "fsck",
-                Request::StorePut { .. } => "store.put",
-                Request::StoreGet { .. } => "store.get",
-                Request::StoreContains { .. } => "store.contains",
-                Request::StoreRemove { .. } => "store.remove",
-                Request::StoreObjectIds => "store.ids",
-                Request::StoreStats => "store.stats",
-            };
-            let op_span = op.child(op_name).entered();
-            let (resp, control) = self.dsvd.handle_request(req);
-            drop(op_span);
-            drop(_handle);
-
-            let _encode = conn.child("encode").entered();
-            let sent = respond(&resp, &mut writer);
-            drop(_encode);
-            if control == ServeControl::Shutdown {
-                return ServeControl::Shutdown;
-            }
-            if !sent {
-                return ServeControl::Continue;
-            }
-        }
-    }
-}
-
-impl<S: ObjectStore + Send + Sync> ConnHandler for DsvdConn<'_, S> {
-    fn handle(&self, stream: TcpStream) -> ServeControl {
-        let conn_span = self.serve.child("conn");
-        let conn = conn_span.handle();
-        let _conn = conn_span.entered();
-        obs::counter!("net.connections", 1);
-        self.session(&stream, &conn)
     }
 }

@@ -1,0 +1,410 @@
+//! Drives the real `dsv` and `dsvd` binaries: every command both
+//! backends serve must print the same thing whether it runs against a
+//! local repository directory or through `--remote` against a `dsvd`
+//! serving an identical one.
+//!
+//! The expected transcripts were recorded from the last commit in which
+//! the local and `--remote` halves of `dsv` were separate code (local
+//! output; the remote `fsck` line differed there — that was a bug). They
+//! are the oracle for the single dispatch path: the same bytes, the same
+//! exit codes, the same error text.
+//!
+//! What may differ between the backends, and is masked or run on one
+//! side only: operation counters are per process (the CLI's own locally,
+//! the server's remotely), local `stats` appends this process's metrics,
+//! and a local multi-version checkout with `--cache-bytes` appends the
+//! cache line — remotely the cache is the server's and the flag is
+//! rejected.
+
+use std::io::{BufRead, BufReader};
+use std::path::PathBuf;
+use std::process::{Child, ChildStdout, Command, Stdio};
+
+const DSV: &str = env!("CARGO_BIN_EXE_dsv");
+const DSVD: &str = env!("CARGO_BIN_EXE_dsvd");
+
+/// A scratch directory holding two identical repositories — `L`, driven
+/// locally, and `R`, served by a spawned `dsvd` — plus the version files.
+struct Sandbox {
+    dir: PathBuf,
+    addr: String,
+    /// The child and its stdout, kept open so the server's exit line has
+    /// somewhere to go.
+    server: Option<(Child, BufReader<ChildStdout>)>,
+}
+
+struct Ran {
+    code: i32,
+    stdout: String,
+    stderr: String,
+}
+
+impl Sandbox {
+    fn new(name: &str) -> Sandbox {
+        let dir = std::env::temp_dir().join(format!("dsv-cli-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Five versions of one table: each appends a row and edits one.
+        let mut rows: Vec<String> = (0..400)
+            .map(|i| format!("{i},name{i},{}\n", i * 31 % 97))
+            .collect();
+        for v in 0..5 {
+            rows.push(format!("{},appended{v},{v}\n", 1000 + v));
+            rows[v * 7 + 3] = format!("{},edited{v},0\n", v * 7 + 3);
+            let body = format!("id,name,val\n{}", rows.concat());
+            std::fs::write(dir.join(format!("v{v}.csv")), body).unwrap();
+        }
+        let sandbox = Sandbox {
+            dir,
+            addr: String::new(),
+            server: None,
+        };
+        for repo in ["L", "R"] {
+            assert_eq!(sandbox.dsv(&["init", repo]).code, 0);
+        }
+        sandbox
+    }
+
+    /// Serves `R`. The cache is off so recreation work reads the same as
+    /// the cacheless local side.
+    fn serve(&mut self) {
+        let mut server = Command::new(DSVD)
+            .current_dir(&self.dir)
+            .args(["R", "--addr", "127.0.0.1:0", "--cache-bytes", "0"])
+            .args(["--workers", "2"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let mut stdout = BufReader::new(server.stdout.take().unwrap());
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        // "dsvd: serving R (0 versions) at 127.0.0.1:PORT (2 workers, …)"
+        let addr = line.split(" at ").nth(1).and_then(|s| s.split(' ').next());
+        self.addr = addr
+            .unwrap_or_else(|| panic!("no address in {line:?}"))
+            .to_owned();
+        self.server = Some((server, stdout));
+    }
+
+    fn dsv(&self, args: &[&str]) -> Ran {
+        self.dsv_env(args, None)
+    }
+
+    fn dsv_env(&self, args: &[&str], fault: Option<&str>) -> Ran {
+        let mut cmd = Command::new(DSV);
+        cmd.current_dir(&self.dir)
+            .args(args)
+            .env_remove("DSV_TRACE");
+        match fault {
+            Some(spec) => cmd.env("DSV_FAULT", spec),
+            None => cmd.env_remove("DSV_FAULT"),
+        };
+        let out = cmd.output().unwrap();
+        Ran {
+            code: out.status.code().unwrap_or(-1),
+            stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
+            stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+        }
+    }
+
+    /// `dsv <cmd> L <rest…>`.
+    fn local(&self, args: &[&str]) -> Ran {
+        let mut full = vec![args[0], "L"];
+        full.extend(&args[1..]);
+        self.dsv(&full)
+    }
+
+    /// `dsv --remote <addr> <cmd> <rest…>`.
+    fn remote(&self, args: &[&str]) -> Ran {
+        let mut full = vec!["--remote", &self.addr];
+        full.extend(args);
+        self.dsv(&full)
+    }
+
+    fn read(&self, file: &str) -> Vec<u8> {
+        std::fs::read(self.dir.join(file)).unwrap()
+    }
+}
+
+impl Drop for Sandbox {
+    fn drop(&mut self) {
+        if let Some((mut server, _stdout)) = self.server.take() {
+            if self.remote(&["shutdown"]).code != 0 {
+                let _ = server.kill();
+            }
+            let _ = server.wait();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Strips what is documented to differ per backend (see the module
+/// docs) from a `stats` / `store --json` transcript.
+fn masked(stdout: &str) -> String {
+    let json = stdout.split("\"ops\":").next().unwrap();
+    json.split("metrics this process:")
+        .next()
+        .unwrap()
+        .lines()
+        .filter(|l| !l.starts_with("ops this process:"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// The same command on both backends: exit code and (masked) stdout
+/// must equal the recorded transcript on each side. Returns the local
+/// and the remote run.
+fn both(sandbox: &Sandbox, args: &[&str], code: i32, stdout: &str) -> [Ran; 2] {
+    let runs = [sandbox.local(args), sandbox.remote(args)];
+    for (side, ran) in ["local", "remote"].iter().zip(&runs) {
+        assert_eq!(ran.code, code, "{side} {args:?}: {}", ran.stderr);
+        assert_eq!(masked(&ran.stdout), stdout, "{side} {args:?}");
+    }
+    runs
+}
+
+/// A command both backends must reject with the same message, exit 1.
+fn both_reject(sandbox: &Sandbox, args: &[&str], message: &str) {
+    for (side, ran) in [
+        ("local", sandbox.local(args)),
+        ("remote", sandbox.remote(args)),
+    ] {
+        assert_eq!(ran.code, 1, "{side} {args:?}");
+        assert_eq!(ran.stdout, "", "{side} {args:?}");
+        assert_eq!(ran.stderr, format!("dsv: {message}\n"), "{side} {args:?}");
+    }
+}
+
+#[test]
+fn local_and_remote_print_the_same() {
+    let mut sandbox = Sandbox::new("parity");
+    sandbox.serve();
+    let s = &sandbox;
+
+    both(
+        s,
+        &["commit", "v0.csv"],
+        0,
+        "committed v0 on 'main' (5769 bytes)\n",
+    );
+    both(
+        s,
+        &[
+            "commit",
+            "v1.csv",
+            "--online",
+            "--online-hops",
+            "2",
+            "--theta",
+            "100000",
+        ],
+        0,
+        "committed v1 on 'main' (5786 bytes, online placement)\n",
+    );
+    both(
+        s,
+        &["commit", "v2.csv", "-b", "main", "-m", "third"],
+        0,
+        "committed v2 on 'main' (5803 bytes)\n",
+    );
+    both(
+        s,
+        &["commit", "-m", "fourth", "v3.csv"],
+        0,
+        "committed v3 on 'main' (5820 bytes)\n",
+    );
+
+    // Single-version checkout: to a file, and streamed to stdout.
+    both(
+        s,
+        &["checkout", "1", "-o", "out.csv"],
+        0,
+        "checked out v1 to out.csv (5786 bytes)\n",
+    );
+    assert_eq!(s.read("out.csv"), s.read("v1.csv"));
+    for ran in [s.local(&["checkout", "v3"]), s.remote(&["checkout", "v3"])] {
+        assert_eq!(ran.code, 0);
+        assert_eq!(ran.stdout.as_bytes(), s.read("v3.csv"));
+    }
+    // Multi-version checkout reports recreation work per version.
+    both(
+        s,
+        &["checkout", "v0", "v1", "v2"],
+        0,
+        "v0: 5769 bytes (read 5769, cache hits 0, saved 0)\
+         \nv1: 5786 bytes (read 5804, cache hits 0, saved 0)\
+         \nv2: 5803 bytes (read 5839, cache hits 0, saved 0)\
+         \ntotal: read 17412 bytes, 0 cache hits, saved 0 bytes\n",
+    );
+
+    both(s, &["optimize", "p1", "--solver", "mst"], 0, "P1: minimize storage: 4141 -> 4112 bytes on disk (1 materialized, 0 chunked, planned maxR 5871)\
+         \nsolver: mst\n");
+    both(s, &["optimize", "p3", "30000", "--solver", "lmg"], 0, "P3: minimize ΣRi s.t. C ≤ 30000: 4112 -> 15965 bytes on disk (4 materialized, 0 chunked, planned maxR 5820)\
+         \nsolver: lmg\n");
+    both(s, &["optimize", "p6", "60000", "--portfolio", "--hybrid"], 0, "P6: minimize C s.t. max Ri ≤ 60000: 15965 -> 4769 bytes on disk (0 materialized, 1 chunked, planned maxR 5983)\
+         \nportfolio: 7 candidates, winner ilp\
+         \n  mst          objective 864 (C 864, ΣR 23830, maxR 5983)\
+         \n  spt          objective 23178 (C 23178, ΣR 23178, maxR 5820)\
+         \n  ilp          objective 864 (C 864, ΣR 23830, maxR 5983)\
+         \n  mp           objective 866 (C 866, ΣR 23714, maxR 5968)\
+         \n  last         objective 864 (C 864, ΣR 23830, maxR 5983)\
+         \n  gith         objective 864 (C 864, ΣR 23830, maxR 5983)\
+         \n  hop          objective 866 (C 866, ΣR 23714, maxR 5968)\n");
+    both(
+        s,
+        &["store", "--json"],
+        0,
+        "{\"objects\": 10, \"bytes\": 4769, \"logical_bytes\": 23178, \"shards\": [], \n",
+    );
+    both(
+        s,
+        &["store"],
+        0,
+        "10 objects, 4769 bytes on disk (flat)\
+         \ndedup ratio: 4.86x (23178 logical bytes)\n",
+    );
+    both(
+        s,
+        &["stats"],
+        0,
+        "10 objects, 4769 bytes on disk (flat)\
+         \ndedup ratio: 4.86x (23178 logical bytes)\n",
+    );
+    both(
+        s,
+        &["fsck"],
+        0,
+        "fsck: 4 versions, 10 objects checked; clean\n",
+    );
+    both(
+        s,
+        &["fsck", "--repair"],
+        0,
+        "fsck: 4 versions, 10 objects checked; clean\n",
+    );
+
+    // After the repacks every version still reads back byte-identical.
+    for v in 0..4 {
+        let file = format!("v{v}.csv");
+        let line = format!(
+            "checked out v{v} to out.csv ({} bytes)\n",
+            s.read(&file).len()
+        );
+        both(s, &["checkout", &v.to_string(), "-o", "out.csv"], 0, &line);
+        assert_eq!(s.read("out.csv"), s.read(&file));
+    }
+
+    // A commit that dies writing its metadata leaves orphaned objects in
+    // both object directories (dsvd enumerates R's from disk): fsck must
+    // flag them with the same line and a nonzero exit on both sides —
+    // each naming the command that repairs *that* backend — and --repair
+    // must collect them.
+    for repo in ["L", "R"] {
+        let doomed = s.dsv_env(&["commit", repo, "v4.csv"], Some("fail:0:meta"));
+        assert_eq!(doomed.code, 1, "{}", doomed.stdout);
+    }
+    let [local, remote] = both(
+        s,
+        &["fsck"],
+        1,
+        "fsck: 4 versions, 11 objects checked; 1 orphans; NOT CLEAN\n",
+    );
+    assert_eq!(
+        local.stderr,
+        "dsv: repository is not clean (try: dsv fsck L --repair)\n"
+    );
+    assert_eq!(
+        remote.stderr,
+        format!(
+            "dsv: repository is not clean (try: dsv --remote {} fsck --repair)\n",
+            s.addr
+        )
+    );
+    both(
+        s,
+        &["fsck", "--repair"],
+        0,
+        "fsck: 4 versions, 11 objects checked; 1 orphans removed; clean\n",
+    );
+    both(
+        s,
+        &["fsck"],
+        0,
+        "fsck: 4 versions, 10 objects checked; clean\n",
+    );
+}
+
+#[test]
+fn both_backends_reject_the_same_mistakes() {
+    let mut sandbox = Sandbox::new("reject");
+    sandbox.serve();
+    let s = &sandbox;
+    both(
+        s,
+        &["commit", "v0.csv"],
+        0,
+        "committed v0 on 'main' (5769 bytes)\n",
+    );
+
+    both_reject(
+        s,
+        &["commit", "v1.csv", "--online-hops", "2"],
+        "--online-hops requires --online",
+    );
+    both_reject(
+        s,
+        &["commit", "v1.csv", "--bogus"],
+        "unknown commit flag '--bogus' (see: dsv help)",
+    );
+    both_reject(
+        s,
+        &["checkout", "0", "--bogus"],
+        "unknown checkout flag '--bogus' (see: dsv help)",
+    );
+    both_reject(
+        s,
+        &["optimize", "p1", "--bogus"],
+        "unknown optimize flag '--bogus' (see: dsv help)",
+    );
+    both_reject(
+        s,
+        &["optimize", "p1", "--portfolio", "--solver", "lmg"],
+        "--portfolio and --solver are mutually exclusive",
+    );
+    both_reject(
+        s,
+        &["optimize", "p1", "--solver", "nosuch"],
+        "no solver named 'nosuch' in the registry (see: dsv solvers)",
+    );
+    both_reject(
+        s,
+        &["optimize", "p1", "--solver", "lmg"],
+        "optimizer error: solver 'lmg' does not support problem 1",
+    );
+    both_reject(s, &["checkout", "99"], "unknown commit v99");
+    both_reject(
+        s,
+        &["checkout", "0", "1", "-o", "out.csv"],
+        "-o needs exactly one version",
+    );
+
+    // The cache is the server's with --remote; locally the flag works and
+    // a multi-version checkout ends with the cache line.
+    let remote = s.remote(&["checkout", "0", "--cache-bytes", "1000"]);
+    assert_eq!(remote.code, 1);
+    assert_eq!(
+        remote.stderr,
+        "dsv: --cache-bytes is server-side with --remote: every remote checkout \
+         is served through the dsvd shared cache (see: dsvd --cache-bytes)\n"
+    );
+    let local = s.local(&["checkout", "0", "0", "--cache-bytes", "1048576"]);
+    assert_eq!(local.code, 0, "{}", local.stderr);
+    assert_eq!(
+        local.stdout,
+        "v0: 5769 bytes (read 5769, cache hits 0, saved 0)\n\
+         v0: 5769 bytes (read 0, cache hits 1, saved 5769)\n\
+         total: read 5769 bytes, 1 cache hits, saved 5769 bytes\n\
+         cache: 5769/1048576 bytes used, 1 entries, 1 hits / 1 misses, 0 evictions\n"
+    );
+}

@@ -166,7 +166,10 @@ fn fault_store_cuts_a_remote_batch_over_the_wire() {
         })
         .collect();
     let err = store.put_batch(&objs).unwrap_err();
-    assert!(matches!(err, StoreError::Io(ref m) if is_injected(m)), "{err:?}");
+    assert!(
+        matches!(err, StoreError::Io(ref m) if is_injected(m)),
+        "{err:?}"
+    );
     assert_eq!(plan.fired(), 1);
 
     // Observe the server through an independent connection: exactly the
@@ -222,7 +225,7 @@ fn batch_writer_flush_bound_cooperates_with_the_frame_cap() {
             data: format!("{i}:")
                 .into_bytes()
                 .into_iter()
-                .chain(std::iter::repeat(i as u8).take(9_000))
+                .chain(std::iter::repeat_n(i as u8, 9_000))
                 .collect(),
         })
         .collect();
