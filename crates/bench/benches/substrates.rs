@@ -1,6 +1,7 @@
-//! Criterion benches for the substrates: diff, byte deltas, compression,
-//! the graph algorithms, and the three storage regimes (Full / Delta /
-//! Chunked) packing and checking out the same dedup-friendly history.
+//! Criterion benches for the substrates: diff, byte deltas (one-shot and
+//! the shared-index reveal), compression, the graph algorithms, and the
+//! three storage regimes (Full / Delta / Chunked) packing and checking
+//! out the same dedup-friendly history.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dsv_chunk::{pack_versions_chunked, Chunker, ChunkerParams};
@@ -9,6 +10,9 @@ use dsv_delta::{bytes_delta, script};
 use dsv_graph::{dijkstra, min_cost_arborescence, prim_mst, DiGraph, NodeId, UnGraph};
 use dsv_storage::{pack_versions, Materializer, MemStore, ObjectStore, PackOptions};
 use dsv_workloads::presets;
+use dsv_workloads::table_gen::{base_table, random_commit, EditParams};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn csv(rows: usize, tag: u32) -> Vec<u8> {
@@ -49,6 +53,55 @@ fn bench_diff(c: &mut Criterion) {
     group.bench_function("byte_apply_2k_rows", |bch| {
         bch.iter(|| bytes_delta::apply(black_box(&a), black_box(&ops)).unwrap())
     });
+    group.finish();
+}
+
+/// The optimizer's reveal, kernel only: a 40-version chain of ~100 KB
+/// tables (`table_gen::random_commit` edits), every pair at most five
+/// versions apart, both directions. `one_shot` is the plain loop — index
+/// the source again for every diff, build the ops, encode them, take the
+/// length; `shared_index` is [`bytes_delta::pair_sizes`], which indexes
+/// each version once and streams lengths only. Both on one thread, and
+/// their sizes are asserted equal before anything is timed.
+fn bench_reveal(c: &mut Criterion) {
+    let params = EditParams {
+        base_rows: 1000,
+        base_cols: 10,
+        ..EditParams::default()
+    };
+    let mut rng = StdRng::seed_from_u64(2015);
+    let mut table = base_table(&params, &mut rng);
+    let mut contents = vec![table.to_csv()];
+    for _ in 1..40 {
+        table = random_commit(&params, &table, &mut rng).1;
+        contents.push(table.to_csv());
+    }
+    let pairs: Vec<(u32, u32)> = (0..40u32)
+        .flat_map(|a| (a + 1..40.min(a + 6)).map(move |b| (a, b)))
+        .collect();
+    let size = |src: u32, dst: u32| {
+        let ops = bytes_delta::diff(&contents[src as usize], &contents[dst as usize]);
+        bytes_delta::encode(&ops).len() as u64
+    };
+    let one_shot = || -> Vec<(u64, u64)> {
+        pairs
+            .iter()
+            .map(|&(a, b)| (size(a, b), size(b, a)))
+            .collect()
+    };
+    let shared_index =
+        || dsv_par::with_thread_count(1, || bytes_delta::pair_sizes(&contents, &pairs));
+    assert_eq!(one_shot(), shared_index(), "the two reveals must agree");
+
+    let mut group = c.benchmark_group("reveal_5hop");
+    group.throughput(Throughput::Bytes(
+        pairs
+            .iter()
+            .map(|&(a, b)| 2 * (contents[a as usize].len() + contents[b as usize].len()) as u64)
+            .sum(),
+    ));
+    group.bench_function("one_shot", |b| b.iter(|| black_box(one_shot())));
+    group.bench_function("shared_index", |b| b.iter(|| black_box(shared_index())));
     group.finish();
 }
 
@@ -195,6 +248,6 @@ fn bench_substrate_regimes(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_diff, bench_compression, bench_graph, bench_chunking, bench_substrate_regimes
+    targets = bench_diff, bench_reveal, bench_compression, bench_graph, bench_chunking, bench_substrate_regimes
 }
 criterion_main!(benches);

@@ -55,25 +55,21 @@ fn measure_plan(contents: &[Vec<u8>], plan: &[Option<u32>], scheme: &'static str
 /// fork threshold (the same information the dataset generator revealed),
 /// with `Φ = Δ` over byte-delta sizes.
 fn planning_instance(dataset: &Dataset, contents: &[Vec<u8>]) -> ProblemInstance {
-    let n = contents.len();
     let diag: Vec<CostPair> = contents
         .iter()
         .map(|c| CostPair::proportional(c.len() as u64))
         .collect();
     let mut matrix = CostMatrix::directed(diag);
-    for (a, b, _) in dataset.matrix.revealed_entries() {
-        let fwd = bytes_delta::encode(&bytes_delta::diff(
-            &contents[a as usize],
-            &contents[b as usize],
-        ));
-        matrix.reveal(a, b, CostPair::proportional(fwd.len() as u64));
-        let rev = bytes_delta::encode(&bytes_delta::diff(
-            &contents[b as usize],
-            &contents[a as usize],
-        ));
-        matrix.reveal(b, a, CostPair::proportional(rev.len() as u64));
+    let pairs: Vec<(u32, u32)> = dataset
+        .matrix
+        .revealed_entries()
+        .map(|(a, b, _)| (a, b))
+        .collect();
+    let sizes = bytes_delta::pair_sizes(contents, &pairs);
+    for (&(a, b), (fwd, rev)) in pairs.iter().zip(sizes) {
+        matrix.reveal(a, b, CostPair::proportional(fwd));
+        matrix.reveal(b, a, CostPair::proportional(rev));
     }
-    let _ = n;
     ProblemInstance::new(matrix)
 }
 

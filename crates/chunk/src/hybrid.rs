@@ -56,20 +56,29 @@ pub fn pack_versions_hybrid<S: ObjectStore + ?Sized>(
 
     // Parallel phase: everything derivable from raw contents alone —
     // chunk boundaries + content hashes for chunked versions, encoded
-    // byte deltas for delta versions — on the dsv-par runtime.
-    let versions: Vec<u32> = (0..n as u32).collect();
+    // byte deltas for delta versions (one source index per parent, shared
+    // by its children) — on the dsv-par runtime.
+    let chunked: Vec<u32> = (0..n as u32)
+        .filter(|&v| modes[v as usize].is_chunked())
+        .collect();
+    let edges: Vec<(u32, u32)> = (0..n as u32)
+        .filter_map(|v| delta_parents[v as usize].map(|p| (p, v)))
+        .collect();
     let prepare_span = obs::span!("prepare");
-    let mut prepared = prepare_span.in_scope(|| {
-        dsv_par::par_map(&versions, |&v| match modes[v as usize] {
-            StorageMode::Materialized => Prepared::Full,
-            StorageMode::Chunked => Prepared::Chunks(prechunk(&contents[v as usize], params)),
-            StorageMode::Delta(p) => {
-                let ops = bytes_delta::diff(&contents[p as usize], &contents[v as usize]);
-                Prepared::Delta(bytes_delta::encode(&ops))
-            }
-        })
+    let (chunks, deltas) = prepare_span.in_scope(|| {
+        (
+            dsv_par::par_map(&chunked, |&v| prechunk(&contents[v as usize], params)),
+            bytes_delta::encode_pairs(contents, &edges),
+        )
     });
     drop(prepare_span);
+    let mut prepared: Vec<Prepared> = (0..n).map(|_| Prepared::Full).collect();
+    for (&v, spans) in chunked.iter().zip(chunks) {
+        prepared[v as usize] = Prepared::Chunks(spans);
+    }
+    for (&(_, v), delta) in edges.iter().zip(deltas) {
+        prepared[v as usize] = Prepared::Delta(delta);
+    }
 
     // Assembly phase, store-free: chunked versions first, in index order,
     // so dedup increments match the estimator's accounting; then fulls

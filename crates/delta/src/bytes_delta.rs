@@ -1,16 +1,67 @@
 //! Byte-level copy/insert deltas (the role xdelta/LibXDiff play in §5.2).
 //!
-//! The encoder indexes the source in fixed-size blocks with a rolling
-//! lookup table, scans the target greedily, and emits `Copy{offset,len}` /
-//! `Insert{bytes}` instructions, varint-encoded. This is the delta format
-//! the object store uses for arbitrary binary version content; line scripts
-//! ([`crate::script`]) are preferred for text.
+//! The encoder indexes the source in fixed-size blocks, scans the target
+//! greedily, and emits `Copy{offset,len}` / `Insert{bytes}` instructions,
+//! varint-encoded. This is the delta format the object store uses for
+//! arbitrary binary version content; line scripts ([`crate::script`]) are
+//! preferred for text.
+//!
+//! # Index once, diff many
+//!
+//! Everything that depends only on the source lives in a [`SourceIndex`],
+//! built once and scanned against any number of targets — the shape of
+//! every caller that matters: the optimizer's reveal diffs one version
+//! against ~15 neighbours, a packer diffs one parent against all its
+//! children. [`diff`] is the one-shot spelling of the same kernel.
+//!
+//! **Layout.** The index is four flat arrays, no per-bucket allocation:
+//!
+//! - `offsets` — CSR payload: the block-aligned source offsets the scan
+//!   may try, grouped by block hash; within a group in source order, at
+//!   most `BUCKET_CAP` of them (the first ones).
+//! - `groups` — one `(hash, start)` per distinct block hash plus a
+//!   sentinel, so group `g` owns `offsets[groups[g].start..groups[g+1].start]`.
+//! - `slots` — a power-of-two open-addressed table (linear probing, load
+//!   ≤ ½) from block hash to group number.
+//! - `filter` — a bitset over a cheap hash of block *content*. A target
+//!   position whose bit is clear equals no indexed block, so the scan
+//!   moves on without hashing or probing; a set bit only means "look".
+//!   It can drop lookups that would have found nothing, never a
+//!   candidate.
+//!
+//! **Candidate-order invariant.** For a target block the scan tries
+//! exactly the first ≤ `BUCKET_CAP` (8) source blocks with the same 64-bit
+//! FNV-1a hash, in source order; the longest total match (forward plus
+//! backward extension) wins and the first wins ties. That rule mentions
+//! neither slot positions, probe sequences nor table size, so the emitted
+//! ops do not depend on the table layout — a differently sized or
+//! differently hashed table produces the same bytes. Every cost matrix,
+//! plan and object id in a repository is made of deltas emitted under
+//! this rule, so changing it changes all of them (`tests/golden.rs` pins
+//! the encodings).
+//!
+//! **Sinks.** One scan loop drives one of three sinks: a `Vec<DeltaOp>`,
+//! the encoded bytes, or only the encoded length (what a cost matrix
+//! needs — no literal is copied anywhere). [`encode`] feeds ops through
+//! the same byte sink, so the wire format is written down once.
+//!
+//! **Reveal by source.** [`pair_sizes`] and [`encode_pairs`] group their
+//! jobs by source version and run one `dsv_par` task per *source*: the
+//! task builds that source's index, scans every target it is paired with,
+//! and drops the index before taking the next source. At most one index
+//! per worker is alive (an index is about twice its source's size), so
+//! peak memory does not grow with the number of versions or pairs, while
+//! each version is still indexed once instead of once per pair.
 
-use dsv_compress::varint::{decode_u64, encode_u64};
+use dsv_compress::varint::{decode_u64, encode_u64, encoded_len};
 
 /// Block size for the source index. Matches of at least this length can be
 /// found; shorter repeats are emitted as literals.
 const BLOCK: usize = 16;
+
+/// Most source offsets kept (and tried) per block hash: the first ones in
+/// source order. Bounds the scan on highly repetitive sources.
+const BUCKET_CAP: u32 = 8;
 
 /// One instruction of a byte delta.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,114 +101,407 @@ impl std::fmt::Display for DeltaError {
 impl std::error::Error for DeltaError {}
 
 #[inline]
-fn block_hash(bytes: &[u8]) -> u64 {
+fn block_hash(block: &[u8; BLOCK]) -> u64 {
     // FNV-1a over one block.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in block {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
 }
 
-/// Computes a delta such that `apply(src, &ops) == dst`.
-pub fn diff(src: &[u8], dst: &[u8]) -> Vec<DeltaOp> {
-    if dst.is_empty() {
-        return Vec::new();
+#[inline]
+fn block_at(bytes: &[u8], at: usize) -> &[u8; BLOCK] {
+    bytes[at..at + BLOCK]
+        .try_into()
+        .expect("slice is BLOCK bytes long")
+}
+
+/// A cheap function of a block's *content* (two word loads, two
+/// multiplies) for the index's miss filter; its top bits pick the bit.
+#[inline]
+fn content_key(block: &[u8; BLOCK]) -> u64 {
+    let lo = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
+    let hi = u64::from_le_bytes(block[8..].try_into().expect("8 bytes"));
+    (lo.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ hi).wrapping_mul(0xff51_afd7_ed55_8ccd)
+}
+
+/// Length of the longest common prefix, compared a word at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut words_a = a.chunks_exact(8);
+    let mut words_b = b.chunks_exact(8);
+    let mut matched = 0usize;
+    for (x, y) in words_a.by_ref().zip(words_b.by_ref()) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if x != y {
+            // Little-endian: the lowest differing bit is in the first
+            // differing byte.
+            return matched + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        matched += 8;
     }
-    if src.is_empty() {
-        return vec![DeltaOp::Insert {
-            bytes: dst.to_vec(),
-        }];
+    // At most one side ran out of whole words; finish bytewise.
+    matched
+        + a[matched..]
+            .iter()
+            .zip(&b[matched..])
+            .take_while(|(x, y)| x == y)
+            .count()
+}
+
+/// Length of the longest common suffix (backward extension runs into the
+/// pending literals only, so it is short: bytewise).
+#[inline]
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    a.iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Where a scan's instructions go. Implemented by the three outputs the
+/// callers need: ops, encoded bytes, encoded length.
+trait Sink {
+    fn copy(&mut self, offset: u64, len: u64);
+    fn insert(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<DeltaOp> {
+    fn copy(&mut self, offset: u64, len: u64) {
+        self.push(DeltaOp::Copy { offset, len });
+    }
+    fn insert(&mut self, bytes: &[u8]) {
+        self.push(DeltaOp::Insert {
+            bytes: bytes.to_vec(),
+        });
+    }
+}
+
+/// The wire format: per op a tag varint (`len << 1` = copy,
+/// `(len << 1) | 1` = insert) followed by the payload (copy offset /
+/// literal bytes).
+struct Encoded(Vec<u8>);
+
+impl Sink for Encoded {
+    fn copy(&mut self, offset: u64, len: u64) {
+        encode_u64(len << 1, &mut self.0);
+        encode_u64(offset, &mut self.0);
+    }
+    fn insert(&mut self, bytes: &[u8]) {
+        encode_u64(((bytes.len() as u64) << 1) | 1, &mut self.0);
+        self.0.extend_from_slice(bytes);
+    }
+}
+
+/// The length [`Encoded`] would reach, without writing a byte.
+struct EncodedLen(u64);
+
+impl Sink for EncodedLen {
+    fn copy(&mut self, offset: u64, len: u64) {
+        self.0 += (encoded_len(len << 1) + encoded_len(offset)) as u64;
+    }
+    fn insert(&mut self, bytes: &[u8]) {
+        let len = bytes.len() as u64;
+        self.0 += encoded_len((len << 1) | 1) as u64 + len;
+    }
+}
+
+const EMPTY: u32 = u32::MAX;
+
+/// One distinct block hash of the source and where its offsets start in
+/// the CSR payload (the next group's `start` is where they end).
+#[derive(Clone, Copy)]
+struct Group {
+    hash: u64,
+    start: u32,
+}
+
+/// The block index of one source, reusable across any number of targets
+/// (see the [module docs](self) for layout and the candidate-order
+/// invariant). Sources are addressed with `u32` block offsets, as the
+/// kernel always has: a source must be shorter than 4 GiB.
+pub struct SourceIndex<'a> {
+    src: &'a [u8],
+    /// Hash → group number, open addressing; `EMPTY` terminates a probe.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the slot of a hash is the top bits of
+    /// its Fibonacci product.
+    shift: u32,
+    /// Distinct hashes in order of first occurrence, plus a sentinel.
+    groups: Vec<Group>,
+    /// First ≤ `BUCKET_CAP` block offsets per group, in source order.
+    offsets: Vec<u32>,
+    /// Miss filter: one bit per [`content_key`] of an indexed block, ≥ 16
+    /// bits per block. A clear bit proves no indexed block has the probed
+    /// content, so no candidate could pass verification and the scan may
+    /// skip the FNV hash and the table probe — most target positions
+    /// inside an edit end here. A set bit decides nothing.
+    filter: Vec<u64>,
+    /// `64 - log2(filter bits)`.
+    filter_shift: u32,
+}
+
+impl<'a> SourceIndex<'a> {
+    /// Indexes `src`'s aligned blocks: linear in `src.len()`, and a fixed
+    /// handful of allocations however many distinct blocks there are.
+    pub fn new(src: &'a [u8]) -> Self {
+        assert!(
+            u32::try_from(src.len()).is_ok(),
+            "byte-delta sources are addressed with 32-bit offsets"
+        );
+        let nblocks = src.len() / BLOCK;
+        let table_bits = (2 * nblocks).max(2).next_power_of_two().trailing_zeros();
+        let filter_bits = (16 * nblocks).max(64).next_power_of_two().trailing_zeros();
+        let mut index = SourceIndex {
+            src,
+            slots: vec![EMPTY; 1 << table_bits],
+            shift: 64 - table_bits,
+            groups: Vec::with_capacity(nblocks + 1),
+            offsets: Vec::new(),
+            filter: vec![0; 1 << (filter_bits - 6)],
+            filter_shift: 64 - filter_bits,
+        };
+
+        // Pass 1: assign every block to its hash's group (creating groups
+        // in order of first occurrence) and count group sizes, capped.
+        // `groups[g].start` holds the count until the prefix sum below.
+        let mut group_of_block: Vec<u32> = Vec::with_capacity(nblocks);
+        for block in src.chunks_exact(BLOCK) {
+            let block: &[u8; BLOCK] = block.try_into().expect("exact chunk");
+            let hash = block_hash(block);
+            let mut slot = index.home_slot(hash);
+            let group = loop {
+                match index.slots[slot] {
+                    EMPTY => {
+                        let g = index.groups.len() as u32;
+                        index.slots[slot] = g;
+                        index.groups.push(Group { hash, start: 0 });
+                        break g;
+                    }
+                    g if index.groups[g as usize].hash == hash => break g,
+                    _ => slot = (slot + 1) & (index.slots.len() - 1),
+                }
+            };
+            let count = &mut index.groups[group as usize].start;
+            if *count < BUCKET_CAP {
+                *count += 1;
+                group_of_block.push(group);
+                let bit = content_key(block) >> index.filter_shift;
+                index.filter[(bit >> 6) as usize] |= 1 << (bit & 63);
+            } else {
+                group_of_block.push(EMPTY);
+            }
+        }
+
+        // Counts → starts (exclusive prefix sum), sentinel at the end.
+        let mut total = 0u32;
+        for group in &mut index.groups {
+            let count = group.start;
+            group.start = total;
+            total += count;
+        }
+        index.groups.push(Group {
+            hash: 0,
+            start: total,
+        });
+
+        // Pass 2: scatter block offsets into their groups. Blocks are
+        // visited in source order, so every group's run is too.
+        index.offsets = vec![0; total as usize];
+        let mut cursor: Vec<u32> = index.groups.iter().map(|g| g.start).collect();
+        for (block, &group) in group_of_block.iter().enumerate() {
+            if group != EMPTY {
+                let at = &mut cursor[group as usize];
+                index.offsets[*at as usize] = (block * BLOCK) as u32;
+                *at += 1;
+            }
+        }
+        index
     }
 
-    // Index source blocks: hash -> list of offsets (bounded buckets).
-    let nblocks = src.len() / BLOCK;
-    let mut table: std::collections::HashMap<u64, Vec<u32>> =
-        std::collections::HashMap::with_capacity(nblocks);
-    for i in 0..nblocks {
-        let off = i * BLOCK;
-        let h = block_hash(&src[off..off + BLOCK]);
-        let bucket = table.entry(h).or_default();
-        if bucket.len() < 8 {
-            bucket.push(off as u32);
+    #[inline]
+    fn home_slot(&self, hash: u64) -> usize {
+        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The source offsets to try for a target block: the group of its
+    /// FNV hash, unless the miss filter already rules every block out.
+    #[inline]
+    fn candidates(&self, block: &[u8; BLOCK]) -> &[u32] {
+        let bit = content_key(block) >> self.filter_shift;
+        if self.filter[(bit >> 6) as usize] & (1 << (bit & 63)) == 0 {
+            return &[];
+        }
+        let hash = block_hash(block);
+        let mut slot = self.home_slot(hash);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return &[],
+                g => {
+                    let g = g as usize;
+                    if self.groups[g].hash == hash {
+                        let run = self.groups[g].start as usize..self.groups[g + 1].start as usize;
+                        return &self.offsets[run];
+                    }
+                    slot = (slot + 1) & (self.slots.len() - 1);
+                }
+            }
         }
     }
 
-    let mut ops: Vec<DeltaOp> = Vec::new();
-    let mut lit_start = 0usize;
-    let mut i = 0usize;
-
-    let flush = |ops: &mut Vec<DeltaOp>, from: usize, to: usize| {
-        if from < to {
-            ops.push(DeltaOp::Insert {
-                bytes: dst[from..to].to_vec(),
-            });
-        }
-    };
-
-    while i + BLOCK <= dst.len() {
-        let h = block_hash(&dst[i..i + BLOCK]);
-        let mut best: Option<(usize, usize, usize)> = None; // (src_off, dst_off, len)
-        if let Some(bucket) = table.get(&h) {
-            for &cand in bucket {
+    /// The one scan loop: greedy left-to-right over `dst`, instructions
+    /// into `sink`.
+    fn scan(&self, dst: &[u8], sink: &mut impl Sink) {
+        let src = self.src;
+        let mut lit_start = 0usize;
+        // A source without a whole block matches nothing; do not visit
+        // every target position to find that out.
+        let mut i = if self.offsets.is_empty() {
+            dst.len()
+        } else {
+            0
+        };
+        while i + BLOCK <= dst.len() {
+            let mut best: Option<(usize, usize, usize)> = None; // (src_off, dst_off, len)
+            for &cand in self.candidates(block_at(dst, i)) {
                 let cand = cand as usize;
-                if src[cand..cand + BLOCK] != dst[i..i + BLOCK] {
+                let len = common_prefix(&src[cand..], &dst[i..]);
+                if len < BLOCK {
                     continue; // hash collision
                 }
-                // Extend forwards.
-                let mut len = BLOCK;
-                while cand + len < src.len()
-                    && i + len < dst.len()
-                    && src[cand + len] == dst[i + len]
-                {
-                    len += 1;
-                }
-                // Extend backwards into pending literals.
-                let mut back = 0usize;
-                while back < cand
-                    && back < i - lit_start
-                    && src[cand - back - 1] == dst[i - back - 1]
-                {
-                    back += 1;
-                }
+                // Extend backwards into the pending literals.
+                let back = common_suffix(&src[..cand], &dst[lit_start..i]);
                 let total = len + back;
                 if best.is_none_or(|(_, _, l)| total > l) {
                     best = Some((cand - back, i - back, total));
                 }
             }
-        }
-        match best {
-            Some((s_off, d_off, len)) => {
-                flush(&mut ops, lit_start, d_off);
-                ops.push(DeltaOp::Copy {
-                    offset: s_off as u64,
-                    len: len as u64,
-                });
-                i = d_off + len;
-                lit_start = i;
+            match best {
+                Some((s_off, d_off, len)) => {
+                    if lit_start < d_off {
+                        sink.insert(&dst[lit_start..d_off]);
+                    }
+                    sink.copy(s_off as u64, len as u64);
+                    i = d_off + len;
+                    lit_start = i;
+                }
+                None => i += 1,
             }
-            None => i += 1,
+        }
+        if lit_start < dst.len() {
+            sink.insert(&dst[lit_start..]);
         }
     }
-    flush(&mut ops, lit_start, dst.len());
-    ops
+
+    /// Computes a delta such that `apply(src, &ops) == dst`.
+    pub fn diff(&self, dst: &[u8]) -> Vec<DeltaOp> {
+        let mut ops = Vec::new();
+        self.scan(dst, &mut ops);
+        ops
+    }
+
+    /// `encode(&self.diff(dst))` without building the ops.
+    pub fn diff_encoded(&self, dst: &[u8]) -> Vec<u8> {
+        let mut out = Encoded(Vec::new());
+        self.scan(dst, &mut out);
+        out.0
+    }
+
+    /// `encode(&self.diff(dst)).len()` without copying a literal.
+    pub fn diff_encoded_len(&self, dst: &[u8]) -> u64 {
+        let mut len = EncodedLen(0);
+        self.scan(dst, &mut len);
+        len.0
+    }
+}
+
+/// Computes a delta such that `apply(src, &ops) == dst`.
+pub fn diff(src: &[u8], dst: &[u8]) -> Vec<DeltaOp> {
+    SourceIndex::new(src).diff(dst)
+}
+
+/// Runs `f(index of contents[src], contents[dst])` for every `(src, dst)`
+/// job and returns the results in job order. One `dsv_par` task per
+/// distinct source: it builds that source's index, serves every job of
+/// the source, and drops the index — at most one live index per worker.
+/// For a pure `f` the output is identical at every thread count.
+fn map_by_source<T: Send>(
+    contents: &[Vec<u8>],
+    jobs: &[(u32, u32)],
+    f: impl Fn(&SourceIndex<'_>, &[u8]) -> T + Sync,
+) -> Vec<T> {
+    let mut by_source: Vec<usize> = (0..jobs.len()).collect();
+    by_source.sort_by_key(|&job| jobs[job].0);
+    let runs: Vec<&[usize]> = by_source
+        .chunk_by(|&x, &y| jobs[x].0 == jobs[y].0)
+        .collect();
+    let results = dsv_par::par_map(&runs, |run| {
+        let index = SourceIndex::new(&contents[jobs[run[0]].0 as usize]);
+        run.iter()
+            .map(|&job| f(&index, &contents[jobs[job].1 as usize]))
+            .collect::<Vec<T>>()
+    });
+    // Results arrive in `by_source` order; put them back in job order.
+    let mut tagged: Vec<(usize, T)> = by_source
+        .iter()
+        .copied()
+        .zip(results.into_iter().flatten())
+        .collect();
+    tagged.sort_unstable_by_key(|&(job, _)| job);
+    tagged.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Reveals both directions of every pair: for `(a, b)` the encoded sizes
+/// of the deltas `a → b` and `b → a` over `contents`, in pair order —
+/// exactly `encode(&diff(..)).len()` for each, computed length-only with
+/// one index per version (see "Reveal by source" in the
+/// [module docs](self)). Bitwise identical at every thread count.
+pub fn pair_sizes(contents: &[Vec<u8>], pairs: &[(u32, u32)]) -> Vec<(u64, u64)> {
+    let jobs: Vec<(u32, u32)> = pairs.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+    map_by_source(contents, &jobs, |index, dst| index.diff_encoded_len(dst))
+        .chunks_exact(2)
+        .map(|both| (both[0], both[1]))
+        .collect()
+}
+
+/// The encoded delta `contents[src] → contents[dst]` for every
+/// `(src, dst)` job, in job order — exactly `encode(&diff(..))` for each,
+/// sharing one index among all jobs of a source (a packer's parent and
+/// its children). Bitwise identical at every thread count.
+pub fn encode_pairs(contents: &[Vec<u8>], jobs: &[(u32, u32)]) -> Vec<Vec<u8>> {
+    map_by_source(contents, jobs, |index, dst| index.diff_encoded(dst))
 }
 
 /// Applies delta `ops` to `src`, reconstructing the target.
 pub fn apply(src: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, DeltaError> {
-    let mut out = Vec::new();
+    // Size the output once. Every copy is range-checked in this pass,
+    // before anything is allocated, so a corrupt delta cannot ask for
+    // more than its own literals plus `src.len()` per copy.
+    let mut produced = 0usize;
+    for op in ops {
+        let bytes = match op {
+            DeltaOp::Copy { offset, len } => {
+                let end = offset.checked_add(*len);
+                if end.is_none_or(|end| end > src.len() as u64) {
+                    return Err(DeltaError::CopyOutOfRange);
+                }
+                *len as usize
+            }
+            DeltaOp::Insert { bytes } => bytes.len(),
+        };
+        produced = produced
+            .checked_add(bytes)
+            .ok_or(DeltaError::CopyOutOfRange)?;
+    }
+    let mut out = Vec::with_capacity(produced);
     for op in ops {
         match op {
             DeltaOp::Copy { offset, len } => {
-                let start = *offset as usize;
-                let end = start
-                    .checked_add(*len as usize)
-                    .ok_or(DeltaError::CopyOutOfRange)?;
-                if end > src.len() {
-                    return Err(DeltaError::CopyOutOfRange);
-                }
-                out.extend_from_slice(&src[start..end]);
+                out.extend_from_slice(&src[*offset as usize..][..*len as usize]);
             }
             DeltaOp::Insert { bytes } => out.extend_from_slice(bytes),
         }
@@ -168,20 +512,14 @@ pub fn apply(src: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, DeltaError> {
 /// Serializes ops: per op a tag varint (`len << 1` = copy, `(len << 1) | 1`
 /// = insert) followed by the payload (copy offset / literal bytes).
 pub fn encode(ops: &[DeltaOp]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Encoded(Vec::new());
     for op in ops {
         match op {
-            DeltaOp::Copy { offset, len } => {
-                encode_u64(len << 1, &mut out);
-                encode_u64(*offset, &mut out);
-            }
-            DeltaOp::Insert { bytes } => {
-                encode_u64(((bytes.len() as u64) << 1) | 1, &mut out);
-                out.extend_from_slice(bytes);
-            }
+            DeltaOp::Copy { offset, len } => out.copy(*offset, *len),
+            DeltaOp::Insert { bytes } => out.insert(bytes),
         }
     }
-    out
+    out.0
 }
 
 /// Parses a stream produced by [`encode`].

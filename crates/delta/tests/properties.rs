@@ -1,7 +1,7 @@
 //! Property-based tests for the differencing substrate: every delta
 //! mechanism must reconstruct exactly, for arbitrary inputs.
 
-use dsv_delta::bytes_delta;
+use dsv_delta::bytes_delta::{self, SourceIndex};
 use dsv_delta::myers::{apply_diff, diff_slices, edit_distance};
 use dsv_delta::script::{line_diff, two_way_size, LineScript};
 use dsv_delta::tabular::{Table, TableDelta, TableEdit};
@@ -86,6 +86,47 @@ proptest! {
         let enc = bytes_delta::encode(&ops);
         let dec = bytes_delta::decode(&enc).unwrap();
         prop_assert_eq!(bytes_delta::apply(&a, &dec).unwrap(), b);
+    }
+
+    /// One kernel, three sinks: a reusable index gives the ops of the
+    /// one-shot `diff`, its byte sink their encoding, its length sink
+    /// that encoding's length — also when one index serves many targets.
+    #[test]
+    fn source_index_sinks_agree_with_one_shot_diff(
+        (a, b) in arb_edited_pair(),
+        others in proptest::collection::vec(arb_text(), 0..4),
+    ) {
+        let index = SourceIndex::new(&a);
+        for target in std::iter::once(&b).chain(&others).chain([&a]) {
+            let ops = bytes_delta::diff(&a, target);
+            let encoded = bytes_delta::encode(&ops);
+            prop_assert_eq!(&index.diff(target), &ops);
+            prop_assert_eq!(&SourceIndex::new(&a).diff(target), &ops);
+            prop_assert_eq!(&index.diff_encoded(target), &encoded);
+            prop_assert_eq!(index.diff_encoded_len(target), encoded.len() as u64);
+            prop_assert_eq!(&bytes_delta::apply(&a, &ops).unwrap(), target);
+        }
+    }
+
+    /// Repetitive sources (few distinct blocks, buckets over the cap):
+    /// the sinks still agree and the delta still reconstructs.
+    #[test]
+    fn source_index_on_repetitive_sources(
+        unit in proptest::collection::vec(any::<u8>(), 1..24),
+        reps in 1usize..40,
+        (tail, b) in arb_edited_pair(),
+    ) {
+        let mut a = unit.repeat(reps);
+        a.extend_from_slice(&tail);
+        let mut target = unit.repeat(reps / 2 + 1);
+        target.extend_from_slice(&b);
+        let index = SourceIndex::new(&a);
+        let ops = index.diff(&target);
+        prop_assert_eq!(&bytes_delta::diff(&a, &target), &ops);
+        prop_assert_eq!(&bytes_delta::apply(&a, &ops).unwrap(), &target);
+        let encoded = bytes_delta::encode(&ops);
+        prop_assert_eq!(&index.diff_encoded(&target), &encoded);
+        prop_assert_eq!(index.diff_encoded_len(&target), encoded.len() as u64);
     }
 
     /// XOR deltas apply in both directions and roundtrip their encoding.

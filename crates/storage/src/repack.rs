@@ -186,22 +186,18 @@ pub fn pack_versions<S: ObjectStore + ?Sized>(
     let order = dependency_order(plan)?;
 
     // Delta payloads depend only on the raw contents (not on stored
-    // objects), so encode them all in parallel on the dsv-par runtime;
-    // the objects are then assembled in dependency order and batch-written
-    // below, producing byte-identical stores at every thread count.
-    let delta_versions: Vec<u32> = (0..n as u32)
-        .filter(|&v| plan[v as usize].is_some())
+    // objects), so encode them all in parallel on the dsv-par runtime —
+    // one source index per parent, shared by its children; the objects
+    // are then assembled in dependency order and batch-written below,
+    // producing byte-identical stores at every thread count.
+    let edges: Vec<(u32, u32)> = (0..n as u32)
+        .filter_map(|v| plan[v as usize].map(|p| (p, v)))
         .collect();
-    let encode_span = obs::span!("encode", deltas = delta_versions.len());
-    let encoded = encode_span.in_scope(|| {
-        dsv_par::par_map(&delta_versions, |&v| {
-            let p = plan[v as usize].expect("filtered to delta versions") as usize;
-            bytes_delta::encode(&bytes_delta::diff(&contents[p], &contents[v as usize]))
-        })
-    });
+    let encode_span = obs::span!("encode", deltas = edges.len());
+    let encoded = encode_span.in_scope(|| bytes_delta::encode_pairs(contents, &edges));
     drop(encode_span);
     let mut deltas: Vec<Option<Vec<u8>>> = vec![None; n];
-    for (&v, enc) in delta_versions.iter().zip(encoded) {
+    for (&(_, v), enc) in edges.iter().zip(encoded) {
         deltas[v as usize] = Some(enc);
     }
 

@@ -197,22 +197,12 @@ impl<S: ObjectStore> Repository<S> {
             .collect();
         let mut matrix = CostMatrix::directed(diag);
         // The all-pairs reveal is the optimize hot path (§5.1's "real
-        // deltas between every pair"): diff the pairs on the dsv-par
-        // runtime, reveal sequentially (reveal order does not affect the
-        // matrix).
+        // deltas between every pair"): size both directions of every pair
+        // on the dsv-par runtime, one source index per version, then
+        // reveal sequentially (reveal order does not affect the matrix).
         let pairs = self.pairs_within_hops(reveal_hops);
         let reveal_span = obs::span!("reveal", pairs = pairs.len()).entered();
-        let costs = dsv_par::par_map(&pairs, |&(a, b)| {
-            let fwd = bytes_delta::encode(&bytes_delta::diff(
-                &contents[a as usize],
-                &contents[b as usize],
-            ));
-            let rev = bytes_delta::encode(&bytes_delta::diff(
-                &contents[b as usize],
-                &contents[a as usize],
-            ));
-            (fwd.len() as u64, rev.len() as u64)
-        });
+        let costs = bytes_delta::pair_sizes(&contents, &pairs);
         for (&(a, b), (fwd, rev)) in pairs.iter().zip(costs) {
             matrix.reveal(a, b, CostPair::proportional(fwd));
             matrix.reveal(b, a, CostPair::proportional(rev));
@@ -241,6 +231,10 @@ impl<S: ObjectStore> Repository<S> {
         // history (`ObjectStore::clear` would).
         let mut old_ids: HashSet<_> = self.objects.iter().copied().collect();
         for id in &self.objects {
+            // A failed read here can only leave chunks out of `old_ids`,
+            // i.e. out of `stale`: they leak as orphans for fsck, nothing
+            // live is ever collected. (The materialize pass above read
+            // every one of these objects already, so it rarely fails.)
             if let Ok(dsv_storage::Object::Chunked { chunks }) = self.store.get(*id) {
                 old_ids.extend(chunks);
             }
@@ -257,10 +251,12 @@ impl<S: ObjectStore> Repository<S> {
             )?,
         };
         // The new plan's reference closure: chunked manifests keep their
-        // chunk objects alive.
+        // chunk objects alive. A failed read must fail the repack: left
+        // out of `new_ids`, a manifest's chunks that the old plan shares
+        // would land in `stale` and be collected from under the new plan.
         let mut new_ids: HashSet<_> = packed.ids.iter().copied().collect();
         for id in &packed.ids {
-            if let Ok(dsv_storage::Object::Chunked { chunks }) = self.store.get(*id) {
+            if let dsv_storage::Object::Chunked { chunks } = self.store.get(*id)? {
                 new_ids.extend(chunks);
             }
         }
@@ -493,8 +489,12 @@ mod tests {
     }
 
     fn chunked_repo() -> Repository<MemStore> {
+        chunked_repo_on(MemStore::new(false))
+    }
+
+    fn chunked_repo_on<S: ObjectStore>(store: S) -> Repository<S> {
         let mut repo = Repository::with_placement(
-            MemStore::new(false),
+            store,
             crate::repo::Placement::Chunked(dsv_chunk::ChunkerParams::default()),
         );
         let row = |i: usize| format!("{i},payload-{},2015\n", i * 31);
@@ -569,6 +569,48 @@ mod tests {
                 "v{v}"
             );
         }
+    }
+
+    #[test]
+    fn a_failed_store_read_never_lets_gc_collect_live_chunks() {
+        use dsv_storage::fault::{FaultPlan, FaultStore};
+        // Enumerate the `store.get` sites of a hybrid optimize on a
+        // chunked repository (the new plan keeps chunked versions, so it
+        // shares chunks with the old one), then fail each in turn. The
+        // optimize may fail or succeed; either way every version must
+        // still check out byte-identically — in particular a read error
+        // while collecting the *new* plan's chunk references must not put
+        // those chunks on the stale list.
+        let spec = spec(Problem::MinStorage, 4);
+        let counting = FaultPlan::count_sites();
+        let mut repo = chunked_repo_on(FaultStore::new(MemStore::new(false), counting.clone()));
+        let gets = |plan: &FaultPlan| plan.sites().iter().filter(|s| *s == "store.get").count();
+        let snapshots: Vec<Vec<u8>> = (0..repo.version_count() as u32)
+            .map(|v| repo.checkout(CommitId(v)).unwrap())
+            .collect();
+        let before = gets(&counting);
+        assert!(repo.optimize_with(&spec).unwrap().chunked >= 1);
+        let after = gets(&counting);
+        assert!(after > before, "optimize must read the store");
+
+        let mut failed = 0;
+        for site in before..after {
+            let plan = FaultPlan::fail_at_site(site as u64, "store.get");
+            let mut repo = chunked_repo_on(FaultStore::new(MemStore::new(false), plan.clone()));
+            for v in 0..snapshots.len() as u32 {
+                repo.checkout(CommitId(v)).unwrap();
+            }
+            failed += usize::from(repo.optimize_with(&spec).is_err());
+            assert_eq!(plan.fired(), 1, "site {site} was not reached");
+            for (v, expected) in snapshots.iter().enumerate() {
+                assert_eq!(
+                    &repo.checkout(CommitId(v as u32)).unwrap(),
+                    expected,
+                    "v{v} after a fault at store.get #{site}"
+                );
+            }
+        }
+        assert!(failed > 0, "no injected read error surfaced");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::VcsError;
 use dsv_chunk::{ChunkStore, ChunkerParams};
 use dsv_core::online::{place_version, OnlineCandidate, OnlinePolicy};
 use dsv_core::{CostPair, SolveError, StorageMode};
-use dsv_delta::bytes_delta;
+use dsv_delta::bytes_delta::SourceIndex;
 use dsv_obs as obs;
 use dsv_storage::{
     CheckoutCache, Materializer, MemStore, Object, ObjectId, ObjectStore, RecreationWork,
@@ -324,15 +324,21 @@ impl<S: ObjectStore> Repository<S> {
         Ok(id)
     }
 
-    /// Recreation work (bytes fetched) of checking out `id` under the
-    /// current plan — the quantity `commit_bounded` and the online θ
-    /// budget. Deliberately bypasses the checkout cache: placement
+    /// The content of `id` to diff a new version against and, when the
+    /// placement is `budgeted` (a θ is set), its recreation work (bytes
+    /// fetched) under the current plan — both from one chain walk. The
+    /// budgeted walk deliberately bypasses the checkout cache: placement
     /// decisions must reflect the cold-store cost, not whatever happens
     /// to be cached, so the plan stays independent of access history.
-    fn recreation_bytes(&self, id: CommitId) -> Result<u64, VcsError> {
+    /// Unbudgeted placements never read the work, so they take the
+    /// ordinary (cached) checkout and report 0.
+    fn delta_base(&self, id: CommitId, budgeted: bool) -> Result<(Arc<Vec<u8>>, u64), VcsError> {
+        if !budgeted {
+            return Ok((Arc::new(self.checkout(id)?), 0));
+        }
         let m = Materializer::new(&self.store);
-        let (_, work) = m.materialize_measured(self.objects[id.index()])?;
-        Ok(work.bytes_read)
+        let (bytes, work) = m.materialize_measured(self.objects[id.index()])?;
+        Ok((bytes, work.bytes_read))
     }
 
     /// Up to `cap` versions within `hops` undirected steps of `roots` on
@@ -404,8 +410,11 @@ impl<S: ObjectStore> Repository<S> {
         let mut candidates = Vec::with_capacity(neighborhood.len());
         let mut encodings = BTreeMap::new();
         for &u in &neighborhood {
-            let base = self.checkout(CommitId(u))?;
-            let encoded = bytes_delta::encode(&bytes_delta::diff(&base, data));
+            // One chain walk per candidate: `place_version` reads
+            // `base_recreation` only under a θ.
+            let (base, base_recreation) =
+                self.delta_base(CommitId(u), options.max_recreation_bytes.is_some())?;
+            let encoded = SourceIndex::new(&base).diff_encoded(data);
             let cost = encoded.len() as u64;
             candidates.push(OnlineCandidate {
                 base: u,
@@ -413,7 +422,7 @@ impl<S: ObjectStore> Repository<S> {
                     storage: cost,
                     recreation: cost,
                 },
-                base_recreation: self.recreation_bytes(CommitId(u))?,
+                base_recreation,
             });
             encodings.insert(u, encoded);
         }
@@ -489,17 +498,12 @@ impl<S: ObjectStore> Repository<S> {
                 max_recreation_bytes,
             } => match parents.first() {
                 Some(&p) => {
-                    let base = self.checkout(p)?;
-                    let ops = bytes_delta::diff(&base, data);
-                    let encoded = bytes_delta::encode(&ops);
-                    let chain_ok = match max_recreation_bytes {
-                        None => true,
-                        Some(theta) => {
-                            self.recreation_bytes(p)?
-                                .saturating_add(encoded.len() as u64)
-                                <= theta
-                        }
-                    };
+                    let (base, base_recreation) =
+                        self.delta_base(p, max_recreation_bytes.is_some())?;
+                    let encoded = SourceIndex::new(&base).diff_encoded(data);
+                    let chain_ok = max_recreation_bytes.is_none_or(|theta| {
+                        base_recreation.saturating_add(encoded.len() as u64) <= theta
+                    });
                     if encoded.len() < data.len() && chain_ok {
                         (
                             Object::Delta {
@@ -814,7 +818,7 @@ mod tests {
             .count();
         assert!(materialized > 1, "budget must force rematerialization");
         for v in 0..bounded.version_count() as u32 {
-            let work = bounded.recreation_bytes(CommitId(v)).unwrap();
+            let work = bounded.delta_base(CommitId(v), true).unwrap().1;
             let own = bounded.meta(CommitId(v)).unwrap().size;
             assert!(work <= theta.max(own), "v{v}: {work} > {theta}");
             assert_eq!(
@@ -990,10 +994,48 @@ mod tests {
         let materialized = repo.current_plan().iter().filter(|p| p.is_root()).count();
         assert!(materialized > 1, "θ must force rematerialization");
         for v in 0..repo.version_count() as u32 {
-            let work = repo.recreation_bytes(CommitId(v)).unwrap();
+            let work = repo.delta_base(CommitId(v), true).unwrap().1;
             let own = repo.meta(CommitId(v)).unwrap().size;
             assert!(work <= theta.max(own), "v{v}: {work} > {theta}");
         }
+    }
+
+    #[test]
+    fn online_reveal_walks_each_candidate_chain_once() {
+        use dsv_storage::fault::{FaultPlan, FaultStore};
+        // v0 full ← v1 ← v2 ← v3, then an online commit on top: the 2-hop
+        // neighbourhood is {v3, v2, v1}, whose chains are 4 + 3 + 2
+        // objects long. One walk per candidate reads exactly those nine —
+        // with or without a θ (which needs the walk's `bytes_read`, not a
+        // second walk) — and both place the version identically.
+        let reads_and_placement = |max_recreation_bytes: Option<u64>| {
+            let sites = FaultPlan::count_sites();
+            let mut repo = Repository::init(FaultStore::new(MemStore::new(false), sites.clone()));
+            let mut data = csv(300, "base");
+            for i in 0..4 {
+                data.extend_from_slice(format!("{},grown-row\n", 300 + i).as_bytes());
+                repo.commit("main", &data, "grow").unwrap();
+            }
+            data.extend_from_slice(b"999,online-row\n");
+            let before = sites.hits();
+            let options = OnlineOptions {
+                max_recreation_bytes,
+                ..OnlineOptions::default()
+            };
+            let tip = repo
+                .commit_online("main", &data, "online", options)
+                .unwrap();
+            let gets = sites.sites()[before as usize..]
+                .iter()
+                .filter(|s| *s == "store.get")
+                .count();
+            (gets, repo.current_plan()[tip.index()])
+        };
+        assert_eq!(reads_and_placement(None), (9, StorageMode::Delta(3)));
+        assert_eq!(
+            reads_and_placement(Some(u64::MAX)),
+            (9, StorageMode::Delta(3))
+        );
     }
 
     #[test]

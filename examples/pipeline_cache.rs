@@ -60,11 +60,13 @@ fn main() {
         .map(|r| CostPair::proportional(r.len() as u64))
         .collect();
     let mut matrix = CostMatrix::directed(diag);
-    for (a, b) in candidates {
-        let fwd = bytes_delta::encode(&bytes_delta::diff(&runs[a], &runs[b])).len() as u64;
-        matrix.reveal(a as u32, b as u32, CostPair::proportional(fwd));
-        let rev = bytes_delta::encode(&bytes_delta::diff(&runs[b], &runs[a])).len() as u64;
-        matrix.reveal(b as u32, a as u32, CostPair::proportional(rev));
+    let pairs: Vec<(u32, u32)> = candidates
+        .iter()
+        .map(|&(a, b)| (a as u32, b as u32))
+        .collect();
+    for (&(a, b), (fwd, rev)) in pairs.iter().zip(bytes_delta::pair_sizes(&runs, &pairs)) {
+        matrix.reveal(a, b, CostPair::proportional(fwd));
+        matrix.reveal(b, a, CostPair::proportional(rev));
     }
     let instance = ProblemInstance::new(matrix);
 

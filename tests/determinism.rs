@@ -270,3 +270,35 @@ fn parallel_packing_matches_sequential() {
         assert_eq!(par::with_thread_count(threads, run_hybrid), base_hybrid);
     }
 }
+
+/// Property: the shared-index reveal (`bytes_delta::pair_sizes`: one
+/// index per source version, length-only sink, `dsv_par` over sources)
+/// gives the sizes a plain one-shot `encode(&diff(a, b)).len()` loop gives
+/// for the same pairs — the loop stays here as the reference — and the
+/// same at 1 and 4 threads.
+#[test]
+fn pair_sizes_match_the_one_shot_loop_at_every_thread_count() {
+    use dataset_versioning::delta::bytes_delta::{diff, encode, pair_sizes};
+
+    let ds = presets::dedup_chain().scaled(16).keep_contents().build(5);
+    let contents = ds.contents.as_ref().unwrap();
+    // Every pair at most three versions apart, so every version is a
+    // source of several pairs (in both roles) and sources interleave.
+    let n = contents.len() as u32;
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|a| (a + 1..n.min(a + 4)).map(move |b| (a, b)))
+        .collect();
+    let size = |a: u32, b: u32| encode(&diff(&contents[a as usize], &contents[b as usize])).len();
+    let reference: Vec<(u64, u64)> = pairs
+        .iter()
+        .map(|&(a, b)| (size(a, b) as u64, size(b, a) as u64))
+        .collect();
+    assert!(reference.iter().any(|&(fwd, rev)| fwd != rev));
+    for threads in [1, 4] {
+        assert_eq!(
+            par::with_thread_count(threads, || pair_sizes(contents, &pairs)),
+            reference,
+            "t{threads}"
+        );
+    }
+}
