@@ -1,5 +1,6 @@
 //! Criterion benches for the substrates: diff, byte deltas (one-shot and
-//! the shared-index reveal), compression, the graph algorithms, and the
+//! the shared-index reveal), the cold recreation path (LZ, content
+//! addressing, chain replay, fsck), the graph algorithms, and the
 //! three storage regimes (Full / Delta / Chunked) packing and checking
 //! out the same dedup-friendly history.
 
@@ -8,7 +9,8 @@ use dsv_chunk::{pack_versions_chunked, Chunker, ChunkerParams};
 use dsv_compress::lz;
 use dsv_delta::{bytes_delta, script};
 use dsv_graph::{dijkstra, min_cost_arborescence, prim_mst, DiGraph, NodeId, UnGraph};
-use dsv_storage::{pack_versions, Materializer, MemStore, ObjectStore, PackOptions};
+use dsv_storage::{pack_versions, Materializer, MemStore, ObjectId, ObjectStore, PackOptions};
+use dsv_vcs::{fsck, Repository};
 use dsv_workloads::presets;
 use dsv_workloads::table_gen::{base_table, random_commit, EditParams};
 use rand::rngs::StdRng;
@@ -64,18 +66,7 @@ fn bench_diff(c: &mut Criterion) {
 /// each version once and streams lengths only. Both on one thread, and
 /// their sizes are asserted equal before anything is timed.
 fn bench_reveal(c: &mut Criterion) {
-    let params = EditParams {
-        base_rows: 1000,
-        base_cols: 10,
-        ..EditParams::default()
-    };
-    let mut rng = StdRng::seed_from_u64(2015);
-    let mut table = base_table(&params, &mut rng);
-    let mut contents = vec![table.to_csv()];
-    for _ in 1..40 {
-        table = random_commit(&params, &table, &mut rng).1;
-        contents.push(table.to_csv());
-    }
+    let contents = table_versions(39);
     let pairs: Vec<(u32, u32)> = (0..40u32)
         .flat_map(|a| (a + 1..40.min(a + 6)).map(move |b| (a, b)))
         .collect();
@@ -105,16 +96,86 @@ fn bench_reveal(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_compression(c: &mut Criterion) {
-    let data = csv(2000, 3);
-    let compressed = lz::compress(&data);
-    let mut group = c.benchmark_group("lz");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("compress_csv", |b| {
-        b.iter(|| lz::compress(black_box(&data)))
+/// One `table_gen` version at the benchmark's scale (1000 rows x 10
+/// cells, ~100 KB) and the `k` versions `random_commit` derives from it.
+fn table_versions(k: usize) -> Vec<Vec<u8>> {
+    let params = EditParams {
+        base_rows: 1000,
+        base_cols: 10,
+        ..EditParams::default()
+    };
+    let mut rng = StdRng::seed_from_u64(2015);
+    let mut table = base_table(&params, &mut rng);
+    let mut contents = vec![table.to_csv()];
+    for _ in 0..k {
+        table = random_commit(&params, &table, &mut rng).1;
+        contents.push(table.to_csv());
+    }
+    contents
+}
+
+/// What a cold recreation is made of, kernel by kernel: decode the
+/// materialized root (`lz`), address it (`ObjectId`), replay the chain
+/// (`apply_encoded` against the `decode` + `apply` it replaced), and the
+/// pass that recreates every version (`fsck`). Every pair of paths is
+/// asserted equal before either is timed.
+fn bench_cold_path(c: &mut Criterion) {
+    let contents = table_versions(20);
+    let table = &contents[0];
+    let repetitive = b"the quick brown fox jumps over the lazy dog\n".repeat(2400);
+
+    for (name, data) in [("table", table), ("repetitive", &repetitive)] {
+        let compressed = lz::compress(data);
+        assert_eq!(&lz::decompress(&compressed).unwrap(), data);
+        let mut group = c.benchmark_group(format!("cold_path/lz_{name}"));
+        group.throughput(Throughput::Bytes(data.len() as u64));
+        group.bench_function("compress", |b| b.iter(|| lz::compress(black_box(data))));
+        group.bench_function("decompress", |b| {
+            b.iter(|| lz::decompress(black_box(&compressed)).unwrap())
+        });
+        group.finish();
+    }
+
+    let mut group = c.benchmark_group("cold_path/object_id");
+    group.throughput(Throughput::Bytes(table.len() as u64));
+    group.bench_function("for_bytes_100k", |b| {
+        b.iter(|| ObjectId::for_bytes(black_box(table)))
     });
-    group.bench_function("decompress_csv", |b| {
-        b.iter(|| lz::decompress(black_box(&compressed)).unwrap())
+    group.finish();
+
+    // A 20-link chain replayed from its root, both ways.
+    let jobs: Vec<(u32, u32)> = (0..20).map(|i| (i, i + 1)).collect();
+    let deltas = bytes_delta::encode_pairs(&contents, &jobs);
+    let via_ops = || {
+        deltas.iter().fold(table.clone(), |base, delta| {
+            bytes_delta::apply(&base, &bytes_delta::decode(delta).unwrap()).unwrap()
+        })
+    };
+    let via_encoded = || {
+        deltas.iter().fold(table.clone(), |base, delta| {
+            bytes_delta::apply_encoded(&base, delta).unwrap()
+        })
+    };
+    assert_eq!(via_ops(), contents[20]);
+    assert_eq!(via_encoded(), contents[20]);
+    let mut group = c.benchmark_group("cold_path/replay_20_links");
+    group.throughput(Throughput::Bytes(
+        contents[1..].iter().map(|v| v.len() as u64).sum(),
+    ));
+    group.bench_function("decode_then_apply", |b| b.iter(|| black_box(via_ops())));
+    group.bench_function("apply_encoded", |b| b.iter(|| black_box(via_encoded())));
+    group.finish();
+
+    // fsck of a 40-version greedy chain in a compressing store.
+    let mut repo = Repository::in_memory_compressed();
+    for version in table_versions(39) {
+        repo.commit("main", &version, "version").unwrap();
+    }
+    assert!(fsck::fsck(&repo, None).is_clean());
+    let mut group = c.benchmark_group("cold_path/fsck");
+    group.throughput(Throughput::Bytes(repo.logical_bytes()));
+    group.bench_function("chain_of_40", |b| {
+        b.iter(|| fsck::fsck(black_box(&repo), None))
     });
     group.finish();
 }
@@ -248,6 +309,6 @@ fn bench_substrate_regimes(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_diff, bench_reveal, bench_compression, bench_graph, bench_chunking, bench_substrate_regimes
+    targets = bench_diff, bench_reveal, bench_cold_path, bench_graph, bench_chunking, bench_substrate_regimes
 }
 criterion_main!(benches);

@@ -14,5 +14,5 @@
 pub mod lz;
 pub mod varint;
 
-pub use lz::{compress, compress_with, decompress, CompressError, Params};
+pub use lz::{common_prefix, compress, compress_with, decompress, CompressError, Params};
 pub use varint::{decode_u64, encode_u64, encoded_len};

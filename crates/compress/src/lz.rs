@@ -70,9 +70,43 @@ impl std::fmt::Display for CompressError {
 impl std::error::Error for CompressError {}
 
 #[inline]
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn word_at(data: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(
+        data[at..at + MIN_MATCH]
+            .try_into()
+            .expect("slice is MIN_MATCH bytes long"),
+    )
+}
+
+#[inline]
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the longest common prefix of `a` and `b`, compared a word at
+/// a time.
+#[inline]
+pub fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut words_a = a.chunks_exact(8);
+    let mut words_b = b.chunks_exact(8);
+    let mut matched = 0usize;
+    for (x, y) in words_a.by_ref().zip(words_b.by_ref()) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if x != y {
+            // Little-endian: the lowest differing bit is in the first
+            // differing byte.
+            return matched + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        matched += 8;
+    }
+    // At most one side ran out of whole words; finish bytewise.
+    matched
+        + a[matched..]
+            .iter()
+            .zip(&b[matched..])
+            .take_while(|(x, y)| x == y)
+            .count()
 }
 
 /// Compresses `data` with default [`Params`].
@@ -81,6 +115,12 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Compresses `data` with explicit [`Params`].
+///
+/// The parse is greedy: at each position the chain is probed most recent
+/// candidate first, the longest match wins and the first found wins ties.
+/// Every stored object's size is made of this rule, so the two rejects in
+/// the probe loop only skip candidates that provably cannot become the
+/// winner (`tests/golden.rs` pins the streams).
 pub fn compress_with(data: &[u8], params: &Params) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     encode_u64(data.len() as u64, &mut out);
@@ -109,8 +149,10 @@ pub fn compress_with(data: &[u8], params: &Params) -> Vec<u8> {
     };
 
     while i + MIN_MATCH <= data.len() {
-        let h = hash4(&data[i..]);
+        let word = word_at(data, i);
+        let h = hash4(word);
         // Probe the chain for the longest match.
+        let max = data.len() - i;
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let mut cand = head[h];
@@ -120,17 +162,20 @@ pub fn compress_with(data: &[u8], params: &Params) -> Vec<u8> {
             if i - pos > params.window {
                 break;
             }
-            // Extend the match.
-            let max = data.len() - i;
-            let mut l = 0usize;
-            while l < max && data[pos + l] == data[i + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - pos;
-                if l >= max {
-                    break;
+            // A candidate wins only with a match of at least MIN_MATCH
+            // bytes that is strictly longer than the best so far: it must
+            // share the first word, and the byte at `best_len` (in range:
+            // a best match that reached the end of the data left the
+            // loop). One test, not two: most candidates fail it, which
+            // of the halves they fail is a coin toss.
+            if (word_at(data, pos) == word) & (data[pos + best_len] == data[i + best_len]) {
+                let l = common_prefix(&data[pos..], &data[i..]);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - pos;
+                    if l >= max {
+                        break;
+                    }
                 }
             }
             cand = prev[pos];
@@ -151,9 +196,9 @@ pub fn compress_with(data: &[u8], params: &Params) -> Vec<u8> {
             let insert_to = end
                 .min(i + 64)
                 .min(data.len().saturating_sub(MIN_MATCH - 1));
-            for j in (i + 1)..insert_to {
-                let hj = hash4(&data[j..]);
-                prev[j] = head[hj];
+            for (j, link) in prev.iter_mut().enumerate().take(insert_to).skip(i + 1) {
+                let hj = hash4(word_at(data, j));
+                *link = head[hj];
                 head[hj] = (j + 1) as u32;
             }
             i = end;
@@ -166,43 +211,146 @@ pub fn compress_with(data: &[u8], params: &Params) -> Vec<u8> {
     out
 }
 
+/// Width of the fixed-size copy: the short tokens that make up nearly all
+/// of a tabular stream are decoded from one word of input into one word
+/// of output, whose tail the next token overwrites.
+const WIDE: usize = 8;
+
+/// The output is first sized for this many bytes per input byte (or the
+/// declared length, if smaller); a stream that expands further grows it
+/// as its tokens ask.
+const PRESIZE_RATIO: usize = 4;
+
+/// The `WIDE` bytes of `bytes` at `at` as a little-endian word, if there
+/// are that many.
+#[inline(always)]
+fn word_le(bytes: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(*bytes.get(at..)?.first_chunk()?))
+}
+
+/// A short token decoded from the input word `w` that starts with its
+/// header: how many input bytes it spans, how many output bytes it
+/// yields, and the word holding them. `None` sends the token to the
+/// general path: a header or distance varint longer than one / three
+/// bytes, a token longer than a word, a distance shorter than a word (or
+/// invalid), or no room for a whole word at `out[produced..]`.
+#[inline(always)]
+fn short_token(w: u64, out: &[u8], produced: usize) -> Option<(usize, usize, u64)> {
+    let header = w as u8;
+    let len = usize::from(header >> 1);
+    if header >= 0x80 || out.len() - produced < WIDE {
+        return None;
+    }
+    if header & 1 == 0 {
+        // Literal: its bytes follow the header inside the word.
+        return (len < WIDE).then_some((1 + len, len, w >> 8));
+    }
+    let [_, b1, b2, b3, ..] = w.to_le_bytes();
+    let (dist, used) = if b1 < 0x80 {
+        (usize::from(b1), 2)
+    } else if b2 < 0x80 {
+        (usize::from(b1 & 0x7f) | usize::from(b2) << 7, 3)
+    } else if b3 < 0x80 {
+        (
+            usize::from(b1 & 0x7f) | usize::from(b2 & 0x7f) << 7 | usize::from(b3) << 14,
+            4,
+        )
+    } else {
+        return None;
+    };
+    if len > WIDE || dist < WIDE || dist > produced {
+        return None;
+    }
+    Some((used, len, word_le(out, produced - dist)?))
+}
+
 /// Decompresses a stream produced by [`compress`]/[`compress_with`].
+///
+/// Returns `Err` on every malformed input, including a header that
+/// declares more than the tokens deliver or than memory can hold: the
+/// declared length only caps what tokens may produce, memory is taken as
+/// tokens prove they need it, and a refused allocation is reported as a
+/// [`CompressError::LengthMismatch`].
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
     let (declared, mut pos) = decode_u64(input).ok_or(CompressError::Truncated)?;
-    let mut out: Vec<u8> = Vec::with_capacity(declared as usize);
+    let mismatch = |actual: usize| CompressError::LengthMismatch {
+        declared,
+        actual: actual as u64,
+    };
+    let want = usize::try_from(declared).map_err(|_| mismatch(0))?;
+    // `out[..produced]` is the output so far; the rest is zeroed room to
+    // copy into, never more of it than `want`.
+    let mut out: Vec<u8> = Vec::new();
+    let mut produced = 0usize;
+    let grow = |out: &mut Vec<u8>, to: usize, produced: usize| {
+        out.try_reserve_exact(to - out.len())
+            .map_err(|_| mismatch(produced))?;
+        out.resize(to, 0);
+        Ok::<(), CompressError>(())
+    };
+    let presize = want.min(input.len().saturating_mul(PRESIZE_RATIO));
+    grow(&mut out, presize, 0)?;
     while pos < input.len() {
-        let (header, used) = decode_u64(&input[pos..]).ok_or(CompressError::Truncated)?;
-        pos += used;
-        let len = (header >> 1) as usize;
-        if header & 1 == 0 {
-            // Literal run.
-            if pos + len > input.len() {
-                return Err(CompressError::Truncated);
-            }
-            out.extend_from_slice(&input[pos..pos + len]);
-            pos += len;
-        } else {
-            // Match.
-            let (dist, used) = decode_u64(&input[pos..]).ok_or(CompressError::Truncated)?;
+        if let Some((used, len, word)) =
+            word_le(input, pos).and_then(|w| short_token(w, &out, produced))
+        {
+            out[produced..produced + WIDE].copy_from_slice(&word.to_le_bytes());
             pos += used;
-            let dist = dist as usize;
-            if dist == 0 || dist > out.len() {
-                return Err(CompressError::BadDistance);
+            produced += len;
+            continue;
+        }
+        // The general path: any token, exact copies, every check.
+        let mut varint = || {
+            let (value, used) = decode_u64(&input[pos..]).ok_or(CompressError::Truncated)?;
+            pos += used;
+            Ok::<u64, CompressError>(value)
+        };
+        let header = varint()?;
+        let len = usize::try_from(header >> 1).unwrap_or(usize::MAX);
+        // Validate the token's source before its size, so a stream that
+        // is both truncated and too long reports what it always did.
+        let from = if header & 1 == 1 {
+            match usize::try_from(varint()?) {
+                Ok(dist) if dist != 0 && dist <= produced => Some(produced - dist),
+                _ => return Err(CompressError::BadDistance),
             }
-            let start = out.len() - dist;
-            // Overlapping copy: byte-at-a-time semantics.
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+        } else if len > input.len() - pos {
+            return Err(CompressError::Truncated);
+        } else {
+            None
+        };
+        if len > out.len() - produced {
+            if len > want - produced {
+                return Err(mismatch(produced.saturating_add(len)));
+            }
+            let room = (produced + len).max(out.len() * 2).min(want);
+            grow(&mut out, room, produced)?;
+        }
+        let end = produced + len;
+        match from {
+            None => {
+                out[produced..end].copy_from_slice(&input[pos..pos + len]);
+                pos += len;
+            }
+            Some(from) if from + len <= produced => out.copy_within(from..from + len, produced),
+            Some(from) => {
+                // Overlapping copy (distance < length): the output from
+                // `from` on is periodic in the distance, so each round
+                // may copy everything written since `from`, doubling it.
+                let mut at = produced;
+                while at < end {
+                    let n = (end - at).min(at - from);
+                    out.copy_within(from..from + n, at);
+                    at += n;
+                }
             }
         }
+        produced = end;
     }
-    if out.len() as u64 != declared {
-        return Err(CompressError::LengthMismatch {
-            declared,
-            actual: out.len() as u64,
-        });
+    if produced != want {
+        return Err(mismatch(produced));
     }
+    out.truncate(produced);
     Ok(out)
 }
 

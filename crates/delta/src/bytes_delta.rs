@@ -53,6 +53,7 @@
 //! peak memory does not grow with the number of versions or pairs, while
 //! each version is still indexed once instead of once per pair.
 
+use dsv_compress::lz::common_prefix;
 use dsv_compress::varint::{decode_u64, encode_u64, encoded_len};
 
 /// Block size for the source index. Matches of at least this length can be
@@ -125,31 +126,6 @@ fn content_key(block: &[u8; BLOCK]) -> u64 {
     let lo = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
     let hi = u64::from_le_bytes(block[8..].try_into().expect("8 bytes"));
     (lo.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ hi).wrapping_mul(0xff51_afd7_ed55_8ccd)
-}
-
-/// Length of the longest common prefix, compared a word at a time.
-#[inline]
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    let mut words_a = a.chunks_exact(8);
-    let mut words_b = b.chunks_exact(8);
-    let mut matched = 0usize;
-    for (x, y) in words_a.by_ref().zip(words_b.by_ref()) {
-        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
-        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
-        if x != y {
-            // Little-endian: the lowest differing bit is in the first
-            // differing byte.
-            return matched + ((x ^ y).trailing_zeros() / 8) as usize;
-        }
-        matched += 8;
-    }
-    // At most one side ran out of whole words; finish bytewise.
-    matched
-        + a[matched..]
-            .iter()
-            .zip(&b[matched..])
-            .take_while(|(x, y)| x == y)
-            .count()
 }
 
 /// Length of the longest common suffix (backward extension runs into the
@@ -524,30 +500,84 @@ pub fn encode(ops: &[DeltaOp]) -> Vec<u8> {
 
 /// Parses a stream produced by [`encode`].
 pub fn decode(input: &[u8]) -> Result<Vec<DeltaOp>, DeltaError> {
-    let mut ops = Vec::new();
-    let mut pos = 0usize;
-    while pos < input.len() {
-        let (tag, used) = decode_u64(&input[pos..]).ok_or(DeltaError::Malformed)?;
-        pos += used;
-        if tag & 1 == 0 {
-            let (offset, used) = decode_u64(&input[pos..]).ok_or(DeltaError::Malformed)?;
-            pos += used;
-            ops.push(DeltaOp::Copy {
-                offset,
-                len: tag >> 1,
-            });
-        } else {
-            let len = (tag >> 1) as usize;
-            if pos + len > input.len() {
-                return Err(DeltaError::Malformed);
+    tokens(input)
+        .map(|token| {
+            Ok(match token? {
+                Token::Copy { offset, len } => DeltaOp::Copy { offset, len },
+                Token::Insert(bytes) => DeltaOp::Insert {
+                    bytes: bytes.to_vec(),
+                },
+            })
+        })
+        .collect()
+}
+
+/// One instruction of an encoded stream, borrowed from it.
+enum Token<'a> {
+    Copy { offset: u64, len: u64 },
+    Insert(&'a [u8]),
+}
+
+/// The instructions of an encoded stream, front to back; ends after the
+/// first malformed one. The one parser of the wire format ([`decode`] and
+/// [`apply_encoded`] both read through it).
+fn tokens(mut rest: &[u8]) -> impl Iterator<Item = Result<Token<'_>, DeltaError>> {
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let input = std::mem::take(&mut rest);
+        let token = (|| {
+            let (tag, used) = decode_u64(input)?;
+            let input = &input[used..];
+            if tag & 1 == 0 {
+                let (offset, used) = decode_u64(input)?;
+                rest = &input[used..];
+                Some(Token::Copy {
+                    offset,
+                    len: tag >> 1,
+                })
+            } else {
+                let len = usize::try_from(tag >> 1).ok()?;
+                let (bytes, after) = input.split_at_checked(len)?;
+                rest = after;
+                Some(Token::Insert(bytes))
             }
-            ops.push(DeltaOp::Insert {
-                bytes: input[pos..pos + len].to_vec(),
-            });
-            pos += len;
+        })();
+        Some(token.ok_or(DeltaError::Malformed))
+    })
+}
+
+/// `apply(src, &decode(delta)?)` straight from the encoded bytes: no
+/// `Vec<DeltaOp>`, no heap block per insert. The stream is read twice —
+/// once to validate it and size the output, once to copy — so the errors
+/// are the ones the two-step spelling gives: [`DeltaError::Malformed`]
+/// for a stream [`decode`] rejects (wherever the damage is), otherwise
+/// [`DeltaError::CopyOutOfRange`] for a copy outside `src`.
+pub fn apply_encoded(src: &[u8], delta: &[u8]) -> Result<Vec<u8>, DeltaError> {
+    let mut produced = Some(0usize);
+    for token in tokens(delta) {
+        let bytes = match token? {
+            Token::Copy { offset, len } => offset
+                .checked_add(len)
+                .filter(|&end| end <= src.len() as u64)
+                .map(|_| len as usize),
+            Token::Insert(bytes) => Some(bytes.len()),
+        };
+        produced = produced
+            .zip(bytes)
+            .and_then(|(total, bytes)| total.checked_add(bytes));
+    }
+    let mut out = Vec::with_capacity(produced.ok_or(DeltaError::CopyOutOfRange)?);
+    for token in tokens(delta) {
+        match token? {
+            Token::Copy { offset, len } => {
+                out.extend_from_slice(&src[offset as usize..][..len as usize]);
+            }
+            Token::Insert(bytes) => out.extend_from_slice(bytes),
         }
     }
-    Ok(ops)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -629,6 +659,24 @@ mod tests {
             len: 2,
         }];
         assert_eq!(apply(b"short", &ops), Err(DeltaError::CopyOutOfRange));
+    }
+
+    #[test]
+    fn apply_encoded_keeps_both_error_kinds() {
+        let bad_copy = encode(&[DeltaOp::Copy {
+            offset: 5,
+            len: 100,
+        }]);
+        assert_eq!(
+            apply_encoded(b"short", &bad_copy),
+            Err(DeltaError::CopyOutOfRange)
+        );
+        // Damage behind the bad copy: `decode` fails first, so the whole
+        // stream is malformed, not out of range.
+        let mut both = bad_copy;
+        both.push(0x80);
+        assert_eq!(decode(&both), Err(DeltaError::Malformed));
+        assert_eq!(apply_encoded(b"short", &both), Err(DeltaError::Malformed));
     }
 
     #[test]

@@ -88,6 +88,35 @@ proptest! {
         prop_assert_eq!(bytes_delta::apply(&a, &dec).unwrap(), b);
     }
 
+    /// `apply_encoded` is `apply` after `decode`, result for result: the
+    /// same bytes, and the same error when the delta is cut short, has a
+    /// bit flipped, or is replayed on a base it was not made for (a
+    /// damaged stream that is *also* out of range stays `Malformed`).
+    #[test]
+    fn apply_encoded_is_decode_then_apply(
+        (a, b) in arb_edited_pair(),
+        wrong_base in arb_text(),
+        damage in 0..3usize,
+        at in any::<prop::sample::Index>(),
+        bit in 0..8u8,
+    ) {
+        let mut delta = bytes_delta::encode(&bytes_delta::diff(&a, &b));
+        prop_assert_eq!(bytes_delta::apply_encoded(&a, &delta), Ok(b));
+        if damage > 0 && !delta.is_empty() {
+            let at = at.index(delta.len());
+            if damage == 1 {
+                delta.truncate(at);
+            } else {
+                delta[at] ^= 1 << bit;
+            }
+        }
+        for base in [&a, &wrong_base] {
+            let two_step = bytes_delta::decode(&delta)
+                .and_then(|ops| bytes_delta::apply(base, &ops));
+            prop_assert_eq!(bytes_delta::apply_encoded(base, &delta), two_step);
+        }
+    }
+
     /// One kernel, three sinks: a reusable index gives the ops of the
     /// one-shot `diff`, its byte sink their encoding, its length sink
     /// that encoding's length — also when one index serves many targets.

@@ -28,7 +28,7 @@ use crate::cache::CheckoutCache;
 use crate::hash::ObjectId;
 use crate::object::{Object, StoreError};
 use crate::store::ObjectStore;
-use dsv_delta::bytes_delta;
+use dsv_delta::bytes_delta::{self, DeltaError};
 use dsv_obs as obs;
 use std::sync::Arc;
 
@@ -154,10 +154,12 @@ impl<'a, S: ObjectStore + ?Sized> Materializer<'a, S> {
         // Replay deltas top-down; every intermediate version is a cache
         // candidate carrying its cumulative recreation cost.
         for (obj_id, delta) in chain.into_iter().rev() {
-            let ops = bytes_delta::decode(&delta)
-                .map_err(|_| StoreError::Corrupt("undecodable delta"))?;
-            let next = bytes_delta::apply(&base, &ops)
-                .map_err(|_| StoreError::Corrupt("delta does not apply to its base"))?;
+            let next = bytes_delta::apply_encoded(&base, &delta).map_err(|e| match e {
+                DeltaError::Malformed => StoreError::Corrupt("undecodable delta"),
+                DeltaError::CopyOutOfRange => {
+                    StoreError::Corrupt("delta does not apply to its base")
+                }
+            })?;
             work.bytes_written += next.len() as u64;
             cost += delta.len() as u64;
             base = Arc::new(next);
@@ -450,15 +452,21 @@ mod tests {
                 data: b"base".to_vec(),
             })
             .unwrap();
-        let bad = Object::Delta {
-            base: base_id,
-            delta: vec![0xff, 0xff, 0xff],
-        };
-        let id = store.put(&bad).unwrap();
-        let m = Materializer::new(&store);
-        assert!(matches!(
-            m.materialize(id).unwrap_err(),
-            StoreError::Corrupt(_)
-        ));
+        let past_the_base = bytes_delta::encode(&[bytes_delta::DeltaOp::Copy {
+            offset: 2,
+            len: 100,
+        }]);
+        for (delta, what) in [
+            (vec![0xff, 0xff, 0xff], "undecodable delta"),
+            (past_the_base, "delta does not apply to its base"),
+        ] {
+            let bad = Object::Delta {
+                base: base_id,
+                delta,
+            };
+            let id = store.put(&bad).unwrap();
+            let m = Materializer::new(&store);
+            assert_eq!(m.materialize(id).unwrap_err(), StoreError::Corrupt(what));
+        }
     }
 }

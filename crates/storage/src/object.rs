@@ -103,61 +103,27 @@ impl Object {
 
     /// Parses an object serialized by [`encode`](Self::encode).
     pub fn decode(input: &[u8]) -> Result<Self, StoreError> {
-        if input.len() < 2 {
-            return Err(StoreError::Corrupt("truncated header"));
-        }
-        let tag = input[0];
-        let codec = input[1];
-        let mut pos = 2usize;
-        let base = if tag == 1 {
-            if input.len() < pos + 16 {
-                return Err(StoreError::Corrupt("truncated base id"));
-            }
-            let mut b = [0u8; 16];
-            b.copy_from_slice(&input[pos..pos + 16]);
-            pos += 16;
-            Some(ObjectId(b))
-        } else if tag == 0 || tag == 2 {
-            None
-        } else {
-            return Err(StoreError::Corrupt("unknown tag"));
+        let header = Header::parse(input)?;
+        let payload = match header.codec {
+            Codec::Raw => input[header.payload_at..].to_vec(),
+            Codec::Lz => header.decompress(input)?,
         };
-        let (len, used) = decode_u64(&input[pos..]).ok_or(StoreError::Corrupt("bad length"))?;
-        pos += used;
-        let len = len as usize;
-        if input.len() != pos + len {
-            return Err(StoreError::Corrupt("length mismatch"));
-        }
-        let payload = if codec == 1 {
-            lz::decompress(&input[pos..]).map_err(|_| StoreError::Corrupt("bad compression"))?
-        } else if codec == 0 {
-            input[pos..].to_vec()
-        } else {
-            return Err(StoreError::Corrupt("unknown codec"));
-        };
-        Ok(match (tag, base) {
-            (0, None) => Object::Full { data: payload },
-            (1, Some(base)) => Object::Delta {
-                base,
-                delta: payload,
-            },
-            (2, None) => {
-                if payload.len() % 16 != 0 {
-                    return Err(StoreError::Corrupt("manifest not a multiple of 16 bytes"));
-                }
-                Object::Chunked {
-                    chunks: payload
-                        .chunks_exact(16)
-                        .map(|c| {
-                            let mut b = [0u8; 16];
-                            b.copy_from_slice(c);
-                            ObjectId(b)
-                        })
-                        .collect(),
-                }
+        header.object(payload)
+    }
+
+    /// [`decode`](Self::decode) for a caller that owns the serialized
+    /// bytes (a file just read): a raw payload is kept in that buffer
+    /// instead of being copied out of it.
+    pub fn decode_owned(mut input: Vec<u8>) -> Result<Self, StoreError> {
+        let header = Header::parse(&input)?;
+        let payload = match header.codec {
+            Codec::Raw => {
+                input.drain(..header.payload_at);
+                input
             }
-            _ => unreachable!("tag validated above"),
-        })
+            Codec::Lz => header.decompress(&input)?,
+        };
+        header.object(payload)
     }
 
     /// The object's content address: the kind tag plus the kind's payload
@@ -187,6 +153,90 @@ impl Object {
     /// `ObjectStore::contains` before materializing a chunk.
     pub fn full_id(data: &[u8]) -> ObjectId {
         ObjectId::for_parts(&[&[0u8], data])
+    }
+}
+
+enum Codec {
+    Raw,
+    Lz,
+}
+
+/// The fixed part of a serialized object, validated: kind, codec, delta
+/// base, and where the payload (which runs to the end) starts.
+struct Header {
+    tag: u8,
+    codec: Codec,
+    base: Option<ObjectId>,
+    payload_at: usize,
+}
+
+impl Header {
+    fn parse(input: &[u8]) -> Result<Self, StoreError> {
+        if input.len() < 2 {
+            return Err(StoreError::Corrupt("truncated header"));
+        }
+        let tag = input[0];
+        let mut pos = 2usize;
+        let base = if tag == 1 {
+            if input.len() < pos + 16 {
+                return Err(StoreError::Corrupt("truncated base id"));
+            }
+            let mut b = [0u8; 16];
+            b.copy_from_slice(&input[pos..pos + 16]);
+            pos += 16;
+            Some(ObjectId(b))
+        } else if tag == 0 || tag == 2 {
+            None
+        } else {
+            return Err(StoreError::Corrupt("unknown tag"));
+        };
+        let (len, used) = decode_u64(&input[pos..]).ok_or(StoreError::Corrupt("bad length"))?;
+        pos += used;
+        if (input.len() - pos) as u64 != len {
+            return Err(StoreError::Corrupt("length mismatch"));
+        }
+        let codec = match input[1] {
+            0 => Codec::Raw,
+            1 => Codec::Lz,
+            _ => return Err(StoreError::Corrupt("unknown codec")),
+        };
+        Ok(Header {
+            tag,
+            codec,
+            base,
+            payload_at: pos,
+        })
+    }
+
+    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, StoreError> {
+        lz::decompress(&input[self.payload_at..])
+            .map_err(|_| StoreError::Corrupt("bad compression"))
+    }
+
+    fn object(self, payload: Vec<u8>) -> Result<Object, StoreError> {
+        Ok(match (self.tag, self.base) {
+            (0, None) => Object::Full { data: payload },
+            (1, Some(base)) => Object::Delta {
+                base,
+                delta: payload,
+            },
+            (2, None) => {
+                if !payload.len().is_multiple_of(16) {
+                    return Err(StoreError::Corrupt("manifest not a multiple of 16 bytes"));
+                }
+                Object::Chunked {
+                    chunks: payload
+                        .chunks_exact(16)
+                        .map(|c| {
+                            let mut b = [0u8; 16];
+                            b.copy_from_slice(c);
+                            ObjectId(b)
+                        })
+                        .collect(),
+                }
+            }
+            _ => unreachable!("tag validated by parse"),
+        })
     }
 }
 
@@ -260,6 +310,73 @@ mod tests {
         let mut bad_codec = enc;
         bad_codec[1] = 7;
         assert!(Object::decode(&bad_codec).is_err());
+    }
+
+    #[test]
+    fn decode_owned_agrees_with_decode() {
+        let objects = [
+            Object::Full {
+                data: b"some,csv,content\n".repeat(100),
+            },
+            Object::Delta {
+                base: ObjectId::for_bytes(b"base"),
+                delta: vec![1, 2, 3, 4, 5],
+            },
+            Object::Chunked {
+                chunks: vec![ObjectId::for_bytes(b"c1"), ObjectId::for_bytes(b"c2")],
+            },
+        ];
+        for obj in &objects {
+            for compress in [false, true] {
+                let enc = obj.encode(compress);
+                assert_eq!(&Object::decode_owned(enc.clone()).unwrap(), obj);
+                let cut = enc[..enc.len() - 1].to_vec();
+                assert_eq!(Object::decode_owned(cut.clone()), Object::decode(&cut));
+            }
+        }
+    }
+
+    #[test]
+    fn absurd_compressed_lengths_are_corrupt_not_fatal() {
+        // A codec-1 payload that is nothing but a declared length: these
+        // two used to abort the process inside `lz::decompress` (a 32 TiB
+        // allocation; a capacity overflow).
+        for declared in [1u64 << 45, u64::MAX >> 1] {
+            let mut payload = Vec::new();
+            encode_u64(declared, &mut payload);
+            let mut enc = vec![0u8, 1];
+            encode_u64(payload.len() as u64, &mut enc);
+            enc.extend_from_slice(&payload);
+            assert_eq!(
+                Object::decode(&enc),
+                Err(StoreError::Corrupt("bad compression"))
+            );
+            assert_eq!(
+                Object::decode_owned(enc),
+                Err(StoreError::Corrupt("bad compression"))
+            );
+        }
+    }
+
+    #[test]
+    fn ids_are_the_ones_stored_repositories_use() {
+        // Hex literals captured at commit 8be7713 (two-pass hash).
+        let full = Object::Full {
+            data: b"id,value\n1,alpha\n2,beta\n".to_vec(),
+        };
+        let delta = Object::Delta {
+            base: full.id(),
+            delta: dsv_delta::bytes_delta::encode(&dsv_delta::bytes_delta::diff(
+                b"id,value\n1,alpha\n",
+                b"id,value\n1,alpha\n2,beta\n",
+            )),
+        };
+        let chunked = Object::Chunked {
+            chunks: vec![full.id(), delta.id()],
+        };
+        assert_eq!(full.id().to_hex(), "2566e91fa22e3e2bba0499e7f72f237f");
+        assert_eq!(delta.id().to_hex(), "a6a34671bdad7656117e479b32294414");
+        assert_eq!(chunked.id().to_hex(), "12dbe8cc383034862dc88bae95801b3a");
     }
 
     #[test]

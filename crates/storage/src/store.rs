@@ -460,7 +460,7 @@ impl FileStore {
         let mut bytes = Vec::new();
         let mut f = std::fs::File::open(&path).map_err(|_| StoreError::NotFound(id))?;
         f.read_to_end(&mut bytes)?;
-        Object::decode(&bytes)
+        Object::decode_owned(bytes)
     }
 }
 

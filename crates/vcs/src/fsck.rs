@@ -8,10 +8,14 @@
 //! become durable. This module turns that debris back into a pristine
 //! repository:
 //!
-//! - [`fsck`] verifies every content address (fetch + re-hash), walks
-//!   every version's recreation path to full materialization, and — for
-//!   stores that can enumerate ([`ObjectStore::object_ids`]) — reports
-//!   objects no version references.
+//! - [`fsck`] verifies every content address (fetch + re-hash), rebuilds
+//!   every version along its recreation path from the cold store, and —
+//!   for stores that can enumerate ([`ObjectStore::object_ids`]) —
+//!   reports objects no version references. The rebuild is one pass with
+//!   a pass-local memo: every object on every version's path is still
+//!   read from the store and every version is still fully rebuilt within
+//!   the pass; what is gone is reading and decoding the same object again
+//!   for each version above it (a chain's root once per version).
 //! - [`recover`] resolves a pending repack journal: if the loaded
 //!   metadata already references the journaled new plan the repack is
 //!   rolled *forward* (the interrupted GC finishes); otherwise it is
@@ -29,7 +33,7 @@ use crate::persist;
 use crate::repo::Repository;
 use dsv_net::proto::{FsckSummary, WireRecovery};
 use dsv_obs as obs;
-use dsv_storage::{Materializer, Object, ObjectId, ObjectStore};
+use dsv_storage::{Object, ObjectId, ObjectStore};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
@@ -162,10 +166,12 @@ pub fn fsck<S: ObjectStore>(repo: &Repository<S>, root: Option<&Path>) -> FsckRe
     }
     report.bad_addresses.sort();
 
-    // 2. Every version must materialize: walk its full recreation path
-    // (delta chain or chunk reassembly) without a cache, so the check
-    // exercises the cold store.
-    let m = Materializer::new(&repo.store);
+    // 2. Every version must materialize from the cold store: its full
+    // recreation path (delta chain or chunk reassembly) is rebuilt within
+    // this pass, starting from an empty pass-local memo, so every object
+    // on the path is read from the store — once, however many versions
+    // sit above it.
+    let m = repo.pass_materializer(true);
     for (v, id) in repo.objects.iter().enumerate() {
         report.versions_checked += 1;
         if let Err(e) = m.materialize(*id) {
@@ -312,6 +318,12 @@ mod tests {
         out
     }
 
+    /// Where `disk_repo`'s `FileStore` keeps object `id`.
+    fn object_path(dir: &Path, id: ObjectId) -> std::path::PathBuf {
+        let hex = id.to_hex();
+        dir.join("objects").join(&hex[..2]).join(&hex[2..])
+    }
+
     fn disk_repo(dir: &Path) -> Repository<persist::RepoStore> {
         let mut repo = Repository::init(persist::RepoStore::Flat(
             dsv_storage::FileStore::open(&dir.join("objects"), true).unwrap(),
@@ -366,13 +378,125 @@ mod tests {
         let repo = disk_repo(&dir.0);
         // Flip bytes in one stored object file.
         let victim = repo.objects[3];
-        let hex = victim.to_hex();
-        let path = dir.0.join("objects").join(&hex[..2]).join(&hex[2..]);
-        std::fs::write(&path, b"garbage that is not the object").unwrap();
+        std::fs::write(
+            object_path(&dir.0, victim),
+            b"garbage that is not the object",
+        )
+        .unwrap();
         let report = fsck(&repo, Some(&dir.0));
         assert!(!report.is_clean());
         assert!(report.bad_addresses.contains(&victim));
         assert!(!report.unreadable.is_empty(), "chain through v3 breaks");
+    }
+
+    /// Step 2 as it was before the pass-local memo: one uncached walk
+    /// per version. The oracle for what the memoized pass must report.
+    fn uncached_walks<S: ObjectStore>(repo: &Repository<S>) -> (usize, Vec<(u32, String)>) {
+        let m = dsv_storage::Materializer::new(&repo.store);
+        let unreadable = repo
+            .objects
+            .iter()
+            .enumerate()
+            .filter_map(|(v, id)| Some((v as u32, m.materialize(*id).err()?.to_string())))
+            .collect();
+        (repo.objects.len(), unreadable)
+    }
+
+    #[test]
+    fn memoized_pass_reports_what_uncached_walks_report() {
+        let check = |repo: &Repository<persist::RepoStore>, root: &Path, what: &str| {
+            let report = fsck(repo, Some(root));
+            let (versions, unreadable) = uncached_walks(repo);
+            assert_eq!(report.versions_checked, versions, "{what}");
+            assert_eq!(report.unreadable, unreadable, "{what}");
+            report
+        };
+        let dir = TempDir::new("memo-clean");
+        let mut repo = disk_repo(&dir.0);
+        assert!(check(&repo, &dir.0, "clean").is_clean());
+
+        // Crash debris: an orphan and a pending journal change nothing
+        // about what is readable.
+        let orphan = repo
+            .store
+            .put(&Object::Full {
+                data: b"interrupted commit leftovers".to_vec(),
+            })
+            .unwrap();
+        persist::write_journal(
+            &dir.0,
+            &RepackJournal {
+                new_objects: repo.objects.clone(),
+                stale: vec![],
+            },
+        )
+        .unwrap();
+        let report = check(&repo, &dir.0, "debris");
+        assert_eq!(report.orphans, vec![orphan]);
+        assert!(report.journal_pending && report.unreadable.is_empty());
+
+        // Garbage in the middle of the chain: v3 and everything above it.
+        let victim = repo.objects[3];
+        std::fs::write(object_path(&dir.0, victim), b"garbage, not an object").unwrap();
+        let report = check(&repo, &dir.0, "corrupt object");
+        assert_eq!(report.bad_addresses, vec![victim]);
+        assert_eq!(report.unreadable.len(), 3);
+
+        // A missing base: v1 is gone, v0 alone survives.
+        let dir = TempDir::new("memo-missing");
+        repo = disk_repo(&dir.0);
+        std::fs::remove_file(object_path(&dir.0, repo.objects[1])).unwrap();
+        let report = check(&repo, &dir.0, "missing base");
+        assert_eq!(report.unreadable.len(), 5);
+        assert!(report.unreadable[0].1.contains("not found"));
+    }
+
+    #[test]
+    fn each_stored_object_is_fetched_once_per_step() {
+        use dsv_storage::fault::{FaultPlan, FaultStore};
+        use dsv_storage::MemStore;
+        let sites = FaultPlan::count_sites();
+        let mut repo = Repository::init(FaultStore::new(MemStore::new(true), sites.clone()));
+        let mut data = csv(200, "x");
+        for i in 0..12 {
+            data.extend_from_slice(format!("{},grown\n", 200 + i).as_bytes());
+            repo.commit("main", &data, "grow").unwrap();
+        }
+        let n = repo.version_count();
+        assert_eq!(repo.store.len(), n, "one chain: a root and n - 1 deltas");
+        let before = sites.hits();
+        let report = fsck(&repo, None);
+        let gets = sites.sites()[before as usize..]
+            .iter()
+            .filter(|s| *s == "store.get")
+            .count();
+        assert!(report.is_clean(), "{report}");
+        // The reference closure and the address check read every object
+        // once each; so does the rebuild of all n versions — not the
+        // n (n + 1) / 2 objects their chains add up to.
+        assert_eq!(gets, 3 * n);
+    }
+
+    #[test]
+    fn absurd_compressed_length_is_reported_not_fatal() {
+        // A ten-byte object file: `Full`, LZ codec, a payload that is
+        // only a varint declaring 32 TiB (or 2^63 - 1, which overflows a
+        // capacity). `lz::decompress` used to abort the process on it.
+        let huge: &[u8] = &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x08];
+        let overflow: &[u8] = &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+        for (tag, declared) in [("huge", huge), ("overflow", overflow)] {
+            let dir = TempDir::new(tag);
+            let repo = disk_repo(&dir.0);
+            let mut bytes = vec![0u8, 1, declared.len() as u8];
+            bytes.extend_from_slice(declared);
+            let victim = repo.objects[0];
+            std::fs::write(object_path(&dir.0, victim), &bytes).unwrap();
+            let report = fsck(&repo, Some(&dir.0));
+            assert_eq!(report.bad_addresses, vec![victim]);
+            assert_eq!(report.unreadable.len(), repo.version_count());
+            assert!(report.unreadable[0].1.contains("bad compression"));
+            assert!(repo.checkout(crate::CommitId(0)).is_err());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::commit::CommitId;
 use crate::error::VcsError;
 use crate::persist::{self, RepackJournal};
-use crate::repo::{Placement, Repository};
+use crate::repo::{unshare, Placement, Repository};
 use dsv_chunk::{chunked_cost_pairs, pack_versions_hybrid, ChunkerParams};
 use dsv_core::{
     plan, CostMatrix, CostPair, ModePolicy, PlanSpec, Problem, ProblemInstance, Provenance,
@@ -170,21 +170,16 @@ impl<S: ObjectStore> Repository<S> {
         let storage_before = self.store.total_bytes();
         obs::counter!("optimize.runs", 1);
 
-        // Materialize every version once (cached chain walks — a
-        // repack-local bounded cache, so chain prefixes are shared but
-        // the pass cannot hold the whole history in memory at once). The
+        // Materialize every version once, as one pass: chain prefixes
+        // are shared through a bounded memo, which cannot hold a second
+        // copy of the whole history next to `contents`. The
         // Materializer's own per-call "materialize" spans aggregate as
         // one n-count child of the optimize span.
         let contents: Vec<Vec<u8>> = {
-            let m = Materializer::with_checkout_cache(
-                &self.store,
-                std::sync::Arc::new(dsv_storage::CheckoutCache::new(
-                    dsv_storage::DEFAULT_CACHE_BUDGET,
-                )),
-            );
+            let m = self.pass_materializer(false);
             let mut out = Vec::with_capacity(n);
             for id in &self.objects {
-                out.push(m.materialize(*id)?.as_ref().clone());
+                out.push(unshare(m.materialize(*id)?));
             }
             out
         };

@@ -13,6 +13,11 @@ use dsv_storage::{
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+/// Byte budget of a pass-local memo (see
+/// [`Repository::pass_materializer`]): room for the few dozen versions a
+/// pass revisits, not for a history.
+const PASS_MEMO_BYTES: u64 = 4 << 20;
+
 /// How new commits are placed in the store (the offline optimizer can
 /// later re-pack the whole history regardless of placement).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,6 +196,28 @@ impl<S: ObjectStore> Repository<S> {
         }
     }
 
+    /// The materializer of a *pass* — a job that recreates many versions
+    /// whose chains overlap (`fsck`, an online commit's reveal,
+    /// `prepare_repack`). Every object of the union of the chains is
+    /// fetched and decoded once per pass instead of once per version
+    /// above it: the walk stops at the deepest ancestor the pass has
+    /// already rebuilt.
+    ///
+    /// A `cold` pass must see the store itself — `fsck` verifies it, a
+    /// budgeted placement prices it — so it starts from an empty
+    /// pass-local memo and never touches the shared checkout cache. The
+    /// cold cost of a walk is then `bytes_read + bytes_saved`: what it
+    /// fetched plus what the memoized ancestor had cost to fetch, the
+    /// same sum whatever the memo holds. Other passes read through the
+    /// shared cache when one is installed and through a memo otherwise.
+    pub(crate) fn pass_materializer(&self, cold: bool) -> Materializer<'_, S> {
+        let cache = match &self.checkout_cache {
+            Some(shared) if !cold => Arc::clone(shared),
+            _ => Arc::new(CheckoutCache::new(PASS_MEMO_BYTES)),
+        };
+        Materializer::with_checkout_cache(&self.store, cache)
+    }
+
     /// The placement policy for new commits.
     pub fn placement(&self) -> Placement {
         self.placement
@@ -324,8 +351,8 @@ impl<S: ObjectStore> Repository<S> {
         Ok(id)
     }
 
-    /// The content of `id` to diff a new version against and, when the
-    /// placement is `budgeted` (a θ is set), its recreation work (bytes
+    /// The content of `id` for a greedy commit to diff against and, when
+    /// the placement is `budgeted` (a θ is set), its recreation work (bytes
     /// fetched) under the current plan — both from one chain walk. The
     /// budgeted walk deliberately bypasses the checkout cache: placement
     /// decisions must reflect the cold-store cost, not whatever happens
@@ -409,11 +436,17 @@ impl<S: ObjectStore> Repository<S> {
         let reveal = obs::span!("reveal", candidates = neighborhood.len()).entered();
         let mut candidates = Vec::with_capacity(neighborhood.len());
         let mut encodings = BTreeMap::new();
+        // One pass over the union of the candidates' chains. Only a θ
+        // reads `base_recreation`, and it must be the cold cost.
+        let budgeted = options.max_recreation_bytes.is_some();
+        let m = self.pass_materializer(budgeted);
         for &u in &neighborhood {
-            // One chain walk per candidate: `place_version` reads
-            // `base_recreation` only under a θ.
-            let (base, base_recreation) =
-                self.delta_base(CommitId(u), options.max_recreation_bytes.is_some())?;
+            let (base, work) = m.materialize_measured(self.objects[u as usize])?;
+            let base_recreation = if budgeted {
+                work.bytes_read + work.bytes_saved
+            } else {
+                0
+            };
             let encoded = SourceIndex::new(&base).diff_encoded(data);
             let cost = encoded.len() as u64;
             candidates.push(OnlineCandidate {
@@ -557,7 +590,7 @@ impl<S: ObjectStore> Repository<S> {
         obs::counter!("vcs.checkouts", 1);
         let m = self.materializer();
         let (bytes, work) = m.materialize_measured(self.objects[id.index()])?;
-        Ok((bytes.as_ref().clone(), work))
+        Ok((unshare(bytes), work))
     }
 
     /// First-parent history of a branch, newest first.
@@ -659,6 +692,12 @@ impl<S: ObjectStore> Repository<S> {
             checkout_cache: None,
         })
     }
+}
+
+/// The bytes of a materialized version, without a copy unless a cache
+/// holds them too.
+pub(crate) fn unshare(bytes: Arc<Vec<u8>>) -> Vec<u8> {
+    Arc::try_unwrap(bytes).unwrap_or_else(|shared| (*shared).clone())
 }
 
 #[cfg(test)]
@@ -1001,14 +1040,13 @@ mod tests {
     }
 
     #[test]
-    fn online_reveal_walks_each_candidate_chain_once() {
+    fn online_reveal_fetches_each_chain_object_once() {
         use dsv_storage::fault::{FaultPlan, FaultStore};
         // v0 full ← v1 ← v2 ← v3, then an online commit on top: the 2-hop
         // neighbourhood is {v3, v2, v1}, whose chains are 4 + 3 + 2
-        // objects long. One walk per candidate reads exactly those nine —
-        // with or without a θ (which needs the walk's `bytes_read`, not a
-        // second walk) — and both place the version identically.
-        let reads_and_placement = |max_recreation_bytes: Option<u64>| {
+        // objects long but only 4 objects together. The reveal is one
+        // pass over that union, with or without a θ.
+        let fixture = || {
             let sites = FaultPlan::count_sites();
             let mut repo = Repository::init(FaultStore::new(MemStore::new(false), sites.clone()));
             let mut data = csv(300, "base");
@@ -1017,6 +1055,10 @@ mod tests {
                 repo.commit("main", &data, "grow").unwrap();
             }
             data.extend_from_slice(b"999,online-row\n");
+            (repo, sites, data)
+        };
+        let commit = |max_recreation_bytes: Option<u64>| {
+            let (mut repo, sites, data) = fixture();
             let before = sites.hits();
             let options = OnlineOptions {
                 max_recreation_bytes,
@@ -1029,13 +1071,62 @@ mod tests {
                 .iter()
                 .filter(|s| *s == "store.get")
                 .count();
-            (gets, repo.current_plan()[tip.index()])
+            (gets, repo.current_plan()[tip.index()], repo.object_id(tip))
         };
-        assert_eq!(reads_and_placement(None), (9, StorageMode::Delta(3)));
+        // Placement and stored object are the ones commit 8be7713 made
+        // with one walk per candidate (nine gets).
+        let parent_made = ObjectId::from_hex("e55dacc45b760e4a7833ed9678ef3a86").unwrap();
+        assert_eq!(commit(None), (4, StorageMode::Delta(3), parent_made));
         assert_eq!(
-            reads_and_placement(Some(u64::MAX)),
-            (9, StorageMode::Delta(3))
+            commit(Some(u64::MAX)),
+            (4, StorageMode::Delta(3), parent_made)
         );
+
+        // Under a θ the cold cost of a candidate is read off a memoized
+        // walk. The oracle prices every candidate with an uncached walk of
+        // its own, as the reveal used to; both must place alike at every
+        // θ where a candidate turns feasible.
+        let (repo, _, data) = fixture();
+        let tip = CommitId(3);
+        let mut candidates = Vec::new();
+        let mut objects = BTreeMap::new();
+        for u in repo.neighborhood(&[tip], 2, 8) {
+            let m = Materializer::new(&repo.store);
+            let (base, work) = m.materialize_measured(repo.objects[u as usize]).unwrap();
+            let delta = SourceIndex::new(&base).diff_encoded(&data);
+            candidates.push(OnlineCandidate {
+                base: u,
+                cost: CostPair::proportional(delta.len() as u64),
+                base_recreation: work.bytes_read,
+            });
+            let base = repo.objects[u as usize];
+            objects.insert(u, Object::Delta { base, delta }.id());
+        }
+        let own = data.len() as u64;
+        let mut thetas = vec![own - 1, own];
+        for c in &candidates {
+            let chain = c.base_recreation + c.cost.recreation;
+            thetas.extend([chain - 1, chain]);
+        }
+        let mut modes = std::collections::HashSet::new();
+        for theta in thetas {
+            let expected = match place_version(
+                CostPair::proportional(own),
+                None,
+                &candidates,
+                OnlinePolicy::MaxRecreationWithin(theta),
+            ) {
+                Ok(placement) => placement.mode,
+                Err(_) => StorageMode::Materialized,
+            };
+            let object = match expected {
+                StorageMode::Delta(u) => objects[&u],
+                _ => Object::full_id(&data),
+            };
+            assert_eq!(commit(Some(theta)), (4, expected, object), "θ = {theta}");
+            modes.insert(expected);
+        }
+        assert!(modes.len() >= 3, "the sweep must bind: {modes:?}");
     }
 
     #[test]
