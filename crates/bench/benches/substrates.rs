@@ -1,12 +1,12 @@
 //! Criterion benches for the substrates: diff, byte deltas (one-shot and
-//! the shared-index reveal), the cold recreation path (LZ, content
-//! addressing, chain replay, fsck), the graph algorithms, and the
-//! three storage regimes (Full / Delta / Chunked) packing and checking
-//! out the same dedup-friendly history.
+//! the shared-index reveal), the cold recreation path (LZ and Huffman
+//! payload codecs, content addressing, chain replay, fsck), the graph
+//! algorithms, and the three storage regimes (Full / Delta / Chunked)
+//! packing and checking out the same dedup-friendly history.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dsv_chunk::{pack_versions_chunked, Chunker, ChunkerParams};
-use dsv_compress::lz;
+use dsv_compress::{huff, lz};
 use dsv_delta::{bytes_delta, script};
 use dsv_graph::{dijkstra, min_cost_arborescence, prim_mst, DiGraph, NodeId, UnGraph};
 use dsv_storage::{pack_versions, Materializer, MemStore, ObjectId, ObjectStore, PackOptions};
@@ -115,10 +115,11 @@ fn table_versions(k: usize) -> Vec<Vec<u8>> {
 }
 
 /// What a cold recreation is made of, kernel by kernel: decode the
-/// materialized root (`lz`), address it (`ObjectId`), replay the chain
-/// (`apply_encoded` against the `decode` + `apply` it replaced), and the
-/// pass that recreates every version (`fsck`). Every pair of paths is
-/// asserted equal before either is timed.
+/// materialized root (`huff`; `lz` for what older stores hold), address
+/// it (`ObjectId`), replay the chain (`apply_encoded` against the
+/// `decode` + `apply` it replaced), and the pass that recreates every
+/// version (`fsck`). Every pair of paths is asserted equal before either is
+/// timed.
 fn bench_cold_path(c: &mut Criterion) {
     let contents = table_versions(20);
     let table = &contents[0];
@@ -136,6 +137,42 @@ fn bench_cold_path(c: &mut Criterion) {
         group.finish();
     }
 
+    // The payload codec on the three shapes a store hands it: a version,
+    // (the first) 1 KiB of an encoded delta, bytes with nothing to gain.
+    let jobs: Vec<(u32, u32)> = (0..20).map(|i| (i, i + 1)).collect();
+    let deltas = bytes_delta::encode_pairs(&contents, &jobs);
+    let delta_1k = deltas
+        .iter()
+        .find(|d| d.len() >= 1024)
+        .expect("a 1 KiB delta")[..1024]
+        .to_vec();
+    let mut state = 0x243F_6A88_85A3_08D3u64;
+    let noise: Vec<u8> = (0..100_000)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect();
+    for (name, data) in [
+        ("table", table),
+        ("delta_1k", &delta_1k),
+        ("incompressible", &noise),
+    ] {
+        let stream = huff::encode(data);
+        assert_eq!(huff::coded_len(data), stream.len());
+        assert_eq!(&huff::decode(&stream).unwrap(), data);
+        let mut group = c.benchmark_group(format!("cold_path/huff_{name}"));
+        group.throughput(Throughput::Bytes(data.len() as u64));
+        group.bench_function("encode", |b| b.iter(|| huff::encode(black_box(data))));
+        group.bench_function("decode", |b| {
+            b.iter(|| huff::decode(black_box(&stream)).unwrap())
+        });
+        group.bench_function("coded_len", |b| b.iter(|| huff::coded_len(black_box(data))));
+        group.finish();
+    }
+
     let mut group = c.benchmark_group("cold_path/object_id");
     group.throughput(Throughput::Bytes(table.len() as u64));
     group.bench_function("for_bytes_100k", |b| {
@@ -144,8 +181,6 @@ fn bench_cold_path(c: &mut Criterion) {
     group.finish();
 
     // A 20-link chain replayed from its root, both ways.
-    let jobs: Vec<(u32, u32)> = (0..20).map(|i| (i, i + 1)).collect();
-    let deltas = bytes_delta::encode_pairs(&contents, &jobs);
     let via_ops = || {
         deltas.iter().fold(table.clone(), |base, delta| {
             bytes_delta::apply(&base, &bytes_delta::decode(delta).unwrap()).unwrap()

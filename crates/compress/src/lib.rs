@@ -1,16 +1,19 @@
 #![warn(missing_docs)]
 
-//! Compression substrate: varint coding and an LZ77-style compressor.
+//! Compression substrate: varint coding, an order-0 Huffman coder and an
+//! LZ77-style compressor.
 //!
 //! The paper distinguishes the storage cost `Δ` of a delta from its
 //! recreation cost `Φ`, noting the two diverge "especially if the deltas
 //! are stored in a compressed fashion" (§2.1). To exercise that regime with
-//! real bytes, this crate provides a self-contained LZ77 compressor
-//! (hash-chain match finder, greedy parse, varint-coded tokens) with no
-//! external dependencies. It is not meant to compete with zstd; it is meant
-//! to be an honest, deterministic compressor whose output sizes define `Δ`
-//! and whose decompression work contributes to `Φ`.
+//! real bytes, this crate provides two self-contained, deterministic
+//! coders with no external dependencies. [`huff`] is the object store's
+//! payload codec: its output sizes define `Δ`, and they are a function of
+//! byte counts, so the planner can price them ([`huff::coded_len`]).
+//! [`lz`] (hash-chain match finder, greedy parse, varint-coded tokens) was
+//! that codec before; the store still reads what it wrote.
 
+pub mod huff;
 pub mod lz;
 pub mod varint;
 

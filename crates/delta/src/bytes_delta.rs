@@ -45,16 +45,18 @@
 //! needs — no literal is copied anywhere). [`encode`] feeds ops through
 //! the same byte sink, so the wire format is written down once.
 //!
-//! **Reveal by source.** [`pair_sizes`] and [`encode_pairs`] group their
-//! jobs by source version and run one `dsv_par` task per *source*: the
-//! task builds that source's index, scans every target it is paired with,
-//! and drops the index before taking the next source. At most one index
-//! per worker is alive (an index is about twice its source's size), so
-//! peak memory does not grow with the number of versions or pairs, while
-//! each version is still indexed once instead of once per pair.
+//! **Reveal by source.** [`pair_sizes`], [`pair_costs`] and
+//! [`encode_pairs`] group their jobs by source version and run one
+//! `dsv_par` task per *source*: the task builds that source's index, scans
+//! every target it is paired with, and drops the index before taking the
+//! next source. At most one index per worker is alive (an index is about
+//! twice its source's size), so peak memory does not grow with the number
+//! of versions or pairs, while each version is still indexed once instead
+//! of once per pair.
 
 use dsv_compress::lz::common_prefix;
 use dsv_compress::varint::{decode_u64, encode_u64, encoded_len};
+use std::cell::RefCell;
 
 /// Block size for the source index. Matches of at least this length can be
 /// found; shorter repeats are emitted as literals.
@@ -160,15 +162,15 @@ impl Sink for Vec<DeltaOp> {
 /// The wire format: per op a tag varint (`len << 1` = copy,
 /// `(len << 1) | 1` = insert) followed by the payload (copy offset /
 /// literal bytes).
-struct Encoded(Vec<u8>);
+struct Encoded<'a>(&'a mut Vec<u8>);
 
-impl Sink for Encoded {
+impl Sink for Encoded<'_> {
     fn copy(&mut self, offset: u64, len: u64) {
-        encode_u64(len << 1, &mut self.0);
-        encode_u64(offset, &mut self.0);
+        encode_u64(len << 1, self.0);
+        encode_u64(offset, self.0);
     }
     fn insert(&mut self, bytes: &[u8]) {
-        encode_u64(((bytes.len() as u64) << 1) | 1, &mut self.0);
+        encode_u64(((bytes.len() as u64) << 1) | 1, self.0);
         self.0.extend_from_slice(bytes);
     }
 }
@@ -382,9 +384,17 @@ impl<'a> SourceIndex<'a> {
 
     /// `encode(&self.diff(dst))` without building the ops.
     pub fn diff_encoded(&self, dst: &[u8]) -> Vec<u8> {
-        let mut out = Encoded(Vec::new());
-        self.scan(dst, &mut out);
-        out.0
+        let mut out = Vec::new();
+        self.diff_encoded_into(dst, &mut out);
+        out
+    }
+
+    /// [`diff_encoded`](Self::diff_encoded) into a buffer the caller
+    /// reuses (cleared first): a reveal that only prices each delta
+    /// allocates once per worker, not once per pair.
+    pub fn diff_encoded_into(&self, dst: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        self.scan(dst, &mut Encoded(out));
     }
 
     /// `encode(&self.diff(dst)).len()` without copying a literal.
@@ -431,17 +441,46 @@ fn map_by_source<T: Send>(
     tagged.into_iter().map(|(_, result)| result).collect()
 }
 
+/// Runs `f` for both directions of every pair — for `(a, b)` the jobs
+/// `a → b` and `b → a` — one index per version (see "Reveal by source" in
+/// the [module docs](self)); results in pair order.
+fn map_both_ways<T: Send>(
+    contents: &[Vec<u8>],
+    pairs: &[(u32, u32)],
+    f: impl Fn(&SourceIndex<'_>, &[u8]) -> T + Sync,
+) -> Vec<(T, T)> {
+    let jobs: Vec<(u32, u32)> = pairs.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+    let mut results = map_by_source(contents, &jobs, f).into_iter();
+    std::iter::from_fn(|| Some((results.next()?, results.next()?))).collect()
+}
+
 /// Reveals both directions of every pair: for `(a, b)` the encoded sizes
 /// of the deltas `a → b` and `b → a` over `contents`, in pair order —
-/// exactly `encode(&diff(..)).len()` for each, computed length-only with
-/// one index per version (see "Reveal by source" in the
-/// [module docs](self)). Bitwise identical at every thread count.
+/// exactly `encode(&diff(..)).len()` for each, computed length-only.
+/// Bitwise identical at every thread count.
 pub fn pair_sizes(contents: &[Vec<u8>], pairs: &[(u32, u32)]) -> Vec<(u64, u64)> {
-    let jobs: Vec<(u32, u32)> = pairs.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
-    map_by_source(contents, &jobs, |index, dst| index.diff_encoded_len(dst))
-        .chunks_exact(2)
-        .map(|both| (both[0], both[1]))
-        .collect()
+    map_both_ways(contents, pairs, |index, dst| index.diff_encoded_len(dst))
+}
+
+/// Reveals both directions of every pair through `price`: for `(a, b)`
+/// what `price` makes of the encoded deltas `a → b` and `b → a` — exactly
+/// `encode(&diff(..))` for each — in pair order. For a caller whose cost
+/// of a delta is not its length: a store that codes payloads prices a
+/// delta by its bytes. For a pure `price`, identical at every thread
+/// count.
+pub fn pair_costs<T: Send>(
+    contents: &[Vec<u8>],
+    pairs: &[(u32, u32)],
+    price: impl Fn(&[u8]) -> T + Sync,
+) -> Vec<(T, T)> {
+    // One buffer per worker thread, grown to the largest delta it meets.
+    thread_local!(static DELTA: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) });
+    map_both_ways(contents, pairs, |index, dst| {
+        DELTA.with_borrow_mut(|delta| {
+            index.diff_encoded_into(dst, delta);
+            price(delta)
+        })
+    })
 }
 
 /// The encoded delta `contents[src] → contents[dst]` for every
@@ -488,14 +527,15 @@ pub fn apply(src: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, DeltaError> {
 /// Serializes ops: per op a tag varint (`len << 1` = copy, `(len << 1) | 1`
 /// = insert) followed by the payload (copy offset / literal bytes).
 pub fn encode(ops: &[DeltaOp]) -> Vec<u8> {
-    let mut out = Encoded(Vec::new());
+    let mut out = Vec::new();
+    let mut sink = Encoded(&mut out);
     for op in ops {
         match op {
-            DeltaOp::Copy { offset, len } => out.copy(*offset, *len),
-            DeltaOp::Insert { bytes } => out.insert(bytes),
+            DeltaOp::Copy { offset, len } => sink.copy(*offset, *len),
+            DeltaOp::Insert { bytes } => sink.insert(bytes),
         }
     }
-    out.0
+    out
 }
 
 /// Parses a stream produced by [`encode`].

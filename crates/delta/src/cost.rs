@@ -13,7 +13,7 @@
 //! Costs are abstract `u64` units: bytes for `Δ`, byte-equivalents of work
 //! for `Φ` (read the delta, then write the reconstructed version).
 
-use dsv_compress::lz;
+use dsv_compress::huff;
 
 /// A `⟨storage, recreation⟩` cost pair — the per-edge annotation of the
 /// paper's version/storage graphs.
@@ -42,9 +42,10 @@ pub enum CostModel {
     /// processed (the paper's Scenarios 1 and 2).
     #[default]
     Proportional,
-    /// `Φ ≠ Δ`: store deltas LZ-compressed. `Δ` is the compressed size;
-    /// `Φ` is the uncompressed delta size plus the size of the
-    /// reconstructed version (decompress + patch work — Scenario 3).
+    /// `Φ ≠ Δ`: store payloads coded, as a compressing object store does
+    /// (`dsv_compress::huff`). `Δ` is the coded size; `Φ` is the raw
+    /// delta size plus the size of the reconstructed version (decode +
+    /// patch work — Scenario 3).
     CompressedStorage,
 }
 
@@ -53,10 +54,10 @@ pub fn full_annotation(model: CostModel, raw: &[u8]) -> CostAnnotation {
     match model {
         CostModel::Proportional => CostAnnotation::new(raw.len() as u64, raw.len() as u64),
         CostModel::CompressedStorage => {
-            // The store keeps the raw payload when compression does not
-            // shrink it (see `Object::encode`), so the modelled storage
-            // cost mirrors that fallback.
-            let compressed = lz::compress(raw).len().min(raw.len());
+            // The store keeps the raw payload when coding does not shrink
+            // it (see `Object::encode`), so the modelled storage cost
+            // mirrors that fallback.
+            let compressed = huff::coded_len(raw).min(raw.len());
             CostAnnotation::new(compressed as u64, raw.len() as u64)
         }
     }
@@ -76,7 +77,7 @@ pub fn delta_annotation(
         }
         CostModel::CompressedStorage => {
             // Same raw fallback as `full_annotation`.
-            let compressed = lz::compress(encoded_delta).len().min(encoded_delta.len());
+            let compressed = huff::coded_len(encoded_delta).min(encoded_delta.len());
             CostAnnotation::new(
                 compressed as u64,
                 encoded_delta.len() as u64 + target_len as u64,

@@ -13,7 +13,8 @@
 //!   sequences.
 //! - [`script`]: line-level edit scripts (directional and two-way).
 //! - [`bytes_delta`]: a compact copy/insert byte-delta format (the role
-//!   xdelta/LibXDiff play in the paper), optionally LZ-compressed.
+//!   xdelta/LibXDiff play in the paper); the object store may code it
+//!   further.
 //! - [`xor`]: XOR deltas — the paper's example of a *symmetric* mechanism,
 //!   yielding the undirected case.
 //! - [`tabular`]: cell-level deltas for tabular (CSV-like) data.

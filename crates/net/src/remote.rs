@@ -268,6 +268,13 @@ impl ObjectStore for RemoteStore {
         self.fetch_stats().map(|s| s.bytes).unwrap_or(0)
     }
 
+    /// What `dsvd` opens its shard stores with. The wire has no way to
+    /// ask; the flag moves into the persisted store configuration with
+    /// the rest of the topology (ROADMAP item 2).
+    fn compresses(&self) -> bool {
+        true
+    }
+
     fn len(&self) -> usize {
         self.fetch_stats().map(|s| s.objects).unwrap_or(0)
     }

@@ -401,6 +401,10 @@ impl<S: ObjectStore> ObjectStore for FaultStore<S> {
         self.inner.total_bytes()
     }
 
+    fn compresses(&self) -> bool {
+        self.inner.compresses()
+    }
+
     fn len(&self) -> usize {
         self.inner.len()
     }

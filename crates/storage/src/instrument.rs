@@ -68,6 +68,10 @@ impl<S: ObjectStore> ObjectStore for InstrumentedStore<S> {
         self.inner.total_bytes()
     }
 
+    fn compresses(&self) -> bool {
+        self.inner.compresses()
+    }
+
     fn len(&self) -> usize {
         self.inner.len()
     }
@@ -155,6 +159,9 @@ mod tests {
         }
         fn total_bytes(&self) -> u64 {
             self.0.total_bytes()
+        }
+        fn compresses(&self) -> bool {
+            self.0.compresses()
         }
         fn len(&self) -> usize {
             self.0.len()

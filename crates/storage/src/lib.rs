@@ -19,8 +19,9 @@
 //!
 //! - [`hash`]: 128-bit content addresses.
 //! - [`object`]: the three object kinds — `Full` bytes, `Delta{base,
-//!   ops}`, or `Chunked{chunks}` — with an optional LZ-compressed on-disk
-//!   encoding (the `Φ ≠ Δ` regime of the paper).
+//!   ops}`, or `Chunked{chunks}` — with an optional Huffman-coded on-disk
+//!   encoding (the `Φ ≠ Δ` regime of the paper) and [`stored_len`], the
+//!   size of that encoding from byte counts: what a planner prices.
 //! - [`store`]: the batch-first [`ObjectStore`] trait (single ops plus
 //!   `put_batch` / `get_batch` / `contains_batch` / `remove_batch` and a
 //!   [`StoreStats`] snapshot) with in-memory and on-disk implementations.
@@ -64,7 +65,7 @@ pub use fault::{FaultKind, FaultPlan, FaultStore};
 pub use hash::ObjectId;
 pub use instrument::InstrumentedStore;
 pub use materialize::{Materializer, RecreationWork};
-pub use object::{Object, StoreError};
+pub use object::{stored_len, Object, Priced, StoreError};
 pub use repack::{
     dependency_order, pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES,
 };

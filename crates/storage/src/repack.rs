@@ -4,8 +4,8 @@
 //! materialize, `Some(j)` = delta from version `j`). `pack_versions`
 //! realizes the plan against real bytes — computing byte deltas, storing
 //! objects — and reports the **measured** physical footprint, which is
-//! what the paper's §5.2 compares across schemes (and which can differ
-//! from the matrix prediction when the store compresses payloads).
+//! what the paper's §5.2 compares across schemes. A matrix priced with
+//! [`stored_len`](crate::object::stored_len) predicts it to the byte.
 
 use crate::hash::ObjectId;
 use crate::materialize::{Materializer, RecreationWork};

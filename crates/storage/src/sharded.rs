@@ -170,6 +170,11 @@ impl<S: ObjectStore + Sync> ObjectStore for ShardedStore<S> {
         self.shards.iter().map(|s| s.total_bytes()).sum()
     }
 
+    /// The shards are opened alike; the first answers for all.
+    fn compresses(&self) -> bool {
+        self.shards[0].compresses()
+    }
+
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
     }

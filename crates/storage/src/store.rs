@@ -189,6 +189,11 @@ pub trait ObjectStore {
     fn contains(&self, id: ObjectId) -> bool;
     /// Total bytes of encoded objects (physical footprint).
     fn total_bytes(&self) -> u64;
+    /// Whether the store codes payloads ([`Object::encode`]'s `compress`):
+    /// the policy [`crate::object::stored_len`] needs to price an object
+    /// as this store will hold it. Required, so a wrapper that forgets to
+    /// forward it does not compile rather than mispricing every plan.
+    fn compresses(&self) -> bool;
     /// Number of stored objects.
     fn len(&self) -> usize;
     /// Whether the store is empty.
@@ -329,6 +334,10 @@ impl ObjectStore for MemStore {
         self.map.read().values().map(|v| v.len() as u64).sum()
     }
 
+    fn compresses(&self) -> bool {
+        self.compress
+    }
+
     fn len(&self) -> usize {
         self.map.read().len()
     }
@@ -420,6 +429,28 @@ impl FileStore {
         self
     }
 
+    /// Removes every staging file (`*.tmp`) under `dir` — a store's
+    /// root, or the `objects/` directory above a set of shard roots —
+    /// and returns how many there were. A put that died between creating
+    /// its staging file and renaming it leaves one behind; nothing will
+    /// ever publish it. Recovery calls this, and recovery owns the
+    /// directory: a put in flight in another process would lose its
+    /// staging file and fail.
+    pub fn sweep_unpublished(dir: &Path) -> std::io::Result<usize> {
+        let mut removed = 0usize;
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            let path = entry.path();
+            if entry.file_type()?.is_dir() {
+                removed += FileStore::sweep_unpublished(&path)?;
+            } else if path.extension().is_some_and(|ext| ext == "tmp") {
+                std::fs::remove_file(&path)?;
+                removed += 1;
+            }
+        }
+        Ok(removed)
+    }
+
     fn path_of(&self, id: ObjectId) -> PathBuf {
         let hex = id.to_hex();
         self.dir.join(&hex[..2]).join(&hex[2..])
@@ -455,6 +486,35 @@ impl FileStore {
         Ok(id)
     }
 
+    /// Calls `visit` for every published object: the files named
+    /// `<2 hex>/<30 hex>` under the root. Whatever else a crash or a
+    /// stranger left there — an unpublished `.tmp` above all — is not an
+    /// object: `len`, `total_bytes` and `object_ids` all count through
+    /// here, so they cannot disagree about that.
+    fn for_each_object(&self, mut visit: impl FnMut(ObjectId, &std::fs::DirEntry)) {
+        let Ok(fanout) = std::fs::read_dir(&self.dir) else {
+            return;
+        };
+        for d in fanout.flatten() {
+            let prefix = d.file_name();
+            let Some(prefix) = prefix.to_str().filter(|p| p.len() == 2) else {
+                continue;
+            };
+            let Ok(files) = std::fs::read_dir(d.path()) else {
+                continue;
+            };
+            for f in files.flatten() {
+                let id = f
+                    .file_name()
+                    .to_str()
+                    .and_then(|rest| ObjectId::from_hex(&format!("{prefix}{rest}")));
+                if let Some(id) = id {
+                    visit(id, &f);
+                }
+            }
+        }
+    }
+
     fn read_object(&self, id: ObjectId) -> Result<Object, StoreError> {
         let path = self.path_of(id);
         let mut bytes = Vec::new();
@@ -481,29 +541,17 @@ impl ObjectStore for FileStore {
 
     fn total_bytes(&self) -> u64 {
         let mut total = 0u64;
-        if let Ok(fanout) = std::fs::read_dir(&self.dir) {
-            for d in fanout.flatten() {
-                if let Ok(files) = std::fs::read_dir(d.path()) {
-                    for f in files.flatten() {
-                        if let Ok(meta) = f.metadata() {
-                            total += meta.len();
-                        }
-                    }
-                }
-            }
-        }
+        self.for_each_object(|_, file| total += file.metadata().map_or(0, |meta| meta.len()));
         total
+    }
+
+    fn compresses(&self) -> bool {
+        self.compress
     }
 
     fn len(&self) -> usize {
         let mut n = 0usize;
-        if let Ok(fanout) = std::fs::read_dir(&self.dir) {
-            for d in fanout.flatten() {
-                if let Ok(files) = std::fs::read_dir(d.path()) {
-                    n += files.count();
-                }
-            }
-        }
+        self.for_each_object(|_, _| n += 1);
         n
     }
 
@@ -547,32 +595,19 @@ impl ObjectStore for FileStore {
 
     fn object_ids(&self) -> Vec<ObjectId> {
         let mut ids = Vec::new();
-        let Ok(fanout) = std::fs::read_dir(&self.dir) else {
-            return ids;
-        };
-        for d in fanout.flatten() {
-            let prefix = d.file_name();
-            let Some(prefix) = prefix.to_str() else {
-                continue;
-            };
-            if let Ok(files) = std::fs::read_dir(d.path()) {
-                for f in files.flatten() {
-                    if let Some(rest) = f.file_name().to_str() {
-                        // Unpublished `.tmp` leftovers are not objects.
-                        if let Some(id) = ObjectId::from_hex(&format!("{prefix}{rest}")) {
-                            ids.push(id);
-                        }
-                    }
-                }
-            }
-        }
+        self.for_each_object(|id, _| ids.push(id));
         ids
     }
 
     fn stats(&self) -> StoreStats {
+        let (mut objects, mut bytes) = (0usize, 0u64);
+        self.for_each_object(|_, file| {
+            objects += 1;
+            bytes += file.metadata().map_or(0, |meta| meta.len());
+        });
         StoreStats {
-            objects: self.len(),
-            bytes: self.total_bytes(),
+            objects,
+            bytes,
             shards: Vec::new(),
             ops: self.counters.snapshot(),
         }
@@ -723,6 +758,37 @@ mod tests {
     }
 
     #[test]
+    fn an_unpublished_tmp_is_not_an_object_and_recovery_sweeps_it() {
+        // A put that died between creating its staging file and the
+        // publishing rename. `object_ids` always skipped the leftover, but
+        // `len` and `total_bytes` used to count it: len 2 · ids 1 ·
+        // total_bytes 5014 for this store.
+        let dir = std::env::temp_dir().join(format!("dsv-store-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = FileStore::open(&dir, false).unwrap();
+        let obj = Object::Full {
+            data: b"published!".to_vec(),
+        };
+        let id = store.put(&obj).unwrap();
+        let clean = obj.encode(false).len() as u64;
+        let fanout = dir.join(&id.to_hex()[..2]);
+        std::fs::write(fanout.join("deadbeef.tmp"), vec![0u8; 5000]).unwrap();
+        std::fs::write(dir.join("stray"), b"not in a fan-out directory").unwrap();
+
+        assert_eq!(store.object_ids(), vec![id]);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.total_bytes(), clean);
+        let stats = store.stats();
+        assert_eq!((stats.objects, stats.bytes), (1, clean));
+
+        assert_eq!(FileStore::sweep_unpublished(&dir).unwrap(), 1);
+        assert!(!fanout.join("deadbeef.tmp").exists());
+        assert_eq!(store.get(id).unwrap(), obj);
+        assert_eq!(FileStore::sweep_unpublished(&dir).unwrap(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn compression_reduces_footprint() {
         let raw = MemStore::new(false);
         let compressed = MemStore::new(true);
@@ -731,7 +797,10 @@ mod tests {
         };
         raw.put(&obj).unwrap();
         compressed.put(&obj).unwrap();
-        assert!(compressed.total_bytes() < raw.total_bytes() / 2);
+        // Measured: 5,400 B over a 13-value alphabet code to 2,376 B (an
+        // order-0 code does not see the repeat; LZ made 33 of it).
+        let (coded, raw) = (compressed.total_bytes(), raw.total_bytes());
+        assert!(coded < raw / 2, "{coded} of {raw}");
     }
 
     #[test]
@@ -779,6 +848,9 @@ mod tests {
             }
             fn total_bytes(&self) -> u64 {
                 self.0.total_bytes()
+            }
+            fn compresses(&self) -> bool {
+                self.0.compresses()
             }
             fn len(&self) -> usize {
                 self.0.len()

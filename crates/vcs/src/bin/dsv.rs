@@ -718,10 +718,11 @@ fn local_only(cmd: &str, args: &[String]) -> Result<(), String> {
 /// Renders an optimize outcome.
 fn print_optimize_summary(s: &OptimizeSummary) {
     println!(
-        "{}: {} -> {} bytes on disk ({} materialized, {} chunked, planned maxR {})",
+        "{}: {} -> {} bytes on disk, planned C {} ({} materialized, {} chunked, planned maxR {})",
         s.problem,
         s.storage_before,
         s.storage_after,
+        s.planned_storage_cost,
         s.materialized,
         s.chunked,
         s.planned_max_recreation

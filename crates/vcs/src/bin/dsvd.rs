@@ -45,7 +45,7 @@ use dsv_net::server::{Server, ServerOptions};
 use dsv_net::{StoreService, StoreServiceConfig};
 use dsv_obs as obs;
 use dsv_storage::{FileStore, ObjectStore};
-use dsv_vcs::{Dsvd, DsvdConfig};
+use dsv_vcs::{persist, Dsvd, DsvdConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -174,8 +174,11 @@ fn run(args: &[String]) -> Result<(), String> {
         // Bare store shard: content-addressed objects only, served via
         // the protocol-v3 `Store*` opcodes. There is no commit DAG here,
         // so no recovery pass — every stored object is self-verifying by
-        // address, and puts are idempotent.
+        // address, and puts are idempotent. What a crashed put can leave
+        // is its staging file; this process now owns the directory, so
+        // it drops them.
         let store = FileStore::open(&opts.root.join("objects"), true).map_err(|e| e.to_string())?;
+        persist::sweep_unpublished(&opts.root).map_err(|e| e.to_string())?;
         let objects = store.len();
         let service = StoreService::new(
             store,

@@ -246,8 +246,11 @@ pub fn recover<S: ObjectStore>(
     Ok(recovery)
 }
 
-/// Repairing fsck: resolve any pending journal ([`recover`]), then check
-/// and remove whatever orphans remain. The returned report reflects the
+/// Repairing fsck: drop the staging files of puts that never published
+/// ([`persist::sweep_unpublished`]), resolve any pending journal
+/// ([`recover`]), then check and remove whatever orphans remain. Like the
+/// orphan GC, the sweep takes the caller to be the repository's only
+/// writer. The returned report reflects the
 /// *post-repair* state plus what was done (`recovery`,
 /// `orphans_removed`); a report that is still not
 /// [`clean`](FsckReport::is_clean) means real corruption (bad addresses
@@ -257,7 +260,11 @@ pub fn fsck_repair<S: ObjectStore>(
     root: Option<&Path>,
 ) -> Result<FsckReport, VcsError> {
     let recovery = match root {
-        Some(root) => Some(recover(repo, root)?),
+        Some(root) => {
+            let swept = persist::sweep_unpublished(root)?;
+            obs::counter!("fsck.unpublished_removed", swept as u64);
+            Some(recover(repo, root)?)
+        }
         None => None,
     };
     let mut report = fsck(repo, root);
@@ -479,24 +486,86 @@ mod tests {
 
     #[test]
     fn absurd_compressed_length_is_reported_not_fatal() {
-        // A ten-byte object file: `Full`, LZ codec, a payload that is
-        // only a varint declaring 32 TiB (or 2^63 - 1, which overflows a
-        // capacity). `lz::decompress` used to abort the process on it.
+        // A ten-byte object file: `Full`, a coded payload that is only a
+        // varint declaring 32 TiB (or 2^63 - 1, which overflows a
+        // capacity). Under the LZ codec `lz::decompress` used to abort the
+        // process on it; the Huffman codec is held to the same.
         let huge: &[u8] = &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x08];
         let overflow: &[u8] = &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
-        for (tag, declared) in [("huge", huge), ("overflow", overflow)] {
-            let dir = TempDir::new(tag);
-            let repo = disk_repo(&dir.0);
-            let mut bytes = vec![0u8, 1, declared.len() as u8];
-            bytes.extend_from_slice(declared);
-            let victim = repo.objects[0];
-            std::fs::write(object_path(&dir.0, victim), &bytes).unwrap();
-            let report = fsck(&repo, Some(&dir.0));
-            assert_eq!(report.bad_addresses, vec![victim]);
-            assert_eq!(report.unreadable.len(), repo.version_count());
-            assert!(report.unreadable[0].1.contains("bad compression"));
-            assert!(repo.checkout(crate::CommitId(0)).is_err());
+        for codec in [1u8, 2] {
+            for (tag, declared) in [("huge", huge), ("overflow", overflow)] {
+                let dir = TempDir::new(&format!("{tag}-{codec}"));
+                let repo = disk_repo(&dir.0);
+                let mut bytes = vec![0u8, codec, declared.len() as u8];
+                bytes.extend_from_slice(declared);
+                let victim = repo.objects[0];
+                std::fs::write(object_path(&dir.0, victim), &bytes).unwrap();
+                let report = fsck(&repo, Some(&dir.0));
+                assert_eq!(report.bad_addresses, vec![victim]);
+                assert_eq!(report.unreadable.len(), repo.version_count());
+                assert!(report.unreadable[0].1.contains("bad compression"));
+                assert!(repo.checkout(crate::CommitId(0)).is_err());
+            }
         }
+    }
+
+    #[test]
+    fn damaged_huffman_objects_are_reported_not_fatal() {
+        // The root as the store wrote it: tag 0, codec 2, a two-byte
+        // length, then the stream — two bytes of declared length, four of
+        // group bits, a mask per group, the code lengths.
+        let pristine = TempDir::new("huff-pristine");
+        let root = disk_repo(&pristine.0).objects[0];
+        let good = std::fs::read(object_path(&pristine.0, root)).unwrap();
+        assert_eq!(good[..2], [0, 2]);
+        assert!(good[2] & 0x80 != 0 && good[3] & 0x80 == 0 && good[2] & 0x7f != 0);
+        let stream_at = 4;
+        let groups = u32::from_le_bytes(*good[stream_at + 2..].first_chunk().unwrap());
+        let masks_at = stream_at + 2 + 4;
+        let lengths_at = masks_at + groups.count_ones() as usize;
+
+        let mut oversubscribed = good.clone();
+        oversubscribed[lengths_at] = 0x11;
+        let mut empty_group = good.clone();
+        empty_group[masks_at] = 0;
+        let mut truncated = good[..good.len() - 1].to_vec();
+        truncated[2] -= 1;
+        let mut trailing = good.clone();
+        trailing.push(0);
+        trailing[2] += 1;
+        for (tag, bytes) in [
+            ("oversubscribed", oversubscribed),
+            ("empty-group", empty_group),
+            ("truncated", truncated),
+            ("trailing", trailing),
+        ] {
+            let dir = TempDir::new(&format!("huff-{tag}"));
+            let repo = disk_repo(&dir.0);
+            std::fs::write(object_path(&dir.0, root), &bytes).unwrap();
+            let report = fsck(&repo, Some(&dir.0));
+            assert_eq!(report.bad_addresses, vec![root], "{tag}");
+            assert_eq!(report.unreadable.len(), repo.version_count(), "{tag}");
+            assert!(report.unreadable[0].1.contains("bad compression"), "{tag}");
+            assert!(repo.checkout(crate::CommitId(0)).is_err(), "{tag}");
+        }
+    }
+
+    #[test]
+    fn repair_sweeps_the_staging_file_of_a_put_that_never_published() {
+        let dir = TempDir::new("unpublished");
+        let mut repo = disk_repo(&dir.0);
+        let clean = repo.store.total_bytes();
+        let staging = object_path(&dir.0, repo.objects[0]).with_file_name("deadbeef.tmp");
+        std::fs::write(&staging, vec![0u8; 5000]).unwrap();
+        // Not an object: nothing counts it, a read-only check leaves it.
+        assert_eq!(repo.store.total_bytes(), clean);
+        assert_eq!(repo.store.len(), repo.version_count());
+        assert!(fsck(&repo, Some(&dir.0)).is_clean());
+        assert!(staging.exists());
+        let repaired = fsck_repair(&mut repo, Some(&dir.0)).unwrap();
+        assert!(repaired.is_clean(), "{repaired}");
+        assert!(!staging.exists());
+        assert_eq!(repo.store.total_bytes(), clean);
     }
 
     #[test]

@@ -22,7 +22,9 @@ use dsv_core::{
 };
 use dsv_delta::bytes_delta;
 use dsv_obs as obs;
-use dsv_storage::{pack_versions, Materializer, ObjectId, ObjectStore, PackOptions};
+use dsv_storage::{
+    pack_versions, stored_len, Materializer, ObjectId, ObjectStore, PackOptions, Priced,
+};
 use std::collections::{HashSet, VecDeque};
 use std::path::Path;
 
@@ -43,7 +45,9 @@ pub struct OptimizeReport {
     /// Number of versions now stored as chunk manifests (hybrid target
     /// only; 0 for binary optimizes).
     pub chunked: usize,
-    /// Predicted total storage cost of the chosen plan (matrix units).
+    /// Predicted total storage cost of the chosen plan. For a binary
+    /// plan over distinct versions this is `storage_after` to the byte:
+    /// the matrix prices every object as the store encodes it.
     pub planned_storage_cost: u64,
     /// Predicted maximum recreation cost of the chosen plan.
     pub planned_max_recreation: u64,
@@ -184,23 +188,37 @@ impl<S: ObjectStore> Repository<S> {
             out
         };
 
-        // Build the instance: Φ = Δ over real byte-delta sizes, plus —
-        // for the hybrid target — per-version chunked estimates.
-        let diag: Vec<CostPair> = contents
-            .iter()
-            .map(|c| CostPair::proportional(c.len() as u64))
-            .collect();
+        // Build the instance over real byte deltas. Δ is what the store
+        // will hold for the object — header, and the payload as the
+        // store's codec leaves it — and Φ the payload bytes a checkout
+        // reads, so the plan's storage cost is the byte count the pack
+        // below produces. The hybrid target keeps Φ = Δ = payload bytes
+        // in all three modes until the chunk estimator prices manifests
+        // and chunks the same way.
+        let compress = self.store.compresses();
+        let price = |kind: Priced, payload: &[u8]| {
+            let raw = payload.len() as u64;
+            CostPair {
+                storage: match chunking {
+                    Some(_) => raw,
+                    None => stored_len(kind, payload, compress),
+                },
+                recreation: raw,
+            }
+        };
+        let diag: Vec<CostPair> = contents.iter().map(|c| price(Priced::Full, c)).collect();
         let mut matrix = CostMatrix::directed(diag);
         // The all-pairs reveal is the optimize hot path (§5.1's "real
-        // deltas between every pair"): size both directions of every pair
-        // on the dsv-par runtime, one source index per version, then
-        // reveal sequentially (reveal order does not affect the matrix).
+        // deltas between every pair"): encode and price both directions of
+        // every pair on the dsv-par runtime, one source index per version,
+        // then reveal sequentially (reveal order does not affect the
+        // matrix).
         let pairs = self.pairs_within_hops(reveal_hops);
         let reveal_span = obs::span!("reveal", pairs = pairs.len()).entered();
-        let costs = bytes_delta::pair_sizes(&contents, &pairs);
+        let costs = bytes_delta::pair_costs(&contents, &pairs, |delta| price(Priced::Delta, delta));
         for (&(a, b), (fwd, rev)) in pairs.iter().zip(costs) {
-            matrix.reveal(a, b, CostPair::proportional(fwd));
-            matrix.reveal(b, a, CostPair::proportional(rev));
+            matrix.reveal(a, b, fwd);
+            matrix.reveal(b, a, rev);
         }
         drop(reveal_span);
         if let Some(params) = chunking {

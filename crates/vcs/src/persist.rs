@@ -103,6 +103,9 @@ impl ObjectStore for RepoStore {
     fn total_bytes(&self) -> u64 {
         delegate!(self, s => s.total_bytes())
     }
+    fn compresses(&self) -> bool {
+        delegate!(self, s => s.compresses())
+    }
     fn len(&self) -> usize {
         delegate!(self, s => s.len())
     }
@@ -285,6 +288,18 @@ pub fn clear_journal(root: &Path) -> Result<(), VcsError> {
     fault::remove_file(&journal_path(root), "journal").map_err(StoreError::from)?;
     fault::sync_dir(root, "journal").map_err(StoreError::from)?;
     Ok(())
+}
+
+/// Removes the staging files crashed puts left under `<root>/objects`
+/// (either layout; see [`FileStore::sweep_unpublished`] for who may call
+/// this) and returns how many. A repository whose objects are all remote
+/// has no such directory and nothing to sweep: every store server sweeps
+/// its own when it starts.
+pub fn sweep_unpublished(root: &Path) -> Result<usize, VcsError> {
+    match FileStore::sweep_unpublished(&root.join("objects")) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+        swept => Ok(swept.map_err(StoreError::from)?),
+    }
 }
 
 /// Loads a repository whose objects live in `<root>/objects` — flat or

@@ -238,11 +238,11 @@ fn local_and_remote_print_the_same() {
          \ntotal: read 17412 bytes, 0 cache hits, saved 0 bytes\n",
     );
 
-    both(s, &["optimize", "p1", "--solver", "mst"], 0, "P1: minimize storage: 4141 -> 4112 bytes on disk (1 materialized, 0 chunked, planned maxR 5871)\
+    both(s, &["optimize", "p1", "--solver", "mst"], 0, "P1: minimize storage: 3064 -> 3048 bytes on disk, planned C 3048 (1 materialized, 0 chunked, planned maxR 5871)\
          \nsolver: mst\n");
-    both(s, &["optimize", "p3", "30000", "--solver", "lmg"], 0, "P3: minimize ΣRi s.t. C ≤ 30000: 4112 -> 15965 bytes on disk (4 materialized, 0 chunked, planned maxR 5820)\
+    both(s, &["optimize", "p3", "30000", "--solver", "lmg"], 0, "P3: minimize ΣRi s.t. C ≤ 30000: 3048 -> 11685 bytes on disk, planned C 11685 (4 materialized, 0 chunked, planned maxR 5820)\
          \nsolver: lmg\n");
-    both(s, &["optimize", "p6", "60000", "--portfolio", "--hybrid"], 0, "P6: minimize C s.t. max Ri ≤ 60000: 15965 -> 4769 bytes on disk (0 materialized, 1 chunked, planned maxR 5983)\
+    both(s, &["optimize", "p6", "60000", "--portfolio", "--hybrid"], 0, "P6: minimize C s.t. max Ri ≤ 60000: 11685 -> 3214 bytes on disk, planned C 864 (0 materialized, 1 chunked, planned maxR 5983)\
          \nportfolio: 7 candidates, winner ilp\
          \n  mst          objective 864 (C 864, ΣR 23830, maxR 5983)\
          \n  spt          objective 23178 (C 23178, ΣR 23178, maxR 5820)\
@@ -255,21 +255,21 @@ fn local_and_remote_print_the_same() {
         s,
         &["store", "--json"],
         0,
-        "{\"objects\": 10, \"bytes\": 4769, \"logical_bytes\": 23178, \"shards\": [], \n",
+        "{\"objects\": 10, \"bytes\": 3214, \"logical_bytes\": 23178, \"shards\": [], \n",
     );
     both(
         s,
         &["store"],
         0,
-        "10 objects, 4769 bytes on disk (flat)\
-         \ndedup ratio: 4.86x (23178 logical bytes)\n",
+        "10 objects, 3214 bytes on disk (flat)\
+         \ndedup ratio: 7.21x (23178 logical bytes)\n",
     );
     both(
         s,
         &["stats"],
         0,
-        "10 objects, 4769 bytes on disk (flat)\
-         \ndedup ratio: 4.86x (23178 logical bytes)\n",
+        "10 objects, 3214 bytes on disk (flat)\
+         \ndedup ratio: 7.21x (23178 logical bytes)\n",
     );
     both(
         s,

@@ -15,7 +15,9 @@
 //! - [`graph`] — graph substrate (Dijkstra, Prim/Kruskal, Edmonds, trees).
 //! - [`delta`] — differencing substrate (Myers diff, byte/XOR/tabular
 //!   deltas).
-//! - [`compress`] — LZ77-style compression used for compact delta storage.
+//! - [`compress`] — the object store's order-0 Huffman payload codec
+//!   (whose output size the planner prices), and the LZ77-style compressor
+//!   older stores were written with.
 //! - [`storage`] — batch-first, content-addressed object store with delta
 //!   chains: `put_batch`/`get_batch` move whole plans, `ShardedStore`
 //!   partitions batches across id-prefix shards written concurrently, and

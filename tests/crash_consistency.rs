@@ -21,7 +21,7 @@ use dsv_net::frame::NetError;
 use dsv_net::server::{Server, ServerOptions};
 use dsv_net::{Client, RetryPolicy};
 use dsv_storage::fault::{self, FaultPlan};
-use dsv_storage::FileStore;
+use dsv_storage::{FileStore, ObjectStore};
 use dsv_vcs::{fsck, persist, CommitId, Dsvd, DsvdConfig, OnlineOptions, RepoStore, Repository};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -97,6 +97,18 @@ fn seed(root: &Path, base: &[Vec<u8>]) -> Repository<RepoStore> {
     repo
 }
 
+/// How many `*.tmp` files sit anywhere under `dir`.
+fn staging_files(dir: &Path) -> usize {
+    let entries = std::fs::read_dir(dir).unwrap();
+    entries
+        .map(|entry| entry.unwrap().path())
+        .map(|path| match path.is_dir() {
+            true => staging_files(&path),
+            false => usize::from(path.extension().is_some_and(|ext| ext == "tmp")),
+        })
+        .sum()
+}
+
 /// The sweep harness. `op` is one durable operation (commit, repack)
 /// run against a freshly seeded repository; `new_versions` is what it
 /// appends to the history when it completes. Pass 1 enumerates the
@@ -111,14 +123,18 @@ where
     let _guard = fault_lock();
     let dir = TempDir::new(tag);
 
-    // Pass 1: count the crash points.
+    // Pass 1: count the crash points, and take the two clean footprints
+    // a survivor may have: the seeded history's and the completed
+    // operation's.
     let count_root = dir.0.join("count");
     let mut repo = seed(&count_root, base);
+    let old_bytes = repo.store().total_bytes();
     let plan = FaultPlan::count_sites();
     fault::install(std::sync::Arc::clone(&plan));
     let clean_run = op(&mut repo, &count_root);
     fault::uninstall();
     clean_run.expect("the operation must succeed with a never-firing plan");
+    let new_bytes = repo.store().total_bytes();
     let sites = plan.sites();
     assert!(
         !sites.is_empty(),
@@ -157,6 +173,29 @@ where
             "{tag} site {i} ({site}): {count} versions is neither fully-old \
              ({}) nor fully-new ({full_new})",
             base.len()
+        );
+        // Nothing a crash left behind is counted as stored: not the
+        // orphans (collected above) and not the staging file of a put that
+        // died before its rename — at an `object` write, sync or rename
+        // site that file used to stay, and inflate `total_bytes`, forever.
+        let bytes = survivor.store().total_bytes();
+        let clean_bytes = if new_versions.is_empty() {
+            // A repack keeps the version count; recovery rolls it back or
+            // forward.
+            [old_bytes, new_bytes]
+        } else if count == base.len() {
+            [old_bytes; 2]
+        } else {
+            [new_bytes; 2]
+        };
+        assert!(
+            clean_bytes.contains(&bytes),
+            "{tag} site {i} ({site}): {bytes} bytes stored, clean is {clean_bytes:?}"
+        );
+        assert_eq!(
+            staging_files(&root.join("objects")),
+            0,
+            "{tag} site {i} ({site}): recovery left an unpublished object file"
         );
         let expected: Vec<&Vec<u8>> = base.iter().chain(new_versions).collect();
         for (v, want) in expected.iter().enumerate().take(count) {

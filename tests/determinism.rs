@@ -302,3 +302,44 @@ fn pair_sizes_match_the_one_shot_loop_at_every_thread_count() {
         );
     }
 }
+
+/// Property: the priced reveal (`bytes_delta::pair_costs` handing every
+/// encoded delta to `storage::stored_len`, whose coded size comes from
+/// `compress::huff::coded_len`) gives what pricing a one-shot
+/// `encode(&diff(a, b))` gives, and the Huffman stream of a version is the
+/// same bytes, at 1, 2 and 8 threads: every stored size, plan and
+/// `planned C` is made of these.
+#[test]
+fn priced_reveal_and_payload_codec_agree_at_every_thread_count() {
+    use dataset_versioning::compress::huff;
+    use dataset_versioning::delta::bytes_delta::{diff, encode, pair_costs};
+    use dataset_versioning::storage::{stored_len, Object, ObjectId, Priced};
+
+    let ds = presets::dedup_chain().scaled(16).keep_contents().build(5);
+    let contents = ds.contents.as_ref().unwrap();
+    let n = contents.len() as u32;
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|a| (a + 1..n.min(a + 4)).map(move |b| (a, b)))
+        .collect();
+    // The reference builds the object and measures it.
+    let stored = |a: u32, b: u32| {
+        let delta = encode(&diff(&contents[a as usize], &contents[b as usize]));
+        let base = ObjectId::for_bytes(b"any base");
+        Object::Delta { base, delta }.encode(true).len() as u64
+    };
+    let reference: Vec<(u64, u64)> = pairs
+        .iter()
+        .map(|&(a, b)| (stored(a, b), stored(b, a)))
+        .collect();
+    let streams: Vec<Vec<u8>> = contents.iter().map(|c| huff::encode(c)).collect();
+    for threads in THREAD_COUNTS {
+        par::with_thread_count(threads, || {
+            let priced = pair_costs(contents, &pairs, |d| stored_len(Priced::Delta, d, true));
+            assert_eq!(priced, reference, "t{threads}");
+            for (content, stream) in contents.iter().zip(&streams) {
+                assert_eq!(&huff::encode(content), stream, "t{threads}");
+                assert_eq!(huff::coded_len(content), stream.len(), "t{threads}");
+            }
+        });
+    }
+}

@@ -47,7 +47,9 @@ impl StoreServer {
             read_timeout: Some(Duration::from_secs(10)),
         };
         let handle = std::thread::spawn(move || {
-            StoreService::new(MemStore::new(false), config).serve(&server);
+            // Coding payloads, like the `FileStore` a `dsvd --store-server`
+            // opens: a `RemoteStore` prices objects for that policy.
+            StoreService::new(MemStore::new(true), config).serve(&server);
         });
         StoreServer {
             addr,
@@ -105,7 +107,7 @@ fn remote_sharded_repository_is_equivalent_to_local() {
     for threads in [1usize, 2, 8] {
         dsv_par::with_thread_count(threads, || {
             // The local reference for this thread count.
-            let mut local = Repository::init(MemStore::new(false));
+            let mut local = Repository::init(MemStore::new(true));
             for data in &contents {
                 local.commit("main", data, "step").unwrap();
             }
