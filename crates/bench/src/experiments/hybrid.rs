@@ -15,7 +15,7 @@
 //! equal-or-better max recreation cost — the per-version choice reaches
 //! tradeoff points no pure regime offers.
 
-use crate::report::{human_bytes, Table};
+use crate::report::{human_bytes, out_dir, Table};
 use crate::Scale;
 use dsv_chunk::{pack_versions_hybrid, ChunkerParams};
 use dsv_core::{Problem, ProblemInstance, StorageMode, StorageSolution};
@@ -194,9 +194,7 @@ pub fn run(scale: Scale) -> Vec<HybridRow> {
 
 /// Writes the rows as `target/experiments/BENCH_hybrid.json`.
 pub fn write_json(rows: &[HybridRow]) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/experiments");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_hybrid.json");
+    let path = out_dir()?.join("BENCH_hybrid.json");
     let mut out = String::from("{\n  \"experiment\": \"hybrid\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(

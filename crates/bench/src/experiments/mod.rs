@@ -12,12 +12,8 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig17;
 pub mod hybrid;
-pub mod perf;
-pub mod read;
 pub mod sec52;
-pub mod serve;
 pub mod solver_matrix;
-pub mod store;
 pub mod substrates;
 pub mod table2;
 

@@ -13,7 +13,7 @@
 //! solver produces at least one validating plan and that no portfolio
 //! result is worse than the Table-1 prescribed solver's).
 
-use crate::report::{human_bytes, Table};
+use crate::report::{human_bytes, out_dir, Table};
 use crate::Scale;
 use dsv_chunk::ChunkerParams;
 use dsv_core::solvers::registry::{prescribed, registry};
@@ -253,9 +253,7 @@ pub fn run(scale: Scale) -> Vec<MatrixRow> {
 
 /// Writes the rows as `target/experiments/BENCH_solvers.json`.
 pub fn write_json(rows: &[MatrixRow]) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/experiments");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_solvers.json");
+    let path = out_dir()?.join("BENCH_solvers.json");
     let mut out = String::from("{\n  \"experiment\": \"solver_matrix\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(

@@ -10,7 +10,7 @@
 //! the rows as `target/experiments/BENCH_substrates.json` so future
 //! changes have a machine-readable perf trajectory to track.
 
-use crate::report::{human_bytes, Table};
+use crate::report::{human_bytes, out_dir, Table};
 use crate::Scale;
 use dsv_chunk::{pack_versions_chunked, ChunkerParams};
 use dsv_core::Problem;
@@ -155,9 +155,7 @@ pub fn run(scale: Scale) -> Vec<SubstrateRow> {
 /// Writes the rows as `target/experiments/BENCH_substrates.json`
 /// (hand-rolled JSON; every field is a number or plain ASCII name).
 pub fn write_json(rows: &[SubstrateRow]) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/experiments");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_substrates.json");
+    let path = out_dir()?.join("BENCH_substrates.json");
     let mut out = String::from(
         "{\n  \"experiment\": \"substrates\",\n  \"workload\": \"dedup-chain\",\n  \"rows\": [\n",
     );

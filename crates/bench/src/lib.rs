@@ -4,11 +4,13 @@
 //!
 //! Each module in [`experiments`] corresponds to one element of the
 //! paper's evaluation (§5) and produces the same rows/series the paper
-//! reports, printed as aligned tables and written as CSV under
-//! `target/experiments/`. The one binary, `dsv-bench <experiment>
-//! [--quick]`, runs any of them by name and `dsv-bench all` runs the
-//! paper reproduction in sequence. Criterion benches
-//! (in `benches/`) cover the runtime-flavoured results. Every experiment
+//! reports, printed as aligned tables and written as CSV under the
+//! workspace's `target/experiments/` ([`report::out_dir`]). The one
+//! binary, `dsv-bench <experiment> [--quick]`, runs any of them by name
+//! and `dsv-bench all` runs the paper reproduction in sequence. Criterion
+//! benches (in `benches/`) cover the runtime-flavoured results and the
+//! substrate kernels; how fast the *system* is — put/get, checkout,
+//! commit, serve — is measured by `benchmark/`, not here. Every experiment
 //! reaches the solver suite through the planner (`dsv_core::plan` with a
 //! `PlanSpec` naming a registry solver); `experiments::solver_matrix`
 //! runs the whole registry × Problems 1–6 × workloads and writes

@@ -1,8 +1,13 @@
-//! `dsv-bench <experiment> [--quick]` — runs one experiment harness, or
-//! `all` for the paper reproduction in sequence (the EXPERIMENTS.md
-//! driver). `--quick` shrinks every workload to a seconds-scale smoke
-//! run. Tables go to stdout; CSV and `BENCH_*.json` outputs land under
-//! `target/experiments/` relative to the working directory.
+//! `dsv-bench <experiment> [--quick]` — paper reproduction + substrate
+//! benches: runs one experiment harness, or `all` for the whole sequence
+//! (the REPRODUCTION.md driver). `--quick` shrinks every workload to a
+//! seconds-scale smoke run. Tables go to stdout; CSV and `BENCH_*.json`
+//! outputs land under the workspace's `target/experiments/`
+//! ([`dsv_bench::report::out_dir`]).
+//!
+//! This binary answers "do the paper's figures reproduce". "How fast is
+//! the system" — put/get, checkout, commit and serve timings, repeated
+//! with spread — is `benchmark/`'s question (see `BENCHMARK.json`).
 //!
 //! - `fig12` … `fig17` regenerate Figures 12–17: dataset properties;
 //!   directed storage vs ΣR; directed storage vs max R; the undirected
@@ -17,16 +22,6 @@
 //!   plus portfolio runs with provenance → `BENCH_solvers.json`;
 //!   `--quick` doubles as the CI smoke (every registered solver must
 //!   produce a validating plan).
-//! - `perf`: build / estimate / solve / pack at 1–N dsv-par workers,
-//!   parallel ≡ sequential asserted → `BENCH_perf.json`.
-//! - `store`: single vs batch vs sharded-batch put/get on the LC/BF/DD
-//!   pack corpora, byte-identical stores asserted → `BENCH_store.json`.
-//! - `read`: a Zipf(2) checkout trace with and without the bounded
-//!   `CheckoutCache`, byte-identical checkouts and a strict store-read
-//!   reduction asserted → `BENCH_read.json`.
-//! - `serve`: N concurrent `dsv-net` clients replaying a Zipf(2) trace
-//!   with interleaved online commits against one loopback `dsvd`, every
-//!   checkout verified against a local mirror → `BENCH_serve.json`.
 
 use dsv_bench::{experiments as ex, timed, Scale};
 
@@ -47,18 +42,9 @@ const REPRODUCTION: [Experiment; 11] = [
     ("solver_matrix", |s| drop(ex::solver_matrix::run(s))),
 ];
 
-/// Measurements of this system rather than of the paper's claims.
-const SYSTEM: [Experiment; 4] = [
-    ("perf", |s| drop(ex::perf::run(s))),
-    ("store", |s| drop(ex::store::run(s))),
-    ("read", |s| drop(ex::read::run(s))),
-    ("serve", |s| drop(ex::serve::run(s))),
-];
-
 fn main() -> std::process::ExitCode {
     let scale = Scale::from_args();
     let wanted = std::env::args().skip(1).find(|a| !a.starts_with("--"));
-    let mut known = REPRODUCTION.iter().chain(&SYSTEM);
     match wanted.as_deref() {
         Some("all") => {
             println!("# Reproduction run ({scale:?} scale)\n");
@@ -71,7 +57,7 @@ fn main() -> std::process::ExitCode {
                  BENCH_hybrid.json, BENCH_solvers.json)"
             );
         }
-        Some(name) => match known.find(|e| e.0 == name) {
+        Some(name) => match REPRODUCTION.iter().find(|e| e.0 == name) {
             Some((_, run)) => run(scale),
             None => {
                 eprintln!(
@@ -81,7 +67,7 @@ fn main() -> std::process::ExitCode {
             }
         },
         None => {
-            let names: Vec<&str> = known.map(|e| e.0).collect();
+            let names: Vec<&str> = REPRODUCTION.iter().map(|e| e.0).collect();
             println!("usage: dsv-bench <experiment|all> [--quick]");
             println!("experiments: {}", names.join(" "));
         }

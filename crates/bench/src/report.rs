@@ -1,7 +1,7 @@
 //! Table rendering and CSV output for experiment results.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
@@ -75,11 +75,24 @@ impl Table {
     }
 }
 
+/// Where every experiment output (CSV and `BENCH_*.json`) lands: the
+/// workspace's `target/experiments/`, created on first use. Anchored at
+/// this crate's manifest rather than the working directory — `cargo test`
+/// runs from the package directory, `cargo run` from wherever it is
+/// typed, and both must write where CI looks.
+pub fn out_dir() -> std::io::Result<PathBuf> {
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root");
+    let dir = workspace.join("target/experiments");
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir)
+}
+
 /// Writes rows as CSV under `target/experiments/<name>.csv`.
 pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/experiments");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.csv"));
+    let path = out_dir()?.join(format!("{name}.csv"));
     let mut out = String::new();
     let _ = writeln!(out, "{}", headers.join(","));
     for row in rows {
@@ -134,6 +147,15 @@ mod tests {
         assert_eq!(human_bytes(512), "512B");
         assert_eq!(human_bytes(2048), "2.00KB");
         assert_eq!(human_bytes(3 * 1024 * 1024), "3.00MB");
+    }
+
+    #[test]
+    fn out_dir_is_the_workspace_target_whatever_the_cwd() {
+        let dir = out_dir().unwrap();
+        assert!(dir.is_absolute(), "{dir:?} would move with the cwd");
+        assert!(dir.ends_with("target/experiments"));
+        let workspace = dir.parent().and_then(Path::parent).unwrap();
+        assert!(workspace.join("Cargo.lock").is_file(), "{workspace:?}");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod solvers;
 
 pub use error::SolveError;
 pub use instance::ProblemInstance;
-pub use matrix::{CostMatrix, CostPair, TriangleViolation};
+pub use matrix::{pairs_within_hops, CostMatrix, CostPair, TriangleViolation};
 pub use plan::{
     plan, CandidateOutcome, CandidateSummary, ChunkingSpec, ModePolicy, Plan, PlanSpec, Provenance,
     SolverChoice, SolverTuning,

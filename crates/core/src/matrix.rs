@@ -263,6 +263,55 @@ impl CostMatrix {
     }
 }
 
+/// The k-hop reveal strategy: every unordered pair of versions within
+/// `hops` of each other in the undirected graph on `n` versions with the
+/// given `edges` — the paper's rule for which deltas to compute ("we
+/// compute the delta with all versions in a k-hop distance"). Returns
+/// `(a, b, distance)` with `a < b`, each pair once, ordered by `a` and
+/// then by breadth-first discovery from `a` (neighbours in edge order).
+pub fn pairs_within_hops(
+    n: usize,
+    edges: impl IntoIterator<Item = (u32, u32)>,
+    hops: usize,
+) -> Vec<(u32, u32, u32)> {
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (u, v) in edges {
+        adj[u as usize].push(v);
+        adj[v as usize].push(u);
+    }
+    let mut out = Vec::new();
+    let mut dist = vec![u32::MAX; n];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut queue = std::collections::VecDeque::new();
+    for s in 0..n as u32 {
+        // Bounded BFS from s, collecting pairs (s, t>s).
+        dist[s as usize] = 0;
+        touched.push(s);
+        queue.push_back(s);
+        while let Some(v) = queue.pop_front() {
+            let d = dist[v as usize];
+            if d as usize >= hops {
+                continue;
+            }
+            for &u in &adj[v as usize] {
+                if dist[u as usize] == u32::MAX {
+                    dist[u as usize] = d + 1;
+                    touched.push(u);
+                    if u > s {
+                        out.push((s, u, d + 1));
+                    }
+                    queue.push_back(u);
+                }
+            }
+        }
+        for &t in &touched {
+            dist[t as usize] = u32::MAX;
+        }
+        touched.clear();
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,9 +5,10 @@
 //! A *delta* from version `Vi` to `Vj` is the information needed to
 //! construct `Vj` given `Vi`. The paper lists several mechanisms (UNIX-style
 //! line diffs, XOR, cell-level tabular diffs, generating scripts); this
-//! crate implements them with real bytes so that storage costs (`Δ` = the
-//! encoded delta size) and recreation costs (`Φ` = work to apply it) come
-//! from an actual differencing algorithm rather than synthetic numbers:
+//! crate implements the line, byte and cell-level ones with real bytes so
+//! that storage costs (`Δ` = the encoded delta size) and recreation costs
+//! (`Φ` = work to apply it) come from an actual differencing algorithm
+//! rather than synthetic numbers:
 //!
 //! - [`myers`]: the Myers O(ND) greedy LCS diff on arbitrary token
 //!   sequences.
@@ -15,8 +16,6 @@
 //! - [`bytes_delta`]: a compact copy/insert byte-delta format (the role
 //!   xdelta/LibXDiff play in the paper); the object store may code it
 //!   further.
-//! - [`xor`]: XOR deltas — the paper's example of a *symmetric* mechanism,
-//!   yielding the undirected case.
 //! - [`tabular`]: cell-level deltas for tabular (CSV-like) data.
 //! - [`similarity`]: shingle/min-hash resemblance sketches for choosing
 //!   which matrix entries to reveal between version-graph-distant versions
@@ -30,7 +29,6 @@ pub mod myers;
 pub mod script;
 pub mod similarity;
 pub mod tabular;
-pub mod xor;
 
 pub use bytes_delta::{apply as apply_delta, diff as byte_diff, DeltaError, DeltaOp};
 pub use cost::{delta_annotation, full_annotation, CostAnnotation, CostModel};
@@ -38,4 +36,3 @@ pub use myers::{diff_slices, DiffOp};
 pub use script::{line_diff, LineScript};
 pub use similarity::ResemblanceSketch;
 pub use tabular::{Table, TableDelta};
-pub use xor::XorDelta;

@@ -5,7 +5,6 @@ use dsv_delta::bytes_delta::{self, SourceIndex};
 use dsv_delta::myers::{apply_diff, diff_slices, edit_distance};
 use dsv_delta::script::{line_diff, two_way_size, LineScript};
 use dsv_delta::tabular::{Table, TableDelta, TableEdit};
-use dsv_delta::xor::XorDelta;
 use proptest::prelude::*;
 
 /// Arbitrary "text": lines of printable content with varying terminators.
@@ -156,18 +155,6 @@ proptest! {
         let encoded = bytes_delta::encode(&ops);
         prop_assert_eq!(&index.diff_encoded(&target), &encoded);
         prop_assert_eq!(index.diff_encoded_len(&target), encoded.len() as u64);
-    }
-
-    /// XOR deltas apply in both directions and roundtrip their encoding.
-    #[test]
-    fn xor_symmetric_roundtrip((a, b) in (arb_text(), arb_text())) {
-        let d = XorDelta::between(&a, &b);
-        if a.len() != b.len() {
-            prop_assert_eq!(d.apply(&a).unwrap(), b.clone());
-            prop_assert_eq!(d.apply(&b).unwrap(), a.clone());
-        }
-        let d2 = XorDelta::decode(&d.encode()).unwrap();
-        prop_assert_eq!(d2, d);
     }
 
     /// Compression roundtrips arbitrary bytes.

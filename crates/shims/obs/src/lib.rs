@@ -3,8 +3,8 @@
 //! # dsv-obs — offline tracing + metrics shim
 //!
 //! A std-only, dependency-free observability layer exposing an
-//! upstream-compatible API subset: a `tracing`-style [`span!`] / [`event!`]
-//! surface plus a metrics registry of counters, gauges, and histograms
+//! upstream-compatible API subset: a `tracing`-style [`span!`] surface
+//! plus a metrics registry of counters, gauges, and histograms
 //! ([`counter!`], [`gauge!`], [`histogram!`]).
 //!
 //! ## Design
@@ -68,8 +68,8 @@ static METRICS_ON: AtomicUsize = AtomicUsize::new(0);
 /// Returns `true` if at least one span recorder is installed anywhere
 /// (globally or in any thread's `with_recorder` scope).
 ///
-/// This is the single relaxed atomic load the [`span!`] / [`event!`]
-/// macros branch on when disabled.
+/// This is the single relaxed atomic load the [`span!`] macro branches
+/// on when disabled.
 #[inline(always)]
 pub fn spans_enabled() -> bool {
     SPAN_SINKS.load(Ordering::Relaxed) != 0
@@ -94,7 +94,7 @@ pub fn set_metrics_enabled(on: bool) {
 // Field values
 // ---------------------------------------------------------------------------
 
-/// A typed span/event field value.
+/// A typed span field value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// Unsigned integer.
@@ -215,7 +215,7 @@ fn json_string(s: &str) -> String {
 struct NodeData {
     name: String,
     children: BTreeMap<String, usize>,
-    /// Completed activations (spans closed / events fired) on this node.
+    /// Completed activations (spans closed) on this node.
     count: u64,
     /// Total busy wall time across completed activations, nanoseconds.
     busy_ns: u64,
@@ -290,12 +290,6 @@ impl Recorder {
     fn record(&self, node: usize, key: &'static str, value: FieldValue) {
         let mut tree = self.tree.lock().unwrap();
         tree.nodes[node].fields.insert(key, value);
-    }
-
-    /// Fire a zero-duration event: a child node whose count increments.
-    fn event(&self, parent: usize, name: &str, fields: Vec<(&'static str, FieldValue)>) {
-        let node = self.open(parent, name, fields);
-        self.close(node, 0);
     }
 
     /// Take an immutable snapshot of the call tree collected so far.
@@ -579,15 +573,6 @@ impl SpanHandle {
                 }
             }
         }
-    }
-}
-
-/// Fire an event (zero-duration child node) on the current context.
-/// Prefer the [`event!`] macro.
-#[doc(hidden)]
-pub fn __event(name: &str, fields: Vec<(&'static str, FieldValue)>) {
-    if let Some((recorder, parent)) = current_context() {
-        recorder.event(parent, name, fields);
     }
 }
 
@@ -939,21 +924,6 @@ macro_rules! span {
     };
 }
 
-/// Fire a zero-duration event named `$name` (a counted leaf under the
-/// current span) with optional `key = value` fields. One relaxed atomic
-/// load when disabled; arguments are not evaluated.
-#[macro_export]
-macro_rules! event {
-    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        if $crate::spans_enabled() {
-            $crate::__event(
-                $name,
-                ::std::vec![$((stringify!($key), $crate::FieldValue::from($value))),*],
-            );
-        }
-    };
-}
-
 /// Add `$delta` (a `u64`) to the named counter. One relaxed atomic load
 /// when metrics are disabled; arguments are not evaluated.
 #[macro_export]
@@ -1007,7 +977,6 @@ mod tests {
         let span = crate::span!("never", n = 1u64);
         assert!(!span.is_enabled());
         let _guard = span.enter();
-        crate::event!("never");
         span.record("after", 2u64);
     }
 
@@ -1020,16 +989,11 @@ mod tests {
             for _ in 0..3 {
                 crate::span!("inner").in_scope(|| {});
             }
-            crate::event!("tick");
         });
         let tree = recorder.snapshot();
         assert_eq!(
             tree.shape(),
-            vec![
-                ("outer".to_string(), 1),
-                ("outer/inner".to_string(), 3),
-                ("outer/tick".to_string(), 1),
-            ]
+            vec![("outer".to_string(), 1), ("outer/inner".to_string(), 3)]
         );
         let outer = tree.find(&["outer"]).unwrap();
         assert_eq!(outer.fields, vec![("n".to_string(), FieldValue::U64(3))]);

@@ -36,7 +36,8 @@
 //!
 //! Counters (`checkout_cache.hits` / `.misses` / `.evictions` /
 //! `.bytes_saved`) are emitted through `dsv-obs`, and a [`CacheStats`]
-//! snapshot is available for reports and `BENCH_read.json`.
+//! snapshot is available for reports — the benchmark's `serve-read`
+//! workload reads its `storage.cache_*` metrics from one.
 
 use crate::hash::ObjectId;
 use dsv_obs as obs;

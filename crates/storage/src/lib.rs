@@ -40,10 +40,6 @@
 //!   Object ids are content addresses, so a plan's objects are assembled
 //!   store-free and streamed through bounded `put_batch` flushes
 //!   ([`BatchWriter`]).
-//! - [`instrument`]: [`InstrumentedStore`] — wraps any store, counting
-//!   and tracing every operation once at the trait boundary (dsv-obs
-//!   spans + metrics), with dedup against the inner store's own
-//!   counters.
 //! - [`fault`]: deterministic fault injection — a seeded [`FaultPlan`]
 //!   consulted by every durable fs primitive (torn writes, dropped
 //!   fsyncs, failed renames) plus [`FaultStore`], the same plan applied
@@ -53,7 +49,6 @@
 pub mod cache;
 pub mod fault;
 pub mod hash;
-pub mod instrument;
 pub mod materialize;
 pub mod object;
 pub mod repack;
@@ -63,11 +58,10 @@ pub mod store;
 pub use cache::{CacheStats, CheckoutCache, DEFAULT_CACHE_BUDGET};
 pub use fault::{FaultKind, FaultPlan, FaultStore};
 pub use hash::ObjectId;
-pub use instrument::InstrumentedStore;
 pub use materialize::{Materializer, RecreationWork};
 pub use object::{stored_len, Object, Priced, StoreError};
 pub use repack::{
     dependency_order, pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES,
 };
 pub use sharded::{shard_index, ShardedStore, MAX_SHARDS};
-pub use store::{Durability, FileStore, MemStore, ObjectStore, OpCounters, ShardStats, StoreStats};
+pub use store::{FileStore, MemStore, ObjectStore, OpCounters, ShardStats, StoreStats};

@@ -39,23 +39,6 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How hard [`FileStore`] tries to make writes crash-durable.
-///
-/// [`Durability::Full`] (the default for repositories) fsyncs each
-/// object file before the publishing rename and fsyncs the fan-out
-/// parent directory after it, so an acknowledged write survives a power
-/// cut. [`Durability::None`] keeps the write-then-rename atomicity (no
-/// torn objects) but skips both fsyncs — benches and throwaway test
-/// stores opt out of the synchronous-IO cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Durability {
-    /// No fsync; atomic rename only.
-    None,
-    /// fsync file before rename, fsync directory after.
-    #[default]
-    Full,
-}
-
 /// Point-in-time fill of one shard of a sharded store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -274,12 +257,9 @@ pub trait ObjectStore {
     /// **Accounting contract:** a batched call counts once as a batch op
     /// with its elements under `batch_*_objects` — its elements must not
     /// *also* be counted as single ops, even when the implementation
-    /// routes the batch through the default single-op loops. Stores that
-    /// count singles internally and don't override the batch defaults
-    /// would double-report; wrap them in
-    /// [`crate::InstrumentedStore`], which counts each call exactly once
-    /// at the trait boundary and replaces (never sums with) the inner
-    /// store's own counters.
+    /// routes the batch through the default single-op loops. A store that
+    /// counts singles internally must therefore override the batch
+    /// methods and count there, as [`MemStore`] and [`FileStore`] do.
     fn stats(&self) -> StoreStats {
         StoreStats {
             objects: self.len(),
@@ -402,31 +382,24 @@ impl ObjectStore for MemStore {
     }
 }
 
-/// An on-disk store: `dir/ab/<hex>` fan-out files, one per object.
+/// An on-disk store: `dir/ab/<hex>` fan-out files, one per object. Each
+/// object file is fsynced before the rename that publishes it and its
+/// fan-out directory after, so an acknowledged write survives a power cut.
 pub struct FileStore {
     compress: bool,
-    durability: Durability,
     dir: PathBuf,
     counters: Counters,
 }
 
 impl FileStore {
-    /// Opens (creating if needed) a store rooted at `dir`, with
-    /// [`Durability::Full`] fsync discipline.
+    /// Opens (creating if needed) a store rooted at `dir`.
     pub fn open(dir: &Path, compress: bool) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
         Ok(FileStore {
             compress,
-            durability: Durability::Full,
             dir: dir.to_path_buf(),
             counters: Counters::default(),
         })
-    }
-
-    /// Sets the fsync discipline (builder-style; see [`Durability`]).
-    pub fn with_durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
-        self
     }
 
     /// Removes every staging file (`*.tmp`) under `dir` — a store's
@@ -468,21 +441,17 @@ impl FileStore {
         std::fs::create_dir_all(parent)?;
         // Write-then-rename for atomicity against concurrent readers and
         // crashes: a torn write can only ever tear the unpublished tmp
-        // file. Under `Durability::Full` the content is also fsynced
-        // before the publishing rename and the fan-out directory after
-        // it, so an acknowledged object survives a power cut.
+        // file. The content is fsynced before the publishing rename and
+        // the fan-out directory after it, so an acknowledged object
+        // survives a power cut.
         let tmp = path.with_extension("tmp");
         {
             let mut f = std::fs::File::create(&tmp)?;
             fault::write_all(&mut f, &obj.encode(self.compress), "object")?;
-            if self.durability == Durability::Full {
-                fault::sync_file(&f, "object")?;
-            }
+            fault::sync_file(&f, "object")?;
         }
         fault::rename(&tmp, &path, "object")?;
-        if self.durability == Durability::Full {
-            fault::sync_dir(parent, "object")?;
-        }
+        fault::sync_dir(parent, "object")?;
         Ok(id)
     }
 

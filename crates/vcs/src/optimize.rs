@@ -11,7 +11,6 @@
 //! three-mode hybrid model (its chunk store is already paid for), others
 //! in the paper's binary model.
 
-use crate::commit::CommitId;
 use crate::error::VcsError;
 use crate::persist::{self, RepackJournal};
 use crate::repo::{unshare, Placement, Repository};
@@ -22,10 +21,8 @@ use dsv_core::{
 };
 use dsv_delta::bytes_delta;
 use dsv_obs as obs;
-use dsv_storage::{
-    pack_versions, stored_len, Materializer, ObjectId, ObjectStore, PackOptions, Priced,
-};
-use std::collections::{HashSet, VecDeque};
+use dsv_storage::{pack_versions, stored_len, ObjectId, ObjectStore, PackOptions, Priced};
+use std::collections::HashSet;
 use std::path::Path;
 
 /// What an [`Repository::optimize_with`] call achieved.
@@ -327,61 +324,23 @@ impl<S: ObjectStore> Repository<S> {
     /// Unordered commit pairs within `hops` in the (undirected) commit
     /// DAG — the reveal strategy for optimize.
     fn pairs_within_hops(&self, hops: usize) -> Vec<(u32, u32)> {
-        let n = self.version_count();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for meta in &self.commits {
-            for p in &meta.parents {
-                adj[meta.id.index()].push(p.0);
-                adj[p.index()].push(meta.id.0);
-            }
-        }
-        let mut out = Vec::new();
-        let mut dist = vec![u32::MAX; n];
-        let mut touched = Vec::new();
-        let mut queue = VecDeque::new();
-        for s in 0..n as u32 {
-            dist[s as usize] = 0;
-            touched.push(s);
-            queue.push_back(s);
-            while let Some(v) = queue.pop_front() {
-                let d = dist[v as usize];
-                if d as usize >= hops {
-                    continue;
-                }
-                for &u in &adj[v as usize] {
-                    if dist[u as usize] == u32::MAX {
-                        dist[u as usize] = d + 1;
-                        touched.push(u);
-                        if u > s {
-                            out.push((s, u));
-                        }
-                        queue.push_back(u);
-                    }
-                }
-            }
-            for &t in &touched {
-                dist[t as usize] = u32::MAX;
-            }
-            touched.clear();
-        }
-        out
-    }
-
-    /// Convenience: measured recreation work (bytes fetched + produced)
-    /// for checking out `id` under the current plan.
-    pub fn checkout_work(&self, id: CommitId) -> Result<u64, VcsError> {
-        self.meta(id)?;
-        let m = Materializer::new(&self.store);
-        let (_, work) = m.materialize_measured(self.objects[id.index()])?;
-        Ok(work.bytes_read + work.bytes_written)
+        let edges = self
+            .commits
+            .iter()
+            .flat_map(|meta| meta.parents.iter().map(move |p| (meta.id.0, p.0)));
+        dsv_core::pairs_within_hops(self.version_count(), edges, hops)
+            .into_iter()
+            .map(|(a, b, _)| (a, b))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::CommitId;
     use dsv_core::SolverChoice;
-    use dsv_storage::MemStore;
+    use dsv_storage::{Materializer, MemStore};
 
     fn spec(problem: Problem, hops: usize) -> PlanSpec {
         PlanSpec::new(problem).reveal_hops(hops)

@@ -14,11 +14,11 @@
 //! [`save`] replaces `meta.dsv` crash-atomically (write `meta.dsv.tmp`,
 //! fsync it, rename over `meta.dsv`, fsync the directory), so a crash at
 //! any point leaves either the old or the new metadata, never a torn
-//! file. Object writes are similarly atomic and fsynced by
-//! [`FileStore`] under [`dsv_storage::Durability::Full`], and meta is
-//! only ever written after the objects it references — an interrupted
-//! commit therefore loads as the pre-commit history plus some orphaned
-//! (unreferenced, content-addressed) objects, which `dsv fsck` collects.
+//! file. Object writes are similarly atomic and fsynced by [`FileStore`],
+//! and meta is only ever written after the objects it references — an
+//! interrupted commit therefore loads as the pre-commit history plus some
+//! orphaned (unreferenced, content-addressed) objects, which `dsv fsck`
+//! collects.
 //!
 //! Repacks additionally write an intent journal ([`RepackJournal`])
 //! *before* the meta swap naming the intended new object list and the

@@ -140,8 +140,8 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
         self.cache.as_ref()
     }
 
-    /// The served repository (primarily for tests and the experiment
-    /// harness to seed/inspect state around a serve run).
+    /// The served repository (primarily for tests and the benchmark to
+    /// seed/inspect state around a serve run).
     pub fn repo(&self) -> &RwLock<Repository<S>> {
         &self.repo
     }

@@ -149,43 +149,7 @@ impl VersionGraph {
     /// reporting the hop distance of each pair (used by the cost-only
     /// generator, which scales synthetic delta sizes with distance).
     pub fn pairs_within_hops_dist(&self, hops: usize) -> Vec<(u32, u32, u32)> {
-        // Undirected adjacency.
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); self.n];
-        for &(u, v) in &self.edges {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-        }
-        let mut out = Vec::new();
-        let mut dist = vec![u32::MAX; self.n];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        for s in 0..self.n as u32 {
-            // Bounded BFS from s, collecting pairs (s, t>s).
-            dist[s as usize] = 0;
-            touched.push(s);
-            queue.push_back(s);
-            while let Some(v) = queue.pop_front() {
-                let d = dist[v as usize];
-                if d as usize >= hops {
-                    continue;
-                }
-                for &u in &adj[v as usize] {
-                    if dist[u as usize] == u32::MAX {
-                        dist[u as usize] = d + 1;
-                        touched.push(u);
-                        if u > s {
-                            out.push((s, u, d + 1));
-                        }
-                        queue.push_back(u);
-                    }
-                }
-            }
-            for &t in &touched {
-                dist[t as usize] = u32::MAX;
-            }
-            touched.clear();
-        }
-        out
+        dsv_core::pairs_within_hops(self.n, self.edges.iter().copied(), hops)
     }
 }
 

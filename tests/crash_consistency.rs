@@ -16,6 +16,9 @@
 //! idempotency token — including across a dropped connection — applies
 //! exactly once.
 
+mod common;
+
+use common::TempDir;
 use dsv_core::{PlanSpec, Problem};
 use dsv_net::frame::NetError;
 use dsv_net::server::{Server, ServerOptions};
@@ -23,7 +26,7 @@ use dsv_net::{Client, RetryPolicy};
 use dsv_storage::fault::{self, FaultPlan};
 use dsv_storage::{FileStore, ObjectStore};
 use dsv_vcs::{fsck, persist, CommitId, Dsvd, DsvdConfig, OnlineOptions, RepoStore, Repository};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -34,27 +37,6 @@ static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
     FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "dsv-crash-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// Two workers regardless of core count, so a test may hold one

@@ -5,39 +5,19 @@
 //! and the planned recreation bound is the largest measured read — on a
 //! coding store and a raw one alike.
 
+mod common;
+
+use common::TempDir;
 use dataset_versioning::core::{PlanSpec, Problem, StorageMode};
 use dataset_versioning::delta::bytes_delta::SourceIndex;
 use dataset_versioning::storage::fault::{FaultPlan, FaultStore};
 use dataset_versioning::storage::{
-    stored_len, FileStore, InstrumentedStore, Materializer, MemStore, ObjectStore, Priced,
-    ShardedStore,
+    stored_len, FileStore, Materializer, MemStore, ObjectStore, Priced, ShardedStore,
 };
 use dataset_versioning::vcs::{CommitId, OnlineOptions, RepoStore, Repository};
 use dataset_versioning::workloads::table_gen::{base_table, random_commit, EditParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "dsv-plan-store-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// `n` distinct CSV versions, each an edit of the one before.
 fn table_versions(n: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -232,7 +212,6 @@ fn every_wrapper_reports_its_inner_stores_policy() {
         let mem = || MemStore::new(compress);
         assert_eq!(mem().compresses(), compress);
         assert_eq!(ShardedStore::new(vec![mem(), mem()]).compresses(), compress);
-        assert_eq!(InstrumentedStore::new(mem()).compresses(), compress);
         assert_eq!(
             FaultStore::new(mem(), FaultPlan::count_sites()).compresses(),
             compress

@@ -12,10 +12,10 @@
 //! flush bound cooperates with the wire frame cap instead of colliding
 //! with it.
 
-use dsv_net::{
-    Client, RemoteStore, RetryPolicy, Server, ServerOptions, StoreService, StoreServiceConfig,
-    DEFAULT_MAX_FRAME, FRAME_SLACK,
-};
+mod common;
+
+use common::StoreServer;
+use dsv_net::{RemoteStore, RetryPolicy, DEFAULT_MAX_FRAME, FRAME_SLACK};
 use dsv_storage::fault::{is_injected, FaultPlan, FaultStore};
 use dsv_storage::{
     BatchWriter, MemStore, Object, ObjectStore, ShardedStore, StoreError, PACK_FLUSH_BYTES,
@@ -23,51 +23,6 @@ use dsv_storage::{
 use dsv_vcs::{persist, CommitId, Repository};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One loopback bare-store server (MemStore behind `StoreService`), shut
-/// down and joined on drop.
-struct StoreServer {
-    addr: String,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl StoreServer {
-    fn spawn(max_frame: u32) -> Self {
-        let server = Server::bind_with(
-            "127.0.0.1:0",
-            ServerOptions {
-                workers: 2,
-                queue_depth: 8,
-            },
-        )
-        .unwrap();
-        let addr = server.local_addr().to_string();
-        let config = StoreServiceConfig {
-            max_frame,
-            read_timeout: Some(Duration::from_secs(10)),
-        };
-        let handle = std::thread::spawn(move || {
-            // Coding payloads, like the `FileStore` a `dsvd --store-server`
-            // opens: a `RemoteStore` prices objects for that policy.
-            StoreService::new(MemStore::new(true), config).serve(&server);
-        });
-        StoreServer {
-            addr,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for StoreServer {
-    fn drop(&mut self) {
-        if let Ok(mut c) = Client::connect(&self.addr) {
-            let _ = c.shutdown();
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
 
 /// A lineage of versions with appends, edits, and a periodic large
 /// insertion — enough churn that deltas, repacks, and multi-object
