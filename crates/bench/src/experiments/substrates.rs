@@ -88,7 +88,7 @@ pub fn run(scale: Scale) -> Vec<SubstrateRow> {
         let packed =
             pack_versions(&store, contents, &plan, PackOptions::default()).expect("full plan");
         rows.push(measure("full", &store, &packed, contents));
-        store.clear();
+        store.clear().expect("reset the store");
     }
 
     // Delta chain: each version a delta off its predecessor (the naive
@@ -100,7 +100,7 @@ pub fn run(scale: Scale) -> Vec<SubstrateRow> {
         let packed =
             pack_versions(&store, contents, &plan, PackOptions::default()).expect("chain plan");
         rows.push(measure("delta-chain", &store, &packed, contents));
-        store.clear();
+        store.clear().expect("reset the store");
     }
 
     // Delta per the optimizer's minimum-storage plan (MCA).
@@ -109,7 +109,7 @@ pub fn run(scale: Scale) -> Vec<SubstrateRow> {
         let packed = pack_versions(&store, contents, sol.parents(), PackOptions::default())
             .expect("mca plan");
         rows.push(measure("delta-mca", &store, &packed, contents));
-        store.clear();
+        store.clear().expect("reset the store");
     }
 
     // Chunked: deduplicated manifests.

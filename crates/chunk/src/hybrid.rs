@@ -95,7 +95,7 @@ pub fn pack_versions_hybrid<S: ObjectStore + ?Sized>(
         }
     }
     let plan_span = obs::span!("plan_chunks", chunked = chunked_inputs.len());
-    let chunk_batch = plan_span.in_scope(|| plan_chunked_batch(store, &chunked_inputs));
+    let chunk_batch = plan_span.in_scope(|| plan_chunked_batch(store, &chunked_inputs))?;
     drop(plan_span);
     let mut stats = DedupStats::default();
     let mut ids: Vec<Option<ObjectId>> = vec![None; n];

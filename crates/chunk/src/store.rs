@@ -11,7 +11,9 @@
 
 use crate::cdc::{Chunker, ChunkerParams};
 use crate::ChunkError;
-use dsv_storage::{Materializer, Object, ObjectId, ObjectStore, PackedVersions, RecreationWork};
+use dsv_storage::{
+    Materializer, Object, ObjectId, ObjectStore, PackedVersions, RecreationWork, StoreError,
+};
 use std::collections::HashSet;
 use std::ops::Range;
 
@@ -122,7 +124,7 @@ impl<'a, S: ObjectStore + ?Sized> ChunkStore<'a, S> {
         data: &[u8],
         chunks: &[(Range<usize>, ObjectId)],
     ) -> Result<PutVersion, ChunkError> {
-        let batch = plan_chunked_batch(self.store, &[(data, chunks)]);
+        let batch = plan_chunked_batch(self.store, &[(data, chunks)])?;
         self.store.put_batch(&batch.objects)?;
         Ok(batch.puts.into_iter().next().expect("one version planned"))
     }
@@ -168,13 +170,14 @@ pub(crate) struct ChunkedBatch {
 /// batch. Writing the returned objects through one `put_batch` leaves the
 /// store — and the dedup accounting — exactly as sequential per-version
 /// inserts would, while letting a sharded store write everything
-/// concurrently. The planned objects hold copies of the *new* chunk
-/// payloads only, so the buffer is bounded by the deduplicated (not the
-/// logical) size of the batch.
+/// concurrently. A probe the store could not answer fails the plan: read
+/// as "absent" it would re-store every chunk. The planned objects hold
+/// copies of the *new* chunk payloads only, so the buffer is bounded by
+/// the deduplicated (not the logical) size of the batch.
 pub(crate) fn plan_chunked_batch<S: ObjectStore + ?Sized>(
     store: &S,
     versions: &[PrechunkedVersion<'_>],
-) -> ChunkedBatch {
+) -> Result<ChunkedBatch, StoreError> {
     // One membership probe over the distinct chunk ids of the whole batch.
     let mut distinct: Vec<ObjectId> = Vec::new();
     let mut seen: HashSet<ObjectId> = HashSet::new();
@@ -185,7 +188,7 @@ pub(crate) fn plan_chunked_batch<S: ObjectStore + ?Sized>(
             }
         }
     }
-    let present = store.contains_batch(&distinct);
+    let present = store.contains_batch(&distinct)?;
     // `have` = chunks the store holds now ∪ chunks this batch has already
     // planned — the same visibility a sequential insert loop would see.
     let mut have: HashSet<ObjectId> = distinct
@@ -221,7 +224,7 @@ pub(crate) fn plan_chunked_batch<S: ObjectStore + ?Sized>(
         });
         objects.push(manifest);
     }
-    ChunkedBatch { objects, puts }
+    Ok(ChunkedBatch { objects, puts })
 }
 
 /// The content-defined chunk spans of `data`, each paired with its
@@ -267,7 +270,7 @@ pub fn pack_versions_chunked<S: ObjectStore + ?Sized>(
         .zip(&prechunked)
         .map(|(data, chunks)| (data.as_slice(), chunks.as_slice()))
         .collect();
-    let batch = plan_chunked_batch(store, &versions);
+    let batch = plan_chunked_batch(store, &versions)?;
     let mut writer = dsv_storage::BatchWriter::new(store);
     writer.extend(batch.objects)?;
     writer.finish()?;

@@ -22,7 +22,10 @@
 //! state. There is no cross-shard transaction: a multi-shard batch that
 //! fails on one shard leaves the other shards' writes in place, exactly
 //! the local batch contract ("no partial-failure cleanup", see
-//! `dsv_storage::store`).
+//! `dsv_storage::store`). A transport failure that outlasts the retries
+//! is a [`StoreError::Io`] on every fallible method — membership,
+//! removal and enumeration included — and a store failure behind
+//! [`StoreService`] is an error frame; only `stats` is best-effort.
 //!
 //! # Frame budget
 //!
@@ -40,10 +43,9 @@ use crate::frame::{errcode, NetError, DEFAULT_MAX_FRAME};
 use crate::proto::{Request, Response};
 use crate::server::{session, Server};
 use dsv_obs as obs;
-use dsv_storage::{Object, ObjectId, ObjectStore, OpCounters, StoreError, StoreStats};
+use dsv_storage::{Counters, Object, ObjectId, ObjectStore, StoreError, StoreStats};
 use parking_lot::Mutex;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Wire overhead reserved inside the frame budget: the frame header,
@@ -58,34 +60,6 @@ fn net_err(e: NetError) -> StoreError {
     StoreError::Io(format!("remote store: {e}"))
 }
 
-/// Client-side operation counters (the server's counters describe *its*
-/// view; [`RemoteStore::stats`] reports the client's own surface usage,
-/// per the accounting contract on [`ObjectStore::stats`]).
-#[derive(Default)]
-struct RemoteCounters {
-    puts: AtomicU64,
-    gets: AtomicU64,
-    batch_puts: AtomicU64,
-    batch_put_objects: AtomicU64,
-    batch_gets: AtomicU64,
-    batch_get_objects: AtomicU64,
-    removes: AtomicU64,
-}
-
-impl RemoteCounters {
-    fn snapshot(&self) -> OpCounters {
-        OpCounters {
-            puts: self.puts.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            batch_puts: self.batch_puts.load(Ordering::Relaxed),
-            batch_put_objects: self.batch_put_objects.load(Ordering::Relaxed),
-            batch_gets: self.batch_gets.load(Ordering::Relaxed),
-            batch_get_objects: self.batch_get_objects.load(Ordering::Relaxed),
-            removes: self.removes.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// An [`ObjectStore`] whose objects live on a remote store server.
 ///
 /// One protocol connection behind a mutex: operations serialize per
@@ -96,7 +70,9 @@ pub struct RemoteStore {
     client: Mutex<Client>,
     addr: String,
     max_frame: u32,
-    counters: RemoteCounters,
+    /// Client-side operation counters: the server's describe *its* view,
+    /// [`RemoteStore::stats`] reports this client's own surface usage.
+    counters: Counters,
 }
 
 impl RemoteStore {
@@ -124,7 +100,7 @@ impl RemoteStore {
             client: Mutex::new(client),
             addr: addr.to_owned(),
             max_frame,
-            counters: RemoteCounters::default(),
+            counters: Counters::default(),
         })
     }
 
@@ -218,93 +194,31 @@ impl RemoteStore {
         }
         Ok(out)
     }
-
-    fn send_contains(&self, ids: &[ObjectId]) -> Result<Vec<bool>, StoreError> {
-        let mut out = Vec::with_capacity(ids.len());
-        let mut client = self.client.lock();
-        for chunk in ids.chunks(self.ids_per_frame()) {
-            out.extend(client.store_contains(chunk).map_err(net_err)?);
-        }
-        Ok(out)
-    }
-
-    fn send_removes(&self, ids: &[ObjectId]) -> Result<(), StoreError> {
-        let mut client = self.client.lock();
-        for chunk in ids.chunks(self.ids_per_frame()) {
-            client.store_remove(chunk).map_err(net_err)?;
-        }
-        Ok(())
-    }
-
-    fn fetch_stats(&self) -> Result<StoreStats, StoreError> {
-        self.client.lock().store_stats().map_err(net_err)
-    }
 }
 
 impl ObjectStore for RemoteStore {
     fn put(&self, obj: &Object) -> Result<ObjectId, StoreError> {
-        self.counters.puts.fetch_add(1, Ordering::Relaxed);
+        self.counters.count_put();
         let ids = self.send_puts(std::slice::from_ref(obj))?;
         Ok(ids[0])
     }
 
     fn get(&self, id: ObjectId) -> Result<Object, StoreError> {
-        self.counters.gets.fetch_add(1, Ordering::Relaxed);
+        self.counters.count_get();
         match self.send_gets(&[id])?.pop().flatten() {
             Some(obj) => Ok(obj),
             None => Err(StoreError::NotFound(id)),
         }
     }
 
-    /// Transport failures read as "absent": `contains` has no error
-    /// channel, and every caller that needs the distinction (fsck, the
-    /// packers) goes through `get`/`get_batch`, where the failure is
-    /// structured.
-    fn contains(&self, id: ObjectId) -> bool {
-        self.send_contains(&[id]).map(|v| v[0]).unwrap_or(false)
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.fetch_stats().map(|s| s.bytes).unwrap_or(0)
-    }
-
-    /// What `dsvd` opens its shard stores with. The wire has no way to
-    /// ask; the flag moves into the persisted store configuration with
-    /// the rest of the topology (ROADMAP item 2).
-    fn compresses(&self) -> bool {
-        true
-    }
-
-    fn len(&self) -> usize {
-        self.fetch_stats().map(|s| s.objects).unwrap_or(0)
-    }
-
-    fn remove(&self, id: ObjectId) {
-        self.counters.removes.fetch_add(1, Ordering::Relaxed);
-        let _ = self.send_removes(&[id]);
-    }
-
-    /// No dedicated opcode: enumerate, then batch-remove. Same
-    /// observable result, and the protocol surface stays minimal.
-    fn clear(&self) {
-        let ids = self.object_ids();
-        let _ = self.send_removes(&ids);
-    }
-
     fn put_batch(&self, objs: &[Object]) -> Result<Vec<ObjectId>, StoreError> {
-        self.counters.batch_puts.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .batch_put_objects
-            .fetch_add(objs.len() as u64, Ordering::Relaxed);
+        self.counters.count_put_batch(objs.len());
         let _span = obs::span!("remote.put_batch", objects = objs.len()).entered();
         self.send_puts(objs)
     }
 
     fn get_batch(&self, ids: &[ObjectId]) -> Result<Vec<Object>, StoreError> {
-        self.counters.batch_gets.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .batch_get_objects
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+        self.counters.count_get_batch(ids.len());
         let _span = obs::span!("remote.get_batch", objects = ids.len()).entered();
         let slots = self.send_gets(ids)?;
         let mut out = Vec::with_capacity(ids.len());
@@ -314,33 +228,56 @@ impl ObjectStore for RemoteStore {
         Ok(out)
     }
 
-    fn contains_batch(&self, ids: &[ObjectId]) -> Vec<bool> {
-        self.send_contains(ids)
-            .unwrap_or_else(|_| vec![false; ids.len()])
+    fn contains_batch(&self, ids: &[ObjectId]) -> Result<Vec<bool>, StoreError> {
+        let mut out = Vec::with_capacity(ids.len());
+        let mut client = self.client.lock();
+        for chunk in ids.chunks(self.ids_per_frame()) {
+            out.extend(client.store_contains(chunk).map_err(net_err)?);
+        }
+        Ok(out)
     }
 
-    fn remove_batch(&self, ids: &[ObjectId]) {
-        self.counters
-            .removes
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        let _ = self.send_removes(ids);
+    fn remove_batch(&self, ids: &[ObjectId]) -> Result<(), StoreError> {
+        self.counters.count_removes(ids.len());
+        let mut client = self.client.lock();
+        for chunk in ids.chunks(self.ids_per_frame()) {
+            client.store_remove(chunk).map_err(net_err)?;
+        }
+        Ok(())
+    }
+
+    fn object_ids(&self) -> Result<Vec<ObjectId>, StoreError> {
+        self.client.lock().store_object_ids().map_err(net_err)
+    }
+
+    /// Server fill (objects/bytes) with *this client's* operation
+    /// counters: the server's counters aggregate every client and would
+    /// violate the per-store accounting contract. Best-effort like every
+    /// `stats`: an unreachable server reads as an empty fill.
+    fn stats(&self) -> StoreStats {
+        let mut stats = self.client.lock().store_stats().unwrap_or_default();
+        stats.ops = self.counters.snapshot();
+        stats
+    }
+
+    /// What `dsvd` opens its shard stores with. The wire has no way to
+    /// ask; the flag moves into the persisted store configuration with
+    /// the rest of the topology (ROADMAP item 2).
+    fn compresses(&self) -> bool {
+        true
     }
 
     fn remote_addrs(&self) -> Vec<String> {
         vec![self.addr.clone()]
     }
+}
 
-    fn object_ids(&self) -> Vec<ObjectId> {
-        self.client.lock().store_object_ids().unwrap_or_default()
-    }
-
-    /// Server fill (objects/bytes) with *this client's* operation
-    /// counters: the server's counters aggregate every client and would
-    /// violate the per-store accounting contract.
-    fn stats(&self) -> StoreStats {
-        let mut stats = self.fetch_stats().unwrap_or_default();
-        stats.ops = self.counters.snapshot();
-        stats
+/// The store's answer as a frame: `ok` of the value, or a server error —
+/// a store that failed is never answered for with an OK.
+fn answer<T>(result: Result<T, StoreError>, ok: impl FnOnce(T) -> Response) -> Response {
+    match result {
+        Ok(value) => ok(value),
+        Err(e) => Response::server_error(e.to_string()),
     }
 }
 
@@ -402,10 +339,9 @@ impl<S: ObjectStore + Sync> StoreService<S> {
             },
             Request::Ping => Response::Pong,
             Request::Shutdown => Response::ShutdownOk,
-            Request::StorePut { objs } => match self.store.put_batch(&objs) {
-                Ok(ids) => Response::StorePutOk { ids },
-                Err(e) => Response::server_error(e.to_string()),
-            },
+            Request::StorePut { objs } => answer(self.store.put_batch(&objs), |ids| {
+                Response::StorePutOk { ids }
+            }),
             Request::StoreGet { ids } => {
                 // Presence-tagged slots: NotFound is data (the client
                 // re-raises it as its own `StoreError::NotFound`), any
@@ -427,16 +363,15 @@ impl<S: ObjectStore + Sync> StoreService<S> {
                     Some(e) => Response::server_error(e.to_string()),
                 }
             }
-            Request::StoreContains { ids } => Response::StoreContainsOk {
-                present: self.store.contains_batch(&ids),
-            },
+            Request::StoreContains { ids } => answer(self.store.contains_batch(&ids), |present| {
+                Response::StoreContainsOk { present }
+            }),
             Request::StoreRemove { ids } => {
-                self.store.remove_batch(&ids);
-                Response::StoreRemoveOk
+                answer(self.store.remove_batch(&ids), |()| Response::StoreRemoveOk)
             }
-            Request::StoreObjectIds => Response::StoreObjectIdsOk {
-                ids: self.store.object_ids(),
-            },
+            Request::StoreObjectIds => answer(self.store.object_ids(), |ids| {
+                Response::StoreObjectIdsOk { ids }
+            }),
             Request::StoreStats => Response::StoreStatsOk(self.store.stats()),
             // Repository semantics live behind a repository server; a
             // shard server knows nothing of versions or branches.
@@ -463,6 +398,13 @@ mod tests {
     /// Serve a MemStore on a free port; returns the address and a guard
     /// whose drop shuts the server down.
     fn spawn_store_server(max_frame: u32) -> (String, impl Drop) {
+        spawn_server_over(MemStore::new(false), max_frame)
+    }
+
+    fn spawn_server_over<S: ObjectStore + Send + Sync + 'static>(
+        store: S,
+        max_frame: u32,
+    ) -> (String, impl Drop) {
         let server = Server::bind_with(
             "127.0.0.1:0",
             ServerOptions {
@@ -477,7 +419,7 @@ mod tests {
             read_timeout: Some(Duration::from_secs(5)),
         };
         let handle = std::thread::spawn(move || {
-            StoreService::new(MemStore::new(false), config).serve(&server);
+            StoreService::new(store, config).serve(&server);
         });
         struct Guard(String, Option<std::thread::JoinHandle<()>>);
         impl Drop for Guard {
@@ -518,12 +460,12 @@ mod tests {
         assert!(store.total_bytes() > 0);
         assert_eq!(store.get_batch(&ids).unwrap(), objs);
         assert_eq!(store.get(ids[3]).unwrap(), objs[3]);
-        assert!(store.contains(ids[0]));
+        assert!(store.contains(ids[0]).unwrap());
 
         // NotFound survives the wire as a structured slot, not an error
         // frame, and re-raises with the missing id.
         let missing = ObjectId::for_bytes(b"never stored");
-        assert!(!store.contains(missing));
+        assert!(!store.contains(missing).unwrap());
         assert!(matches!(
             store.get(missing).unwrap_err(),
             StoreError::NotFound(id) if id == missing
@@ -533,12 +475,12 @@ mod tests {
             StoreError::NotFound(id) if id == missing
         ));
         assert_eq!(
-            store.contains_batch(&[ids[0], missing, ids[5]]),
+            store.contains_batch(&[ids[0], missing, ids[5]]).unwrap(),
             vec![true, false, true]
         );
 
         // Enumeration matches the put set.
-        let mut listed = store.object_ids();
+        let mut listed = store.object_ids().unwrap();
         let mut expect = ids.clone();
         listed.sort();
         expect.sort();
@@ -551,13 +493,34 @@ mod tests {
         assert_eq!(store.len(), 20);
 
         // Removal and clear.
-        store.remove(ids[0]);
-        assert!(!store.contains(ids[0]));
-        store.remove_batch(&ids[1..3]);
+        store.remove(ids[0]).unwrap();
+        assert!(!store.contains(ids[0]).unwrap());
+        store.remove_batch(&ids[1..3]).unwrap();
         assert_eq!(store.len(), 17);
-        store.clear();
+        store.clear().unwrap();
         assert!(store.is_empty());
         assert_eq!(store.total_bytes(), 0);
+    }
+
+    #[test]
+    fn a_store_that_fails_behind_the_server_is_an_error_frame_not_an_ok() {
+        use dsv_storage::fault::{is_injected, FaultPlan, FaultStore};
+        let failing = FaultStore::new(
+            MemStore::new(false),
+            FaultPlan::fail_at_site(0, "store.remove"),
+        );
+        let (addr, _guard) = spawn_server_over(failing, DEFAULT_MAX_FRAME);
+        let store = RemoteStore::connect(&addr).unwrap();
+        let id = store.put(&objects(1)[0]).unwrap();
+        // `StoreRemove` used to be acknowledged whatever the store did.
+        let err = store.remove(id).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Io(ref m) if is_injected(m)),
+            "{err:?}"
+        );
+        assert!(store.contains(id).unwrap(), "nothing was removed");
+        store.remove(id).unwrap();
+        assert!(!store.contains(id).unwrap());
     }
 
     #[test]
@@ -569,8 +532,8 @@ mod tests {
         store.put(&objs[0]).unwrap();
         store.get(ids[0]).unwrap();
         store.get_batch(&ids).unwrap();
-        store.remove(ids[4]);
-        store.remove_batch(&ids[..2]);
+        store.remove(ids[4]).unwrap();
+        store.remove_batch(&ids[..2]).unwrap();
 
         let stats = store.stats();
         assert_eq!(stats.objects, 2, "server-side fill");
@@ -630,7 +593,7 @@ mod tests {
             data: b"fits".to_vec(),
         };
         let id = store.put(&small).unwrap();
-        assert!(store.contains(id));
+        assert!(store.contains(id).unwrap());
     }
 
     #[test]

@@ -393,32 +393,6 @@ impl<S: ObjectStore> ObjectStore for FaultStore<S> {
         self.inner.get(id)
     }
 
-    fn contains(&self, id: ObjectId) -> bool {
-        self.inner.contains(id)
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.inner.total_bytes()
-    }
-
-    fn compresses(&self) -> bool {
-        self.inner.compresses()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn remove(&self, id: ObjectId) {
-        if self.gate("store.remove").is_ok() {
-            self.inner.remove(id);
-        }
-    }
-
-    fn clear(&self) {
-        self.inner.clear()
-    }
-
     fn put_batch(&self, objs: &[Object]) -> Result<Vec<ObjectId>, StoreError> {
         // One site per element: a firing plan leaves the prefix written,
         // exactly like a crash mid-batch (the batch contract says no
@@ -440,17 +414,29 @@ impl<S: ObjectStore> ObjectStore for FaultStore<S> {
             .collect()
     }
 
-    fn contains_batch(&self, ids: &[ObjectId]) -> Vec<bool> {
+    fn contains_batch(&self, ids: &[ObjectId]) -> Result<Vec<bool>, StoreError> {
         self.inner.contains_batch(ids)
     }
 
-    fn remove_batch(&self, ids: &[ObjectId]) {
+    fn remove_batch(&self, ids: &[ObjectId]) -> Result<(), StoreError> {
+        // One site per element, like `put_batch`: the prefix is removed.
         for &id in ids {
-            if self.gate("store.remove").is_err() {
-                return;
-            }
-            self.inner.remove(id);
+            self.gate("store.remove")?;
+            self.inner.remove(id)?;
         }
+        Ok(())
+    }
+
+    fn object_ids(&self) -> Result<Vec<ObjectId>, StoreError> {
+        self.inner.object_ids()
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.inner.stats()
+    }
+
+    fn compresses(&self) -> bool {
+        self.inner.compresses()
     }
 
     fn shard_count(&self) -> usize {
@@ -459,14 +445,6 @@ impl<S: ObjectStore> ObjectStore for FaultStore<S> {
 
     fn remote_addrs(&self) -> Vec<String> {
         self.inner.remote_addrs()
-    }
-
-    fn object_ids(&self) -> Vec<ObjectId> {
-        self.inner.object_ids()
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
     }
 }
 
@@ -488,7 +466,7 @@ mod tests {
         let objs: Vec<Object> = (0..3).map(obj).collect();
         let ids = store.put_batch(&objs).unwrap();
         store.get(ids[0]).unwrap();
-        store.remove(ids[2]);
+        store.remove(ids[2]).unwrap();
         assert_eq!(
             plan.sites(),
             vec![
@@ -512,7 +490,7 @@ mod tests {
         // The prefix stays written — content addressing makes the retry
         // converge.
         assert_eq!(store.len(), 1);
-        assert!(store.contains(objs[0].id()));
+        assert!(store.contains(objs[0].id()).unwrap());
         assert_eq!(plan.fired(), 1);
     }
 

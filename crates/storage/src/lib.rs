@@ -64,4 +64,4 @@ pub use repack::{
     dependency_order, pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES,
 };
 pub use sharded::{shard_index, ShardedStore, MAX_SHARDS};
-pub use store::{FileStore, MemStore, ObjectStore, OpCounters, ShardStats, StoreStats};
+pub use store::{Counters, FileStore, MemStore, ObjectStore, OpCounters, ShardStats, StoreStats};

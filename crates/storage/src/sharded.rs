@@ -128,27 +128,67 @@ impl ShardedStore<crate::store::FileStore> {
     }
 }
 
+/// What a fan-out returns: per non-empty shard, in shard order, the input
+/// positions routed to it and that shard's answer.
+type Routed<R> = Vec<(Vec<usize>, R)>;
+
 /// Runs `per_shard` concurrently over every non-empty group on the
-/// dsv-par runtime, returning `(shard, group, result)` triples in shard
-/// order. Each shard's wall time is folded into its `timers` entry.
-fn on_shards<'a, R: Send>(
-    groups: &'a [Vec<usize>],
+/// dsv-par runtime. Each shard's wall time is folded into its `timers`
+/// entry.
+fn on_shards<R: Send>(
+    groups: Vec<Vec<usize>>,
     timers: &[AtomicU64],
-    per_shard: impl Fn(usize, &'a [usize]) -> R + Sync,
-) -> Vec<(usize, &'a [usize], R)> {
-    let work: Vec<usize> = (0..groups.len())
-        .filter(|&s| !groups[s].is_empty())
+    per_shard: impl Fn(usize, &[usize]) -> R + Sync,
+) -> Routed<R> {
+    let work: Vec<(usize, Vec<usize>)> = groups
+        .into_iter()
+        .enumerate()
+        .filter(|(_, group)| !group.is_empty())
         .collect();
-    let results = dsv_par::par_map(&work, |&s| {
+    let results = dsv_par::par_map(&work, |(s, group)| {
         let start = Instant::now();
-        let result = per_shard(s, &groups[s]);
-        timers[s].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let result = per_shard(*s, group);
+        timers[*s].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         result
     });
     work.into_iter()
         .zip(results)
-        .map(|(s, r)| (s, groups[s].as_slice(), r))
+        .map(|((_, group), result)| (group, result))
         .collect()
+}
+
+/// Puts each shard's per-element answers back at their input positions;
+/// an error from any shard fails the whole batch.
+fn scatter<T>(
+    len: usize,
+    per_shard: Routed<Result<Vec<T>, StoreError>>,
+) -> Result<Vec<T>, StoreError> {
+    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    for (group, result) in per_shard {
+        for (i, item) in group.into_iter().zip(result?) {
+            out[i] = Some(item);
+        }
+    }
+    Ok(out
+        .into_iter()
+        .map(|item| item.expect("every input routed"))
+        .collect())
+}
+
+impl<S: ObjectStore + Sync> ShardedStore<S> {
+    /// Hands every shard its share of `ids` as one inner batch call, all
+    /// shards concurrently.
+    fn by_shard<R: Send>(
+        &self,
+        ids: &[ObjectId],
+        op: impl Fn(&S, &[ObjectId]) -> R + Sync,
+    ) -> Routed<R> {
+        let groups = self.partition(ids.iter().copied());
+        on_shards(groups, &self.shard_ns, |s, group| {
+            let shard_ids: Vec<ObjectId> = group.iter().map(|&i| ids[i]).collect();
+            op(&self.shards[s], &shard_ids)
+        })
+    }
 }
 
 impl<S: ObjectStore + Sync> ObjectStore for ShardedStore<S> {
@@ -162,34 +202,6 @@ impl<S: ObjectStore + Sync> ObjectStore for ShardedStore<S> {
         self.shard_of(id).get(id)
     }
 
-    fn contains(&self, id: ObjectId) -> bool {
-        self.shard_of(id).contains(id)
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.total_bytes()).sum()
-    }
-
-    /// The shards are opened alike; the first answers for all.
-    fn compresses(&self) -> bool {
-        self.shards[0].compresses()
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    fn remove(&self, id: ObjectId) {
-        self.counters.count_removes(1);
-        self.shard_of(id).remove(id);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.clear();
-        }
-    }
-
     fn put_batch(&self, objs: &[Object]) -> Result<Vec<ObjectId>, StoreError> {
         self.counters.count_put_batch(objs.len());
         let _span = obs::span!("store.put_batch", objects = objs.len()).entered();
@@ -200,7 +212,7 @@ impl<S: ObjectStore + Sync> ObjectStore for ShardedStore<S> {
         // anyway — exactly one worker drives each shard per batch. A
         // *remote* shard pays one network round-trip per call, so there
         // the clone buys the whole group travelling as one frame.
-        let per_shard = on_shards(&groups, &self.shard_ns, |s, group| {
+        let per_shard = on_shards(groups, &self.shard_ns, |s, group| {
             let shard = &self.shards[s];
             if shard.remote_addrs().is_empty() {
                 group
@@ -212,63 +224,63 @@ impl<S: ObjectStore + Sync> ObjectStore for ShardedStore<S> {
                 shard.put_batch(&batch)
             }
         });
-        let mut ids: Vec<Option<ObjectId>> = vec![None; objs.len()];
-        for (_, group, result) in per_shard {
-            for (&i, id) in group.iter().zip(result?) {
-                ids[i] = Some(id);
-            }
-        }
-        Ok(ids
-            .into_iter()
-            .map(|i| i.expect("every input routed"))
-            .collect())
+        scatter(objs.len(), per_shard)
     }
 
     fn get_batch(&self, ids: &[ObjectId]) -> Result<Vec<Object>, StoreError> {
         self.counters.count_get_batch(ids.len());
         let _span = obs::span!("store.get_batch", objects = ids.len()).entered();
-        let groups = self.partition(ids.iter().copied());
         // Ids are Copy, so each shard gets its sub-batch as one inner
         // `get_batch` (one read-lock acquisition on a MemStore shard).
-        let per_shard = on_shards(&groups, &self.shard_ns, |s, group| {
-            let shard_ids: Vec<ObjectId> = group.iter().map(|&i| ids[i]).collect();
-            self.shards[s].get_batch(&shard_ids)
-        });
-        let mut out: Vec<Option<Object>> = (0..ids.len()).map(|_| None).collect();
-        for (_, group, result) in per_shard {
-            for (&i, obj) in group.iter().zip(result?) {
-                out[i] = Some(obj);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every input routed"))
-            .collect())
+        scatter(ids.len(), self.by_shard(ids, S::get_batch))
     }
 
-    fn contains_batch(&self, ids: &[ObjectId]) -> Vec<bool> {
-        let groups = self.partition(ids.iter().copied());
-        let per_shard = on_shards(&groups, &self.shard_ns, |s, group| {
-            let shard_ids: Vec<ObjectId> = group.iter().map(|&i| ids[i]).collect();
-            self.shards[s].contains_batch(&shard_ids)
-        });
-        let mut out = vec![false; ids.len()];
-        for (_, group, result) in per_shard {
-            for (&i, had) in group.iter().zip(result) {
-                out[i] = had;
-            }
-        }
-        out
+    fn contains_batch(&self, ids: &[ObjectId]) -> Result<Vec<bool>, StoreError> {
+        scatter(ids.len(), self.by_shard(ids, S::contains_batch))
     }
 
-    fn remove_batch(&self, ids: &[ObjectId]) {
+    fn remove_batch(&self, ids: &[ObjectId]) -> Result<(), StoreError> {
         self.counters.count_removes(ids.len());
         let _span = obs::span!("store.remove_batch", objects = ids.len()).entered();
-        let groups = self.partition(ids.iter().copied());
-        on_shards(&groups, &self.shard_ns, |s, group| {
-            let shard_ids: Vec<ObjectId> = group.iter().map(|&i| ids[i]).collect();
-            self.shards[s].remove_batch(&shard_ids);
-        });
+        // Every shard is asked; the first failure is the batch's.
+        self.by_shard(ids, S::remove_batch)
+            .into_iter()
+            .try_for_each(|(_, result)| result)
+    }
+
+    fn object_ids(&self) -> Result<Vec<ObjectId>, StoreError> {
+        let mut ids = Vec::new();
+        for shard in &self.shards {
+            ids.extend(shard.object_ids()?);
+        }
+        Ok(ids)
+    }
+
+    fn stats(&self) -> StoreStats {
+        let shards: Vec<ShardStats> = self
+            .shards
+            .iter()
+            .zip(&self.shard_ns)
+            .map(|(s, ns)| {
+                let fill = s.stats();
+                ShardStats {
+                    objects: fill.objects,
+                    bytes: fill.bytes,
+                    batch_ns: ns.load(Ordering::Relaxed),
+                }
+            })
+            .collect();
+        StoreStats {
+            objects: shards.iter().map(|s| s.objects).sum(),
+            bytes: shards.iter().map(|s| s.bytes).sum(),
+            shards,
+            ops: self.counters.snapshot(),
+        }
+    }
+
+    /// The shards are opened alike; the first answers for all.
+    fn compresses(&self) -> bool {
+        self.shards[0].compresses()
     }
 
     fn shard_count(&self) -> usize {
@@ -278,29 +290,6 @@ impl<S: ObjectStore + Sync> ObjectStore for ShardedStore<S> {
     fn remote_addrs(&self) -> Vec<String> {
         // Shard order, so meta v4 reopens with the same id routing.
         self.shards.iter().flat_map(|s| s.remote_addrs()).collect()
-    }
-
-    fn object_ids(&self) -> Vec<ObjectId> {
-        self.shards.iter().flat_map(|s| s.object_ids()).collect()
-    }
-
-    fn stats(&self) -> StoreStats {
-        let shards: Vec<ShardStats> = self
-            .shards
-            .iter()
-            .zip(&self.shard_ns)
-            .map(|(s, ns)| ShardStats {
-                objects: s.len(),
-                bytes: s.total_bytes(),
-                batch_ns: ns.load(Ordering::Relaxed),
-            })
-            .collect();
-        StoreStats {
-            objects: shards.iter().map(|s| s.objects).sum(),
-            bytes: shards.iter().map(|s| s.bytes).sum(),
-            shards,
-            ops: self.counters.snapshot(),
-        }
     }
 }
 
@@ -329,18 +318,18 @@ mod tests {
         assert_eq!(store.len(), 64);
         for (obj, &id) in objs.iter().zip(&ids) {
             assert_eq!(id, obj.id());
-            assert!(store.contains(id));
+            assert!(store.contains(id).unwrap());
             assert_eq!(store.get(id).unwrap(), *obj);
             // The object lives in exactly the shard the prefix names.
             let owner = shard_index(id, 4);
             for (s, shard) in store.shards().iter().enumerate() {
-                assert_eq!(shard.contains(id), s == owner);
+                assert_eq!(shard.contains(id).unwrap(), s == owner);
             }
         }
         assert_eq!(store.get_batch(&ids).unwrap(), objs);
-        store.remove_batch(&ids[..32]);
+        store.remove_batch(&ids[..32]).unwrap();
         assert_eq!(store.len(), 32);
-        store.clear();
+        store.clear().unwrap();
         assert!(store.is_empty());
     }
 

@@ -4,13 +4,32 @@
 //! `total_bytes` reports the real (possibly compressed) storage footprint
 //! — the quantity §5.2 of the paper compares across SVN/Git/MCA.
 //!
-//! # The batch contract
+//! # The contract
 //!
-//! [`ObjectStore`] is batch-first: `put_batch` / `get_batch` /
-//! `contains_batch` / `remove_batch` are the primary write/read surface
-//! (the packers in [`crate::repack`] and `dsv-chunk` feed whole plans
-//! through them), with the single-object methods as the degenerate case.
-//! The contract every implementation must keep:
+//! [`ObjectStore`] is nine required methods and six provided ones. Every
+//! implementor and every wrapper writes the nine; the six are written
+//! once, here, and nobody overrides them.
+//!
+//! | method | | may fail | decisions may rest on it |
+//! |---|---|---|---|
+//! | `put`, `get` | required | yes | yes |
+//! | `put_batch`, `get_batch` | required | yes | yes |
+//! | `contains_batch`, `remove_batch`, `object_ids` | required | yes | yes |
+//! | `compresses` | required | no (a property of the store) | yes |
+//! | `stats` | required | no — **best-effort, reporting only** | no |
+//! | `contains`, `remove` | provided, over the batch forms | yes | yes |
+//! | `clear` | provided, `remove_batch(&object_ids()?)` | yes | yes |
+//! | `len`, `is_empty`, `total_bytes` | provided, one `stats()` call | no — reporting only | no |
+//!
+//! A store answers or fails: a membership probe, a removal or an
+//! enumeration that could not be carried out is an `Err`, never `false`,
+//! `()` or an empty list — fsck decides what is an orphan and GC what is
+//! gone from these answers. `stats` (and the three methods derived from
+//! it) is the one exception: it feeds reports and gauges, a store that
+//! cannot count reports what it could see, and no branch may be taken on
+//! it.
+//!
+//! What every implementation keeps across the single and batch forms:
 //!
 //! - **Equivalence**: a batch op leaves the store in exactly the state the
 //!   same ops applied one at a time would — same objects, same
@@ -18,17 +37,19 @@
 //!   throughput optimization (one lock acquisition, one IO dispatch,
 //!   cross-shard concurrency), never a semantic change.
 //! - **Idempotence**: re-putting an object (single or batched, including
-//!   duplicates *within* one batch) stores nothing new.
-//! - **No partial-failure cleanup**: if a batch op fails mid-way, objects
-//!   already written stay written (they are content-addressed, so retrying
-//!   the batch converges). Callers that need crash-safety order their
-//!   batches so new objects land before stale ones are removed — see the
-//!   repack GC note on [`ObjectStore::clear`].
+//!   duplicates *within* one batch) stores nothing new; removing an id
+//!   the store does not hold is not an error.
+//! - **No partial-failure cleanup**: if a batch op fails mid-way, what was
+//!   already written stays written and what was already removed stays
+//!   removed (objects are content-addressed, so retrying the batch
+//!   converges). Callers that need crash-safety order their batches so
+//!   new objects land before stale ones are removed — see the repack GC
+//!   note on [`ObjectStore::clear`].
 //!
 //! [`StoreStats`] snapshots a store's fill (objects, bytes, per-shard
 //! counts for [`crate::sharded::ShardedStore`]) and its single-vs-batch
-//! operation counters, so callers can see whether the hot paths really go
-//! through the batch surface (`dsv store` prints this).
+//! operation counters ([`Counters`]), so callers can see whether the hot
+//! paths really go through the batch surface (`dsv store` prints this).
 
 use crate::fault;
 use crate::hash::ObjectId;
@@ -116,9 +137,12 @@ impl StoreStats {
     }
 }
 
-/// Interior-mutability counters shared by the store implementations.
+/// Interior-mutability operation counters behind [`OpCounters`]: the one
+/// implementation every store that counts (here, [`crate::ShardedStore`],
+/// `dsv-net`'s `RemoteStore`) holds and snapshots into its
+/// [`StoreStats`].
 #[derive(Debug, Default)]
-pub(crate) struct Counters {
+pub struct Counters {
     puts: AtomicU64,
     gets: AtomicU64,
     batch_puts: AtomicU64,
@@ -129,26 +153,32 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    pub(crate) fn count_put(&self) {
+    /// One single-object `put`.
+    pub fn count_put(&self) {
         self.puts.fetch_add(1, Ordering::Relaxed);
     }
-    pub(crate) fn count_get(&self) {
+    /// One single-object `get`.
+    pub fn count_get(&self) {
         self.gets.fetch_add(1, Ordering::Relaxed);
     }
-    pub(crate) fn count_put_batch(&self, objects: usize) {
+    /// One `put_batch` of `objects` elements.
+    pub fn count_put_batch(&self, objects: usize) {
         self.batch_puts.fetch_add(1, Ordering::Relaxed);
         self.batch_put_objects
             .fetch_add(objects as u64, Ordering::Relaxed);
     }
-    pub(crate) fn count_get_batch(&self, objects: usize) {
+    /// One `get_batch` of `objects` elements.
+    pub fn count_get_batch(&self, objects: usize) {
         self.batch_gets.fetch_add(1, Ordering::Relaxed);
         self.batch_get_objects
             .fetch_add(objects as u64, Ordering::Relaxed);
     }
-    pub(crate) fn count_removes(&self, objects: usize) {
+    /// `objects` ids handed to `remove_batch`.
+    pub fn count_removes(&self, objects: usize) {
         self.removes.fetch_add(objects as u64, Ordering::Relaxed);
     }
-    pub(crate) fn snapshot(&self) -> OpCounters {
+    /// The counters as a plain value.
+    pub fn snapshot(&self) -> OpCounters {
         OpCounters {
             puts: self.puts.load(Ordering::Relaxed),
             gets: self.gets.load(Ordering::Relaxed),
@@ -162,30 +192,69 @@ impl Counters {
 }
 
 /// A key-value store of encoded objects (see the module docs for the
-/// batch contract).
+/// contract table).
 pub trait ObjectStore {
     /// Persists `obj`; returns its id. Idempotent.
     fn put(&self, obj: &Object) -> Result<ObjectId, StoreError>;
     /// Fetches and decodes an object.
     fn get(&self, id: ObjectId) -> Result<Object, StoreError>;
-    /// Whether the store holds `id`.
-    fn contains(&self, id: ObjectId) -> bool;
-    /// Total bytes of encoded objects (physical footprint).
-    fn total_bytes(&self) -> u64;
+    /// Persists every object, returning ids in input order: one write-lock
+    /// acquisition ([`MemStore`]), one frame per remote shard, all shards
+    /// concurrently ([`crate::sharded::ShardedStore`]).
+    fn put_batch(&self, objs: &[Object]) -> Result<Vec<ObjectId>, StoreError>;
+    /// Fetches every id, returning objects in input order; fails if any
+    /// id is missing (the error names a missing id — for partitioned
+    /// stores not necessarily the first in input order).
+    fn get_batch(&self, ids: &[ObjectId]) -> Result<Vec<Object>, StoreError>;
+    /// Membership of every id, in input order. `Ok(false)` means the
+    /// store was asked and does not hold the id; a store that could not
+    /// be asked is an `Err`.
+    fn contains_batch(&self, ids: &[ObjectId]) -> Result<Vec<bool>, StoreError>;
+    /// Removes every id; an id the store does not hold is already
+    /// removed. `Err` means some of `ids` may still be stored.
+    fn remove_batch(&self, ids: &[ObjectId]) -> Result<(), StoreError>;
+    /// Every object id the store holds, in unspecified order — what
+    /// `dsv fsck` verifies content addresses over and detects orphans
+    /// from. An incomplete enumeration is an `Err`.
+    fn object_ids(&self) -> Result<Vec<ObjectId>, StoreError>;
+    /// A snapshot of the store's fill and operation counters.
+    /// **Best-effort and for reporting only**: a store that cannot count
+    /// (an unreadable directory, an unreachable server) reports what it
+    /// could see, down to zeros, so nothing may branch on the result.
+    ///
+    /// **Accounting contract:** a batched call counts once as a batch op
+    /// with its elements under `batch_*_objects` — its elements are not
+    /// *also* counted as single ops, even where the implementation routes
+    /// the batch through its own single-op path.
+    fn stats(&self) -> StoreStats;
     /// Whether the store codes payloads ([`Object::encode`]'s `compress`):
     /// the policy [`crate::object::stored_len`] needs to price an object
-    /// as this store will hold it. Required, so a wrapper that forgets to
-    /// forward it does not compile rather than mispricing every plan.
+    /// as this store will hold it.
     fn compresses(&self) -> bool;
-    /// Number of stored objects.
-    fn len(&self) -> usize;
-    /// Whether the store is empty.
+
+    /// Whether the store holds `id` ([`ObjectStore::contains_batch`] of
+    /// one).
+    fn contains(&self, id: ObjectId) -> Result<bool, StoreError> {
+        Ok(self.contains_batch(&[id])?[0])
+    }
+    /// Removes an object ([`ObjectStore::remove_batch`] of one).
+    fn remove(&self, id: ObjectId) -> Result<(), StoreError> {
+        self.remove_batch(&[id])
+    }
+    /// Number of stored objects, from [`ObjectStore::stats`]: reporting
+    /// only.
+    fn len(&self) -> usize {
+        self.stats().objects
+    }
+    /// Whether [`ObjectStore::len`] is 0: reporting only.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Removes an object (used by repack garbage collection). Unknown ids
-    /// are ignored.
-    fn remove(&self, id: ObjectId);
+    /// Total bytes of encoded objects (physical footprint), from
+    /// [`ObjectStore::stats`]: reporting only.
+    fn total_bytes(&self) -> u64 {
+        self.stats().bytes
+    }
     /// Removes every object: the bulk path for rebuilding or reusing a
     /// store (e.g. packing several substrates through one store in
     /// sequence), so rebuilds into the same `FileStore` never accumulate
@@ -194,34 +263,8 @@ pub trait ObjectStore {
     /// [`ObjectStore::remove_batch`] only after a successful re-pack, so
     /// an interrupted optimize can never destroy the only copy of a
     /// history.
-    fn clear(&self);
-
-    /// Persists every object, returning ids in input order. Equivalent to
-    /// (and default-implemented as) one `put` per object; implementations
-    /// override it to take their write lock once
-    /// ([`MemStore`]) or fan out across shards concurrently
-    /// ([`crate::sharded::ShardedStore`]).
-    fn put_batch(&self, objs: &[Object]) -> Result<Vec<ObjectId>, StoreError> {
-        objs.iter().map(|o| self.put(o)).collect()
-    }
-
-    /// Fetches every id, returning objects in input order; fails if any
-    /// id is missing (the error names a missing id — for partitioned
-    /// stores not necessarily the first in input order).
-    fn get_batch(&self, ids: &[ObjectId]) -> Result<Vec<Object>, StoreError> {
-        ids.iter().map(|&id| self.get(id)).collect()
-    }
-
-    /// Membership of every id, in input order.
-    fn contains_batch(&self, ids: &[ObjectId]) -> Vec<bool> {
-        ids.iter().map(|&id| self.contains(id)).collect()
-    }
-
-    /// Removes every id; unknown ids are ignored.
-    fn remove_batch(&self, ids: &[ObjectId]) {
-        for &id in ids {
-            self.remove(id);
-        }
+    fn clear(&self) -> Result<(), StoreError> {
+        self.remove_batch(&self.object_ids()?)
     }
 
     /// Number of shards the store routes ids across (0 = unsharded).
@@ -239,34 +282,6 @@ pub trait ObjectStore {
     /// without knowing the concrete store type.
     fn remote_addrs(&self) -> Vec<String> {
         Vec::new()
-    }
-
-    /// Every object id the store holds, in unspecified order — the
-    /// enumeration surface `dsv fsck` uses for content verification and
-    /// orphan detection. The default returns an empty vector
-    /// (enumeration unavailable); fsck distinguishes that from a
-    /// genuinely empty store by cross-checking [`ObjectStore::len`].
-    fn object_ids(&self) -> Vec<ObjectId> {
-        Vec::new()
-    }
-
-    /// A snapshot of the store's fill and operation counters. The default
-    /// reports size only (no shards, zero counters), so third-party
-    /// stores keep compiling.
-    ///
-    /// **Accounting contract:** a batched call counts once as a batch op
-    /// with its elements under `batch_*_objects` — its elements must not
-    /// *also* be counted as single ops, even when the implementation
-    /// routes the batch through the default single-op loops. A store that
-    /// counts singles internally must therefore override the batch
-    /// methods and count there, as [`MemStore`] and [`FileStore`] do.
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            objects: self.len(),
-            bytes: self.total_bytes(),
-            shards: Vec::new(),
-            ops: OpCounters::default(),
-        }
     }
 }
 
@@ -306,31 +321,6 @@ impl ObjectStore for MemStore {
         Object::decode(bytes)
     }
 
-    fn contains(&self, id: ObjectId) -> bool {
-        self.map.read().contains_key(&id)
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.map.read().values().map(|v| v.len() as u64).sum()
-    }
-
-    fn compresses(&self) -> bool {
-        self.compress
-    }
-
-    fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    fn remove(&self, id: ObjectId) {
-        self.counters.count_removes(1);
-        self.map.write().remove(&id);
-    }
-
-    fn clear(&self) {
-        self.map.write().clear();
-    }
-
     fn put_batch(&self, objs: &[Object]) -> Result<Vec<ObjectId>, StoreError> {
         self.counters.count_put_batch(objs.len());
         // One write-lock acquisition for the whole batch.
@@ -355,30 +345,36 @@ impl ObjectStore for MemStore {
             .collect()
     }
 
-    fn contains_batch(&self, ids: &[ObjectId]) -> Vec<bool> {
+    fn contains_batch(&self, ids: &[ObjectId]) -> Result<Vec<bool>, StoreError> {
         let map = self.map.read();
-        ids.iter().map(|id| map.contains_key(id)).collect()
+        Ok(ids.iter().map(|id| map.contains_key(id)).collect())
     }
 
-    fn remove_batch(&self, ids: &[ObjectId]) {
+    fn remove_batch(&self, ids: &[ObjectId]) -> Result<(), StoreError> {
         self.counters.count_removes(ids.len());
         let mut map = self.map.write();
         for id in ids {
             map.remove(id);
         }
+        Ok(())
     }
 
-    fn object_ids(&self) -> Vec<ObjectId> {
-        self.map.read().keys().copied().collect()
+    fn object_ids(&self) -> Result<Vec<ObjectId>, StoreError> {
+        Ok(self.map.read().keys().copied().collect())
     }
 
     fn stats(&self) -> StoreStats {
+        let map = self.map.read();
         StoreStats {
-            objects: self.len(),
-            bytes: self.total_bytes(),
+            objects: map.len(),
+            bytes: map.values().map(|v| v.len() as u64).sum(),
             shards: Vec::new(),
             ops: self.counters.snapshot(),
         }
+    }
+
+    fn compresses(&self) -> bool {
+        self.compress
     }
 }
 
@@ -458,21 +454,21 @@ impl FileStore {
     /// Calls `visit` for every published object: the files named
     /// `<2 hex>/<30 hex>` under the root. Whatever else a crash or a
     /// stranger left there — an unpublished `.tmp` above all — is not an
-    /// object: `len`, `total_bytes` and `object_ids` all count through
-    /// here, so they cannot disagree about that.
-    fn for_each_object(&self, mut visit: impl FnMut(ObjectId, &std::fs::DirEntry)) {
-        let Ok(fanout) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for d in fanout.flatten() {
+    /// object: `stats` and `object_ids` both count through here, so they
+    /// cannot disagree about that. A directory that cannot be read stops
+    /// the walk with its error.
+    fn for_each_object(
+        &self,
+        mut visit: impl FnMut(ObjectId, &std::fs::DirEntry),
+    ) -> std::io::Result<()> {
+        for d in std::fs::read_dir(&self.dir)? {
+            let d = d?;
             let prefix = d.file_name();
             let Some(prefix) = prefix.to_str().filter(|p| p.len() == 2) else {
                 continue;
             };
-            let Ok(files) = std::fs::read_dir(d.path()) else {
-                continue;
-            };
-            for f in files.flatten() {
+            for f in std::fs::read_dir(d.path())? {
+                let f = f?;
                 let id = f
                     .file_name()
                     .to_str()
@@ -482,6 +478,7 @@ impl FileStore {
                 }
             }
         }
+        Ok(())
     }
 
     fn read_object(&self, id: ObjectId) -> Result<Object, StoreError> {
@@ -504,41 +501,6 @@ impl ObjectStore for FileStore {
         self.read_object(id)
     }
 
-    fn contains(&self, id: ObjectId) -> bool {
-        self.path_of(id).exists()
-    }
-
-    fn total_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        self.for_each_object(|_, file| total += file.metadata().map_or(0, |meta| meta.len()));
-        total
-    }
-
-    fn compresses(&self) -> bool {
-        self.compress
-    }
-
-    fn len(&self) -> usize {
-        let mut n = 0usize;
-        self.for_each_object(|_, _| n += 1);
-        n
-    }
-
-    fn remove(&self, id: ObjectId) {
-        self.counters.count_removes(1);
-        let _ = fault::remove_file(&self.path_of(id), "object");
-    }
-
-    fn clear(&self) {
-        // Drop whole fan-out directories; the root stays so the store
-        // remains usable without re-opening.
-        if let Ok(fanout) = std::fs::read_dir(&self.dir) {
-            for d in fanout.flatten() {
-                let _ = std::fs::remove_dir_all(d.path());
-            }
-        }
-    }
-
     fn put_batch(&self, objs: &[Object]) -> Result<Vec<ObjectId>, StoreError> {
         self.counters.count_put_batch(objs.len());
         // One file per object regardless; concurrency across files comes
@@ -551,26 +513,33 @@ impl ObjectStore for FileStore {
         ids.iter().map(|&id| self.read_object(id)).collect()
     }
 
-    fn remove_batch(&self, ids: &[ObjectId]) {
+    fn contains_batch(&self, ids: &[ObjectId]) -> Result<Vec<bool>, StoreError> {
+        ids.iter()
+            .map(|&id| Ok(self.path_of(id).try_exists()?))
+            .collect()
+    }
+
+    fn remove_batch(&self, ids: &[ObjectId]) -> Result<(), StoreError> {
         self.counters.count_removes(ids.len());
         for &id in ids {
             // Injectable per-object removal: a crash mid-GC leaves a
-            // suffix of stale objects for fsck to collect.
-            if fault::remove_file(&self.path_of(id), "object").is_err() {
-                return;
-            }
+            // suffix of stale objects for fsck to collect. A missing file
+            // is already removed; any other failure stops the batch.
+            fault::remove_file(&self.path_of(id), "object")?;
         }
+        Ok(())
     }
 
-    fn object_ids(&self) -> Vec<ObjectId> {
+    fn object_ids(&self) -> Result<Vec<ObjectId>, StoreError> {
         let mut ids = Vec::new();
-        self.for_each_object(|id, _| ids.push(id));
-        ids
+        self.for_each_object(|id, _| ids.push(id))?;
+        Ok(ids)
     }
 
     fn stats(&self) -> StoreStats {
         let (mut objects, mut bytes) = (0usize, 0u64);
-        self.for_each_object(|_, file| {
+        // Best-effort: an unreadable directory ends the count early.
+        let _ = self.for_each_object(|_, file| {
             objects += 1;
             bytes += file.metadata().map_or(0, |meta| meta.len());
         });
@@ -580,6 +549,10 @@ impl ObjectStore for FileStore {
             shards: Vec::new(),
             ops: self.counters.snapshot(),
         }
+    }
+
+    fn compresses(&self) -> bool {
+        self.compress
     }
 }
 
@@ -593,7 +566,7 @@ mod tests {
             data: b"version one".to_vec(),
         };
         let id = store.put(&a).unwrap();
-        assert!(store.contains(id));
+        assert!(store.contains(id).unwrap());
         assert_eq!(store.get(id).unwrap(), a);
         assert_eq!(store.len(), 1);
         assert!(store.total_bytes() > 0);
@@ -619,26 +592,27 @@ mod tests {
         assert_eq!(store.get(did).unwrap(), d);
 
         // Removal.
-        store.remove(did);
-        assert!(!store.contains(did));
-        store.remove(missing); // no-op
+        store.remove(did).unwrap();
+        assert!(!store.contains(did).unwrap());
+        store.remove(missing).unwrap(); // already removed
 
         // Bulk removal: the store is empty and still usable afterwards.
         store.put(&d).unwrap();
         assert!(store.len() >= 2);
-        store.clear();
+        store.clear().unwrap();
         assert!(store.is_empty());
         assert_eq!(store.total_bytes(), 0);
+        assert_eq!(store.object_ids().unwrap(), vec![]);
         let again = store.put(&a).unwrap();
         assert_eq!(again, id);
-        assert!(store.contains(id));
+        assert!(store.contains(id).unwrap());
     }
 
     /// Batch ops must be observationally identical to their single-object
     /// loops: same ids out, same store state, order preserved, duplicate
     /// and repeated inputs deduplicated by content address.
     fn exercise_batches(store: &dyn ObjectStore) {
-        store.clear();
+        store.clear().unwrap();
         let objs: Vec<Object> = (0..20u8)
             .map(|i| Object::Full {
                 data: format!("batched object {i} payload").into_bytes(),
@@ -664,7 +638,7 @@ mod tests {
             StoreError::NotFound(_)
         ));
         assert_eq!(
-            store.contains_batch(&[ids[0], missing, ids[5]]),
+            store.contains_batch(&[ids[0], missing, ids[5]]).unwrap(),
             vec![true, false, true]
         );
 
@@ -675,11 +649,11 @@ mod tests {
         assert_eq!(store.total_bytes(), bytes);
 
         // Batch removal (unknown ids ignored).
-        store.remove_batch(&[ids[0], ids[1], missing]);
+        store.remove_batch(&[ids[0], ids[1], missing]).unwrap();
         assert_eq!(store.len(), objs.len() - 2);
-        assert!(!store.contains(ids[0]));
-        assert!(store.contains(ids[2]));
-        store.clear();
+        assert!(!store.contains(ids[0]).unwrap());
+        assert!(store.contains(ids[2]).unwrap());
+        store.clear().unwrap();
     }
 
     #[test]
@@ -744,7 +718,7 @@ mod tests {
         std::fs::write(fanout.join("deadbeef.tmp"), vec![0u8; 5000]).unwrap();
         std::fs::write(dir.join("stray"), b"not in a fan-out directory").unwrap();
 
-        assert_eq!(store.object_ids(), vec![id]);
+        assert_eq!(store.object_ids().unwrap(), vec![id]);
         assert_eq!(store.len(), 1);
         assert_eq!(store.total_bytes(), clean);
         let stats = store.stats();
@@ -782,8 +756,8 @@ mod tests {
         store.put(&objs[0]).unwrap();
         store.get(ids[0]).unwrap();
         store.get_batch(&ids).unwrap();
-        store.remove(ids[4]);
-        store.remove_batch(&ids[..2]);
+        store.remove(ids[4]).unwrap();
+        store.remove_batch(&ids[..2]).unwrap();
 
         let stats = store.stats();
         assert_eq!(stats.objects, 2);
@@ -797,43 +771,5 @@ mod tests {
         assert_eq!(stats.ops.batch_gets, 1);
         assert_eq!(stats.ops.batch_get_objects, 5);
         assert_eq!(stats.ops.removes, 3);
-    }
-
-    #[test]
-    fn default_trait_batches_fall_back_to_singles() {
-        /// A minimal third-party store: only the original single-object
-        /// surface implemented — the batch methods and `stats` must work
-        /// through their defaults.
-        struct Minimal(MemStore);
-        impl ObjectStore for Minimal {
-            fn put(&self, obj: &Object) -> Result<ObjectId, StoreError> {
-                self.0.put(obj)
-            }
-            fn get(&self, id: ObjectId) -> Result<Object, StoreError> {
-                self.0.get(id)
-            }
-            fn contains(&self, id: ObjectId) -> bool {
-                self.0.contains(id)
-            }
-            fn total_bytes(&self) -> u64 {
-                self.0.total_bytes()
-            }
-            fn compresses(&self) -> bool {
-                self.0.compresses()
-            }
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn remove(&self, id: ObjectId) {
-                self.0.remove(id)
-            }
-            fn clear(&self) {
-                self.0.clear()
-            }
-        }
-        let store = Minimal(MemStore::new(false));
-        exercise_batches(&store);
-        let stats = store.stats();
-        assert_eq!(stats.ops, OpCounters::default());
     }
 }

@@ -77,11 +77,17 @@ fn sharded_store_equals_plain_store_across_shards_and_threads() {
                     assert_eq!(sharded.get(id).unwrap(), reference.get(id).unwrap());
                     assert_eq!(batched[i], reference.get(id).unwrap());
                 }
-                assert_eq!(sharded.contains_batch(&ids), reference.contains_batch(&ids));
+                assert_eq!(
+                    sharded.contains_batch(&ids).unwrap(),
+                    reference.contains_batch(&ids).unwrap()
+                );
                 // Removal behaves identically too.
                 let victim = ids[ids.len() / 2];
-                sharded.remove_batch(&[victim]);
-                assert!(!sharded.contains(victim), "s{shards} t{threads}: removed");
+                sharded.remove_batch(&[victim]).unwrap();
+                assert!(
+                    !sharded.contains(victim).unwrap(),
+                    "s{shards} t{threads}: removed"
+                );
                 assert_eq!(sharded.len(), reference.len() - 1);
             });
         }
@@ -166,7 +172,7 @@ fn tracing_preserves_byte_identity_and_span_shape() {
                     for (i, &id) in ids.iter().enumerate() {
                         assert_eq!(got[i], reference.get(id).unwrap());
                     }
-                    sharded.remove_batch(&ids);
+                    sharded.remove_batch(&ids).unwrap();
                     assert_eq!(sharded.len(), 0, "s{shards} t{threads}: traced removal");
                     // The per-shard timers observed the fan-out.
                     let stats = sharded.stats();
@@ -208,9 +214,9 @@ fn batch_surface_equals_single_op_loops() {
     for &id in &batch_ids {
         assert_eq!(via_batch.get(id).unwrap(), via_singles.get(id).unwrap());
     }
-    via_batch.remove_batch(&batch_ids[..10]);
+    via_batch.remove_batch(&batch_ids[..10]).unwrap();
     for &id in &single_ids[..10] {
-        via_singles.remove(id);
+        via_singles.remove(id).unwrap();
     }
     assert_eq!(via_batch.len(), via_singles.len());
     assert_eq!(via_batch.total_bytes(), via_singles.total_bytes());

@@ -433,6 +433,16 @@ fn optimize(args: &[String], remote: Option<&str>) -> Result<(), String> {
     match Backend::open(remote, args, 0)?.call(req)? {
         Response::OptimizeOk(summary) => {
             print_optimize_summary(&summary);
+            // Local epilogue: the journal outlives an optimize only when
+            // collecting the old plan's objects did not finish (the wire
+            // summary has no field for it; `fsck` reports it either way).
+            if remote.is_none() && !matches!(persist::read_journal(&repo_dir(args, 1)?), Ok(None)) {
+                eprintln!(
+                    "dsv: warning: the old layout was not fully collected; \
+                     `dsv fsck {} --repair` will finish it",
+                    args[1]
+                );
+            }
             Ok(())
         }
         other => Err(unexpected(&other)),

@@ -179,7 +179,9 @@ fn run(args: &[String]) -> Result<(), String> {
         // it drops them.
         let store = FileStore::open(&opts.root.join("objects"), true).map_err(|e| e.to_string())?;
         persist::sweep_unpublished(&opts.root).map_err(|e| e.to_string())?;
-        let objects = store.len();
+        // Enumerated rather than read off `stats`: a store that cannot
+        // list its directory must not come up announcing 0 objects.
+        let objects = store.object_ids().map_err(|e| e.to_string())?.len();
         let service = StoreService::new(
             store,
             StoreServiceConfig {

@@ -8,10 +8,13 @@
 //! become durable. This module turns that debris back into a pristine
 //! repository:
 //!
-//! - [`fsck`] verifies every content address (fetch + re-hash), rebuilds
-//!   every version along its recreation path from the cold store, and —
-//!   for stores that can enumerate ([`ObjectStore::object_ids`]) —
-//!   reports objects no version references. The rebuild is one pass with
+//! - [`fsck`] verifies every content address the store enumerates
+//!   ([`ObjectStore::object_ids`]; fetch + re-hash), rebuilds every
+//!   version along its recreation path from the cold store, and reports
+//!   objects no version references. A store that cannot enumerate, or a
+//!   manifest that cannot be read, is recorded and makes the report not
+//!   clean — orphans are never guessed from an incomplete picture. The
+//!   rebuild is one pass with
 //!   a pass-local memo: every object on every version's path is still
 //!   read from the store and every version is still fully rebuilt within
 //!   the pass; what is gone is reading and decoding the same object again
@@ -19,21 +22,24 @@
 //! - [`recover`] resolves a pending repack journal: if the loaded
 //!   metadata already references the journaled new plan the repack is
 //!   rolled *forward* (the interrupted GC finishes); otherwise it is
-//!   rolled *back* (unreferenced new objects are dropped). Either way
-//!   the journal is cleared. `dsvd` runs this at startup before serving.
+//!   rolled *back* (unreferenced new objects are dropped). The journal
+//!   is cleared once every removal succeeded; a store failure returns the
+//!   error with the journal in place, before or between removals.
+//!   `dsvd` runs this at startup before serving.
 //! - [`fsck_repair`] = recover + fsck + orphan GC.
 //!
 //! All three are deterministic and idempotent: running them twice (or
 //! crashing *during* repair and re-running) converges to the same clean
 //! state, because every destructive step removes only objects outside
-//! the referenced closure.
+//! the referenced closure — and a closure that could not be read in full
+//! removes nothing.
 
 use crate::error::VcsError;
 use crate::persist;
 use crate::repo::Repository;
 use dsv_net::proto::{FsckSummary, WireRecovery};
 use dsv_obs as obs;
-use dsv_storage::{Object, ObjectId, ObjectStore};
+use dsv_storage::{Object, ObjectId, ObjectStore, StoreError};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
@@ -70,8 +76,12 @@ pub struct FsckReport {
     /// Versions that could not be materialized, with the failure.
     pub unreadable: Vec<(u32, String)>,
     /// Stored objects referenced by no version (commit/repack debris).
-    /// Empty when the store cannot enumerate its contents.
+    /// Empty when the reference closure or the enumeration is incomplete
+    /// (see `unreadable`, `store_failure`).
     pub orphans: Vec<ObjectId>,
+    /// The store could not enumerate its objects: no address was
+    /// verified and no orphan looked for.
+    pub store_failure: Option<String>,
     /// A repack journal is pending — run [`recover`] (or
     /// `fsck --repair`) to resolve it.
     pub journal_pending: bool,
@@ -83,12 +93,13 @@ pub struct FsckReport {
 
 impl FsckReport {
     /// True when the repository needs no repair: every address verifies,
-    /// every version materializes, nothing is orphaned, and no repack
-    /// journal is pending.
+    /// every version materializes, nothing is orphaned, the store
+    /// answered, and no repack journal is pending.
     pub fn is_clean(&self) -> bool {
         self.bad_addresses.is_empty()
             && self.unreadable.is_empty()
             && self.orphans.is_empty()
+            && self.store_failure.is_none()
             && !self.journal_pending
     }
 
@@ -118,46 +129,60 @@ impl FsckReport {
 }
 
 /// Renders through the summary's `Display`, so a report reads the same
-/// printed here, by `dsv fsck`, or by `dsv --remote … fsck`.
+/// printed here, by `dsv fsck`, or by `dsv --remote … fsck` — plus the
+/// store failure, which has no wire field and stays on this side.
 impl fmt::Display for FsckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.summary().fmt(f)
+        self.summary().fmt(f)?;
+        match &self.store_failure {
+            Some(e) => write!(f, " (STORE FAILURE: {e})"),
+            None => Ok(()),
+        }
     }
 }
 
 /// The full set of object ids the repository's history references: every
 /// version's object plus, for chunk manifests, the chunk objects they
 /// name. Delta bases are themselves version objects, so the version list
-/// already covers them.
-fn referenced_closure<S: ObjectStore>(repo: &Repository<S>) -> HashSet<ObjectId> {
+/// already covers them. A version object that cannot be read fails the
+/// closure with the version's number: it may be a manifest, and with its
+/// chunks left out they would read as orphans and be collected.
+fn referenced_closure<S: ObjectStore>(
+    repo: &Repository<S>,
+) -> Result<HashSet<ObjectId>, (u32, StoreError)> {
     let mut closure: HashSet<ObjectId> = repo.objects.iter().copied().collect();
-    for id in &repo.objects {
-        if let Ok(Object::Chunked { chunks }) = repo.store.get(*id) {
+    for (v, id) in repo.objects.iter().enumerate() {
+        if let Object::Chunked { chunks } = repo.store.get(*id).map_err(|e| (v as u32, e))? {
             closure.extend(chunks);
         }
     }
-    closure
+    Ok(closure)
 }
 
 /// Read-only integrity check; see the module docs for what it covers.
 /// Pass the persistence root as `root` to also flag a pending repack
 /// journal (`None` for purely in-memory repositories).
 pub fn fsck<S: ObjectStore>(repo: &Repository<S>, root: Option<&Path>) -> FsckReport {
+    check(repo, root, referenced_closure(repo))
+}
+
+/// [`fsck`] against an already-computed reference closure.
+fn check<S: ObjectStore>(
+    repo: &Repository<S>,
+    root: Option<&Path>,
+    closure: Result<HashSet<ObjectId>, (u32, StoreError)>,
+) -> FsckReport {
     let _span = obs::span!("fsck", versions = repo.version_count()).entered();
     obs::counter!("fsck.runs", 1);
     let mut report = FsckReport::default();
 
-    // 1. Every stored object's bytes must hash back to its address. When
-    // the store can enumerate, check everything it holds (catching
-    // corrupt orphans too); otherwise check the referenced closure.
-    let closure = referenced_closure(repo);
-    let enumerated = repo.store.object_ids();
-    let to_check: Vec<ObjectId> = if enumerated.is_empty() && repo.store.len() > 0 {
-        closure.iter().copied().collect()
-    } else {
-        enumerated.clone()
-    };
-    for id in &to_check {
+    // 1. Every stored object's bytes must hash back to its address:
+    // everything the store holds, corrupt orphans included.
+    let enumerated = repo.store.object_ids().unwrap_or_else(|e| {
+        report.store_failure = Some(e.to_string());
+        Vec::new()
+    });
+    for id in &enumerated {
         report.objects_checked += 1;
         match repo.store.get(*id) {
             Ok(obj) if obj.id() == *id => {}
@@ -171,21 +196,28 @@ pub fn fsck<S: ObjectStore>(repo: &Repository<S>, root: Option<&Path>) -> FsckRe
     // this pass, starting from an empty pass-local memo, so every object
     // on the path is read from the store — once, however many versions
     // sit above it.
+    // A version the closure could not read is unreadable even if the
+    // rebuild then gets through (a transient failure).
     let m = repo.pass_materializer(true);
     for (v, id) in repo.objects.iter().enumerate() {
         report.versions_checked += 1;
-        if let Err(e) = m.materialize(*id) {
-            report.unreadable.push((v as u32, e.to_string()));
+        let outcome = match &closure {
+            Err((failed, e)) if *failed == v as u32 => Err(e.to_string()),
+            _ => m.materialize(*id).map(drop).map_err(|e| e.to_string()),
+        };
+        if let Err(e) = outcome {
+            report.unreadable.push((v as u32, e));
         }
     }
 
-    // 3. Orphans: enumerable stores only.
-    let mut orphans: Vec<ObjectId> = enumerated
-        .into_iter()
-        .filter(|id| !closure.contains(id))
-        .collect();
-    orphans.sort();
-    report.orphans = orphans;
+    // 3. Orphans — only against a complete closure.
+    if let Ok(closure) = closure {
+        report.orphans = enumerated
+            .into_iter()
+            .filter(|id| !closure.contains(id))
+            .collect();
+        report.orphans.sort();
+    }
 
     // 4. Pending repack journal.
     if let Some(root) = root {
@@ -197,7 +229,9 @@ pub fn fsck<S: ObjectStore>(repo: &Repository<S>, root: Option<&Path>) -> FsckRe
 /// Resolves a pending repack journal at `root`, if any (see
 /// [`Recovery`]). Safe to call on a clean repository; idempotent under
 /// crashes — every removal targets only objects outside the referenced
-/// closure, and the journal is cleared last.
+/// closure, and the journal is cleared last. A store failure — reading
+/// the closure, or removing — is returned with the journal still in
+/// place, so the next run finishes the job.
 pub fn recover<S: ObjectStore>(
     repo: &mut Repository<S>,
     root: &Path,
@@ -206,7 +240,7 @@ pub fn recover<S: ObjectStore>(
         return Ok(Recovery::Clean);
     };
     let _span = obs::span!("fsck.recover").entered();
-    let closure = referenced_closure(repo);
+    let closure = referenced_closure(repo).map_err(|(_, e)| e)?;
     let recovery = if repo.objects == journal.new_objects {
         // The metadata swap became durable: the crash hit during (or
         // before) the stale-object GC. Finish it. Content addressing can
@@ -218,7 +252,7 @@ pub fn recover<S: ObjectStore>(
             .copied()
             .filter(|id| !closure.contains(id))
             .collect();
-        repo.store.remove_batch(&stale);
+        repo.store.remove_batch(&stale)?;
         Recovery::RolledForward {
             removed: stale.len(),
         }
@@ -229,15 +263,19 @@ pub fn recover<S: ObjectStore>(
         // not also reference.
         let mut new_side: HashSet<ObjectId> = journal.new_objects.iter().copied().collect();
         for id in &journal.new_objects {
-            if let Ok(Object::Chunked { chunks }) = repo.store.get(*id) {
-                new_side.extend(chunks);
+            // An absent new object has nothing to drop; any other failure
+            // may hide a manifest whose chunks would then stay behind.
+            match repo.store.get(*id) {
+                Ok(Object::Chunked { chunks }) => new_side.extend(chunks),
+                Ok(_) | Err(StoreError::NotFound(_)) => {}
+                Err(e) => return Err(e.into()),
             }
         }
         let drop: Vec<ObjectId> = new_side
             .into_iter()
             .filter(|id| !closure.contains(id))
             .collect();
-        repo.store.remove_batch(&drop);
+        repo.store.remove_batch(&drop)?;
         Recovery::RolledBack {
             removed: drop.len(),
         }
@@ -254,7 +292,9 @@ pub fn recover<S: ObjectStore>(
 /// *post-repair* state plus what was done (`recovery`,
 /// `orphans_removed`); a report that is still not
 /// [`clean`](FsckReport::is_clean) means real corruption (bad addresses
-/// or unreadable versions) that deleting debris cannot fix.
+/// or unreadable versions) that deleting debris cannot fix. A failed
+/// removal is returned as the error it is; the orphans it left are found
+/// again by the next run.
 pub fn fsck_repair<S: ObjectStore>(
     repo: &mut Repository<S>,
     root: Option<&Path>,
@@ -267,12 +307,15 @@ pub fn fsck_repair<S: ObjectStore>(
         }
         None => None,
     };
-    let mut report = fsck(repo, root);
+    // An unreadable manifest ends the repair here, before its chunks can
+    // be taken for orphans.
+    let closure = referenced_closure(repo).map_err(|(_, e)| e)?;
+    let mut report = check(repo, root, Ok(closure));
     report.recovery = recovery;
     if !report.orphans.is_empty() {
         let orphans = std::mem::take(&mut report.orphans);
         obs::counter!("fsck.orphans_removed", orphans.len() as u64);
-        repo.store.remove_batch(&orphans);
+        repo.store.remove_batch(&orphans)?;
         report.orphans_removed = orphans.len();
     }
     Ok(report)
@@ -296,7 +339,6 @@ mod tests {
     use super::*;
     use crate::persist::RepackJournal;
     use dsv_core::{PlanSpec, Problem};
-    use dsv_storage::StoreError;
 
     struct TempDir(std::path::PathBuf);
     impl TempDir {
@@ -484,6 +526,123 @@ mod tests {
         assert_eq!(gets, 3 * n);
     }
 
+    /// A chunked history over a fault-injecting store, plus the debris
+    /// one of three crashes leaves: an orphan with no journal, a repack
+    /// whose swap is durable (roll forward), or one whose swap is not
+    /// (roll back; its phantom manifest shares a chunk with a live one).
+    fn chunked_debris(
+        scenario: &str,
+        plan: std::sync::Arc<dsv_storage::FaultPlan>,
+        root: &Path,
+    ) -> Repository<dsv_storage::FaultStore<dsv_storage::MemStore>> {
+        let store = dsv_storage::FaultStore::new(dsv_storage::MemStore::new(true), plan);
+        let mut repo = Repository::init_chunked(store, dsv_chunk::ChunkerParams::default());
+        let mut data = csv(600, "x");
+        for i in 0..5 {
+            data.extend_from_slice(format!("{},grown\n", 600 + i).as_bytes());
+            repo.commit("main", &data, "grow").unwrap();
+        }
+        let put = |obj: Object| repo.store.put(&obj).unwrap();
+        let orphan = put(Object::Full {
+            data: b"debris".to_vec(),
+        });
+        let _ = persist::clear_journal(root);
+        let journal = match scenario {
+            "orphan" => return repo,
+            "forward" => RepackJournal {
+                new_objects: repo.objects.clone(),
+                stale: vec![orphan],
+            },
+            "back" => {
+                let Object::Chunked { chunks } = repo.store.inner().get(repo.objects[0]).unwrap()
+                else {
+                    panic!("chunked placement stores manifests");
+                };
+                let phantom = put(Object::Chunked {
+                    chunks: vec![chunks[0], orphan],
+                });
+                let mut new_objects = repo.objects.clone();
+                new_objects[0] = phantom;
+                RepackJournal {
+                    new_objects,
+                    stale: vec![],
+                }
+            }
+            other => panic!("unknown scenario {other}"),
+        };
+        persist::write_journal(root, &journal).unwrap();
+        repo
+    }
+
+    #[test]
+    fn a_failed_store_read_never_lets_repair_collect_live_chunks() {
+        use dsv_storage::FaultPlan;
+        // `referenced_closure` used to skip a manifest it could not read:
+        // its chunks then counted as orphans, and `fsck --repair` and both
+        // arms of `recover` removed them. Fail every `store.get` a repair
+        // makes, one at a time: whatever the attempt did, every version
+        // still checks out and a fault-free repair ends clean.
+        let gets = |plan: &FaultPlan| plan.sites().iter().filter(|s| *s == "store.get").count();
+        for scenario in ["orphan", "forward", "back"] {
+            let dir = TempDir::new(&format!("closure-{scenario}"));
+            let counting = FaultPlan::count_sites();
+            let mut repo = chunked_debris(scenario, counting.clone(), &dir.0);
+            let snapshots: Vec<Vec<u8>> = (0..repo.version_count() as u32)
+                .map(|v| repo.checkout(crate::CommitId(v)).unwrap())
+                .collect();
+            let before = gets(&counting);
+            let clean = fsck_repair(&mut repo, Some(&dir.0)).unwrap();
+            assert!(clean.is_clean(), "{scenario}: {clean}");
+            let after = gets(&counting);
+            assert!(after > before, "{scenario}: repair must read the store");
+
+            let mut failed = 0;
+            for site in before..after {
+                let plan = FaultPlan::fail_at_site(site as u64, "store.get");
+                let mut repo = chunked_debris(scenario, plan.clone(), &dir.0);
+                for v in 0..snapshots.len() as u32 {
+                    repo.checkout(crate::CommitId(v)).unwrap();
+                }
+                failed += usize::from(fsck_repair(&mut repo, Some(&dir.0)).is_err());
+                assert_eq!(plan.fired(), 1, "{scenario}: site {site} was not reached");
+                let again = fsck_repair(&mut repo, Some(&dir.0)).unwrap();
+                assert!(again.is_clean(), "{scenario} site {site}: {again}");
+                for (v, expected) in snapshots.iter().enumerate() {
+                    assert_eq!(
+                        &repo.checkout(crate::CommitId(v as u32)).unwrap(),
+                        expected,
+                        "{scenario}: v{v} after a fault at store.get #{site}"
+                    );
+                }
+            }
+            assert!(failed > 0, "{scenario}: no injected read error surfaced");
+        }
+    }
+
+    #[test]
+    fn an_incomplete_closure_reports_the_version_and_no_orphans() {
+        use dsv_storage::FaultPlan;
+        let dir = TempDir::new("closure-readonly");
+        let counting = FaultPlan::count_sites();
+        let repo = chunked_debris("orphan", counting.clone(), &dir.0);
+        // The next `store.get` is the closure's read of v0's manifest.
+        let next = counting
+            .sites()
+            .iter()
+            .filter(|s| *s == "store.get")
+            .count();
+        assert_eq!(fsck(&repo, None).orphans.len(), 1);
+        let plan = FaultPlan::fail_at_site(next as u64, "store.get");
+        let repo = chunked_debris("orphan", plan.clone(), &dir.0);
+        let report = fsck(&repo, None);
+        assert_eq!(plan.fired(), 1);
+        assert!(!report.is_clean());
+        assert!(report.orphans.is_empty(), "{report}");
+        assert_eq!(report.unreadable.len(), 1);
+        assert_eq!(report.unreadable[0].0, 0);
+        assert!(dsv_storage::fault::is_injected(&report.unreadable[0].1));
+    }
+
     #[test]
     fn absurd_compressed_length_is_reported_not_fatal() {
         // A ten-byte object file: `Full`, a coded payload that is only a
@@ -593,7 +752,7 @@ mod tests {
         assert!(fsck(&repo, Some(&dir.0)).journal_pending);
         let rec = recover(&mut repo, &dir.0).unwrap();
         assert_eq!(rec, Recovery::RolledBack { removed: 1 });
-        assert!(!repo.store.contains(phantom));
+        assert!(!repo.store.contains(phantom).unwrap());
         assert!(fsck(&repo, Some(&dir.0)).is_clean());
 
         // Roll forward: metadata already matches the journal; stale
@@ -614,7 +773,7 @@ mod tests {
         .unwrap();
         let rec = recover(&mut repo, &dir.0).unwrap();
         assert_eq!(rec, Recovery::RolledForward { removed: 1 });
-        assert!(!repo.store.contains(stale));
+        assert!(!repo.store.contains(stale).unwrap());
         assert!(fsck(&repo, Some(&dir.0)).is_clean());
 
         // Idempotent on a clean repository.

@@ -50,6 +50,10 @@ pub struct OptimizeReport {
     pub planned_max_recreation: u64,
     /// Predicted sum of recreation costs.
     pub planned_sum_recreation: u64,
+    /// Why garbage collection of the old plan's objects did not finish,
+    /// if it did not: some of them are still stored (`storage_after`
+    /// counts them) until `fsck --repair` collects them.
+    pub gc_error: Option<String>,
 }
 
 /// A planned-and-packed but not-yet-applied repack, produced by
@@ -108,7 +112,9 @@ impl<S: ObjectStore> Repository<S> {
     /// 1. plan + pack the new objects (additive — old plan still intact),
     /// 2. durably journal the intent ([`RepackJournal`]),
     /// 3. swap the in-memory plan and crash-atomically rewrite `meta.dsv`,
-    /// 4. only then GC the stale objects and clear the journal.
+    /// 4. only then GC the stale objects and clear the journal — which
+    ///    stays if the GC did not finish ([`OptimizeReport::gc_error`]), so
+    ///    recovery rolls it forward.
     ///
     /// A crash before step 3's rename leaves the old plan plus orphaned
     /// new objects; a crash after it leaves the new plan plus
@@ -140,9 +146,11 @@ impl<S: ObjectStore> Repository<S> {
             return Err(e);
         }
         let report = self.gc_repack(prepared);
-        // A failed journal removal is not an error: the swap is durable,
-        // and recovery rolls the journal forward idempotently.
-        let _ = persist::clear_journal(root);
+        if report.gc_error.is_none() {
+            // A failed journal removal is not an error: the swap is
+            // durable, and recovery rolls the journal forward idempotently.
+            let _ = persist::clear_journal(root);
+        }
         Ok(report)
     }
 
@@ -285,6 +293,7 @@ impl<S: ObjectStore> Repository<S> {
                 planned_storage_cost: solution.storage_cost(),
                 planned_max_recreation: solution.max_recreation(),
                 planned_sum_recreation: solution.sum_recreation(),
+                gc_error: None, // filled in by gc_repack
             },
         })
     }
@@ -307,15 +316,18 @@ impl<S: ObjectStore> Repository<S> {
     /// Phase 3 of a repack: remove the old plan's now-unreferenced
     /// objects and finish the report. Runs strictly after the swap is
     /// (durably, for on-disk callers) applied, so an interruption here
-    /// can only leave collectable orphans, never a broken history.
+    /// can only leave collectable orphans, never a broken history — the
+    /// repack itself succeeded, so a failed removal is recorded in the
+    /// report ([`OptimizeReport::gc_error`]) rather than returned.
     pub fn gc_repack(&mut self, prepared: PreparedRepack) -> OptimizeReport {
         let PreparedRepack {
             stale, mut report, ..
         } = prepared;
         let gc_span = obs::span!("gc", stale = stale.len());
         obs::counter!("optimize.gc.stale_objects", stale.len() as u64);
-        gc_span.in_scope(|| self.store.remove_batch(&stale));
+        let gc = gc_span.in_scope(|| self.store.remove_batch(&stale));
         drop(gc_span);
+        report.gc_error = gc.err().map(|e| e.to_string());
         report.storage_after = self.store.total_bytes();
         obs::gauge!("optimize.storage_after_bytes", report.storage_after as f64);
         report

@@ -97,47 +97,32 @@ impl ObjectStore for RepoStore {
     fn get(&self, id: ObjectId) -> Result<Object, StoreError> {
         delegate!(self, s => s.get(id))
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        delegate!(self, s => s.contains(id))
-    }
-    fn total_bytes(&self) -> u64 {
-        delegate!(self, s => s.total_bytes())
-    }
-    fn compresses(&self) -> bool {
-        delegate!(self, s => s.compresses())
-    }
-    fn len(&self) -> usize {
-        delegate!(self, s => s.len())
-    }
-    fn remove(&self, id: ObjectId) {
-        delegate!(self, s => s.remove(id))
-    }
-    fn clear(&self) {
-        delegate!(self, s => s.clear())
-    }
     fn put_batch(&self, objs: &[Object]) -> Result<Vec<ObjectId>, StoreError> {
         delegate!(self, s => s.put_batch(objs))
     }
     fn get_batch(&self, ids: &[ObjectId]) -> Result<Vec<Object>, StoreError> {
         delegate!(self, s => s.get_batch(ids))
     }
-    fn contains_batch(&self, ids: &[ObjectId]) -> Vec<bool> {
+    fn contains_batch(&self, ids: &[ObjectId]) -> Result<Vec<bool>, StoreError> {
         delegate!(self, s => s.contains_batch(ids))
     }
-    fn remove_batch(&self, ids: &[ObjectId]) {
+    fn remove_batch(&self, ids: &[ObjectId]) -> Result<(), StoreError> {
         delegate!(self, s => s.remove_batch(ids))
+    }
+    fn object_ids(&self) -> Result<Vec<ObjectId>, StoreError> {
+        delegate!(self, s => s.object_ids())
+    }
+    fn stats(&self) -> StoreStats {
+        delegate!(self, s => s.stats())
+    }
+    fn compresses(&self) -> bool {
+        delegate!(self, s => s.compresses())
     }
     fn shard_count(&self) -> usize {
         delegate!(self, s => s.shard_count())
     }
     fn remote_addrs(&self) -> Vec<String> {
         delegate!(self, s => s.remote_addrs())
-    }
-    fn object_ids(&self) -> Vec<ObjectId> {
-        delegate!(self, s => s.object_ids())
-    }
-    fn stats(&self) -> StoreStats {
-        delegate!(self, s => s.stats())
     }
 }
 
@@ -394,8 +379,9 @@ pub fn load(root: &Path, compress: bool) -> Result<Repository<RepoStore>, VcsErr
 
     // One batched membership probe for every referenced object — a
     // remote store answers in one frame per shard instead of one
-    // round-trip per version.
-    let present = store.contains_batch(&objects);
+    // round-trip per version. A store that cannot answer fails the load;
+    // only an answered "absent" is `NotFound`.
+    let present = store.contains_batch(&objects)?;
     if let Some(i) = present.iter().position(|&p| !p) {
         return Err(VcsError::Store(StoreError::NotFound(objects[i])));
     }

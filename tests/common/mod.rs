@@ -38,6 +38,14 @@ pub struct StoreServer {
 
 impl StoreServer {
     pub fn spawn(max_frame: u32) -> Self {
+        StoreServer::spawn_with_idle(max_frame, Duration::from_secs(10))
+    }
+
+    /// A server that hangs up on a connection idle for `idle`. A session
+    /// outlives the accept loop until its client leaves or idles out, so
+    /// a short `idle` is what lets a test drop this server from under a
+    /// connected client: once `drop` returns nothing answers at `addr`.
+    pub fn spawn_with_idle(max_frame: u32, idle: Duration) -> Self {
         let server = Server::bind_with(
             "127.0.0.1:0",
             ServerOptions {
@@ -49,7 +57,7 @@ impl StoreServer {
         let addr = server.local_addr().to_string();
         let config = StoreServiceConfig {
             max_frame,
-            read_timeout: Some(Duration::from_secs(10)),
+            read_timeout: Some(idle),
         };
         let handle = std::thread::spawn(move || {
             // Coding payloads, like the `FileStore` a `dsvd --store-server`

@@ -228,6 +228,45 @@ fn durable_repack_survives_a_crash_at_every_fault_site() {
 }
 
 #[test]
+fn a_gc_that_did_not_finish_says_so_and_keeps_the_journal() {
+    let _guard = fault_lock();
+    let dir = TempDir::new("gc-unfinished");
+    let all = version_contents(6);
+    let mut repo = seed(&dir.0, &all);
+    let journal_pending = || persist::read_journal(&dir.0).unwrap().is_some();
+    let fail_first_unlink = || fault::install(FaultPlan::fail_at_site(0, "object.remove"));
+
+    // The swap is durable, so the optimize succeeded — but its report
+    // carries the GC failure and the journal stays for recovery. (It used
+    // to stop at the failed unlink, clear the journal and report nothing.)
+    fail_first_unlink();
+    let report = repo.optimize_durable(&PlanSpec::new(Problem::MinRecreation), &dir.0);
+    fault::uninstall();
+    let cause = report.unwrap().gc_error.expect("the GC was cut short");
+    assert!(fault::is_injected(&cause), "{cause}");
+    assert!(journal_pending());
+    assert!(repo.store().len() > all.len(), "stale objects remain");
+
+    // A recovery whose removal fails is an error with the journal still
+    // in place, not `RolledForward { removed }` over objects still there.
+    fail_first_unlink();
+    let outcome = fsck::recover(&mut repo, &dir.0);
+    fault::uninstall();
+    let err = outcome.unwrap_err().to_string();
+    assert!(fault::is_injected(&err), "{err}");
+    assert!(journal_pending());
+
+    let recovery = fsck::recover(&mut repo, &dir.0).unwrap();
+    assert!(
+        matches!(recovery, dsv_vcs::Recovery::RolledForward { removed } if removed > 0),
+        "{recovery:?}"
+    );
+    assert!(!journal_pending());
+    assert!(fsck::fsck(&repo, Some(&dir.0)).is_clean());
+    assert_eq!(repo.store().len(), all.len(), "one full object per version");
+}
+
+#[test]
 fn torn_meta_write_keeps_the_old_metadata() {
     let _guard = fault_lock();
     let dir = TempDir::new("torn-meta");

@@ -20,7 +20,7 @@ use dsv_storage::fault::{is_injected, FaultPlan, FaultStore};
 use dsv_storage::{
     BatchWriter, MemStore, Object, ObjectStore, ShardedStore, StoreError, PACK_FLUSH_BYTES,
 };
-use dsv_vcs::{persist, CommitId, Repository};
+use dsv_vcs::{fsck, persist, CommitId, Repository};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,7 +46,7 @@ fn version_contents(n: usize) -> Vec<Vec<u8>> {
 }
 
 fn sorted_ids(store: &impl ObjectStore) -> Vec<dsv_storage::ObjectId> {
-    let mut ids = store.object_ids();
+    let mut ids = store.object_ids().unwrap();
     ids.sort();
     ids
 }
@@ -133,9 +133,9 @@ fn fault_store_cuts_a_remote_batch_over_the_wire() {
     // pre-cut prefix arrived.
     let observer = RemoteStore::connect(&server.addr).unwrap();
     assert_eq!(observer.len(), 2);
-    assert!(observer.contains(objs[0].id()));
-    assert!(observer.contains(objs[1].id()));
-    assert!(!observer.contains(objs[4].id()));
+    assert!(observer.contains(objs[0].id()).unwrap());
+    assert!(observer.contains(objs[1].id()).unwrap());
+    assert!(!observer.contains(objs[4].id()).unwrap());
 
     // The retry re-sends everything; already-stored prefix objects are
     // idempotent puts, and the batch now lands in full.
@@ -219,4 +219,99 @@ fn batch_writer_flush_bound_cooperates_with_the_frame_cap() {
         ids.sort();
         ids
     });
+}
+
+/// The six answers a store used to fake on a transport failure, each
+/// required to be the failure.
+fn every_probe_fails(store: &dyn ObjectStore, held: dsv_storage::ObjectId, what: &str) {
+    let probes: [(&str, Result<String, StoreError>); 6] = [
+        ("contains", store.contains(held).map(|b| format!("{b}"))),
+        (
+            "contains_batch",
+            store.contains_batch(&[held]).map(|v| format!("{v:?}")),
+        ),
+        ("remove", store.remove(held).map(|()| "()".into())),
+        (
+            "remove_batch",
+            store.remove_batch(&[held]).map(|()| "()".into()),
+        ),
+        ("object_ids", store.object_ids().map(|v| format!("{v:?}"))),
+        ("clear", store.clear().map(|()| "()".into())),
+    ];
+    for (probe, answer) in probes {
+        assert!(
+            matches!(answer, Err(StoreError::Io(_))),
+            "{what}: {probe} on a dead server answered {answer:?}"
+        );
+    }
+}
+
+/// A store answers or fails: with its server (or one of its shards) gone,
+/// nothing reads as "absent", "removed" or "empty" — and the layers that
+/// decide from those answers fail with it.
+#[test]
+fn a_dead_server_is_an_error_never_absent_removed_or_empty() {
+    let idle = Duration::from_millis(1_000);
+    let dial = |server: &StoreServer| {
+        RemoteStore::connect_with(
+            &server.addr,
+            DEFAULT_MAX_FRAME,
+            Some(Duration::from_secs(10)),
+            RetryPolicy::none(),
+        )
+        .unwrap()
+    };
+
+    // One remote store.
+    let server = StoreServer::spawn_with_idle(DEFAULT_MAX_FRAME, idle);
+    let single = dial(&server);
+    let held = single
+        .put(&Object::Full {
+            data: b"held by a server about to die".to_vec(),
+        })
+        .unwrap();
+    assert!(single.contains(held).unwrap());
+    drop(server);
+    every_probe_fails(&single, held, "RemoteStore");
+
+    // A chunked repository over two remote shards, one of which dies.
+    let survivor = StoreServer::spawn(DEFAULT_MAX_FRAME);
+    let victim = StoreServer::spawn_with_idle(DEFAULT_MAX_FRAME, idle);
+    let mut repo = Repository::init_chunked(
+        ShardedStore::new(vec![dial(&survivor), dial(&victim)]),
+        dsv_chunk::ChunkerParams::default(),
+    );
+    let contents = version_contents(3);
+    for data in &contents[..2] {
+        repo.commit("main", data, "step").unwrap();
+    }
+    assert!(fsck::fsck(&repo, None).is_clean());
+    let fill = repo.store().stats();
+    assert!(
+        fill.shards.iter().all(|s| s.objects > 0),
+        "both shards must hold chunks: {fill:?}"
+    );
+    let on_victim = *sorted_ids(repo.store())
+        .iter()
+        .find(|&&id| dsv_storage::shard_index(id, 2) == 1)
+        .unwrap();
+    drop(victim);
+
+    every_probe_fails(repo.store(), on_victim, "ShardedStore<RemoteStore>");
+    // Answered "absent", the dedup probe would re-store every chunk of
+    // the new version on the surviving shard and commit.
+    let before = repo.version_count();
+    let err = repo.commit("main", &contents[2], "after the shard died");
+    assert!(err.is_err(), "commit with a dead shard: {err:?}");
+    assert_eq!(repo.version_count(), before);
+    // fsck cannot enumerate, says so, and guesses no orphans.
+    let report = fsck::fsck(&repo, None);
+    assert!(!report.is_clean());
+    assert!(report.orphans.is_empty(), "{report}");
+    let printed = report.to_string();
+    assert!(
+        printed.contains("STORE FAILURE") && printed.contains("remote store"),
+        "{printed}"
+    );
+    assert!(fsck::fsck_repair(&mut repo, None).is_err());
 }
