@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for the design choices that have a knob.
 //!
 //! - GitH window/depth sensitivity: wider windows cost time; the paper's
 //!   §5.2 notes git fails at very large windows — here the cost curve is

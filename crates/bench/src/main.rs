@@ -1,9 +1,8 @@
 //! `dsv-bench <experiment> [--quick]` — paper reproduction + substrate
-//! benches: runs one experiment harness, or `all` for the whole sequence
-//! (the REPRODUCTION.md driver). `--quick` shrinks every workload to a
-//! seconds-scale smoke run. Tables go to stdout; CSV and `BENCH_*.json`
-//! outputs land under the workspace's `target/experiments/`
-//! ([`dsv_bench::report::out_dir`]).
+//! benches: runs one experiment harness, or `all` for the whole sequence.
+//! `--quick` shrinks every workload to a seconds-scale smoke run. Tables
+//! go to stdout; CSV and `BENCH_*.json` outputs land under the workspace's
+//! `target/experiments/` ([`dsv_bench::report::out_dir`]).
 //!
 //! This binary answers "do the paper's figures reproduce". "How fast is
 //! the system" — put/get, checkout, commit and serve timings, repeated

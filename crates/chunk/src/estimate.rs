@@ -49,7 +49,7 @@ pub fn chunked_cost_pairs(
     params.validate()?;
     let _span = obs::span!("estimate", versions = contents.len()).entered();
     // Chunking + hashing each version is independent work — run it on the
-    // dsv-par work-stealing runtime. The dedup pass below stays
+    // dsv-par runtime. The dedup pass below stays
     // sequential over the precomputed chunk ids, so the order-dependent
     // increments are identical at every thread count.
     let chunk_span = obs::span!("chunk");

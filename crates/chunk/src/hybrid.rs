@@ -12,23 +12,8 @@
 use crate::store::{plan_chunked_batch, prechunk, DedupStats, PrechunkedVersion};
 use crate::{ChunkError, ChunkerParams};
 use dsv_core::StorageMode;
-use dsv_delta::bytes_delta;
 use dsv_obs as obs;
-use dsv_storage::{dependency_order, Object, ObjectId, ObjectStore, PackedVersions};
-use std::ops::Range;
-
-/// Per-version payload computed in the parallel phase of
-/// [`pack_versions_hybrid`]: everything that depends only on the raw
-/// contents, leaving the assembly phase store-free and the store itself
-/// a stream of bounded `put_batch` flushes.
-enum Prepared {
-    /// Materialized versions need no precomputation.
-    Full,
-    /// Chunk spans + content ids ([`prechunk`]) for a chunked version.
-    Chunks(Vec<(Range<usize>, ObjectId)>),
-    /// The encoded byte delta against the parent's contents.
-    Delta(Vec<u8>),
-}
+use dsv_storage::{pack_resolved, ObjectId, ObjectStore, PackedVersions};
 
 /// Packs `contents` into `store` following the per-version `modes`.
 ///
@@ -36,8 +21,9 @@ enum Prepared {
 /// [`crate::estimate::chunked_cost_pairs`] accounts increments); delta
 /// versions are stored parents-first. The delta assignment must be a
 /// valid forest (every chain ends at a materialized or chunked version);
-/// [`StoreError::ChainTooLong`] is reported otherwise. Returns the packed
-/// handle plus the dedup statistics of the chunked subset.
+/// [`StoreError::ChainTooLong`](dsv_storage::StoreError::ChainTooLong) is
+/// reported otherwise. Returns the packed handle plus the dedup
+/// statistics of the chunked subset.
 pub fn pack_versions_hybrid<S: ObjectStore + ?Sized>(
     store: &S,
     contents: &[Vec<u8>],
@@ -49,95 +35,39 @@ pub fn pack_versions_hybrid<S: ObjectStore + ?Sized>(
     let n = contents.len();
     let _pack = obs::span!("pack", versions = n, packer = "hybrid").entered();
 
-    // Dependency order: delta parents before children; root modes
-    // (materialized and chunked) are forest roots.
-    let delta_parents: Vec<Option<u32>> = modes.iter().map(|m| m.delta_parent()).collect();
-    let order = dependency_order(&delta_parents)?;
-
-    // Parallel phase: everything derivable from raw contents alone —
-    // chunk boundaries + content hashes for chunked versions, encoded
-    // byte deltas for delta versions (one source index per parent, shared
-    // by its children) — on the dsv-par runtime.
-    let chunked: Vec<u32> = (0..n as u32)
-        .filter(|&v| modes[v as usize].is_chunked())
-        .collect();
-    let edges: Vec<(u32, u32)> = (0..n as u32)
-        .filter_map(|v| delta_parents[v as usize].map(|p| (p, v)))
-        .collect();
+    // Chunk boundaries + content hashes of the chunked versions depend on
+    // raw contents alone: computed in parallel on the dsv-par runtime.
+    let chunked: Vec<usize> = (0..n).filter(|&v| modes[v].is_chunked()).collect();
     let prepare_span = obs::span!("prepare");
-    let (chunks, deltas) = prepare_span.in_scope(|| {
-        (
-            dsv_par::par_map(&chunked, |&v| prechunk(&contents[v as usize], params)),
-            bytes_delta::encode_pairs(contents, &edges),
-        )
-    });
+    let chunks =
+        prepare_span.in_scope(|| dsv_par::par_map(&chunked, |&v| prechunk(&contents[v], params)));
     drop(prepare_span);
-    let mut prepared: Vec<Prepared> = (0..n).map(|_| Prepared::Full).collect();
-    for (&v, spans) in chunked.iter().zip(chunks) {
-        prepared[v as usize] = Prepared::Chunks(spans);
-    }
-    for (&(_, v), delta) in edges.iter().zip(deltas) {
-        prepared[v as usize] = Prepared::Delta(delta);
-    }
 
-    // Assembly phase, store-free: chunked versions first, in index order,
-    // so dedup increments match the estimator's accounting; then fulls
-    // and deltas in dependency order, each delta resolving its parent's
-    // content address from the object just assembled (a chunked parent's
-    // manifest id is known by then). Object ids are content addresses, so
-    // nothing needs to be written to name anything.
-    let mut chunked_versions: Vec<usize> = Vec::new();
-    let mut chunked_inputs: Vec<PrechunkedVersion<'_>> = Vec::new();
-    for v in 0..n {
-        if let Prepared::Chunks(chunks) = &prepared[v] {
-            chunked_versions.push(v);
-            chunked_inputs.push((contents[v].as_slice(), chunks.as_slice()));
-        }
-    }
-    let plan_span = obs::span!("plan_chunks", chunked = chunked_inputs.len());
-    let chunk_batch = plan_span.in_scope(|| plan_chunked_batch(store, &chunked_inputs))?;
+    // Chunked versions are planned first, in index order, so dedup
+    // increments match the estimator's accounting. Planning is store-free
+    // apart from one membership probe: object ids are content addresses,
+    // so nothing needs to be written to name a manifest.
+    let inputs: Vec<PrechunkedVersion<'_>> = chunked
+        .iter()
+        .zip(&chunks)
+        .map(|(&v, spans)| (contents[v].as_slice(), spans.as_slice()))
+        .collect();
+    let plan_span = obs::span!("plan_chunks", chunked = inputs.len());
+    let batch = plan_span.in_scope(|| plan_chunked_batch(store, &inputs))?;
     drop(plan_span);
     let mut stats = DedupStats::default();
     let mut ids: Vec<Option<ObjectId>> = vec![None; n];
-    for (&v, put) in chunked_versions.iter().zip(&chunk_batch.puts) {
+    for (&v, put) in chunked.iter().zip(&batch.puts) {
         stats.record(put);
         ids[v] = Some(put.id);
     }
-    // Write phase: the whole mixed plan — chunks, manifests, fulls,
-    // deltas — streamed through bounded `put_batch` flushes (concurrent
-    // per-shard writes on a sharded store, peak buffering capped by the
-    // BatchWriter). The store state is identical to the old sequential
-    // write loops at every shard and thread count.
-    let _write = obs::span!("write").entered();
-    let mut writer = dsv_storage::BatchWriter::new(store);
-    writer.extend(chunk_batch.objects)?;
-    for v in order {
-        let obj = match std::mem::replace(&mut prepared[v as usize], Prepared::Full) {
-            Prepared::Chunks(_) => continue, // planned above
-            Prepared::Full => Object::Full {
-                data: contents[v as usize].clone(),
-            },
-            Prepared::Delta(delta) => {
-                let base_id = ids[modes[v as usize].delta_parent().expect("delta mode") as usize]
-                    .expect("parents packed first");
-                Object::Delta {
-                    base: base_id,
-                    delta,
-                }
-            }
-        };
-        ids[v as usize] = Some(obj.id());
-        writer.push(obj)?;
-    }
-    writer.finish()?;
 
-    Ok((
-        PackedVersions {
-            ids: ids.into_iter().map(|i| i.expect("all packed")).collect(),
-            parents: delta_parents,
-        },
-        stats,
-    ))
+    // The binary packer's loop does the rest — fulls, and deltas chained
+    // off materialized or chunked roots alike — behind the chunk batch,
+    // in one stream of bounded `put_batch` flushes.
+    let delta_parents: Vec<Option<u32>> = modes.iter().map(|m| m.delta_parent()).collect();
+    let packed = pack_resolved(store, contents, &delta_parents, ids, batch.objects)?;
+    Ok((packed, stats))
 }
 
 #[cfg(test)]

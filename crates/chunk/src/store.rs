@@ -253,40 +253,19 @@ pub fn prechunk(data: &[u8], params: ChunkerParams) -> Vec<(std::ops::Range<usiz
 /// which is exactly why their recreation cost stays flat as history
 /// grows.
 ///
-/// Chunking and hashing run in parallel on the `dsv_par` runtime; the
-/// store then sees one `contains_batch` probe and bounded `put_batch`
-/// flushes of every new chunk and manifest, with dedup accounted in
-/// version order (identical to sequential per-version inserts at every
-/// thread count).
+/// This is [`pack_versions_hybrid`](crate::pack_versions_hybrid) with
+/// every version chunked: chunking and hashing run in parallel on the
+/// `dsv_par` runtime; the store then sees one `contains_batch` probe and
+/// bounded `put_batch` flushes of every new chunk and manifest, with
+/// dedup accounted in version order (identical to sequential per-version
+/// inserts at every thread count).
 pub fn pack_versions_chunked<S: ObjectStore + ?Sized>(
     store: &S,
     contents: &[Vec<u8>],
     params: ChunkerParams,
 ) -> Result<(PackedVersions, DedupStats), ChunkError> {
-    params.validate()?;
-    let prechunked = dsv_par::par_map(contents, |data| prechunk(data, params));
-    let versions: Vec<PrechunkedVersion<'_>> = contents
-        .iter()
-        .zip(&prechunked)
-        .map(|(data, chunks)| (data.as_slice(), chunks.as_slice()))
-        .collect();
-    let batch = plan_chunked_batch(store, &versions)?;
-    let mut writer = dsv_storage::BatchWriter::new(store);
-    writer.extend(batch.objects)?;
-    writer.finish()?;
-    let mut stats = DedupStats::default();
-    let mut ids = Vec::with_capacity(contents.len());
-    for put in &batch.puts {
-        stats.record(put);
-        ids.push(put.id);
-    }
-    Ok((
-        PackedVersions {
-            ids,
-            parents: vec![None; contents.len()],
-        },
-        stats,
-    ))
+    let modes = vec![dsv_core::StorageMode::Chunked; contents.len()];
+    crate::pack_versions_hybrid(store, contents, &modes, params)
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! - [`UnGraph`]: an undirected multigraph (each edge stored once).
 //! - [`dijkstra()`]: single-source shortest paths / shortest-path trees
 //!   (Problem 2's optimum).
-//! - [`prim_mst`] and [`kruskal_mst`]: minimum spanning trees of undirected
-//!   graphs (Problem 1's optimum in the undirected case).
+//! - [`prim_mst`]: minimum spanning trees of undirected graphs (Problem
+//!   1's optimum in the undirected case).
 //! - [`min_cost_arborescence`]: Edmonds' algorithm for directed graphs
 //!   (Problem 1's optimum in the directed case), via cycle contraction.
 //! - [`tree`]: rooted-tree utilities (subtree sizes, depths, path costs)
@@ -22,29 +22,23 @@
 //!
 //! Everything is implemented from scratch; the crate has no dependencies.
 
-pub mod bellman_ford;
 pub mod digraph;
 pub mod dijkstra;
 pub mod edmonds;
 pub mod hashing;
 pub mod heap;
 pub mod ids;
-pub mod kruskal;
 pub mod prim;
 pub mod traversal;
 pub mod tree;
 pub mod undirected;
-pub mod union_find;
 
-pub use bellman_ford::bellman_ford;
 pub use digraph::{DiGraph, Edge, EdgeId};
 pub use dijkstra::{dijkstra, ShortestPaths};
 pub use edmonds::min_cost_arborescence;
-pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hashing::{FxBuildHasher, FxHashMap, FxHasher};
 pub use heap::IndexedMinHeap;
 pub use ids::NodeId;
-pub use kruskal::kruskal_mst;
 pub use prim::prim_mst;
 pub use tree::RootedTree;
 pub use undirected::{UnGraph, UndirectedEdge};
-pub use union_find::UnionFind;

@@ -2,9 +2,7 @@
 
 use dsv_graph::digraph::DiGraph;
 use dsv_graph::undirected::UnGraph;
-use dsv_graph::{
-    bellman_ford, dijkstra, kruskal_mst, min_cost_arborescence, prim_mst, NodeId, RootedTree,
-};
+use dsv_graph::{dijkstra, min_cost_arborescence, prim_mst, NodeId, RootedTree};
 use proptest::prelude::*;
 
 /// Strategy: a random directed graph as (n, edges) with weights.
@@ -61,12 +59,24 @@ fn build_ungraph(n: usize, edges: &[(u32, u32, u64)]) -> UnGraph<u64> {
 }
 
 proptest! {
-    /// Dijkstra agrees with the Bellman–Ford oracle on arbitrary digraphs.
+    /// Dijkstra agrees with the Bellman–Ford oracle — n − 1 rounds of
+    /// relaxing every edge — on arbitrary digraphs.
     #[test]
     fn dijkstra_matches_bellman_ford((n, edges) in arb_digraph(12, 40)) {
         let g = build_digraph(n, &edges);
         let sp = dijkstra(&g, NodeId(0), |e| e.weight);
-        let bf = bellman_ford(&g, NodeId(0), |e| e.weight);
+        let mut bf: Vec<Option<u64>> = vec![None; n];
+        bf[0] = Some(0);
+        for _ in 1..n {
+            for &(u, v, w) in &edges {
+                if let Some(du) = bf[u as usize] {
+                    let relaxed = du + w;
+                    if bf[v as usize].is_none_or(|old| relaxed < old) {
+                        bf[v as usize] = Some(relaxed);
+                    }
+                }
+            }
+        }
         prop_assert_eq!(sp.dist, bf);
     }
 
@@ -95,15 +105,6 @@ proptest! {
                 prop_assert!(total >= sp.dist[v as usize].unwrap());
             }
         }
-    }
-
-    /// Prim and Kruskal agree on total MST weight for connected graphs.
-    #[test]
-    fn prim_equals_kruskal((n, edges) in arb_connected_ungraph(14)) {
-        let g = build_ungraph(n, &edges);
-        let p = prim_mst(&g, NodeId(0), |e| e.weight).expect("connected");
-        let k = kruskal_mst(&g, |e| e.weight).expect("connected");
-        prop_assert_eq!(p.total_weight, k.total_weight);
     }
 
     /// An MST is never heavier than the random spanning tree we generated

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Offline shim for the `rayon` crate: a std-only work-stealing runtime.
+//! Offline shim for the `rayon` crate: a std-only parallel-map runtime.
 //!
 //! No cargo registry is reachable in this build environment, so the
 //! workspace carries the subset of rayon it uses as a local crate (see
@@ -9,23 +9,20 @@
 //! | shim | rayon equivalent |
 //! |---|---|
 //! | [`par_map`]`(items, f)` | `items.par_iter().map(f).collect()` |
-//! | [`par_map_threads`]`(items, n, f)` | the same inside an `n`-thread pool |
-//! | [`par_chunks`]`(items, size, f)` | `items.par_chunks(size).map(f).collect()` |
 //! | [`current_threads`]`()` | `rayon::current_num_threads()` |
 //! | [`with_thread_count`]`(n, f)` | `ThreadPoolBuilder::new().num_threads(n).build().install(f)` |
 //! | [`set_thread_count`]`(n)` | `ThreadPoolBuilder::num_threads(n).build_global()` |
 //!
 //! There is no persistent pool: each `par_map` call spawns scoped workers
 //! (`std::thread::scope`), so the shim needs no shutdown story and cannot
-//! leak threads. Scheduling *within* a call is work-stealing: the input
-//! is split into one contiguous range per worker, owners pop items from
-//! their range's front, and idle workers steal the back half of the
-//! richest remaining range — so a worker that lands on expensive items
-//! (distant diffs, slow solvers) sheds its backlog to idle peers instead
-//! of serializing the tail. Results always come back in input order, and
-//! for a pure `f` the output is bitwise identical at every thread count —
-//! the determinism contract the callers (dataset reveal, chunk
-//! estimation, portfolio solves, packing) rely on.
+//! leak threads. Scheduling *within* a call is dynamic self-scheduling:
+//! every worker claims the next unclaimed index from one shared counter,
+//! so a worker that lands on an expensive item (a distant diff, a slow
+//! solver) simply claims fewer, and the others drain the rest. Results
+//! always come back in input order, and for a pure `f` the output is
+//! bitwise identical at every thread count — the determinism contract the
+//! callers (dataset reveal, chunk estimation, portfolio solves, packing)
+//! rely on.
 //!
 //! The effective thread count is resolved per call, in priority order:
 //! the innermost [`with_thread_count`] scope on the calling thread, the
@@ -34,16 +31,7 @@
 //! `std::thread::available_parallelism()`.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Index space per work queue: 24 bits each for head and tail, 16 bits of
-/// ABA tag. Inputs longer than [`MAX_SEGMENT`] are processed in segments.
-const IDX_BITS: u32 = 24;
-const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
-
-/// Largest number of items one scoped dispatch handles (2^24 − 1); longer
-/// inputs are split into consecutive segments transparently.
-pub const MAX_SEGMENT: usize = IDX_MASK as usize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -113,9 +101,8 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 /// There is deliberately no "small input" sequential cutoff beyond one
 /// item: the callers' items are coarse (whole diffs, whole solver runs —
 /// a portfolio is ~10 items of seconds each), so an item-count heuristic
-/// would serialize exactly the workloads that benefit most. Callers with
-/// many genuinely tiny items should batch them via [`par_chunks`].
-pub fn par_map_threads<T: Sync, R: Send>(
+/// would serialize exactly the workloads that benefit most.
+fn par_map_threads<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
@@ -124,149 +111,32 @@ pub fn par_map_threads<T: Sync, R: Send>(
     if threads <= 1 {
         return items.iter().map(f).collect();
     }
-    let mut out = Vec::with_capacity(items.len());
-    for segment in items.chunks(MAX_SEGMENT) {
-        out.extend(dispatch(segment, threads, &f));
-    }
-    out
-}
-
-/// Maps `f` over consecutive `chunk_size`-sized slices of `items` (the
-/// last may be shorter), in parallel, preserving chunk order — the
-/// `par_chunks` face of the shim for batch-shaped work.
-pub fn par_chunks<T: Sync, R: Send>(
-    items: &[T],
-    chunk_size: usize,
-    f: impl Fn(&[T]) -> R + Sync,
-) -> Vec<R> {
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-    par_map(&chunks, |chunk| f(chunk))
-}
-
-#[inline]
-fn pack(tag: u64, head: usize, tail: usize) -> u64 {
-    (tag & 0xffff) << (2 * IDX_BITS) | (head as u64) << IDX_BITS | tail as u64
-}
-
-#[inline]
-fn unpack(v: u64) -> (u64, usize, usize) {
-    (
-        v >> (2 * IDX_BITS),
-        ((v >> IDX_BITS) & IDX_MASK) as usize,
-        (v & IDX_MASK) as usize,
-    )
-}
-
-/// One scoped parallel dispatch over at most [`MAX_SEGMENT`] items.
-fn dispatch<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: &(impl Fn(&T) -> R + Sync),
-) -> Vec<R> {
-    let n = items.len();
-    debug_assert!(n <= MAX_SEGMENT && threads >= 2);
-    // One work queue per worker: a (tag, head, tail) triple packed into a
-    // single atomic. Owners pop the front, thieves split off the back
-    // half; the tag makes a re-installed range distinguishable from a
-    // stale snapshot of an earlier identical one (ABA protection).
-    let per = n.div_ceil(threads);
-    let queues: Vec<AtomicU64> = (0..threads)
-        .map(|w| AtomicU64::new(pack(0, (w * per).min(n), ((w + 1) * per).min(n))))
-        .collect();
-
-    let mut partials: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
+    // The counter hands out indices and publishes nothing else: results
+    // reach this thread through `join`.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return out;
+            };
+            out.push((i, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|me| {
-                let queues = &queues;
-                scope.spawn(move || worker(me, queues, items, f))
-            })
-            .collect();
-        for h in handles {
-            partials.push(h.join().expect("dsv-par worker panicked"));
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            for (i, result) in handle.join().expect("dsv-par worker panicked") {
+                slots[i] = Some(result);
+            }
         }
     });
-
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for part in partials {
-        for (idx, result) in part {
-            debug_assert!(slots[idx].is_none(), "item {idx} computed twice");
-            slots[idx] = Some(result);
-        }
-    }
     slots
         .into_iter()
-        .map(|s| s.expect("every item computed exactly once"))
+        .map(|slot| slot.expect("every index is claimed exactly once"))
         .collect()
-}
-
-fn worker<T: Sync, R: Send>(
-    me: usize,
-    queues: &[AtomicU64],
-    items: &[T],
-    f: &(impl Fn(&T) -> R + Sync),
-) -> Vec<(usize, R)> {
-    let mut out = Vec::new();
-    'run: loop {
-        // Drain the front of our own queue.
-        let mut snap = queues[me].load(Ordering::Acquire);
-        loop {
-            let (tag, head, tail) = unpack(snap);
-            if head >= tail {
-                break;
-            }
-            match queues[me].compare_exchange_weak(
-                snap,
-                pack(tag + 1, head + 1, tail),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    out.push((head, f(&items[head])));
-                    snap = queues[me].load(Ordering::Acquire);
-                }
-                Err(current) => snap = current,
-            }
-        }
-        // Empty: steal the back half of the richest victim's range and
-        // install it as our own queue (stealable in turn). Exit only when
-        // a full scan finds no remaining work anywhere.
-        loop {
-            let mut best: Option<(usize, u64, usize)> = None;
-            for (w, q) in queues.iter().enumerate() {
-                if w == me {
-                    continue;
-                }
-                let v = q.load(Ordering::Acquire);
-                let (_, head, tail) = unpack(v);
-                let rem = tail.saturating_sub(head);
-                if rem > 0 && best.is_none_or(|(_, _, brem)| rem > brem) {
-                    best = Some((w, v, rem));
-                }
-            }
-            let Some((victim, vsnap, rem)) = best else {
-                break 'run; // nothing left to steal: done
-            };
-            let (vtag, vhead, vtail) = unpack(vsnap);
-            let take = rem.div_ceil(2);
-            if queues[victim]
-                .compare_exchange(
-                    vsnap,
-                    pack(vtag + 1, vhead, vtail - take),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                let (mytag, _, _) = unpack(queues[me].load(Ordering::Acquire));
-                queues[me].store(pack(mytag + 1, vtail - take, vtail), Ordering::Release);
-                continue 'run;
-            }
-            // Lost the race for this victim; rescan.
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -308,10 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn uneven_work_is_stolen() {
-        // Front-loaded cost: item 0 is ~1000x the rest. With stealing the
-        // other workers drain the remainder; the result must still be
-        // complete and ordered.
+    fn uneven_work_is_shared() {
+        // Front-loaded cost: item 0 is ~1000x the rest. Whoever claims it
+        // claims nothing else for a while and the other workers drain the
+        // remainder; the result must still be complete and ordered.
         let items: Vec<u64> = (0..2_000).collect();
         let out = par_map_threads(&items, 4, |&x| {
             let spins = if x == 0 { 2_000_000 } else { 2_000 };
@@ -337,14 +207,6 @@ mod tests {
     fn single_thread_is_sequential() {
         let items: Vec<u32> = (0..100).collect();
         assert_eq!(par_map_threads(&items, 1, |&x| x), items);
-    }
-
-    #[test]
-    fn par_chunks_preserves_chunk_order() {
-        let items: Vec<u32> = (0..1000).collect();
-        let sums = par_chunks(&items, 64, |chunk| chunk.iter().sum::<u32>());
-        let expected: Vec<u32> = items.chunks(64).map(|c| c.iter().sum()).collect();
-        assert_eq!(sums, expected);
     }
 
     // Tests only read `current_threads()` inside a `with_thread_count`
@@ -390,15 +252,5 @@ mod tests {
         assert_eq!(current_threads(), 4);
         std::env::remove_var("DSV_THREADS");
         assert!(current_threads() >= 1);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for (tag, head, tail) in [(0, 0, 0), (7, 3, 9), (0xffff, MAX_SEGMENT, MAX_SEGMENT)] {
-            assert_eq!(unpack(pack(tag, head, tail)), (tag, head, tail));
-        }
-        // Tag wraps at 16 bits without touching the indices.
-        let (tag, head, tail) = unpack(pack(0x1_0002, 5, 6));
-        assert_eq!((tag, head, tail), (2, 5, 6));
     }
 }

@@ -137,11 +137,6 @@ impl CheckoutCache {
         }
     }
 
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
-    }
-
     /// Looks up `id`. On a hit returns the cached bytes and the entry's
     /// estimated recreation cost (the bytes the caller did not have to
     /// read), and touches the entry's frequency.

@@ -367,11 +367,6 @@ impl<S: ObjectStore> FaultStore<S> {
         &self.inner
     }
 
-    /// The plan this wrapper consults.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
     fn gate(&self, site: &str) -> Result<(), StoreError> {
         match self.plan.on_site(site) {
             SiteAction::Proceed | SiteAction::SkipSync => Ok(()),

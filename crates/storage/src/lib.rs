@@ -61,7 +61,7 @@ pub use hash::ObjectId;
 pub use materialize::{Materializer, RecreationWork};
 pub use object::{stored_len, Object, Priced, StoreError};
 pub use repack::{
-    dependency_order, pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES,
+    pack_resolved, pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES,
 };
 pub use sharded::{shard_index, ShardedStore, MAX_SHARDS};
 pub use store::{Counters, FileStore, MemStore, ObjectStore, OpCounters, ShardStats, StoreStats};

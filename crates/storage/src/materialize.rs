@@ -85,11 +85,6 @@ impl<'a, S: ObjectStore + ?Sized> Materializer<'a, S> {
         }
     }
 
-    /// The cache backing this materializer, if any.
-    pub fn cache(&self) -> Option<&Arc<CheckoutCache>> {
-        self.cache.as_ref()
-    }
-
     /// Reconstructs the version stored under `id`.
     pub fn materialize(&self, id: ObjectId) -> Result<Arc<Vec<u8>>, StoreError> {
         Ok(self.materialize_measured(id)?.0)

@@ -135,9 +135,8 @@ impl PackedVersions {
 
 /// Orders versions parents-before-children under a parent assignment
 /// (`None` = root). Returns [`StoreError::ChainTooLong`] when the
-/// assignment contains a cycle. Shared by [`pack_versions`] and the
-/// chunk crate's hybrid packer.
-pub fn dependency_order(plan: &[Option<u32>]) -> Result<Vec<u32>, StoreError> {
+/// assignment contains a cycle.
+fn dependency_order(plan: &[Option<u32>]) -> Result<Vec<u32>, StoreError> {
     let n = plan.len();
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
@@ -180,9 +179,26 @@ pub fn pack_versions<S: ObjectStore + ?Sized>(
     plan: &[Option<u32>],
     _opts: PackOptions,
 ) -> Result<PackedVersions, StoreError> {
+    let _pack = obs::span!("pack", versions = contents.len(), packer = "binary").entered();
+    let unresolved = vec![None; contents.len()];
+    pack_resolved(store, contents, plan, unresolved, Vec::new())
+}
+
+/// The pack loop behind every packer: `plan`'s deltas and full objects,
+/// around the versions the caller has resolved already. `ids[v]` is
+/// `Some` for a root whose object the caller built itself — the hybrid
+/// packer's chunk manifests — and `queued` holds those objects (and the
+/// chunks they name), written ahead of the rest; deltas may chain off
+/// them like off any other root.
+pub fn pack_resolved<S: ObjectStore + ?Sized>(
+    store: &S,
+    contents: &[Vec<u8>],
+    plan: &[Option<u32>],
+    mut ids: Vec<Option<ObjectId>>,
+    queued: Vec<Object>,
+) -> Result<PackedVersions, StoreError> {
     assert_eq!(contents.len(), plan.len(), "one plan entry per version");
     let n = contents.len();
-    let _pack = obs::span!("pack", versions = n, packer = "binary").entered();
     let order = dependency_order(plan)?;
 
     // Delta payloads depend only on the raw contents (not on stored
@@ -193,9 +209,8 @@ pub fn pack_versions<S: ObjectStore + ?Sized>(
     let edges: Vec<(u32, u32)> = (0..n as u32)
         .filter_map(|v| plan[v as usize].map(|p| (p, v)))
         .collect();
-    let encode_span = obs::span!("encode", deltas = edges.len());
-    let encoded = encode_span.in_scope(|| bytes_delta::encode_pairs(contents, &edges));
-    drop(encode_span);
+    let encoded = obs::span!("encode", deltas = edges.len())
+        .in_scope(|| bytes_delta::encode_pairs(contents, &edges));
     let mut deltas: Vec<Option<Vec<u8>>> = vec![None; n];
     for (&(_, v), enc) in edges.iter().zip(encoded) {
         deltas[v as usize] = Some(enc);
@@ -204,14 +219,14 @@ pub fn pack_versions<S: ObjectStore + ?Sized>(
     // Object ids are content addresses, so the whole plan's objects can
     // be constructed — delta children resolving their parent's id from
     // the object just built, no store round-trip — and streamed through
-    // bounded `put_batch` flushes (one lock acquisition per flush on
-    // MemStore, concurrent per-shard writes on ShardedStore, peak
-    // buffering capped by the BatchWriter). The store holds exactly the
-    // objects the old sequential write loop produced.
-    let mut ids: Vec<Option<ObjectId>> = vec![None; n];
+    // the writer's bounded `put_batch` flushes.
     let _write = obs::span!("write").entered();
     let mut writer = BatchWriter::new(store);
+    writer.extend(queued)?;
     for v in order {
+        if ids[v as usize].is_some() {
+            continue;
+        }
         let obj = match plan[v as usize] {
             None => Object::Full {
                 data: contents[v as usize].clone(),

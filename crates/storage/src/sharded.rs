@@ -8,7 +8,7 @@
 //! `FileStore` shard its own directory), so shards never contend with
 //! each other. The batch surface is where this pays: `put_batch`
 //! partitions a batch by shard and writes all shards **concurrently** on
-//! the `dsv_par` work-stealing runtime (likewise `get_batch` /
+//! the `dsv_par` runtime (likewise `get_batch` /
 //! `remove_batch`), turning the packers' one-big-batch writes into
 //! parallel per-shard IO.
 //!

@@ -74,7 +74,7 @@
 //! nonzero when the repository is not clean, so scripts can gate on it.
 //!
 //! `--threads <n>` (accepted anywhere on the command line) pins the
-//! dsv-par work-stealing runtime to `n` workers for every parallel phase
+//! dsv-par runtime to `n` workers for every parallel phase
 //! — reveal diffs, chunk estimation, portfolio solves, and packing.
 //! Results are identical at any thread count; the default is the
 //! `DSV_THREADS` environment variable, falling back to the machine's

@@ -30,16 +30,18 @@
 //!
 //! All three are deterministic and idempotent: running them twice (or
 //! crashing *during* repair and re-running) converges to the same clean
-//! state, because every destructive step removes only objects outside
-//! the referenced closure — and a closure that could not be read in full
-//! removes nothing.
+//! state, because every destructive step goes through the collector
+//! ([`crate::gc`]): it removes only objects outside the referenced
+//! closure — and a closure that could not be read in full removes
+//! nothing.
 
 use crate::error::VcsError;
+use crate::gc::{self, Roots};
 use crate::persist;
 use crate::repo::Repository;
 use dsv_net::proto::{FsckSummary, WireRecovery};
 use dsv_obs as obs;
-use dsv_storage::{Object, ObjectId, ObjectStore, StoreError};
+use dsv_storage::{ObjectId, ObjectStore, StoreError};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
@@ -143,34 +145,27 @@ impl fmt::Display for FsckReport {
 
 /// The full set of object ids the repository's history references: every
 /// version's object plus, for chunk manifests, the chunk objects they
-/// name. Delta bases are themselves version objects, so the version list
-/// already covers them. A version object that cannot be read fails the
-/// closure with the version's number: it may be a manifest, and with its
-/// chunks left out they would read as orphans and be collected.
-fn referenced_closure<S: ObjectStore>(
+/// name. A version object that cannot be read fails the closure with the
+/// version's number: it may be a manifest, and with its chunks left out
+/// they would read as orphans and be collected.
+fn referenced<S: ObjectStore>(
     repo: &Repository<S>,
-) -> Result<HashSet<ObjectId>, (u32, StoreError)> {
-    let mut closure: HashSet<ObjectId> = repo.objects.iter().copied().collect();
-    for (v, id) in repo.objects.iter().enumerate() {
-        if let Object::Chunked { chunks } = repo.store.get(*id).map_err(|e| (v as u32, e))? {
-            closure.extend(chunks);
-        }
-    }
-    Ok(closure)
+) -> Result<HashSet<ObjectId>, (usize, StoreError)> {
+    gc::closure(&repo.store, &repo.objects, Roots::Referenced)
 }
 
 /// Read-only integrity check; see the module docs for what it covers.
 /// Pass the persistence root as `root` to also flag a pending repack
 /// journal (`None` for purely in-memory repositories).
 pub fn fsck<S: ObjectStore>(repo: &Repository<S>, root: Option<&Path>) -> FsckReport {
-    check(repo, root, referenced_closure(repo))
+    check(repo, root, referenced(repo).as_ref())
 }
 
 /// [`fsck`] against an already-computed reference closure.
 fn check<S: ObjectStore>(
     repo: &Repository<S>,
     root: Option<&Path>,
-    closure: Result<HashSet<ObjectId>, (u32, StoreError)>,
+    closure: Result<&HashSet<ObjectId>, &(usize, StoreError)>,
 ) -> FsckReport {
     let _span = obs::span!("fsck", versions = repo.version_count()).entered();
     obs::counter!("fsck.runs", 1);
@@ -198,11 +193,11 @@ fn check<S: ObjectStore>(
     // sit above it.
     // A version the closure could not read is unreadable even if the
     // rebuild then gets through (a transient failure).
-    let m = repo.pass_materializer(true);
+    let m = repo.materializer(true, repo.objects.len());
     for (v, id) in repo.objects.iter().enumerate() {
         report.versions_checked += 1;
-        let outcome = match &closure {
-            Err((failed, e)) if *failed == v as u32 => Err(e.to_string()),
+        let outcome = match closure {
+            Err((failed, e)) if *failed == v => Err(e.to_string()),
             _ => m.materialize(*id).map(drop).map_err(|e| e.to_string()),
         };
         if let Err(e) = outcome {
@@ -240,44 +235,28 @@ pub fn recover<S: ObjectStore>(
         return Ok(Recovery::Clean);
     };
     let _span = obs::span!("fsck.recover").entered();
-    let closure = referenced_closure(repo).map_err(|(_, e)| e)?;
+    let live = referenced(repo).map_err(|(_, e)| e)?;
     let recovery = if repo.objects == journal.new_objects {
         // The metadata swap became durable: the crash hit during (or
         // before) the stale-object GC. Finish it. Content addressing can
-        // make a "stale" id live again under the new plan, so filter by
-        // the closure rather than trusting the journal blindly.
-        let stale: Vec<ObjectId> = journal
-            .stale
-            .iter()
-            .copied()
-            .filter(|id| !closure.contains(id))
-            .collect();
-        repo.store.remove_batch(&stale)?;
+        // make a "stale" id live again under the new plan, so the
+        // collector filters by the closure rather than trusting the
+        // journal blindly.
         Recovery::RolledForward {
-            removed: stale.len(),
+            removed: gc::collect(&repo.store, &journal.stale, &live)?,
         }
     } else {
         // The swap never became durable: disk metadata still names the
         // old plan, so the journaled new objects (and any chunks only
         // they reference) are orphans. Drop the ones the old plan does
         // not also reference.
-        let mut new_side: HashSet<ObjectId> = journal.new_objects.iter().copied().collect();
-        for id in &journal.new_objects {
-            // An absent new object has nothing to drop; any other failure
-            // may hide a manifest whose chunks would then stay behind.
-            match repo.store.get(*id) {
-                Ok(Object::Chunked { chunks }) => new_side.extend(chunks),
-                Ok(_) | Err(StoreError::NotFound(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let drop: Vec<ObjectId> = new_side
-            .into_iter()
-            .filter(|id| !closure.contains(id))
-            .collect();
-        repo.store.remove_batch(&drop)?;
+        let new_side: Vec<ObjectId> =
+            gc::closure(&repo.store, &journal.new_objects, Roots::Journaled)
+                .map_err(|(_, e)| e)?
+                .into_iter()
+                .collect();
         Recovery::RolledBack {
-            removed: drop.len(),
+            removed: gc::collect(&repo.store, &new_side, &live)?,
         }
     };
     persist::clear_journal(root)?;
@@ -309,14 +288,13 @@ pub fn fsck_repair<S: ObjectStore>(
     };
     // An unreadable manifest ends the repair here, before its chunks can
     // be taken for orphans.
-    let closure = referenced_closure(repo).map_err(|(_, e)| e)?;
-    let mut report = check(repo, root, Ok(closure));
+    let live = referenced(repo).map_err(|(_, e)| e)?;
+    let mut report = check(repo, root, Ok(&live));
     report.recovery = recovery;
     if !report.orphans.is_empty() {
         let orphans = std::mem::take(&mut report.orphans);
         obs::counter!("fsck.orphans_removed", orphans.len() as u64);
-        repo.store.remove_batch(&orphans)?;
-        report.orphans_removed = orphans.len();
+        report.orphans_removed = gc::collect(&repo.store, &orphans, &live)?;
     }
     Ok(report)
 }
@@ -337,27 +315,10 @@ pub fn recover_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gc::sweep::{self, chunked_debris, TempDir};
     use crate::persist::RepackJournal;
     use dsv_core::{PlanSpec, Problem};
-
-    struct TempDir(std::path::PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let path = std::env::temp_dir().join(format!(
-                "dsv-fsck-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            let _ = std::fs::remove_dir_all(&path);
-            std::fs::create_dir_all(&path).unwrap();
-            TempDir(path)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
+    use dsv_storage::Object;
 
     fn csv(rows: usize, tag: &str) -> Vec<u8> {
         let mut out = b"id,value\n".to_vec();
@@ -526,97 +487,12 @@ mod tests {
         assert_eq!(gets, 3 * n);
     }
 
-    /// A chunked history over a fault-injecting store, plus the debris
-    /// one of three crashes leaves: an orphan with no journal, a repack
-    /// whose swap is durable (roll forward), or one whose swap is not
-    /// (roll back; its phantom manifest shares a chunk with a live one).
-    fn chunked_debris(
-        scenario: &str,
-        plan: std::sync::Arc<dsv_storage::FaultPlan>,
-        root: &Path,
-    ) -> Repository<dsv_storage::FaultStore<dsv_storage::MemStore>> {
-        let store = dsv_storage::FaultStore::new(dsv_storage::MemStore::new(true), plan);
-        let mut repo = Repository::init_chunked(store, dsv_chunk::ChunkerParams::default());
-        let mut data = csv(600, "x");
-        for i in 0..5 {
-            data.extend_from_slice(format!("{},grown\n", 600 + i).as_bytes());
-            repo.commit("main", &data, "grow").unwrap();
-        }
-        let put = |obj: Object| repo.store.put(&obj).unwrap();
-        let orphan = put(Object::Full {
-            data: b"debris".to_vec(),
-        });
-        let _ = persist::clear_journal(root);
-        let journal = match scenario {
-            "orphan" => return repo,
-            "forward" => RepackJournal {
-                new_objects: repo.objects.clone(),
-                stale: vec![orphan],
-            },
-            "back" => {
-                let Object::Chunked { chunks } = repo.store.inner().get(repo.objects[0]).unwrap()
-                else {
-                    panic!("chunked placement stores manifests");
-                };
-                let phantom = put(Object::Chunked {
-                    chunks: vec![chunks[0], orphan],
-                });
-                let mut new_objects = repo.objects.clone();
-                new_objects[0] = phantom;
-                RepackJournal {
-                    new_objects,
-                    stale: vec![],
-                }
-            }
-            other => panic!("unknown scenario {other}"),
-        };
-        persist::write_journal(root, &journal).unwrap();
-        repo
-    }
-
     #[test]
     fn a_failed_store_read_never_lets_repair_collect_live_chunks() {
-        use dsv_storage::FaultPlan;
-        // `referenced_closure` used to skip a manifest it could not read:
-        // its chunks then counted as orphans, and `fsck --repair` and both
-        // arms of `recover` removed them. Fail every `store.get` a repair
-        // makes, one at a time: whatever the attempt did, every version
-        // still checks out and a fault-free repair ends clean.
-        let gets = |plan: &FaultPlan| plan.sites().iter().filter(|s| *s == "store.get").count();
-        for scenario in ["orphan", "forward", "back"] {
-            let dir = TempDir::new(&format!("closure-{scenario}"));
-            let counting = FaultPlan::count_sites();
-            let mut repo = chunked_debris(scenario, counting.clone(), &dir.0);
-            let snapshots: Vec<Vec<u8>> = (0..repo.version_count() as u32)
-                .map(|v| repo.checkout(crate::CommitId(v)).unwrap())
-                .collect();
-            let before = gets(&counting);
-            let clean = fsck_repair(&mut repo, Some(&dir.0)).unwrap();
-            assert!(clean.is_clean(), "{scenario}: {clean}");
-            let after = gets(&counting);
-            assert!(after > before, "{scenario}: repair must read the store");
-
-            let mut failed = 0;
-            for site in before..after {
-                let plan = FaultPlan::fail_at_site(site as u64, "store.get");
-                let mut repo = chunked_debris(scenario, plan.clone(), &dir.0);
-                for v in 0..snapshots.len() as u32 {
-                    repo.checkout(crate::CommitId(v)).unwrap();
-                }
-                failed += usize::from(fsck_repair(&mut repo, Some(&dir.0)).is_err());
-                assert_eq!(plan.fired(), 1, "{scenario}: site {site} was not reached");
-                let again = fsck_repair(&mut repo, Some(&dir.0)).unwrap();
-                assert!(again.is_clean(), "{scenario} site {site}: {again}");
-                for (v, expected) in snapshots.iter().enumerate() {
-                    assert_eq!(
-                        &repo.checkout(crate::CommitId(v as u32)).unwrap(),
-                        expected,
-                        "{scenario}: v{v} after a fault at store.get #{site}"
-                    );
-                }
-            }
-            assert!(failed > 0, "{scenario}: no injected read error surfaced");
-        }
+        // The closure used to skip a manifest it could not read: its
+        // chunks then counted as orphans, and `fsck --repair` and both
+        // arms of `recover` removed them.
+        sweep::sweep("fsck_repair");
     }
 
     #[test]

@@ -38,6 +38,7 @@
 pub mod commit;
 pub mod error;
 pub mod fsck;
+mod gc;
 pub mod optimize;
 pub mod persist;
 pub mod repo;

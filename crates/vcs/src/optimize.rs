@@ -12,6 +12,7 @@
 //! in the paper's binary model.
 
 use crate::error::VcsError;
+use crate::gc::{self, Roots};
 use crate::persist::{self, RepackJournal};
 use crate::repo::{unshare, Placement, Repository};
 use dsv_chunk::{chunked_cost_pairs, pack_versions_hybrid, ChunkerParams};
@@ -21,7 +22,7 @@ use dsv_core::{
 };
 use dsv_delta::bytes_delta;
 use dsv_obs as obs;
-use dsv_storage::{pack_versions, stored_len, ObjectId, ObjectStore, PackOptions, Priced};
+use dsv_storage::{pack_versions, ObjectId, ObjectStore, PackOptions, Priced};
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -68,6 +69,9 @@ pub struct PreparedRepack {
     new_objects: Vec<ObjectId>,
     new_plan: Vec<StorageMode>,
     stale: Vec<ObjectId>,
+    /// The new plan's reference closure: what [`Repository::gc_repack`]
+    /// must keep. Not journaled — recovery reads it back from the store.
+    live: HashSet<ObjectId>,
     report: OptimizeReport,
 }
 
@@ -130,18 +134,13 @@ impl<S: ObjectStore> Repository<S> {
         let _optimize = obs::span!("optimize", versions = self.version_count()).entered();
         let prepared = self.prepare_repack(spec)?;
         persist::write_journal(root, &prepared.journal())?;
-        let old_objects = std::mem::take(&mut self.objects);
-        let old_plan = std::mem::take(&mut self.plan);
+        let checkpoint = self.checkpoint();
         self.apply_repack(&prepared);
         if let Err(e) = persist::save(self, root) {
             // Roll back the swap: disk still holds the old meta, so memory
             // must too. The packed objects stay behind as orphans for fsck
             // (removing them here could race another failure).
-            self.objects = old_objects;
-            self.plan = old_plan;
-            if let Some(cache) = self.checkout_cache() {
-                cache.clear();
-            }
+            self.restore(checkpoint);
             let _ = persist::clear_journal(root);
             return Err(e);
         }
@@ -185,7 +184,7 @@ impl<S: ObjectStore> Repository<S> {
         // Materializer's own per-call "materialize" spans aggregate as
         // one n-count child of the optimize span.
         let contents: Vec<Vec<u8>> = {
-            let m = self.pass_materializer(false);
+            let m = self.materializer(false, n);
             let mut out = Vec::with_capacity(n);
             for id in &self.objects {
                 out.push(unshare(m.materialize(*id)?));
@@ -193,24 +192,9 @@ impl<S: ObjectStore> Repository<S> {
             out
         };
 
-        // Build the instance over real byte deltas. Δ is what the store
-        // will hold for the object — header, and the payload as the
-        // store's codec leaves it — and Φ the payload bytes a checkout
-        // reads, so the plan's storage cost is the byte count the pack
-        // below produces. The hybrid target keeps Φ = Δ = payload bytes
-        // in all three modes until the chunk estimator prices manifests
-        // and chunks the same way.
-        let compress = self.store.compresses();
-        let price = |kind: Priced, payload: &[u8]| {
-            let raw = payload.len() as u64;
-            CostPair {
-                storage: match chunking {
-                    Some(_) => raw,
-                    None => stored_len(kind, payload, compress),
-                },
-                recreation: raw,
-            }
-        };
+        // Build the instance over real byte deltas, priced as a commit
+        // prices them.
+        let price = self.price(chunking.is_some());
         let diag: Vec<CostPair> = contents.iter().map(|c| price(Priced::Full, c)).collect();
         let mut matrix = CostMatrix::directed(diag);
         // The all-pairs reveal is the optimize hot path (§5.1's "real
@@ -238,25 +222,15 @@ impl<S: ObjectStore> Repository<S> {
         let chosen = plan(&instance, spec)?;
         let solution = chosen.solution;
 
-        // Collect the old plan's reference closure *before* repacking:
-        // the version objects themselves plus, for chunk manifests, the
-        // chunk objects they reference (so re-packing a chunked repository
-        // reclaims its chunks instead of leaking them). The extra decode
-        // per version is noise next to the O(n²) diff phase above. New
-        // objects are packed alongside the old ones and stale objects are
-        // removed only after the pack succeeds — a failed or interrupted
-        // repack must never destroy a store that is the only copy of the
-        // history (`ObjectStore::clear` would).
-        let mut old_ids: HashSet<_> = self.objects.iter().copied().collect();
-        for id in &self.objects {
-            // A failed read here can only leave chunks out of `old_ids`,
-            // i.e. out of `stale`: they leak as orphans for fsck, nothing
-            // live is ever collected. (The materialize pass above read
-            // every one of these objects already, so it rarely fails.)
-            if let Ok(dsv_storage::Object::Chunked { chunks }) = self.store.get(*id) {
-                old_ids.extend(chunks);
-            }
-        }
+        // Collect the old plan's reference closure *before* repacking
+        // (so re-packing a chunked repository reclaims its chunks instead
+        // of leaking them, and an unreadable store stops the repack before
+        // it writes). The extra decode per version is noise next to the
+        // O(n²) diff phase above. New objects are packed alongside the old
+        // ones and stale objects are removed only after the pack succeeds —
+        // a failed or interrupted repack must never destroy a store that
+        // is the only copy of the history (`ObjectStore::clear` would).
+        let old = gc::closure(&self.store, &self.objects, Roots::Referenced).map_err(|(_, e)| e)?;
         let packed = match chunking {
             Some(params) => {
                 pack_versions_hybrid(&self.store, &contents, solution.modes(), params)?.0
@@ -268,21 +242,13 @@ impl<S: ObjectStore> Repository<S> {
                 PackOptions::default(),
             )?,
         };
-        // The new plan's reference closure: chunked manifests keep their
-        // chunk objects alive. A failed read must fail the repack: left
-        // out of `new_ids`, a manifest's chunks that the old plan shares
-        // would land in `stale` and be collected from under the new plan.
-        let mut new_ids: HashSet<_> = packed.ids.iter().copied().collect();
-        for id in &packed.ids {
-            if let dsv_storage::Object::Chunked { chunks } = self.store.get(*id)? {
-                new_ids.extend(chunks);
-            }
-        }
-        let stale: Vec<_> = old_ids.difference(&new_ids).copied().collect();
+        let live = gc::closure(&self.store, &packed.ids, Roots::Referenced).map_err(|(_, e)| e)?;
+        let stale: Vec<_> = old.difference(&live).copied().collect();
         Ok(PreparedRepack {
             new_objects: packed.ids,
             new_plan: solution.modes().to_vec(),
             stale,
+            live,
             report: OptimizeReport {
                 problem: spec.problem(),
                 provenance: chosen.provenance,
@@ -321,11 +287,14 @@ impl<S: ObjectStore> Repository<S> {
     /// report ([`OptimizeReport::gc_error`]) rather than returned.
     pub fn gc_repack(&mut self, prepared: PreparedRepack) -> OptimizeReport {
         let PreparedRepack {
-            stale, mut report, ..
+            stale,
+            live,
+            mut report,
+            ..
         } = prepared;
         let gc_span = obs::span!("gc", stale = stale.len());
         obs::counter!("optimize.gc.stale_objects", stale.len() as u64);
-        let gc = gc_span.in_scope(|| self.store.remove_batch(&stale));
+        let gc = gc_span.in_scope(|| gc::collect(&self.store, &stale, &live));
         drop(gc_span);
         report.gc_error = gc.err().map(|e| e.to_string());
         report.storage_after = self.store.total_bytes();
@@ -351,6 +320,7 @@ impl<S: ObjectStore> Repository<S> {
 mod tests {
     use super::*;
     use crate::commit::CommitId;
+    use crate::gc::sweep;
     use dsv_core::SolverChoice;
     use dsv_storage::{Materializer, MemStore};
 
@@ -473,25 +443,7 @@ mod tests {
     }
 
     fn chunked_repo() -> Repository<MemStore> {
-        chunked_repo_on(MemStore::new(false))
-    }
-
-    fn chunked_repo_on<S: ObjectStore>(store: S) -> Repository<S> {
-        let mut repo = Repository::with_placement(
-            store,
-            crate::repo::Placement::Chunked(dsv_chunk::ChunkerParams::default()),
-        );
-        let row = |i: usize| format!("{i},payload-{},2015\n", i * 31);
-        let mut data = b"id,payload,year\n".to_vec();
-        for i in 0..600 {
-            data.extend_from_slice(row(i).as_bytes());
-        }
-        repo.commit("main", &data, "base").unwrap();
-        for k in 1..8 {
-            data.extend_from_slice(row(600 + k).as_bytes());
-            repo.commit("main", &data, "grow").unwrap();
-        }
-        repo
+        sweep::chunked_repo_on(MemStore::new(false))
     }
 
     #[test]
@@ -557,44 +509,11 @@ mod tests {
 
     #[test]
     fn a_failed_store_read_never_lets_gc_collect_live_chunks() {
-        use dsv_storage::fault::{FaultPlan, FaultStore};
-        // Enumerate the `store.get` sites of a hybrid optimize on a
-        // chunked repository (the new plan keeps chunked versions, so it
-        // shares chunks with the old one), then fail each in turn. The
-        // optimize may fail or succeed; either way every version must
-        // still check out byte-identically — in particular a read error
-        // while collecting the *new* plan's chunk references must not put
-        // those chunks on the stale list.
-        let spec = spec(Problem::MinStorage, 4);
-        let counting = FaultPlan::count_sites();
-        let mut repo = chunked_repo_on(FaultStore::new(MemStore::new(false), counting.clone()));
-        let gets = |plan: &FaultPlan| plan.sites().iter().filter(|s| *s == "store.get").count();
-        let snapshots: Vec<Vec<u8>> = (0..repo.version_count() as u32)
-            .map(|v| repo.checkout(CommitId(v)).unwrap())
-            .collect();
-        let before = gets(&counting);
-        assert!(repo.optimize_with(&spec).unwrap().chunked >= 1);
-        let after = gets(&counting);
-        assert!(after > before, "optimize must read the store");
-
-        let mut failed = 0;
-        for site in before..after {
-            let plan = FaultPlan::fail_at_site(site as u64, "store.get");
-            let mut repo = chunked_repo_on(FaultStore::new(MemStore::new(false), plan.clone()));
-            for v in 0..snapshots.len() as u32 {
-                repo.checkout(CommitId(v)).unwrap();
-            }
-            failed += usize::from(repo.optimize_with(&spec).is_err());
-            assert_eq!(plan.fired(), 1, "site {site} was not reached");
-            for (v, expected) in snapshots.iter().enumerate() {
-                assert_eq!(
-                    &repo.checkout(CommitId(v as u32)).unwrap(),
-                    expected,
-                    "v{v} after a fault at store.get #{site}"
-                );
-            }
-        }
-        assert!(failed > 0, "no injected read error surfaced");
+        // A hybrid optimize of a chunked repository shares chunks between
+        // the old plan and the new: a read error while collecting either
+        // plan's references must not put live chunks on the stale list,
+        // and a removal that fails half-way must leave only orphans.
+        sweep::sweep("optimize_with");
     }
 
     #[test]

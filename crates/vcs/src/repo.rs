@@ -1,4 +1,12 @@
 //! The repository: commits, branches, merges, checkout.
+//!
+//! There is one write path. Every commit — `commit`, `commit_bounded`,
+//! `merge`, `commit_online` — is an online placement (the paper's §7
+//! decision: reveal a few in-edges, price them ⟨Δ, Φ⟩, take the
+//! storage-cheapest feasible one) and they differ only in the candidate
+//! set: a plain commit reveals its first parent, an online commit a
+//! bounded neighborhood of its parents. [`Repository::price`] is the one
+//! place an edge is priced, for a commit and for `optimize` alike.
 
 use crate::commit::{CommitId, CommitMeta};
 use crate::error::VcsError;
@@ -14,9 +22,8 @@ use dsv_storage::{
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Byte budget of a pass-local memo (see
-/// [`Repository::pass_materializer`]): room for the few dozen versions a
-/// pass revisits, not for a history.
+/// Byte budget of a job-local memo (see [`Repository::materializer`]):
+/// room for the few dozen versions a pass revisits, not for a history.
 const PASS_MEMO_BYTES: u64 = 4 << 20;
 
 /// How new commits are placed in the store (the offline optimizer can
@@ -35,20 +42,21 @@ pub enum Placement {
 /// Options for [`Repository::commit_online`] — bounded local re-planning
 /// of one new version (the paper's online problem promoted into the VCS).
 ///
-/// Instead of delta-ing blindly off the first parent (greedy placement)
-/// or re-packing the whole history (`optimize_with`, the explicit slow
-/// path), an online commit considers a bounded neighborhood of the new
+/// Instead of re-packing the whole history (`optimize_with`, the explicit
+/// slow path), a commit considers a bounded neighborhood of the new
 /// version's parents as delta bases and places the version by the
 /// storage-cheapest feasible in-edge
 /// ([`place_version`](dsv_core::online::place_version)-style local
 /// decision). Commit latency is O(`max_candidates` diffs), never
-/// O(repack).
+/// O(repack). A plain [`commit`](Repository::commit) is the one-candidate
+/// case: `hops: 0, max_candidates: 1`, i.e. the first parent alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OnlineOptions {
     /// How many hops of the (undirected) commit DAG around the parents to
     /// consider as delta bases.
     pub hops: usize,
-    /// Cap on the number of candidate bases diffed.
+    /// Cap on the number of candidate bases diffed; with 0 there is no
+    /// delta candidate and the version is materialized.
     pub max_candidates: usize,
     /// Recreation budget θ in fetched bytes: candidates whose chain would
     /// exceed it are infeasible (Problem 6 flavor). When even
@@ -56,6 +64,17 @@ pub struct OnlineOptions {
     /// cheaper than reading itself — the commit degrades to materialized,
     /// matching [`Repository::commit_bounded`].
     pub max_recreation_bytes: Option<u64>,
+}
+
+impl OnlineOptions {
+    /// The plain commit: the candidate set is {first parent}.
+    pub(crate) fn first_parent(max_recreation_bytes: Option<u64>) -> Self {
+        OnlineOptions {
+            hops: 0,
+            max_candidates: 1,
+            max_recreation_bytes,
+        }
+    }
 }
 
 impl Default for OnlineOptions {
@@ -83,24 +102,12 @@ pub struct Checkpoint {
     branches: BTreeMap<String, CommitId>,
 }
 
-/// How one `record_commit` call decides the new version's storage mode
-/// (chunked placement bypasses both: chunking is already a local
-/// decision).
-#[derive(Debug, Clone, Copy)]
-enum CommitStyle {
-    /// Delta off the first parent iff smaller than materializing (and
-    /// within the optional recreation budget).
-    Greedy { max_recreation_bytes: Option<u64> },
-    /// Bounded-neighborhood online re-planning.
-    Online(OnlineOptions),
-}
-
 /// A dataset version repository over an object store `S`.
 ///
 /// Commits store one dataset (a byte string) per version. New commits are
-/// placed per the repository's [`Placement`] — greedily as a delta from
-/// their first parent when that beats materialization, or as deduplicated
-/// chunk manifests — and [`Repository::optimize_with`](crate::Repository)
+/// placed per the repository's [`Placement`] — as a delta from their first
+/// parent when that beats materialization, or as deduplicated chunk
+/// manifests — and [`Repository::optimize_with`](crate::Repository)
 /// re-packs the whole history under one of the paper's problems.
 pub struct Repository<S: ObjectStore> {
     pub(crate) store: S,
@@ -168,9 +175,9 @@ impl<S: ObjectStore> Repository<S> {
     /// Enables a bounded checkout cache of `budget_bytes` (replacing any
     /// existing cache) and returns a handle to it, e.g. for
     /// [`CheckoutCache::stats`]. A zero budget is valid and caches
-    /// nothing. Checkouts, online commits, and greedy placement all read
-    /// through the cache; entries are keyed by content address so they
-    /// can never serve stale bytes.
+    /// nothing. Checkouts and unbudgeted commits read through the cache;
+    /// entries are keyed by content address so they can never serve stale
+    /// bytes.
     pub fn enable_checkout_cache(&mut self, budget_bytes: u64) -> Arc<CheckoutCache> {
         let cache = Arc::new(CheckoutCache::new(budget_bytes));
         self.checkout_cache = Some(Arc::clone(&cache));
@@ -188,35 +195,58 @@ impl<S: ObjectStore> Repository<S> {
         self.checkout_cache.as_ref()
     }
 
-    /// A materializer reading through the checkout cache when one is
-    /// enabled.
-    fn materializer(&self) -> Materializer<'_, S> {
-        match &self.checkout_cache {
-            Some(cache) => Materializer::with_checkout_cache(&self.store, Arc::clone(cache)),
-            None => Materializer::new(&self.store),
-        }
-    }
-
-    /// The materializer of a *pass* — a job that recreates many versions
-    /// whose chains overlap (`fsck`, an online commit's reveal,
-    /// `prepare_repack`). Every object of the union of the chains is
-    /// fetched and decoded once per pass instead of once per version
-    /// above it: the walk stops at the deepest ancestor the pass has
-    /// already rebuilt.
+    /// The one way this crate reads versions back: a materializer for a
+    /// job that recreates `chains` versions. When their chains can overlap
+    /// (`fsck`, a many-candidate reveal, `prepare_repack`) every object
+    /// of the union is fetched and decoded once per job instead of once
+    /// per version above it: the walk stops at the deepest ancestor the
+    /// job has already rebuilt.
     ///
-    /// A `cold` pass must see the store itself — `fsck` verifies it, a
-    /// budgeted placement prices it — so it starts from an empty
-    /// pass-local memo and never touches the shared checkout cache. The
-    /// cold cost of a walk is then `bytes_read + bytes_saved`: what it
-    /// fetched plus what the memoized ancestor had cost to fetch, the
-    /// same sum whatever the memo holds. Other passes read through the
-    /// shared cache when one is installed and through a memo otherwise.
-    pub(crate) fn pass_materializer(&self, cold: bool) -> Materializer<'_, S> {
+    /// A `cold` job must see the store itself — `fsck` verifies it, a
+    /// budgeted placement prices it — so it never touches the shared
+    /// checkout cache and starts from an empty job-local memo. The cold
+    /// cost of a walk is then `bytes_read + bytes_saved`: what it fetched
+    /// plus what the memoized ancestor had cost to fetch, the same sum
+    /// whatever the memo holds. Other jobs read through the shared cache
+    /// when one is installed and through a memo otherwise. The memo of a
+    /// single chain (a checkout, a plain commit) has no room: nothing in
+    /// it could be met twice, and every intermediate is freed as the
+    /// replay moves past it.
+    pub(crate) fn materializer(&self, cold: bool, chains: usize) -> Materializer<'_, S> {
         let cache = match &self.checkout_cache {
             Some(shared) if !cold => Arc::clone(shared),
-            _ => Arc::new(CheckoutCache::new(PASS_MEMO_BYTES)),
+            _ => Arc::new(CheckoutCache::new(match chains {
+                0 | 1 => 0,
+                _ => PASS_MEMO_BYTES,
+            })),
         };
         Materializer::with_checkout_cache(&self.store, cache)
+    }
+
+    /// The price ⟨Δ, Φ⟩ of an edge, as a function of the object it would
+    /// be stored as: Δ is what the store will hold for the object —
+    /// header, and the payload as the store's codec leaves it — and Φ the
+    /// payload bytes a checkout reads. A commit's placement and
+    /// `optimize`'s matrix are made of these, so a binary plan's storage
+    /// cost is the byte count its pack produces. A `hybrid` instance
+    /// keeps Δ = Φ = payload bytes in all three modes until the chunk
+    /// estimator prices manifests and chunks the same way.
+    ///
+    /// Returned as a value that borrows nothing: `optimize` prices on
+    /// the dsv-par workers, and a store need not be `Sync`.
+    pub(crate) fn price(&self, hybrid: bool) -> impl Fn(Priced, &[u8]) -> CostPair + Sync {
+        let compress = self.store.compresses();
+        move |kind, payload| {
+            let raw = payload.len() as u64;
+            CostPair {
+                storage: if hybrid {
+                    raw
+                } else {
+                    stored_len(kind, payload, compress)
+                },
+                recreation: raw,
+            }
+        }
     }
 
     /// The placement policy for new commits.
@@ -282,14 +312,8 @@ impl<S: ObjectStore> Repository<S> {
         message: &str,
         max_recreation_bytes: Option<u64>,
     ) -> Result<CommitId, VcsError> {
-        self.commit_styled(
-            branch,
-            data,
-            message,
-            CommitStyle::Greedy {
-                max_recreation_bytes,
-            },
-        )
+        let options = OnlineOptions::first_parent(max_recreation_bytes);
+        self.commit_placed(branch, data, message, options, false)
     }
 
     /// Like [`commit`](Self::commit), but places the new version by
@@ -305,23 +329,30 @@ impl<S: ObjectStore> Repository<S> {
         message: &str,
         options: OnlineOptions,
     ) -> Result<CommitId, VcsError> {
-        self.commit_styled(branch, data, message, CommitStyle::Online(options))
+        self.commit_placed(branch, data, message, options, true)
     }
 
-    fn commit_styled(
+    /// Commits `data` on `branch`, placed by `options`. `online` says the
+    /// caller asked for an online commit (it is counted as one); the
+    /// placement rule is the same either way.
+    pub(crate) fn commit_placed(
         &mut self,
         branch: &str,
         data: &[u8],
         message: &str,
-        style: CommitStyle,
+        options: OnlineOptions,
+        online: bool,
     ) -> Result<CommitId, VcsError> {
+        if online {
+            obs::counter!("vcs.online_commits", 1);
+        }
         let parent = match self.branches.get(branch) {
             Some(&head) => Some(head),
             None if self.commits.is_empty() => None,
             None => return Err(VcsError::UnknownBranch(branch.to_owned())),
         };
         let parents: Vec<CommitId> = parent.into_iter().collect();
-        let id = self.record_commit(&parents, data, message, style)?;
+        let id = self.record_commit(&parents, data, message, options)?;
         self.branches.insert(branch.to_owned(), id);
         Ok(id)
     }
@@ -340,33 +371,10 @@ impl<S: ObjectStore> Repository<S> {
         if head == other {
             return Err(VcsError::DegenerateMerge);
         }
-        let id = self.record_commit(
-            &[head, other],
-            data,
-            message,
-            CommitStyle::Greedy {
-                max_recreation_bytes: None,
-            },
-        )?;
+        let options = OnlineOptions::first_parent(None);
+        let id = self.record_commit(&[head, other], data, message, options)?;
         self.branches.insert(branch.to_owned(), id);
         Ok(id)
-    }
-
-    /// The content of `id` for a greedy commit to diff against and, when
-    /// the placement is `budgeted` (a θ is set), its recreation work (bytes
-    /// fetched) under the current plan — both from one chain walk. The
-    /// budgeted walk deliberately bypasses the checkout cache: placement
-    /// decisions must reflect the cold-store cost, not whatever happens
-    /// to be cached, so the plan stays independent of access history.
-    /// Unbudgeted placements never read the work, so they take the
-    /// ordinary (cached) checkout and report 0.
-    fn delta_base(&self, id: CommitId, budgeted: bool) -> Result<(Arc<Vec<u8>>, u64), VcsError> {
-        if !budgeted {
-            return Ok((Arc::new(self.checkout(id)?), 0));
-        }
-        let m = Materializer::new(&self.store);
-        let (bytes, work) = m.materialize_measured(self.objects[id.index()])?;
-        Ok((bytes, work.bytes_read))
     }
 
     /// Up to `cap` versions within `hops` undirected steps of `roots` on
@@ -374,10 +382,14 @@ impl<S: ObjectStore> Repository<S> {
     /// before children, then ascending index).
     fn neighborhood(&self, roots: &[CommitId], hops: usize, cap: usize) -> Vec<u32> {
         let n = self.commits.len();
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for meta in &self.commits {
-            for &p in &meta.parents {
-                children[p.index()].push(meta.id.0);
+        // Only a walk that leaves the roots needs the child lists.
+        let mut children: Vec<Vec<u32>> = Vec::new();
+        if hops > 0 {
+            children.resize(n, Vec::new());
+            for meta in &self.commits {
+                for &p in &meta.parents {
+                    children[p.index()].push(meta.id.0);
+                }
             }
         }
         let mut seen = vec![false; n];
@@ -390,10 +402,10 @@ impl<S: ObjectStore> Repository<S> {
             }
         }
         while let Some((v, d)) = queue.pop_front() {
-            out.push(v);
             if out.len() >= cap {
                 break;
             }
+            out.push(v);
             if d == hops {
                 continue;
             }
@@ -409,11 +421,12 @@ impl<S: ObjectStore> Repository<S> {
         out
     }
 
-    /// Online placement of `data`: diff against a bounded neighborhood of
-    /// the parents and pick the storage-cheapest feasible in-edge via the
-    /// paper's online rule ([`place_version`]). Runs under an `online`
-    /// span with `reveal`/`place` children and — by construction — no
-    /// `pack` or `gc` phase.
+    /// Online placement of `data` — the placement of every commit: diff
+    /// against a bounded neighborhood of the parents and pick the
+    /// storage-cheapest feasible in-edge via the paper's online rule
+    /// ([`place_version`]). Runs under an `online` span with
+    /// `reveal`/`place` children and — by construction — no `pack` or `gc`
+    /// phase.
     fn online_placement(
         &self,
         parents: &[CommitId],
@@ -426,7 +439,6 @@ impl<S: ObjectStore> Repository<S> {
             max_candidates = options.max_candidates
         )
         .entered();
-        obs::counter!("vcs.online_commits", 1);
         let materialized = || Object::Full {
             data: data.to_vec(),
         };
@@ -440,14 +452,8 @@ impl<S: ObjectStore> Repository<S> {
         // One pass over the union of the candidates' chains. Only a θ
         // reads `base_recreation`, and it must be the cold cost.
         let budgeted = options.max_recreation_bytes.is_some();
-        let m = self.pass_materializer(budgeted);
-        // Δ of a placement is what the store will hold for its object, Φ
-        // the payload bytes a checkout reads.
-        let compress = self.store.compresses();
-        let price = |kind: Priced, payload: &[u8]| CostPair {
-            storage: stored_len(kind, payload, compress),
-            recreation: payload.len() as u64,
-        };
+        let m = self.materializer(budgeted, neighborhood.len());
+        let price = self.price(false);
         for &u in &neighborhood {
             let (base, work) = m.materialize_measured(self.objects[u as usize])?;
             let base_recreation = if budgeted {
@@ -473,7 +479,7 @@ impl<S: ObjectStore> Repository<S> {
             Ok(p) => p,
             // θ below the version's own size: no placement can recreate
             // the version cheaper than reading it, so degrade to
-            // materialized exactly like `commit_bounded` does.
+            // materialized.
             Err(SolveError::RecreationThresholdInfeasible { .. }) => {
                 return Ok((materialized(), StorageMode::Materialized));
             }
@@ -498,74 +504,27 @@ impl<S: ObjectStore> Repository<S> {
         parents: &[CommitId],
         data: &[u8],
         message: &str,
-        style: CommitStyle,
+        options: OnlineOptions,
     ) -> Result<CommitId, VcsError> {
         let _span = obs::span!("commit", bytes = data.len()).entered();
         obs::counter!("vcs.commits", 1);
         let id = CommitId(self.commits.len() as u32);
-        if let Placement::Chunked(params) = self.placement {
+        let (oid, mode) = match self.placement {
             // Chunked placement: dedup against every chunk already stored.
             // Recreation cost is the version's own chunks (no chains), so
-            // any recreation budget is trivially respected and online
-            // re-planning has nothing to decide.
-            let put = ChunkStore::new(&self.store, params).and_then(|cs| cs.put_version(data))?;
-            self.objects.push(put.id);
-            self.plan.push(StorageMode::Chunked);
-            self.commits.push(CommitMeta {
-                id,
-                parents: parents.to_vec(),
-                message: message.to_owned(),
-                sequence: id.0 as u64,
-                size: data.len() as u64,
-            });
-            return Ok(id);
-        }
-        let (object, plan_mode) = match style {
-            CommitStyle::Online(options) => self.online_placement(parents, data, options)?,
-            // Greedy placement: delta off the first parent when the store
-            // would hold fewer bytes for it than for the whole version (the
-            // offline optimizer revisits this) and, if a recreation budget
-            // is set, when the resulting chain stays within it.
-            CommitStyle::Greedy {
-                max_recreation_bytes,
-            } => match parents.first() {
-                Some(&p) => {
-                    let (base, base_recreation) =
-                        self.delta_base(p, max_recreation_bytes.is_some())?;
-                    let encoded = SourceIndex::new(&base).diff_encoded(data);
-                    let chain_ok = max_recreation_bytes.is_none_or(|theta| {
-                        base_recreation.saturating_add(encoded.len() as u64) <= theta
-                    });
-                    let compress = self.store.compresses();
-                    let stored = |kind, payload: &[u8]| stored_len(kind, payload, compress);
-                    if chain_ok && stored(Priced::Delta, &encoded) < stored(Priced::Full, data) {
-                        (
-                            Object::Delta {
-                                base: self.objects[p.index()],
-                                delta: encoded,
-                            },
-                            StorageMode::Delta(p.0),
-                        )
-                    } else {
-                        (
-                            Object::Full {
-                                data: data.to_vec(),
-                            },
-                            StorageMode::Materialized,
-                        )
-                    }
-                }
-                None => (
-                    Object::Full {
-                        data: data.to_vec(),
-                    },
-                    StorageMode::Materialized,
-                ),
-            },
+            // any recreation budget is trivially respected and placement
+            // has nothing to decide.
+            Placement::Chunked(params) => {
+                let chunks = ChunkStore::new(&self.store, params)?;
+                (chunks.put_version(data)?.id, StorageMode::Chunked)
+            }
+            Placement::GreedyDelta => {
+                let (object, mode) = self.online_placement(parents, data, options)?;
+                (self.store.put(&object)?, mode)
+            }
         };
-        let oid = self.store.put(&object)?;
         self.objects.push(oid);
-        self.plan.push(plan_mode);
+        self.plan.push(mode);
         self.commits.push(CommitMeta {
             id,
             parents: parents.to_vec(),
@@ -589,7 +548,7 @@ impl<S: ObjectStore> Repository<S> {
         self.meta(id)?;
         let _span = obs::span!("checkout").entered();
         obs::counter!("vcs.checkouts", 1);
-        let m = self.materializer();
+        let m = self.materializer(false, 1);
         let (bytes, work) = m.materialize_measured(self.objects[id.index()])?;
         Ok((unshare(bytes), work))
     }
@@ -711,6 +670,13 @@ mod tests {
             out.extend_from_slice(format!("{i},{tag}-{}\n", i * 3).as_bytes());
         }
         out
+    }
+
+    /// Bytes an uncached walk of `id`'s chain fetches.
+    fn cold_read(repo: &Repository<MemStore>, id: CommitId) -> u64 {
+        let m = Materializer::new(&repo.store);
+        let (_, work) = m.materialize_measured(repo.objects[id.index()]).unwrap();
+        work.bytes_read
     }
 
     #[test]
@@ -858,7 +824,7 @@ mod tests {
             .count();
         assert!(materialized > 1, "budget must force rematerialization");
         for v in 0..bounded.version_count() as u32 {
-            let work = bounded.delta_base(CommitId(v), true).unwrap().1;
+            let work = cold_read(&bounded, CommitId(v));
             let own = bounded.meta(CommitId(v)).unwrap().size;
             assert!(work <= theta.max(own), "v{v}: {work} > {theta}");
             assert_eq!(
@@ -1034,7 +1000,7 @@ mod tests {
         let materialized = repo.current_plan().iter().filter(|p| p.is_root()).count();
         assert!(materialized > 1, "θ must force rematerialization");
         for v in 0..repo.version_count() as u32 {
-            let work = repo.delta_base(CommitId(v), true).unwrap().1;
+            let work = cold_read(&repo, CommitId(v));
             let own = repo.meta(CommitId(v)).unwrap().size;
             assert!(work <= theta.max(own), "v{v}: {work} > {theta}");
         }
@@ -1160,6 +1126,8 @@ mod tests {
         // From v0: parents-before-children ordering, capped.
         assert_eq!(repo.neighborhood(&[v0], 1, 8), vec![0, 1, 7]);
         assert_eq!(repo.neighborhood(&[v0], 2, 2), vec![0, 1]);
+        // A cap of zero is no candidate at all, not one.
+        assert_eq!(repo.neighborhood(&[v0], 2, 0), Vec::<u32>::new());
     }
 
     #[test]

@@ -196,17 +196,16 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                     }
                 }
                 let checkpoint = repo.checkpoint();
-                let result = if online {
-                    let opts = OnlineOptions {
+                let options = if online {
+                    OnlineOptions {
                         hops: hops as usize,
                         max_recreation_bytes: theta,
                         ..OnlineOptions::default()
-                    };
-                    repo.commit_online(&branch, &data, &message, opts)
+                    }
                 } else {
-                    repo.commit_bounded(&branch, &data, &message, theta)
+                    OnlineOptions::first_parent(theta)
                 };
-                match result {
+                match repo.commit_placed(&branch, &data, &message, options, online) {
                     Ok(id) => {
                         let ok = Response::CommitOk {
                             id: id.0,

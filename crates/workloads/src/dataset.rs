@@ -164,7 +164,7 @@ pub fn build(name: &str, params: &DatasetParams, seed: u64) -> Dataset {
         CostMatrix::undirected(diag)
     };
     // Deltas are independent per pair: compute them on the dsv-par
-    // work-stealing runtime (thread count from `DSV_THREADS` / overrides),
+    // runtime (thread count from `DSV_THREADS` / overrides),
     // reveal sequentially (reveal order does not affect the matrix).
     let pairs = graph.pairs_within_hops(params.reveal_hops);
     let model = params.cost_model;

@@ -8,8 +8,8 @@
 //! | LF | 100 Linux forks, ~423MB versions, few large files | 48 forks, large tables |
 //!
 //! Absolute sizes are scaled to laptop budgets; every reported experiment
-//! is about ratios and curve shapes, which survive the scaling (see
-//! DESIGN.md §2.4). All presets are deterministic given the build seed.
+//! is about ratios and curve shapes, which survive the scaling. All
+//! presets are deterministic given the build seed.
 
 use crate::dataset::{self, Dataset, DatasetParams};
 use crate::dedup::{self, DedupParams};

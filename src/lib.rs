@@ -12,8 +12,8 @@
 //!
 //! - [`core`] — the paper's contribution: cost matrices, Problems 1–6, and
 //!   the solver suite (MST/MCA, SPT, LMG, MP, LAST, GitH, exact B&B).
-//! - [`graph`] — graph substrate (Dijkstra, Prim/Kruskal, Edmonds, trees).
-//! - [`delta`] — differencing substrate (Myers diff, byte/XOR/tabular
+//! - [`graph`] — graph substrate (Dijkstra, Prim, Edmonds, trees).
+//! - [`delta`] — differencing substrate (Myers diff, byte and tabular
 //!   deltas).
 //! - [`compress`] — the object store's order-0 Huffman payload codec
 //!   (whose output size the planner prices), and the LZ77-style compressor
@@ -27,7 +27,7 @@
 //! - [`workloads`] — synthetic version-graph/dataset generators (DC, LC,
 //!   BF, LF analogues), a dedup-chain workload (DD), and Zipfian access
 //!   workloads.
-//! - [`par`] — the std-only work-stealing runtime (rayon-subset shim)
+//! - [`par`] — the std-only parallel-map runtime (rayon-subset shim)
 //!   behind every CPU-bound hot path: pairwise delta reveal, chunk
 //!   estimation, portfolio solves, and packing. Thread count comes from
 //!   `DSV_THREADS` (or `dsv --threads`); results are identical at every

@@ -1,6 +1,6 @@
 //! Determinism: the whole pipeline — generation, optimization, packing —
 //! must be byte-reproducible from a seed (experiments depend on it), and
-//! — since the hot paths run on the dsv-par work-stealing runtime —
+//! — since the hot paths run on the dsv-par runtime —
 //! byte-identical at every thread count (`DSV_THREADS` ∈ {1, 2, 8} here,
 //! pinned race-free via `par::with_thread_count`).
 
