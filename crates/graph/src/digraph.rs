@@ -133,23 +133,6 @@ impl<W> DiGraph<W> {
             .iter()
             .map(|e| self.edges[e.index()].src)
     }
-
-    /// Maps edge weights, preserving structure.
-    pub fn map_weights<W2>(&self, mut f: impl FnMut(&Edge<W>) -> W2) -> DiGraph<W2> {
-        DiGraph {
-            edges: self
-                .edges
-                .iter()
-                .map(|e| Edge {
-                    src: e.src,
-                    dst: e.dst,
-                    weight: f(e),
-                })
-                .collect(),
-            out: self.out.clone(),
-            incoming: self.incoming.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,15 +188,6 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 7);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.out_degree(NodeId(0)), 2);
-    }
-
-    #[test]
-    fn map_weights_preserves_structure() {
-        let g = diamond();
-        let g2 = g.map_weights(|e| e.weight * 10);
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert_eq!(g2.edge(EdgeId(2)).weight, 30);
-        assert_eq!(g2.edge(EdgeId(2)).src, NodeId(1));
     }
 
     #[test]

@@ -1,41 +1,14 @@
-//! Graph traversals: BFS orders (optionally bounded) and topological sort.
+//! Graph traversals: bounded undirected BFS and topological sort.
 //!
 //! The paper's running-time experiment (Fig. 17) samples sub-version-graphs
 //! by breadth-first traversal from a random node until `n` versions are
-//! collected; [`bfs_limited`] implements exactly that. [`topo_sort`] is
-//! used to validate that generated version graphs are DAGs.
+//! collected; [`bfs_undirected_limited`] implements exactly that.
+//! [`topo_sort`] is used to validate that generated version graphs are
+//! DAGs.
 
 use crate::digraph::DiGraph;
 use crate::ids::NodeId;
 use std::collections::VecDeque;
-
-/// Nodes reachable from `start` in breadth-first order.
-pub fn bfs_order<W>(graph: &DiGraph<W>, start: NodeId) -> Vec<NodeId> {
-    bfs_limited(graph, start, usize::MAX)
-}
-
-/// Breadth-first order from `start`, stopping once `limit` nodes have been
-/// collected (the paper's subgraph sampling for scaling experiments).
-pub fn bfs_limited<W>(graph: &DiGraph<W>, start: NodeId, limit: usize) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        if order.len() >= limit {
-            break;
-        }
-        for u in graph.successors(v) {
-            if !visited[u.index()] {
-                visited[u.index()] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    order
-}
 
 /// BFS ignoring edge direction (treats the digraph as undirected); useful
 /// for sampling connected sub-version-graphs that include merge parents.
@@ -95,24 +68,9 @@ mod tests {
     }
 
     #[test]
-    fn bfs_visits_levels_in_order() {
-        let order = bfs_order(&diamond(), NodeId(0));
-        assert_eq!(order[0], NodeId(0));
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[3], NodeId(3));
-    }
-
-    #[test]
-    fn bfs_limit_truncates() {
-        let order = bfs_limited(&diamond(), NodeId(0), 2);
-        assert_eq!(order.len(), 2);
-    }
-
-    #[test]
     fn bfs_undirected_crosses_reverse_edges() {
         let g = diamond();
-        let fwd = bfs_order(&g, NodeId(3));
-        assert_eq!(fwd.len(), 1); // 3 has no out-edges
+        assert_eq!(g.out_degree(NodeId(3)), 0); // 3 has no out-edges
         let und = bfs_undirected_limited(&g, NodeId(3), usize::MAX);
         assert_eq!(und.len(), 4);
     }

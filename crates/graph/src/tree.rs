@@ -133,20 +133,6 @@ impl RootedTree {
         sizes
     }
 
-    /// `sums[v]` = sum of `values` over `v`'s subtree. Used by the
-    /// workload-aware LMG, where `values` are access frequencies.
-    pub fn subtree_sums(&self, values: &[f64]) -> Vec<f64> {
-        assert_eq!(values.len(), self.len());
-        let order = self.preorder();
-        let mut sums = values.to_vec();
-        for &v in order.iter().rev() {
-            if let Some(p) = self.parent[v.index()] {
-                sums[p.index()] += sums[v.index()];
-            }
-        }
-        sums
-    }
-
     /// `depth[v]` = number of edges on the root→`v` path.
     pub fn depths(&self) -> Vec<u32> {
         let mut depth = vec![0u32; self.len()];
@@ -180,17 +166,6 @@ impl RootedTree {
             stack.extend(self.children[x.index()].iter().copied());
         }
         out
-    }
-
-    /// The path `v → root` (inclusive of both).
-    pub fn path_to_root(&self, v: NodeId) -> Vec<NodeId> {
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path
     }
 }
 
@@ -235,15 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn subtree_sums_weighted() {
-        let t = caterpillar();
-        let vals = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
-        let sums = t.subtree_sums(&vals);
-        assert_eq!(sums[2], 4.0 + 8.0 + 32.0);
-        assert_eq!(sums[0], vals.iter().sum::<f64>());
-    }
-
-    #[test]
     fn depths_and_path_costs() {
         let t = caterpillar();
         assert_eq!(t.depths(), vec![0, 1, 2, 3, 2, 3]);
@@ -258,15 +224,6 @@ mod tests {
         let mut d = t.descendants(NodeId(2));
         d.sort();
         assert_eq!(d, vec![NodeId(2), NodeId(3), NodeId(5)]);
-    }
-
-    #[test]
-    fn path_to_root_walks_parents() {
-        let t = caterpillar();
-        assert_eq!(
-            t.path_to_root(NodeId(3)),
-            vec![NodeId(3), NodeId(2), NodeId(1), NodeId(0)]
-        );
     }
 
     #[test]

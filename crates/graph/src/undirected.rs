@@ -104,13 +104,6 @@ impl<W> UnGraph<W> {
     pub fn degree(&self, v: NodeId) -> usize {
         self.adj[v.index()].len()
     }
-
-    /// Neighbors of `v` (with multiplicity).
-    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adj[v.index()]
-            .iter()
-            .map(move |&e| self.edges[e as usize].other(v))
-    }
 }
 
 #[cfg(test)]
@@ -148,13 +141,6 @@ mod tests {
     fn other_rejects_non_endpoint() {
         let g = triangle();
         g.edge(0).other(NodeId(2));
-    }
-
-    #[test]
-    fn neighbors_symmetric() {
-        let g = triangle();
-        let n0: Vec<_> = g.neighbors(NodeId(0)).collect();
-        assert!(n0.contains(&NodeId(1)) && n0.contains(&NodeId(2)));
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! [`Client::connect`] dials, performs the versioned handshake, and
 //! returns a connection that issues one request frame per call and reads
-//! exactly one response frame back. A structured error frame from the
-//! server surfaces as [`NetError::Remote`]; a response whose opcode does
-//! not match the request surfaces as [`NetError::Malformed`].
+//! exactly one response frame back — the request in one gathered write
+//! with its payload lent, the response parsed off the socket with its
+//! payload read into the `Vec` the caller gets. A structured error frame
+//! from the server surfaces as [`NetError::Remote`]; a response whose
+//! opcode does not match the request surfaces as [`NetError::Malformed`].
 //!
 //! # Retry
 //!
@@ -22,13 +24,13 @@
 //! per token and replays it for a retried token instead of committing
 //! twice — the client is free to resend blindly.
 
-use crate::frame::{read_frame, write_frame, NetError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
+use crate::frame::{read_header, NetError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
 use crate::proto::{
     FsckSummary, OptimizeSummary, Request, Response, StatsSummary, WireMode, WireSolver,
 };
 use dsv_core::Problem;
 use dsv_storage::{Object, ObjectId, RecreationWork, StoreStats};
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -129,7 +131,7 @@ pub fn next_token() -> u64 {
 /// One protocol connection to a `dsvd` server.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     max_frame: u32,
     addr: String,
     read_timeout: Option<Duration>,
@@ -205,9 +207,9 @@ impl Client {
     }
 
     fn call_once(&mut self, req: &Request) -> Result<Response, NetError> {
-        write_frame(&mut self.writer, &req.encode())?;
-        let frame = read_frame(&mut self.reader, self.max_frame)?;
-        match Response::decode(&frame)? {
+        req.lend().gather().write_to(&mut self.writer)?;
+        let header = read_header(&mut self.reader, self.max_frame)?;
+        match Response::read_body(header, &mut self.reader)? {
             Response::Error { code, message } => Err(NetError::Remote { code, message }),
             resp => Ok(resp),
         }
@@ -408,13 +410,11 @@ impl Client {
 fn dial(
     addr: &str,
     read_timeout: Option<Duration>,
-) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), NetError> {
+) -> Result<(BufReader<TcpStream>, TcpStream), NetError> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(read_timeout)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let writer = BufWriter::new(stream);
-    Ok((reader, writer))
+    Ok((BufReader::new(stream.try_clone()?), stream))
 }
 
 #[cfg(test)]

@@ -11,12 +11,20 @@
 //! The length covers only the body, not the 5-byte header. A reader
 //! enforces a maximum body length *before* allocating, so a hostile or
 //! corrupt length prefix cannot trigger an out-of-memory allocation; it
-//! surfaces as [`NetError::FrameTooLarge`] instead. Truncated streams
-//! surface as [`NetError::Eof`] (clean close at a frame boundary) or
-//! [`NetError::Truncated`] (close mid-frame), and a socket read timeout
-//! maps to [`NetError::Timeout`] — never a panic or an indefinite hang.
+//! surfaces as [`NetError::FrameTooLarge`] instead — and what it then
+//! allocates grows with the bytes that have arrived (`read_bounded`), so
+//! a peer that declares 64 MiB and stalls holds one (`EAGER_BYTES`), not
+//! 64 MiB. Truncated streams surface as [`NetError::Eof`] (clean close at
+//! a frame boundary) or [`NetError::Truncated`] (close mid-frame), and a
+//! socket read timeout maps to [`NetError::Timeout`] — never a panic or
+//! an indefinite hang.
+//!
+//! [`read_frame`] / [`write_frame`] move a whole [`Frame`] at once; the
+//! server and the client stream instead ([`read_header`], then the
+//! message's `read_body`; `gather`, then [`crate::proto::Outgoing::write_to`])
+//! — the same bytes, without the intermediate body.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Version negotiated in the `Hello`/`HelloOk` handshake. Bump on any
 /// incompatible change to the frame layout or request/response bodies.
@@ -169,11 +177,27 @@ impl NetError {
     }
 }
 
-/// Read one frame, enforcing `max_body` before any body allocation.
+/// The five bytes in front of every body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Body length in bytes, already checked against the reader's cap.
+    pub len: u32,
+    pub opcode: u8,
+}
+
+impl FrameHeader {
+    /// Total bytes the frame occupies on the wire (header + body).
+    pub fn wire_len(&self) -> u64 {
+        HEADER_LEN + self.len as u64
+    }
+}
+
+/// Read one frame header, enforcing `max_body` before anything is
+/// allocated for the body.
 ///
 /// A clean EOF before the first header byte returns [`NetError::Eof`];
 /// EOF anywhere later returns [`NetError::Truncated`].
-pub fn read_frame<R: Read>(r: &mut R, max_body: u32) -> Result<Frame, NetError> {
+pub fn read_header<R: Read>(r: &mut R, max_body: u32) -> Result<FrameHeader, NetError> {
     let mut header = [0u8; 5];
     // Distinguish "peer hung up between frames" from "frame cut short".
     let mut filled = 0;
@@ -192,23 +216,78 @@ pub fn read_frame<R: Read>(r: &mut R, max_body: u32) -> Result<Frame, NetError> 
         }
     }
     let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let opcode = header[4];
     if len > max_body {
         return Err(NetError::FrameTooLarge { len, max: max_body });
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(Frame { opcode, body })
+    Ok(FrameHeader {
+        len,
+        opcode: header[4],
+    })
 }
 
-/// Write one frame (header + body) and flush.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), NetError> {
-    let len = frame.body.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[frame.opcode])?;
-    w.write_all(&frame.body)?;
+/// The most a reader reserves for a declared length before the bytes
+/// have arrived; beyond it a buffer at most doubles per fill.
+pub(crate) const EAGER_BYTES: usize = 1 << 20;
+
+/// Appends exactly `n` bytes from `r` to `out`, straight into its spare
+/// capacity (no zero-fill, no staging buffer). Capacity follows the bytes
+/// received — [`EAGER_BYTES`] up front, then doubling, never past `n` —
+/// so a payload that fits the first reservation lands in an exact-size
+/// buffer, and a peer that declares much and sends little holds little.
+/// EOF before `n` bytes is [`NetError::Truncated`].
+pub(crate) fn read_bounded<R: Read + ?Sized>(
+    r: &mut R,
+    n: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), NetError> {
+    let end = out.len() + n;
+    out.reserve_exact(n.min(EAGER_BYTES));
+    while out.len() < end {
+        if out.len() == out.capacity() {
+            out.reserve_exact((end - out.len()).min(out.len()));
+        }
+        let want = (end - out.len()).min(out.capacity() - out.len());
+        if (&mut *r).take(want as u64).read_to_end(out)? < want {
+            return Err(NetError::Truncated);
+        }
+    }
+    Ok(())
+}
+
+/// Read one frame, enforcing `max_body` before any body allocation.
+pub fn read_frame<R: Read>(r: &mut R, max_body: u32) -> Result<Frame, NetError> {
+    let header = read_header(r, max_body)?;
+    let mut body = Vec::new();
+    read_bounded(r, header.len as usize, &mut body)?;
+    Ok(Frame::new(header.opcode, body))
+}
+
+/// Writes every byte of `bufs`, in as few `write_vectored` calls as the
+/// writer allows (one `writev` for a socket with room), then flushes.
+pub(crate) fn write_gathered<W: Write>(
+    w: &mut W,
+    mut bufs: &mut [IoSlice<'_>],
+) -> Result<(), NetError> {
+    // Drops leading empty slices, so an all-empty tail ends the loop.
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
+}
+
+/// Write one frame (header + body) as one gathered write, and flush.
+pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), NetError> {
+    let mut header = [0u8; 5];
+    header[..4].copy_from_slice(&(frame.body.len() as u32).to_le_bytes());
+    header[4] = frame.opcode;
+    write_gathered(w, &mut [IoSlice::new(&header), IoSlice::new(&frame.body)])
 }
 
 #[cfg(test)]
@@ -259,6 +338,81 @@ mod tests {
         ));
         assert!(matches!(
             read_frame(&mut [9u8, 0, 0].as_slice(), DEFAULT_MAX_FRAME),
+            Err(NetError::Truncated)
+        ));
+    }
+
+    #[test]
+    fn a_gathered_frame_is_header_then_body() {
+        let frame = Frame::new(opcode::PING, vec![9; 3000]);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &frame).unwrap();
+        assert_eq!(&buf[..5], &[0xB8, 0x0B, 0, 0, opcode::PING]);
+        assert_eq!(&buf[5..], &frame.body[..]);
+        // An empty body leaves nothing for a second write.
+        buf.clear();
+        write_frame(&mut buf, &Frame::new(opcode::PONG, Vec::new())).unwrap();
+        assert_eq!(buf, [0, 0, 0, 0, opcode::PONG]);
+    }
+
+    /// Hands out at most `step` bytes per `read`, like a slow socket.
+    struct Dribble<'a>(&'a [u8], usize);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.1).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_payload_lands_in_an_exact_size_buffer() {
+        for len in [
+            0usize,
+            1,
+            31,
+            32,
+            33,
+            8 * 1024,
+            115_000,
+            EAGER_BYTES,
+            3 * EAGER_BYTES + 17,
+        ] {
+            let src: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            for step in [1 + len / 3, usize::MAX] {
+                let mut out = Vec::new();
+                read_bounded(&mut Dribble(&src, step), len, &mut out).unwrap();
+                assert_eq!(out, src);
+                assert_eq!(out.capacity(), len, "{len} bytes, {step} per read");
+            }
+        }
+    }
+
+    #[test]
+    fn a_declared_length_reserves_no_more_than_has_arrived() {
+        // 64 MiB declared, `sent` delivered, then the peer is gone: what
+        // was reserved is the eager megabyte or twice what arrived.
+        let declared = DEFAULT_MAX_FRAME as usize;
+        for sent in [0usize, 10, EAGER_BYTES, 5 * EAGER_BYTES / 2] {
+            let src = vec![7u8; sent];
+            let mut out = Vec::new();
+            let cut = read_bounded(&mut src.as_slice(), declared, &mut out);
+            assert!(matches!(cut, Err(NetError::Truncated)), "{cut:?}");
+            assert_eq!(out.len(), sent);
+            assert!(
+                out.capacity() <= EAGER_BYTES.max(2 * sent),
+                "{} reserved for {sent} received",
+                out.capacity()
+            );
+        }
+        // The same through a whole frame: header, ten body bytes, EOF.
+        let mut wire = (declared as u32).to_le_bytes().to_vec();
+        wire.push(opcode::COMMIT);
+        wire.extend_from_slice(&[1; 10]);
+        assert!(matches!(
+            read_frame(&mut wire.as_slice(), DEFAULT_MAX_FRAME),
             Err(NetError::Truncated)
         ));
     }

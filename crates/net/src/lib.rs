@@ -14,6 +14,12 @@
 //! | body len: u32 LE | opcode: u8 | body: len bytes |
 //! ```
 //!
+//! A sender gathers it — header and fixed fields in one small buffer,
+//! bulk payloads lent from wherever they live — and writes it with one
+//! vectored write; a receiver reads the header, then parses the fields
+//! off the stream, each payload straight into its final buffer (see
+//! [`proto`], "One codec, two spellings").
+//!
 //! Request opcodes sit in the low range, responses have the high bit
 //! set, and `0xFF` is the structured error frame (`u16` code + UTF-8
 //! message — see [`frame::errcode`]):
@@ -69,12 +75,12 @@ pub mod server;
 
 pub use client::{Client, RetryPolicy};
 pub use frame::{
-    errcode, opcode, read_frame, write_frame, Frame, NetError, DEFAULT_MAX_FRAME, HEADER_LEN,
-    PROTOCOL_VERSION,
+    errcode, opcode, read_frame, read_header, write_frame, Frame, FrameHeader, NetError,
+    DEFAULT_MAX_FRAME, HEADER_LEN, PROTOCOL_VERSION,
 };
 pub use proto::{
-    CandidateLine, CandidateNumbers, FsckSummary, OptimizeSummary, Request, Response, StatsSummary,
-    WireMode, WireRecovery, WireSolver,
+    CandidateLine, CandidateNumbers, FsckSummary, OptimizeSummary, Outgoing, Reply, Request,
+    RequestRef, Response, ResponseRef, StatsSummary, WireMode, WireRecovery, WireSolver,
 };
 pub use remote::{RemoteStore, StoreService, StoreServiceConfig, FRAME_SLACK};
 pub use server::{session, ConnHandler, ServeControl, Server, ServerOptions};

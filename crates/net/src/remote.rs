@@ -326,7 +326,7 @@ impl<S: ObjectStore + Sync> StoreService<S> {
         } = self.config;
         server.serve(&|stream: TcpStream| {
             session(&stream, max_frame, read_timeout, &serve, |req| {
-                self.handle_request(req)
+                self.handle_request(req).into()
             })
         });
     }

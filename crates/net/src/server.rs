@@ -8,18 +8,18 @@
 //! unbounded sockets. Each worker hands the raw stream to the
 //! [`ConnHandler`], which for both services in this workspace is one call
 //! to [`session`] — the framed request/response conversation, written
-//! once — around the service's own `Request -> Response` function.
+//! once — around the service's own `Request -> Reply` function.
 //!
 //! Shutdown: when a handler returns [`ServeControl::Shutdown`], the flag
 //! flips and the worker dials the listener once so the blocked `accept`
 //! wakes, observes the flag, and exits; remaining queued connections are
 //! dropped and `serve` returns after all workers drain.
 
-use crate::frame::{errcode, read_frame, write_frame, NetError, PROTOCOL_VERSION};
-use crate::proto::{Request, Response};
+use crate::frame::{errcode, read_header, NetError, PROTOCOL_VERSION};
+use crate::proto::{Outgoing, Reply, Request, Response};
 use dsv_obs as obs;
 use parking_lot::Mutex;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -143,27 +143,37 @@ impl Server {
 }
 
 /// One framed conversation on an accepted stream: the `Hello` handshake,
-/// then request → `handle` → response until the peer leaves. A
-/// `ShutdownOk` response is sent and then ends the whole server.
+/// then request → `handle` → reply until the peer leaves. A `ShutdownOk`
+/// reply is sent and then ends the whole server.
+///
+/// Both directions are streamed. A request is its header, then its
+/// fields parsed off the socket with each payload read into the `Vec` it
+/// stays in; a reply is gathered — fixed fields in a head buffer, bulk
+/// payloads lent by whoever holds them (the checkout cache, for a cached
+/// version) — and leaves in one vectored write. No frame is assembled in
+/// between on either side.
 ///
 /// Errors that cannot be reported in-band (the stream is gone or
 /// unframed) just end the connection: a clean close and an idle timeout
 /// close silently, an oversized frame is reported then closed (the
 /// stream is only framed up to the bad length prefix), and a malformed
-/// body or unknown opcode is reported and the connection lives on.
+/// body or unknown opcode is reported and the connection lives on (the
+/// rest of the declared body has been skipped).
 ///
-/// Instrumented as `conn → recv_wait / decode / handle / encode` under
-/// `serve` (the service's own span), with a child named after the
+/// Instrumented as `conn → recv_wait / decode / handle / encode / send`
+/// under `serve` (the service's own span), with a child named after the
 /// request under each `handle`, plus the `net.connections`,
-/// `net.requests`, `net.bytes_in` and `net.bytes_out` counters.
-/// `recv_wait` is the blocking read, so it is the client's think time
-/// and the body's transfer — `decode` is the codec alone.
+/// `net.requests`, `net.bytes_in` and `net.bytes_out` counters (wire
+/// bytes, headers included). `recv_wait` is the blocking read of the
+/// next header, so it is the client's think time; `decode` is the body —
+/// its transfer and its parse; `encode` builds the reply's head and
+/// `send` is the write alone.
 pub fn session(
     stream: &TcpStream,
     max_frame: u32,
     read_timeout: Option<Duration>,
     serve: &obs::SpanHandle,
-    handle: impl Fn(Request) -> Response,
+    handle: impl Fn(Request) -> Reply,
 ) -> ServeControl {
     let conn_span = serve.child("conn").entered();
     let conn = conn_span.handle();
@@ -171,23 +181,22 @@ pub fn session(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(read_timeout);
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(stream);
-    let mut respond = |resp: &Response| -> bool {
-        let frame = resp.encode();
-        obs::counter!("net.bytes_out", frame.wire_len());
-        write_frame(&mut writer, &frame).is_ok()
+    let send = |out: &Outgoing<'_>| -> bool {
+        obs::counter!("net.bytes_out", out.wire_len());
+        out.write_to(&mut &*stream).is_ok()
     };
+    let report = |e: &NetError| send(&Response::error_for(e).lend().gather());
 
     // Handshake: the first frame must be a matching Hello.
-    let hello = match read_frame(&mut reader, max_frame) {
-        Ok(frame) => frame,
+    let hello = match read_header(&mut reader, max_frame) {
+        Ok(header) => header,
         Err(NetError::Eof) => return ServeControl::Continue,
         Err(e) => {
-            respond(&Response::error_for(&e));
+            report(&e);
             return ServeControl::Continue;
         }
     };
-    let reply = match Request::decode(&hello) {
+    let reply = match Request::read_body(hello, &mut reader) {
         Ok(Request::Hello { version }) if version == PROTOCOL_VERSION => {
             obs::counter!("net.bytes_in", hello.wire_len());
             Response::HelloOk {
@@ -204,18 +213,18 @@ pub fn session(
         },
         Err(e) => Response::error_for(&e),
     };
-    if !respond(&reply) || !matches!(reply, Response::HelloOk { .. }) {
+    if !send(&reply.lend().gather()) || !matches!(reply, Response::HelloOk { .. }) {
         return ServeControl::Continue;
     }
 
     loop {
         let received = conn
             .child("recv_wait")
-            .in_scope(|| read_frame(&mut reader, max_frame));
-        let frame = match received {
-            Ok(frame) => frame,
+            .in_scope(|| read_header(&mut reader, max_frame));
+        let header = match received {
+            Ok(header) => header,
             Err(e @ NetError::FrameTooLarge { .. }) => {
-                respond(&Response::error_for(&e));
+                report(&e);
                 return ServeControl::Continue;
             }
             // Clean close between frames, a vanished peer, or an idle
@@ -225,27 +234,35 @@ pub fn session(
             // stale frame as the reply to its next request.
             Err(_) => return ServeControl::Continue,
         };
-        obs::counter!("net.bytes_in", frame.wire_len());
+        // Counted as announced: a body that then never arrives ends the
+        // connection a few lines down.
+        obs::counter!("net.bytes_in", header.wire_len());
         obs::counter!("net.requests", 1);
-        let decoded = conn.child("decode").in_scope(|| Request::decode(&frame));
+        let decoded = conn
+            .child("decode")
+            .in_scope(|| Request::read_body(header, &mut reader));
         let req = match decoded {
             Ok(req) => req,
-            // Frame boundaries are intact; report in-band and keep the
+            // The body was skipped to its declared end, so frame
+            // boundaries are intact; report in-band and keep the
             // connection alive.
-            Err(e) => {
-                if respond(&Response::error_for(&e)) {
+            Err(e @ (NetError::Malformed(_) | NetError::UnknownOpcode(_))) => {
+                if report(&e) {
                     continue;
                 }
                 return ServeControl::Continue;
             }
+            // The body never fully arrived: same silence as above.
+            Err(_) => return ServeControl::Continue,
         };
-        let resp = {
+        let reply = {
             let handling = conn.child("handle").entered();
             let _op = handling.handle().child(req.name()).entered();
             handle(req)
         };
-        let sent = conn.child("encode").in_scope(|| respond(&resp));
-        if matches!(resp, Response::ShutdownOk) {
+        let out = conn.child("encode").in_scope(|| reply.lend().gather());
+        let sent = conn.child("send").in_scope(|| send(&out));
+        if matches!(reply, Reply::Message(Response::ShutdownOk)) {
             return ServeControl::Shutdown;
         }
         if !sent {

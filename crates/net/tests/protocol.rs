@@ -1,10 +1,12 @@
 //! Wire-protocol properties: every request/response frame round-trips
-//! through encode → frame → decode unchanged, and the codec never panics
-//! on malformed bytes — corrupt input is a structured [`NetError`], not
-//! an abort or a hang.
+//! through encode → frame → decode unchanged — and through the streamed
+//! spelling the server and client speak (gather → one write, header →
+//! `read_body`), byte for byte the same — and the codec never panics on
+//! malformed bytes: corrupt input is a structured [`NetError`], not an
+//! abort or a hang.
 
 use dsv_core::Problem;
-use dsv_net::frame::{read_frame, write_frame, Frame, NetError, DEFAULT_MAX_FRAME};
+use dsv_net::frame::{read_frame, read_header, write_frame, Frame, NetError, DEFAULT_MAX_FRAME};
 use dsv_net::proto::{
     CandidateLine, CandidateNumbers, FsckSummary, OptimizeSummary, Request, Response, StatsSummary,
     WireMode, WireRecovery, WireSolver,
@@ -23,6 +25,14 @@ fn roundtrip_request(req: &Request) {
     let back = read_frame(&mut wire.as_slice(), DEFAULT_MAX_FRAME).unwrap();
     assert_eq!(back, frame);
     assert_eq!(&Request::decode(&back).unwrap(), req);
+
+    let mut streamed = Vec::new();
+    req.lend().gather().write_to(&mut streamed).unwrap();
+    assert_eq!(streamed, wire);
+    let mut src = wire.as_slice();
+    let header = read_header(&mut src, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(&Request::read_body(header, &mut src).unwrap(), req);
+    assert!(src.is_empty());
 }
 
 fn roundtrip_response(resp: &Response) {
@@ -32,6 +42,14 @@ fn roundtrip_response(resp: &Response) {
     let back = read_frame(&mut wire.as_slice(), DEFAULT_MAX_FRAME).unwrap();
     assert_eq!(back, frame);
     assert_eq!(&Response::decode(&back).unwrap(), resp);
+
+    let mut streamed = Vec::new();
+    resp.lend().gather().write_to(&mut streamed).unwrap();
+    assert_eq!(streamed, wire);
+    let mut src = wire.as_slice();
+    let header = read_header(&mut src, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(&Response::read_body(header, &mut src).unwrap(), resp);
+    assert!(src.is_empty());
 }
 
 fn arb_opt_u64() -> impl Strategy<Value = Option<u64>> {

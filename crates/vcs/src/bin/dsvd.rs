@@ -36,10 +36,12 @@
 //! first start. `--cache-bytes` does not apply.
 //!
 //! `--trace` / `--trace-json` record the full serve span tree
-//! (`serve → conn → recv_wait/decode/handle/encode`, with a per-opcode
-//! child under each `handle`) exactly like the `dsv` CLI's global flags, and the
-//! `net.requests` / `net.bytes_in` / `net.bytes_out` counters land in
-//! the metrics registry.
+//! (`serve → conn → recv_wait/decode/handle/encode/send`, with a
+//! per-opcode child under each `handle`; `recv_wait` is the wait for the
+//! next header, `decode` the body's transfer and parse, `encode` the
+//! reply's head, `send` the one gathered write) exactly like the `dsv`
+//! CLI's global flags, and the `net.requests` / `net.bytes_in` /
+//! `net.bytes_out` counters land in the metrics registry.
 
 use dsv_net::server::{Server, ServerOptions};
 use dsv_net::{StoreService, StoreServiceConfig};

@@ -545,12 +545,23 @@ impl<S: ObjectStore> Repository<S> {
     /// work performed, including cache interaction (`cache_hits`,
     /// `bytes_saved`).
     pub fn checkout_measured(&self, id: CommitId) -> Result<(Vec<u8>, RecreationWork), VcsError> {
+        let (bytes, work) = self.checkout_shared(id)?;
+        Ok((unshare(bytes), work))
+    }
+
+    /// [`Self::checkout_measured`] with the bytes as the materializer
+    /// returns them: on a cache hit, the cache's own entry. For a caller
+    /// that only lends them on (the server, to a socket) and so never
+    /// needs a copy of its own.
+    pub fn checkout_shared(
+        &self,
+        id: CommitId,
+    ) -> Result<(Arc<Vec<u8>>, RecreationWork), VcsError> {
         self.meta(id)?;
         let _span = obs::span!("checkout").entered();
         obs::counter!("vcs.checkouts", 1);
         let m = self.materializer(false, 1);
-        let (bytes, work) = m.materialize_measured(self.objects[id.index()])?;
-        Ok((unshare(bytes), work))
+        Ok(m.materialize_measured(self.objects[id.index()])?)
     }
 
     /// First-parent history of a branch, newest first.

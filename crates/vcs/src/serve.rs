@@ -20,14 +20,17 @@
 //!   applied, so a client retrying after a lost response cannot
 //!   double-commit;
 //! * **observability** — the conversation ([`dsv_net::session`]) is
-//!   span-instrumented `serve → conn → recv_wait/decode/handle/encode`
+//!   span-instrumented `serve → conn → recv_wait/decode/handle/encode/send`
 //!   with a per-opcode child under `handle`, plus `net.requests` /
 //!   `net.bytes_in` / `net.bytes_out` counters, so `--trace-json` on the
 //!   server captures per-opcode subtrees.
 //!
-//! The request → response mapping itself is [`Dsvd::handle`], which the
-//! `dsv` CLI also calls directly for its local commands — one
-//! implementation of every operation, with or without a socket.
+//! The request → reply mapping itself is [`Dsvd::reply`]: what the
+//! served path sends, a checked-out version still the `Arc` the checkout
+//! cache holds (lent to the socket, never copied). [`Dsvd::handle`] is
+//! that mapping made an owned [`Response`], which the `dsv` CLI calls
+//! directly for its local commands — one implementation of every
+//! operation, with or without a socket.
 //!
 //! Protocol robustness lives in the shared session loop: oversized
 //! frames, truncated streams, unknown opcodes, and malformed bodies each
@@ -42,8 +45,8 @@ use crate::{persist, CommitId};
 use dsv_core::{ChunkingSpec, ModePolicy, PlanSpec, Problem};
 use dsv_net::frame::errcode;
 use dsv_net::proto::{
-    CandidateLine, CandidateNumbers, OptimizeSummary, Request, Response, StatsSummary, WireMode,
-    WireSolver,
+    CandidateLine, CandidateNumbers, OptimizeSummary, Reply, Request, Response, StatsSummary,
+    WireMode, WireSolver,
 };
 use dsv_net::server::{session, Server};
 use dsv_obs as obs;
@@ -158,17 +161,23 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
         } = self.config;
         server.serve(&|stream: TcpStream| {
             session(&stream, max_frame, read_timeout, &serve, |req| {
-                self.handle(req)
+                self.reply(req)
             })
         });
     }
 
+    /// [`Self::reply`] as an owned message, for a caller without a
+    /// socket to lend a shared version to — the local `dsv` CLI, tests.
+    pub fn handle(&self, req: Request) -> Response {
+        self.reply(req).into_response()
+    }
+
     /// Executes one request against the repository. Opens no spans of
     /// its own beyond the operation's (`commit`, `checkout`, …), so a
-    /// caller without a connection — the local `dsv` CLI — traces the
-    /// same tree it would calling the repository directly.
-    pub fn handle(&self, req: Request) -> Response {
-        match req {
+    /// caller without a connection traces the same tree it would calling
+    /// the repository directly.
+    pub fn reply(&self, req: Request) -> Reply {
+        let resp = match req {
             // A second Hello after the handshake is a sequencing bug.
             Request::Hello { .. } => Response::Error {
                 code: errcode::BAD_REQUEST,
@@ -192,7 +201,7 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                 if token != 0 {
                     if let Some(resp) = self.replay.lock().get(token) {
                         obs::counter!("net.commit_replays", 1);
-                        return resp;
+                        return resp.into();
                     }
                 }
                 let checkpoint = repo.checkpoint();
@@ -226,8 +235,8 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                 }
             }
             Request::Checkout { version } => {
-                match self.repo.read().checkout_measured(CommitId(version)) {
-                    Ok((data, work)) => Response::CheckoutOk { data, work },
+                match self.repo.read().checkout_shared(CommitId(version)) {
+                    Ok((data, work)) => return Reply::Checkout { work, data },
                     Err(e) => Response::server_error(e.to_string()),
                 }
             }
@@ -273,7 +282,8 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                           (dsvd --store-server), not a repository server"
                     .into(),
             },
-        }
+        };
+        resp.into()
     }
 
     fn optimize(
@@ -387,5 +397,47 @@ pub fn summarize_report(report: &OptimizeReport) -> OptimizeSummary {
                 },
             })
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The structural no-copy check on this side of the wire: what the
+    /// served path hands `session` for a cached version *is* the cache's
+    /// entry (`dsv-net`'s `a_shared_checkout_is_lent_to_the_socket_not_copied`
+    /// takes it from there to the writer). Fails if a clone comes back
+    /// between the cache and the reply.
+    #[test]
+    fn a_cached_checkout_is_served_as_the_caches_own_entry() {
+        let mut repo = Repository::in_memory();
+        let version = b"id,value\n1,one\n2,two\n".repeat(400);
+        let id = repo.commit("main", &version, "v0").unwrap();
+        let oid = repo.object_id(id);
+        let dsvd = Dsvd::new(repo, DsvdConfig::default());
+        let cache = dsvd.cache().expect("the default config has a cache");
+
+        // The first checkout fills the cache, the second is served from it.
+        for _ in 0..2 {
+            match dsvd.reply(Request::Checkout { version: id.0 }) {
+                Reply::Checkout { data, .. } => {
+                    let (entry, _) = cache.get(oid).expect("checked out, so cached");
+                    assert!(Arc::ptr_eq(&data, &entry));
+                    assert_eq!(*data, version);
+                }
+                other => panic!("expected a shared checkout, got {other:?}"),
+            }
+        }
+        // The owned spelling is the same mapping: equal bytes, and the
+        // cache still holds its own.
+        match dsvd.handle(Request::Checkout { version: id.0 }) {
+            Response::CheckoutOk { data, work } => {
+                assert_eq!(data, version);
+                assert_eq!(work.cache_hits, 1);
+            }
+            other => panic!("expected CheckoutOk, got {other:?}"),
+        }
+        assert!(cache.get(oid).is_some());
     }
 }
