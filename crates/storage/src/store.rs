@@ -484,7 +484,12 @@ impl FileStore {
     fn read_object(&self, id: ObjectId) -> Result<Object, StoreError> {
         let path = self.path_of(id);
         let mut bytes = Vec::new();
-        let mut f = std::fs::File::open(&path).map_err(|_| StoreError::NotFound(id))?;
+        // Only a missing file is an absent object; a store that could not
+        // be asked (a permission, a fan-out that is not a directory) fails.
+        let mut f = std::fs::File::open(&path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => StoreError::NotFound(id),
+            _ => StoreError::from(e),
+        })?;
         f.read_to_end(&mut bytes)?;
         Object::decode_owned(bytes)
     }
@@ -728,6 +733,35 @@ mod tests {
         assert!(!fanout.join("deadbeef.tmp").exists());
         assert_eq!(store.get(id).unwrap(), obj);
         assert_eq!(FileStore::sweep_unpublished(&dir).unwrap(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_fan_out_that_cannot_be_read_is_an_io_error_not_an_absent_object() {
+        // `get` used to report every failed `open` as `NotFound`, while
+        // `contains` and `object_ids` on the same store failed with the
+        // real error.
+        let dir = std::env::temp_dir().join(format!("dsv-store-fanout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = FileStore::open(&dir, false).unwrap();
+        let id = store
+            .put(&Object::Full {
+                data: b"behind a broken fan-out".to_vec(),
+            })
+            .unwrap();
+        let fanout = dir.join(&id.to_hex()[..2]);
+        std::fs::remove_dir_all(&fanout).unwrap();
+        std::fs::write(&fanout, b"a file where a directory belongs").unwrap();
+
+        for (op, answer) in [
+            ("get", store.get(id).map(drop)),
+            ("contains", store.contains(id).map(drop)),
+            ("object_ids", store.object_ids().map(drop)),
+        ] {
+            assert!(matches!(answer, Err(StoreError::Io(_))), "{op}: {answer:?}");
+        }
+        let missing = ObjectId::for_bytes(b"never stored");
+        assert_eq!(store.get(missing), Err(StoreError::NotFound(missing)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -81,8 +81,9 @@ pub struct FsckReport {
     /// Empty when the reference closure or the enumeration is incomplete
     /// (see `unreadable`, `store_failure`).
     pub orphans: Vec<ObjectId>,
-    /// The store could not enumerate its objects: no address was
-    /// verified and no orphan looked for.
+    /// The store could not enumerate its objects (no address was
+    /// verified and no orphan looked for), or could not read one back to
+    /// verify its address.
     pub store_failure: Option<String>,
     /// A repack journal is pending — run [`recover`] (or
     /// `fsck --repair`) to resolve it.
@@ -177,11 +178,17 @@ fn check<S: ObjectStore>(
         report.store_failure = Some(e.to_string());
         Vec::new()
     });
+    // Bytes that fail to decode or hash elsewhere are bad addresses; a
+    // read the store could not carry out is a store failure, not a
+    // verdict on the object.
     for id in &enumerated {
         report.objects_checked += 1;
         match repo.store.get(*id) {
             Ok(obj) if obj.id() == *id => {}
-            _ => report.bad_addresses.push(*id),
+            Ok(_) | Err(StoreError::Corrupt(_)) => report.bad_addresses.push(*id),
+            Err(e) => {
+                report.store_failure.get_or_insert_with(|| e.to_string());
+            }
         }
     }
     report.bad_addresses.sort();
@@ -318,7 +325,7 @@ mod tests {
     use crate::gc::sweep::{self, chunked_debris, TempDir};
     use crate::persist::RepackJournal;
     use dsv_core::{PlanSpec, Problem};
-    use dsv_storage::Object;
+    use dsv_storage::{FaultPlan, FaultStore, MemStore, Object};
 
     fn csv(rows: usize, tag: &str) -> Vec<u8> {
         let mut out = b"id,value\n".to_vec();
@@ -487,6 +494,11 @@ mod tests {
         assert_eq!(gets, 3 * n);
     }
 
+    /// How many `store.get` sites `plan` has counted so far.
+    fn reads(plan: &FaultPlan) -> u64 {
+        plan.sites().iter().filter(|s| *s == "store.get").count() as u64
+    }
+
     #[test]
     fn a_failed_store_read_never_lets_repair_collect_live_chunks() {
         // The closure used to skip a manifest it could not read: its
@@ -497,18 +509,13 @@ mod tests {
 
     #[test]
     fn an_incomplete_closure_reports_the_version_and_no_orphans() {
-        use dsv_storage::FaultPlan;
         let dir = TempDir::new("closure-readonly");
         let counting = FaultPlan::count_sites();
         let repo = chunked_debris("orphan", counting.clone(), &dir.0);
         // The next `store.get` is the closure's read of v0's manifest.
-        let next = counting
-            .sites()
-            .iter()
-            .filter(|s| *s == "store.get")
-            .count();
+        let next = reads(&counting);
         assert_eq!(fsck(&repo, None).orphans.len(), 1);
-        let plan = FaultPlan::fail_at_site(next as u64, "store.get");
+        let plan = FaultPlan::fail_at_site(next, "store.get");
         let repo = chunked_debris("orphan", plan.clone(), &dir.0);
         let report = fsck(&repo, None);
         assert_eq!(plan.fired(), 1);
@@ -517,6 +524,33 @@ mod tests {
         assert_eq!(report.unreadable.len(), 1);
         assert_eq!(report.unreadable[0].0, 0);
         assert!(dsv_storage::fault::is_injected(&report.unreadable[0].1));
+    }
+
+    #[test]
+    fn a_failed_read_in_the_address_pass_is_a_store_failure_not_a_bad_address() {
+        // It used to file the failed read under "bytes no longer hash to
+        // their address".
+        let history = |plan| {
+            let mut repo = Repository::init(FaultStore::new(MemStore::new(true), plan));
+            let mut data = csv(100, "x");
+            for i in 0..4 {
+                data.extend_from_slice(format!("{},grown\n", 100 + i).as_bytes());
+                repo.commit("main", &data, "grow").unwrap();
+            }
+            repo
+        };
+        let counting = FaultPlan::count_sites();
+        let n = history(counting.clone()).version_count() as u64;
+        // The closure reads each version's object; the next read is the
+        // address pass's first.
+        let plan = FaultPlan::fail_at_site(reads(&counting) + n, "store.get");
+        let report = fsck(&history(plan.clone()), None);
+        assert_eq!(plan.fired(), 1);
+        assert!(report.bad_addresses.is_empty(), "{report}");
+        assert!(report.orphans.is_empty() && report.unreadable.is_empty());
+        let failure = report.store_failure.as_deref().unwrap_or_default();
+        assert!(dsv_storage::fault::is_injected(failure), "{report}");
+        assert!(!report.is_clean());
     }
 
     #[test]

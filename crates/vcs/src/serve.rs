@@ -440,4 +440,23 @@ mod tests {
         }
         assert!(cache.get(oid).is_some());
     }
+
+    #[test]
+    fn a_token_replays_its_commit_and_token_zero_opts_out() {
+        let dsvd = Dsvd::new(Repository::in_memory(), DsvdConfig::default());
+        let commit = |token| Request::Commit {
+            token,
+            branch: "main".into(),
+            message: "same bytes".into(),
+            online: false,
+            hops: 0,
+            theta: None,
+            data: b"id\n1\n".to_vec(),
+        };
+        let ids = [7, 7, 0, 0].map(|token| match dsvd.handle(commit(token)) {
+            Response::CommitOk { id, .. } => id,
+            other => panic!("{other:?}"),
+        });
+        assert_eq!(ids, [0, 0, 1, 2]);
+    }
 }

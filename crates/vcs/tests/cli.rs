@@ -15,6 +15,12 @@
 //! and a local multi-version checkout with `--cache-bytes` appends the
 //! cache line — remotely the cache is the server's and the flag is
 //! rejected.
+//!
+//! Beside the transcripts, drills run the operator's workflows end to
+//! end: online commits and plan ≡ store, a traced sharded optimize and
+//! `store --json`, a traced served repository, remote store shards and a
+//! dead one, a `DSV_FAULT` crash and its repair, and a SIGKILLed `dsvd`'s
+//! restart. They assert span names and JSON keys by substring.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -68,23 +74,33 @@ impl Sandbox {
     /// Serves `R`. The cache is off so recreation work reads the same as
     /// the cacheless local side.
     fn serve(&mut self) {
-        let mut server = Command::new(DSVD)
+        let daemon = self.dsvd(&["R", "--cache-bytes", "0", "--workers", "2"]);
+        self.addr = daemon.addr.clone();
+        self.server = daemon.detach();
+    }
+
+    /// `dsvd <args…> --addr 127.0.0.1:0`, once it has announced its
+    /// address.
+    fn dsvd(&self, args: &[&str]) -> Daemon {
+        let mut child = Command::new(DSVD)
             .current_dir(&self.dir)
-            .args(["R", "--addr", "127.0.0.1:0", "--cache-bytes", "0"])
-            .args(["--workers", "2"])
+            .args(args)
+            .args(["--addr", "127.0.0.1:0"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
             .unwrap();
-        let mut stdout = BufReader::new(server.stdout.take().unwrap());
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
         let mut line = String::new();
         stdout.read_line(&mut line).unwrap();
-        // "dsvd: serving R (0 versions) at 127.0.0.1:PORT (2 workers, …)"
+        // "dsvd: serving R (0 versions) at 127.0.0.1:PORT (2 workers, …)",
+        // "dsvd: store server S (0 objects) at 127.0.0.1:PORT (…)"
         let addr = line.split(" at ").nth(1).and_then(|s| s.split(' ').next());
-        self.addr = addr
-            .unwrap_or_else(|| panic!("no address in {line:?}"))
-            .to_owned();
-        self.server = Some((server, stdout));
+        let addr = addr.unwrap_or_else(|| panic!("no address in {line:?}"));
+        Daemon {
+            child: Some((child, stdout)),
+            addr: addr.to_owned(),
+        }
     }
 
     fn dsv(&self, args: &[&str]) -> Ran {
@@ -125,6 +141,73 @@ impl Sandbox {
     fn read(&self, file: &str) -> Vec<u8> {
         std::fs::read(self.dir.join(file)).unwrap()
     }
+
+    fn text(&self, file: &str) -> String {
+        String::from_utf8(self.read(file)).unwrap()
+    }
+
+    /// Runs `dsv <args…>` and requires exit 0.
+    fn ok(&self, args: &[&str]) -> Ran {
+        let ran = self.dsv(args);
+        assert_eq!(ran.code, 0, "{args:?}: {}", ran.stderr);
+        ran
+    }
+}
+
+/// A `dsvd` a test started; SIGKILLed if the test did not stop it.
+struct Daemon {
+    /// The child and its stdout, kept open so the server's exit line has
+    /// somewhere to go.
+    child: Option<(Child, BufReader<ChildStdout>)>,
+    addr: String,
+}
+
+impl Daemon {
+    /// SIGKILLs the server and reaps it.
+    fn kill(&mut self) {
+        if let Some((mut child, _stdout)) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+
+    /// Waits for a server that was asked to shut down.
+    fn wait(mut self) -> i32 {
+        let (mut child, _stdout) = self.child.take().unwrap();
+        child.wait().unwrap().code().unwrap_or(-1)
+    }
+
+    /// Hands the child to a caller that stops it itself.
+    fn detach(mut self) -> Option<(Child, BufReader<ChildStdout>)> {
+        self.child.take()
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.kill();
+    }
+}
+
+/// Whether a `--trace-json` tree holds a span named `name`.
+fn has_span(trace: &str, name: &str) -> bool {
+    trace.contains(&format!("\"name\": \"{name}\""))
+}
+
+/// Whether `stdout` is a `store --json` object: its keys, in one object.
+fn is_store_json(stdout: &str) -> bool {
+    let json = stdout.trim();
+    let keys = [
+        "objects",
+        "bytes",
+        "logical_bytes",
+        "shards",
+        "ops",
+        "metrics",
+    ];
+    json.starts_with('{')
+        && json.ends_with('}')
+        && keys.iter().all(|k| json.contains(&format!("\"{k}\": ")))
 }
 
 impl Drop for Sandbox {
@@ -407,4 +490,187 @@ fn both_backends_reject_the_same_mistakes() {
          total: read 5769 bytes, 1 cache hits, saved 5769 bytes\n\
          cache: 5769/1048576 bytes used, 1 entries, 1 hits / 1 misses, 0 evictions\n"
     );
+}
+
+/// Online commits re-plan locally: their trace holds the online, reveal
+/// and place spans and no repack. After an optimize the plan's storage
+/// cost is the bytes on disk.
+#[test]
+fn online_commits_place_locally_and_optimize_stores_what_it_plans() {
+    let s = Sandbox::new("online");
+    for v in 0..4 {
+        let file = format!("v{v}.csv");
+        s.ok(&[
+            "commit",
+            "L",
+            &file,
+            "--online",
+            "--trace-json",
+            "online.json",
+        ]);
+    }
+    let trace = s.text("online.json");
+    for span in ["commit", "online", "reveal", "place"] {
+        assert!(has_span(&trace, span), "no {span} span: {trace}");
+    }
+    for span in ["pack", "gc"] {
+        assert!(
+            !has_span(&trace, span),
+            "an online commit ran {span}: {trace}"
+        );
+    }
+    // "P1: minimize storage: A -> B bytes on disk, planned C B (…)"
+    let optimized = s.ok(&["optimize", "L", "p1"]).stdout;
+    let field = |after: &str| optimized.split(after).nth(1)?.split(' ').next();
+    let (on_disk, planned) = (field(" -> "), field("planned C "));
+    assert!(on_disk.is_some() && on_disk == planned, "{optimized}");
+    s.ok(&[
+        "checkout",
+        "L",
+        "v0",
+        "v1",
+        "v2",
+        "v3",
+        "--cache-bytes",
+        "1048576",
+    ]);
+}
+
+/// A sharded repository's optimize traces every phase, and `store
+/// --json` reports the shards.
+#[test]
+fn a_sharded_optimize_traces_every_phase_and_store_reports_json() {
+    let s = Sandbox::new("observe");
+    s.ok(&["init", "S", "--shards", "4"]);
+    for v in 0..4 {
+        s.ok(&["commit", "S", &format!("v{v}.csv")]);
+    }
+    s.ok(&["optimize", "S", "p1", "--trace-json", "optimize.json"]);
+    let trace = s.text("optimize.json");
+    for span in ["optimize", "reveal", "solve", "pack", "gc"] {
+        assert!(has_span(&trace, span), "no {span} span: {trace}");
+    }
+    let json = s.ok(&["store", "S", "--json"]).stdout;
+    assert!(is_store_json(&json), "{json}");
+    assert_eq!(json.matches("\"batch_ms\": ").count(), 4, "{json}");
+}
+
+/// A served repository traces each request down to its send, hands
+/// remote clients back what they committed, and keeps it on disk for a
+/// local reader.
+#[test]
+fn a_served_repository_traces_requests_and_keeps_remote_commits() {
+    let s = Sandbox::new("serve");
+    s.ok(&["commit", "R", "v0.csv"]);
+    let server = s.dsvd(&["R", "--trace-json", "serve.json"]);
+    let remote = |args: &[&str]| s.ok(&[&["--remote", &server.addr][..], args].concat());
+    remote(&["ping"]);
+    remote(&["commit", "v1.csv", "--online"]);
+    for v in ["v0", "v1"] {
+        remote(&["checkout", v, "-o", "out.csv"]);
+        assert_eq!(s.read("out.csv"), s.read(&format!("{v}.csv")), "{v}");
+    }
+    remote(&["stats"]);
+    remote(&["shutdown"]);
+    assert_eq!(server.wait(), 0);
+    s.ok(&["checkout", "R", "v1", "-o", "out.csv"]);
+    assert_eq!(s.read("out.csv"), s.read("v1.csv"));
+    let trace = s.text("serve.json");
+    for span in [
+        "serve",
+        "conn",
+        "recv_wait",
+        "decode",
+        "handle",
+        "encode",
+        "send",
+    ] {
+        assert!(has_span(&trace, span), "no {span} span: {trace}");
+    }
+}
+
+/// Two `dsvd --store-server` shards behind one repository: meta v4
+/// records the topology, the whole cycle round-trips, and with a shard
+/// killed the next command fails at once, naming that shard.
+#[test]
+fn remote_shards_round_trip_and_a_dead_shard_is_named() {
+    let s = Sandbox::new("shards");
+    let [shard0, mut shard1] = ["shard0", "shard1"].map(|dir| s.dsvd(&[dir, "--store-server"]));
+    let (a0, a1) = (shard0.addr.clone(), shard1.addr.clone());
+    s.ok(&["init", "S", "--remote-shards", &format!("{a0},{a1}")]);
+    let meta = s.text("S/meta.dsv");
+    assert!(
+        meta.contains(&format!("store remote-sharded 2 {a0} {a1}")),
+        "{meta}"
+    );
+    for v in 0..3 {
+        s.ok(&["commit", "S", &format!("v{v}.csv")]);
+    }
+    s.ok(&["optimize", "S", "p1"]);
+    s.ok(&["fsck", "S"]);
+    for v in 0..3 {
+        s.ok(&["checkout", "S", &format!("v{v}"), "-o", "out.csv"]);
+        assert_eq!(s.read("out.csv"), s.read(&format!("v{v}.csv")), "v{v}");
+    }
+    assert!(is_store_json(&s.ok(&["store", "S", "--json"]).stdout));
+
+    shard1.kill();
+    let dead = s.dsv(&["checkout", "S", "v0", "-o", "dead.csv"]);
+    assert_eq!(dead.code, 1);
+    assert!(
+        dead.stderr.contains(&format!("store shard {a1}")),
+        "{}",
+        dead.stderr
+    );
+    s.ok(&["--remote", &a0, "shutdown"]);
+    assert_eq!(shard0.wait(), 0);
+}
+
+/// `DSV_FAULT` kills a commit at its metadata write and a repack at its
+/// swap: the repository stays loadable and fully old, fsck flags the
+/// debris with a nonzero exit, and `--repair` clears it.
+#[test]
+fn an_injected_crash_leaves_debris_that_fsck_flags_and_repair_clears() {
+    let s = Sandbox::new("crash");
+    for v in 0..3 {
+        s.ok(&["commit", "L", &format!("v{v}.csv")]);
+    }
+    let doomed = s.dsv_env(&["commit", "L", "v3.csv"], Some("fail:0:meta"));
+    assert_eq!(doomed.code, 1, "{}", doomed.stdout);
+    assert_eq!(s.dsv(&["fsck", "L"]).code, 1);
+    s.ok(&["fsck", "L", "--repair"]);
+    s.ok(&["fsck", "L"]);
+    assert_ne!(
+        s.dsv_env(&["optimize", "L", "p2"], Some("fail:0:meta"))
+            .code,
+        0
+    );
+    s.ok(&["fsck", "L", "--repair"]);
+    for v in 0..3 {
+        s.ok(&["checkout", "L", &v.to_string(), "-o", "out.csv"]);
+        assert_eq!(s.read("out.csv"), s.read(&format!("v{v}.csv")), "v{v}");
+    }
+    assert_ne!(
+        s.dsv_env(&["fsck", "L"], Some("bogus")).code,
+        0,
+        "a malformed DSV_FAULT"
+    );
+}
+
+/// A `dsvd` SIGKILLed after acknowledging a remote commit restarts
+/// (recovering on startup) with that commit, byte-identical.
+#[test]
+fn a_killed_dsvd_restarts_with_every_acknowledged_commit() {
+    let s = Sandbox::new("kill");
+    s.ok(&["commit", "R", "v0.csv"]);
+    let mut server = s.dsvd(&["R"]);
+    s.ok(&["--remote", &server.addr, "commit", "v1.csv"]);
+    server.kill();
+    let server = s.dsvd(&["R"]);
+    let remote = |args: &[&str]| s.ok(&[&["--remote", &server.addr][..], args].concat());
+    assert!(remote(&["fsck"]).stdout.ends_with("clean\n"));
+    remote(&["checkout", "1", "-o", "out.csv"]);
+    assert_eq!(s.read("out.csv"), s.read("v1.csv"));
+    remote(&["shutdown"]);
+    assert_eq!(server.wait(), 0);
 }

@@ -4,6 +4,7 @@
 //! byte-identical at every thread count (`DSV_THREADS` ∈ {1, 2, 8} here,
 //! pinned race-free via `par::with_thread_count`).
 
+use common::model;
 use dataset_versioning::core::{
     plan, PlanSpec, Problem, ProblemInstance, SolverChoice, StorageSolution,
 };
@@ -16,7 +17,7 @@ fn solve(
 ) -> Result<StorageSolution, dataset_versioning::core::SolveError> {
     plan(instance, &PlanSpec::new(problem)).map(|p| p.solution)
 }
-use dataset_versioning::storage::{pack_versions, MemStore, ObjectStore, PackOptions};
+use dataset_versioning::storage::{MemStore, ObjectStore};
 use dataset_versioning::workloads::presets;
 
 #[test]
@@ -48,26 +49,21 @@ fn solving_is_reproducible() {
     assert_eq!(s1.storage_cost(), s2.storage_cost());
 }
 
+/// The same stream twice packs the same objects after every step, at
+/// every placement (rows of the model harness, `common::model`).
 #[test]
 fn packing_is_reproducible() {
-    let ds = presets::bootstrap_forks()
-        .scaled(15)
-        .keep_contents()
-        .build(3);
-    let contents = ds.contents.as_ref().unwrap();
-    let inst = ds.instance();
-    let plan = solve(&inst, Problem::MinStorage).unwrap();
-
-    let run = || {
-        let store = MemStore::new(true);
-        let packed =
-            pack_versions(&store, contents, plan.parents(), PackOptions::default()).unwrap();
-        (store.total_bytes(), packed.ids)
-    };
-    let (bytes1, ids1) = run();
-    let (bytes2, ids2) = run();
-    assert_eq!(bytes1, bytes2);
-    assert_eq!(ids1, ids2);
+    let ops = model::fault_free(3, 24);
+    for name in ["mem", "chunked"] {
+        let ids = || {
+            let run = model::replay(name, &ops);
+            run.trail
+                .into_iter()
+                .map(|t| (t.ids, t.bytes))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(), ids(), "{name}");
+    }
 }
 
 #[test]
@@ -231,43 +227,14 @@ fn tracing_changes_nothing_and_span_shape_is_thread_count_stable() {
 }
 
 /// Property: both packers (binary and hybrid) write byte-identical
-/// stores — same object ids, same physical bytes — at every thread
-/// count.
+/// stores — same object ids, same physical bytes — at every thread count:
+/// the model harness in lockstep over configs that differ in threads.
 #[test]
 fn parallel_packing_matches_sequential() {
-    use dataset_versioning::chunk::{pack_versions_hybrid, ChunkerParams};
-    use dataset_versioning::core::StorageMode;
-
-    let ds = presets::dedup_chain().scaled(24).keep_contents().build(11);
-    let contents = ds.contents.as_ref().unwrap();
-    let inst = ds.instance_with_chunked(ChunkerParams::default()).unwrap();
-    let sol = solve(&inst, Problem::MinStorage).unwrap();
-    // Force a genuinely mixed plan: whatever the solver chose, make the
-    // last quarter chunked and keep the rest.
-    let mut modes: Vec<StorageMode> = sol.modes().to_vec();
-    let n = modes.len();
-    for m in modes.iter_mut().skip(3 * n / 4) {
-        *m = StorageMode::Chunked;
-    }
-
-    let run_binary = || {
-        let store = MemStore::new(true);
-        let packed =
-            pack_versions(&store, contents, sol.parents(), PackOptions::default()).unwrap();
-        (store.total_bytes(), packed.ids)
-    };
-    let run_hybrid = || {
-        let store = MemStore::new(true);
-        let (packed, stats) =
-            pack_versions_hybrid(&store, contents, &modes, ChunkerParams::default()).unwrap();
-        (store.total_bytes(), packed.ids, stats)
-    };
-
-    let base_binary = par::with_thread_count(1, run_binary);
-    let base_hybrid = par::with_thread_count(1, run_hybrid);
-    for threads in THREAD_COUNTS {
-        assert_eq!(par::with_thread_count(threads, run_binary), base_binary);
-        assert_eq!(par::with_thread_count(threads, run_hybrid), base_hybrid);
+    let ops = model::fault_free(4, 24);
+    for names in [["mem", "mem-cache1g"], ["chunked", "remote-chunked"]] {
+        let configs = names.map(model::config);
+        model::check("threads", &ops, |ops| model::lockstep(&configs, ops));
     }
 }
 

@@ -5,8 +5,6 @@
 //! and the planned recreation bound is the largest measured read — on a
 //! coding store and a raw one alike.
 
-mod common;
-
 use common::TempDir;
 use dataset_versioning::core::{PlanSpec, Problem, StorageMode};
 use dataset_versioning::delta::bytes_delta::SourceIndex;

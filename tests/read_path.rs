@@ -1,221 +1,108 @@
-//! Integration: the hot read path's equivalence and invariant contracts.
+//! The hot read path, as rows of the model harness (`common::model`).
 //!
 //! The bounded `CheckoutCache` and online commit placement are pure
-//! performance features — neither may change a single checked-out byte.
-//! These tests sweep cache budgets (disabled, starved, unbounded) and
-//! `dsv-par` thread counts over flat and sharded stores, and drive an
-//! online-commit history through a full re-optimization, asserting
-//! byte-identical contents at every step.
+//! performance features: across cache budgets (none, 0, 4 KiB, 1 GiB),
+//! `dsv-par` thread counts, store layouts and placements, every version
+//! checks out byte-identical, a cache never reads more than no cache, and
+//! a zero budget reads exactly as much.
 
-use dataset_versioning::core::{PlanSpec, Problem, SolverChoice};
-use dataset_versioning::par::with_thread_count;
-use dataset_versioning::storage::{MemStore, ObjectStore, ShardedStore};
-use dataset_versioning::vcs::{CommitId, OnlineOptions, Placement, Repository};
-use dataset_versioning::workloads::table_gen::{base_table, random_commit, EditParams};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use common::model::{self, Op::*};
 
-/// Drives `repo` through a branched table-edit history (main line, a
-/// feature branch, and a user-performed merge) and returns the committed
-/// snapshots in version order.
-fn build_history<S: ObjectStore>(repo: &mut Repository<S>, per_branch: usize) -> Vec<Vec<u8>> {
-    let params = EditParams {
-        base_rows: 120,
-        base_cols: 4,
-        edits_per_commit: 3,
-        ..EditParams::default()
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut snapshots = Vec::new();
-
-    let mut table = base_table(&params, &mut rng);
-    let root = repo.commit("main", &table.to_csv(), "base").unwrap();
-    snapshots.push(table.to_csv());
-
-    let mut main_table = table.clone();
-    for i in 0..per_branch {
-        let (_, next) = random_commit(&params, &main_table, &mut rng);
-        main_table = next;
-        repo.commit("main", &main_table.to_csv(), &format!("main {i}"))
-            .unwrap();
-        snapshots.push(main_table.to_csv());
-    }
-    repo.branch("feature", root).unwrap();
-    for i in 0..per_branch {
-        let (_, next) = random_commit(&params, &table, &mut rng);
-        table = next;
-        repo.commit("feature", &table.to_csv(), &format!("feature {i}"))
-            .unwrap();
-        snapshots.push(table.to_csv());
-    }
-    let mut merged = main_table.clone();
-    for row in &table.rows {
-        if row.len() == merged.columns.len() {
-            merged.rows.push(row.clone());
-        }
-    }
-    let head = repo.head("feature").unwrap();
-    repo.merge("main", head, &merged.to_csv(), "merge feature")
-        .unwrap();
-    snapshots.push(merged.to_csv());
-    snapshots
-}
-
-/// Checks out every version through `checkout_measured` and asserts the
-/// bytes match `snapshots`; returns the summed store reads.
-fn verify_all<S: ObjectStore>(repo: &Repository<S>, snapshots: &[Vec<u8>]) -> u64 {
-    let mut bytes_read = 0;
-    for (v, expected) in snapshots.iter().enumerate() {
-        let (got, work) = repo.checkout_measured(CommitId(v as u32)).unwrap();
-        assert_eq!(&got, expected, "version {v}");
-        bytes_read += work.bytes_read;
-    }
-    bytes_read
-}
-
-/// Cache budgets swept by the equivalence test: disabled, starved (every
-/// entry competes for one tiny arena), and effectively unbounded.
-const BUDGETS: [u64; 3] = [0, 4096, 1 << 30];
-
-/// Sweeps thread counts and cache budgets over one repository: contents
-/// must be identical to the uncached baseline in every configuration,
-/// and every cached configuration may only reduce store reads.
-fn sweep_equivalence<S: ObjectStore>(mut repo: Repository<S>, snapshots: &[Vec<u8>]) {
-    let uncached = verify_all(&repo, snapshots);
-    for threads in [1usize, 2, 8] {
-        for budget in BUDGETS {
-            let cache = repo.enable_checkout_cache(budget);
-            let read = with_thread_count(threads, || verify_all(&repo, snapshots));
-            assert!(
-                read <= uncached,
-                "budget {budget} at {threads} threads increased reads ({read} > {uncached})"
-            );
-            let stats = cache.stats();
-            if budget == 0 {
-                assert_eq!(stats.hits, 0, "zero budget must never hit");
-                assert_eq!(read, uncached, "zero budget must match uncached reads");
-            }
-            repo.set_checkout_cache(None);
-        }
-    }
-}
+const LEN: usize = 24;
 
 #[test]
 fn cached_checkout_is_byte_identical_across_budgets_and_threads() {
-    let mut repo = Repository::in_memory();
-    let snapshots = build_history(&mut repo, 5);
-    sweep_equivalence(repo, &snapshots);
+    let configs = ["mem", "mem-cache0", "mem-cache4k", "mem-cache1g"].map(model::config);
+    let ops = model::fault_free(42, LEN);
+    model::check("caches", &ops, |ops| model::lockstep(&configs, ops));
 }
 
 #[test]
 fn cached_checkout_is_byte_identical_on_sharded_stores() {
-    let store = ShardedStore::build(4, |_| MemStore::new(false));
-    let mut repo = Repository::init(store);
-    let snapshots = build_history(&mut repo, 5);
-    sweep_equivalence(repo, &snapshots);
+    let configs = ["mem", "sharded"].map(model::config);
+    let ops = model::fault_free(43, LEN);
+    model::check("sharded", &ops, |ops| model::lockstep(&configs, ops));
 }
 
 #[test]
 fn cached_checkout_is_byte_identical_on_chunked_placement() {
-    let mut repo = Repository::in_memory_chunked();
-    let snapshots = build_history(&mut repo, 4);
-    sweep_equivalence(repo, &snapshots);
+    let configs = ["chunked", "remote-chunked"].map(model::config);
+    let ops = model::fault_free(44, LEN);
+    model::check("chunked", &ops, |ops| model::lockstep(&configs, ops));
 }
 
 #[test]
 fn online_commits_survive_cache_and_full_reoptimization() {
-    // The same history committed greedily and with online re-planning
-    // must yield byte-identical contents — placement is invisible.
-    let mut greedy = Repository::in_memory();
-    let snapshots = build_history(&mut greedy, 5);
-
-    let mut online = Repository::in_memory();
-    let params = EditParams {
-        base_rows: 120,
-        base_cols: 4,
-        edits_per_commit: 3,
-        ..EditParams::default()
+    // The same history committed plainly and online, then re-optimized
+    // under a warm cache: online placement stores no more than the plain
+    // one (it considers the first parent among others).
+    let history = |online: bool| {
+        let commit = |edit| match online {
+            true => Online {
+                branch: 0,
+                edit,
+                hops: 2,
+                theta: 0,
+            },
+            false => Commit { branch: 0, edit },
+        };
+        let mut ops: Vec<_> = (1..=5).map(commit).collect();
+        ops.push(Branch { name: 1, from: 0 });
+        ops.extend((6..=10).map(|edit| match commit(edit) {
+            Commit { edit, .. } => Commit { branch: 1, edit },
+            Online {
+                edit, hops, theta, ..
+            } => Online {
+                branch: 1,
+                edit,
+                hops,
+                theta,
+            },
+            op => op,
+        }));
+        ops.push(Merge {
+            branch: 0,
+            other: 10,
+            edit: 11,
+        });
+        ops
     };
-    let mut rng = StdRng::seed_from_u64(42);
-    let opts = OnlineOptions::default();
-
-    // Replay the identical edit stream (same seed) through commit_online.
-    let mut table = base_table(&params, &mut rng);
-    let root = online
-        .commit_online("main", &table.to_csv(), "base", opts)
-        .unwrap();
-    let mut main_table = table.clone();
-    for i in 0..5 {
-        let (_, next) = random_commit(&params, &main_table, &mut rng);
-        main_table = next;
-        online
-            .commit_online("main", &main_table.to_csv(), &format!("main {i}"), opts)
-            .unwrap();
-    }
-    online.branch("feature", root).unwrap();
-    for i in 0..5 {
-        let (_, next) = random_commit(&params, &table, &mut rng);
-        table = next;
-        online
-            .commit_online("feature", &table.to_csv(), &format!("feature {i}"), opts)
-            .unwrap();
-    }
-    let mut merged = main_table.clone();
-    for row in &table.rows {
-        if row.len() == merged.columns.len() {
-            merged.rows.push(row.clone());
-        }
-    }
-    let head = online.head("feature").unwrap();
-    online
-        .merge("main", head, &merged.to_csv(), "merge feature")
-        .unwrap();
-
-    assert_eq!(online.version_count(), snapshots.len());
-    verify_all(&online, &snapshots);
-
-    // Online placement must not cost storage vs the greedy baseline on
-    // the same history (it considers the greedy edge among others).
-    assert!(
-        online.storage_bytes() <= greedy.storage_bytes(),
-        "online ({}) stored more than greedy ({})",
-        online.storage_bytes(),
-        greedy.storage_bytes()
-    );
-
-    // A warm cache, then the explicit slow path: optimize_with must
-    // still converge and contents must survive the repack (the cache is
-    // cleared internally — stale entries would be caught here).
-    let cache = online.enable_checkout_cache(1 << 20);
-    verify_all(&online, &snapshots);
-    assert!(cache.stats().hits > 0, "warm pass should hit");
-    let before = online.storage_bytes();
-    let report = online
-        .optimize_with(&PlanSpec::new(Problem::MinStorage).solver(SolverChoice::Portfolio))
-        .unwrap();
-    assert!(report.storage_after <= before);
-    verify_all(&online, &snapshots);
-    assert_eq!(
-        online
-            .checkout(CommitId(snapshots.len() as u32 - 1))
-            .unwrap(),
-        *snapshots.last().unwrap()
-    );
+    let stored = |ops: &[_]| {
+        model::replay("mem-cache1g", ops)
+            .trail
+            .last()
+            .unwrap()
+            .bytes
+    };
+    let mut online = history(true);
+    assert!(stored(&online) <= stored(&history(false)));
+    online.push(Optimize {
+        problem: 0,
+        bound: 0,
+        mode: 0,
+        solver: 1,
+    });
+    online.push(Checkout { version: 11 });
+    model::replay("mem-cache1g", &online);
 }
 
 #[test]
 fn online_commit_respects_placement_on_chunked_repositories() {
-    let mut repo = Repository::init_chunked(MemStore::new(false), Default::default());
-    let data0 = b"col\n1\n2\n3\n".repeat(40);
-    let v0 = repo
-        .commit_online("main", &data0, "base", OnlineOptions::default())
-        .unwrap();
-    let mut data1 = data0.clone();
-    data1.extend_from_slice(b"col\n4\n5\n6\n");
-    let v1 = repo
-        .commit_online("main", &data1, "more", OnlineOptions::default())
-        .unwrap();
-    assert_eq!(repo.checkout(v0).unwrap(), data0);
-    assert_eq!(repo.checkout(v1).unwrap(), data1);
-    assert!(matches!(repo.placement(), Placement::Chunked(_)));
+    let ops = [
+        Online {
+            branch: 0,
+            edit: 1,
+            hops: 2,
+            theta: 0,
+        },
+        Online {
+            branch: 0,
+            edit: 2,
+            hops: 2,
+            theta: 2,
+        },
+        Checkout { version: 0 },
+    ];
+    let run = model::replay("chunked", &ops);
+    assert_eq!(run.model.versions.len(), 2);
 }
