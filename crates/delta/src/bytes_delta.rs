@@ -17,24 +17,25 @@
 //! **Layout.** The index is four flat arrays, no per-bucket allocation:
 //!
 //! - `offsets` — CSR payload: the block-aligned source offsets the scan
-//!   may try, grouped by block hash; within a group in source order, at
-//!   most `BUCKET_CAP` of them (the first ones).
-//! - `groups` — one `(hash, start)` per distinct block hash plus a
-//!   sentinel, so group `g` owns `offsets[groups[g].start..groups[g+1].start]`.
+//!   may try, grouped by block content; within a group in source order,
+//!   at most `BUCKET_CAP` of them (the first ones).
+//! - `groups` — one `(block, start)` per distinct 16-byte block, the
+//!   block as a `u128`, plus a sentinel, so group `g` owns
+//!   `offsets[groups[g].start..groups[g+1].start]`.
 //! - `slots` — a power-of-two open-addressed table (linear probing, load
-//!   ≤ ½) from block hash to group number.
-//! - `filter` — a bitset over a cheap hash of block *content*. A target
-//!   position whose bit is clear equals no indexed block, so the scan
-//!   moves on without hashing or probing; a set bit only means "look".
-//!   It can drop lookups that would have found nothing, never a
-//!   candidate.
+//!   ≤ ½) from block to group number, placed by a cheap hash of the
+//!   block (`content_key`: two word loads, two multiplies).
+//! - `filter` — a bitset over the same hash. A target position whose bit
+//!   is clear equals no indexed block, so the scan moves on without
+//!   probing; a set bit only means "look". It can drop lookups that
+//!   would have found nothing, never a candidate.
 //!
 //! **Candidate-order invariant.** For a target block the scan tries
-//! exactly the first ≤ `BUCKET_CAP` (8) source blocks with the same 64-bit
-//! FNV-1a hash, in source order; the longest total match (forward plus
-//! backward extension) wins and the first wins ties. That rule mentions
-//! neither slot positions, probe sequences nor table size, so the emitted
-//! ops do not depend on the table layout — a differently sized or
+//! exactly the first ≤ `BUCKET_CAP` (8) source blocks equal to the target
+//! block, in source order; the longest total match (forward plus backward
+//! extension) wins and the first wins ties. That rule mentions neither
+//! slot positions, probe sequences, hash functions nor table size, so the
+//! emitted ops do not depend on the table layout — a differently sized or
 //! differently hashed table produces the same bytes. Every cost matrix,
 //! plan and object id in a repository is made of deltas emitted under
 //! this rule, so changing it changes all of them (`tests/golden.rs` pins
@@ -50,9 +51,9 @@
 //! `dsv_par` task per *source*: the task builds that source's index, scans
 //! every target it is paired with, and drops the index before taking the
 //! next source. At most one index per worker is alive (an index is about
-//! twice its source's size), so peak memory does not grow with the number
-//! of versions or pairs, while each version is still indexed once instead
-//! of once per pair.
+//! three times its source's size), so peak memory does not grow with the
+//! number of versions or pairs, while each version is still indexed once
+//! instead of once per pair.
 
 use dsv_compress::lz::common_prefix;
 use dsv_compress::varint::{decode_u64, encode_u64, encoded_len};
@@ -62,8 +63,8 @@ use std::cell::RefCell;
 /// found; shorter repeats are emitted as literals.
 const BLOCK: usize = 16;
 
-/// Most source offsets kept (and tried) per block hash: the first ones in
-/// source order. Bounds the scan on highly repetitive sources.
+/// Most source offsets kept (and tried) per distinct block: the first
+/// ones in source order. Bounds the scan on highly repetitive sources.
 const BUCKET_CAP: u32 = 8;
 
 /// One instruction of a byte delta.
@@ -104,25 +105,15 @@ impl std::fmt::Display for DeltaError {
 impl std::error::Error for DeltaError {}
 
 #[inline]
-fn block_hash(block: &[u8; BLOCK]) -> u64 {
-    // FNV-1a over one block.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in block {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-#[inline]
 fn block_at(bytes: &[u8], at: usize) -> &[u8; BLOCK] {
     bytes[at..at + BLOCK]
         .try_into()
         .expect("slice is BLOCK bytes long")
 }
 
-/// A cheap function of a block's *content* (two word loads, two
-/// multiplies) for the index's miss filter; its top bits pick the bit.
+/// A cheap hash of a block (two word loads, two multiplies): its top
+/// bits pick the block's bit in the index's miss filter, and its
+/// Fibonacci product the block's home slot.
 #[inline]
 fn content_key(block: &[u8; BLOCK]) -> u64 {
     let lo = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
@@ -190,11 +181,11 @@ impl Sink for EncodedLen {
 
 const EMPTY: u32 = u32::MAX;
 
-/// One distinct block hash of the source and where its offsets start in
-/// the CSR payload (the next group's `start` is where they end).
+/// One distinct block of the source and where its offsets start in the
+/// CSR payload (the next group's `start` is where they end).
 #[derive(Clone, Copy)]
 struct Group {
-    hash: u64,
+    block: u128,
     start: u32,
 }
 
@@ -204,20 +195,19 @@ struct Group {
 /// kernel always has: a source must be shorter than 4 GiB.
 pub struct SourceIndex<'a> {
     src: &'a [u8],
-    /// Hash → group number, open addressing; `EMPTY` terminates a probe.
+    /// Block → group number, open addressing; `EMPTY` terminates a probe.
     slots: Vec<u32>,
-    /// `64 - log2(slots.len())`: the slot of a hash is the top bits of
-    /// its Fibonacci product.
+    /// `64 - log2(slots.len())`: a block's home slot is the top bits of
+    /// the Fibonacci product of its [`content_key`].
     shift: u32,
-    /// Distinct hashes in order of first occurrence, plus a sentinel.
+    /// Distinct blocks in order of first occurrence, plus a sentinel.
     groups: Vec<Group>,
     /// First ≤ `BUCKET_CAP` block offsets per group, in source order.
     offsets: Vec<u32>,
     /// Miss filter: one bit per [`content_key`] of an indexed block, ≥ 16
     /// bits per block. A clear bit proves no indexed block has the probed
-    /// content, so no candidate could pass verification and the scan may
-    /// skip the FNV hash and the table probe — most target positions
-    /// inside an edit end here. A set bit decides nothing.
+    /// content, so the scan may skip the table probe — most target
+    /// positions inside an edit end here. A set bit decides nothing.
     filter: Vec<u64>,
     /// `64 - log2(filter bits)`.
     filter_shift: u32,
@@ -244,31 +234,28 @@ impl<'a> SourceIndex<'a> {
             filter_shift: 64 - filter_bits,
         };
 
-        // Pass 1: assign every block to its hash's group (creating groups
-        // in order of first occurrence) and count group sizes, capped.
+        // Pass 1: assign every block to its group (creating groups in
+        // order of first occurrence) and count group sizes, capped.
         // `groups[g].start` holds the count until the prefix sum below.
         let mut group_of_block: Vec<u32> = Vec::with_capacity(nblocks);
         for block in src.chunks_exact(BLOCK) {
             let block: &[u8; BLOCK] = block.try_into().expect("exact chunk");
-            let hash = block_hash(block);
-            let mut slot = index.home_slot(hash);
-            let group = loop {
-                match index.slots[slot] {
-                    EMPTY => {
-                        let g = index.groups.len() as u32;
-                        index.slots[slot] = g;
-                        index.groups.push(Group { hash, start: 0 });
-                        break g;
-                    }
-                    g if index.groups[g as usize].hash == hash => break g,
-                    _ => slot = (slot + 1) & (index.slots.len() - 1),
+            let key = content_key(block);
+            let block = u128::from_le_bytes(*block);
+            let group = match index.probe(key, block) {
+                (_, Some(g)) => g,
+                (slot, None) => {
+                    let g = index.groups.len() as u32;
+                    index.slots[slot] = g;
+                    index.groups.push(Group { block, start: 0 });
+                    g
                 }
             };
             let count = &mut index.groups[group as usize].start;
             if *count < BUCKET_CAP {
                 *count += 1;
                 group_of_block.push(group);
-                let bit = content_key(block) >> index.filter_shift;
+                let bit = key >> index.filter_shift;
                 index.filter[(bit >> 6) as usize] |= 1 << (bit & 63);
             } else {
                 group_of_block.push(EMPTY);
@@ -283,7 +270,7 @@ impl<'a> SourceIndex<'a> {
             total += count;
         }
         index.groups.push(Group {
-            hash: 0,
+            block: 0,
             start: total,
         });
 
@@ -301,34 +288,34 @@ impl<'a> SourceIndex<'a> {
         index
     }
 
+    /// Linear probe from `key`'s home slot: the slot holding `block`'s
+    /// group and its number, or the empty slot that ends the probe.
     #[inline]
-    fn home_slot(&self, hash: u64) -> usize {
-        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    fn probe(&self, key: u64, block: u128) -> (usize, Option<u32>) {
+        let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return (slot, None),
+                g if self.groups[g as usize].block == block => return (slot, Some(g)),
+                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            }
+        }
     }
 
-    /// The source offsets to try for a target block: the group of its
-    /// FNV hash, unless the miss filter already rules every block out.
+    /// The source offsets to try for a target block: its group, unless
+    /// the miss filter already rules every block out.
     #[inline]
     fn candidates(&self, block: &[u8; BLOCK]) -> &[u32] {
-        let bit = content_key(block) >> self.filter_shift;
+        let key = content_key(block);
+        let bit = key >> self.filter_shift;
         if self.filter[(bit >> 6) as usize] & (1 << (bit & 63)) == 0 {
             return &[];
         }
-        let hash = block_hash(block);
-        let mut slot = self.home_slot(hash);
-        loop {
-            match self.slots[slot] {
-                EMPTY => return &[],
-                g => {
-                    let g = g as usize;
-                    if self.groups[g].hash == hash {
-                        let run = self.groups[g].start as usize..self.groups[g + 1].start as usize;
-                        return &self.offsets[run];
-                    }
-                    slot = (slot + 1) & (self.slots.len() - 1);
-                }
-            }
-        }
+        let (_, Some(g)) = self.probe(key, u128::from_le_bytes(*block)) else {
+            return &[];
+        };
+        let g = g as usize;
+        &self.offsets[self.groups[g].start as usize..self.groups[g + 1].start as usize]
     }
 
     /// The one scan loop: greedy left-to-right over `dst`, instructions
@@ -347,10 +334,9 @@ impl<'a> SourceIndex<'a> {
             let mut best: Option<(usize, usize, usize)> = None; // (src_off, dst_off, len)
             for &cand in self.candidates(block_at(dst, i)) {
                 let cand = cand as usize;
+                // A candidate equals the target block, so it matches at
+                // least a block.
                 let len = common_prefix(&src[cand..], &dst[i..]);
-                if len < BLOCK {
-                    continue; // hash collision
-                }
                 // Extend backwards into the pending literals.
                 let back = common_suffix(&src[..cand], &dst[lit_start..i]);
                 let total = len + back;
@@ -726,6 +712,115 @@ mod tests {
         }];
         let enc = encode(&ops);
         assert_eq!(decode(&enc[..enc.len() - 2]), Err(DeltaError::Malformed));
+    }
+
+    /// The index keyed as it used to be — groups by the blocks' 64-bit
+    /// FNV-1a hash, each candidate verified by its match length — with the
+    /// same scan. It picks the same candidates as [`SourceIndex`] unless
+    /// two distinct blocks collide in FNV-1a, so the ops must agree.
+    fn fnv_keyed_diff(src: &[u8], dst: &[u8]) -> Vec<DeltaOp> {
+        let fnv = |block: &[u8]| {
+            block.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+            })
+        };
+        let mut groups: std::collections::HashMap<u64, Vec<usize>> = Default::default();
+        for (k, block) in src.chunks_exact(BLOCK).enumerate() {
+            let group = groups.entry(fnv(block)).or_default();
+            if group.len() < BUCKET_CAP as usize {
+                group.push(k * BLOCK);
+            }
+        }
+        let mut ops = Vec::new();
+        let (mut lit_start, mut i) = (0, 0);
+        while i + BLOCK <= dst.len() {
+            let mut best: Option<(usize, usize, usize)> = None;
+            for &cand in groups.get(&fnv(&dst[i..i + BLOCK])).into_iter().flatten() {
+                let len = common_prefix(&src[cand..], &dst[i..]);
+                if len < BLOCK {
+                    continue;
+                }
+                let back = common_suffix(&src[..cand], &dst[lit_start..i]);
+                if best.is_none_or(|(_, _, l)| len + back > l) {
+                    best = Some((cand - back, i - back, len + back));
+                }
+            }
+            match best {
+                Some((s_off, d_off, len)) => {
+                    if lit_start < d_off {
+                        let bytes = dst[lit_start..d_off].to_vec();
+                        ops.push(DeltaOp::Insert { bytes });
+                    }
+                    ops.push(DeltaOp::Copy {
+                        offset: s_off as u64,
+                        len: len as u64,
+                    });
+                    i = d_off + len;
+                    lit_start = i;
+                }
+                None => i += 1,
+            }
+        }
+        if lit_start < dst.len() {
+            let bytes = dst[lit_start..].to_vec();
+            ops.push(DeltaOp::Insert { bytes });
+        }
+        ops
+    }
+
+    /// `src` cut and pasted: `(from, len)` slices of it, each followed by
+    /// a literal, so matches land at every alignment.
+    fn spliced(src: &[u8], cuts: &[(u16, u16, Vec<u8>)]) -> Vec<u8> {
+        let mut dst = Vec::new();
+        for (from, len, literal) in cuts {
+            let from = usize::from(*from) % (src.len() + 1);
+            let to = (from + usize::from(*len)).min(src.len());
+            dst.extend_from_slice(&src[from..to]);
+            dst.extend_from_slice(literal);
+        }
+        dst
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn content_keyed_index_matches_the_fnv_keyed_one(
+            src in proptest::collection::vec(0u8..4, 0..3000),
+            cuts in proptest::collection::vec(
+                (0u16..4000, 0u16..600, proptest::collection::vec(0u8..4, 0..24)),
+                0..12,
+            ),
+        ) {
+            let dst = spliced(&src, &cuts);
+            let ops = diff(&src, &dst);
+            proptest::prop_assert_eq!(&ops, &fnv_keyed_diff(&src, &dst));
+            proptest::prop_assert_eq!(apply(&src, &ops).unwrap(), dst);
+        }
+
+        #[test]
+        fn content_keyed_index_matches_the_fnv_keyed_one_past_the_bucket_cap(
+            tails in proptest::collection::vec(proptest::collection::vec(0u8..2, 0..40), 6..40),
+            cuts in proptest::collection::vec(
+                (0u16..4000, 0u16..600, proptest::collection::vec(0u8..2, 0..8)),
+                1..8,
+            ),
+        ) {
+            // Every segment opens with the same aligned block, so that
+            // block (and the padding one) repeats past `BUCKET_CAP`, and
+            // which occurrence matches longest depends on the tail after
+            // it: a candidate beyond the cap, or out of order, shows.
+            let mut src = Vec::new();
+            for tail in &tails {
+                src.extend_from_slice(b"0123456789abcdef");
+                src.extend_from_slice(tail);
+                src.resize(src.len().next_multiple_of(BLOCK), b'.');
+            }
+            let dst = spliced(&src, &cuts);
+            let ops = diff(&src, &dst);
+            proptest::prop_assert_eq!(&ops, &fnv_keyed_diff(&src, &dst));
+            proptest::prop_assert_eq!(apply(&src, &ops).unwrap(), dst);
+        }
     }
 
     #[test]

@@ -7,16 +7,41 @@
 //! rows/columns. [`TableDelta`] represents exactly those commands, so the
 //! workload generator can both *produce* version contents and *know* the
 //! precise delta between adjacent versions.
+//!
+//! # Shared rows
+//!
+//! A version edits a few rows of its parent, so a [`Table`] holds its rows
+//! behind [`Arc`]s and cloning one copies row pointers, not cells: a
+//! generated history keeps each unedited row once however many versions
+//! contain it (as OrpheusDB stores versions as sets of shared record
+//! ids). [`TableDelta::apply`] is the one edit path. It clones its input
+//! and edits the clone copy-on-write — `AddRows` allocates only the new
+//! rows, `ModifyCells` copies only the rows it touches
+//! ([`Arc::make_mut`]), and a column command copies every row, since every
+//! row changes — so no edit can reach another version through a row they
+//! share.
+//!
+//! [`Table::to_csv`] writes every version out in full and must keep both
+//! its exact bytes and its growth: a `Vec::new()` that doubles. An
+//! exact-size buffer was tried once and cut a serving benchmark's
+//! requests/s from ~27 k to ~8 k. A ~115 KB CSV doubles into a 128 KiB
+//! buffer, which glibc maps with `mmap`; freeing it raises glibc's
+//! dynamic mmap threshold, so the server's later buffers of that size
+//! come from the heap. An exact-size buffer stays under the threshold,
+//! the threshold never rises, and every large reply buffer becomes a
+//! fresh `mmap` / `munmap` pair.
 
 use dsv_compress::varint::{decode_u64, encode_u64};
+use std::sync::Arc;
 
 /// An in-memory ordered table: a header row plus data rows of equal arity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Column names.
     pub columns: Vec<String>,
-    /// Rows; every row has `columns.len()` cells.
-    pub rows: Vec<Vec<String>>,
+    /// Rows; every row has `columns.len()` cells. A row may be shared
+    /// with other tables (see [Shared rows](self#shared-rows)).
+    pub rows: Vec<Arc<Vec<String>>>,
 }
 
 /// Errors applying a [`TableDelta`] or parsing a table.
@@ -59,7 +84,7 @@ impl Table {
         if row.len() != self.columns.len() {
             return Err(TableError::Ragged);
         }
-        self.rows.push(row);
+        self.rows.push(Arc::new(row));
         Ok(())
     }
 
@@ -99,7 +124,7 @@ impl Table {
             if row.len() != columns.len() {
                 return Err(TableError::Ragged);
             }
-            rows.push(row);
+            rows.push(Arc::new(row));
         }
         Ok(Table { columns, rows })
     }
@@ -158,7 +183,9 @@ pub struct TableDelta {
 }
 
 impl TableDelta {
-    /// Applies the edits to `table`, producing the target version.
+    /// Applies the edits to `table`, producing the target version. The
+    /// result shares every row no edit touches with `table` (see
+    /// [Shared rows](self#shared-rows)).
     pub fn apply(&self, table: &Table) -> Result<Table, TableError> {
         let mut t = table.clone();
         for edit in &self.edits {
@@ -173,7 +200,7 @@ impl TableDelta {
                             return Err(TableError::Ragged);
                         }
                     }
-                    t.rows.splice(at..at, rows.iter().cloned());
+                    t.rows.splice(at..at, rows.iter().cloned().map(Arc::new));
                 }
                 TableEdit::DeleteRows { at, count } => {
                     let at = *at as usize;
@@ -190,7 +217,7 @@ impl TableDelta {
                     }
                     t.columns.insert(at, name.clone());
                     for (row, v) in t.rows.iter_mut().zip(values) {
-                        row.insert(at, v.clone());
+                        Arc::make_mut(row).insert(at, v.clone());
                     }
                 }
                 TableEdit::RemoveColumn { at } => {
@@ -200,7 +227,7 @@ impl TableDelta {
                     }
                     t.columns.remove(at);
                     for row in &mut t.rows {
-                        row.remove(at);
+                        Arc::make_mut(row).remove(at);
                     }
                 }
                 TableEdit::ModifyCells { cells } => {
@@ -209,7 +236,7 @@ impl TableDelta {
                         if r >= t.rows.len() || c >= t.columns.len() {
                             return Err(TableError::OutOfRange);
                         }
-                        t.rows[r][c] = v.clone();
+                        Arc::make_mut(&mut t.rows[r])[c] = v.clone();
                     }
                 }
             }
@@ -276,6 +303,12 @@ impl TableDelta {
     }
 
     /// Parses an encoding produced by [`encode`](Self::encode).
+    ///
+    /// Input is untrusted: a malformed stream fails with
+    /// [`TableError::Malformed`], never aborts, panics or truncates. A
+    /// declared count is bounded by the bytes left (every counted item
+    /// takes at least one), so no count reserves more than the input
+    /// could hold, and an index must fit the `u32` it decodes into.
     pub fn decode(input: &[u8]) -> Result<Self, TableError> {
         let mut pos = 0usize;
         let get = |input: &[u8], pos: &mut usize| -> Result<u64, TableError> {
@@ -283,31 +316,41 @@ impl TableDelta {
             *pos += used;
             Ok(v)
         };
+        let get_index = |input: &[u8], pos: &mut usize| -> Result<u32, TableError> {
+            u32::try_from(get(input, pos)?).map_err(|_| TableError::Malformed)
+        };
+        let get_count = |input: &[u8], pos: &mut usize| -> Result<usize, TableError> {
+            let count = get(input, pos)?;
+            usize::try_from(count)
+                .ok()
+                .filter(|&count| count <= input.len() - *pos)
+                .ok_or(TableError::Malformed)
+        };
         let get_str = |input: &[u8], pos: &mut usize| -> Result<String, TableError> {
-            let (len, used) = decode_u64(&input[*pos..]).ok_or(TableError::Malformed)?;
-            *pos += used;
-            let len = len as usize;
-            if *pos + len > input.len() {
-                return Err(TableError::Malformed);
-            }
-            let s = std::str::from_utf8(&input[*pos..*pos + len])
+            let len = get(input, pos)?;
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .filter(|&end| end <= input.len())
+                .ok_or(TableError::Malformed)?;
+            let s = std::str::from_utf8(&input[*pos..end])
                 .map_err(|_| TableError::Malformed)?
                 .to_owned();
-            *pos += len;
+            *pos = end;
             Ok(s)
         };
-        let count = get(input, &mut pos)?;
-        let mut edits = Vec::with_capacity(count as usize);
+        let count = get_count(input, &mut pos)?;
+        let mut edits = Vec::with_capacity(count);
         for _ in 0..count {
             let tag = get(input, &mut pos)?;
             edits.push(match tag {
                 0 => {
-                    let at = get(input, &mut pos)? as u32;
-                    let nrows = get(input, &mut pos)?;
-                    let mut rows = Vec::with_capacity(nrows as usize);
+                    let at = get_index(input, &mut pos)?;
+                    let nrows = get_count(input, &mut pos)?;
+                    let mut rows = Vec::with_capacity(nrows);
                     for _ in 0..nrows {
-                        let ncells = get(input, &mut pos)?;
-                        let mut row = Vec::with_capacity(ncells as usize);
+                        let ncells = get_count(input, &mut pos)?;
+                        let mut row = Vec::with_capacity(ncells);
                         for _ in 0..ncells {
                             row.push(get_str(input, &mut pos)?);
                         }
@@ -316,28 +359,28 @@ impl TableDelta {
                     TableEdit::AddRows { at, rows }
                 }
                 1 => TableEdit::DeleteRows {
-                    at: get(input, &mut pos)? as u32,
-                    count: get(input, &mut pos)? as u32,
+                    at: get_index(input, &mut pos)?,
+                    count: get_index(input, &mut pos)?,
                 },
                 2 => {
-                    let at = get(input, &mut pos)? as u32;
+                    let at = get_index(input, &mut pos)?;
                     let name = get_str(input, &mut pos)?;
-                    let nvals = get(input, &mut pos)?;
-                    let mut values = Vec::with_capacity(nvals as usize);
+                    let nvals = get_count(input, &mut pos)?;
+                    let mut values = Vec::with_capacity(nvals);
                     for _ in 0..nvals {
                         values.push(get_str(input, &mut pos)?);
                     }
                     TableEdit::AddColumn { at, name, values }
                 }
                 3 => TableEdit::RemoveColumn {
-                    at: get(input, &mut pos)? as u32,
+                    at: get_index(input, &mut pos)?,
                 },
                 4 => {
-                    let ncells = get(input, &mut pos)?;
-                    let mut cells = Vec::with_capacity(ncells as usize);
+                    let ncells = get_count(input, &mut pos)?;
+                    let mut cells = Vec::with_capacity(ncells);
                     for _ in 0..ncells {
-                        let r = get(input, &mut pos)? as u32;
-                        let c = get(input, &mut pos)? as u32;
+                        let r = get_index(input, &mut pos)?;
+                        let c = get_index(input, &mut pos)?;
                         cells.push((r, c, get_str(input, &mut pos)?));
                     }
                     TableEdit::ModifyCells { cells }
@@ -407,7 +450,7 @@ mod tests {
         };
         let t2 = d.apply(&t).unwrap();
         assert_eq!(t2.columns, vec!["id", "email", "name"]);
-        assert_eq!(t2.rows[0], vec!["0", "u0@x.org", "user0"]);
+        assert_eq!(*t2.rows[0], vec!["0", "u0@x.org", "user0"]);
     }
 
     #[test]
@@ -499,6 +542,185 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(TableDelta::decode(&[9, 9, 9]).is_err());
+    }
+
+    /// Varint-encodes `words` back to back: a hand-written delta stream.
+    fn stream(words: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &w in words {
+            encode_u64(w, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn decode_bounds_every_declared_count_by_the_bytes_left() {
+        // Six bytes declaring 2^40 edits used to reserve 56 TiB and abort.
+        let edits = stream(&[1 << 40]);
+        assert_eq!(edits.len(), 6);
+        assert_eq!(TableDelta::decode(&edits), Err(TableError::Malformed));
+        // The same for the rows, cells, values and cell triples an edit
+        // declares.
+        for words in [
+            &[1, 0, 0, 1 << 40][..],
+            &[1, 0, 0, 1, 1 << 40],
+            &[1, 2, 0, 1, b'k'.into(), 1 << 40],
+            &[1, 4, 1 << 40],
+        ] {
+            assert_eq!(
+                TableDelta::decode(&stream(words)),
+                Err(TableError::Malformed),
+                "{words:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_an_index_wider_than_u32() {
+        // `at: 2^32 + 1` used to decode as `at: 1`, so re-encoding it did
+        // not give the input back.
+        let wide = (1u64 << 32) + 1;
+        assert_eq!(
+            TableDelta::decode(&stream(&[1, 1, 1, 2])),
+            Ok(TableDelta {
+                edits: vec![TableEdit::DeleteRows { at: 1, count: 2 }]
+            })
+        );
+        for words in [
+            &[1, 1, wide, 2][..],
+            &[1, 1, 1, wide],
+            &[1, 0, wide, 0],
+            &[1, 2, wide, 0, 0],
+            &[1, 3, wide],
+            &[1, 4, 1, wide, 0, 0],
+            &[1, 4, 1, 0, wide, 0],
+        ] {
+            assert_eq!(
+                TableDelta::decode(&stream(words)),
+                Err(TableError::Malformed),
+                "{words:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_string_length_that_wraps_the_position() {
+        // `pos + len` used to wrap past the bounds check, and the slice
+        // then panicked.
+        for len in [u64::MAX, u64::MAX - 3, u64::MAX / 2] {
+            let cell = stream(&[1, 4, 1, 0, 0, len]);
+            assert_eq!(TableDelta::decode(&cell), Err(TableError::Malformed));
+            let name = stream(&[1, 2, 0, len]);
+            assert_eq!(TableDelta::decode(&name), Err(TableError::Malformed));
+        }
+    }
+
+    /// `chain` applied to `base` with plain, unshared cells: what every
+    /// version must read as, whatever rows it shares with others.
+    fn deep_replay(base: &Table, chain: &[&TableDelta]) -> Vec<u8> {
+        let mut columns = base.columns.clone();
+        let mut rows: Vec<Vec<String>> = base.rows.iter().map(|r| r.to_vec()).collect();
+        for edit in chain.iter().flat_map(|d| &d.edits) {
+            match edit.clone() {
+                TableEdit::AddRows { at, rows: new } => {
+                    rows.splice(at as usize..at as usize, new);
+                }
+                TableEdit::DeleteRows { at, count } => {
+                    rows.drain(at as usize..(at + count) as usize);
+                }
+                TableEdit::AddColumn { at, name, values } => {
+                    columns.insert(at as usize, name);
+                    for (row, v) in rows.iter_mut().zip(values) {
+                        row.insert(at as usize, v);
+                    }
+                }
+                TableEdit::RemoveColumn { at } => {
+                    columns.remove(at as usize);
+                    for row in &mut rows {
+                        row.remove(at as usize);
+                    }
+                }
+                TableEdit::ModifyCells { cells } => {
+                    for (r, c, v) in cells {
+                        rows[r as usize][c as usize] = v;
+                    }
+                }
+            }
+        }
+        let mut lines = vec![columns.join(",")];
+        lines.extend(rows.iter().map(|r| r.join(",")));
+        (lines.join("\n") + "\n").into_bytes()
+    }
+
+    #[test]
+    fn no_edit_leaks_through_a_shared_row() {
+        let modify = |cells: &[(u32, u32)], tag: &str| TableEdit::ModifyCells {
+            cells: cells
+                .iter()
+                .map(|&(r, c)| (r, c, format!("{tag}{r}.{c}")))
+                .collect(),
+        };
+        let add_column = |at: u32, rows: usize, tag: &str| TableEdit::AddColumn {
+            at,
+            name: tag.into(),
+            values: (0..rows).map(|r| format!("{tag}{r}")).collect(),
+        };
+        // `(parent, delta)`: siblings, and a parent's children, edit the
+        // same rows 0 and 2 — cells, then whole rows through the column
+        // commands — while every version stays alive.
+        let history: Vec<(usize, TableDelta)> = [
+            (0, vec![modify(&[(0, 1), (2, 2)], "a")]),
+            (0, vec![modify(&[(0, 1), (2, 0)], "b")]),
+            (0, vec![add_column(1, 5, "c")]),
+            (0, vec![TableEdit::RemoveColumn { at: 0 }]),
+            (1, vec![modify(&[(0, 1), (2, 2), (0, 1)], "d")]),
+            (
+                1,
+                vec![add_column(3, 5, "e"), modify(&[(0, 3), (2, 0)], "e")],
+            ),
+            (
+                1,
+                vec![TableEdit::RemoveColumn { at: 1 }, modify(&[(2, 1)], "f")],
+            ),
+            (6, vec![modify(&[(0, 0), (2, 3)], "g")]),
+            (6, vec![TableEdit::RemoveColumn { at: 3 }]),
+            (
+                2,
+                vec![
+                    TableEdit::AddRows {
+                        at: 1,
+                        rows: vec![vec!["h0".into(), "h1".into(), "h2".into()]],
+                    },
+                    modify(&[(1, 0), (0, 2), (3, 1)], "h"),
+                    TableEdit::DeleteRows { at: 4, count: 2 },
+                ],
+            ),
+            (
+                10,
+                vec![add_column(0, 4, "i"), TableEdit::RemoveColumn { at: 2 }],
+            ),
+            (10, vec![modify(&[(0, 2), (1, 0)], "j")]),
+        ]
+        .into_iter()
+        .map(|(parent, edits)| (parent, TableDelta { edits }))
+        .collect();
+        let mut tables = vec![sample()];
+        for (parent, delta) in &history {
+            let table = delta.apply(&tables[*parent]).unwrap();
+            tables.push(table);
+        }
+        for (v, table) in tables.iter().enumerate() {
+            let mut chain = Vec::new();
+            let mut at = v;
+            while at > 0 {
+                let (parent, delta) = &history[at - 1];
+                chain.push(delta);
+                at = *parent;
+            }
+            chain.reverse();
+            assert_eq!(table.to_csv(), deep_replay(&tables[0], &chain), "v{v}");
+        }
+        assert_eq!(tables[0], sample());
     }
 
     #[test]

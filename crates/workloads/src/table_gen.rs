@@ -122,18 +122,19 @@ pub fn random_edit(params: &EditParams, table: &Table, rng: &mut StdRng) -> Tabl
 
 /// A commit's worth of edits: `edits_per_commit` commands, each generated
 /// against the table state left by the previous one. Returns the delta and
-/// the resulting table.
+/// the resulting table, which shares every row the edits leave alone with
+/// `table`.
 pub fn random_commit(params: &EditParams, table: &Table, rng: &mut StdRng) -> (TableDelta, Table) {
     let mut current = table.clone();
     let mut edits = Vec::with_capacity(params.edits_per_commit);
     for _ in 0..params.edits_per_commit {
-        let edit = random_edit(params, &current, rng);
-        current = TableDelta {
-            edits: vec![edit.clone()],
-        }
-        .apply(&current)
-        .expect("generated edits are valid for the current shape");
-        edits.push(edit);
+        let step = TableDelta {
+            edits: vec![random_edit(params, &current, rng)],
+        };
+        current = step
+            .apply(&current)
+            .expect("generated edits are valid for the current shape");
+        edits.extend(step.edits);
     }
     (TableDelta { edits }, current)
 }
@@ -142,6 +143,8 @@ pub fn random_commit(params: &EditParams, table: &Table, rng: &mut StdRng) -> (T
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::HashSet;
+    use std::sync::Arc;
 
     #[test]
     fn base_table_has_requested_shape() {
@@ -205,6 +208,138 @@ mod tests {
         }
         assert_eq!((table.rows.len(), table.columns.len()), (188, 5));
         assert_eq!(hash, 0x7594_ae07_fe32_96d0);
+    }
+
+    #[test]
+    fn benchmark_shaped_history_is_pinned() {
+        // The same kind of pin at the shape the benchmark generates: a
+        // 1000 × 10 root, cell commands of up to 0.5 % of the cells, four
+        // appended rows per version, one column added and one dropped.
+        // Captured at commit 63df90f, before rows were shared.
+        let params = EditParams {
+            base_rows: 1000,
+            base_cols: 10,
+            edits_per_commit: 3,
+            max_row_change: 0.001,
+            max_cells_modified: 0.005,
+            column_op_weight: 0.0,
+        };
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut table = base_table(&params, &mut rng);
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        feed(&table.to_csv());
+        for v in 1..16 {
+            let (mut delta, mut next) = random_commit(&params, &table, &mut rng);
+            let at = next.rows.len() as u32;
+            let cols = next.columns.len();
+            let mut extra = vec![TableEdit::AddRows {
+                at,
+                rows: (0..4).map(|_| fresh_row(&mut rng, cols)).collect(),
+            }];
+            if v == 5 {
+                extra.push(TableEdit::AddColumn {
+                    at: rng.gen_range(0..=cols) as u32,
+                    name: format!("col_{}", cell_value(&mut rng)),
+                    values: (0..at as usize + 4).map(|_| cell_value(&mut rng)).collect(),
+                });
+            } else if v == 10 {
+                extra.push(TableEdit::RemoveColumn {
+                    at: rng.gen_range(0..cols) as u32,
+                });
+            }
+            next = TableDelta {
+                edits: extra.clone(),
+            }
+            .apply(&next)
+            .unwrap();
+            delta.edits.extend(extra);
+            assert_eq!(delta.apply(&table).unwrap(), next);
+            feed(&delta.encode());
+            feed(&next.to_csv());
+            table = next;
+        }
+        assert_eq!((table.rows.len(), table.columns.len()), (1068, 10));
+        assert_eq!(hash, 0x980b_d123_d0af_ccec);
+    }
+
+    /// Row allocations `delta` makes applied to a table of `rows` rows
+    /// that its result still holds: each row it adds, and each inherited
+    /// row it edits, once — a cell command copies the rows it touches, a
+    /// column command every row.
+    fn rows_made(delta: &TableDelta, rows: usize) -> usize {
+        // `true`: a row this delta allocated (added, or already copied).
+        let mut made = vec![false; rows];
+        for edit in &delta.edits {
+            match edit {
+                TableEdit::AddRows { at, rows } => {
+                    let at = *at as usize;
+                    made.splice(at..at, rows.iter().map(|_| true));
+                }
+                TableEdit::DeleteRows { at, count } => {
+                    made.drain(*at as usize..(*at + *count) as usize);
+                }
+                TableEdit::AddColumn { .. } | TableEdit::RemoveColumn { .. } => made.fill(true),
+                TableEdit::ModifyCells { cells } => {
+                    for &(r, _, _) in cells {
+                        made[r as usize] = true;
+                    }
+                }
+            }
+        }
+        made.into_iter().filter(|&m| m).count()
+    }
+
+    #[test]
+    fn a_history_allocates_only_the_rows_its_deltas_create_or_copy() {
+        // A count, not a timing: with every version alive, the distinct
+        // row allocations are the root's rows plus what each version's
+        // delta adds or copies — an unedited row is never duplicated.
+        let params = EditParams::default();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut parents = StdRng::seed_from_u64(32);
+        let root = base_table(&params, &mut rng);
+        let copy = root.clone();
+        assert!(root
+            .rows
+            .iter()
+            .zip(&copy.rows)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        let mut expected = root.rows.len();
+        let mut tables = vec![root];
+        let mut column_commands = 0;
+        for v in 1..40 {
+            // Mostly the newest version, sometimes an older one: siblings
+            // share rows too.
+            let parent = if parents.gen_bool(0.7) {
+                v - 1
+            } else {
+                parents.gen_range(0..v)
+            };
+            let (delta, next) = random_commit(&params, &tables[parent], &mut rng);
+            expected += rows_made(&delta, tables[parent].rows.len());
+            column_commands += delta
+                .edits
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        TableEdit::AddColumn { .. } | TableEdit::RemoveColumn { .. }
+                    )
+                })
+                .count();
+            tables.push(next);
+        }
+        let distinct: HashSet<*const Vec<String>> = tables
+            .iter()
+            .flat_map(|t| t.rows.iter().map(Arc::as_ptr))
+            .collect();
+        assert!(column_commands > 0, "the history meets the column commands");
+        assert_eq!(distinct.len(), expected);
     }
 
     #[test]
