@@ -2,7 +2,7 @@
 //! registry-wide `solver_matrix` cross-comparison.
 //!
 //! All experiments reach the solver suite through the planner
-//! ([`dsv_core::plan`] with a [`PlanSpec`]) — the registry is the single
+//! ([`dsv_core::plan()`] with a [`PlanSpec`]) — the registry is the single
 //! solver entry point outside `dsv-core`.
 
 pub mod fig12;
@@ -131,8 +131,8 @@ pub fn subsample(dataset: &Dataset, target: usize, seed: u64) -> ProblemInstance
         .as_ref()
         .expect("subsampling requires a version graph");
     let dg = graph.to_digraph();
-    let start = dsv_graph::NodeId((seed % graph.n as u64) as u32);
-    let picked = dsv_graph::traversal::bfs_undirected_limited(&dg, start, target);
+    let start = dsv_core::graph::NodeId((seed % graph.n as u64) as u32);
+    let picked = dsv_core::graph::traversal::bfs_undirected_limited(&dg, start, target);
     // Reindex.
     let mut index = vec![u32::MAX; graph.n];
     for (new, node) in picked.iter().enumerate() {

@@ -231,7 +231,7 @@ pub(crate) fn plan_chunked_batch<S: ObjectStore + ?Sized>(
 /// content id — the pure (store-free) half of
 /// [`ChunkStore::put_version`], split out so callers can chunk and hash
 /// many versions in parallel and feed
-/// [`plan_chunked_batch`] / [`ChunkStore::put_version_prechunked`].
+/// `plan_chunked_batch` / [`ChunkStore::put_version_prechunked`].
 pub fn prechunk(data: &[u8], params: ChunkerParams) -> Vec<(std::ops::Range<usize>, ObjectId)> {
     let mut out = Vec::new();
     let mut start = 0usize;

@@ -1,8 +1,6 @@
-#![warn(missing_docs)]
-
 //! Graph substrate for the dataset-versioning system.
 //!
-//! This crate provides the graph data structures and classic algorithms the
+//! This module provides the graph data structures and classic algorithms the
 //! paper's storage/recreation optimization is built on (its §2.2 maps the
 //! versioning problem onto spanning trees of a directed, edge-weighted
 //! graph):
@@ -20,18 +18,14 @@
 //! - [`heap`]: an indexed binary min-heap with decrease-key, shared by the
 //!   Dijkstra/Prim/Modified-Prim implementations.
 //!
-//! Everything is implemented from scratch; the crate has no dependencies.
+//! Everything is implemented from scratch and depends on nothing else in
+//! this crate; the solvers in [`crate::solvers`] are built on it. The
+//! modules themselves sit at the crate root; this module gathers them and
+//! their main types under one name.
 
-pub mod digraph;
-pub mod dijkstra;
-pub mod edmonds;
-pub mod hashing;
-pub mod heap;
-pub mod ids;
-pub mod prim;
-pub mod traversal;
-pub mod tree;
-pub mod undirected;
+pub use crate::{
+    digraph, dijkstra, edmonds, hashing, heap, ids, prim, traversal, tree, undirected,
+};
 
 pub use digraph::{DiGraph, Edge, EdgeId};
 pub use dijkstra::{dijkstra, ShortestPaths};

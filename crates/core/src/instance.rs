@@ -15,8 +15,8 @@
 //! root edge — so every tree solver becomes hybrid-aware without
 //! structural modification.
 
+use crate::graph::{DiGraph, NodeId, UnGraph};
 use crate::matrix::{CostMatrix, CostPair};
-use dsv_graph::{DiGraph, NodeId, UnGraph};
 
 /// A versioning problem instance.
 #[derive(Debug, Clone)]
@@ -56,11 +56,6 @@ impl ProblemInstance {
     /// The underlying matrices.
     pub fn matrix(&self) -> &CostMatrix {
         &self.matrix
-    }
-
-    /// Mutable access (used by online insertion).
-    pub fn matrix_mut(&mut self) -> &mut CostMatrix {
-        &mut self.matrix
     }
 
     /// Access frequencies, if any.

@@ -29,24 +29,41 @@
 //! branch-and-bound used in place of the paper's Gurobi ILP) and
 //! [`solvers::hop`] (the bounded-hop variant, `Φ ≡ 1`).
 //!
-//! **Entry point:** build a [`PlanSpec`] and call [`plan`]. The spec names
+//! **Entry point:** build a [`PlanSpec`] and call [`plan()`]. The spec names
 //! the [`Problem`], picks a [`SolverChoice`] — `Auto` (Table-1 dispatch),
 //! `Named` (any registry solver by name), or `Portfolio` (run every
 //! capable solver, keep the cheapest feasible plan) — and a [`ModePolicy`]
 //! (binary vs three-mode hybrid). The returned [`Plan`] carries a
 //! validated [`StorageSolution`] plus [`Provenance`]: winning solver,
 //! feasibility, and every portfolio candidate's outcome. The solver suite
-//! itself is discoverable via [`solvers::registry`] and
+//! itself is discoverable via [`solvers::registry()`] and
 //! [`solvers::by_name`].
+//!
+//! **Graph substrate:** the solvers are built on the graph structures and
+//! exact optima in [`graph`] (§2.2: Problem 1 is a minimum spanning tree
+//! or arborescence, Problem 2 a shortest-path tree). Its modules —
+//! [`digraph`], [`mod@dijkstra`], [`edmonds`], [`prim`], [`tree`], … — sit
+//! at this crate's root; [`graph`] gathers them and their main types.
 
+pub mod digraph;
+pub mod dijkstra;
+pub mod edmonds;
 pub mod error;
+pub mod graph;
+pub mod hashing;
+pub mod heap;
+pub mod ids;
 pub mod instance;
 pub mod matrix;
 pub mod online;
 pub mod plan;
+pub mod prim;
 pub mod problem;
 pub mod solution;
 pub mod solvers;
+pub mod traversal;
+pub mod tree;
+pub mod undirected;
 
 pub use error::SolveError;
 pub use instance::ProblemInstance;

@@ -13,7 +13,7 @@
 //! candidates. The matrix may be declared *symmetric* (the undirected case,
 //! e.g. XOR deltas), in which case `(i,j)` and `(j,i)` share one entry.
 
-use dsv_graph::FxHashMap;
+use crate::graph::FxHashMap;
 
 /// A `⟨Δ, Φ⟩` pair: storage cost and recreation cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -112,12 +112,6 @@ impl CostMatrix {
     /// `⟨Δ_ii, Φ_ii⟩` for version `i`.
     pub fn materialization(&self, i: u32) -> CostPair {
         self.diag[i as usize]
-    }
-
-    /// Overwrites the materialization cost of version `i` (used by online
-    /// insertion).
-    pub fn set_materialization(&mut self, i: u32, pair: CostPair) {
-        self.diag[i as usize] = pair;
     }
 
     /// Appends a new version with the given materialization cost (and no

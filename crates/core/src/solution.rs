@@ -32,8 +32,8 @@
 //!   version — manifests have no chains to replay).
 
 use crate::error::SolveError;
+use crate::graph::{NodeId, RootedTree};
 use crate::instance::ProblemInstance;
-use dsv_graph::{NodeId, RootedTree};
 
 /// How one version is stored: the per-version decision the solvers make.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,7 +190,7 @@ impl StorageSolution {
             });
         }
         let tree = RootedTree::from_parents(NodeId(0), aug_parents).map_err(|e| match e {
-            dsv_graph::tree::TreeError::Cycle(v) => {
+            crate::graph::tree::TreeError::Cycle(v) => {
                 SolutionError::Cycle(ProblemInstance::version_of(v).unwrap_or(0))
             }
             _ => SolutionError::ParentOutOfRange(0),

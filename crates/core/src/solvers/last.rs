@@ -15,10 +15,10 @@
 //! whose reverse direction is not revealed).
 
 use crate::error::SolveError;
+use crate::graph::{dijkstra, NodeId, RootedTree};
 use crate::instance::ProblemInstance;
 use crate::solution::{StorageMode, StorageSolution};
 use crate::solvers::{augmented_to_solution, mst};
-use dsv_graph::{dijkstra, NodeId, RootedTree};
 
 /// Runs LAST with balance parameter `alpha` (> 1). Smaller `alpha` leans
 /// toward the SPT (lower recreation, more storage); larger toward the MST.

@@ -2,7 +2,7 @@
 //! registered behind the uniform [`Solver`] adapter.
 //!
 //! Every solver is discoverable via [`registry()`] and [`by_name`] under
-//! its registry name; [`crate::plan`] reaches them all through one entry
+//! its registry name; [`crate::plan()`] reaches them all through one entry
 //! point. Advertised capabilities (exact `✓`, heuristic `~`):
 //!
 //! | Registry name | Module | P1 | P2 | P3 | P4 | P5 | P6 | Hybrid |
@@ -47,9 +47,9 @@ pub use registry::{
 };
 
 use crate::error::SolveError;
+use crate::graph::NodeId;
 use crate::instance::ProblemInstance;
 use crate::solution::{StorageMode, StorageSolution};
-use dsv_graph::NodeId;
 
 /// Converts a parent array over *augmented* nodes (root `V0` = node 0,
 /// chunk root `Vc` = node `n + 1` when the instance has chunked costs)

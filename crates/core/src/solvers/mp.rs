@@ -14,11 +14,11 @@
 //! after both are in the tree).
 
 use crate::error::SolveError;
+use crate::graph::{DiGraph, IndexedMinHeap, NodeId};
 use crate::instance::ProblemInstance;
 use crate::matrix::CostPair;
 use crate::solution::StorageSolution;
 use crate::solvers::{augmented_to_solution, mst};
-use dsv_graph::{DiGraph, IndexedMinHeap, NodeId};
 
 /// Solves Problem 6: minimize total storage such that every version's
 /// recreation cost is at most `theta`.
@@ -105,7 +105,7 @@ pub fn solve_storage_given_max(
         // exists at all), descendants of adopted nodes only get cheaper,
         // and the adopted edges are a subtree of the SPT, so no cycles can
         // form.
-        let sp = dsv_graph::dijkstra(&g, NodeId(0), |e| e.weight.recreation);
+        let sp = crate::graph::dijkstra(&g, NodeId(0), |e| e.weight.recreation);
         for v in 0..total as u32 {
             let v = NodeId(v);
             if in_tree[v.index()] || v == NodeId(0) {
@@ -134,7 +134,7 @@ pub fn solve_storage_given_max(
 /// The smallest `θ` for which a solution exists: `max_i SP_Φ(i)`, the
 /// largest shortest-path recreation cost.
 fn min_feasible_theta(instance: &ProblemInstance, g: &DiGraph<CostPair>) -> u64 {
-    let sp = dsv_graph::dijkstra(g, NodeId(0), |e| e.weight.recreation);
+    let sp = crate::graph::dijkstra(g, NodeId(0), |e| e.weight.recreation);
     (0..instance.version_count() as u32)
         .filter_map(|i| sp.dist[ProblemInstance::node_of(i).index()])
         .max()

@@ -5,10 +5,10 @@
 //! `V0`. Both are exact and polynomial (first row of Table 1).
 
 use crate::error::SolveError;
+use crate::graph::{min_cost_arborescence, prim_mst, NodeId};
 use crate::instance::ProblemInstance;
 use crate::solution::StorageSolution;
 use crate::solvers::augmented_to_solution;
-use dsv_graph::{min_cost_arborescence, prim_mst, NodeId};
 
 /// Computes the minimum-storage solution (MST for symmetric matrices,
 /// MCA for directed ones).

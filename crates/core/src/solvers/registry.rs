@@ -4,7 +4,7 @@
 //! Every module in [`crate::solvers`] registers here with metadata — its
 //! name, which problems it supports (exactly or heuristically), and
 //! whether it is hybrid-capable — so new solvers become reachable from the
-//! planner ([`crate::plan`]), the VCS layer, the CLI, and the bench
+//! planner ([`crate::plan()`]), the VCS layer, the CLI, and the bench
 //! harness by adding one adapter to [`registry_tuned`]. Adapters enforce a
 //! shared contract:
 //!
@@ -455,7 +455,7 @@ impl Solver for HopSolver {
 /// All registered solvers, with per-solver parameters from `tuning`.
 /// Registry order is the *last* tie-break for portfolio wins (after the
 /// problem's cost key and exact-over-heuristic preference — see
-/// [`crate::plan`]).
+/// [`mod@crate::plan`]).
 pub fn registry_tuned(tuning: &SolverTuning) -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(MstSolver),

@@ -7,10 +7,10 @@
 //! all of the paper's figures.
 
 use crate::error::SolveError;
+use crate::graph::{dijkstra, NodeId};
 use crate::instance::ProblemInstance;
 use crate::solution::StorageSolution;
 use crate::solvers::augmented_to_solution;
-use dsv_graph::{dijkstra, NodeId};
 
 /// Computes the minimum-recreation solution (shortest-path tree over `Φ`).
 pub fn solve(instance: &ProblemInstance) -> Result<StorageSolution, SolveError> {

@@ -6,7 +6,7 @@
 //! `opcode()`, `name()`, `gather()` / `encode()` and `read_body()` /
 //! `decode()` are all generated from that row, so a message's layout is
 //! stated exactly once. Field types encode through the crate-private
-//! [`Wire`] trait: integers as fixed-width little-endian, booleans as one
+//! `Wire` trait: integers as fixed-width little-endian, booleans as one
 //! byte (`0`/`1`), options as a presence byte followed by the value,
 //! strings and byte blobs as a `u32` length prefix followed by the raw
 //! bytes, lists as a `u32` count followed by the elements, structs as
@@ -21,7 +21,7 @@
 //! small head buffer, and a bulk payload (a version's bytes, an object
 //! blob) is *lent* — the frame leaves as one gathered write over head and
 //! payloads, so the payload is never copied in user space. A message is
-//! read from a [`Body`]: a reader limited to the declared body length,
+//! read from a `Body`: a reader limited to the declared body length,
 //! from which every blob is read straight into its final `Vec`. The
 //! server and the client speak only this streamed form
 //! ([`ResponseRef::gather`] + [`Outgoing::write_to`],

@@ -4,10 +4,12 @@
 //!
 //! No cargo registry is reachable in this build environment, so the
 //! workspace carries the subset of proptest it uses as a local crate:
-//! the [`Strategy`] trait with `prop_map`/`prop_flat_map`, integer-range
-//! and tuple strategies, [`Just`], [`collection::vec`], [`any`] over the
-//! common scalars plus [`sample::Index`], simple `[charset]{lo,hi}`
-//! string patterns, and the [`proptest!`]/[`prop_assert!`] macros.
+//! the [`Strategy`](strategy::Strategy) trait with
+//! `prop_map`/`prop_flat_map`, integer-range and tuple strategies,
+//! [`Just`](strategy::Just), [`collection::vec`], [`any`](arbitrary::any)
+//! over the common scalars plus [`sample::Index`], simple
+//! `[charset]{lo,hi}` string patterns, and the
+//! [`proptest!`]/[`prop_assert!`] macros.
 //!
 //! Differences from upstream, deliberately accepted:
 //!

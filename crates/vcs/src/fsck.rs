@@ -31,7 +31,7 @@
 //! All three are deterministic and idempotent: running them twice (or
 //! crashing *during* repair and re-running) converges to the same clean
 //! state, because every destructive step goes through the collector
-//! ([`crate::gc`]): it removes only objects outside the referenced
+//! (`gc::collect`): it removes only objects outside the referenced
 //! closure — and a closure that could not be read in full removes
 //! nothing.
 

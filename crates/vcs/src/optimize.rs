@@ -3,7 +3,7 @@
 //! [`Repository::optimize_with`] is the paper's contribution made
 //! operational: materialize the history, reveal deltas around the commit
 //! DAG, solve the [`PlanSpec`]'s problem through the planner
-//! ([`dsv_core::plan`] — Table-1 dispatch, a named registry solver, or a
+//! ([`dsv_core::plan()`] — Table-1 dispatch, a named registry solver, or a
 //! portfolio), re-pack the object store along the resulting storage graph,
 //! and garbage-collect the objects the old plan used. The spec's
 //! [`ModePolicy`] picks the storage model; under [`ModePolicy::Auto`] a

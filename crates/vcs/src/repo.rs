@@ -5,7 +5,7 @@
 //! decision: reveal a few in-edges, price them ⟨Δ, Φ⟩, take the
 //! storage-cheapest feasible one) and they differ only in the candidate
 //! set: a plain commit reveals its first parent, an online commit a
-//! bounded neighborhood of its parents. [`Repository::price`] is the one
+//! bounded neighborhood of its parents. `Repository::price` is the one
 //! place an edge is priced, for a commit and for `optimize` alike.
 
 use crate::commit::{CommitId, CommitMeta};
@@ -45,8 +45,7 @@ pub enum Placement {
 /// Instead of re-packing the whole history (`optimize_with`, the explicit
 /// slow path), a commit considers a bounded neighborhood of the new
 /// version's parents as delta bases and places the version by the
-/// storage-cheapest feasible in-edge
-/// ([`place_version`](dsv_core::online::place_version)-style local
+/// storage-cheapest feasible in-edge ([`place_version`]-style local
 /// decision). Commit latency is O(`max_candidates` diffs), never
 /// O(repack). A plain [`commit`](Repository::commit) is the one-candidate
 /// case: `hops: 0, max_candidates: 1`, i.e. the first parent alone.
@@ -182,12 +181,6 @@ impl<S: ObjectStore> Repository<S> {
         let cache = Arc::new(CheckoutCache::new(budget_bytes));
         self.checkout_cache = Some(Arc::clone(&cache));
         cache
-    }
-
-    /// Installs (or, with `None`, removes) a shared checkout cache — use
-    /// this to serve several repositories from one byte budget.
-    pub fn set_checkout_cache(&mut self, cache: Option<Arc<CheckoutCache>>) {
-        self.checkout_cache = cache;
     }
 
     /// The checkout cache, if one is enabled.

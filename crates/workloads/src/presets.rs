@@ -36,7 +36,6 @@ pub struct Preset {
     /// Number of versions (DC/LC) or forks (BF/LF).
     scale: usize,
     directed: bool,
-    cost_model: CostModel,
     keep_contents: bool,
 }
 
@@ -56,12 +55,6 @@ impl Preset {
     /// undirected experiments.
     pub fn undirected(mut self) -> Self {
         self.directed = false;
-        self
-    }
-
-    /// Switches the `⟨Δ, Φ⟩` cost model (default: proportional, `Φ = Δ`).
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
         self
     }
 
@@ -93,7 +86,7 @@ impl Preset {
                         ..EditParams::default()
                     },
                     reveal_hops: 10,
-                    cost_model: self.cost_model,
+                    cost_model: CostModel::Proportional,
                     directed: self.directed,
                     keep_contents: self.keep_contents,
                 },
@@ -117,7 +110,7 @@ impl Preset {
                         ..EditParams::default()
                     },
                     reveal_hops: 25,
-                    cost_model: self.cost_model,
+                    cost_model: CostModel::Proportional,
                     directed: self.directed,
                     keep_contents: self.keep_contents,
                 },
@@ -139,7 +132,7 @@ impl Preset {
                     cluster_spread_commits: 8,
                     size_diff_threshold: 2 * 1024,
                     directed: self.directed,
-                    cost_model: self.cost_model,
+                    cost_model: CostModel::Proportional,
                     keep_contents: self.keep_contents,
                 },
                 seed,
@@ -160,7 +153,7 @@ impl Preset {
                     cluster_spread_commits: 40,
                     size_diff_threshold: 48 * 1024,
                     directed: self.directed,
-                    cost_model: self.cost_model,
+                    cost_model: CostModel::Proportional,
                     keep_contents: self.keep_contents,
                 },
                 seed,
@@ -169,7 +162,7 @@ impl Preset {
                 self.name,
                 &DedupParams {
                     versions: self.scale,
-                    cost_model: self.cost_model,
+                    cost_model: CostModel::Proportional,
                     keep_contents: self.keep_contents,
                     directed: self.directed,
                     ..DedupParams::default()
@@ -188,7 +181,6 @@ pub fn densely_connected() -> Preset {
         kind: Kind::DenselyConnected,
         scale: 600,
         directed: true,
-        cost_model: CostModel::Proportional,
         keep_contents: false,
     }
 }
@@ -201,7 +193,6 @@ pub fn linear_chain() -> Preset {
         kind: Kind::LinearChain,
         scale: 600,
         directed: true,
-        cost_model: CostModel::Proportional,
         keep_contents: false,
     }
 }
@@ -214,7 +205,6 @@ pub fn bootstrap_forks() -> Preset {
         kind: Kind::BootstrapForks,
         scale: 180,
         directed: true,
-        cost_model: CostModel::Proportional,
         keep_contents: false,
     }
 }
@@ -226,7 +216,6 @@ pub fn linux_forks() -> Preset {
         kind: Kind::LinuxForks,
         scale: 48,
         directed: true,
-        cost_model: CostModel::Proportional,
         keep_contents: false,
     }
 }
@@ -240,7 +229,6 @@ pub fn dedup_chain() -> Preset {
         kind: Kind::DedupChain,
         scale: 60,
         directed: true,
-        cost_model: CostModel::Proportional,
         keep_contents: false,
     }
 }

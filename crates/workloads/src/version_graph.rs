@@ -7,7 +7,7 @@
 //! permits. "Flat" parameterizations (frequent, short branches) give the
 //! paper's DC shape; "mostly-linear" ones (rare, long branches) give LC.
 
-use dsv_graph::{DiGraph, NodeId};
+use dsv_core::graph::{DiGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -156,7 +156,7 @@ impl VersionGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsv_graph::traversal::topo_sort;
+    use dsv_core::graph::traversal::topo_sort;
 
     #[test]
     fn generates_exactly_n_commits() {

@@ -12,7 +12,8 @@
 //!
 //! - [`core`] — the paper's contribution: cost matrices, Problems 1–6, and
 //!   the solver suite (MST/MCA, SPT, LMG, MP, LAST, GitH, exact B&B).
-//! - [`graph`] — graph substrate (Dijkstra, Prim, Edmonds, trees).
+//! - [`graph`] — `dsv_core::graph`, the graph substrate the solvers are
+//!   built on (Dijkstra, Prim, Edmonds, trees), re-exported at the top.
 //! - [`delta`] — differencing substrate (Myers diff, byte and tabular
 //!   deltas).
 //! - [`compress`] — the object store's order-0 Huffman payload codec
@@ -89,8 +90,8 @@
 pub use dsv_chunk as chunk;
 pub use dsv_compress as compress;
 pub use dsv_core as core;
+pub use dsv_core::graph;
 pub use dsv_delta as delta;
-pub use dsv_graph as graph;
 pub use dsv_obs as obs;
 pub use dsv_par as par;
 pub use dsv_storage as storage;

@@ -11,7 +11,7 @@
 //!   refused, and an arm (`Crash`, `StoreFault`, `Kill`, …) that finds
 //!   nothing to cut cuts nothing. That is what lets [`check`] shrink a
 //!   failure by dropping one op at a time.
-//! - [`Run::step`] applies one op to a system and to its model, then
+//! - `Run::step` applies one op to a system and to its model, then
 //!   checks every invariant (DURABILITY.md, "Testing", lists them).
 //! - [`lockstep`] runs a fault-free stream on several configs at once and
 //!   holds configs that differ only in layout, transport, cache or
@@ -152,7 +152,7 @@ pub fn stream(seed: u64, len: usize) -> Vec<Op> {
 }
 
 /// Seeded streams that share their fault rotation. An arm always comes
-/// before an op it can cut ([`faults_for`]): each op kind takes the kinds
+/// before an op it can cut (`faults_for`): each op kind takes the kinds
 /// of fault in turn, a crash every other time, and each kind the sites it
 /// can cut at in turn — the rotation going on from one stream to the
 /// next — so a handful of streams reach every site.
