@@ -267,6 +267,77 @@ mod tests {
         assert_eq!(hash, 0x980b_d123_d0af_ccec);
     }
 
+    #[test]
+    fn benchmark_shaped_reveal_is_pinned() {
+        // The byte-delta kernel's output over a history of the
+        // benchmark's shape: 40 versions of a 1000 × 10 table, each one
+        // edit of a parent (mostly the newest) plus four appended rows,
+        // one column added and one dropped, three merges. Every pair
+        // within 5 hops is diffed both ways, as the optimizer's reveal
+        // does, and FNV-1a runs over every encoded delta in pair order.
+        // Every cost matrix, plan and object id is made of these bytes.
+        // Captured at commit 26fa154, before the scan loop was tightened.
+        let params = EditParams {
+            base_rows: 1000,
+            base_cols: 10,
+            edits_per_commit: 3,
+            max_row_change: 0.001,
+            max_cells_modified: 0.005,
+            column_op_weight: 0.0,
+        };
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut tables = vec![base_table(&params, &mut rng)];
+        let mut edges = Vec::new();
+        for v in 1..40u32 {
+            let parent = if rng.gen_bool(0.7) {
+                v - 1
+            } else {
+                rng.gen_range(0..v)
+            };
+            let (_, mut next) = random_commit(&params, &tables[parent as usize], &mut rng);
+            let cols = next.columns.len();
+            let mut extra = vec![TableEdit::AddRows {
+                at: next.rows.len() as u32,
+                rows: (0..4).map(|_| fresh_row(&mut rng, cols)).collect(),
+            }];
+            if v == 13 {
+                extra.push(TableEdit::AddColumn {
+                    at: rng.gen_range(0..=cols) as u32,
+                    name: format!("col_{}", cell_value(&mut rng)),
+                    values: (0..next.rows.len() + 4)
+                        .map(|_| cell_value(&mut rng))
+                        .collect(),
+                });
+            } else if v == 26 {
+                extra.push(TableEdit::RemoveColumn {
+                    at: rng.gen_range(0..cols) as u32,
+                });
+            }
+            next = TableDelta { edits: extra }.apply(&next).unwrap();
+            edges.push((parent, v));
+            if matches!(v, 16 | 28 | 34) {
+                edges.push((rng.gen_range(v / 2..v - 1), v));
+            }
+            tables.push(next);
+        }
+        let contents: Vec<Vec<u8>> = tables.iter().map(Table::to_csv).collect();
+        let pairs: Vec<(u32, u32)> = dsv_core::pairs_within_hops(40, edges, 5)
+            .into_iter()
+            .map(|(a, b, _)| (a, b))
+            .collect();
+        let jobs: Vec<(u32, u32)> = pairs.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut delta_bytes = 0;
+        for delta in dsv_delta::bytes_delta::encode_pairs(&contents, &jobs) {
+            delta_bytes += delta.len();
+            for b in delta {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        assert_eq!((pairs.len(), delta_bytes), (370, 5_463_657));
+        assert_eq!(hash, 0x76bf_1c36_3079_56e7);
+    }
+
     /// Row allocations `delta` makes applied to a table of `rows` rows
     /// that its result still holds: each row it adds, and each inherited
     /// row it edits, once — a cell command copies the rows it touches, a
