@@ -25,21 +25,30 @@
 //! - `slots` — a power-of-two open-addressed table (linear probing, load
 //!   ≤ ½) from block to group number, placed by a cheap hash of the
 //!   block (`content_key`: two word loads, two multiplies).
-//! - `filter` — a bitset over the same hash. A target position whose bit
-//!   is clear equals no indexed block, so the scan moves on without
-//!   probing; a set bit only means "look". It can drop lookups that
-//!   would have found nothing, never a candidate.
+//! - `filter` — a bitset over a cheaper hash of the block (`filter_key`:
+//!   the two words folded, one multiply). A target position whose bit is
+//!   clear equals no indexed block, so the scan moves on without probing;
+//!   a set bit only means "look". It can drop lookups that would have
+//!   found nothing, never a candidate, so any function of the block may
+//!   key it.
+//!
+//! **The scan.** Most target positions the scan visits sit inside an
+//! edit, where nothing matches. An inner skip loop walks those: per
+//! position it computes `filter_key` and tests one bit, nothing else.
+//! Only on a set bit does the scan compute `content_key`, probe the table
+//! and try the group. A group's blocks equal the target block, so forward
+//! extension starts 16 bytes in.
 //!
 //! **Candidate-order invariant.** For a target block the scan tries
 //! exactly the first ≤ `BUCKET_CAP` (8) source blocks equal to the target
 //! block, in source order; the longest total match (forward plus backward
 //! extension) wins and the first wins ties. That rule mentions neither
-//! slot positions, probe sequences, hash functions nor table size, so the
-//! emitted ops do not depend on the table layout — a differently sized or
-//! differently hashed table produces the same bytes. Every cost matrix,
-//! plan and object id in a repository is made of deltas emitted under
-//! this rule, so changing it changes all of them (`tests/golden.rs` pins
-//! the encodings).
+//! slot positions, probe sequences, hash functions, the filter, the skip
+//! loop nor table size, so the emitted ops do not depend on the table
+//! layout — a differently sized or differently hashed table or filter
+//! produces the same bytes. Every cost matrix, plan and object id in a
+//! repository is made of deltas emitted under this rule, so changing it
+//! changes all of them (`tests/golden.rs` pins the encodings).
 //!
 //! **Sinks.** One scan loop drives one of three sinks: a `Vec<DeltaOp>`,
 //! the encoded bytes, or only the encoded length (what a cost matrix
@@ -111,14 +120,29 @@ fn block_at(bytes: &[u8], at: usize) -> &[u8; BLOCK] {
         .expect("slice is BLOCK bytes long")
 }
 
-/// A cheap hash of a block (two word loads, two multiplies): its top
-/// bits pick the block's bit in the index's miss filter, and its
-/// Fibonacci product the block's home slot.
+/// The block's two little-endian words.
 #[inline]
-fn content_key(block: &[u8; BLOCK]) -> u64 {
+fn words(block: &[u8; BLOCK]) -> (u64, u64) {
     let lo = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
     let hi = u64::from_le_bytes(block[8..].try_into().expect("8 bytes"));
+    (lo, hi)
+}
+
+/// A cheap hash of a block (two word loads, two multiplies): its
+/// Fibonacci product picks the block's home slot in the index's table.
+#[inline]
+fn content_key(block: &[u8; BLOCK]) -> u64 {
+    let (lo, hi) = words(block);
     (lo.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ hi).wrapping_mul(0xff51_afd7_ed55_8ccd)
+}
+
+/// A cheaper hash of a block (one multiply), whose top bits pick the
+/// block's bit in the miss filter: the filter only drops lookups that
+/// would find nothing, so any function of the block serves.
+#[inline]
+fn filter_key(block: &[u8; BLOCK]) -> u64 {
+    let (lo, hi) = words(block);
+    (lo ^ hi.rotate_left(32)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Length of the longest common suffix (backward extension runs into the
@@ -204,7 +228,7 @@ pub struct SourceIndex<'a> {
     groups: Vec<Group>,
     /// First ≤ `BUCKET_CAP` block offsets per group, in source order.
     offsets: Vec<u32>,
-    /// Miss filter: one bit per [`content_key`] of an indexed block, ≥ 16
+    /// Miss filter: one bit per [`filter_key`] of an indexed block, ≥ 16
     /// bits per block. A clear bit proves no indexed block has the probed
     /// content, so the scan may skip the table probe — most target
     /// positions inside an edit end here. A set bit decides nothing.
@@ -239,9 +263,9 @@ impl<'a> SourceIndex<'a> {
         // `groups[g].start` holds the count until the prefix sum below.
         let mut group_of_block: Vec<u32> = Vec::with_capacity(nblocks);
         for block in src.chunks_exact(BLOCK) {
-            let block: &[u8; BLOCK] = block.try_into().expect("exact chunk");
-            let key = content_key(block);
-            let block = u128::from_le_bytes(*block);
+            let bytes: &[u8; BLOCK] = block.try_into().expect("exact chunk");
+            let key = content_key(bytes);
+            let block = u128::from_le_bytes(*bytes);
             let group = match index.probe(key, block) {
                 (_, Some(g)) => g,
                 (slot, None) => {
@@ -255,7 +279,7 @@ impl<'a> SourceIndex<'a> {
             if *count < BUCKET_CAP {
                 *count += 1;
                 group_of_block.push(group);
-                let bit = key >> index.filter_shift;
+                let bit = filter_key(bytes) >> index.filter_shift;
                 index.filter[(bit >> 6) as usize] |= 1 << (bit & 63);
             } else {
                 group_of_block.push(EMPTY);
@@ -302,16 +326,19 @@ impl<'a> SourceIndex<'a> {
         }
     }
 
-    /// The source offsets to try for a target block: its group, unless
-    /// the miss filter already rules every block out.
+    /// Whether `block` may equal an indexed block: its [`filter_key`]'s
+    /// bit in the miss filter. A clear bit proves it equals none.
+    #[inline]
+    fn may_hold(&self, block: &[u8; BLOCK]) -> bool {
+        let bit = filter_key(block) >> self.filter_shift;
+        self.filter[(bit >> 6) as usize] & (1 << (bit & 63)) != 0
+    }
+
+    /// The source offsets to try for a target block: the first ≤
+    /// `BUCKET_CAP` source blocks equal to it, in source order.
     #[inline]
     fn candidates(&self, block: &[u8; BLOCK]) -> &[u32] {
-        let key = content_key(block);
-        let bit = key >> self.filter_shift;
-        if self.filter[(bit >> 6) as usize] & (1 << (bit & 63)) == 0 {
-            return &[];
-        }
-        let (_, Some(g)) = self.probe(key, u128::from_le_bytes(*block)) else {
+        let (_, Some(g)) = self.probe(content_key(block), u128::from_le_bytes(*block)) else {
             return &[];
         };
         let g = g as usize;
@@ -323,20 +350,30 @@ impl<'a> SourceIndex<'a> {
     fn scan(&self, dst: &[u8], sink: &mut impl Sink) {
         let src = self.src;
         let mut lit_start = 0usize;
-        // A source without a whole block matches nothing; do not visit
-        // every target position to find that out.
-        let mut i = if self.offsets.is_empty() {
-            dst.len()
-        } else {
+        // The positions a target block can start at. A source without a
+        // whole block matches nothing; do not visit every target position
+        // to find that out.
+        let starts = if self.offsets.is_empty() {
             0
+        } else {
+            (dst.len() + 1).saturating_sub(BLOCK)
         };
-        while i + BLOCK <= dst.len() {
+        let mut i = 0usize;
+        loop {
+            // The skip loop: per position only the miss filter; the full
+            // key and the table probe run on a set bit.
+            while i < starts && !self.may_hold(block_at(dst, i)) {
+                i += 1;
+            }
+            if i >= starts {
+                break;
+            }
             let mut best: Option<(usize, usize, usize)> = None; // (src_off, dst_off, len)
             for &cand in self.candidates(block_at(dst, i)) {
                 let cand = cand as usize;
-                // A candidate equals the target block, so it matches at
-                // least a block.
-                let len = common_prefix(&src[cand..], &dst[i..]);
+                // A candidate equals the target block: extend forward
+                // from the end of it.
+                let len = BLOCK + common_prefix(&src[cand + BLOCK..], &dst[i + BLOCK..]);
                 // Extend backwards into the pending literals.
                 let back = common_suffix(&src[..cand], &dst[lit_start..i]);
                 let total = len + back;

@@ -52,7 +52,13 @@ impl ObjectId {
 
     /// Lowercase hex representation (32 chars).
     pub fn to_hex(self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut hex = String::with_capacity(32);
+        for b in self.0 {
+            hex.push(char::from(DIGITS[usize::from(b >> 4)]));
+            hex.push(char::from(DIGITS[usize::from(b & 15)]));
+        }
+        hex
     }
 
     /// Parses a 32-char hex string.

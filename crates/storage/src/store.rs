@@ -422,7 +422,11 @@ impl FileStore {
 
     fn path_of(&self, id: ObjectId) -> PathBuf {
         let hex = id.to_hex();
-        self.dir.join(&hex[..2]).join(&hex[2..])
+        let mut path = PathBuf::with_capacity(self.dir.as_os_str().len() + hex.len() + 2);
+        path.push(&self.dir);
+        path.push(&hex[..2]);
+        path.push(&hex[2..]);
+        path
     }
 
     /// Single-object write without counter accounting (shared by `put`
@@ -469,10 +473,17 @@ impl FileStore {
             };
             for f in std::fs::read_dir(d.path())? {
                 let f = f?;
-                let id = f
-                    .file_name()
+                let name = f.file_name();
+                let id = name
                     .to_str()
-                    .and_then(|rest| ObjectId::from_hex(&format!("{prefix}{rest}")));
+                    .filter(|rest| rest.len() == 30)
+                    .and_then(|rest| {
+                        // The fan-out prefix and the file name, in one stack buffer.
+                        let mut hex = [0u8; 32];
+                        hex[..2].copy_from_slice(prefix.as_bytes());
+                        hex[2..].copy_from_slice(rest.as_bytes());
+                        ObjectId::from_hex(std::str::from_utf8(&hex).ok()?)
+                    });
                 if let Some(id) = id {
                     visit(id, &f);
                 }

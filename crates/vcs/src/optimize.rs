@@ -178,18 +178,25 @@ impl<S: ObjectStore> Repository<S> {
         let storage_before = self.store.total_bytes();
         obs::counter!("optimize.runs", 1);
 
-        // Materialize every version once, as one pass: chain prefixes
-        // are shared through a bounded memo, which cannot hold a second
-        // copy of the whole history next to `contents`. The
-        // Materializer's own per-call "materialize" spans aggregate as
-        // one n-count child of the optimize span.
+        // Materialize every version once, as one pass. The pass's memo
+        // shares chain prefixes: it holds at most `PASS_MEMO_BYTES` of
+        // versions, only this pass's walks read it (each stops at the
+        // deepest version it holds), and every version it holds is also
+        // one of the `Arc`s collected here. It is dropped before they
+        // are unwrapped, so each version is held once instead of copied
+        // out of the memo. With a checkout cache installed the pass reads
+        // through that instead, and a version the cache holds is copied.
+        // The Materializer's own per-call "materialize" spans aggregate
+        // as one n-count child of the optimize span.
         let contents: Vec<Vec<u8>> = {
             let m = self.materializer(false, n);
-            let mut out = Vec::with_capacity(n);
-            for id in &self.objects {
-                out.push(unshare(m.materialize(*id)?));
-            }
-            out
+            let shared = self
+                .objects
+                .iter()
+                .map(|id| m.materialize(*id))
+                .collect::<Result<Vec<_>, _>>()?;
+            drop(m);
+            shared.into_iter().map(unshare).collect()
         };
 
         // Build the instance over real byte deltas, priced as a commit
@@ -270,6 +277,7 @@ impl<S: ObjectStore> Repository<S> {
     pub fn apply_repack(&mut self, prepared: &PreparedRepack) {
         self.objects = prepared.new_objects.clone();
         self.plan = prepared.new_plan.clone();
+        self.forget_recent();
         // The repack orphaned the old plan's object ids: entries in the
         // checkout cache are keyed by content address so they could never
         // serve stale bytes, but they would sit dead under the byte

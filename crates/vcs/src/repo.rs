@@ -22,9 +22,15 @@ use dsv_storage::{
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Byte budget of a job-local memo (see [`Repository::materializer`]):
-/// room for the few dozen versions a pass revisits, not for a history.
+/// Byte budget of a job-local memo (see [`Repository::materializer`])
+/// and of the repository's recent commits: room for the few dozen
+/// versions a pass revisits.
 const PASS_MEMO_BYTES: u64 = 4 << 20;
+
+/// How many of its newest commits a repository holds the bytes of (see
+/// `Repository::recent`): enough for the heads of the few branches a
+/// history interleaves.
+const RECENT_COMMITS: usize = 4;
 
 /// How new commits are placed in the store (the offline optimizer can
 /// later re-pack the whole history regardless of placement).
@@ -120,6 +126,16 @@ pub struct Repository<S: ObjectStore> {
     /// Optional bounded cache serving the hot read path (see
     /// [`CheckoutCache`]); shared by every checkout of this repository.
     checkout_cache: Option<Arc<CheckoutCache>>,
+    /// The bytes of the newest delta-placed commits, oldest first, keyed
+    /// by the object each is stored as: at most [`RECENT_COMMITS`] of
+    /// them and [`PASS_MEMO_BYTES`] together (a version larger than that
+    /// is not held). The next commit's placement reads its candidates
+    /// here before it asks the store, so a commit on a recent head does
+    /// not replay the head's chain. Nothing else reads it: a checkout
+    /// goes to the store (or the checkout cache), and a θ-budgeted
+    /// placement walks the cold chain it must price. A repack,
+    /// [`restore`](Self::restore) and a load leave it empty.
+    recent: VecDeque<(ObjectId, Vec<u8>)>,
 }
 
 impl Repository<MemStore> {
@@ -168,6 +184,7 @@ impl<S: ObjectStore> Repository<S> {
             branches: BTreeMap::new(),
             placement,
             checkout_cache: None,
+            recent: VecDeque::new(),
         }
     }
 
@@ -442,19 +459,26 @@ impl<S: ObjectStore> Repository<S> {
         let reveal = obs::span!("reveal", candidates = neighborhood.len()).entered();
         let mut candidates = Vec::with_capacity(neighborhood.len());
         let mut encodings = BTreeMap::new();
-        // One pass over the union of the candidates' chains. Only a θ
-        // reads `base_recreation`, and it must be the cold cost.
+        // A recent commit's bytes are at hand; the rest come from one
+        // pass over the union of the candidates' chains. Only a θ reads
+        // `base_recreation`, and it must be the cold cost, so a budgeted
+        // placement walks every chain.
         let budgeted = options.max_recreation_bytes.is_some();
         let m = self.materializer(budgeted, neighborhood.len());
         let price = self.price(false);
         for &u in &neighborhood {
-            let (base, work) = m.materialize_measured(self.objects[u as usize])?;
-            let base_recreation = if budgeted {
-                work.bytes_read + work.bytes_saved
-            } else {
-                0
+            let id = self.objects[u as usize];
+            let fetched;
+            let (base, base_recreation) = match self.recent_bytes(id).filter(|_| !budgeted) {
+                Some(held) => (held, 0),
+                None => {
+                    let (bytes, work) = m.materialize_measured(id)?;
+                    fetched = bytes;
+                    let cold = work.bytes_read + work.bytes_saved;
+                    (fetched.as_slice(), if budgeted { cold } else { 0 })
+                }
             };
-            let encoded = SourceIndex::new(&base).diff_encoded(data);
+            let encoded = SourceIndex::new(base).diff_encoded(data);
             candidates.push(OnlineCandidate {
                 base: u,
                 cost: price(Priced::Delta, &encoded),
@@ -513,7 +537,9 @@ impl<S: ObjectStore> Repository<S> {
             }
             Placement::GreedyDelta => {
                 let (object, mode) = self.online_placement(parents, data, options)?;
-                (self.store.put(&object)?, mode)
+                let oid = self.store.put(&object)?;
+                self.remember(oid, data);
+                (oid, mode)
             }
         };
         self.objects.push(oid);
@@ -526,6 +552,37 @@ impl<S: ObjectStore> Repository<S> {
             size: data.len() as u64,
         });
         Ok(id)
+    }
+
+    /// The bytes of the version stored as `id`, if it is one of the
+    /// recent commits the repository holds.
+    fn recent_bytes(&self, id: ObjectId) -> Option<&[u8]> {
+        let (_, data) = self.recent.iter().find(|(held, _)| *held == id)?;
+        Some(data)
+    }
+
+    /// Holds `data`, just stored as `id`, as the newest recent commit,
+    /// letting the oldest go while the memo would pass either bound.
+    fn remember(&mut self, id: ObjectId, data: &[u8]) {
+        let len = data.len() as u64;
+        if len > PASS_MEMO_BYTES {
+            return;
+        }
+        let mut held: u64 = self.recent.iter().map(|(_, d)| d.len() as u64).sum();
+        while self.recent.len() >= RECENT_COMMITS || held + len > PASS_MEMO_BYTES {
+            let (_, oldest) = self
+                .recent
+                .pop_front()
+                .expect("a memo past a bound holds one");
+            held -= oldest.len() as u64;
+        }
+        self.recent.push_back((id, data.to_vec()));
+    }
+
+    /// Forgets the recent commits (a repack re-stores every version, a
+    /// restore may drop the newest).
+    pub(crate) fn forget_recent(&mut self) {
+        self.recent.clear();
     }
 
     /// Reconstructs the content of a commit (through the checkout cache,
@@ -619,6 +676,7 @@ impl<S: ObjectStore> Repository<S> {
         self.plan = checkpoint.plan;
         self.objects = checkpoint.objects;
         self.branches = checkpoint.branches;
+        self.forget_recent();
     }
 
     /// Reassembles a repository from persisted parts (see
@@ -654,6 +712,7 @@ impl<S: ObjectStore> Repository<S> {
             branches: map,
             placement,
             checkout_cache: None,
+            recent: VecDeque::new(),
         })
     }
 }
@@ -1017,7 +1076,9 @@ mod tests {
         // neighbourhood is {v3, v2, v1}, whose chains are 4 + 3 + 2
         // objects long but only 4 objects together. The reveal is one
         // pass over that union, with or without a θ.
-        let fixture = || {
+        // The repository's recent commits are forgotten, as a load
+        // leaves them, unless `held`.
+        let fixture = |held: bool| {
             let sites = FaultPlan::count_sites();
             let mut repo = Repository::init(FaultStore::new(MemStore::new(false), sites.clone()));
             let mut data = csv(300, "base");
@@ -1025,11 +1086,14 @@ mod tests {
                 data.extend_from_slice(format!("{},grown-row\n", 300 + i).as_bytes());
                 repo.commit("main", &data, "grow").unwrap();
             }
+            if !held {
+                repo.forget_recent();
+            }
             data.extend_from_slice(b"999,online-row\n");
             (repo, sites, data)
         };
-        let commit = |max_recreation_bytes: Option<u64>| {
-            let (mut repo, sites, data) = fixture();
+        let commit_on = |held: bool, max_recreation_bytes: Option<u64>| {
+            let (mut repo, sites, data) = fixture(held);
             let before = sites.hits();
             let options = OnlineOptions {
                 max_recreation_bytes,
@@ -1044,6 +1108,7 @@ mod tests {
                 .count();
             (gets, repo.current_plan()[tip.index()], repo.object_id(tip))
         };
+        let commit = |max_recreation_bytes| commit_on(false, max_recreation_bytes);
         // Placement and stored object are the ones commit 8be7713 made
         // with one walk per candidate (nine gets).
         let parent_made = ObjectId::from_hex("e55dacc45b760e4a7833ed9678ef3a86").unwrap();
@@ -1052,12 +1117,22 @@ mod tests {
             commit(Some(u64::MAX)),
             (4, StorageMode::Delta(3), parent_made)
         );
+        // Held, the three candidates are recent commits: the unbudgeted
+        // reveal reads none of them, the budgeted one still walks cold.
+        assert_eq!(
+            commit_on(true, None),
+            (0, StorageMode::Delta(3), parent_made)
+        );
+        assert_eq!(
+            commit_on(true, Some(u64::MAX)),
+            (4, StorageMode::Delta(3), parent_made)
+        );
 
         // Under a θ the cold cost of a candidate is read off a memoized
         // walk. The oracle prices every candidate with an uncached walk of
         // its own, as the reveal used to; both must place alike at every
         // θ where a candidate turns feasible.
-        let (repo, _, data) = fixture();
+        let (repo, _, data) = fixture(false);
         let tip = CommitId(3);
         let mut candidates = Vec::new();
         let mut objects = BTreeMap::new();
