@@ -310,3 +310,84 @@ fn priced_reveal_and_payload_codec_agree_at_every_thread_count() {
         });
     }
 }
+
+/// Pin: the chunk write path. One FNV-1a hash runs over the estimator's
+/// cost pairs, every version's `prechunk` spans and chunk ids, every
+/// object id (sorted) and encoded length `pack_versions_hybrid` writes
+/// into a compressing `MemStore`, the packed version ids, and the dedup
+/// accounting — over a seeded dedup-chain history under a fixed mode
+/// vector (`v % 3`: Full, Delta off `v − 1`, Chunked). Moving any chunk
+/// boundary, id, estimate or stored byte moves the literal. Captured at
+/// commit 0637367, before the chunker moved into dsv-storage.
+#[test]
+fn chunk_write_path_is_pinned() {
+    use dataset_versioning::chunk::{
+        chunked_cost_pairs, pack_versions_hybrid, prechunk, ChunkerParams,
+    };
+    use dataset_versioning::core::StorageMode;
+
+    struct Fnv(u64);
+    impl Fnv {
+        fn eat(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        fn num(&mut self, n: u64) {
+            self.eat(&n.to_le_bytes());
+        }
+    }
+
+    let ds = presets::dedup_chain().scaled(20).keep_contents().build(29);
+    let contents = ds.contents.as_ref().unwrap();
+    let params = ChunkerParams::default();
+    let modes: Vec<StorageMode> = (0..contents.len() as u32)
+        .map(|v| match v % 3 {
+            0 => StorageMode::Materialized,
+            1 => StorageMode::Delta(v - 1),
+            _ => StorageMode::Chunked,
+        })
+        .collect();
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+
+    for pair in chunked_cost_pairs(contents, params).unwrap() {
+        h.num(pair.storage);
+        h.num(pair.recreation);
+    }
+    let mut spans = 0;
+    for data in contents {
+        for (span, id) in prechunk(data, params) {
+            h.num(span.start as u64);
+            h.num(span.end as u64);
+            h.eat(&id.0);
+            spans += 1;
+        }
+    }
+    let store = MemStore::new(true);
+    let (packed, stats) = pack_versions_hybrid(&store, contents, &modes, params).unwrap();
+    let mut ids = store.object_ids().unwrap();
+    ids.sort();
+    for id in &ids {
+        h.eat(&id.0);
+        h.num(store.get(*id).unwrap().encode(true).len() as u64);
+    }
+    for id in &packed.ids {
+        h.eat(&id.0);
+    }
+    for n in [
+        stats.versions as u64,
+        stats.logical_bytes,
+        stats.total_chunks as u64,
+        stats.new_chunks as u64,
+        stats.new_chunk_bytes,
+    ] {
+        h.num(n);
+    }
+
+    assert_eq!(
+        (contents.len(), spans, ids.len(), stats.versions),
+        (20, 843, 131, 6),
+        "shape of the pinned history"
+    );
+    assert_eq!(h.0, 0xdfc7_82a0_5061_1476, "chunk write path moved");
+}
