@@ -17,8 +17,9 @@
 
 use crate::report::{human_bytes, out_dir, Table};
 use crate::Scale;
-use dsv_chunk::{pack_versions_hybrid, ChunkerParams};
+use dsv_core::ChunkerParams;
 use dsv_core::{Problem, ProblemInstance, StorageMode, StorageSolution};
+use dsv_storage::chunk::pack_versions_hybrid;
 use dsv_storage::{Materializer, MemStore, ObjectStore};
 use dsv_workloads::presets;
 use std::fmt::Write as _;

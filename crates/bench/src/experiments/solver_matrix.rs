@@ -15,8 +15,8 @@
 
 use crate::report::{human_bytes, out_dir, Table};
 use crate::Scale;
-use dsv_chunk::ChunkerParams;
 use dsv_core::solvers::registry::{prescribed, registry};
+use dsv_core::ChunkerParams;
 use dsv_core::{plan, PlanSpec, Problem, ProblemInstance, SolverChoice};
 use std::fmt::Write as _;
 use std::path::PathBuf;

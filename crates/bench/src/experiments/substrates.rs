@@ -2,18 +2,19 @@
 //!
 //! The paper's tradeoff has two regimes — materialize everything (fast
 //! checkout, maximal storage) or delta chains (minimal storage, chained
-//! checkout). Content-defined chunking (dsv-chunk) is the third point:
-//! near-delta storage at near-materialized recreation. This experiment
-//! measures all of them on the dedup-chain workload (versions sharing
-//! shifted/overlapping content) through the *same* compressed object
-//! store, reporting physical bytes and measured checkout work, and emits
-//! the rows as `target/experiments/BENCH_substrates.json` so future
+//! checkout). Content-defined chunking (`dsv_storage::chunk`) is the
+//! third point: near-delta storage at near-materialized recreation. This
+//! experiment measures all of them on the dedup-chain workload (versions
+//! sharing shifted/overlapping content) through the *same* compressed
+//! object store, reporting physical bytes and measured checkout work, and
+//! emits the rows as `target/experiments/BENCH_substrates.json` so future
 //! changes have a machine-readable perf trajectory to track.
 
 use crate::report::{human_bytes, out_dir, Table};
 use crate::Scale;
-use dsv_chunk::{pack_versions_chunked, ChunkerParams};
+use dsv_core::ChunkerParams;
 use dsv_core::Problem;
+use dsv_storage::chunk::pack_versions_chunked;
 use dsv_storage::{
     pack_versions, Materializer, MemStore, ObjectStore, PackOptions, PackedVersions,
 };

@@ -69,8 +69,8 @@ pub use error::SolveError;
 pub use instance::ProblemInstance;
 pub use matrix::{pairs_within_hops, CostMatrix, CostPair, TriangleViolation};
 pub use plan::{
-    plan, CandidateOutcome, CandidateSummary, ChunkingSpec, ModePolicy, Plan, PlanSpec, Provenance,
-    SolverChoice, SolverTuning,
+    plan, CandidateOutcome, CandidateSummary, ChunkerParams, ModePolicy, Plan, PlanSpec,
+    Provenance, SolverChoice, SolverTuning,
 };
 pub use problem::{Problem, Scenario};
 pub use solution::{SolutionError, StorageMode, StorageSolution};

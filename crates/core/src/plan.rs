@@ -62,28 +62,81 @@ impl SolverChoice {
     }
 }
 
-/// Chunker configuration carried by a hybrid [`PlanSpec`]. Mirrors
-/// `dsv_chunk::ChunkerParams` field-for-field — dsv-core cannot depend on
-/// dsv-chunk, so layers that build instances from raw contents (the VCS,
-/// the bench harness) convert between the two.
+/// Content-defined chunker sizes, carried by a hybrid [`PlanSpec`] and
+/// used by dsv-storage's chunker, chunk store and chunked-cost estimator.
+///
+/// Valid by construction: [`ChunkerParams::new`] is the only way to build
+/// one from outside numbers, and it enforces
+/// `16 ≤ min_size ≤ avg_size ≤ max_size ≤ MAX_SIZE` with `avg_size` a
+/// power of two (it defines the chunker's cut masks). The upper bound
+/// [`ChunkerParams::MAX_SIZE`] (32 MiB) keeps the cut-mask arithmetic
+/// (`4 · avg_size`) far from overflow, and keeps the object one chunk
+/// becomes inside a 64 MiB `StorePut` frame with room for its envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkingSpec {
-    /// No chunk boundary before this many bytes.
-    pub min_size: usize,
-    /// Target mean chunk size (a power of two).
-    pub avg_size: usize,
-    /// A chunk boundary is forced at this many bytes.
-    pub max_size: usize,
+pub struct ChunkerParams {
+    min_size: usize,
+    avg_size: usize,
+    max_size: usize,
 }
 
-impl Default for ChunkingSpec {
-    /// Matches `dsv_chunk::ChunkerParams::default()`: 256 B / 1 KiB / 8 KiB.
+impl Default for ChunkerParams {
+    /// Defaults tuned for this workspace's dataset versions (tens of KB):
+    /// 256 B / 1 KiB / 8 KiB.
     fn default() -> Self {
-        ChunkingSpec {
+        ChunkerParams {
             min_size: 256,
             avg_size: 1024,
             max_size: 8192,
         }
+    }
+}
+
+impl ChunkerParams {
+    /// Smallest allowed `min_size`.
+    pub const MIN_SIZE: usize = 16;
+
+    /// Largest allowed `max_size`: 32 MiB, half the 64 MiB frame cap, so a
+    /// chunk's object and its envelope always fit one `StorePut` frame.
+    pub const MAX_SIZE: usize = 32 << 20;
+
+    /// The validated constructor; fails with
+    /// [`SolveError::InvalidParameter`] naming the violated bound.
+    pub fn new(min_size: usize, avg_size: usize, max_size: usize) -> Result<Self, SolveError> {
+        let bad = SolveError::InvalidParameter;
+        if min_size < Self::MIN_SIZE {
+            return Err(bad("chunker min_size must be at least 16"));
+        }
+        if !avg_size.is_power_of_two() {
+            return Err(bad("chunker avg_size must be a power of two"));
+        }
+        if min_size > avg_size || avg_size > max_size {
+            return Err(bad(
+                "chunker sizes must satisfy min_size <= avg_size <= max_size",
+            ));
+        }
+        if max_size > Self::MAX_SIZE {
+            return Err(bad("chunker max_size must be at most 32 MiB"));
+        }
+        Ok(ChunkerParams {
+            min_size,
+            avg_size,
+            max_size,
+        })
+    }
+
+    /// No chunk boundary before this many bytes.
+    pub fn min_size(&self) -> usize {
+        self.min_size
+    }
+
+    /// Target mean chunk size (a power of two).
+    pub fn avg_size(&self) -> usize {
+        self.avg_size
+    }
+
+    /// A chunk boundary is forced at this many bytes.
+    pub fn max_size(&self) -> usize {
+        self.max_size
     }
 }
 
@@ -102,7 +155,7 @@ pub enum ModePolicy {
     /// The three-mode model: solvers may also place versions in the shared
     /// chunk store. Layers that build instances from raw contents estimate
     /// chunked costs with this chunker configuration.
-    Hybrid(ChunkingSpec),
+    Hybrid(ChunkerParams),
 }
 
 /// Per-solver parameters a [`PlanSpec`] can override; defaults match each

@@ -37,7 +37,7 @@ use crate::frame::{
     errcode, opcode, read_bounded, write_gathered, Frame, FrameHeader, NetError, EAGER_BYTES,
     HEADER_LEN,
 };
-use dsv_core::{ChunkingSpec, ModePolicy, Problem, SolverChoice};
+use dsv_core::{ChunkerParams, ModePolicy, Problem, SolveError, SolverChoice};
 use dsv_storage::{
     CacheStats, Object, ObjectId, OpCounters, RecreationWork, ShardStats, StoreStats,
 };
@@ -581,20 +581,26 @@ pub enum WireMode {
 }
 
 impl WireMode {
-    pub fn to_policy(&self) -> ModePolicy {
-        match *self {
+    /// The planner's policy. A hybrid spec goes through
+    /// [`ChunkerParams::new`], so sizes a client sent out of range are an
+    /// [`SolveError::InvalidParameter`], never a chunker.
+    pub fn to_policy(&self) -> Result<ModePolicy, SolveError> {
+        Ok(match *self {
             WireMode::Auto => ModePolicy::Auto,
             WireMode::Binary => ModePolicy::Binary,
             WireMode::Hybrid {
                 min_size,
                 avg_size,
                 max_size,
-            } => ModePolicy::Hybrid(ChunkingSpec {
-                min_size: min_size as usize,
-                avg_size: avg_size as usize,
-                max_size: max_size as usize,
-            }),
-        }
+            } => {
+                let size = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+                ModePolicy::Hybrid(ChunkerParams::new(
+                    size(min_size),
+                    size(avg_size),
+                    size(max_size),
+                )?)
+            }
+        })
     }
 }
 
@@ -995,6 +1001,18 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `ChunkerParams::MAX_SIZE` is sized so that the largest chunk the
+    /// chunker can cut travels as one object in one `StorePut` frame
+    /// under the default frame cap.
+    #[test]
+    fn the_largest_chunk_fits_one_store_put_frame() {
+        let chunk = Object::Full {
+            data: vec![7; ChunkerParams::MAX_SIZE],
+        };
+        let body = Request::StorePut { objs: vec![chunk] }.encode().body;
+        assert!(body.len() <= crate::DEFAULT_MAX_FRAME as usize);
+    }
 
     fn cached_version() -> Arc<Vec<u8>> {
         Arc::new((0..100_000u32).map(|i| i as u8).collect())

@@ -15,7 +15,7 @@
 //! Normalization pulls the chunk-size distribution toward `avg_size`
 //! without the long tail of plain Gear chunking.
 
-use crate::ChunkError;
+use dsv_core::ChunkerParams;
 use std::ops::Range;
 
 /// Per-byte Gear constants, generated deterministically at compile time
@@ -37,131 +37,49 @@ const fn build_gear_table() -> [u64; 256] {
     table
 }
 
-/// Chunk-size parameters. `avg_size` must be a power of two (it defines
-/// the cut masks); sizes must satisfy `16 ≤ min ≤ avg ≤ max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkerParams {
-    /// No boundary is placed before this many bytes.
-    pub min_size: usize,
-    /// Target mean chunk size (a power of two).
-    pub avg_size: usize,
-    /// A boundary is forced at this many bytes.
-    pub max_size: usize,
-}
-
-impl Default for ChunkerParams {
-    /// Defaults tuned for this workspace's dataset versions (tens of KB):
-    /// 256 B / 1 KiB / 8 KiB.
-    fn default() -> Self {
-        ChunkerParams {
-            min_size: 256,
-            avg_size: 1024,
-            max_size: 8192,
-        }
+/// Length of the chunk starting at `data[0]` (FastCDC cut rule). The mask
+/// before the average point has two extra bits (boundaries 4x *less*
+/// likely than `1/avg`), the one after two fewer (4x *more* likely);
+/// `avg_size ≤ ChunkerParams::MAX_SIZE` keeps `4 · avg` far from overflow.
+fn cut(params: &ChunkerParams, data: &[u8]) -> usize {
+    let len = data.len();
+    if len <= params.min_size() {
+        return len;
     }
-}
-
-impl From<ChunkerParams> for dsv_core::ChunkingSpec {
-    /// The planner-side mirror of these parameters (dsv-core cannot
-    /// depend on this crate, so `PlanSpec` carries a plain
-    /// [`dsv_core::ChunkingSpec`] instead).
-    fn from(p: ChunkerParams) -> Self {
-        dsv_core::ChunkingSpec {
-            min_size: p.min_size,
-            avg_size: p.avg_size,
-            max_size: p.max_size,
+    let avg = params.avg_size() as u64;
+    let (mask_hard, mask_easy) = (avg * 4 - 1, (avg / 4).max(1) - 1);
+    let bound = len.min(params.max_size());
+    let center = bound.min(params.avg_size());
+    let mut hash: u64 = 0;
+    let mut i = params.min_size();
+    while i < center {
+        hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
+        if hash & mask_hard == 0 {
+            return i + 1;
         }
+        i += 1;
     }
-}
-
-impl TryFrom<dsv_core::ChunkingSpec> for ChunkerParams {
-    type Error = ChunkError;
-
-    /// Validates and adopts a planner-side chunking spec.
-    fn try_from(spec: dsv_core::ChunkingSpec) -> Result<Self, ChunkError> {
-        ChunkerParams::new(spec.min_size, spec.avg_size, spec.max_size)
-    }
-}
-
-impl ChunkerParams {
-    /// Validated constructor.
-    pub fn new(min_size: usize, avg_size: usize, max_size: usize) -> Result<Self, ChunkError> {
-        let params = ChunkerParams {
-            min_size,
-            avg_size,
-            max_size,
-        };
-        params.validate()?;
-        Ok(params)
-    }
-
-    /// Checks the size invariants (see type docs).
-    pub fn validate(&self) -> Result<(), ChunkError> {
-        if self.min_size < 16 {
-            return Err(ChunkError::BadParams("min_size must be at least 16"));
+    while i < bound {
+        hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
+        if hash & mask_easy == 0 {
+            return i + 1;
         }
-        if !self.avg_size.is_power_of_two() {
-            return Err(ChunkError::BadParams("avg_size must be a power of two"));
-        }
-        if self.min_size > self.avg_size || self.avg_size > self.max_size {
-            return Err(ChunkError::BadParams(
-                "sizes must satisfy min <= avg <= max",
-            ));
-        }
-        Ok(())
+        i += 1;
     }
-
-    /// Mask applied before the average point (two extra bits: boundaries
-    /// are 4x *less* likely than `1/avg`).
-    fn mask_hard(&self) -> u64 {
-        (self.avg_size as u64) * 4 - 1
-    }
-
-    /// Mask applied after the average point (two fewer bits: boundaries
-    /// are 4x *more* likely than `1/avg`).
-    fn mask_easy(&self) -> u64 {
-        ((self.avg_size as u64) / 4).max(1) - 1
-    }
-
-    /// Length of the chunk starting at `data[0]` (FastCDC cut rule).
-    fn cut(&self, data: &[u8]) -> usize {
-        let len = data.len();
-        if len <= self.min_size {
-            return len;
-        }
-        let bound = len.min(self.max_size);
-        let center = bound.min(self.avg_size);
-        let (mask_hard, mask_easy) = (self.mask_hard(), self.mask_easy());
-        let mut hash: u64 = 0;
-        let mut i = self.min_size;
-        while i < center {
-            hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
-            if hash & mask_hard == 0 {
-                return i + 1;
-            }
-            i += 1;
-        }
-        while i < bound {
-            hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
-            if hash & mask_easy == 0 {
-                return i + 1;
-            }
-            i += 1;
-        }
-        bound
-    }
+    bound
 }
 
 /// Iterator over the content-defined chunks of a byte slice.
 ///
 /// ```
-/// use dsv_chunk::{Chunker, ChunkerParams};
+/// use dsv_core::ChunkerParams;
+/// use dsv_storage::chunk::Chunker;
 ///
 /// let data = vec![7u8; 40_000];
 /// let params = ChunkerParams::default();
 /// let chunks: Vec<&[u8]> = Chunker::new(&data, params).collect();
 /// assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), data.len());
-/// assert!(chunks.iter().all(|c| c.len() <= params.max_size));
+/// assert!(chunks.iter().all(|c| c.len() <= params.max_size()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Chunker<'a> {
@@ -171,8 +89,7 @@ pub struct Chunker<'a> {
 }
 
 impl<'a> Chunker<'a> {
-    /// Chunks `data` under `params` (assumed valid; see
-    /// [`ChunkerParams::new`]).
+    /// Chunks `data` under `params`.
     pub fn new(data: &'a [u8], params: ChunkerParams) -> Self {
         Chunker {
             data,
@@ -190,7 +107,7 @@ impl<'a> Iterator for Chunker<'a> {
             return None;
         }
         let rest = &self.data[self.pos..];
-        let cut = self.params.cut(rest);
+        let cut = cut(&self.params, rest);
         self.pos += cut;
         Some(&rest[..cut])
     }
@@ -210,18 +127,20 @@ pub fn chunk_spans(data: &[u8], params: ChunkerParams) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsv_core::SolveError;
 
     #[test]
     fn chunking_spec_mirrors_default_params() {
-        // The planner-side ChunkingSpec documents that its defaults match
-        // ours; pin the invariant through the conversion pair.
+        // `dsv optimize --hybrid` sends the default chunker over the wire
+        // and the server builds it back through the validated constructor.
+        let d = ChunkerParams::default();
         assert_eq!(
-            dsv_core::ChunkingSpec::default(),
-            dsv_core::ChunkingSpec::from(ChunkerParams::default())
+            (d.min_size(), d.avg_size(), d.max_size()),
+            (256, 1024, 8192)
         );
         assert_eq!(
-            ChunkerParams::try_from(dsv_core::ChunkingSpec::default()).unwrap(),
-            ChunkerParams::default()
+            ChunkerParams::new(d.min_size(), d.avg_size(), d.max_size()),
+            Ok(d)
         );
     }
 
@@ -240,17 +159,15 @@ mod tests {
         out
     }
 
-    const P: ChunkerParams = ChunkerParams {
-        min_size: 64,
-        avg_size: 256,
-        max_size: 1024,
-    };
+    fn p() -> ChunkerParams {
+        ChunkerParams::new(64, 256, 1024).unwrap()
+    }
 
     #[test]
     fn reassembly_is_exact() {
         for seed in 1..6 {
             let data = sample(20_000, seed);
-            let joined: Vec<u8> = Chunker::new(&data, P).flatten().copied().collect();
+            let joined: Vec<u8> = Chunker::new(&data, p()).flatten().copied().collect();
             assert_eq!(joined, data);
         }
     }
@@ -258,27 +175,27 @@ mod tests {
     #[test]
     fn sizes_respect_bounds() {
         let data = sample(50_000, 3);
-        let chunks: Vec<&[u8]> = Chunker::new(&data, P).collect();
+        let chunks: Vec<&[u8]> = Chunker::new(&data, p()).collect();
         assert!(chunks.len() > 10, "expected many chunks");
         for (i, c) in chunks.iter().enumerate() {
-            assert!(c.len() <= P.max_size, "chunk {i} over max");
+            assert!(c.len() <= p().max_size(), "chunk {i} over max");
             if i + 1 < chunks.len() {
-                assert!(c.len() >= P.min_size, "interior chunk {i} under min");
+                assert!(c.len() >= p().min_size(), "interior chunk {i} under min");
             }
         }
         let mean: usize = chunks.iter().map(|c| c.len()).sum::<usize>() / chunks.len();
         assert!(
-            (P.avg_size / 4..=P.max_size / 2).contains(&mean),
+            (p().avg_size() / 4..=p().max_size() / 2).contains(&mean),
             "mean chunk size {mean} far from target {}",
-            P.avg_size
+            p().avg_size()
         );
     }
 
     #[test]
     fn chunking_is_deterministic() {
         let data = sample(10_000, 9);
-        let a = chunk_spans(&data, P);
-        let b = chunk_spans(&data, P);
+        let a = chunk_spans(&data, p());
+        let b = chunk_spans(&data, p());
         assert_eq!(a, b);
     }
 
@@ -290,7 +207,7 @@ mod tests {
         edited.splice(at..at, b"INSERTED PAYLOAD".iter().copied());
 
         let set = |d: &[u8]| -> std::collections::HashSet<Vec<u8>> {
-            Chunker::new(d, P).map(|c| c.to_vec()).collect()
+            Chunker::new(d, p()).map(|c| c.to_vec()).collect()
         };
         let (a, b) = (set(&base), set(&edited));
         let changed = a.symmetric_difference(&b).count();
@@ -302,9 +219,9 @@ mod tests {
 
     #[test]
     fn small_and_empty_inputs() {
-        assert_eq!(Chunker::new(&[], P).count(), 0);
+        assert_eq!(Chunker::new(&[], p()).count(), 0);
         let tiny = b"below min size".to_vec();
-        let chunks: Vec<&[u8]> = Chunker::new(&tiny, P).collect();
+        let chunks: Vec<&[u8]> = Chunker::new(&tiny, p()).collect();
         assert_eq!(chunks, vec![tiny.as_slice()]);
     }
 
@@ -313,26 +230,37 @@ mod tests {
         assert!(ChunkerParams::new(64, 256, 1024).is_ok());
         assert!(matches!(
             ChunkerParams::new(4, 256, 1024),
-            Err(ChunkError::BadParams(_))
+            Err(SolveError::InvalidParameter(_))
         ));
         assert!(matches!(
             ChunkerParams::new(64, 300, 1024), // not a power of two
-            Err(ChunkError::BadParams(_))
+            Err(SolveError::InvalidParameter(_))
         ));
         assert!(matches!(
             ChunkerParams::new(512, 256, 1024), // min > avg
-            Err(ChunkError::BadParams(_))
+            Err(SolveError::InvalidParameter(_))
         ));
         assert!(matches!(
             ChunkerParams::new(64, 2048, 1024), // avg > max
-            Err(ChunkError::BadParams(_))
+            Err(SolveError::InvalidParameter(_))
+        ));
+        // Bounded above too: `4 · avg` must not overflow the cut masks.
+        let top = ChunkerParams::MAX_SIZE;
+        assert!(ChunkerParams::new(64, top, top).is_ok());
+        assert!(matches!(
+            ChunkerParams::new(16, 1 << 62, 1 << 62),
+            Err(SolveError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            ChunkerParams::new(64, 256, top + 1),
+            Err(SolveError::InvalidParameter(_))
         ));
     }
 
     #[test]
     fn spans_tile_the_input() {
         let data = sample(13_337, 2);
-        let spans = chunk_spans(&data, P);
+        let spans = chunk_spans(&data, p());
         let mut expected_start = 0;
         for s in &spans {
             assert_eq!(s.start, expected_start);

@@ -6,27 +6,27 @@
 //! shared store given the chunks earlier versions already contributed,
 //! and the work to reassemble it from its manifest. This module computes
 //! those pairs by running the gear-hash chunker over the version contents
-//! *in version order* — a dry run of [`crate::ChunkStore::put_version`]
-//! that touches no object store.
+//! *in version order* — a dry run of
+//! [`ChunkStore::put_version`](crate::chunk::ChunkStore::put_version) that
+//! touches no object store.
 //!
 //! Estimates are order-dependent by design: version `i`'s increment
 //! assumes versions `0..i` are already chunked. For plans whose chunked
 //! set is prefix-closed in version order (in particular the all-chunked
 //! plan) the estimates match the executor
-//! ([`crate::pack_versions_hybrid`]) byte for byte. For **sparse**
+//! ([`crate::chunk::pack_versions_hybrid`]) byte for byte. For **sparse**
 //! chunked subsets they are *optimistic* lower bounds: a chunked version
 //! whose earlier neighbours were left un-chunked must physically store
 //! chunks the estimate assumed were already present, so the real chunk
 //! store can exceed the sum of the estimates the solver used. The
-//! executor's [`crate::DedupStats`] (and `OptimizeReport`'s
+//! executor's [`crate::chunk::DedupStats`] (and `OptimizeReport`'s
 //! `storage_after`) report the measured footprint, so the gap is always
 //! visible; making the estimates subset-aware is a ROADMAP item.
 
-use crate::cdc::{Chunker, ChunkerParams};
-use crate::ChunkError;
-use dsv_core::CostPair;
+use crate::store::prechunk;
+use crate::ObjectId;
+use dsv_core::{ChunkerParams, CostPair};
 use dsv_obs as obs;
-use dsv_storage::{Object, ObjectId};
 use std::collections::HashSet;
 
 /// Bytes a manifest spends per chunk reference (an [`ObjectId`]).
@@ -42,36 +42,27 @@ pub const MANIFEST_BASE_BYTES: u64 = 16;
 ///   `0..i`, plus its manifest overhead;
 /// - `Φ_ci` = the version's full size plus manifest overhead (checkout
 ///   fetches the manifest and every chunk — flat in history length).
-pub fn chunked_cost_pairs(
-    contents: &[Vec<u8>],
-    params: ChunkerParams,
-) -> Result<Vec<CostPair>, ChunkError> {
-    params.validate()?;
+pub fn chunked_cost_pairs(contents: &[Vec<u8>], params: ChunkerParams) -> Vec<CostPair> {
     let _span = obs::span!("estimate", versions = contents.len()).entered();
     // Chunking + hashing each version is independent work — run it on the
     // dsv-par runtime. The dedup pass below stays
     // sequential over the precomputed chunk ids, so the order-dependent
     // increments are identical at every thread count.
     let chunk_span = obs::span!("chunk");
-    let per_version: Vec<Vec<(ObjectId, u64)>> = chunk_span.in_scope(|| {
-        dsv_par::par_map(contents, |data| {
-            Chunker::new(data, params)
-                .map(|chunk| (Object::full_id(chunk), chunk.len() as u64))
-                .collect()
-        })
-    });
+    let per_version =
+        chunk_span.in_scope(|| dsv_par::par_map(contents, |data| prechunk(data, params)));
     drop(chunk_span);
     let dedup_span = obs::span!("dedup").entered();
     let mut seen: HashSet<ObjectId> = HashSet::new();
     let mut out = Vec::with_capacity(contents.len());
-    for (data, chunk_ids) in contents.iter().zip(&per_version) {
+    for (data, chunks) in contents.iter().zip(&per_version) {
         let mut new_bytes = 0u64;
-        for &(id, len) in chunk_ids {
-            if seen.insert(id) {
-                new_bytes += len;
+        for (span, id) in chunks {
+            if seen.insert(*id) {
+                new_bytes += span.len() as u64;
             }
         }
-        let manifest = MANIFEST_BASE_BYTES + chunk_ids.len() as u64 * MANIFEST_ENTRY_BYTES;
+        let manifest = MANIFEST_BASE_BYTES + chunks.len() as u64 * MANIFEST_ENTRY_BYTES;
         out.push(CostPair::new(
             new_bytes + manifest,
             data.len() as u64 + manifest,
@@ -79,14 +70,15 @@ pub fn chunked_cost_pairs(
     }
     dedup_span.record("unique_chunks", seen.len());
     drop(dedup_span);
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::ChunkStore;
-    use dsv_storage::MemStore;
+    use crate::MemStore;
+    use dsv_core::SolveError;
 
     fn params() -> ChunkerParams {
         ChunkerParams::new(64, 256, 1024).unwrap()
@@ -108,9 +100,9 @@ mod tests {
     #[test]
     fn estimates_match_a_real_chunk_store() {
         let versions = overlapping_versions(12);
-        let pairs = chunked_cost_pairs(&versions, params()).unwrap();
+        let pairs = chunked_cost_pairs(&versions, params());
         let store = MemStore::new(false);
-        let cs = ChunkStore::new(&store, params()).unwrap();
+        let cs = ChunkStore::new(&store, params());
         for (v, data) in versions.iter().enumerate() {
             let put = cs.put_version(data).unwrap();
             // Storage estimate = the store's actual new-chunk bytes plus
@@ -128,7 +120,7 @@ mod tests {
     #[test]
     fn later_versions_pay_only_their_increment() {
         let versions = overlapping_versions(8);
-        let pairs = chunked_cost_pairs(&versions, params()).unwrap();
+        let pairs = chunked_cost_pairs(&versions, params());
         // The first version pays for the whole base; every later one far
         // less (it shares almost all chunks).
         for (v, p) in pairs.iter().enumerate().skip(1) {
@@ -144,7 +136,7 @@ mod tests {
     #[test]
     fn recreation_is_flat_in_history() {
         let versions = overlapping_versions(10);
-        let pairs = chunked_cost_pairs(&versions, params()).unwrap();
+        let pairs = chunked_cost_pairs(&versions, params());
         for (v, p) in pairs.iter().enumerate() {
             let len = versions[v].len() as u64;
             assert!(p.recreation >= len);
@@ -154,16 +146,11 @@ mod tests {
 
     #[test]
     fn bad_params_rejected() {
+        // A chunker below the minimum size cannot be built, so there is
+        // nothing to estimate with.
         assert!(matches!(
-            chunked_cost_pairs(
-                &[],
-                ChunkerParams {
-                    min_size: 4,
-                    avg_size: 256,
-                    max_size: 1024
-                }
-            ),
-            Err(ChunkError::BadParams(_))
+            ChunkerParams::new(4, 256, 1024),
+            Err(SolveError::InvalidParameter(_))
         ));
     }
 }

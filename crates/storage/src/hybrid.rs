@@ -1,19 +1,19 @@
 //! Executing hybrid storage plans: Full / Delta / Chunked per version.
 //!
 //! [`pack_versions_hybrid`] is the three-mode counterpart of
-//! [`dsv_storage::pack_versions`]: it realizes a solver-chosen
+//! [`pack_versions`](crate::pack_versions): it realizes a solver-chosen
 //! [`StorageMode`] assignment against real bytes — materialized versions
 //! become `Object::Full`, delta versions become `Object::Delta` chains,
 //! and chunked versions are split by the content-defined chunker into
 //! deduplicated `Object::Chunked` manifests. Delta versions may chain off
-//! chunked (or materialized) parents; the [`dsv_storage::Materializer`]
+//! chunked (or materialized) parents; the [`Materializer`](crate::Materializer)
 //! resolves either transparently at checkout.
 
+use crate::repack::pack_resolved;
 use crate::store::{plan_chunked_batch, prechunk, DedupStats, PrechunkedVersion};
-use crate::{ChunkError, ChunkerParams};
-use dsv_core::StorageMode;
+use crate::{ObjectId, ObjectStore, PackedVersions, StoreError};
+use dsv_core::{ChunkerParams, StorageMode};
 use dsv_obs as obs;
-use dsv_storage::{pack_resolved, ObjectId, ObjectStore, PackedVersions};
 
 /// Packs `contents` into `store` following the per-version `modes`.
 ///
@@ -21,7 +21,7 @@ use dsv_storage::{pack_resolved, ObjectId, ObjectStore, PackedVersions};
 /// [`crate::estimate::chunked_cost_pairs`] accounts increments); delta
 /// versions are stored parents-first. The delta assignment must be a
 /// valid forest (every chain ends at a materialized or chunked version);
-/// [`StoreError::ChainTooLong`](dsv_storage::StoreError::ChainTooLong) is
+/// [`StoreError::ChainTooLong`] is
 /// reported otherwise. Returns the packed handle plus the dedup
 /// statistics of the chunked subset.
 pub fn pack_versions_hybrid<S: ObjectStore + ?Sized>(
@@ -29,9 +29,8 @@ pub fn pack_versions_hybrid<S: ObjectStore + ?Sized>(
     contents: &[Vec<u8>],
     modes: &[StorageMode],
     params: ChunkerParams,
-) -> Result<(PackedVersions, DedupStats), ChunkError> {
+) -> Result<(PackedVersions, DedupStats), StoreError> {
     assert_eq!(contents.len(), modes.len(), "one mode entry per version");
-    params.validate()?;
     let n = contents.len();
     let _pack = obs::span!("pack", versions = n, packer = "hybrid").entered();
 
@@ -73,7 +72,7 @@ pub fn pack_versions_hybrid<S: ObjectStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsv_storage::{Materializer, MemStore, StoreError};
+    use crate::{Materializer, MemStore};
 
     fn params() -> ChunkerParams {
         ChunkerParams::new(64, 256, 1024).unwrap()
@@ -139,8 +138,7 @@ mod tests {
         let modes: Vec<StorageMode> = plan.iter().map(|&p| StorageMode::from(p)).collect();
         let (packed_a, stats) = pack_versions_hybrid(&store_a, &cs, &modes, params()).unwrap();
         let packed_b =
-            dsv_storage::pack_versions(&store_b, &cs, &plan, dsv_storage::PackOptions::default())
-                .unwrap();
+            crate::pack_versions(&store_b, &cs, &plan, crate::PackOptions::default()).unwrap();
         assert_eq!(packed_a.ids, packed_b.ids);
         assert_eq!(stats, DedupStats::default());
         assert_eq!(store_a.total_bytes(), store_b.total_bytes());
@@ -157,7 +155,7 @@ mod tests {
         ];
         assert!(matches!(
             pack_versions_hybrid(&store, &cs, &modes, params()),
-            Err(ChunkError::Store(StoreError::ChainTooLong))
+            Err(StoreError::ChainTooLong)
         ));
     }
 }

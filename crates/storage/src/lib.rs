@@ -14,8 +14,8 @@
 //!
 //! Full and Delta are the paper's two regimes; Chunked is the third point
 //! on the recreation/storage tradeoff (RStore-style chunk-level dedup),
-//! produced by the `dsv-chunk` crate and reassembled here by the
-//! [`Materializer`].
+//! cut by the chunker in [`cdc`], written by [`chunk::ChunkStore`] and the
+//! packers, and reassembled by the [`Materializer`].
 //!
 //! - [`hash`]: 128-bit content addresses.
 //! - [`object`]: the three object kinds — `Full` bytes, `Delta{base,
@@ -40,6 +40,12 @@
 //!   Object ids are content addresses, so a plan's objects are assembled
 //!   store-free and streamed through bounded `put_batch` flushes
 //!   ([`BatchWriter`]).
+//! - [`chunk`]: the chunked regime's public names, gathered from
+//!   [`cdc`] (the content-defined chunker), [`store`] (the deduplicating
+//!   [`chunk::ChunkStore`] and [`chunk::pack_versions_chunked`]),
+//!   [`estimate`] (per-version chunked cost pairs for the planner, next
+//!   to [`stored_len`]) and [`hybrid`] (the packer for per-version
+//!   Full / Delta / Chunked plans).
 //! - [`fault`]: deterministic fault injection — a seeded [`FaultPlan`]
 //!   consulted by every durable fs primitive (torn writes, dropped
 //!   fsyncs, failed renames) plus [`FaultStore`], the same plan applied
@@ -47,8 +53,12 @@
 //!   commit/repack/GC is testable.
 
 pub mod cache;
+pub mod cdc;
+pub mod chunk;
+pub mod estimate;
 pub mod fault;
 pub mod hash;
+pub mod hybrid;
 pub mod materialize;
 pub mod object;
 pub mod repack;
@@ -60,8 +70,28 @@ pub use fault::{FaultKind, FaultPlan, FaultStore};
 pub use hash::ObjectId;
 pub use materialize::{Materializer, RecreationWork};
 pub use object::{stored_len, Object, Priced, StoreError};
-pub use repack::{
-    pack_resolved, pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES,
-};
+pub use repack::{pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES};
 pub use sharded::{shard_index, ShardedStore, MAX_SHARDS};
 pub use store::{Counters, FileStore, MemStore, ObjectStore, OpCounters, ShardStats, StoreStats};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsv_core::ChunkerParams;
+
+    #[test]
+    fn errors_display_informatively() {
+        // A chunker the constructor rejects names the bound it broke.
+        let oversized = ChunkerParams::new(16, 1 << 62, 1 << 62).unwrap_err();
+        assert!(
+            oversized.to_string().contains("at most 32 MiB"),
+            "{oversized}"
+        );
+        let undersized = ChunkerParams::new(4, 256, 1024).unwrap_err();
+        assert!(
+            undersized.to_string().contains("at least 16"),
+            "{undersized}"
+        );
+        assert!(StoreError::ChainTooLong.to_string().contains("chain"));
+    }
+}

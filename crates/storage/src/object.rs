@@ -42,7 +42,8 @@ pub enum Object {
         delta: Vec<u8>,
     },
     /// A version stored as an ordered manifest of content-defined chunks
-    /// (the deduplicating third regime; chunking lives in `dsv-chunk`).
+    /// (the deduplicating third regime; cut by [`crate::cdc`], written by
+    /// [`crate::chunk::ChunkStore`] and the packers).
     /// Each chunk is itself a [`Object::Full`] object holding the chunk
     /// bytes, so identical chunks across versions are stored once.
     Chunked {
@@ -83,8 +84,10 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// The kinds of object the planner prices (a chunk manifest's cost comes
-/// from the chunk estimator, not from here).
+/// The kinds of object the planner prices with [`stored_len`]. A chunk
+/// manifest and its chunks are priced by this crate's chunk estimator,
+/// [`chunked_cost_pairs`](crate::estimate::chunked_cost_pairs), in raw
+/// bytes, not here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Priced {
     /// An [`Object::Full`] holding these version bytes.

@@ -190,7 +190,7 @@ pub fn pack_versions<S: ObjectStore + ?Sized>(
 /// packer's chunk manifests — and `queued` holds those objects (and the
 /// chunks they name), written ahead of the rest; deltas may chain off
 /// them like off any other root.
-pub fn pack_resolved<S: ObjectStore + ?Sized>(
+pub(crate) fn pack_resolved<S: ObjectStore + ?Sized>(
     store: &S,
     contents: &[Vec<u8>],
     plan: &[Option<u32>],

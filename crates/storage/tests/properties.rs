@@ -1,7 +1,7 @@
 //! Property tests for the chunking invariants: exact reassembly,
 //! determinism, size bounds, and boundary stability under insertions.
 
-use dsv_chunk::{chunk_spans, pack_versions_chunked, ChunkStore, Chunker, ChunkerParams};
+use dsv_storage::chunk::{chunk_spans, pack_versions_chunked, ChunkStore, Chunker, ChunkerParams};
 use dsv_storage::{Materializer, MemStore, ObjectStore};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -66,9 +66,9 @@ proptest! {
         let chunks: Vec<&[u8]> = Chunker::new(&data, p).collect();
         prop_assert!(!chunks.is_empty());
         for (i, c) in chunks.iter().enumerate() {
-            prop_assert!(c.len() <= p.max_size, "chunk {} has {} > max", i, c.len());
+            prop_assert!(c.len() <= p.max_size(), "chunk {} has {} > max", i, c.len());
             if i + 1 < chunks.len() {
-                prop_assert!(c.len() >= p.min_size, "chunk {} has {} < min", i, c.len());
+                prop_assert!(c.len() >= p.min_size(), "chunk {} has {} < min", i, c.len());
             }
         }
     }
@@ -100,12 +100,12 @@ proptest! {
     #[test]
     fn dedup_ratio_stays_high((base, edited, _len) in arb_edited_pair()) {
         let store = MemStore::new(false);
-        let cs = ChunkStore::new(&store, params()).unwrap();
+        let cs = ChunkStore::new(&store, params());
         cs.put_version(&base).unwrap();
         let second = cs.put_version(&edited).unwrap();
         // New bytes for the edit are bounded by a few chunks, not by the
         // version size (10x headroom over the worst observed case).
-        let bound = (10 * params().max_size) as u64;
+        let bound = (10 * params().max_size()) as u64;
         prop_assert!(
             second.new_chunk_bytes <= bound,
             "edit stored {} new bytes",

@@ -107,7 +107,7 @@
 //! JSON; `stats` prints both in human form.
 
 use dsv_core::solvers::{registry, Support};
-use dsv_core::{ChunkingSpec, Problem};
+use dsv_core::{ChunkerParams, Problem};
 use dsv_net::proto::{OptimizeSummary, Request, Response, WireMode, WireSolver};
 use dsv_obs as obs;
 use dsv_storage::{CacheStats, FileStore, ShardedStore, StoreStats, MAX_SHARDS};
@@ -1040,11 +1040,11 @@ fn parse_optimize(args: &[String], problem: Problem) -> Result<Request, String> 
         return Err("--hybrid and --binary are mutually exclusive".into());
     }
     let mode = if hybrid {
-        let c = ChunkingSpec::default();
+        let c = ChunkerParams::default();
         WireMode::Hybrid {
-            min_size: c.min_size as u64,
-            avg_size: c.avg_size as u64,
-            max_size: c.max_size as u64,
+            min_size: c.min_size() as u64,
+            avg_size: c.avg_size() as u64,
+            max_size: c.max_size() as u64,
         }
     } else if binary {
         WireMode::Binary

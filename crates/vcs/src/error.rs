@@ -1,6 +1,5 @@
 //! VCS error type.
 
-use dsv_chunk::ChunkError;
 use dsv_core::SolveError;
 use dsv_storage::StoreError;
 
@@ -19,8 +18,6 @@ pub enum VcsError {
     DegenerateMerge,
     /// The object store failed.
     Store(StoreError),
-    /// The chunking substrate failed.
-    Chunk(ChunkError),
     /// The optimizer failed.
     Solve(SolveError),
 }
@@ -34,7 +31,6 @@ impl std::fmt::Display for VcsError {
             VcsError::EmptyRepository => write!(f, "repository has no commits"),
             VcsError::DegenerateMerge => write!(f, "merge requires two distinct parents"),
             VcsError::Store(e) => write!(f, "store error: {e}"),
-            VcsError::Chunk(e) => write!(f, "chunking error: {e}"),
             VcsError::Solve(e) => write!(f, "optimizer error: {e}"),
         }
     }
@@ -51,16 +47,6 @@ impl From<StoreError> for VcsError {
 impl From<SolveError> for VcsError {
     fn from(e: SolveError) -> Self {
         VcsError::Solve(e)
-    }
-}
-
-impl From<ChunkError> for VcsError {
-    fn from(e: ChunkError) -> Self {
-        // Store failures keep their original classification.
-        match e {
-            ChunkError::Store(s) => VcsError::Store(s),
-            other => VcsError::Chunk(other),
-        }
     }
 }
 

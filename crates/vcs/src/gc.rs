@@ -67,7 +67,7 @@ pub(crate) fn collect<S: ObjectStore>(
 pub(crate) mod sweep {
     use crate::persist::{self, RepackJournal};
     use crate::{fsck, CommitId, Repository, VcsError};
-    use dsv_chunk::ChunkerParams;
+    use dsv_core::ChunkerParams;
     use dsv_core::{PlanSpec, Problem};
     use dsv_storage::{FaultPlan, FaultStore, MemStore, Object, ObjectStore};
     use std::path::{Path, PathBuf};

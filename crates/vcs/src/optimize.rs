@@ -15,13 +15,13 @@ use crate::error::VcsError;
 use crate::gc::{self, Roots};
 use crate::persist::{self, RepackJournal};
 use crate::repo::{unshare, Placement, Repository};
-use dsv_chunk::{chunked_cost_pairs, pack_versions_hybrid, ChunkerParams};
 use dsv_core::{
-    plan, CostMatrix, CostPair, ModePolicy, PlanSpec, Problem, ProblemInstance, Provenance,
-    StorageMode,
+    plan, ChunkerParams, CostMatrix, CostPair, ModePolicy, PlanSpec, Problem, ProblemInstance,
+    Provenance, StorageMode,
 };
 use dsv_delta::bytes_delta;
 use dsv_obs as obs;
+use dsv_storage::chunk::{chunked_cost_pairs, pack_versions_hybrid};
 use dsv_storage::{pack_versions, ObjectId, ObjectStore, PackOptions, Priced};
 use std::collections::HashSet;
 use std::path::Path;
@@ -168,7 +168,7 @@ impl<S: ObjectStore> Repository<S> {
         // silently fell back to the binary model and un-chunked the repo).
         let chunking: Option<ChunkerParams> = match spec.mode_policy() {
             ModePolicy::Binary => None,
-            ModePolicy::Hybrid(cs) => Some(ChunkerParams::try_from(cs)?),
+            ModePolicy::Hybrid(params) => Some(params),
             ModePolicy::Auto => match self.placement() {
                 Placement::Chunked(params) => Some(params),
                 Placement::GreedyDelta => None,
@@ -218,7 +218,7 @@ impl<S: ObjectStore> Repository<S> {
         }
         drop(reveal_span);
         if let Some(params) = chunking {
-            for (i, pair) in chunked_cost_pairs(&contents, params)?
+            for (i, pair) in chunked_cost_pairs(&contents, params)
                 .into_iter()
                 .enumerate()
             {
@@ -561,9 +561,7 @@ mod tests {
         let theta = max_size * 13 / 10;
         let problem = Problem::MinStorageGivenMaxRecreation { theta };
         let hybrid = repo
-            .optimize_with(&spec(problem, 4).modes(ModePolicy::Hybrid(
-                dsv_chunk::ChunkerParams::default().into(),
-            )))
+            .optimize_with(&spec(problem, 4).modes(ModePolicy::Hybrid(ChunkerParams::default())))
             .unwrap();
         assert!(hybrid.planned_max_recreation <= theta);
         // The solver-chosen plan survives in the repo and contents are

@@ -49,8 +49,7 @@
 use crate::commit::{CommitId, CommitMeta};
 use crate::error::VcsError;
 use crate::repo::{Placement, Repository};
-use dsv_chunk::ChunkerParams;
-use dsv_core::StorageMode;
+use dsv_core::{ChunkerParams, StorageMode};
 use dsv_net::RemoteStore;
 use dsv_storage::fault;
 use dsv_storage::{FileStore, Object, ObjectId, ObjectStore, ShardedStore, StoreError, StoreStats};
@@ -162,7 +161,9 @@ pub fn save<S: dsv_storage::ObjectStore>(
             let _ = writeln!(
                 out,
                 "placement chunked {} {} {}",
-                p.min_size, p.avg_size, p.max_size
+                p.min_size(),
+                p.avg_size(),
+                p.max_size()
             );
         }
     }
@@ -792,6 +793,32 @@ mod tests {
         save(&repo, root).unwrap();
         std::fs::write(root.join("meta.dsv"), "not a meta file\n").unwrap();
         assert!(load(root, false).is_err());
+    }
+
+    /// A `placement chunked` line whose sizes break the chunker's bounds is
+    /// a corrupt meta, not a chunker: `avg_size = 2^62` passed the lower
+    /// bounds alone and overflowed the cut mask at the next commit.
+    #[test]
+    fn load_rejects_out_of_range_chunker_sizes() {
+        let tmp = TempDir::new("chunker-bounds");
+        let root = tmp.path();
+        let store = FileStore::open(&root.join("objects"), false).unwrap();
+        let mut repo = Repository::init_chunked(store, ChunkerParams::default());
+        repo.commit("main", &b"id,value\n1,one\n".repeat(100), "v0")
+            .unwrap();
+        save(&repo, root).unwrap();
+        let meta = std::fs::read_to_string(root.join("meta.dsv")).unwrap();
+        let huge = 1u64 << 62;
+        let edited = meta.replace(
+            "placement chunked 256 1024 8192",
+            &format!("placement chunked 16 {huge} {huge}"),
+        );
+        assert_ne!(edited, meta);
+        std::fs::write(root.join("meta.dsv"), edited).unwrap();
+        assert!(matches!(
+            load(root, false),
+            Err(VcsError::Store(StoreError::Corrupt(_)))
+        ));
     }
 
     #[test]

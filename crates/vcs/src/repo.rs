@@ -10,11 +10,11 @@
 
 use crate::commit::{CommitId, CommitMeta};
 use crate::error::VcsError;
-use dsv_chunk::{ChunkStore, ChunkerParams};
 use dsv_core::online::{place_version, OnlineCandidate, OnlinePolicy};
-use dsv_core::{CostPair, SolveError, StorageMode};
+use dsv_core::{ChunkerParams, CostPair, SolveError, StorageMode};
 use dsv_delta::bytes_delta::SourceIndex;
 use dsv_obs as obs;
+use dsv_storage::chunk::ChunkStore;
 use dsv_storage::{
     stored_len, CheckoutCache, Materializer, MemStore, Object, ObjectId, ObjectStore, Priced,
     RecreationWork,
@@ -41,7 +41,7 @@ pub enum Placement {
     GreedyDelta,
     /// Content-defined chunking: every commit becomes a chunk manifest,
     /// deduplicated against all previously stored chunks (the third
-    /// regime; see `dsv-chunk`).
+    /// regime; see `dsv_storage::chunk`).
     Chunked(ChunkerParams),
 }
 
@@ -532,7 +532,7 @@ impl<S: ObjectStore> Repository<S> {
             // any recreation budget is trivially respected and placement
             // has nothing to decide.
             Placement::Chunked(params) => {
-                let chunks = ChunkStore::new(&self.store, params)?;
+                let chunks = ChunkStore::new(&self.store, params);
                 (chunks.put_version(data)?.id, StorageMode::Chunked)
             }
             Placement::GreedyDelta => {
@@ -902,8 +902,7 @@ mod tests {
     #[test]
     fn chunked_repo_roundtrips_and_dedups() {
         let mut plain = Repository::in_memory();
-        let mut chunked =
-            Repository::init_chunked(MemStore::new(false), dsv_chunk::ChunkerParams::default());
+        let mut chunked = Repository::init_chunked(MemStore::new(false), ChunkerParams::default());
         assert!(matches!(chunked.placement(), Placement::Chunked(_)));
         // Branchy history over a large shared base: each branch appends
         // its own rows, so content overlaps heavily across versions.

@@ -42,7 +42,7 @@ use crate::fsck;
 use crate::optimize::OptimizeReport;
 use crate::repo::{OnlineOptions, Placement, Repository};
 use crate::{persist, CommitId};
-use dsv_core::{ChunkingSpec, ModePolicy, PlanSpec, Problem};
+use dsv_core::{ModePolicy, PlanSpec, Problem};
 use dsv_net::frame::errcode;
 use dsv_net::proto::{
     CandidateLine, CandidateNumbers, OptimizeSummary, Reply, Request, Response, StatsSummary,
@@ -302,6 +302,15 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                 };
             }
         }
+        let policy = match mode.to_policy() {
+            Ok(policy) => policy,
+            Err(e) => {
+                return Response::Error {
+                    code: errcode::BAD_REQUEST,
+                    message: e.to_string(),
+                }
+            }
+        };
         let mut repo = self.repo.write();
         let mut spec = PlanSpec::new(problem).reveal_hops(reveal_hops as usize);
         if let Some(bound) = hop_bound {
@@ -311,23 +320,13 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
             WireSolver::Auto => {}
             _ => spec = spec.solver(solver.to_choice()),
         }
-        match mode {
-            WireMode::Auto => {}
-            WireMode::Binary => spec = spec.modes(ModePolicy::Binary),
-            WireMode::Hybrid { .. } => {
-                // Same rule as the local CLI: a chunked-placement repo
-                // keeps its own chunker granularity; otherwise the
-                // client's requested spec applies.
-                let chunking: ChunkingSpec = match repo.placement() {
-                    Placement::Chunked(params) => params.into(),
-                    Placement::GreedyDelta => match mode.to_policy() {
-                        ModePolicy::Hybrid(spec) => spec,
-                        _ => unreachable!(),
-                    },
-                };
-                spec = spec.modes(ModePolicy::Hybrid(chunking));
-            }
-        }
+        // Same rule as the local CLI: a chunked-placement repo keeps its
+        // own chunker granularity; otherwise the client's requested spec
+        // applies.
+        spec = spec.modes(match (policy, repo.placement()) {
+            (ModePolicy::Hybrid(_), Placement::Chunked(params)) => ModePolicy::Hybrid(params),
+            (policy, _) => policy,
+        });
         // With a save root the repack runs journaled and crash-safe
         // (`optimize_durable` persists, and rolls its swap back if the
         // save fails); in-memory servers take the plain path.
@@ -458,5 +457,35 @@ mod tests {
             other => panic!("{other:?}"),
         });
         assert_eq!(ids, [0, 0, 1, 2]);
+    }
+
+    /// A hybrid spec whose sizes break the chunker's bounds is the
+    /// client's error: `BAD_REQUEST`, naming the bound, before anything is
+    /// chunked. (Without the upper bound, `avg_size = 2^62` overflowed the
+    /// cut mask at the first cut.)
+    #[test]
+    fn an_out_of_range_hybrid_spec_is_a_bad_request() {
+        let mut repo = Repository::in_memory();
+        repo.commit("main", &b"id,value\n1,one\n".repeat(100), "v0")
+            .unwrap();
+        let dsvd = Dsvd::new(repo, DsvdConfig::default());
+        let reply = dsvd.handle(Request::Optimize {
+            problem: Problem::MinStorage,
+            solver: WireSolver::Auto,
+            mode: WireMode::Hybrid {
+                min_size: 16,
+                avg_size: 1 << 62,
+                max_size: 1 << 62,
+            },
+            reveal_hops: 1,
+            hop_bound: None,
+        });
+        match reply {
+            Response::Error { code, message } => {
+                assert_eq!(code, errcode::BAD_REQUEST);
+                assert!(message.contains("at most 32 MiB"), "{message}");
+            }
+            other => panic!("expected BAD_REQUEST, got {other:?}"),
+        }
     }
 }

@@ -9,10 +9,11 @@
 use crate::table_gen::{base_table, random_commit, EditParams};
 use crate::version_graph::{GraphParams, VersionGraph};
 use crate::zipf::zipf_weights;
-use dsv_core::{CostMatrix, CostPair, ProblemInstance};
+use dsv_core::{ChunkerParams, CostMatrix, CostPair, ProblemInstance};
 use dsv_delta::cost::{delta_annotation, full_annotation, CostModel};
 use dsv_delta::script::line_diff;
 use dsv_obs as obs;
+use dsv_storage::chunk::chunked_cost_pairs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -82,15 +83,12 @@ impl Dataset {
 
     /// The **hybrid** instance: the matrix extended with per-version
     /// chunked cost estimates (incremental unique-chunk bytes under
-    /// `params`, via `dsv-chunk`'s gear-hash chunker), so solvers choose
+    /// `params`, via dsv-storage's gear-hash chunker), so solvers choose
     /// Full / Delta / Chunked per version. Requires the dataset to have
     /// been built with contents kept (`None` otherwise).
-    pub fn instance_with_chunked(
-        &self,
-        params: dsv_chunk::ChunkerParams,
-    ) -> Option<ProblemInstance> {
+    pub fn instance_with_chunked(&self, params: ChunkerParams) -> Option<ProblemInstance> {
         let contents = self.contents.as_ref()?;
-        let pairs = dsv_chunk::chunked_cost_pairs(contents, params).ok()?;
+        let pairs = chunked_cost_pairs(contents, params);
         let mut matrix = self.matrix.clone();
         for (i, pair) in pairs.into_iter().enumerate() {
             matrix.set_chunked(i as u32, pair);
@@ -318,7 +316,7 @@ mod tests {
     fn hybrid_instance_reveals_chunked_costs() {
         let ds = build("test", &small_params(), 17);
         let inst = ds
-            .instance_with_chunked(dsv_chunk::ChunkerParams::default())
+            .instance_with_chunked(ChunkerParams::default())
             .expect("contents kept");
         assert_eq!(inst.matrix().chunked_count(), ds.version_count());
         // Increments never exceed materializing (dedup can only help), and
@@ -335,7 +333,7 @@ mod tests {
         p.keep_contents = false;
         let no_contents = build("test", &p, 17);
         assert!(no_contents
-            .instance_with_chunked(dsv_chunk::ChunkerParams::default())
+            .instance_with_chunked(ChunkerParams::default())
             .is_none());
     }
 

@@ -24,7 +24,7 @@
 //! - [`zipf`]: Zipfian access frequencies (exponent 2 in the paper's
 //!   workload-aware experiment, Fig. 16).
 //! - [`dedup`]: a chain of shifted/overlapping versions — the
-//!   dedup-friendly workload on which the chunked substrate (dsv-chunk)
+//!   dedup-friendly workload on which the chunked substrate (dsv-storage)
 //!   is compared against Full/Delta plans. Preset
 //!   [`presets::dedup_chain`] (DD).
 //!

@@ -1,7 +1,10 @@
 //! Quickstart for the chunked (deduplicating) substrate: store a chain of
 //! overlapping dataset versions as content-defined chunk manifests,
 //! compare the footprint against materializing everything, and check a
-//! version out by manifest reassembly.
+//! version out by manifest reassembly. The chunked layout is part of the
+//! object store (`dsv_storage::chunk`, re-exported as
+//! `dataset_versioning::chunk`); its `ChunkerParams` are the planner's own
+//! (`dsv_core`), valid by construction.
 //!
 //! Run with: `cargo run --release --example dedup_store`
 
@@ -26,7 +29,7 @@ fn main() {
     // versions are stored once — the store's content addressing is the
     // dedup mechanism.
     let store = MemStore::new(true);
-    let chunks = ChunkStore::new(&store, ChunkerParams::default()).expect("valid params");
+    let chunks = ChunkStore::new(&store, ChunkerParams::default());
     let mut stats = DedupStats::default();
     let mut manifest_ids = Vec::new();
     for v in versions {
@@ -76,7 +79,7 @@ fn main() {
     // holds identical bytes at any shard count; `stats()` is the same
     // snapshot `dsv store` prints for on-disk repositories.
     let sharded = ShardedStore::build(4, |_| MemStore::new(true));
-    let sharded_chunks = ChunkStore::new(&sharded, ChunkerParams::default()).expect("valid params");
+    let sharded_chunks = ChunkStore::new(&sharded, ChunkerParams::default());
     for v in versions {
         sharded_chunks.put_version(v).expect("store version");
     }

@@ -20,10 +20,14 @@
 //!   (whose output size the planner prices), and the LZ77-style compressor
 //!   older stores were written with.
 //! - [`storage`] — batch-first, content-addressed object store with delta
-//!   chains: `put_batch`/`get_batch` move whole plans, `ShardedStore`
-//!   partitions batches across id-prefix shards written concurrently, and
-//!   `StoreStats` reports fill and single-vs-batch op counters.
-//! - [`chunk`] — content-defined chunking and dedup (FastCDC-style).
+//!   chains and chunk manifests: `put_batch`/`get_batch` move whole plans,
+//!   `ShardedStore` partitions batches across id-prefix shards written
+//!   concurrently, and `StoreStats` reports fill and single-vs-batch op
+//!   counters.
+//! - [`chunk`] — `dsv_storage::chunk`, the store's chunked layout:
+//!   content-defined chunking (FastCDC-style), the deduplicating chunk
+//!   store, the chunked-cost estimator and the hybrid packer, re-exported
+//!   at the top.
 //! - [`vcs`] — the prototype dataset version-control system.
 //! - [`workloads`] — synthetic version-graph/dataset generators (DC, LC,
 //!   BF, LF analogues), a dedup-chain workload (DD), and Zipfian access
@@ -51,7 +55,7 @@
 //! |---|---|---|---|
 //! | **Full** | one copy per version | fetch one object | `storage::pack_versions` (plan `None`) |
 //! | **Delta** | delta per plan edge | replay the chain | `storage::pack_versions` (optimizer plan) |
-//! | **Chunked** | unique chunks only | fetch own chunks | `chunk::pack_versions_chunked` |
+//! | **Chunked** | unique chunks only | fetch own chunks | `storage::chunk::pack_versions_chunked` |
 //!
 //! Chunked storage (RStore-style chunk-level dedup) sits between the
 //! paper's regimes: near-delta storage on overlapping versions with
@@ -87,7 +91,6 @@
 //! assert!(result.provenance.candidates.len() >= 3);
 //! ```
 
-pub use dsv_chunk as chunk;
 pub use dsv_compress as compress;
 pub use dsv_core as core;
 pub use dsv_core::graph;
@@ -95,5 +98,6 @@ pub use dsv_delta as delta;
 pub use dsv_obs as obs;
 pub use dsv_par as par;
 pub use dsv_storage as storage;
+pub use dsv_storage::chunk;
 pub use dsv_vcs as vcs;
 pub use dsv_workloads as workloads;

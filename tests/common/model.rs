@@ -22,8 +22,7 @@
 //! row.
 
 use super::{fault_lock, Relay, StoreServer, TempDir};
-use dsv_chunk::ChunkerParams;
-use dsv_core::Problem;
+use dsv_core::{ChunkerParams, Problem};
 use dsv_net::proto::{FsckSummary, OptimizeSummary, Request, Response};
 use dsv_net::{Client, RemoteStore, RetryPolicy, Server, ServerOptions, DEFAULT_MAX_FRAME};
 use dsv_net::{WireMode, WireRecovery, WireSolver};

@@ -116,10 +116,9 @@ fn parallel_chunk_estimates_match_sequential() {
             .build(seed);
         let contents = ds.contents.as_ref().unwrap();
         let params = ChunkerParams::default();
-        let base = par::with_thread_count(1, || chunked_cost_pairs(contents, params).unwrap());
+        let base = par::with_thread_count(1, || chunked_cost_pairs(contents, params));
         for threads in THREAD_COUNTS {
-            let pairs =
-                par::with_thread_count(threads, || chunked_cost_pairs(contents, params).unwrap());
+            let pairs = par::with_thread_count(threads, || chunked_cost_pairs(contents, params));
             assert_eq!(pairs, base, "seed {seed} t{threads}");
         }
     }
@@ -189,7 +188,7 @@ fn tracing_changes_nothing_and_span_shape_is_thread_count_stable() {
         let ds = presets::dedup_chain().scaled(20).keep_contents().build(13);
         let contents = ds.contents.as_ref().unwrap().clone();
         let params = ChunkerParams::default();
-        let estimates = chunked_cost_pairs(&contents, params).unwrap();
+        let estimates = chunked_cost_pairs(&contents, params);
         let inst = ds.instance_with_chunked(params).unwrap();
         let spec = PlanSpec::new(Problem::MinStorage)
             .solver(SolverChoice::Portfolio)
@@ -350,7 +349,7 @@ fn chunk_write_path_is_pinned() {
         .collect();
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
 
-    for pair in chunked_cost_pairs(contents, params).unwrap() {
+    for pair in chunked_cost_pairs(contents, params) {
         h.num(pair.storage);
         h.num(pair.recreation);
     }
