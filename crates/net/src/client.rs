@@ -25,10 +25,8 @@
 //! twice — the client is free to resend blindly.
 
 use crate::frame::{read_header, NetError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
-use crate::proto::{
-    FsckSummary, OptimizeSummary, Request, Response, StatsSummary, WireMode, WireSolver,
-};
-use dsv_core::Problem;
+use crate::proto::{FsckSummary, OptimizeSummary, Request, Response, StatsSummary, WireMode};
+use dsv_core::{Problem, SolverChoice};
 use dsv_storage::{Object, ObjectId, RecreationWork, StoreStats};
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -300,7 +298,7 @@ impl Client {
     pub fn optimize(
         &mut self,
         problem: Problem,
-        solver: WireSolver,
+        solver: SolverChoice,
         mode: WireMode,
         reveal_hops: u32,
         hop_bound: Option<u32>,

@@ -44,7 +44,7 @@
 //!
 //! The `Store*` opcodes (protocol v3) carry the raw object-store
 //! surface; [`remote`] builds both ends on top — a bare-store server
-//! ([`remote::StoreService`], behind `dsvd --store-server`) and a
+//! ([`remote::StoreService`], behind `dsv serve --store-server`) and a
 //! client-side [`remote::RemoteStore`] implementing the full
 //! `ObjectStore` trait, the shard unit of the distributed storage tier.
 //!
@@ -80,7 +80,7 @@ pub use frame::{
 };
 pub use proto::{
     CandidateLine, CandidateNumbers, FsckSummary, OptimizeSummary, Outgoing, Reply, Request,
-    RequestRef, Response, ResponseRef, StatsSummary, WireMode, WireRecovery, WireSolver,
+    RequestRef, Response, ResponseRef, StatsSummary, WireMode, WireRecovery,
 };
 pub use remote::{RemoteStore, StoreService, StoreServiceConfig, FRAME_SLACK};
 pub use server::{session, ConnHandler, ServeControl, Server, ServerOptions};

@@ -547,25 +547,6 @@ macro_rules! messages {
 // ---------------------------------------------------------------------
 // the types that travel inside messages
 
-/// Solver selection on the wire — mirrors [`SolverChoice`] with an owned
-/// name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireSolver {
-    Auto,
-    Named(String),
-    Portfolio,
-}
-
-impl WireSolver {
-    pub fn to_choice(&self) -> SolverChoice {
-        match self {
-            WireSolver::Auto => SolverChoice::Auto,
-            WireSolver::Named(name) => SolverChoice::Named(name.clone()),
-            WireSolver::Portfolio => SolverChoice::Portfolio,
-        }
-    }
-}
-
 /// Mode policy on the wire — mirrors [`ModePolicy`]; hybrid carries the
 /// client's chunker configuration (ignored by a chunked-placement server,
 /// which keeps its own granularity, matching local `--hybrid`).
@@ -822,10 +803,10 @@ impl Wire for Problem {
         })
     }
 }
-wire_enum!(WireSolver, "unknown solver selector";
-    0 => (WireSolver::Auto) {},
-    1 => (WireSolver::Named(name)) { name: String },
-    2 => (WireSolver::Portfolio) {},
+wire_enum!(SolverChoice, "unknown solver selector";
+    0 => (SolverChoice::Auto) {},
+    1 => (SolverChoice::Named(name)) { name: String },
+    2 => (SolverChoice::Portfolio) {},
 );
 wire_enum!(WireMode, "unknown mode selector";
     0 => (WireMode::Auto) {},
@@ -875,7 +856,7 @@ messages! {
         CHECKOUT, "checkout" => Checkout { version: u32 },
         OPTIMIZE, "optimize" => Optimize {
             problem: Problem,
-            solver: WireSolver,
+            solver: SolverChoice,
             mode: WireMode,
             reveal_hops: u32,
             hop_bound: Option<u32>,

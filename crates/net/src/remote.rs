@@ -4,7 +4,7 @@
 //!
 //! * [`StoreService`] — server-side: serves one bare [`ObjectStore`]
 //!   (no `Repository`) behind the [`crate::server::Server`] worker pool.
-//!   `dsvd --store-server` wraps a `FileStore` in this. Repository
+//!   `dsv serve --store-server` wraps a `FileStore` in this. Repository
 //!   opcodes (`Commit`, `Checkout`, …) are rejected with `BAD_REQUEST`;
 //!   the mirror-image rejection lives in `dsv-vcs`'s repository server.
 //! * [`RemoteStore`] — client-side: implements the full [`ObjectStore`]
@@ -88,7 +88,8 @@ impl RemoteStore {
 
     /// Dial with an explicit frame cap, read timeout, and retry policy.
     /// The cap also drives the put splitter's frame budget, so client
-    /// and server should agree on it (`dsvd --store-server --max-frame`).
+    /// and server should agree on it (`dsv serve --store-server
+    /// --max-frame`).
     pub fn connect_with(
         addr: &str,
         max_frame: u32,
@@ -260,9 +261,9 @@ impl ObjectStore for RemoteStore {
         stats
     }
 
-    /// What `dsvd` opens its shard stores with. The wire has no way to
-    /// ask; the flag moves into the persisted store configuration with
-    /// the rest of the topology (ROADMAP item 2).
+    /// What `dsv serve --store-server` opens its store with. The wire has
+    /// no way to ask; the flag moves into the persisted store
+    /// configuration with the rest of the topology (ROADMAP item 2).
     fn compresses(&self) -> bool {
         true
     }
@@ -300,7 +301,7 @@ impl Default for StoreServiceConfig {
 }
 
 /// Serves one bare [`ObjectStore`] over the v3 store opcodes — the
-/// shard-server half of the distributed tier (`dsvd --store-server`).
+/// shard-server half of the distributed tier (`dsv serve --store-server`).
 pub struct StoreService<S> {
     store: S,
     config: StoreServiceConfig,
@@ -382,7 +383,7 @@ impl<S: ObjectStore + Sync> StoreService<S> {
             | Request::Fsck { .. } => Response::Error {
                 code: errcode::BAD_REQUEST,
                 message: "repository opcodes are not served by a store server; \
-                          dial a dsvd repository front end instead"
+                          dial a repository server (dsv serve) instead"
                     .into(),
             },
         }

@@ -9,11 +9,11 @@
 //! Changing a literal means changing the protocol: bump
 //! `PROTOCOL_VERSION`.
 
-use dsv_core::Problem;
+use dsv_core::{Problem, SolverChoice};
 use dsv_net::frame::{opcode, Frame};
 use dsv_net::proto::{
     CandidateLine, CandidateNumbers, FsckSummary, OptimizeSummary, Request, Response, StatsSummary,
-    WireMode, WireRecovery, WireSolver,
+    WireMode, WireRecovery,
 };
 use dsv_storage::{
     CacheStats, Object, ObjectId, OpCounters, RecreationWork, ShardStats, StoreStats,
@@ -74,7 +74,7 @@ fn store_stats() -> StoreStats {
 
 fn optimize(
     problem: Problem,
-    solver: WireSolver,
+    solver: SolverChoice,
     mode: WireMode,
     hop_bound: Option<u32>,
 ) -> Request {
@@ -102,7 +102,7 @@ fn fsck_ok(clean: bool, recovery: Option<WireRecovery>) -> Response {
 }
 
 /// Every `Request` variant (all 14), with extra `Optimize` rows so each
-/// `Problem`, `WireSolver` and `WireMode` arm and both option states
+/// `Problem`, `SolverChoice` and `WireMode` arm and both option states
 /// appear at least once.
 fn requests() -> Vec<(u8, Request, &'static str)> {
     let hybrid = WireMode::Hybrid {
@@ -144,7 +144,7 @@ fn requests() -> Vec<(u8, Request, &'static str)> {
             opcode::OPTIMIZE,
             optimize(
                 Problem::MinStorage,
-                WireSolver::Auto,
+                SolverChoice::Auto,
                 WireMode::Auto,
                 None,
             ),
@@ -154,7 +154,7 @@ fn requests() -> Vec<(u8, Request, &'static str)> {
             opcode::OPTIMIZE,
             optimize(
                 Problem::MinRecreation,
-                WireSolver::Named("lmg".into()),
+                SolverChoice::Named("lmg".into()),
                 WireMode::Binary,
                 Some(9),
             ),
@@ -164,7 +164,7 @@ fn requests() -> Vec<(u8, Request, &'static str)> {
             opcode::OPTIMIZE,
             optimize(
                 Problem::MinSumRecreationGivenStorage { beta: 1000 },
-                WireSolver::Portfolio,
+                SolverChoice::Portfolio,
                 hybrid,
                 None,
             ),
@@ -174,7 +174,7 @@ fn requests() -> Vec<(u8, Request, &'static str)> {
             opcode::OPTIMIZE,
             optimize(
                 Problem::MinMaxRecreationGivenStorage { beta: 2000 },
-                WireSolver::Auto,
+                SolverChoice::Auto,
                 WireMode::Auto,
                 None,
             ),
@@ -184,7 +184,7 @@ fn requests() -> Vec<(u8, Request, &'static str)> {
             opcode::OPTIMIZE,
             optimize(
                 Problem::MinStorageGivenSumRecreation { theta: 3000 },
-                WireSolver::Auto,
+                SolverChoice::Auto,
                 WireMode::Auto,
                 None,
             ),
@@ -194,7 +194,7 @@ fn requests() -> Vec<(u8, Request, &'static str)> {
             opcode::OPTIMIZE,
             optimize(
                 Problem::MinStorageGivenMaxRecreation { theta: 4000 },
-                WireSolver::Auto,
+                SolverChoice::Auto,
                 WireMode::Auto,
                 None,
             ),

@@ -5,11 +5,11 @@
 //! malformed bytes: corrupt input is a structured [`NetError`], not an
 //! abort or a hang.
 
-use dsv_core::Problem;
+use dsv_core::{Problem, SolverChoice};
 use dsv_net::frame::{read_frame, read_header, write_frame, Frame, NetError, DEFAULT_MAX_FRAME};
 use dsv_net::proto::{
     CandidateLine, CandidateNumbers, FsckSummary, OptimizeSummary, Request, Response, StatsSummary,
-    WireMode, WireRecovery, WireSolver,
+    WireMode, WireRecovery,
 };
 use dsv_storage::{
     CacheStats, Object, ObjectId, OpCounters, RecreationWork, ShardStats, StoreStats,
@@ -71,11 +71,11 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
     })
 }
 
-fn arb_solver() -> impl Strategy<Value = WireSolver> {
+fn arb_solver() -> impl Strategy<Value = SolverChoice> {
     (0u8..3, "[a-z0-9_-]{0,16}").prop_map(|(kind, name)| match kind {
-        0 => WireSolver::Auto,
-        1 => WireSolver::Named(name),
-        _ => WireSolver::Portfolio,
+        0 => SolverChoice::Auto,
+        1 => SolverChoice::Named(name),
+        _ => SolverChoice::Portfolio,
     })
 }
 

@@ -6,9 +6,14 @@
 //!
 //! # The contract
 //!
-//! [`ObjectStore`] is nine required methods and six provided ones. Every
-//! implementor and every wrapper writes the nine; the six are written
-//! once, here, and nobody overrides them.
+//! [`ObjectStore`] is nine required methods and eight provided ones.
+//! Every implementor and every wrapper writes the nine. Six of the eight
+//! are written once, here, and nobody overrides them. The other two,
+//! `shard_count` and `remote_addrs`, describe the layout: their defaults
+//! say "one local store", the layouts that differ override them
+//! (`ShardedStore`, and `RemoteStore`'s `remote_addrs`), and the
+//! wrappers forward them (`FaultStore`, `dsv-vcs`'s `RepoStore`, the
+//! model harness's store).
 //!
 //! | method | | may fail | decisions may rest on it |
 //! |---|---|---|---|
@@ -20,6 +25,7 @@
 //! | `contains`, `remove` | provided, over the batch forms | yes | yes |
 //! | `clear` | provided, `remove_batch(&object_ids()?)` | yes | yes |
 //! | `len`, `is_empty`, `total_bytes` | provided, one `stats()` call | no — reporting only | no |
+//! | `shard_count`, `remote_addrs` | provided (0, empty); overridden by layouts, forwarded by wrappers | no (a property of the store) | yes — `persist` picks the meta format from them |
 //!
 //! A store answers or fails: a membership probe, a removal or an
 //! enumeration that could not be carried out is an `Err`, never `false`,
@@ -49,7 +55,7 @@
 //! [`StoreStats`] snapshots a store's fill (objects, bytes, per-shard
 //! counts for [`crate::sharded::ShardedStore`]) and its single-vs-batch
 //! operation counters ([`Counters`]), so callers can see whether the hot
-//! paths really go through the batch surface (`dsv store` prints this).
+//! paths really go through the batch surface (`dsv stats` prints this).
 //!
 //! # Chunked versions
 //!

@@ -12,16 +12,18 @@
 //! dsv branch <repo-dir> <name> <version>
 //! dsv branches <repo-dir>
 //! dsv status <repo-dir>
-//! dsv store <repo-dir> [--json]
-//! dsv stats <repo-dir>
+//! dsv stats <repo-dir> [--json]
 //! dsv solvers
 //! dsv optimize <repo-dir> <p1|p2|p3|p4|p5|p6> [bound]
 //!              [--solver <name>] [--portfolio] [--hybrid] [--binary]
 //!              [--hops <n>] [--hop-bound <n>]
 //! dsv fsck <repo-dir> [--repair]
+//! dsv serve <repo-dir> [--addr <host:port>] [--workers <n>] [--cache-bytes <n>]
+//!           [--max-frame <bytes>] [--read-timeout-ms <n>]
+//! dsv serve <store-dir> --store-server [--addr <host:port>] [...]
 //! dsv --threads <n> <any command ...>
 //! dsv --trace [--trace-json <path>] <any command ...>
-//! dsv --remote <host:port> <ping|commit|checkout|optimize|stats|store|fsck|shutdown> ...
+//! dsv --remote <host:port> <ping|commit|checkout|optimize|stats|fsck|shutdown> ...
 //! ```
 //!
 //! `init --shards <n>` lays the object store out as `n` independent
@@ -30,13 +32,14 @@
 //! concurrently. The shard count is recorded in the repository metadata
 //! (meta v3) and is a pure layout property — the stored bytes are
 //! identical at every shard count. `init --remote-shards <addr,...>` is
-//! the distributed variant: objects live on remote shard servers (`dsvd
-//! --store-server`, one per address) instead of the local filesystem,
-//! selected by the same id-prefix rule, and the topology is recorded in
-//! the metadata (meta v4) so every later command redials the shards.
-//! `store` prints the [`StoreStats`] snapshot: object/byte counts,
-//! per-shard fill, dedup ratio, and the single-vs-batch operation
-//! counters of this process.
+//! the distributed variant: objects live on remote shard servers (`dsv
+//! serve --store-server`, one per address) instead of the local
+//! filesystem, selected by the same id-prefix rule, and the topology is
+//! recorded in the metadata (meta v4) so every later command redials the
+//! shards. `stats` prints the [`StoreStats`] snapshot: object/byte
+//! counts, per-shard fill, dedup ratio, and the single-vs-batch operation
+//! counters of this process, then this process's metrics; `stats --json`
+//! emits the same snapshot and metrics as one JSON object.
 //!
 //! `commit --online` places the new version by bounded online
 //! re-planning (the paper's online problem): the best delta base is
@@ -80,11 +83,38 @@
 //! `DSV_THREADS` environment variable, falling back to the machine's
 //! available parallelism.
 //!
+//! `serve` opens one repository and serves it over the `dsv-net` protocol
+//! until a client sends `Shutdown` (`dsv --remote <addr> shutdown`). It
+//! recovers first: a pending repack journal is rolled forward or back,
+//! the history is fsck'd and interrupted-commit orphans are collected, so
+//! a SIGKILLed server restarts clean or refuses to serve a corrupt
+//! repository. Commits and optimizes then serialize through the
+//! repository's write lock while checkouts read concurrently through one
+//! shared checkout cache (`--cache-bytes`, default 256 MiB), and metadata
+//! is re-persisted after each mutation. `--addr` defaults to
+//! `127.0.0.1:7411` and port `0` picks a free one; `--workers` bounds
+//! concurrent connections (default: the dsv-par thread count);
+//! `--read-timeout-ms` bounds an idle client (default 30 000, `0` = none).
+//! Once listening it prints `dsv: serving <dir> (<n> versions) at <addr>
+//! (…)` and flushes, so scripts can scrape the bound address.
+//!
+//! `serve --store-server` serves a *bare object store* instead: the
+//! directory holds content-addressed objects only, requests are the
+//! `Store*` opcodes, and repository opcodes are rejected. It is one shard
+//! of the distributed storage tier (`init --remote-shards`). No recovery
+//! pass runs — there is no history to verify — but staging files a
+//! crashed put left are swept; the directory is created on first start,
+//! `--cache-bytes` does not apply, and the banner reads `dsv: store
+//! server <dir> (<n> objects) at <addr> (…)`. Under `--trace` /
+//! `--trace-json` either server records the span tree
+//! `serve → conn → recv_wait / decode / handle / encode / send`, with a
+//! per-opcode child under each `handle`, and writes it at shutdown.
+//!
 //! `--remote <host:port>` (accepted anywhere on the command line) routes
-//! `commit`, `checkout`, `optimize`, `stats`, `store` and `fsck` to a
-//! running `dsvd` server over the `dsv-net` protocol instead of opening a
+//! `commit`, `checkout`, `optimize`, `stats` and `fsck` to a running
+//! `dsv serve` over the `dsv-net` protocol instead of opening a
 //! repository locally; the repo-dir positional is omitted since the
-//! server owns its repository. These six commands are one code path: the
+//! server owns its repository. These five commands are one code path: the
 //! arguments are parsed once into a protocol request, the request is
 //! executed by the same `Dsvd` handler either in-process or behind the
 //! socket, and the response is rendered once — so flags, output and
@@ -102,19 +132,22 @@
 //! and self time per phase — to stderr when the command finishes.
 //! `--trace-json <path>` writes the same tree as JSON. Both are accepted
 //! anywhere on the command line and compose with `--threads`; the span
-//! tree's *shape* is identical at every thread count. `store --json`
-//! emits the [`StoreStats`] snapshot plus this process's metrics as
-//! JSON; `stats` prints both in human form.
+//! tree's *shape* is identical at every thread count.
 
 use dsv_core::solvers::{registry, Support};
-use dsv_core::{ChunkerParams, Problem};
-use dsv_net::proto::{OptimizeSummary, Request, Response, WireMode, WireSolver};
+use dsv_core::{ChunkerParams, Problem, SolverChoice};
+use dsv_net::proto::{OptimizeSummary, Request, Response, WireMode};
+use dsv_net::server::{Server, ServerOptions};
+use dsv_net::{StoreService, StoreServiceConfig};
 use dsv_obs as obs;
-use dsv_storage::{CacheStats, FileStore, ShardedStore, StoreStats, MAX_SHARDS};
+use dsv_storage::{CacheStats, FileStore, ObjectStore, ShardedStore, StoreStats, MAX_SHARDS};
 use dsv_vcs::{persist, CommitId, Dsvd, DsvdConfig, RepoStore, Repository};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -147,7 +180,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let (args, trace) = extract_trace(&args)?;
     let (args, remote) = extract_remote(&args)?;
     // Metrics are a single branch per update; keep them on so that
-    // `store --json` and `stats` can report what this process did.
+    // `stats` and `stats --json` can report what this process did.
     obs::set_metrics_enabled(true);
     let recorder = if trace.enabled() {
         let r = Arc::new(obs::Recorder::new());
@@ -175,13 +208,13 @@ fn run(args: &[String]) -> Result<(), String> {
 fn dispatch(args: &[String], remote: Option<&str>) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     match (cmd, remote) {
-        // The commands a repository directory and a `dsvd` server both
+        // The commands a repository directory and a `dsv serve` server both
         // answer. Each raises every argument error before it opens its
         // backend, so mistakes read the same with and without `--remote`.
         ("commit", _) => commit(args, remote),
         ("checkout", _) => checkout(args, remote),
         ("optimize", _) => optimize(args, remote),
-        ("stats" | "store", _) => stats(cmd, args, remote),
+        ("stats", _) => stats(args, remote),
         ("fsck", _) => fsck(args, remote),
         ("ping", Some(addr)) => {
             connect(addr)?.ping().map_err(stringify)?;
@@ -195,14 +228,15 @@ fn dispatch(args: &[String], remote: Option<&str>) -> Result<(), String> {
         }
         (other, Some(_)) => Err(format!(
             "command '{other}' is not supported over --remote \
-             (supported: ping, commit, checkout, optimize, stats, store, fsck, shutdown)"
+             (supported: ping, commit, checkout, optimize, stats, fsck, shutdown)"
         )),
+        ("serve", None) => serve(args),
         (_, None) => local_only(cmd, args),
     }
 }
 
 /// Where a served command executes: the repository directory opened
-/// in-process, or a `dsvd` across the wire. Both answer a [`Request`]
+/// in-process, or a `dsv serve` across the wire. Both answer a [`Request`]
 /// with a [`Response`] through the same `Dsvd::handle`.
 enum Backend {
     Local(Box<Dsvd<RepoStore>>),
@@ -228,7 +262,7 @@ impl Backend {
                     ..DsvdConfig::default()
                 };
                 // With the save root, mutations persist exactly as a
-                // serving dsvd's do: commits re-save the metadata (and
+                // served repository's do: commits re-save the metadata (and
                 // roll back in memory if that fails), optimize runs the
                 // journaled two-phase repack.
                 let dsvd = Dsvd::new(repo, config).with_save_root(root);
@@ -284,17 +318,8 @@ fn commit(args: &[String], remote: Option<&str>) -> Result<(), String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--online" => online = true,
-            "--online-hops" => {
-                let v = iter.next().ok_or("--online-hops needs a value")?;
-                hops = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --online-hops '{v}'"))?,
-                );
-            }
-            "--theta" => {
-                let v = iter.next().ok_or("--theta needs a value (bytes)")?;
-                theta = Some(v.parse().map_err(|_| format!("invalid --theta '{v}'"))?);
-            }
+            "--online-hops" => hops = Some(flag_arg(arg, iter.next())?),
+            "--theta" => theta = Some(flag_arg(arg, iter.next())?),
             "-b" => branch = iter.next().ok_or("-b needs a branch name")?.clone(),
             "-m" => message = iter.next().ok_or("-m needs a message")?.clone(),
             a if a.starts_with("--") => {
@@ -345,16 +370,11 @@ fn checkout(args: &[String], remote: Option<&str>) -> Result<(), String> {
             "--cache-bytes" if remote.is_some() => {
                 return Err(
                     "--cache-bytes is server-side with --remote: every remote checkout \
-                     is served through the dsvd shared cache (see: dsvd --cache-bytes)"
+                     is served through the server's shared cache (see: dsv serve --cache-bytes)"
                         .into(),
                 )
             }
-            "--cache-bytes" => {
-                let v = iter.next().ok_or("--cache-bytes needs a value")?;
-                cache_bytes = v
-                    .parse()
-                    .map_err(|_| format!("invalid --cache-bytes '{v}'"))?;
-            }
+            "--cache-bytes" => cache_bytes = flag_arg(arg, iter.next())?,
             "-o" => out_path = Some(iter.next().ok_or("-o needs a path")?.clone()),
             a if a.starts_with("--") => {
                 return Err(format!("unknown checkout flag '{arg}' (see: dsv help)"))
@@ -390,7 +410,6 @@ fn checkout(args: &[String], remote: Option<&str>) -> Result<(), String> {
                 println!("checked out {version} to {path} ({} bytes)", data.len());
             }
             None => {
-                use std::io::Write;
                 std::io::stdout()
                     .write_all(&data)
                     .map_err(|e| e.to_string())?;
@@ -449,10 +468,10 @@ fn optimize(args: &[String], remote: Option<&str>) -> Result<(), String> {
     }
 }
 
-/// `dsv stats` and `dsv store [--json]`: one `Stats` request, rendered three
-/// ways.
-fn stats(cmd: &str, args: &[String], remote: Option<&str>) -> Result<(), String> {
-    let json = cmd == "store" && args.iter().any(|a| a == "--json");
+/// `dsv stats [--json]`: one `Stats` request, rendered for a person or as
+/// JSON.
+fn stats(args: &[String], remote: Option<&str>) -> Result<(), String> {
+    let json = args.iter().any(|a| a == "--json");
     let positional: Vec<String> = args.iter().filter(|a| *a != "--json").cloned().collect();
     let mut backend = Backend::open(remote, &positional, 0)?;
     let summary = match backend.call(Request::Stats)? {
@@ -467,16 +486,14 @@ fn stats(cmd: &str, args: &[String], remote: Option<&str>) -> Result<(), String>
         return Ok(());
     }
     print_store_stats(&summary.stats, summary.logical_bytes);
-    if cmd == "stats" {
-        if let Some(cache) = &summary.cache {
-            print_cache_stats("server cache", cache);
-        }
-        // Local epilogue: the work was done in this process.
-        let metrics = obs::metrics().snapshot();
-        if matches!(backend, Backend::Local(_)) && !metrics.is_empty() {
-            println!("metrics this process:");
-            print!("{}", metrics.render());
-        }
+    if let Some(cache) = &summary.cache {
+        print_cache_stats("server cache", cache);
+    }
+    // Local epilogue: the work was done in this process.
+    let metrics = obs::metrics().snapshot();
+    if matches!(backend, Backend::Local(_)) && !metrics.is_empty() {
+        println!("metrics this process:");
+        print!("{}", metrics.render());
     }
     Ok(())
 }
@@ -504,6 +521,101 @@ fn fsck(args: &[String], remote: Option<&str>) -> Result<(), String> {
         }
         other => Err(unexpected(&other)),
     }
+}
+
+/// `dsv serve <dir>`: the repository at `dir` — or with `--store-server`
+/// the bare object store — over the wire until a client sends `Shutdown`.
+fn serve(args: &[String]) -> Result<(), String> {
+    let mut positional: Vec<String> = Vec::new();
+    let mut addr = "127.0.0.1:7411".to_owned();
+    let mut workers = 0usize;
+    let mut config = DsvdConfig::default();
+    let mut store_server = false;
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--addr" => addr = flag_arg(arg, iter.next())?,
+            "--workers" => workers = flag_arg(arg, iter.next())?,
+            "--cache-bytes" => config.cache_bytes = flag_arg(arg, iter.next())?,
+            "--max-frame" => config.max_frame = flag_arg(arg, iter.next())?,
+            "--read-timeout-ms" => {
+                let ms: u64 = flag_arg(arg, iter.next())?;
+                config.read_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+            }
+            "--store-server" => store_server = true,
+            a if a.starts_with("--") => {
+                return Err(format!("unknown serve flag '{arg}' (see: dsv help)"))
+            }
+            _ => positional.push(arg.clone()),
+        }
+    }
+    let root = positional.get(1).map(PathBuf::from).ok_or(
+        "usage: dsv serve <dir> [--addr <host:port>] [--workers <n>] [--cache-bytes <n>] \
+         [--max-frame <bytes>] [--read-timeout-ms <n>] [--store-server]",
+    )?;
+    let server = Server::bind_with(
+        &addr,
+        ServerOptions {
+            workers,
+            ..ServerOptions::default()
+        },
+    )
+    .map_err(|e| format!("binding {addr}: {e}"))?;
+    let announce = |what: String| {
+        println!(
+            "dsv: {what} at {} ({} workers, protocol v{})",
+            server.local_addr(),
+            server.workers(),
+            dsv_net::PROTOCOL_VERSION
+        );
+        // Scripts poll this line before connecting; make sure it is
+        // visible even when stdout is a pipe.
+        let _ = std::io::stdout().flush();
+    };
+    if store_server {
+        // There is no commit DAG, so no recovery pass: every object is
+        // self-verifying by address and puts are idempotent. What a
+        // crashed put can leave is its staging file; this process now
+        // owns the directory, so it drops them.
+        let store = FileStore::open(&root.join("objects"), true).map_err(stringify)?;
+        persist::sweep_unpublished(&root).map_err(stringify)?;
+        // Enumerated rather than read off `stats`: a store that cannot
+        // list its directory must not come up announcing 0 objects.
+        let objects = store.object_ids().map_err(stringify)?.len();
+        let service = StoreService::new(
+            store,
+            StoreServiceConfig {
+                max_frame: config.max_frame,
+                read_timeout: config.read_timeout,
+            },
+        );
+        announce(format!(
+            "store server {} ({objects} objects)",
+            root.display()
+        ));
+        service.serve(&server);
+    } else {
+        // A killed predecessor's repack journal is resolved, the history
+        // verified and orphans collected before the first request: the
+        // server starts on a clean repository or not at all.
+        let (repo, report) = dsv_vcs::fsck::recover_at(&root, true).map_err(stringify)?;
+        match &report.recovery {
+            Some(dsv_vcs::Recovery::Clean) | None => {}
+            Some(rec) => println!("dsv: recovery: {rec:?}"),
+        }
+        if report.orphans_removed > 0 {
+            println!("dsv: recovery: {} orphans removed", report.orphans_removed);
+        }
+        if !report.is_clean() {
+            return Err(format!("repository fails fsck after recovery: {report}"));
+        }
+        let versions = repo.version_count();
+        let dsvd = Dsvd::new(repo, config).with_save_root(root.clone());
+        announce(format!("serving {} ({versions} versions)", root.display()));
+        dsvd.serve(&server);
+    }
+    println!("dsv: shutdown requested, exiting");
+    Ok(())
 }
 
 /// The commands that only make sense on a repository directory.
@@ -677,12 +789,12 @@ fn local_only(cmd: &str, args: &[String]) -> Result<(), String> {
         }
         "help" | "--help" | "-h" => {
             println!(
-                "usage: dsv <init|commit|checkout|log|branch|branches|status|store|stats|solvers|optimize|fsck> ..."
+                "usage: dsv <init|commit|checkout|log|branch|branches|status|stats|solvers|optimize|fsck|serve> ..."
             );
             println!("       dsv init <repo> [--shards <n>]  shard the object store n ways");
             println!(
                 "       dsv init <repo> --remote-shards <addr,...>  store objects on remote \
-                 shard servers (dsvd --store-server)"
+                 shard servers (dsv serve --store-server)"
             );
             println!(
                 "       dsv commit <repo> <file> [--online] [--online-hops <n>] [--theta <bytes>]"
@@ -695,8 +807,10 @@ fn local_only(cmd: &str, args: &[String]) -> Result<(), String> {
             println!(
                 "                    --cache-bytes: serve through a bounded workload-aware cache"
             );
-            println!("       dsv store <repo> [--json]  print object-store stats (shard fill, dedup ratio)");
-            println!("       dsv stats <repo>  store stats plus this process's metrics");
+            println!(
+                "       dsv stats <repo> [--json]  object-store stats (shard fill, dedup ratio) \
+                 and this process's metrics"
+            );
             println!("       dsv optimize <repo> <p1..p6> [bound] [--solver <name>] [--portfolio]");
             println!(
                 "                    [--hybrid] [--binary] [--hops <reveal-n>] [--hop-bound <n>]"
@@ -704,6 +818,15 @@ fn local_only(cmd: &str, args: &[String]) -> Result<(), String> {
             println!(
                 "       dsv fsck <repo> [--repair]  verify addresses, recreation paths, \
                  and journals; --repair resolves them"
+            );
+            println!(
+                "       dsv serve <repo> [--addr <host:port>] [--workers <n>] [--cache-bytes <n>]"
+            );
+            println!("                    [--max-frame <bytes>] [--read-timeout-ms <n>]");
+            println!("                    recover the repository, then serve it until `shutdown`");
+            println!(
+                "       dsv serve <dir> --store-server [--addr ...]  serve a bare object store \
+                 (one remote shard)"
             );
             println!(
                 "       dsv --threads <n> ...  pin the parallel runtime's worker count \
@@ -715,8 +838,8 @@ fn local_only(cmd: &str, args: &[String]) -> Result<(), String> {
             );
             println!("       dsv --trace-json <path> ...  write the span tree as JSON");
             println!(
-                "       dsv --remote <host:port> ...  run commit, checkout, optimize, stats, \
-                 store or fsck on a dsvd server: same flags and output, no <repo>, no \
+                "       dsv --remote <host:port> ...  run commit, checkout, optimize, stats \
+                 or fsck on a `dsv serve` server: same flags and output, no <repo>, no \
                  --cache-bytes (the cache is the server's); also ping, shutdown"
             );
             Ok(())
@@ -832,10 +955,7 @@ fn extract_threads(args: &[String]) -> Result<Vec<String>, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--threads" {
-            let value = iter.next().ok_or("--threads needs a value")?;
-            let threads: usize = value
-                .parse()
-                .map_err(|_| format!("invalid --threads '{value}'"))?;
+            let threads: usize = flag_arg(arg, iter.next())?;
             if threads == 0 {
                 return Err("--threads must be at least 1".into());
             }
@@ -848,7 +968,7 @@ fn extract_threads(args: &[String]) -> Result<Vec<String>, String> {
 }
 
 /// Strips a global `--remote <host:port>` flag. When present, the
-/// command is routed to a `dsvd` server over the wire protocol instead
+/// command is routed to a `dsv serve` server over the wire protocol instead
 /// of opening a repository locally (see [`Backend`]).
 fn extract_remote(args: &[String]) -> Result<(Vec<String>, Option<String>), String> {
     let mut out = Vec::with_capacity(args.len());
@@ -955,6 +1075,12 @@ fn repo_dir(args: &[String], idx: usize) -> Result<PathBuf, String> {
         .ok_or_else(|| "missing repository directory".to_owned())
 }
 
+/// The value after `flag`, parsed.
+fn flag_arg<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("invalid {flag} '{v}'"))
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -1021,7 +1147,7 @@ fn parse_optimize(args: &[String], problem: Problem) -> Result<Request, String> 
         return Err("--portfolio and --solver are mutually exclusive".into());
     }
     let solver = if portfolio {
-        WireSolver::Portfolio
+        SolverChoice::Portfolio
     } else if let Some(name) = named {
         // Catch typos before the repository is loaded (or the network
         // crossed) and re-diffed.
@@ -1030,9 +1156,9 @@ fn parse_optimize(args: &[String], problem: Problem) -> Result<Request, String> 
                 "no solver named '{name}' in the registry (see: dsv solvers)"
             ));
         }
-        WireSolver::Named(name.to_owned())
+        SolverChoice::Named(name.to_owned())
     } else {
-        WireSolver::Auto
+        SolverChoice::Auto
     };
     let hybrid = args.iter().any(|a| a == "--hybrid");
     let binary = args.iter().any(|a| a == "--binary");

@@ -25,7 +25,7 @@
 //!   rolled *back* (unreferenced new objects are dropped). The journal
 //!   is cleared once every removal succeeded; a store failure returns the
 //!   error with the journal in place, before or between removals.
-//!   `dsvd` runs this at startup before serving.
+//!   `dsv serve` runs this at startup before serving.
 //! - [`fsck_repair`] = recover + fsck + orphan GC.
 //!
 //! All three are deterministic and idempotent: running them twice (or

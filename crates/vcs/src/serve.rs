@@ -10,7 +10,7 @@
 //! * **shared checkout cache** — one [`CheckoutCache`] arena is installed
 //!   on the repository and therefore shared by *all* client checkouts
 //!   (content-addressed, so concurrent commits can never make it stale);
-//! * **durability** — when a save root is configured (the `dsvd` binary
+//! * **durability** — when a save root is configured (`dsv serve`
 //!   always does), repository metadata is re-persisted after every
 //!   successful mutation, so a later local `dsv` run sees remote commits;
 //!   a *failed* save rolls the in-memory mutation back before the error
@@ -42,11 +42,11 @@ use crate::fsck;
 use crate::optimize::OptimizeReport;
 use crate::repo::{OnlineOptions, Placement, Repository};
 use crate::{persist, CommitId};
-use dsv_core::{ModePolicy, PlanSpec, Problem};
+use dsv_core::{ModePolicy, PlanSpec, Problem, SolverChoice};
 use dsv_net::frame::errcode;
 use dsv_net::proto::{
     CandidateLine, CandidateNumbers, OptimizeSummary, Reply, Request, Response, StatsSummary,
-    WireMode, WireSolver,
+    WireMode,
 };
 use dsv_net::server::{session, Server};
 use dsv_obs as obs;
@@ -268,7 +268,7 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
                 }
             }
             Request::Shutdown => Response::ShutdownOk,
-            // The bare-store opcodes are served by `dsvd --store-server`
+            // The bare-store opcodes are served by `dsv serve --store-server`
             // (`dsv_net::remote::StoreService`); a repository front end
             // owns its store and does not expose raw object access.
             Request::StorePut { .. }
@@ -279,7 +279,7 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
             | Request::StoreStats => Response::Error {
                 code: errcode::BAD_REQUEST,
                 message: "object-store opcodes are only served by a store server \
-                          (dsvd --store-server), not a repository server"
+                          (dsv serve --store-server), not a repository server"
                     .into(),
             },
         };
@@ -289,12 +289,12 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
     fn optimize(
         &self,
         problem: Problem,
-        solver: WireSolver,
+        solver: SolverChoice,
         mode: WireMode,
         reveal_hops: u32,
         hop_bound: Option<u32>,
     ) -> Response {
-        if let WireSolver::Named(name) = &solver {
+        if let SolverChoice::Named(name) = &solver {
             if dsv_core::solvers::by_name(name).is_none() {
                 return Response::Error {
                     code: errcode::BAD_REQUEST,
@@ -312,17 +312,15 @@ impl<S: ObjectStore + Send + Sync> Dsvd<S> {
             }
         };
         let mut repo = self.repo.write();
-        let mut spec = PlanSpec::new(problem).reveal_hops(reveal_hops as usize);
+        let mut spec = PlanSpec::new(problem)
+            .reveal_hops(reveal_hops as usize)
+            .solver(solver);
         if let Some(bound) = hop_bound {
             spec = spec.hop_bound(bound);
         }
-        match solver {
-            WireSolver::Auto => {}
-            _ => spec = spec.solver(solver.to_choice()),
-        }
-        // Same rule as the local CLI: a chunked-placement repo keeps its
-        // own chunker granularity; otherwise the client's requested spec
-        // applies.
+        // A hybrid solve on a chunked-placement repository keeps the
+        // repository's own chunker granularity, whatever sizes the request
+        // carries; every other policy applies as requested.
         spec = spec.modes(match (policy, repo.placement()) {
             (ModePolicy::Hybrid(_), Placement::Chunked(params)) => ModePolicy::Hybrid(params),
             (policy, _) => policy,
@@ -471,7 +469,7 @@ mod tests {
         let dsvd = Dsvd::new(repo, DsvdConfig::default());
         let reply = dsvd.handle(Request::Optimize {
             problem: Problem::MinStorage,
-            solver: WireSolver::Auto,
+            solver: SolverChoice::Auto,
             mode: WireMode::Hybrid {
                 min_size: 16,
                 avg_size: 1 << 62,

@@ -1,7 +1,7 @@
-//! Drives the real `dsv` and `dsvd` binaries: every command both
-//! backends serve must print the same thing whether it runs against a
-//! local repository directory or through `--remote` against a `dsvd`
-//! serving an identical one.
+//! Drives the real `dsv` binary: every command both backends serve must
+//! print the same thing whether it runs against a local repository
+//! directory or through `--remote` against a `dsv serve` serving an
+//! identical one.
 //!
 //! The expected transcripts were recorded from the last commit in which
 //! the local and `--remote` halves of `dsv` were separate code (local
@@ -18,19 +18,20 @@
 //!
 //! Beside the transcripts, drills run the operator's workflows end to
 //! end: online commits and plan ≡ store, a traced sharded optimize and
-//! `store --json`, a traced served repository, remote store shards and a
-//! dead one, a `DSV_FAULT` crash and its repair, and a SIGKILLed `dsvd`'s
-//! restart. They assert span names and JSON keys by substring.
+//! `stats --json`, a traced served repository, remote store shards and a
+//! dead one, a `DSV_FAULT` crash and its repair, and a SIGKILLed server's
+//! restart. They assert span names and JSON keys by substring. The
+//! mistakes `dsv serve` itself can be handed end in `dsv: …` and exit 1.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 
 const DSV: &str = env!("CARGO_BIN_EXE_dsv");
-const DSVD: &str = env!("CARGO_BIN_EXE_dsvd");
 
 /// A scratch directory holding two identical repositories — `L`, driven
-/// locally, and `R`, served by a spawned `dsvd` — plus the version files.
+/// locally, and `R`, served by a spawned `dsv serve` — plus the version
+/// files.
 struct Sandbox {
     dir: PathBuf,
     addr: String,
@@ -74,16 +75,17 @@ impl Sandbox {
     /// Serves `R`. The cache is off so recreation work reads the same as
     /// the cacheless local side.
     fn serve(&mut self) {
-        let daemon = self.dsvd(&["R", "--cache-bytes", "0", "--workers", "2"]);
+        let daemon = self.daemon(&["R", "--cache-bytes", "0", "--workers", "2"]);
         self.addr = daemon.addr.clone();
         self.server = daemon.detach();
     }
 
-    /// `dsvd <args…> --addr 127.0.0.1:0`, once it has announced its
+    /// `dsv serve <args…> --addr 127.0.0.1:0`, once it has announced its
     /// address.
-    fn dsvd(&self, args: &[&str]) -> Daemon {
-        let mut child = Command::new(DSVD)
+    fn daemon(&self, args: &[&str]) -> Daemon {
+        let mut child = Command::new(DSV)
             .current_dir(&self.dir)
+            .arg("serve")
             .args(args)
             .args(["--addr", "127.0.0.1:0"])
             .stdout(Stdio::piped())
@@ -93,8 +95,8 @@ impl Sandbox {
         let mut stdout = BufReader::new(child.stdout.take().unwrap());
         let mut line = String::new();
         stdout.read_line(&mut line).unwrap();
-        // "dsvd: serving R (0 versions) at 127.0.0.1:PORT (2 workers, …)",
-        // "dsvd: store server S (0 objects) at 127.0.0.1:PORT (…)"
+        // "dsv: serving R (0 versions) at 127.0.0.1:PORT (2 workers, …)",
+        // "dsv: store server S (0 objects) at 127.0.0.1:PORT (…)"
         let addr = line.split(" at ").nth(1).and_then(|s| s.split(' ').next());
         let addr = addr.unwrap_or_else(|| panic!("no address in {line:?}"));
         Daemon {
@@ -154,7 +156,7 @@ impl Sandbox {
     }
 }
 
-/// A `dsvd` a test started; SIGKILLed if the test did not stop it.
+/// A `dsv serve` a test started; SIGKILLed if the test did not stop it.
 struct Daemon {
     /// The child and its stdout, kept open so the server's exit line has
     /// somewhere to go.
@@ -194,7 +196,7 @@ fn has_span(trace: &str, name: &str) -> bool {
     trace.contains(&format!("\"name\": \"{name}\""))
 }
 
-/// Whether `stdout` is a `store --json` object: its keys, in one object.
+/// Whether `stdout` is a `stats --json` object: its keys, in one object.
 fn is_store_json(stdout: &str) -> bool {
     let json = stdout.trim();
     let keys = [
@@ -223,7 +225,7 @@ impl Drop for Sandbox {
 }
 
 /// Strips what is documented to differ per backend (see the module
-/// docs) from a `stats` / `store --json` transcript.
+/// docs) from a `stats` / `stats --json` transcript.
 fn masked(stdout: &str) -> String {
     let json = stdout.split("\"ops\":").next().unwrap();
     json.split("metrics this process:")
@@ -334,19 +336,14 @@ fn local_and_remote_print_the_same() {
          \n  last         objective 864 (C 864, ΣR 23830, maxR 5983)\
          \n  gith         objective 864 (C 864, ΣR 23830, maxR 5983)\
          \n  hop          objective 866 (C 866, ΣR 23714, maxR 5968)\n");
-    both(
+    for ran in both(
         s,
-        &["store", "--json"],
+        &["stats", "--json"],
         0,
         "{\"objects\": 10, \"bytes\": 3214, \"logical_bytes\": 23178, \"shards\": [], \n",
-    );
-    both(
-        s,
-        &["store"],
-        0,
-        "10 objects, 3214 bytes on disk (flat)\
-         \ndedup ratio: 7.21x (23178 logical bytes)\n",
-    );
+    ) {
+        assert!(is_store_json(&ran.stdout), "{}", ran.stdout);
+    }
     both(
         s,
         &["stats"],
@@ -379,7 +376,7 @@ fn local_and_remote_print_the_same() {
     }
 
     // A commit that dies writing its metadata leaves orphaned objects in
-    // both object directories (dsvd enumerates R's from disk): fsck must
+    // both object directories (the server enumerates R's from disk): fsck must
     // flag them with the same line and a nonzero exit on both sides —
     // each naming the command that repairs *that* backend — and --repair
     // must collect them.
@@ -479,7 +476,7 @@ fn both_backends_reject_the_same_mistakes() {
     assert_eq!(
         remote.stderr,
         "dsv: --cache-bytes is server-side with --remote: every remote checkout \
-         is served through the dsvd shared cache (see: dsvd --cache-bytes)\n"
+         is served through the server's shared cache (see: dsv serve --cache-bytes)\n"
     );
     let local = s.local(&["checkout", "0", "0", "--cache-bytes", "1048576"]);
     assert_eq!(local.code, 0, "{}", local.stderr);
@@ -536,7 +533,7 @@ fn online_commits_place_locally_and_optimize_stores_what_it_plans() {
     ]);
 }
 
-/// A sharded repository's optimize traces every phase, and `store
+/// A sharded repository's optimize traces every phase, and `stats
 /// --json` reports the shards.
 #[test]
 fn a_sharded_optimize_traces_every_phase_and_store_reports_json() {
@@ -550,7 +547,7 @@ fn a_sharded_optimize_traces_every_phase_and_store_reports_json() {
     for span in ["optimize", "reveal", "solve", "pack", "gc"] {
         assert!(has_span(&trace, span), "no {span} span: {trace}");
     }
-    let json = s.ok(&["store", "S", "--json"]).stdout;
+    let json = s.ok(&["stats", "S", "--json"]).stdout;
     assert!(is_store_json(&json), "{json}");
     assert_eq!(json.matches("\"batch_ms\": ").count(), 4, "{json}");
 }
@@ -562,7 +559,7 @@ fn a_sharded_optimize_traces_every_phase_and_store_reports_json() {
 fn a_served_repository_traces_requests_and_keeps_remote_commits() {
     let s = Sandbox::new("serve");
     s.ok(&["commit", "R", "v0.csv"]);
-    let server = s.dsvd(&["R", "--trace-json", "serve.json"]);
+    let server = s.daemon(&["R", "--trace-json", "serve.json"]);
     let remote = |args: &[&str]| s.ok(&[&["--remote", &server.addr][..], args].concat());
     remote(&["ping"]);
     remote(&["commit", "v1.csv", "--online"]);
@@ -589,13 +586,13 @@ fn a_served_repository_traces_requests_and_keeps_remote_commits() {
     }
 }
 
-/// Two `dsvd --store-server` shards behind one repository: meta v4
+/// Two `dsv serve --store-server` shards behind one repository: meta v4
 /// records the topology, the whole cycle round-trips, and with a shard
 /// killed the next command fails at once, naming that shard.
 #[test]
 fn remote_shards_round_trip_and_a_dead_shard_is_named() {
     let s = Sandbox::new("shards");
-    let [shard0, mut shard1] = ["shard0", "shard1"].map(|dir| s.dsvd(&[dir, "--store-server"]));
+    let [shard0, mut shard1] = ["shard0", "shard1"].map(|dir| s.daemon(&[dir, "--store-server"]));
     let (a0, a1) = (shard0.addr.clone(), shard1.addr.clone());
     s.ok(&["init", "S", "--remote-shards", &format!("{a0},{a1}")]);
     let meta = s.text("S/meta.dsv");
@@ -612,7 +609,7 @@ fn remote_shards_round_trip_and_a_dead_shard_is_named() {
         s.ok(&["checkout", "S", &format!("v{v}"), "-o", "out.csv"]);
         assert_eq!(s.read("out.csv"), s.read(&format!("v{v}.csv")), "v{v}");
     }
-    assert!(is_store_json(&s.ok(&["store", "S", "--json"]).stdout));
+    assert!(is_store_json(&s.ok(&["stats", "S", "--json"]).stdout));
 
     shard1.kill();
     let dead = s.dsv(&["checkout", "S", "v0", "-o", "dead.csv"]);
@@ -657,20 +654,51 @@ fn an_injected_crash_leaves_debris_that_fsck_flags_and_repair_clears() {
     );
 }
 
-/// A `dsvd` SIGKILLed after acknowledging a remote commit restarts
+/// A `dsv serve` SIGKILLed after acknowledging a remote commit restarts
 /// (recovering on startup) with that commit, byte-identical.
 #[test]
 fn a_killed_dsvd_restarts_with_every_acknowledged_commit() {
     let s = Sandbox::new("kill");
     s.ok(&["commit", "R", "v0.csv"]);
-    let mut server = s.dsvd(&["R"]);
+    let mut server = s.daemon(&["R"]);
     s.ok(&["--remote", &server.addr, "commit", "v1.csv"]);
     server.kill();
-    let server = s.dsvd(&["R"]);
+    let server = s.daemon(&["R"]);
     let remote = |args: &[&str]| s.ok(&[&["--remote", &server.addr][..], args].concat());
     assert!(remote(&["fsck"]).stdout.ends_with("clean\n"));
     remote(&["checkout", "1", "-o", "out.csv"]);
     assert_eq!(s.read("out.csv"), s.read("v1.csv"));
     remote(&["shutdown"]);
     assert_eq!(server.wait(), 0);
+}
+
+/// `dsv serve`'s own mistakes fail before anything binds, and `dsv help`
+/// lists the command.
+#[test]
+fn serve_rejects_its_mistakes_and_help_lists_it() {
+    let s = Sandbox::new("serve-mistakes");
+    for (args, message) in [
+        (
+            &["serve"][..],
+            "usage: dsv serve <dir> [--addr <host:port>] [--workers <n>] [--cache-bytes <n>] \
+             [--max-frame <bytes>] [--read-timeout-ms <n>] [--store-server]",
+        ),
+        (
+            &["serve", "R", "--bogus"],
+            "unknown serve flag '--bogus' (see: dsv help)",
+        ),
+        (
+            &["--remote", "127.0.0.1:1", "serve"],
+            "command 'serve' is not supported over --remote \
+             (supported: ping, commit, checkout, optimize, stats, fsck, shutdown)",
+        ),
+    ] {
+        let ran = s.dsv(args);
+        assert_eq!(ran.code, 1, "{args:?}");
+        assert_eq!(ran.stdout, "", "{args:?}");
+        assert_eq!(ran.stderr, format!("dsv: {message}\n"), "{args:?}");
+    }
+    let help = s.ok(&["help"]).stdout;
+    assert!(help.contains("dsv serve <repo>"), "{help}");
+    assert!(help.contains("--store-server"), "{help}");
 }

@@ -77,7 +77,7 @@ fn main() {
     // Sharded memory store: the same objects routed across 4 shards by
     // id prefix, batches written to all shards concurrently. The store
     // holds identical bytes at any shard count; `stats()` is the same
-    // snapshot `dsv store` prints for on-disk repositories.
+    // snapshot `dsv stats` prints for on-disk repositories.
     let sharded = ShardedStore::build(4, |_| MemStore::new(true));
     let sharded_chunks = ChunkStore::new(&sharded, ChunkerParams::default());
     for v in versions {

@@ -41,7 +41,7 @@
 //!   instrumenting the solve/pack/store pipeline: spans aggregate into a
 //!   deterministic call tree with wall/self time (`dsv --trace`,
 //!   `--trace-json`, `DSV_TRACE=1`), and a metrics registry of counters,
-//!   gauges, and histograms backs `dsv stats` / `dsv store --json`. With
+//!   gauges, and histograms backs `dsv stats [--json]`. With
 //!   no recorder installed every macro is one relaxed atomic load.
 //!
 //! ## The three storage substrates

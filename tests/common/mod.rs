@@ -166,7 +166,7 @@ impl Drop for Relay {
 
 /// A loopback bare-store server (`StoreService`) behind a [`Relay`], so
 /// its address outlives a kill. Over a directory it serves a `FileStore`
-/// the way `dsvd <dir> --store-server` does, and a restart finds its
+/// the way `dsv serve <dir> --store-server` does, and a restart finds its
 /// objects again; without one it serves a `MemStore`.
 pub struct StoreServer {
     dir: Option<PathBuf>,
@@ -252,7 +252,7 @@ fn serve_store(dir: Option<&Path>, max_frame: u32) -> (String, JoinHandle<()>) {
         max_frame,
         read_timeout: None,
     };
-    // Coding payloads, like the `FileStore` a `dsvd --store-server`
+    // Coding payloads, like the `FileStore` a `dsv serve --store-server`
     // opens: a `RemoteStore` prices objects for that policy.
     let accept = match dir {
         Some(dir) => {

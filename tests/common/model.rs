@@ -22,10 +22,10 @@
 //! row.
 
 use super::{fault_lock, Relay, StoreServer, TempDir};
-use dsv_core::{ChunkerParams, Problem};
+use dsv_core::{ChunkerParams, Problem, SolverChoice};
 use dsv_net::proto::{FsckSummary, OptimizeSummary, Request, Response};
 use dsv_net::{Client, RemoteStore, RetryPolicy, Server, ServerOptions, DEFAULT_MAX_FRAME};
-use dsv_net::{WireMode, WireRecovery, WireSolver};
+use dsv_net::{WireMode, WireRecovery};
 use dsv_obs as obs;
 use dsv_storage::fault::{self, FaultPlan, FaultStore};
 use dsv_storage::{shard_index, StoreStats};
@@ -520,7 +520,7 @@ pub struct Config {
     /// Chunked placement (and hybrid optimizes by default).
     chunked: bool,
     /// 0: requests go to `Dsvd::handle` in this process, the way the
-    /// `dsv` CLI runs them. n: n `Client`s reach a served `dsvd`.
+    /// `dsv` CLI runs them. n: n `Client`s reach a served `Dsvd`.
     clients: usize,
     /// The checkout cache: none, or a budget (0 installs an empty one).
     cache: Option<u64>,
@@ -1241,7 +1241,7 @@ impl Run {
     }
 
     /// After a crash, the next process starts from disk. A served config
-    /// is `dsvd`, which recovers first (`recover_at`): clean, the journal
+    /// is `dsv serve`, which recovers first (`recover_at`): clean, the journal
     /// resolved the right way, no staging file left or counted. An
     /// in-process config is the `dsv` CLI, which loads and leaves the
     /// debris to `fsck --repair`. Either way the history is fully old or
@@ -1348,7 +1348,7 @@ impl Run {
         })
     }
 
-    /// Stops the system and restarts it from disk alone, the way `dsvd`
+    /// Stops the system and restarts it from disk alone, the way `dsv serve`
     /// does ([`recover`]): every acknowledged version is there,
     /// byte-identical.
     fn finish(&mut self) -> Result<(), String> {
@@ -1485,7 +1485,7 @@ fn honest(error: &str) -> bool {
     fault::is_injected(error) || error.contains("remote store")
 }
 
-/// `dsvd`'s start: `recover_at`, which must end clean, resolve `journal`
+/// `dsv serve`'s start: `recover_at`, which must end clean, resolve `journal`
 /// the right way and leave no staging file.
 fn recover(root: &Path, journal: Option<&RepackJournal>) -> Result<Repository<RepoStore>, String> {
     let (survivor, report) =
@@ -1648,8 +1648,8 @@ fn optimize_request(model: &Model, problem: u8, bound: u8, mode: u8, solver: u8)
     Request::Optimize {
         problem,
         solver: match solver as usize % (SOLVERS.len() + 1) {
-            0 => WireSolver::Auto,
-            i => WireSolver::Named(SOLVERS[i - 1].to_owned()),
+            0 => SolverChoice::Auto,
+            i => SolverChoice::Named(SOLVERS[i - 1].to_owned()),
         },
         mode: [
             WireMode::Auto,
