@@ -45,15 +45,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses process args: any `--quick` flag selects [`Scale::Quick`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Picks between the quick and full variants of a parameter.
     pub fn pick<T>(self, quick: T, full: T) -> T {
         match self {
@@ -61,6 +52,32 @@ impl Scale {
             Scale::Full => full,
         }
     }
+}
+
+/// Parses `dsv-bench`'s arguments: at most one experiment name (none
+/// means "list them") and `--quick`. Anything else is an error, so a typo
+/// cannot fall back to the full-scale sweep and a second name cannot be
+/// dropped.
+pub fn parse_args<S: AsRef<str>>(
+    args: impl IntoIterator<Item = S>,
+) -> Result<(Scale, Option<String>), String> {
+    let mut scale = Scale::Full;
+    let mut name: Option<String> = None;
+    for arg in args {
+        match arg.as_ref() {
+            "--quick" if scale == Scale::Full => scale = Scale::Quick,
+            "--quick" => return Err("--quick given more than once".into()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
+            second if name.is_some() => {
+                let first = name.unwrap_or_default();
+                return Err(format!(
+                    "one experiment at a time, not '{first}' and '{second}'"
+                ));
+            }
+            first => name = Some(first.to_owned()),
+        }
+    }
+    Ok((scale, name))
 }
 
 #[cfg(test)]
@@ -81,5 +98,26 @@ mod tests {
     fn scale_pick() {
         assert_eq!(Scale::Quick.pick(1, 2), 1);
         assert_eq!(Scale::Full.pick(1, 2), 2);
+    }
+
+    #[test]
+    fn args_name_one_experiment_and_nothing_else() {
+        assert_eq!(
+            parse_args(["fig12"]),
+            Ok((Scale::Full, Some("fig12".into())))
+        );
+        assert_eq!(
+            parse_args(["--quick", "all"]),
+            Ok((Scale::Quick, Some("all".into())))
+        );
+        assert_eq!(parse_args::<&str>([]), Ok((Scale::Full, None)));
+        assert_eq!(
+            parse_args(["fig12", "--quik"]),
+            Err("unknown flag '--quik'".into())
+        );
+        assert_eq!(
+            parse_args(["fig12", "fig13"]),
+            Err("one experiment at a time, not 'fig12' and 'fig13'".into())
+        );
     }
 }

@@ -42,8 +42,13 @@ const REPRODUCTION: [Experiment; 11] = [
 ];
 
 fn main() -> std::process::ExitCode {
-    let scale = Scale::from_args();
-    let wanted = std::env::args().skip(1).find(|a| !a.starts_with("--"));
+    let (scale, wanted) = match dsv_bench::parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("dsv-bench: {e} (usage: dsv-bench <experiment|all> [--quick])");
+            return std::process::ExitCode::FAILURE;
+        }
+    };
     match wanted.as_deref() {
         Some("all") => {
             println!("# Reproduction run ({scale:?} scale)\n");

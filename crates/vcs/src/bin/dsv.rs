@@ -1,30 +1,22 @@
 //! `dsv` — a command-line dataset version-control tool.
 //!
 //! The CLI face of the prototype system (the paper's §5 describes a
-//! client/server variant; this is the single-machine equivalent):
+//! client/server variant; this is the single-machine equivalent).
+//! `dsv help` prints the synopsis of every command and flag; it is
+//! rendered from [`COMMANDS`], the table the parser reads, so the two
+//! cannot drift.
 //!
-//! ```text
-//! dsv init <repo-dir> [--shards <n> | --remote-shards <addr,...>]
-//! dsv commit <repo-dir> <file> [-b branch] [-m message]
-//!            [--online] [--online-hops <n>] [--theta <bytes>]
-//! dsv checkout <repo-dir> <version>... [-o out-file] [--cache-bytes <n>]
-//! dsv log <repo-dir> [branch]
-//! dsv branch <repo-dir> <name> <version>
-//! dsv branches <repo-dir>
-//! dsv status <repo-dir>
-//! dsv stats <repo-dir> [--json]
-//! dsv solvers
-//! dsv optimize <repo-dir> <p1|p2|p3|p4|p5|p6> [bound]
-//!              [--solver <name>] [--portfolio] [--hybrid] [--binary]
-//!              [--hops <n>] [--hop-bound <n>]
-//! dsv fsck <repo-dir> [--repair]
-//! dsv serve <repo-dir> [--addr <host:port>] [--workers <n>] [--cache-bytes <n>]
-//!           [--max-frame <bytes>] [--read-timeout-ms <n>]
-//! dsv serve <store-dir> --store-server [--addr <host:port>] [...]
-//! dsv --threads <n> <any command ...>
-//! dsv --trace [--trace-json <path>] <any command ...>
-//! dsv --remote <host:port> <ping|commit|checkout|optimize|stats|fsck|shutdown> ...
-//! ```
+//! One grammar holds for every command, applied by one walk over argv
+//! ([`parse`]): `dsv <command> <operands and flags in any order>`. The
+//! first token that names a command selects it (`--help` and `-h` name
+//! `help`; no command at all is `help` too). A token starting with `-` is
+//! a flag: one of the global flags (`--threads`, `--trace`,
+//! `--trace-json`, `--remote`, accepted anywhere) or, after the command,
+//! one of that command's own. A flag that takes a value takes the next
+//! token verbatim. An unknown flag, a flag given twice, a flag missing
+//! its value and a wrong number of operands are each an error, never a
+//! default. Every other token is an operand. Values are checked by the
+//! command that reads them.
 //!
 //! `init --shards <n>` lays the object store out as `n` independent
 //! shards (`objects/shard-<i>/…`) selected by object-id prefix; batch
@@ -56,16 +48,16 @@
 //! serving configuration for hot Zipf-like read traffic.
 //!
 //! `optimize` bounds: p3/p4 take a storage budget in bytes; p5/p6 take a
-//! recreation threshold in bytes. The solve goes through the planner:
-//! `--solver` picks one registered solver by name (see `dsv solvers`),
-//! `--portfolio` runs every capable solver and keeps the cheapest
-//! feasible plan, and the default is the paper's Table-1 dispatch.
-//! `--hybrid` forces the three-mode Full/Delta/Chunked model, `--binary`
-//! forces the paper's binary model; with neither flag, a repository whose
-//! placement policy is chunked is optimized hybrid automatically.
-//! `--hops` widens/narrows how far around the commit DAG deltas are
-//! revealed; `--hop-bound` is different — it caps the `hop` solver's
-//! delta-chain length.
+//! recreation threshold in bytes; p1 (the default) and p2 take none. The
+//! solve goes through the planner: `--solver` picks one registered
+//! solver by name (see `dsv solvers`), `--portfolio` runs every capable
+//! solver and keeps the cheapest feasible plan, and the default is the
+//! paper's Table-1 dispatch. `--hybrid` forces the three-mode
+//! Full/Delta/Chunked model, `--binary` forces the paper's binary model;
+//! with neither flag, a repository whose placement policy is chunked is
+//! optimized hybrid automatically. `--hops` widens/narrows how far around
+//! the commit DAG deltas are revealed; `--hop-bound` is different — it
+//! caps the `hop` solver's delta-chain length.
 //!
 //! `fsck` verifies the repository end to end: every stored object is
 //! re-hashed against its content address, every version is materialized
@@ -76,10 +68,9 @@
 //! verification itself never mutates the store. The command exits
 //! nonzero when the repository is not clean, so scripts can gate on it.
 //!
-//! `--threads <n>` (accepted anywhere on the command line) pins the
-//! dsv-par runtime to `n` workers for every parallel phase
-//! — reveal diffs, chunk estimation, portfolio solves, and packing.
-//! Results are identical at any thread count; the default is the
+//! `--threads <n>` pins the dsv-par runtime to `n` workers for every
+//! parallel phase — reveal diffs, chunk estimation, portfolio solves, and
+//! packing. Results are identical at any thread count; the default is the
 //! `DSV_THREADS` environment variable, falling back to the machine's
 //! available parallelism.
 //!
@@ -94,9 +85,11 @@
 //! is re-persisted after each mutation. `--addr` defaults to
 //! `127.0.0.1:7411` and port `0` picks a free one; `--workers` bounds
 //! concurrent connections (default: the dsv-par thread count);
-//! `--read-timeout-ms` bounds an idle client (default 30 000, `0` = none).
-//! Once listening it prints `dsv: serving <dir> (<n> versions) at <addr>
-//! (…)` and flushes, so scripts can scrape the bound address.
+//! `--read-timeout-ms` bounds an idle client (default 30 000, `0` = none);
+//! `--max-frame` caps a request body (default 64 MiB, at least
+//! [`MIN_MAX_FRAME`]). Once listening it prints `dsv: serving <dir> (<n>
+//! versions) at <addr> (…)` and flushes, so scripts can scrape the bound
+//! address.
 //!
 //! `serve --store-server` serves a *bare object store* instead: the
 //! directory holds content-addressed objects only, requests are the
@@ -110,48 +103,191 @@
 //! `serve → conn → recv_wait / decode / handle / encode / send`, with a
 //! per-opcode child under each `handle`, and writes it at shutdown.
 //!
-//! `--remote <host:port>` (accepted anywhere on the command line) routes
-//! `commit`, `checkout`, `optimize`, `stats` and `fsck` to a running
-//! `dsv serve` over the `dsv-net` protocol instead of opening a
-//! repository locally; the repo-dir positional is omitted since the
-//! server owns its repository. These five commands are one code path: the
-//! arguments are parsed once into a protocol request, the request is
-//! executed by the same `Dsvd` handler either in-process or behind the
-//! socket, and the response is rendered once — so flags, output and
-//! errors cannot differ between the two. Only two epilogues are specific
-//! to a backend, both local: a multi-version `checkout --cache-bytes`
-//! ends with the cache's own line (remotely the cache is the server's,
-//! `--cache-bytes` is rejected, and `stats` shows it as `server cache`),
-//! and `stats` ends with this process's metrics. Operation counters
-//! always describe the process that owns the store — this one locally,
-//! the server remotely. `ping` and `shutdown` exist only with
-//! `--remote`.
+//! `--remote <host:port>` routes `commit`, `checkout`, `optimize`,
+//! `stats` and `fsck` to a running `dsv serve` over the `dsv-net`
+//! protocol instead of opening a repository locally; the repo-dir operand
+//! is omitted since the server owns its repository. These five commands
+//! are one code path: the arguments are parsed once into a protocol
+//! request, the request is executed by the same `Dsvd` handler either
+//! in-process or behind the socket, and the response is rendered once —
+//! so flags, output and errors cannot differ between the two. Only two
+//! epilogues are specific to a backend, both local: a multi-version
+//! `checkout --cache-bytes` ends with the cache's own line (remotely the
+//! cache is the server's, `--cache-bytes` is rejected, and `stats` shows
+//! it as `server cache`), and `stats` ends with this process's metrics.
+//! Operation counters always describe the process that owns the store —
+//! this one locally, the server remotely. `ping` and `shutdown` exist
+//! only with `--remote`.
 //!
 //! `--trace` (or `DSV_TRACE=1`) installs a [`dsv_obs`] span recorder
 //! around the whole command and prints the aggregated call tree — wall
 //! and self time per phase — to stderr when the command finishes.
-//! `--trace-json <path>` writes the same tree as JSON. Both are accepted
-//! anywhere on the command line and compose with `--threads`; the span
-//! tree's *shape* is identical at every thread count.
+//! `--trace-json <path>` writes the same tree as JSON. Both compose with
+//! `--threads`; the span tree's *shape* is identical at every thread
+//! count.
+//!
+//! Everything `dsv` prints to stdout goes through one writer ([`emit`]):
+//! when the reader has gone away (`dsv log R | head -1`) the command ends
+//! there, silently and with exit 0.
 
 use dsv_core::solvers::{registry, Support};
 use dsv_core::{ChunkerParams, Problem, SolverChoice};
 use dsv_net::proto::{OptimizeSummary, Request, Response, WireMode};
 use dsv_net::server::{Server, ServerOptions};
-use dsv_net::{StoreService, StoreServiceConfig};
+use dsv_net::{StoreService, StoreServiceConfig, PROTOCOL_VERSION};
 use dsv_obs as obs;
 use dsv_storage::{CacheStats, FileStore, ObjectStore, ShardedStore, StoreStats, MAX_SHARDS};
 use dsv_vcs::{persist, CommitId, Dsvd, DsvdConfig, RepoStore, Repository};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// `dsv`'s stdout, the one way anything reaches it: `writeln!(Out, …)?`
+/// formats into [`emit`].
+struct Out;
+
+impl Out {
+    fn write_fmt(self, args: std::fmt::Arguments) -> Result<(), String> {
+        emit(args.to_string().as_bytes())
+    }
+}
+
+/// A flag as `dsv help` shows it — `--name`, or `--name <value>` when it
+/// takes a value — and its help text.
+type Flag = (&'static str, &'static str);
+
+/// A flag's spelling, and whether it takes a value.
+fn flag_name(synopsis: &str) -> (&str, bool) {
+    match synopsis.split_once(' ') {
+        Some((name, _)) => (name, true),
+        None => (synopsis, false),
+    }
+}
+
+/// Which backends a command runs on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// A repository directory (or nothing) on this machine.
+    Local,
+    /// A repository directory, or a `dsv serve` with `--remote` (which
+    /// drops the `<repo>` operand).
+    Both,
+    /// A `dsv serve`, only with `--remote`.
+    Remote,
+}
+
+/// One row of [`COMMANDS`].
+struct Command {
+    name: &'static str,
+    /// The operands' synopsis, `<repo>` first when the command opens one.
+    operands: &'static str,
+    /// How many operands it takes, `<repo>` included: at least, at most.
+    arity: (usize, usize),
+    reach: Reach,
+    run: fn(&Args) -> Result<(), String>,
+    /// Its line in `dsv help`.
+    about: &'static str,
+    flags: &'static [Flag],
+}
+
+/// The flags every command accepts.
+#[rustfmt::skip]
+const GLOBAL_FLAGS: &[Flag] = &[
+    ("--threads <n>", "pin the parallel runtime's worker count (default: DSV_THREADS, then cores)"),
+    ("--trace", "print a span tree of the command's phases to stderr (also: DSV_TRACE=1)"),
+    ("--trace-json <path>", "write the span tree as JSON"),
+    ("--remote <host:port>", "run the command on a `dsv serve`: same flags and output, no <repo>"),
+];
+
+/// Every command: the parser, `dsv help`, the `usage:` errors and the
+/// `--remote` list all read this table. A `Reach::Both` command raises
+/// every argument error before it opens its backend, so mistakes read
+/// the same with and without `--remote`.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "init", operands: "<repo>", arity: (1, 1), reach: Reach::Local, run: init,
+        about: "create an empty repository",
+        flags: &[
+            ("--shards <n>", "shard the object store n ways"),
+            ("--remote-shards <addr,...>", "store objects on `dsv serve --store-server` shards"),
+        ] },
+    Command { name: "ping", operands: "", arity: (0, 0), reach: Reach::Remote, run: ping,
+        about: "check that the server answers", flags: &[] },
+    Command { name: "commit", operands: "<repo> <file>", arity: (2, 2), reach: Reach::Both,
+        run: commit, about: "commit <file> as the next version on a branch",
+        flags: &[
+            ("-b <branch>", "the branch to commit on (default: main)"),
+            ("-m <message>", "the commit message"),
+            ("--online", "place via bounded local re-planning (no repack)"),
+            ("--online-hops <n>", "how far around the parents --online looks for a delta base"),
+            ("--theta <bytes>", "cap the new version's recreation bytes"),
+        ] },
+    Command { name: "checkout", operands: "<repo> <version>...", arity: (2, usize::MAX),
+        reach: Reach::Both, run: checkout,
+        about: "print one version, or the recreation work of several",
+        flags: &[
+            ("-o <file>", "write the one version to <file>, not stdout"),
+            ("--cache-bytes <n>", "serve through a bounded workload-aware cache (local only)"),
+        ] },
+    Command { name: "optimize", operands: "<repo> [p1..p6] [bound]", arity: (1, 3),
+        reach: Reach::Both, run: optimize,
+        about: "re-plan and repack: p1 (default) and p2 take no bound, p3/p4 a storage budget, \
+                p5/p6 a recreation bound, in bytes",
+        flags: &[
+            ("--solver <name>", "solve with one registered solver (see: dsv solvers)"),
+            ("--portfolio", "run every capable solver, keep the cheapest feasible plan"),
+            ("--hybrid", "force the Full/Delta/Chunked model"),
+            ("--binary", "force the materialized/delta model"),
+            ("--hops <n>", "how far around the commit DAG deltas are revealed (default 5)"),
+            ("--hop-bound <n>", "cap the hop solver's delta-chain length"),
+        ] },
+    Command { name: "stats", operands: "<repo>", arity: (1, 1), reach: Reach::Both, run: stats,
+        about: "object-store stats (shard fill, dedup ratio) and this process's metrics",
+        flags: &[("--json", "print it all as one JSON object")] },
+    Command { name: "fsck", operands: "<repo>", arity: (1, 1), reach: Reach::Both, run: fsck,
+        about: "verify addresses, recreation paths and journals; exit 1 unless clean",
+        flags: &[("--repair", "first resolve a pending repack journal and collect orphans")] },
+    Command { name: "shutdown", operands: "", arity: (0, 0), reach: Reach::Remote,
+        run: shutdown, about: "stop the server", flags: &[] },
+    Command { name: "log", operands: "<repo> [branch]", arity: (1, 2), reach: Reach::Local,
+        run: log, about: "the versions on a branch (default: main), newest first", flags: &[] },
+    Command { name: "branch", operands: "<repo> <name> <version>", arity: (3, 3),
+        reach: Reach::Local, run: branch, about: "start a branch at a version", flags: &[] },
+    Command { name: "branches", operands: "<repo>", arity: (1, 1), reach: Reach::Local,
+        run: branches, about: "every branch and its head", flags: &[] },
+    Command { name: "status", operands: "<repo>", arity: (1, 1), reach: Reach::Local, run: status,
+        about: "version, branch and storage-mode counts, bytes on disk", flags: &[] },
+    Command { name: "solvers", operands: "", arity: (0, 0), reach: Reach::Local, run: solvers,
+        about: "the registered solvers and the problems each supports", flags: &[] },
+    Command { name: "serve", operands: "<dir>", arity: (1, 1), reach: Reach::Local, run: serve,
+        about: "recover the repository, then serve it until `shutdown`",
+        flags: &[
+            ("--addr <host:port>", "listen here (default 127.0.0.1:7411; port 0 picks a free one)"),
+            ("--workers <n>", "concurrent connections (default: the runtime's thread count)"),
+            ("--cache-bytes <n>", "the shared checkout cache (default 256 MiB)"),
+            ("--max-frame <bytes>", "cap on a request body (default 64 MiB)"),
+            ("--read-timeout-ms <n>", "drop a client idle this long (default 30000; 0 = never)"),
+            ("--store-server", "serve <dir> as a bare object store (one remote shard)"),
+        ] },
+    HELP,
+];
+
+/// `dsv help`, also spelled `--help` or `-h`, and what no command means.
+#[rustfmt::skip]
+const HELP: Command = Command { name: "help", operands: "", arity: (0, 0), reach: Reach::Local,
+    run: help, about: "this text (also: --help, -h, no command)", flags: &[] };
+
+/// Smallest `serve --max-frame`: the `Hello` request's body (a `u16`
+/// protocol version). `Ping`, `Stats` and `Shutdown` have none, so a
+/// server at this cap can still be asked to stop.
+const MIN_MAX_FRAME: u32 = 2;
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("dsv: {e}");
@@ -160,7 +296,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(argv: &[String]) -> Result<(), String> {
     // Deterministic fault injection for crash-consistency testing: a
     // `DSV_FAULT=fail:N[:substr]` (or `tear:`/`skipsync:`) spec arms the
     // storage-layer fault shim so CI can kill this process at an exact
@@ -172,31 +308,36 @@ fn run(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
-    // `--threads` and the trace flags are global (any command may hit a
-    // parallel phase), so they are extracted before dispatch: `--threads`
-    // pins the dsv-par runtime, the trace flags wrap the whole command in
-    // a span recorder.
-    let args = extract_threads(args)?;
-    let (args, trace) = extract_trace(&args)?;
-    let (args, remote) = extract_remote(&args)?;
+    let args = parse(argv)?;
+    // The global flags: any command may hit a parallel phase, and the
+    // trace flags wrap the whole command in a span recorder.
+    // `DSV_TRACE=1` (or `true`) is `--trace`, as `DSV_THREADS` backs
+    // `--threads`.
+    if let Some(threads) = args.parsed::<usize>("--threads")? {
+        if threads == 0 {
+            return Err("--threads must be at least 1".into());
+        }
+        dsv_par::set_thread_count(Some(threads));
+    }
+    let trace_human = args.has("--trace")
+        || std::env::var("DSV_TRACE").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"));
+    let trace_json = args.value("--trace-json").map(PathBuf::from);
     // Metrics are a single branch per update; keep them on so that
     // `stats` and `stats --json` can report what this process did.
     obs::set_metrics_enabled(true);
-    let recorder = if trace.enabled() {
+    let recorder = (trace_human || trace_json.is_some()).then(|| {
         let r = Arc::new(obs::Recorder::new());
         obs::set_global_recorder(Some(Arc::clone(&r)));
-        Some(r)
-    } else {
-        None
-    };
-    let mut result = dispatch(&args, remote.as_deref());
+        r
+    });
+    let mut result = (args.cmd.run)(&args);
     if let Some(recorder) = recorder {
         obs::set_global_recorder(None);
         let tree = recorder.snapshot();
-        if trace.human && !tree.is_empty() {
+        if trace_human && !tree.is_empty() {
             eprint!("{}", tree.render());
         }
-        if let Some(path) = &trace.json {
+        if let Some(path) = &trace_json {
             let write = std::fs::write(path, tree.to_json())
                 .map_err(|e| format!("writing trace to {}: {e}", path.display()));
             result = result.and(write);
@@ -205,33 +346,179 @@ fn run(args: &[String]) -> Result<(), String> {
     result
 }
 
-fn dispatch(args: &[String], remote: Option<&str>) -> Result<(), String> {
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    match (cmd, remote) {
-        // The commands a repository directory and a `dsv serve` server both
-        // answer. Each raises every argument error before it opens its
-        // backend, so mistakes read the same with and without `--remote`.
-        ("commit", _) => commit(args, remote),
-        ("checkout", _) => checkout(args, remote),
-        ("optimize", _) => optimize(args, remote),
-        ("stats", _) => stats(args, remote),
-        ("fsck", _) => fsck(args, remote),
-        ("ping", Some(addr)) => {
-            connect(addr)?.ping().map_err(stringify)?;
-            println!("pong from {addr} (protocol v{})", dsv_net::PROTOCOL_VERSION);
-            Ok(())
+/// A command line, parsed: the command, its operands and the flags given.
+struct Args<'a> {
+    cmd: &'static Command,
+    /// In order; locally the first is the repository directory.
+    operands: Vec<&'a str>,
+    /// Each flag given (at most once), with its value.
+    flags: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// `flag` as given. Asking for a flag the table does not declare for
+    /// this command is a bug in its handler, not in the command line.
+    fn given(&self, flag: &str) -> Option<Option<&'a str>> {
+        let mut declared = GLOBAL_FLAGS.iter().chain(self.cmd.flags);
+        debug_assert!(declared.any(|(synopsis, _)| flag_name(synopsis).0 == flag));
+        let given = self.flags.iter().find(|(name, _)| *name == flag);
+        given.map(|(_, value)| *value)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.given(flag).is_some()
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.given(flag).flatten()
+    }
+
+    /// The value of `flag`, parsed, if it was given.
+    fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|_| format!("invalid {flag} '{v}'")))
+            .transpose()
+    }
+
+    fn remote(&self) -> Option<&'a str> {
+        self.value("--remote")
+    }
+
+    /// The repository directory — the first operand of a local run.
+    fn repo(&self) -> PathBuf {
+        PathBuf::from(self.operands[0])
+    }
+
+    /// The operands after the repository directory, which a server-owned
+    /// repository does not take.
+    fn rest(&self) -> &[&'a str] {
+        &self.operands[usize::from(self.remote().is_none())..]
+    }
+}
+
+/// The one walk over argv (the grammar is in the module docs).
+fn parse(argv: &[String]) -> Result<Args<'_>, String> {
+    let mut cmd: Option<&'static Command> = None;
+    let mut operands = Vec::new();
+    let mut flags: Vec<(&'static str, Option<&str>)> = Vec::new();
+    let mut tokens = argv.iter().map(String::as_str);
+    while let Some(token) = tokens.next() {
+        if cmd.is_none() {
+            let name = match token {
+                "--help" | "-h" => HELP.name,
+                name => name,
+            };
+            cmd = COMMANDS.iter().find(|c| c.name == name);
+            if cmd.is_some() {
+                continue;
+            }
         }
-        ("shutdown", Some(addr)) => {
-            connect(addr)?.shutdown().map_err(stringify)?;
-            println!("server at {addr} shutting down");
-            Ok(())
+        if !token.starts_with('-') {
+            match cmd {
+                Some(_) => operands.push(token),
+                None => return Err(format!("unknown command '{token}' (try: dsv help)")),
+            }
+            continue;
         }
-        (other, Some(_)) => Err(format!(
-            "command '{other}' is not supported over --remote \
-             (supported: ping, commit, checkout, optimize, stats, fsck, shutdown)"
-        )),
-        ("serve", None) => serve(args),
-        (_, None) => local_only(cmd, args),
+        let own = cmd.map_or(&[][..], |c| c.flags);
+        let scope = cmd.map_or("dsv", |c| c.name);
+        let (name, valued) = GLOBAL_FLAGS
+            .iter()
+            .chain(own)
+            .map(|(synopsis, _)| flag_name(synopsis))
+            .find(|(name, _)| *name == token)
+            .ok_or_else(|| format!("unknown {scope} flag '{token}' (see: dsv help)"))?;
+        if flags.iter().any(|(given, _)| *given == name) {
+            return Err(format!("{name} given more than once"));
+        }
+        let value = match valued {
+            true => Some(tokens.next().ok_or(format!("{name} needs a value"))?),
+            false => None,
+        };
+        flags.push((name, value));
+    }
+    let cmd = cmd.unwrap_or(&HELP);
+    let args = Args {
+        cmd,
+        operands,
+        flags,
+    };
+    let remote = args.remote().is_some();
+    if remote && cmd.reach == Reach::Local {
+        let served: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| c.reach != Reach::Local)
+            .map(|c| c.name)
+            .collect();
+        return Err(format!(
+            "command '{}' is not supported over --remote (supported: {})",
+            cmd.name,
+            served.join(", ")
+        ));
+    }
+    if !remote && cmd.reach == Reach::Remote {
+        return Err(format!("{} runs only with --remote <host:port>", cmd.name));
+    }
+    // With --remote the server owns the repository: one operand fewer.
+    let repo = usize::from(remote && cmd.reach == Reach::Both);
+    let (least, most) = cmd.arity;
+    if !(least - repo..=most - repo).contains(&args.operands.len()) {
+        return Err(format!("usage: {}", usage(cmd)));
+    }
+    Ok(args)
+}
+
+/// `dsv <command> <operands> [<flag>]...`, from the table row.
+fn usage(cmd: &Command) -> String {
+    let mut line = match cmd.reach {
+        Reach::Remote => format!("dsv --remote <host:port> {}", cmd.name),
+        _ => format!("dsv {}", cmd.name),
+    };
+    if !cmd.operands.is_empty() {
+        line = format!("{line} {}", cmd.operands);
+    }
+    for (synopsis, _) in cmd.flags {
+        line = format!("{line} [{synopsis}]");
+    }
+    if cmd.reach == Reach::Both {
+        line.push_str(" (no <repo> with --remote)");
+    }
+    line
+}
+
+/// `dsv help`: the grammar, then every flag and command in the table.
+fn help(_: &Args) -> Result<(), String> {
+    let all = GLOBAL_FLAGS
+        .iter()
+        .chain(COMMANDS.iter().flat_map(|c| c.flags));
+    let width = all.map(|(synopsis, _)| synopsis.len()).max().unwrap_or(0) + 2;
+    writeln!(
+        Out,
+        "usage: dsv <command> <operands and flags, in any order>"
+    )?;
+    writeln!(Out, "global flags:")?;
+    for (synopsis, help) in GLOBAL_FLAGS {
+        writeln!(Out, "  {synopsis:<w$}{help}", w = width + 4)?;
+    }
+    writeln!(Out, "commands:")?;
+    for cmd in COMMANDS {
+        writeln!(Out, "  {}\n      {}", usage(cmd), cmd.about)?;
+        for (synopsis, help) in cmd.flags {
+            writeln!(Out, "      {synopsis:<width$}{help}")?;
+        }
+    }
+    Ok(())
+}
+
+/// Writes `bytes` to stdout — the only way anything reaches it. A reader
+/// that went away ends `dsv` at once, with exit 0 and nothing on stderr,
+/// as SIGPIPE ends a C tool (`dsv log R | head -1`). Flushed per call, so
+/// `serve`'s banner is visible even through a pipe.
+fn emit(bytes: &[u8]) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(bytes).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        written => written.map_err(|e| format!("writing to stdout: {e}")),
     }
 }
 
@@ -244,18 +531,13 @@ enum Backend {
 }
 
 impl Backend {
-    /// Opens the repository at `positional[1]`, or dials `remote`.
-    /// `cache_bytes` sizes the local checkout cache (0 = none); a server
-    /// brings its own.
-    fn open(
-        remote: Option<&str>,
-        positional: &[String],
-        cache_bytes: u64,
-    ) -> Result<Backend, String> {
-        match remote {
+    /// Opens the repository operand, or dials `--remote`. `cache_bytes`
+    /// sizes the local checkout cache (0 = none); a server brings its own.
+    fn open(args: &Args, cache_bytes: u64) -> Result<Backend, String> {
+        match args.remote() {
             Some(addr) => connect(addr).map(Backend::Remote),
             None => {
-                let root = repo_dir(positional, 1)?;
+                let root = args.repo();
                 let repo = persist::load(&root, true).map_err(stringify)?;
                 let config = DsvdConfig {
                     cache_bytes,
@@ -294,64 +576,30 @@ fn unexpected(resp: &Response) -> String {
     format!("unexpected '{}' response", resp.name())
 }
 
-/// The arguments after the command and — locally — the repository
-/// directory, which a server-owned repository does not take.
-fn operands<'a>(positional: &'a [String], remote: Option<&str>) -> Result<&'a [String], String> {
-    if remote.is_some() {
-        return Ok(&positional[1..]);
-    }
-    repo_dir(positional, 1)?;
-    Ok(&positional[2..])
-}
-
 /// `dsv commit`: one file becomes the next version on a branch.
-fn commit(args: &[String], remote: Option<&str>) -> Result<(), String> {
-    // Strip flags before resolving positionals so they may appear
-    // anywhere: `dsv commit --online repo file` works.
-    let mut positional: Vec<String> = Vec::new();
-    let mut online = false;
-    let mut hops: Option<u32> = None;
-    let mut theta: Option<u64> = None;
-    let mut branch = "main".to_owned();
-    let mut message = "(no message)".to_owned();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--online" => online = true,
-            "--online-hops" => hops = Some(flag_arg(arg, iter.next())?),
-            "--theta" => theta = Some(flag_arg(arg, iter.next())?),
-            "-b" => branch = iter.next().ok_or("-b needs a branch name")?.clone(),
-            "-m" => message = iter.next().ok_or("-m needs a message")?.clone(),
-            a if a.starts_with("--") => {
-                return Err(format!("unknown commit flag '{arg}' (see: dsv help)"))
-            }
-            _ => positional.push(arg.clone()),
-        }
-    }
+fn commit(args: &Args) -> Result<(), String> {
+    let online = args.has("--online");
+    let theta = args.parsed("--theta")?;
+    let hops: Option<u32> = args.parsed("--online-hops")?;
     if hops.is_some() && !online {
         return Err("--online-hops requires --online".into());
     }
-    let file = operands(&positional, remote)?.first().ok_or(
-        "usage: dsv commit <repo> <file> [--online] [--theta <bytes>] \
-         (no <repo> with --remote)",
-    )?;
+    let file = args.rest()[0];
     let data = std::fs::read(file).map_err(|e| format!("reading {file}: {e}"))?;
+    let branch = args.value("-b").unwrap_or("main");
     let req = Request::Commit {
         token: dsv_net::client::next_token(),
-        branch: branch.clone(),
-        message,
+        branch: branch.to_owned(),
+        message: args.value("-m").unwrap_or("(no message)").to_owned(),
         online,
         hops: hops.unwrap_or(dsv_vcs::OnlineOptions::default().hops as u32),
         theta,
         data,
     };
-    match Backend::open(remote, &positional, 0)?.call(req)? {
+    match Backend::open(args, 0)?.call(req)? {
         Response::CommitOk { id, bytes, online } => {
-            let how = if online { ", online placement" } else { "" };
-            println!(
-                "committed {} on '{branch}' ({bytes} bytes{how})",
-                CommitId(id)
-            );
+            let (id, how) = (CommitId(id), if online { ", online placement" } else { "" });
+            writeln!(Out, "committed {id} on '{branch}' ({bytes} bytes{how})")?;
             Ok(())
         }
         other => Err(unexpected(&other)),
@@ -360,43 +608,25 @@ fn commit(args: &[String], remote: Option<&str>) -> Result<(), String> {
 
 /// `dsv checkout`: one version to a file or stdout, or a measured sweep
 /// over several.
-fn checkout(args: &[String], remote: Option<&str>) -> Result<(), String> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut cache_bytes = 0u64;
-    let mut out_path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--cache-bytes" if remote.is_some() => {
-                return Err(
-                    "--cache-bytes is server-side with --remote: every remote checkout \
-                     is served through the server's shared cache (see: dsv serve --cache-bytes)"
-                        .into(),
-                )
-            }
-            "--cache-bytes" => cache_bytes = flag_arg(arg, iter.next())?,
-            "-o" => out_path = Some(iter.next().ok_or("-o needs a path")?.clone()),
-            a if a.starts_with("--") => {
-                return Err(format!("unknown checkout flag '{arg}' (see: dsv help)"))
-            }
-            _ => positional.push(arg.clone()),
-        }
-    }
-    let versions: Vec<CommitId> = operands(&positional, remote)?
-        .iter()
-        .map(|s| parse_version(Some(s)))
-        .collect::<Result<_, _>>()?;
-    if versions.is_empty() {
+fn checkout(args: &Args) -> Result<(), String> {
+    if args.remote().is_some() && args.has("--cache-bytes") {
         return Err(
-            "usage: dsv checkout <repo> <version>... [-o out-file] [--cache-bytes <n>] \
-             (no <repo> or --cache-bytes with --remote)"
+            "--cache-bytes is server-side with --remote: every remote checkout \
+             is served through the server's shared cache (see: dsv serve --cache-bytes)"
                 .into(),
         );
     }
+    let cache_bytes = args.parsed("--cache-bytes")?.unwrap_or(0);
+    let out_path = args.value("-o");
+    let versions: Vec<CommitId> = args
+        .rest()
+        .iter()
+        .map(|s| parse_version(s))
+        .collect::<Result<_, _>>()?;
     if versions.len() > 1 && out_path.is_some() {
         return Err("-o needs exactly one version".into());
     }
-    let mut backend = Backend::open(remote, &positional, cache_bytes)?;
+    let mut backend = Backend::open(args, cache_bytes)?;
     let mut checkout =
         |version: CommitId| match backend.call(Request::Checkout { version: version.0 })? {
             Response::CheckoutOk { data, work } => Ok((data, work)),
@@ -406,14 +636,11 @@ fn checkout(args: &[String], remote: Option<&str>) -> Result<(), String> {
         let (data, _work) = checkout(version)?;
         match out_path {
             Some(path) => {
-                std::fs::write(&path, &data).map_err(|e| e.to_string())?;
-                println!("checked out {version} to {path} ({} bytes)", data.len());
+                std::fs::write(path, &data).map_err(|e| e.to_string())?;
+                let bytes = data.len();
+                writeln!(Out, "checked out {version} to {path} ({bytes} bytes)")?;
             }
-            None => {
-                std::io::stdout()
-                    .write_all(&data)
-                    .map_err(|e| e.to_string())?;
-            }
+            None => emit(&data)?,
         }
         return Ok(());
     }
@@ -424,42 +651,86 @@ fn checkout(args: &[String], remote: Option<&str>) -> Result<(), String> {
     for &version in &versions {
         let (data, work) = checkout(version)?;
         total.add(work);
-        println!(
+        writeln!(
+            Out,
             "{version}: {} bytes (read {}, cache hits {}, saved {})",
             data.len(),
             work.bytes_read,
             work.cache_hits,
             work.bytes_saved
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        Out,
         "total: read {} bytes, {} cache hits, saved {} bytes",
         total.bytes_read, total.cache_hits, total.bytes_saved
-    );
+    )?;
     // Local epilogue: this process owns the cache.
     if let Backend::Local(dsvd) = &backend {
         if let Some(cache) = dsvd.cache() {
-            print_cache_stats("cache", &cache.stats());
+            print_cache_stats("cache", &cache.stats())?;
         }
     }
     Ok(())
 }
 
 /// `dsv optimize`: re-plan and repack under one of the six problems.
-fn optimize(args: &[String], remote: Option<&str>) -> Result<(), String> {
-    let at = if remote.is_some() { 1 } else { 2 };
-    let req = parse_optimize(args, parse_problem(args, at)?)?;
-    match Backend::open(remote, args, 0)?.call(req)? {
+/// Which chunker a `--hybrid` solve uses on a chunked-placement
+/// repository is the handler's rule (`Dsvd`), not the command line's.
+fn optimize(args: &Args) -> Result<(), String> {
+    let problem = parse_problem(args.rest())?;
+    let reveal_hops = args.parsed("--hops")?.unwrap_or(5);
+    let hop_bound = args.parsed("--hop-bound")?;
+    let portfolio = args.has("--portfolio");
+    let named = args.value("--solver");
+    if portfolio && named.is_some() {
+        return Err("--portfolio and --solver are mutually exclusive".into());
+    }
+    let solver = if portfolio {
+        SolverChoice::Portfolio
+    } else if let Some(name) = named {
+        // Catch typos before the repository is loaded (or the network
+        // crossed) and re-diffed.
+        if dsv_core::solvers::by_name(name).is_none() {
+            return Err(format!(
+                "no solver named '{name}' in the registry (see: dsv solvers)"
+            ));
+        }
+        SolverChoice::Named(name.to_owned())
+    } else {
+        SolverChoice::Auto
+    };
+    let mode = match (args.has("--hybrid"), args.has("--binary")) {
+        (true, true) => return Err("--hybrid and --binary are mutually exclusive".into()),
+        (true, false) => {
+            let c = ChunkerParams::default();
+            WireMode::Hybrid {
+                min_size: c.min_size() as u64,
+                avg_size: c.avg_size() as u64,
+                max_size: c.max_size() as u64,
+            }
+        }
+        (false, true) => WireMode::Binary,
+        (false, false) => WireMode::Auto,
+    };
+    let req = Request::Optimize {
+        problem,
+        solver,
+        mode,
+        reveal_hops,
+        hop_bound,
+    };
+    match Backend::open(args, 0)?.call(req)? {
         Response::OptimizeOk(summary) => {
-            print_optimize_summary(&summary);
+            print_optimize_summary(&summary)?;
             // Local epilogue: the journal outlives an optimize only when
             // collecting the old plan's objects did not finish (the wire
             // summary has no field for it; `fsck` reports it either way).
-            if remote.is_none() && !matches!(persist::read_journal(&repo_dir(args, 1)?), Ok(None)) {
+            if args.remote().is_none() && !matches!(persist::read_journal(&args.repo()), Ok(None)) {
                 eprintln!(
                     "dsv: warning: the old layout was not fully collected; \
                      `dsv fsck {} --repair` will finish it",
-                    args[1]
+                    args.operands[0]
                 );
             }
             Ok(())
@@ -468,51 +739,71 @@ fn optimize(args: &[String], remote: Option<&str>) -> Result<(), String> {
     }
 }
 
+/// `optimize`'s operands after the repository: the problem (default p1)
+/// and, for p3–p6, its bound in bytes.
+fn parse_problem(operands: &[&str]) -> Result<Problem, String> {
+    let which = operands.first().copied().unwrap_or("p1");
+    let bound = || -> Result<u64, String> {
+        operands
+            .get(1)
+            .ok_or_else(|| format!("{which} needs a bound in bytes"))?
+            .parse::<u64>()
+            .map_err(|e| e.to_string())
+    };
+    let problem = match which {
+        "p1" => Problem::MinStorage,
+        "p2" => Problem::MinRecreation,
+        "p3" => Problem::MinSumRecreationGivenStorage { beta: bound()? },
+        "p4" => Problem::MinMaxRecreationGivenStorage { beta: bound()? },
+        "p5" => Problem::MinStorageGivenSumRecreation { theta: bound()? },
+        "p6" => Problem::MinStorageGivenMaxRecreation { theta: bound()? },
+        other => return Err(format!("unknown problem '{other}' (p1..p6)")),
+    };
+    if operands.len() > 1 && matches!(problem, Problem::MinStorage | Problem::MinRecreation) {
+        return Err(format!("{which} takes no bound"));
+    }
+    Ok(problem)
+}
+
 /// `dsv stats [--json]`: one `Stats` request, rendered for a person or as
 /// JSON.
-fn stats(args: &[String], remote: Option<&str>) -> Result<(), String> {
-    let json = args.iter().any(|a| a == "--json");
-    let positional: Vec<String> = args.iter().filter(|a| *a != "--json").cloned().collect();
-    let mut backend = Backend::open(remote, &positional, 0)?;
+fn stats(args: &Args) -> Result<(), String> {
+    let mut backend = Backend::open(args, 0)?;
     let summary = match backend.call(Request::Stats)? {
         Response::StatsOk(summary) => summary,
         other => return Err(unexpected(&other)),
     };
-    if json {
-        println!(
-            "{}",
-            store_stats_json(&summary.stats, summary.logical_bytes)
-        );
-        return Ok(());
+    if args.has("--json") {
+        let json = store_stats_json(&summary.stats, summary.logical_bytes);
+        return writeln!(Out, "{json}");
     }
-    print_store_stats(&summary.stats, summary.logical_bytes);
+    print_store_stats(&summary.stats, summary.logical_bytes)?;
     if let Some(cache) = &summary.cache {
-        print_cache_stats("server cache", cache);
+        print_cache_stats("server cache", cache)?;
     }
     // Local epilogue: the work was done in this process.
     let metrics = obs::metrics().snapshot();
     if matches!(backend, Backend::Local(_)) && !metrics.is_empty() {
-        println!("metrics this process:");
-        print!("{}", metrics.render());
+        writeln!(Out, "metrics this process:")?;
+        write!(Out, "{}", metrics.render())?;
     }
     Ok(())
 }
 
 /// `dsv fsck [--repair]`: nonzero exit when the repository is not clean.
-fn fsck(args: &[String], remote: Option<&str>) -> Result<(), String> {
-    let repair = args.iter().any(|a| a == "--repair");
-    let positional: Vec<String> = args.iter().filter(|a| *a != "--repair").cloned().collect();
-    match Backend::open(remote, &positional, 0)?.call(Request::Fsck { repair })? {
+fn fsck(args: &Args) -> Result<(), String> {
+    let repair = args.has("--repair");
+    match Backend::open(args, 0)?.call(Request::Fsck { repair })? {
         Response::FsckOk(summary) => {
-            println!("{summary}");
+            writeln!(Out, "{summary}")?;
             if summary.clean {
                 Ok(())
             } else if repair {
                 Err("repository is not clean after repair".into())
             } else {
-                let target = match remote {
+                let target = match args.remote() {
                     Some(addr) => format!("--remote {addr} fsck"),
-                    None => format!("fsck {}", positional[1]),
+                    None => format!("fsck {}", args.operands[0]),
                 };
                 Err(format!(
                     "repository is not clean (try: dsv {target} --repair)"
@@ -523,56 +814,58 @@ fn fsck(args: &[String], remote: Option<&str>) -> Result<(), String> {
     }
 }
 
+/// `dsv --remote <addr> ping`.
+fn ping(args: &Args) -> Result<(), String> {
+    let addr = args.remote().unwrap_or_default();
+    connect(addr)?.ping().map_err(stringify)?;
+    writeln!(Out, "pong from {addr} (protocol v{PROTOCOL_VERSION})")
+}
+
+/// `dsv --remote <addr> shutdown`.
+fn shutdown(args: &Args) -> Result<(), String> {
+    let addr = args.remote().unwrap_or_default();
+    connect(addr)?.shutdown().map_err(stringify)?;
+    writeln!(Out, "server at {addr} shutting down")
+}
+
 /// `dsv serve <dir>`: the repository at `dir` — or with `--store-server`
 /// the bare object store — over the wire until a client sends `Shutdown`.
-fn serve(args: &[String]) -> Result<(), String> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut addr = "127.0.0.1:7411".to_owned();
-    let mut workers = 0usize;
+fn serve(args: &Args) -> Result<(), String> {
+    let root = args.repo();
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7411");
     let mut config = DsvdConfig::default();
-    let mut store_server = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => addr = flag_arg(arg, iter.next())?,
-            "--workers" => workers = flag_arg(arg, iter.next())?,
-            "--cache-bytes" => config.cache_bytes = flag_arg(arg, iter.next())?,
-            "--max-frame" => config.max_frame = flag_arg(arg, iter.next())?,
-            "--read-timeout-ms" => {
-                let ms: u64 = flag_arg(arg, iter.next())?;
-                config.read_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--store-server" => store_server = true,
-            a if a.starts_with("--") => {
-                return Err(format!("unknown serve flag '{arg}' (see: dsv help)"))
-            }
-            _ => positional.push(arg.clone()),
-        }
+    if let Some(bytes) = args.parsed("--cache-bytes")? {
+        config.cache_bytes = bytes;
     }
-    let root = positional.get(1).map(PathBuf::from).ok_or(
-        "usage: dsv serve <dir> [--addr <host:port>] [--workers <n>] [--cache-bytes <n>] \
-         [--max-frame <bytes>] [--read-timeout-ms <n>] [--store-server]",
-    )?;
+    if let Some(bytes) = args.parsed("--max-frame")? {
+        if bytes < MIN_MAX_FRAME {
+            return Err(format!(
+                "invalid --max-frame '{bytes}' (need at least {MIN_MAX_FRAME} bytes, \
+                 the Hello request's body)"
+            ));
+        }
+        config.max_frame = bytes;
+    }
+    if let Some(ms) = args.parsed::<u64>("--read-timeout-ms")? {
+        config.read_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+    }
     let server = Server::bind_with(
-        &addr,
+        addr,
         ServerOptions {
-            workers,
+            workers: args.parsed("--workers")?.unwrap_or(0),
             ..ServerOptions::default()
         },
     )
     .map_err(|e| format!("binding {addr}: {e}"))?;
+    // Scripts poll this line before connecting; `emit` flushes it.
     let announce = |what: String| {
-        println!(
-            "dsv: {what} at {} ({} workers, protocol v{})",
-            server.local_addr(),
-            server.workers(),
-            dsv_net::PROTOCOL_VERSION
-        );
-        // Scripts poll this line before connecting; make sure it is
-        // visible even when stdout is a pipe.
-        let _ = std::io::stdout().flush();
+        let (at, workers) = (server.local_addr(), server.workers());
+        writeln!(
+            Out,
+            "dsv: {what} at {at} ({workers} workers, protocol v{PROTOCOL_VERSION})"
+        )
     };
-    if store_server {
+    if args.has("--store-server") {
         // There is no commit DAG, so no recovery pass: every object is
         // self-verifying by address and puts are idempotent. What a
         // crashed put can leave is its staging file; this process now
@@ -592,7 +885,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         announce(format!(
             "store server {} ({objects} objects)",
             root.display()
-        ));
+        ))?;
         service.serve(&server);
     } else {
         // A killed predecessor's repack journal is resolved, the history
@@ -601,256 +894,172 @@ fn serve(args: &[String]) -> Result<(), String> {
         let (repo, report) = dsv_vcs::fsck::recover_at(&root, true).map_err(stringify)?;
         match &report.recovery {
             Some(dsv_vcs::Recovery::Clean) | None => {}
-            Some(rec) => println!("dsv: recovery: {rec:?}"),
+            Some(rec) => writeln!(Out, "dsv: recovery: {rec:?}")?,
         }
-        if report.orphans_removed > 0 {
-            println!("dsv: recovery: {} orphans removed", report.orphans_removed);
+        let orphans = report.orphans_removed;
+        if orphans > 0 {
+            writeln!(Out, "dsv: recovery: {orphans} orphans removed")?;
         }
         if !report.is_clean() {
             return Err(format!("repository fails fsck after recovery: {report}"));
         }
         let versions = repo.version_count();
         let dsvd = Dsvd::new(repo, config).with_save_root(root.clone());
-        announce(format!("serving {} ({versions} versions)", root.display()));
+        announce(format!("serving {} ({versions} versions)", root.display()))?;
         dsvd.serve(&server);
     }
-    println!("dsv: shutdown requested, exiting");
+    writeln!(Out, "dsv: shutdown requested, exiting")
+}
+
+/// `dsv init`. A bad `--shards` / `--remote-shards` value fails here
+/// rather than producing a flat layout: there is no re-shard path later.
+fn init(args: &Args) -> Result<(), String> {
+    let shards = args
+        .value("--shards")
+        .map(|v| match v.parse() {
+            Ok(n) if (1..=MAX_SHARDS).contains(&n) => Ok(n),
+            _ => Err(format!(
+                "invalid --shards '{v}' (need an integer in 1..={MAX_SHARDS})"
+            )),
+        })
+        .transpose()?;
+    let remote_shards = match args.value("--remote-shards") {
+        None => None,
+        Some(v) => {
+            let addrs: Vec<String> = v
+                .split(',')
+                .map(str::trim)
+                .filter(|a| !a.is_empty())
+                .map(str::to_owned)
+                .collect();
+            if addrs.is_empty() || addrs.len() > MAX_SHARDS {
+                return Err(format!(
+                    "invalid --remote-shards '{v}' (need 1..={MAX_SHARDS} addresses)"
+                ));
+            }
+            Some(addrs)
+        }
+    };
+    let root = args.repo();
+    if root.join("meta.dsv").exists() {
+        return Err(format!("{} is already a repository", root.display()));
+    }
+    let objects = root.join("objects");
+    let store = match (shards, &remote_shards) {
+        (None, None) => RepoStore::Flat(FileStore::open(&objects, true).map_err(stringify)?),
+        (Some(n), None) => {
+            RepoStore::Sharded(ShardedStore::open_sharded(&objects, n, true).map_err(stringify)?)
+        }
+        // Dial every shard server up front: an unreachable address
+        // fails init instead of the first commit.
+        (None, Some(addrs)) => {
+            RepoStore::Remote(persist::connect_remote_shards(addrs).map_err(stringify)?)
+        }
+        (Some(_), Some(_)) => {
+            return Err("--shards and --remote-shards are mutually exclusive".into())
+        }
+    };
+    let repo: Repository<RepoStore> = Repository::init(store);
+    persist::save(&repo, &root).map_err(stringify)?;
+    let layout = match (shards, &remote_shards) {
+        (Some(n), _) => format!(" ({n} object shards)"),
+        (_, Some(addrs)) => format!(" ({} remote shards: {})", addrs.len(), addrs.join(", ")),
+        (None, None) => String::new(),
+    };
+    let root = root.display();
+    writeln!(Out, "initialized empty dsv repository at {root}{layout}")
+}
+
+fn log(args: &Args) -> Result<(), String> {
+    let branch = args.rest().first().copied().unwrap_or("main");
+    let repo = persist::load(&args.repo(), true).map_err(stringify)?;
+    for meta in repo.log(branch).map_err(stringify)? {
+        let merge = if meta.is_merge() { " (merge)" } else { "" };
+        writeln!(
+            Out,
+            "{}{merge}  {} bytes  {}",
+            meta.id, meta.size, meta.message
+        )?;
+    }
     Ok(())
 }
 
-/// The commands that only make sense on a repository directory.
-fn local_only(cmd: &str, args: &[String]) -> Result<(), String> {
-    match cmd {
-        "init" => {
-            // Parse and strip `--shards <n>` / `--remote-shards <addr,...>`
-            // before resolving positionals, so `dsv init --shards 4 repo`
-            // works and a missing value (or a flag swallowed as the repo
-            // dir) cannot silently produce a flat layout — there is no
-            // re-shard path later.
-            let mut positional: Vec<String> = Vec::new();
-            let mut shards: Option<usize> = None;
-            let mut remote_shards: Option<Vec<String>> = None;
-            let mut iter = args.iter();
-            while let Some(arg) = iter.next() {
-                if arg == "--shards" {
-                    let v = iter.next().ok_or("--shards needs a value")?;
-                    match v.parse::<usize>() {
-                        Ok(n) if (1..=MAX_SHARDS).contains(&n) => shards = Some(n),
-                        _ => {
-                            return Err(format!(
-                                "invalid --shards '{v}' (need an integer in 1..={MAX_SHARDS})"
-                            ))
-                        }
-                    }
-                } else if arg == "--remote-shards" {
-                    let v = iter
-                        .next()
-                        .ok_or("--remote-shards needs a comma-separated host:port list")?;
-                    let addrs: Vec<String> = v
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|a| !a.is_empty())
-                        .map(str::to_owned)
-                        .collect();
-                    if addrs.is_empty() || addrs.len() > MAX_SHARDS {
-                        return Err(format!(
-                            "invalid --remote-shards '{v}' (need 1..={MAX_SHARDS} addresses)"
-                        ));
-                    }
-                    remote_shards = Some(addrs);
-                } else if arg.starts_with("--") {
-                    return Err(format!("unknown init flag '{arg}' (see: dsv help)"));
-                } else {
-                    positional.push(arg.clone());
-                }
-            }
-            if shards.is_some() && remote_shards.is_some() {
-                return Err("--shards and --remote-shards are mutually exclusive".into());
-            }
-            let root = repo_dir(&positional, 1)?;
-            if root.join("meta.dsv").exists() {
-                return Err(format!("{} is already a repository", root.display()));
-            }
-            let objects = root.join("objects");
-            let store = match (&shards, &remote_shards) {
-                (None, None) => {
-                    RepoStore::Flat(FileStore::open(&objects, true).map_err(stringify)?)
-                }
-                (Some(n), None) => RepoStore::Sharded(
-                    ShardedStore::open_sharded(&objects, *n, true).map_err(stringify)?,
-                ),
-                // Dial every shard server up front: an unreachable address
-                // fails init instead of the first commit.
-                (None, Some(addrs)) => {
-                    RepoStore::Remote(persist::connect_remote_shards(addrs).map_err(stringify)?)
-                }
-                (Some(_), Some(_)) => unreachable!("rejected above"),
-            };
-            let repo: Repository<RepoStore> = Repository::init(store);
-            persist::save(&repo, &root).map_err(stringify)?;
-            match (&shards, &remote_shards) {
-                (None, None) => println!("initialized empty dsv repository at {}", root.display()),
-                (Some(n), None) => println!(
-                    "initialized empty dsv repository at {} ({n} object shards)",
-                    root.display()
-                ),
-                (_, Some(addrs)) => println!(
-                    "initialized empty dsv repository at {} ({} remote shards: {})",
-                    root.display(),
-                    addrs.len(),
-                    addrs.join(", ")
-                ),
-            }
-            Ok(())
-        }
-        "log" => {
-            let root = repo_dir(args, 1)?;
-            let branch = args.get(2).map(String::as_str).unwrap_or("main");
-            let repo = persist::load(&root, true).map_err(stringify)?;
-            for meta in repo.log(branch).map_err(stringify)? {
-                let merge = if meta.is_merge() { " (merge)" } else { "" };
-                println!("{}{merge}  {} bytes  {}", meta.id, meta.size, meta.message);
-            }
-            Ok(())
-        }
-        "branch" => {
-            let root = repo_dir(args, 1)?;
-            let name = args
-                .get(2)
-                .ok_or("usage: dsv branch <repo> <name> <version>")?;
-            let from = parse_version(args.get(3))?;
-            let mut repo = persist::load(&root, true).map_err(stringify)?;
-            repo.branch(name, from).map_err(stringify)?;
-            persist::save(&repo, &root).map_err(stringify)?;
-            println!("branch '{name}' -> {from}");
-            Ok(())
-        }
-        "branches" => {
-            let root = repo_dir(args, 1)?;
-            let repo = persist::load(&root, true).map_err(stringify)?;
-            for (name, head) in repo.branches() {
-                println!("{name} -> {head}");
-            }
-            Ok(())
-        }
-        "status" => {
-            let root = repo_dir(args, 1)?;
-            let repo = persist::load(&root, true).map_err(stringify)?;
-            let plan = repo.current_plan();
-            let materialized = plan
-                .iter()
-                .filter(|m| matches!(m, dsv_core::StorageMode::Materialized))
-                .count();
-            let chunked = plan.iter().filter(|m| m.is_chunked()).count();
-            println!(
-                "{} versions, {} branches, {} materialized, {} chunked, {} bytes on disk",
-                repo.version_count(),
-                repo.branches().count(),
-                materialized,
-                chunked,
-                repo.storage_bytes()
-            );
-            Ok(())
-        }
-        "solvers" => {
-            let (name_h, hybrid_h, problems_h) = ("name", "hybrid", "problems");
-            println!("{name_h:<12} {hybrid_h:<8} {problems_h:<22} description");
-            for solver in registry() {
-                let mut problems = String::new();
-                for (problem, label) in [
-                    (Problem::MinStorage, "1"),
-                    (Problem::MinRecreation, "2"),
-                    (Problem::MinSumRecreationGivenStorage { beta: 0 }, "3"),
-                    (Problem::MinMaxRecreationGivenStorage { beta: 0 }, "4"),
-                    (Problem::MinStorageGivenSumRecreation { theta: 0 }, "5"),
-                    (Problem::MinStorageGivenMaxRecreation { theta: 0 }, "6"),
-                ] {
-                    match solver.support(problem) {
-                        Some(Support::Exact) => {
-                            problems.push_str(label);
-                            problems.push_str("(exact) ");
-                        }
-                        Some(Support::Heuristic) => {
-                            problems.push_str(label);
-                            problems.push(' ');
-                        }
-                        None => {}
-                    }
-                }
-                println!(
-                    "{:<12} {:<8} {:<22} {}",
-                    solver.name(),
-                    if solver.hybrid_capable() { "yes" } else { "no" },
-                    problems.trim_end(),
-                    solver.description()
-                );
-            }
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!(
-                "usage: dsv <init|commit|checkout|log|branch|branches|status|stats|solvers|optimize|fsck|serve> ..."
-            );
-            println!("       dsv init <repo> [--shards <n>]  shard the object store n ways");
-            println!(
-                "       dsv init <repo> --remote-shards <addr,...>  store objects on remote \
-                 shard servers (dsv serve --store-server)"
-            );
-            println!(
-                "       dsv commit <repo> <file> [--online] [--online-hops <n>] [--theta <bytes>]"
-            );
-            println!(
-                "                    --online: place via bounded local re-planning (no repack)"
-            );
-            println!("                    --theta: cap the new version's recreation bytes");
-            println!("       dsv checkout <repo> <version>... [-o out-file] [--cache-bytes <n>]");
-            println!(
-                "                    --cache-bytes: serve through a bounded workload-aware cache"
-            );
-            println!(
-                "       dsv stats <repo> [--json]  object-store stats (shard fill, dedup ratio) \
-                 and this process's metrics"
-            );
-            println!("       dsv optimize <repo> <p1..p6> [bound] [--solver <name>] [--portfolio]");
-            println!(
-                "                    [--hybrid] [--binary] [--hops <reveal-n>] [--hop-bound <n>]"
-            );
-            println!(
-                "       dsv fsck <repo> [--repair]  verify addresses, recreation paths, \
-                 and journals; --repair resolves them"
-            );
-            println!(
-                "       dsv serve <repo> [--addr <host:port>] [--workers <n>] [--cache-bytes <n>]"
-            );
-            println!("                    [--max-frame <bytes>] [--read-timeout-ms <n>]");
-            println!("                    recover the repository, then serve it until `shutdown`");
-            println!(
-                "       dsv serve <dir> --store-server [--addr ...]  serve a bare object store \
-                 (one remote shard)"
-            );
-            println!(
-                "       dsv --threads <n> ...  pin the parallel runtime's worker count \
-                 (default: DSV_THREADS, then available cores)"
-            );
-            println!(
-                "       dsv --trace ...  print a span tree of the command's phases to stderr \
-                 (also: DSV_TRACE=1)"
-            );
-            println!("       dsv --trace-json <path> ...  write the span tree as JSON");
-            println!(
-                "       dsv --remote <host:port> ...  run commit, checkout, optimize, stats \
-                 or fsck on a `dsv serve` server: same flags and output, no <repo>, no \
-                 --cache-bytes (the cache is the server's); also ping, shutdown"
-            );
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}' (try: dsv help)")),
+fn branch(args: &Args) -> Result<(), String> {
+    let root = args.repo();
+    let (name, from) = (args.operands[1], parse_version(args.operands[2])?);
+    let mut repo = persist::load(&root, true).map_err(stringify)?;
+    repo.branch(name, from).map_err(stringify)?;
+    persist::save(&repo, &root).map_err(stringify)?;
+    writeln!(Out, "branch '{name}' -> {from}")?;
+    Ok(())
+}
+
+fn branches(args: &Args) -> Result<(), String> {
+    let repo = persist::load(&args.repo(), true).map_err(stringify)?;
+    for (name, head) in repo.branches() {
+        writeln!(Out, "{name} -> {head}")?;
     }
+    Ok(())
+}
+
+fn status(args: &Args) -> Result<(), String> {
+    let repo = persist::load(&args.repo(), true).map_err(stringify)?;
+    let plan = repo.current_plan();
+    let materialized = plan
+        .iter()
+        .filter(|m| matches!(m, dsv_core::StorageMode::Materialized))
+        .count();
+    let chunked = plan.iter().filter(|m| m.is_chunked()).count();
+    writeln!(
+        Out,
+        "{} versions, {} branches, {} materialized, {} chunked, {} bytes on disk",
+        repo.version_count(),
+        repo.branches().count(),
+        materialized,
+        chunked,
+        repo.storage_bytes()
+    )?;
+    Ok(())
+}
+
+fn solvers(_: &Args) -> Result<(), String> {
+    let problems = [
+        Problem::MinStorage,
+        Problem::MinRecreation,
+        Problem::MinSumRecreationGivenStorage { beta: 0 },
+        Problem::MinMaxRecreationGivenStorage { beta: 0 },
+        Problem::MinStorageGivenSumRecreation { theta: 0 },
+        Problem::MinStorageGivenMaxRecreation { theta: 0 },
+    ];
+    let header = ("name", "hybrid", "problems", "description");
+    writeln!(
+        Out,
+        "{:<12} {:<8} {:<22} {}",
+        header.0, header.1, header.2, header.3
+    )?;
+    for solver in registry() {
+        let supported: Vec<String> = problems
+            .iter()
+            .filter_map(|p| match solver.support(*p)? {
+                Support::Exact => Some(format!("{}(exact)", p.number())),
+                Support::Heuristic => Some(p.number().to_string()),
+            })
+            .collect();
+        let hybrid = if solver.hybrid_capable() { "yes" } else { "no" };
+        let (name, about) = (solver.name(), solver.description());
+        writeln!(
+            Out,
+            "{name:<12} {hybrid:<8} {:<22} {about}",
+            supported.join(" ")
+        )?;
+    }
+    Ok(())
 }
 
 /// Renders an optimize outcome.
-fn print_optimize_summary(s: &OptimizeSummary) {
-    println!(
+fn print_optimize_summary(s: &OptimizeSummary) -> Result<(), String> {
+    writeln!(
+        Out,
         "{}: {} -> {} bytes on disk, planned C {} ({} materialized, {} chunked, planned maxR {})",
         s.problem,
         s.storage_before,
@@ -859,83 +1068,90 @@ fn print_optimize_summary(s: &OptimizeSummary) {
         s.materialized,
         s.chunked,
         s.planned_max_recreation
-    );
-    if s.portfolio {
-        println!(
-            "portfolio: {} candidates, winner {}",
-            s.candidates.len(),
-            s.solver
-        );
-        for c in &s.candidates {
-            match &c.outcome {
-                Ok(n) => println!(
-                    "  {:<12} objective {} (C {}, ΣR {}, maxR {}){}",
-                    c.solver,
-                    n.objective,
-                    n.storage,
-                    n.sum_recreation,
-                    n.max_recreation,
-                    if n.feasible { "" } else { "  [infeasible]" }
-                ),
-                Err(e) => println!("  {:<12} error: {e}", c.solver),
-            }
-        }
-    } else {
-        println!(
-            "solver: {}{}",
-            s.solver,
-            if s.feasible { "" } else { "  [infeasible]" }
-        );
+    )?;
+    if !s.portfolio {
+        let infeasible = if s.feasible { "" } else { "  [infeasible]" };
+        writeln!(Out, "solver: {}{infeasible}", s.solver)?;
+        return Ok(());
     }
+    writeln!(
+        Out,
+        "portfolio: {} candidates, winner {}",
+        s.candidates.len(),
+        s.solver
+    )?;
+    for c in &s.candidates {
+        match &c.outcome {
+            Ok(n) => writeln!(
+                Out,
+                "  {:<12} objective {} (C {}, ΣR {}, maxR {}){}",
+                c.solver,
+                n.objective,
+                n.storage,
+                n.sum_recreation,
+                n.max_recreation,
+                if n.feasible { "" } else { "  [infeasible]" }
+            )?,
+            Err(e) => writeln!(Out, "  {:<12} error: {e}", c.solver)?,
+        }
+    }
+    Ok(())
 }
 
 /// One line of checkout-cache fill and hit counters; `whose` says which
 /// process owns the cache.
-fn print_cache_stats(whose: &str, s: &CacheStats) {
-    println!(
+fn print_cache_stats(whose: &str, s: &CacheStats) -> Result<(), String> {
+    writeln!(
+        Out,
         "{whose}: {}/{} bytes used, {} entries, {} hits / {} misses, {} evictions",
         s.bytes, s.budget_bytes, s.entries, s.hits, s.misses, s.evictions
-    );
+    )?;
+    Ok(())
 }
 
 /// Renders a [`StoreStats`] snapshot — works for any `ObjectStore`
 /// (memory or file, flat or sharded); `logical_bytes` is the raw size of
 /// all committed versions, giving the dedup/delta ratio.
-fn print_store_stats(stats: &StoreStats, logical_bytes: u64) {
+fn print_store_stats(stats: &StoreStats, logical_bytes: u64) -> Result<(), String> {
     let layout = if stats.shards.is_empty() {
         "flat".to_owned()
     } else {
         format!("{} shards", stats.shards.len())
     };
-    println!(
+    writeln!(
+        Out,
         "{} objects, {} bytes on disk ({layout})",
         stats.objects, stats.bytes
-    );
+    )?;
     if stats.bytes > 0 {
-        println!(
+        writeln!(
+            Out,
             "dedup ratio: {:.2}x ({logical_bytes} logical bytes)",
             logical_bytes as f64 / stats.bytes as f64
-        );
+        )?;
     }
     if !stats.shards.is_empty() {
-        println!(
+        writeln!(
+            Out,
             "shard fill (imbalance {:.2}, 1.00 = even):",
             stats.shard_imbalance()
-        );
+        )?;
         for (i, s) in stats.shards.iter().enumerate() {
             let pct = if stats.objects > 0 {
                 100.0 * s.objects as f64 / stats.objects as f64
             } else {
                 0.0
             };
-            println!(
+            writeln!(
+                Out,
                 "  shard-{i:<3} {:>8} objects {:>12} bytes  {pct:>5.1}%",
                 s.objects, s.bytes
-            );
+            )?;
         }
     }
     let ops = &stats.ops;
-    println!(
+    writeln!(
+        Out,
         "ops this process: {} put / {} get single; {} put_batch ({} objects), \
          {} get_batch ({} objects), {} removes",
         ops.puts,
@@ -945,88 +1161,8 @@ fn print_store_stats(stats: &StoreStats, logical_bytes: u64) {
         ops.batch_gets,
         ops.batch_get_objects,
         ops.removes
-    );
-}
-
-/// Strips a global `--threads <n>` flag from `args`, pinning the dsv-par
-/// runtime's worker count when present (equivalent to `DSV_THREADS=<n>`).
-fn extract_threads(args: &[String]) -> Result<Vec<String>, String> {
-    let mut out = Vec::with_capacity(args.len());
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--threads" {
-            let threads: usize = flag_arg(arg, iter.next())?;
-            if threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            dsv_par::set_thread_count(Some(threads));
-        } else {
-            out.push(arg.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// Strips a global `--remote <host:port>` flag. When present, the
-/// command is routed to a `dsv serve` server over the wire protocol instead
-/// of opening a repository locally (see [`Backend`]).
-fn extract_remote(args: &[String]) -> Result<(Vec<String>, Option<String>), String> {
-    let mut out = Vec::with_capacity(args.len());
-    let mut remote = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--remote" {
-            let value = iter.next().ok_or("--remote needs host:port")?;
-            if remote.is_some() {
-                return Err("--remote given more than once".into());
-            }
-            remote = Some(value.clone());
-        } else {
-            out.push(arg.clone());
-        }
-    }
-    Ok((out, remote))
-}
-
-/// Global tracing options stripped from the command line by
-/// [`extract_trace`].
-struct TraceOpts {
-    /// Print the rendered span tree to stderr after the command.
-    human: bool,
-    /// Write the span tree as JSON to this path after the command.
-    json: Option<PathBuf>,
-}
-
-impl TraceOpts {
-    fn enabled(&self) -> bool {
-        self.human || self.json.is_some()
-    }
-}
-
-/// Strips the global `--trace` / `--trace-json <path>` flags from `args`.
-/// `DSV_TRACE=1` (or `true`) in the environment is equivalent to
-/// `--trace`, mirroring how `DSV_THREADS` backs `--threads`.
-fn extract_trace(args: &[String]) -> Result<(Vec<String>, TraceOpts), String> {
-    let mut out = Vec::with_capacity(args.len());
-    let mut human = false;
-    let mut json = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--trace" {
-            human = true;
-        } else if arg == "--trace-json" {
-            let value = iter.next().ok_or("--trace-json needs a path")?;
-            json = Some(PathBuf::from(value));
-        } else {
-            out.push(arg.clone());
-        }
-    }
-    if !human {
-        human = std::env::var("DSV_TRACE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-    }
-    Ok((out, TraceOpts { human, json }))
+    )?;
+    Ok(())
 }
 
 /// JSON form of [`print_store_stats`] plus the process's metrics
@@ -1069,140 +1205,12 @@ fn store_stats_json(stats: &StoreStats, logical_bytes: u64) -> String {
     )
 }
 
-fn repo_dir(args: &[String], idx: usize) -> Result<PathBuf, String> {
-    args.get(idx)
-        .map(|s| Path::new(s).to_path_buf())
-        .ok_or_else(|| "missing repository directory".to_owned())
-}
-
-/// The value after `flag`, parsed.
-fn flag_arg<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse().map_err(|_| format!("invalid {flag} '{v}'"))
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse_version(arg: Option<&String>) -> Result<CommitId, String> {
-    let s = arg.ok_or("missing version (e.g. v3)")?;
+fn parse_version(s: &str) -> Result<CommitId, String> {
     let digits = s.strip_prefix('v').unwrap_or(s);
     digits
         .parse::<u32>()
         .map(CommitId)
         .map_err(|_| format!("invalid version '{s}'"))
-}
-
-/// The `optimize` flags as the protocol request both backends execute.
-/// Which chunker a `--hybrid` solve uses on a chunked-placement
-/// repository is the handler's rule (`Dsvd`), not the command line's.
-fn parse_optimize(args: &[String], problem: Problem) -> Result<Request, String> {
-    // Reject misspelled/valueless flags outright: a typo silently falling
-    // back to the default solve would misreport what was optimized.
-    const VALUE_FLAGS: [&str; 3] = ["--solver", "--hops", "--hop-bound"];
-    const BARE_FLAGS: [&str; 3] = ["--portfolio", "--hybrid", "--binary"];
-    let mut skip_value = false;
-    for arg in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            skip_value = true;
-        } else if arg.starts_with("--") && !BARE_FLAGS.contains(&arg.as_str()) {
-            return Err(format!("unknown optimize flag '{arg}' (see: dsv help)"));
-        }
-    }
-    for flag in VALUE_FLAGS {
-        match args.iter().filter(|a| *a == flag).count() {
-            0 => {}
-            1 => match flag_value(args, flag) {
-                None => return Err(format!("{flag} needs a value")),
-                Some(v) if v.starts_with("--") => {
-                    return Err(format!("{flag} needs a value, got flag '{v}'"))
-                }
-                Some(_) => {}
-            },
-            _ => return Err(format!("{flag} given more than once")),
-        }
-    }
-    let reveal_hops = match flag_value(args, "--hops") {
-        Some(h) => h.parse().map_err(|_| format!("invalid --hops '{h}'"))?,
-        None => 5,
-    };
-    let hop_bound = match flag_value(args, "--hop-bound") {
-        Some(h) => Some(
-            h.parse()
-                .map_err(|_| format!("invalid --hop-bound '{h}'"))?,
-        ),
-        None => None,
-    };
-    let portfolio = args.iter().any(|a| a == "--portfolio");
-    let named = flag_value(args, "--solver");
-    if portfolio && named.is_some() {
-        return Err("--portfolio and --solver are mutually exclusive".into());
-    }
-    let solver = if portfolio {
-        SolverChoice::Portfolio
-    } else if let Some(name) = named {
-        // Catch typos before the repository is loaded (or the network
-        // crossed) and re-diffed.
-        if dsv_core::solvers::by_name(name).is_none() {
-            return Err(format!(
-                "no solver named '{name}' in the registry (see: dsv solvers)"
-            ));
-        }
-        SolverChoice::Named(name.to_owned())
-    } else {
-        SolverChoice::Auto
-    };
-    let hybrid = args.iter().any(|a| a == "--hybrid");
-    let binary = args.iter().any(|a| a == "--binary");
-    if hybrid && binary {
-        return Err("--hybrid and --binary are mutually exclusive".into());
-    }
-    let mode = if hybrid {
-        let c = ChunkerParams::default();
-        WireMode::Hybrid {
-            min_size: c.min_size() as u64,
-            avg_size: c.avg_size() as u64,
-            max_size: c.max_size() as u64,
-        }
-    } else if binary {
-        WireMode::Binary
-    } else {
-        WireMode::Auto
-    };
-    Ok(Request::Optimize {
-        problem,
-        solver,
-        mode,
-        reveal_hops,
-        hop_bound,
-    })
-}
-
-fn parse_problem(args: &[String], idx: usize) -> Result<Problem, String> {
-    let which = args.get(idx).map(String::as_str).unwrap_or("p1");
-    let bound = || -> Result<u64, String> {
-        args.get(idx + 1)
-            .ok_or_else(|| format!("{which} needs a bound in bytes"))?
-            .parse::<u64>()
-            .map_err(|e| e.to_string())
-    };
-    Ok(match which {
-        "p1" => Problem::MinStorage,
-        "p2" => Problem::MinRecreation,
-        "p3" => Problem::MinSumRecreationGivenStorage { beta: bound()? },
-        "p4" => Problem::MinMaxRecreationGivenStorage { beta: bound()? },
-        "p5" => Problem::MinStorageGivenSumRecreation { theta: bound()? },
-        "p6" => Problem::MinStorageGivenMaxRecreation { theta: bound()? },
-        other => return Err(format!("unknown problem '{other}' (p1..p6)")),
-    })
 }
 
 fn stringify(e: impl std::fmt::Display) -> String {

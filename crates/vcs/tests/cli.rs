@@ -21,7 +21,9 @@
 //! `stats --json`, a traced served repository, remote store shards and a
 //! dead one, a `DSV_FAULT` crash and its repair, and a SIGKILLed server's
 //! restart. They assert span names and JSON keys by substring. The
-//! mistakes `dsv serve` itself can be handed end in `dsv: …` and exit 1.
+//! mistakes `dsv serve` itself can be handed end in `dsv: …` and exit 1,
+//! and so does a misspelled flag or a stray operand on any command: one
+//! grammar parses them all. A closed stdout ends `dsv` quietly.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -444,6 +446,22 @@ fn both_backends_reject_the_same_mistakes() {
     );
     both_reject(
         s,
+        &["stats", "--jsn"],
+        "unknown stats flag '--jsn' (see: dsv help)",
+    );
+    both_reject(
+        s,
+        &["fsck", "--repiar"],
+        "unknown fsck flag '--repiar' (see: dsv help)",
+    );
+    both_reject(
+        s,
+        &["commit", "v1.csv", "v2.csv"],
+        "usage: dsv commit <repo> <file> [-b <branch>] [-m <message>] [--online] \
+         [--online-hops <n>] [--theta <bytes>] (no <repo> with --remote)",
+    );
+    both_reject(
+        s,
         &["optimize", "p1", "--bogus"],
         "unknown optimize flag '--bogus' (see: dsv help)",
     );
@@ -687,6 +705,11 @@ fn serve_rejects_its_mistakes_and_help_lists_it() {
             &["serve", "R", "--bogus"],
             "unknown serve flag '--bogus' (see: dsv help)",
         ),
+        // Below the Hello body, no client could even say it is leaving.
+        (
+            &["serve", "R", "--max-frame", "0", "--addr", "127.0.0.1:0"],
+            "invalid --max-frame '0' (need at least 2 bytes, the Hello request's body)",
+        ),
         (
             &["--remote", "127.0.0.1:1", "serve"],
             "command 'serve' is not supported over --remote \
@@ -699,6 +722,121 @@ fn serve_rejects_its_mistakes_and_help_lists_it() {
         assert_eq!(ran.stderr, format!("dsv: {message}\n"), "{args:?}");
     }
     let help = s.ok(&["help"]).stdout;
-    assert!(help.contains("dsv serve <repo>"), "{help}");
+    assert!(help.contains(SERVE_USAGE), "{help}");
     assert!(help.contains("--store-server"), "{help}");
+}
+
+const SERVE_USAGE: &str = "dsv serve <dir> [--addr <host:port>] [--workers <n>] \
+                           [--cache-bytes <n>] [--max-frame <bytes>] [--read-timeout-ms <n>] \
+                           [--store-server]";
+
+/// One grammar for every command: a misspelled flag, a repeated one and
+/// a stray operand each fail with one `dsv:` line, print nothing and
+/// change nothing, and help lists every command the parser knows.
+#[test]
+fn every_command_rejects_what_its_grammar_does_not_name() {
+    let s = Sandbox::new("grammar");
+    s.ok(&["commit", "L", "v0.csv", "-m", "first"]);
+    let log = s.ok(&["log", "L"]).stdout;
+    let bogus: [&[&str]; 12] = [
+        &["init", "N"],
+        &["commit", "L", "v1.csv"],
+        &["checkout", "L", "0"],
+        &["log", "L"],
+        &["branch", "L", "side", "0"],
+        &["branches", "L"],
+        &["status", "L"],
+        &["stats", "L"],
+        &["solvers"],
+        &["optimize", "L", "p1"],
+        &["fsck", "L"],
+        &["serve", "L"],
+    ];
+    let mut mistakes: Vec<(Vec<&str>, String)> = bogus
+        .iter()
+        .map(|args| {
+            let message = format!("unknown {} flag '--bogus' (see: dsv help)", args[0]);
+            ([*args, &["--bogus"]].concat(), message)
+        })
+        .collect();
+    for (args, message) in [
+        (
+            &["optimize", "L", "p1", "999", "extra"][..],
+            "usage: dsv optimize <repo> [p1..p6] [bound] [--solver <name>] [--portfolio] \
+             [--hybrid] [--binary] [--hops <n>] [--hop-bound <n>] (no <repo> with --remote)",
+        ),
+        (&["optimize", "L", "p1", "999"], "p1 takes no bound"),
+        (
+            &["commit", "L", "v1.csv", "-m", "a", "-m", "b"],
+            "-m given more than once",
+        ),
+        (
+            &["checkout", "L", "0", "-o", "x.csv", "-o", "y.csv"],
+            "-o given more than once",
+        ),
+        (&["commit", "L", "v1.csv", "-m"], "-m needs a value"),
+        (
+            &["--online", "commit", "L", "v1.csv"],
+            "unknown dsv flag '--online' (see: dsv help)",
+        ),
+        (&["ping"], "ping runs only with --remote <host:port>"),
+        (&["log"], "usage: dsv log <repo> [branch]"),
+    ] {
+        mistakes.push((args.to_vec(), message.to_owned()));
+    }
+    for (args, message) in &mistakes {
+        let ran = s.dsv(args);
+        assert_eq!(ran.code, 1, "{args:?}");
+        assert_eq!(ran.stdout, "", "{args:?}");
+        assert_eq!(ran.stderr, format!("dsv: {message}\n"), "{args:?}");
+    }
+    assert!(
+        !s.dir.join("N").exists(),
+        "a rejected init made its repository"
+    );
+    assert_eq!(s.ok(&["log", "L"]).stdout, log);
+    assert_eq!(s.ok(&["branches", "L"]).stdout, "main -> v0\n");
+    // A flag before the operands is a flag, not the repository.
+    s.ok(&["optimize", "--binary", "L", "p1"]);
+
+    let help = s.ok(&["help"]).stdout;
+    for spelling in [&["--help"][..], &["-h"], &[]] {
+        assert_eq!(s.ok(spelling).stdout, help, "{spelling:?}");
+    }
+    let listed: Vec<&str> = help
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("dsv "))
+        .filter_map(|usage| usage.split(' ').next())
+        .collect();
+    for args in bogus {
+        assert!(listed.contains(&args[0]), "{}: {help}", args[0]);
+    }
+}
+
+/// A reader that went away is not an error: `dsv help | head -1` must not
+/// panic. Each command's stdout is a pipe whose read end is already shut.
+#[test]
+fn a_closed_stdout_ends_dsv_quietly() {
+    let s = Sandbox::new("closed-stdout");
+    s.ok(&["commit", "L", "v0.csv"]);
+    for args in [
+        &["help"][..],
+        &["solvers"],
+        &["stats", "L"],
+        &["checkout", "L", "0"],
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(DSV)
+            .current_dir(&s.dir)
+            .args(args)
+            .env_remove("DSV_TRACE")
+            .env_remove("DSV_FAULT")
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), "", "{args:?}");
+    }
 }
