@@ -15,7 +15,7 @@
 
 use crate::report::{human_bytes, out_dir, Table};
 use crate::Scale;
-use dsv_core::solvers::registry::{prescribed, registry};
+use dsv_core::solvers::registry::{prescribed, SOLVERS};
 use dsv_core::ChunkerParams;
 use dsv_core::{plan, PlanSpec, Problem, ProblemInstance, SolverChoice};
 use std::fmt::Write as _;
@@ -93,22 +93,22 @@ fn run_workload(
 ) -> Vec<MatrixRow> {
     let mut rows = Vec::new();
     for problem in problems(instance) {
-        for solver in registry() {
-            let mut row = blank_row(workload, solver.name(), problem);
+        for solver in &SOLVERS {
+            let mut row = blank_row(workload, solver.name, problem);
             if solver.support(problem).is_none() {
                 row.status = "unsupported";
                 rows.push(row);
                 continue;
             }
             let spec = PlanSpec::new(problem)
-                .solver(SolverChoice::named(solver.name()))
+                .solver(SolverChoice::named(solver.name))
                 .exact_budget(exact_budget);
             match plan(instance, &spec) {
                 Ok(p) => {
                     assert!(
                         p.solution.validate(instance).is_ok(),
                         "{workload}/{}/{problem}: invalid plan",
-                        solver.name()
+                        solver.name
                     );
                     row.status = if p.provenance.feasible {
                         "ok"
@@ -207,12 +207,12 @@ pub fn run(scale: Scale) -> Vec<MatrixRow> {
     if scale == Scale::Quick {
         // CI smoke: every registered solver must produce at least one
         // validating plan somewhere in the matrix.
-        for solver in registry() {
+        for solver in &SOLVERS {
             assert!(
                 rows.iter()
-                    .any(|r| r.solver == solver.name() && r.status == "ok"),
+                    .any(|r| r.solver == solver.name && r.status == "ok"),
                 "solver {} produced no valid plan on any (problem, workload)",
-                solver.name()
+                solver.name
             );
         }
     }
@@ -309,14 +309,14 @@ mod tests {
     #[test]
     fn matrix_covers_every_solver_problem_workload_cell() {
         let rows = run(Scale::Quick);
-        let solver_count = registry().len();
+        let solver_count = SOLVERS.len();
         for workload in ["LC", "BF", "DD"] {
             for problem in 1..=6u8 {
-                for solver in registry() {
+                for solver in &SOLVERS {
                     assert!(
-                        status_of(&rows, workload, solver.name(), problem).is_some(),
+                        status_of(&rows, workload, solver.name, problem).is_some(),
                         "missing row {workload}/{}/P{problem}",
-                        solver.name()
+                        solver.name
                     );
                 }
                 let portfolio = status_of(&rows, workload, "portfolio", problem)

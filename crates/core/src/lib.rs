@@ -36,8 +36,8 @@
 //! (binary vs three-mode hybrid). The returned [`Plan`] carries a
 //! validated [`StorageSolution`] plus [`Provenance`]: winning solver,
 //! feasibility, and every portfolio candidate's outcome. The solver suite
-//! itself is discoverable via [`solvers::registry()`] and
-//! [`solvers::by_name`].
+//! itself is the table [`solvers::SOLVERS`], one row per solver, also
+//! reachable via [`solvers::by_name`].
 //!
 //! **Graph substrate:** the solvers are built on the graph structures and
 //! exact optima in [`graph`] (§2.2: Problem 1 is a minimum spanning tree

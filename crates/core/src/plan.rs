@@ -35,9 +35,7 @@ use crate::instance::ProblemInstance;
 use crate::problem::Problem;
 use crate::solution::StorageSolution;
 use crate::solvers::gith::GitHParams;
-use crate::solvers::registry::{
-    by_name_tuned, prescribed, registry_tuned, Solver, SolverOutcome, Support,
-};
+use crate::solvers::registry::{by_name, prescribed, Solver, SolverOutcome, Support, SOLVERS};
 use dsv_obs as obs;
 use std::time::Duration;
 
@@ -47,8 +45,7 @@ pub enum SolverChoice {
     /// The solver Table 1 prescribes for the problem (MST/SPT exact,
     /// LMG for 3/5, MP for 4/6).
     Auto,
-    /// One registered solver, by registry name (see
-    /// [`registry`](crate::solvers::registry())).
+    /// One registered solver, by registry name (see [`SOLVERS`]).
     Named(String),
     /// Every registered solver that supports the problem; the cheapest
     /// feasible result (by the problem's objective) wins.
@@ -312,6 +309,27 @@ impl PlanSpec {
     pub fn tuning(&self) -> &SolverTuning {
         &self.tuning
     }
+
+    /// The registry rows this spec's solver choice runs, in registry
+    /// order: the prescribed row (`Auto`), the named one (`Named`), or
+    /// every row supporting the problem (`Portfolio`). Fails as [`plan`]
+    /// does, without an instance: [`SolveError::UnknownSolver`] for an
+    /// unregistered name, [`SolveError::UnsupportedProblem`] for a named
+    /// row outside its support. A layer that builds the instance first
+    /// (a repository repack reads every version) calls this before it.
+    pub fn resolve_solvers(&self) -> Result<Vec<&'static Solver>, SolveError> {
+        let name = match &self.solver {
+            SolverChoice::Auto => prescribed(self.problem),
+            SolverChoice::Named(name) => name.as_str(),
+            SolverChoice::Portfolio => {
+                let capable = SOLVERS.iter().filter(|s| s.support(self.problem).is_some());
+                return Ok(capable.collect());
+            }
+        };
+        let solver = by_name(name).ok_or_else(|| SolveError::UnknownSolver(name.to_owned()))?;
+        solver.require(self.problem)?;
+        Ok(vec![solver])
+    }
 }
 
 /// Cost summary of one candidate solve, evaluated against the problem.
@@ -390,48 +408,33 @@ pub struct Plan {
     pub provenance: Provenance,
 }
 
-fn summarize(
-    problem: Problem,
-    outcome: &SolverOutcome,
-    weights: Option<&[f64]>,
-) -> CandidateSummary {
-    let s = &outcome.solution;
-    CandidateSummary {
-        storage: s.storage_cost(),
-        sum_recreation: s.sum_recreation(),
-        max_recreation: s.max_recreation(),
-        objective: problem.objective_value_on(s, weights),
-        feasible: problem.is_feasible_on(s, weights),
-        proven_optimal: outcome.proven_optimal,
-        nodes_explored: outcome.nodes_explored,
-    }
-}
-
-fn run_single(
+/// Runs one candidate solver inside `span` and summarizes its solution
+/// against `problem`, recording the objective and feasibility on the span.
+fn run_candidate(
     instance: &ProblemInstance,
     problem: Problem,
-    solver: &dyn Solver,
-) -> Result<Plan, SolveError> {
-    let span = obs::span!(solver.name());
-    let outcome = span.in_scope(|| solver.solve_detailed(instance, &problem))?;
-    let summary = summarize(problem, &outcome, instance.weights());
+    solver: &Solver,
+    tuning: &SolverTuning,
+    span: obs::Span,
+) -> Result<(StorageSolution, CandidateSummary), SolveError> {
+    let SolverOutcome {
+        solution,
+        proven_optimal,
+        nodes_explored,
+    } = span.in_scope(|| solver.solve(instance, &problem, tuning))?;
+    let weights = instance.weights();
+    let summary = CandidateSummary {
+        storage: solution.storage_cost(),
+        sum_recreation: solution.sum_recreation(),
+        max_recreation: solution.max_recreation(),
+        objective: problem.objective_value_on(&solution, weights),
+        feasible: problem.is_feasible_on(&solution, weights),
+        proven_optimal,
+        nodes_explored,
+    };
     span.record("objective", summary.objective);
     span.record("feasible", summary.feasible);
-    drop(span);
-    let feasible = summary.feasible;
-    Ok(Plan {
-        solution: outcome.solution,
-        provenance: Provenance {
-            solver: solver.name(),
-            problem,
-            feasible,
-            portfolio: false,
-            candidates: vec![CandidateOutcome {
-                solver: solver.name(),
-                result: Ok(summary),
-            }],
-        },
-    })
+    Ok((solution, summary))
 }
 
 /// Solves `spec.problem()` on `instance` per the spec's solver choice and
@@ -455,6 +458,7 @@ fn run_single(
 /// are stripped before solving; under `Auto`/`Hybrid` the instance is used
 /// as revealed.
 pub fn plan(instance: &ProblemInstance, spec: &PlanSpec) -> Result<Plan, SolveError> {
+    let solvers = spec.resolve_solvers()?;
     let stripped;
     let inst: &ProblemInstance = match spec.mode_policy() {
         ModePolicy::Binary if instance.matrix().has_chunked() => {
@@ -464,115 +468,90 @@ pub fn plan(instance: &ProblemInstance, spec: &PlanSpec) -> Result<Plan, SolveEr
         _ => instance,
     };
     let problem = spec.problem();
-    // Every solve gets a "solve" span; Auto/Named nest the solver's own
-    // span beneath it (via the thread-local span stack inside
-    // `run_single`), while Portfolio parents its per-solver child spans
-    // explicitly through a `SpanHandle` — dsv-par workers are fresh
-    // threads that cannot see this thread's span stack.
+    // Every solve gets a "solve" span, and each candidate a child span
+    // parented explicitly through a `SpanHandle`: dsv-par workers are
+    // fresh threads that cannot see this thread's span stack. Each
+    // candidate runs on its own worker (a lone one on this thread); the
+    // fold below stays sequential in registry order, so the tie-breaking
+    // (and thus the winner) is identical to a single-threaded run.
     let solve_span = obs::span!("solve", problem = format!("{problem}"));
-    let _solve = solve_span.enter();
-    match spec.solver_choice() {
-        SolverChoice::Auto => {
-            let solver = by_name_tuned(prescribed(problem), spec.tuning())
-                .expect("prescribed solvers are always registered");
-            run_single(inst, problem, solver.as_ref())
-        }
-        SolverChoice::Named(name) => {
-            let solver = by_name_tuned(name, spec.tuning())
-                .ok_or_else(|| SolveError::UnknownSolver(name.clone()))?;
-            run_single(inst, problem, solver.as_ref())
-        }
-        SolverChoice::Portfolio => {
-            /// Portfolio ranking key: (objective, storage, `Σ Ri`,
-            /// exact-rank) — strictly-smaller wins, ties keep the
-            /// earlier-registered solver.
-            type RankKey = (u64, u64, u64, u8);
-            let mut candidates = Vec::new();
-            let mut best: Option<(RankKey, StorageSolution, &'static str)> = None;
-            let mut prescribed_err = None;
-            let mut first_err = None;
-            // Every capable solver runs on its own dsv-par worker; the
-            // fold below stays sequential in registry order, so the
-            // tie-breaking (and thus the winner) is identical to a
-            // single-threaded run.
-            let solvers: Vec<Box<dyn Solver>> = registry_tuned(spec.tuning())
-                .into_iter()
-                .filter(|s| s.support(problem).is_some())
-                .collect();
-            let fanout = solve_span.handle();
-            let outcomes = dsv_par::par_map(&solvers, |s| {
-                let span = fanout.child(s.name());
-                let outcome = span.in_scope(|| s.solve_detailed(inst, &problem));
-                if span.is_enabled() {
-                    if let Ok(o) = &outcome {
-                        span.record(
-                            "objective",
-                            problem.objective_value_on(&o.solution, inst.weights()),
-                        );
-                        span.record(
-                            "feasible",
-                            problem.is_feasible_on(&o.solution, inst.weights()),
-                        );
+    let fanout = solve_span.handle();
+    let outcomes = dsv_par::par_map(&solvers, |s| {
+        run_candidate(inst, problem, s, spec.tuning(), fanout.child(s.name))
+    });
+    if *spec.solver_choice() != SolverChoice::Portfolio {
+        let (solution, summary) = outcomes.into_iter().next().expect("one row resolved")?;
+        let solver = solvers[0].name;
+        return Ok(Plan {
+            solution,
+            provenance: Provenance {
+                solver,
+                problem,
+                feasible: summary.feasible,
+                portfolio: false,
+                candidates: vec![CandidateOutcome {
+                    solver,
+                    result: Ok(summary),
+                }],
+            },
+        });
+    }
+    /// Portfolio ranking key: (objective, storage, `Σ Ri`, exact-rank) —
+    /// strictly-smaller wins, ties keep the earlier-registered solver.
+    type RankKey = (u64, u64, u64, u8);
+    let mut candidates = Vec::new();
+    let mut best: Option<(RankKey, StorageSolution, &'static str)> = None;
+    let mut prescribed_err = None;
+    let mut first_err = None;
+    for (solver, outcome) in solvers.iter().zip(outcomes) {
+        let result = match outcome {
+            Ok((solution, summary)) => {
+                if summary.feasible {
+                    // On cost ties, an exact solver beats a heuristic (its
+                    // optimality proof survives in the provenance);
+                    // remaining ties keep the earlier-registered solver.
+                    let exact_rank = u8::from(solver.support(problem) != Some(Support::Exact));
+                    let key = (
+                        summary.objective,
+                        summary.storage,
+                        summary.sum_recreation,
+                        exact_rank,
+                    );
+                    if best.as_ref().is_none_or(|(b, ..)| key < *b) {
+                        best = Some((key, solution, solver.name));
                     }
                 }
-                outcome
-            });
-            for (solver, outcome) in solvers.iter().zip(outcomes) {
-                match outcome {
-                    Ok(outcome) => {
-                        let summary = summarize(problem, &outcome, inst.weights());
-                        if summary.feasible {
-                            // On cost ties, an exact solver beats a
-                            // heuristic (its optimality proof survives in
-                            // the provenance); remaining ties keep the
-                            // earlier-registered solver.
-                            let exact_rank =
-                                u8::from(solver.support(problem) != Some(Support::Exact));
-                            let key = (
-                                summary.objective,
-                                summary.storage,
-                                summary.sum_recreation,
-                                exact_rank,
-                            );
-                            if best.as_ref().is_none_or(|(b, ..)| key < *b) {
-                                best = Some((key, outcome.solution, solver.name()));
-                            }
-                        }
-                        candidates.push(CandidateOutcome {
-                            solver: solver.name(),
-                            result: Ok(summary),
-                        });
-                    }
-                    Err(e) => {
-                        if solver.name() == prescribed(problem) {
-                            prescribed_err = Some(e.clone());
-                        }
-                        if first_err.is_none() {
-                            first_err = Some(e.clone());
-                        }
-                        candidates.push(CandidateOutcome {
-                            solver: solver.name(),
-                            result: Err(e),
-                        });
-                    }
+                Ok(summary)
+            }
+            Err(e) => {
+                if solver.name == prescribed(problem) {
+                    prescribed_err = Some(e.clone());
                 }
+                if first_err.is_none() {
+                    first_err = Some(e.clone());
+                }
+                Err(e)
             }
-            match best {
-                Some((_, solution, winner)) => Ok(Plan {
-                    solution,
-                    provenance: Provenance {
-                        solver: winner,
-                        problem,
-                        feasible: true,
-                        portfolio: true,
-                        candidates,
-                    },
-                }),
-                None => Err(prescribed_err.or(first_err).unwrap_or(SolveError::Internal(
-                    "portfolio found no feasible candidate and no solver errored",
-                ))),
-            }
-        }
+        };
+        candidates.push(CandidateOutcome {
+            solver: solver.name,
+            result,
+        });
+    }
+    match best {
+        Some((_, solution, winner)) => Ok(Plan {
+            solution,
+            provenance: Provenance {
+                solver: winner,
+                problem,
+                feasible: true,
+                portfolio: true,
+                candidates,
+            },
+        }),
+        None => Err(prescribed_err.or(first_err).unwrap_or(SolveError::Internal(
+            "portfolio found no feasible candidate and no solver errored",
+        ))),
     }
 }
 

@@ -1,21 +1,14 @@
 //! The solver suite (§4 of the paper, plus baselines and an exact solver),
-//! registered behind the uniform [`Solver`] adapter.
+//! registered as the rows of [`SOLVERS`].
 //!
-//! Every solver is discoverable via [`registry()`] and [`by_name`] under
+//! Every solver is discoverable in [`SOLVERS`] and via [`by_name`] under
 //! its registry name; [`crate::plan()`] reaches them all through one entry
-//! point. Advertised capabilities (exact `✓`, heuristic `~`):
-//!
-//! | Registry name | Module | P1 | P2 | P3 | P4 | P5 | P6 | Hybrid |
-//! |---|---|---|---|---|---|---|---|---|
-//! | `mst` | [`mst`] | ✓ | — | ~ | ~ | ~ | ~ | yes |
-//! | `spt` | [`spt`] | — | ✓ | ~ | ~ | ~ | ~ | yes |
-//! | `lmg` | [`lmg`] (§4.1) | — | — | ~ | — | ~ | — | yes |
-//! | `mp` | [`mp`] (§4.2) | — | — | — | ~ | — | ~ | yes |
-//! | `ilp` | [`ilp`] (§2.3 stand-in) | — | — | — | — | — | ✓ | yes |
-//! | `last` | [`last`] (§4.3) | ~ | ~ | ~ | ~ | ~ | ~ | yes |
-//! | `gith` | [`gith`] (§4.4, App. A) | ~ | ~ | ~ | ~ | ~ | ~ | yes |
-//! | `hop` | [`hop`] (§3, `Φ ≡ 1`) | — | — | — | — | — | ~ | yes |
-//! | `skip-delta` | [`skip_delta`] (§5.2) | ~ | — | — | — | — | — | no |
+//! point. The modules: [`mst`], [`spt`], [`lmg`] (§4.1), [`mp`] (§4.2),
+//! [`ilp`] (the §2.3 ILP's stand-in), [`last`] (§4.3), [`gith`] (§4.4,
+//! App. A), [`hop`] (§3, `Φ ≡ 1`) and [`skip_delta`] (§5.2). Which
+//! problems each row supports, exactly or heuristically, and whether it is
+//! hybrid-capable is stated once, in its row; `dsv solvers` prints that
+//! table from the rows.
 //!
 //! `mst`/`spt` double as the frontier endpoints for the constrained
 //! problems; `last`/`gith` are unconstrained baselines whose feasibility
@@ -26,10 +19,10 @@
 //! hybrid baselines on small instances. `skip-delta` stays binary because
 //! SVN has no chunked mode to mirror.
 //!
-//! **Adding a solver** is one module plus one adapter registered in
-//! [`registry::registry_tuned`]; the planner, the VCS layer, the CLI's
-//! `--solver`/`--portfolio` flags, and the `solver_matrix` bench pick it
-//! up from there.
+//! **Adding a solver** is one module plus one row of [`SOLVERS`]; the
+//! planner, the VCS layer, the CLI's `--solver`/`--portfolio` flags and
+//! `dsv solvers` listing, and the `solver_matrix` bench pick it up from
+//! there.
 
 pub mod gith;
 pub mod hop;
@@ -42,9 +35,7 @@ pub mod registry;
 pub mod skip_delta;
 pub mod spt;
 
-pub use registry::{
-    by_name, by_name_tuned, prescribed, registry, registry_tuned, Solver, SolverOutcome, Support,
-};
+pub use registry::{by_name, prescribed, Solver, SolverOutcome, Support, SOLVERS};
 
 use crate::error::SolveError;
 use crate::graph::NodeId;

@@ -1,12 +1,11 @@
-//! The solver registry: one uniform [`Solver`] adapter per solver module,
+//! The solver registry: [`SOLVERS`], one row per solver module,
 //! discoverable by name.
 //!
-//! Every module in [`crate::solvers`] registers here with metadata — its
-//! name, which problems it supports (exactly or heuristically), and
-//! whether it is hybrid-capable — so new solvers become reachable from the
-//! planner ([`crate::plan()`]), the VCS layer, the CLI, and the bench
-//! harness by adding one adapter to [`registry_tuned`]. Adapters enforce a
-//! shared contract:
+//! A row states its solver once — its name, a one-line description, which
+//! problems it supports (exactly or heuristically), whether it is
+//! hybrid-capable, and how it solves — so a new solver becomes reachable
+//! from the planner ([`crate::plan()`]), the VCS layer, the CLI, and the
+//! bench harness by adding one row. Rows share a contract:
 //!
 //! - a solver *errors* only when it can prove something (its parameters
 //!   are invalid, the instance is unsolvable, or the problem's constraint
@@ -15,8 +14,9 @@
 //! - otherwise it returns its best solution, and the planner records
 //!   whether that solution satisfies the constraint
 //!   ([`crate::Provenance::feasible`]);
-//! - problems outside a solver's advertised support return
-//!   [`SolveError::UnsupportedProblem`].
+//! - [`Solver::solve`] refuses a problem outside the row's support with
+//!   [`SolveError::UnsupportedProblem`] before the row runs, so a row
+//!   only ever sees the problems its support names.
 
 use crate::error::SolveError;
 use crate::instance::ProblemInstance;
@@ -58,446 +58,241 @@ impl From<StorageSolution> for SolverOutcome {
     }
 }
 
-/// The uniform adapter every solver module registers.
-pub trait Solver: Send + Sync {
+/// One registered solver: a row of [`SOLVERS`].
+#[derive(Debug)]
+pub struct Solver {
     /// Registry name (lower-case, stable: `"mst"`, `"lmg"`, ...).
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// One-line description for listings.
-    fn description(&self) -> &'static str;
-
-    /// How this solver handles `problem` (`None` = not supported).
-    fn support(&self, problem: Problem) -> Option<Support>;
-
+    pub description: &'static str,
     /// Whether the solver searches the three-mode hybrid model on
     /// instances with revealed chunked costs (binary-only solvers simply
     /// never choose [`crate::StorageMode::Chunked`]).
-    fn hybrid_capable(&self) -> bool;
+    pub hybrid_capable: bool,
+    support: fn(Problem) -> Option<Support>,
+    solve: fn(&ProblemInstance, &Problem, &SolverTuning) -> Result<SolverOutcome, SolveError>,
+}
 
-    /// Solves `problem` on `instance`.
-    fn solve(
+impl Solver {
+    /// How this solver handles `problem` (`None` = not supported).
+    pub fn support(&self, problem: Problem) -> Option<Support> {
+        (self.support)(problem)
+    }
+
+    /// [`Solver::support`], with an unsupported problem as the error
+    /// [`Solver::solve`] returns for it.
+    pub(crate) fn require(&self, problem: Problem) -> Result<Support, SolveError> {
+        self.support(problem).ok_or(SolveError::UnsupportedProblem {
+            solver: self.name,
+            problem: problem.number(),
+        })
+    }
+
+    /// Solves `problem` on `instance` with this solver's parameters from
+    /// `tuning`; a problem outside its support is refused before it runs.
+    pub fn solve(
         &self,
         instance: &ProblemInstance,
         problem: &Problem,
-    ) -> Result<StorageSolution, SolveError>;
-
-    /// Like [`Solver::solve`], with exact-search metadata when the solver
-    /// has any. The default wraps `solve`.
-    fn solve_detailed(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
+        tuning: &SolverTuning,
     ) -> Result<SolverOutcome, SolveError> {
-        self.solve(instance, problem).map(SolverOutcome::from)
+        self.require(*problem)?;
+        (self.solve)(instance, problem, tuning)
     }
 }
 
-fn unsupported(solver: &'static str, problem: &Problem) -> SolveError {
-    SolveError::UnsupportedProblem {
-        solver,
-        problem: problem.number(),
-    }
-}
+/// Why a row may treat every problem its support does not name as
+/// unreachable.
+const CHECKED: &str = "Solver::solve admits only supported problems";
 
-/// MST / minimum-cost arborescence: exact for Problem 1; its minimum-storage
-/// tree is also the "all budget on storage" endpoint for the others.
-struct MstSolver;
-
-impl Solver for MstSolver {
-    fn name(&self) -> &'static str {
-        "mst"
-    }
-    fn description(&self) -> &'static str {
-        "minimum spanning tree / min-cost arborescence (exact minimum storage)"
-    }
-    fn support(&self, problem: Problem) -> Option<Support> {
-        match problem {
+/// Every registered solver. Row order is the *last* tie-break for
+/// portfolio wins (after the problem's cost key and exact-over-heuristic
+/// preference — see [`mod@crate::plan`]).
+pub static SOLVERS: [Solver; 9] = [
+    // MST / minimum-cost arborescence: exact for Problem 1; its
+    // minimum-storage tree is also the "all budget on storage" endpoint
+    // for the others.
+    Solver {
+        name: "mst",
+        description: "minimum spanning tree / min-cost arborescence (exact minimum storage)",
+        hybrid_capable: true,
+        support: |problem| match problem {
             Problem::MinStorage => Some(Support::Exact),
             Problem::MinRecreation => None,
             _ => Some(Support::Heuristic),
-        }
-    }
-    fn hybrid_capable(&self) -> bool {
-        true
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        match problem {
-            Problem::MinRecreation => Err(unsupported(self.name(), problem)),
-            Problem::MinSumRecreationGivenStorage { beta }
-            | Problem::MinMaxRecreationGivenStorage { beta } => {
-                let sol = mst::solve(instance)?;
+        },
+        solve: |instance, problem, _| {
+            let sol = mst::solve(instance)?;
+            match *problem {
                 // MST storage is the minimum: exceeding β proves
                 // infeasibility.
-                if sol.storage_cost() > *beta {
+                Problem::MinSumRecreationGivenStorage { beta }
+                | Problem::MinMaxRecreationGivenStorage { beta }
+                    if sol.storage_cost() > beta =>
+                {
                     Err(SolveError::StorageBudgetInfeasible {
-                        beta: *beta,
+                        beta,
                         minimum: sol.storage_cost(),
                     })
-                } else {
-                    Ok(sol)
                 }
+                _ => Ok(sol.into()),
             }
-            _ => mst::solve(instance),
-        }
-    }
-}
-
-/// Shortest-path tree: exact for Problem 2; the "all budget on recreation"
-/// endpoint for the others.
-struct SptSolver;
-
-impl Solver for SptSolver {
-    fn name(&self) -> &'static str {
-        "spt"
-    }
-    fn description(&self) -> &'static str {
-        "shortest-path tree over Φ (exact minimum recreation)"
-    }
-    fn support(&self, problem: Problem) -> Option<Support> {
-        match problem {
+        },
+    },
+    // Shortest-path tree: exact for Problem 2; the "all budget on
+    // recreation" endpoint for the others.
+    Solver {
+        name: "spt",
+        description: "shortest-path tree over Φ (exact minimum recreation)",
+        hybrid_capable: true,
+        support: |problem| match problem {
             Problem::MinRecreation => Some(Support::Exact),
             Problem::MinStorage => None,
             _ => Some(Support::Heuristic),
-        }
-    }
-    fn hybrid_capable(&self) -> bool {
-        true
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        match problem {
-            Problem::MinStorage => Err(unsupported(self.name(), problem)),
-            Problem::MinStorageGivenSumRecreation { theta } => {
-                let sol = spt::solve(instance)?;
-                // SPT minimizes every Ri simultaneously: a ΣRi above θ
-                // proves infeasibility.
-                if sol.sum_recreation() > *theta {
-                    Err(SolveError::RecreationThresholdInfeasible {
-                        theta: *theta,
-                        minimum: sol.sum_recreation(),
-                    })
-                } else {
-                    Ok(sol)
-                }
+        },
+        solve: |instance, problem, _| {
+            let sol = spt::solve(instance)?;
+            // SPT minimizes every Ri simultaneously: a ΣRi or max Ri
+            // above θ proves infeasibility.
+            let (theta, minimum) = match *problem {
+                Problem::MinStorageGivenSumRecreation { theta } => (theta, sol.sum_recreation()),
+                Problem::MinStorageGivenMaxRecreation { theta } => (theta, sol.max_recreation()),
+                _ => return Ok(sol.into()),
+            };
+            if minimum > theta {
+                Err(SolveError::RecreationThresholdInfeasible { theta, minimum })
+            } else {
+                Ok(sol.into())
             }
-            Problem::MinStorageGivenMaxRecreation { theta } => {
-                let sol = spt::solve(instance)?;
-                if sol.max_recreation() > *theta {
-                    Err(SolveError::RecreationThresholdInfeasible {
-                        theta: *theta,
-                        minimum: sol.max_recreation(),
-                    })
-                } else {
-                    Ok(sol)
-                }
-            }
-            _ => spt::solve(instance),
-        }
-    }
-}
-
-/// LMG with an optional workload-aware override.
-struct LmgSolver {
-    weighted: Option<bool>,
-}
-
-impl Solver for LmgSolver {
-    fn name(&self) -> &'static str {
-        "lmg"
-    }
-    fn description(&self) -> &'static str {
-        "Local Move Greedy (§4.1), workload-aware when weights are present"
-    }
-    fn support(&self, problem: Problem) -> Option<Support> {
-        match problem {
+        },
+    },
+    // The exact branch-and-bound, under a wall-clock budget and an
+    // optional deterministic node budget.
+    Solver {
+        name: "ilp",
+        description: "exact branch-and-bound for Problem 6 (stands in for the §2.3 ILP)",
+        // The in-edge candidates include the chunk-store root, so the
+        // search covers the three-mode model exactly.
+        hybrid_capable: true,
+        support: |problem| {
+            matches!(problem, Problem::MinStorageGivenMaxRecreation { .. })
+                .then_some(Support::Exact)
+        },
+        solve: |instance, problem, tuning| {
+            let Problem::MinStorageGivenMaxRecreation { theta } = *problem else {
+                unreachable!("{CHECKED}")
+            };
+            let r = ilp::solve_storage_given_max_exact_bounded(
+                instance,
+                theta,
+                tuning.exact_budget,
+                tuning.exact_node_budget,
+            )?;
+            Ok(SolverOutcome {
+                solution: r.solution,
+                proven_optimal: Some(r.proven_optimal),
+                nodes_explored: Some(r.nodes_explored),
+            })
+        },
+    },
+    // LMG, workload-aware when the tuning or the instance's weights say so.
+    Solver {
+        name: "lmg",
+        description: "Local Move Greedy (§4.1), workload-aware when weights are present",
+        hybrid_capable: true,
+        support: |problem| match problem {
             Problem::MinSumRecreationGivenStorage { .. }
             | Problem::MinStorageGivenSumRecreation { .. } => Some(Support::Heuristic),
             _ => None,
-        }
-    }
-    fn hybrid_capable(&self) -> bool {
-        true
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        let weighted = self
-            .weighted
-            .unwrap_or_else(|| instance.weights().is_some());
-        match problem {
-            Problem::MinSumRecreationGivenStorage { beta } => {
-                lmg::solve_sum_given_storage(instance, *beta, weighted)
+        },
+        solve: |instance, problem, tuning| {
+            let weighted = tuning
+                .lmg_weighted
+                .unwrap_or_else(|| instance.weights().is_some());
+            match *problem {
+                Problem::MinSumRecreationGivenStorage { beta } => {
+                    lmg::solve_sum_given_storage(instance, beta, weighted)
+                }
+                Problem::MinStorageGivenSumRecreation { theta } => {
+                    lmg::solve_storage_given_sum(instance, theta, weighted)
+                }
+                _ => unreachable!("{CHECKED}"),
             }
-            Problem::MinStorageGivenSumRecreation { theta } => {
-                lmg::solve_storage_given_sum(instance, *theta, weighted)
-            }
-            _ => Err(unsupported(self.name(), problem)),
-        }
-    }
-}
-
-/// Modified Prim's.
-struct MpSolver;
-
-impl Solver for MpSolver {
-    fn name(&self) -> &'static str {
-        "mp"
-    }
-    fn description(&self) -> &'static str {
-        "Modified Prim's (§4.2) for max-recreation bounds"
-    }
-    fn support(&self, problem: Problem) -> Option<Support> {
-        match problem {
+            .map(SolverOutcome::from)
+        },
+    },
+    // Modified Prim's.
+    Solver {
+        name: "mp",
+        description: "Modified Prim's (§4.2) for max-recreation bounds",
+        hybrid_capable: true,
+        support: |problem| match problem {
             Problem::MinMaxRecreationGivenStorage { .. }
             | Problem::MinStorageGivenMaxRecreation { .. } => Some(Support::Heuristic),
             _ => None,
-        }
-    }
-    fn hybrid_capable(&self) -> bool {
-        true
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        match problem {
-            Problem::MinMaxRecreationGivenStorage { beta } => {
-                mp::solve_max_given_storage(instance, *beta)
+        },
+        solve: |instance, problem, _| {
+            match *problem {
+                Problem::MinMaxRecreationGivenStorage { beta } => {
+                    mp::solve_max_given_storage(instance, beta)
+                }
+                Problem::MinStorageGivenMaxRecreation { theta } => {
+                    mp::solve_storage_given_max(instance, theta)
+                }
+                _ => unreachable!("{CHECKED}"),
             }
-            Problem::MinStorageGivenMaxRecreation { theta } => {
-                mp::solve_storage_given_max(instance, *theta)
-            }
-            _ => Err(unsupported(self.name(), problem)),
-        }
-    }
-}
-
-/// LAST: an unconstrained MST/SPT balance, meaningful as a candidate on
-/// every axis (constraints are checked by the planner, not the solver).
-struct LastSolver {
-    alpha: f64,
-}
-
-impl Solver for LastSolver {
-    fn name(&self) -> &'static str {
-        "last"
-    }
-    fn description(&self) -> &'static str {
-        "Khuller et al. LAST (§4.3): α-balanced MST/SPT blend"
-    }
-    fn support(&self, _problem: Problem) -> Option<Support> {
-        Some(Support::Heuristic)
-    }
-    fn hybrid_capable(&self) -> bool {
-        true
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        _problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        last::solve(instance, self.alpha)
-    }
-}
-
-/// GitH: the practitioner baseline, likewise unconstrained.
-struct GitHSolver {
-    params: gith::GitHParams,
-}
-
-impl Solver for GitHSolver {
-    fn name(&self) -> &'static str {
-        "gith"
-    }
-    fn description(&self) -> &'static str {
-        "Git repack heuristic (§4.4, Appendix A): windowed delta search"
-    }
-    fn support(&self, _problem: Problem) -> Option<Support> {
-        Some(Support::Heuristic)
-    }
-    fn hybrid_capable(&self) -> bool {
-        true
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        _problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        gith::solve(instance, self.params)
-    }
-}
-
-/// SVN skip-deltas: a structural baseline for linear histories.
-struct SkipDeltaSolver;
-
-impl Solver for SkipDeltaSolver {
-    fn name(&self) -> &'static str {
-        "skip-delta"
-    }
-    fn description(&self) -> &'static str {
-        "SVN FSFS skip-delta baseline (§5.2); needs a linear history's skip pairs revealed"
-    }
-    fn support(&self, problem: Problem) -> Option<Support> {
-        matches!(problem, Problem::MinStorage).then_some(Support::Heuristic)
-    }
-    fn hybrid_capable(&self) -> bool {
-        false
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        match problem {
-            Problem::MinStorage => skip_delta::solve(instance),
-            _ => Err(unsupported(self.name(), problem)),
-        }
-    }
-}
-
-/// The exact branch-and-bound, under a wall-clock budget and an optional
-/// deterministic node budget.
-struct IlpSolver {
-    budget: std::time::Duration,
-    node_budget: Option<u64>,
-}
-
-impl Solver for IlpSolver {
-    fn name(&self) -> &'static str {
-        "ilp"
-    }
-    fn description(&self) -> &'static str {
-        "exact branch-and-bound for Problem 6 (stands in for the §2.3 ILP)"
-    }
-    fn support(&self, problem: Problem) -> Option<Support> {
-        matches!(problem, Problem::MinStorageGivenMaxRecreation { .. }).then_some(Support::Exact)
-    }
-    fn hybrid_capable(&self) -> bool {
-        // The in-edge candidates include the chunk-store root, so the
-        // search covers the three-mode model exactly.
-        true
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        self.solve_detailed(instance, problem).map(|o| o.solution)
-    }
-    fn solve_detailed(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
-    ) -> Result<SolverOutcome, SolveError> {
-        match problem {
-            Problem::MinStorageGivenMaxRecreation { theta } => {
-                let r = ilp::solve_storage_given_max_exact_bounded(
-                    instance,
-                    *theta,
-                    self.budget,
-                    self.node_budget,
-                )?;
-                Ok(SolverOutcome {
-                    solution: r.solution,
-                    proven_optimal: Some(r.proven_optimal),
-                    nodes_explored: Some(r.nodes_explored),
-                })
-            }
-            _ => Err(unsupported(self.name(), problem)),
-        }
-    }
-}
-
-/// The bounded-hop variant: bounds chain *length* rather than Φ, offered
-/// as a Problem-6 candidate (its θ-feasibility is checked by the planner).
-struct HopSolver {
-    max_hops: u32,
-}
-
-impl Solver for HopSolver {
-    fn name(&self) -> &'static str {
-        "hop"
-    }
-    fn description(&self) -> &'static str {
-        "bounded-hop variant (Φ ≡ 1, §3): limits delta-chain length"
-    }
-    fn support(&self, problem: Problem) -> Option<Support> {
-        matches!(problem, Problem::MinStorageGivenMaxRecreation { .. })
-            .then_some(Support::Heuristic)
-    }
-    fn hybrid_capable(&self) -> bool {
-        true
-    }
-    fn solve(
-        &self,
-        instance: &ProblemInstance,
-        problem: &Problem,
-    ) -> Result<StorageSolution, SolveError> {
-        match problem {
-            Problem::MinStorageGivenMaxRecreation { .. } => {
-                hop::solve_storage_given_hops(instance, self.max_hops)
-            }
-            _ => Err(unsupported(self.name(), problem)),
-        }
-    }
-}
-
-/// All registered solvers, with per-solver parameters from `tuning`.
-/// Registry order is the *last* tie-break for portfolio wins (after the
-/// problem's cost key and exact-over-heuristic preference — see
-/// [`mod@crate::plan`]).
-pub fn registry_tuned(tuning: &SolverTuning) -> Vec<Box<dyn Solver>> {
-    vec![
-        Box::new(MstSolver),
-        Box::new(SptSolver),
-        Box::new(IlpSolver {
-            budget: tuning.exact_budget,
-            node_budget: tuning.exact_node_budget,
-        }),
-        Box::new(LmgSolver {
-            weighted: tuning.lmg_weighted,
-        }),
-        Box::new(MpSolver),
-        Box::new(LastSolver {
-            alpha: tuning.last_alpha,
-        }),
-        Box::new(GitHSolver {
-            params: tuning.gith,
-        }),
-        Box::new(HopSolver {
-            max_hops: tuning.hop_bound,
-        }),
-        Box::new(SkipDeltaSolver),
-    ]
-}
-
-/// All registered solvers with default parameters.
-pub fn registry() -> Vec<Box<dyn Solver>> {
-    registry_tuned(&SolverTuning::default())
-}
+            .map(SolverOutcome::from)
+        },
+    },
+    // LAST: an unconstrained MST/SPT balance, meaningful as a candidate
+    // on every axis (constraints are checked by the planner, not the
+    // solver).
+    Solver {
+        name: "last",
+        description: "Khuller et al. LAST (§4.3): α-balanced MST/SPT blend",
+        hybrid_capable: true,
+        support: |_| Some(Support::Heuristic),
+        solve: |instance, _, tuning| last::solve(instance, tuning.last_alpha).map(Into::into),
+    },
+    // GitH: the practitioner baseline, likewise unconstrained.
+    Solver {
+        name: "gith",
+        description: "Git repack heuristic (§4.4, Appendix A): windowed delta search",
+        hybrid_capable: true,
+        support: |_| Some(Support::Heuristic),
+        solve: |instance, _, tuning| gith::solve(instance, tuning.gith).map(Into::into),
+    },
+    // The bounded-hop variant: bounds chain *length* rather than Φ,
+    // offered as a Problem-6 candidate (its θ-feasibility is checked by
+    // the planner).
+    Solver {
+        name: "hop",
+        description: "bounded-hop variant (Φ ≡ 1, §3): limits delta-chain length",
+        hybrid_capable: true,
+        support: |problem| {
+            matches!(problem, Problem::MinStorageGivenMaxRecreation { .. })
+                .then_some(Support::Heuristic)
+        },
+        solve: |instance, _, tuning| {
+            hop::solve_storage_given_hops(instance, tuning.hop_bound).map(Into::into)
+        },
+    },
+    // SVN skip-deltas: a structural baseline for linear histories.
+    Solver {
+        name: "skip-delta",
+        description:
+            "SVN FSFS skip-delta baseline (§5.2); needs a linear history's skip pairs revealed",
+        hybrid_capable: false,
+        support: |problem| matches!(problem, Problem::MinStorage).then_some(Support::Heuristic),
+        solve: |instance, _, _| skip_delta::solve(instance).map(Into::into),
+    },
+];
 
 /// Looks up one registered solver by name (case-insensitive; `_` and `-`
-/// are interchangeable), with parameters from `tuning`.
-pub fn by_name_tuned(name: &str, tuning: &SolverTuning) -> Option<Box<dyn Solver>> {
+/// are interchangeable).
+pub fn by_name(name: &str) -> Option<&'static Solver> {
     let normalized = name.to_ascii_lowercase().replace('_', "-");
-    registry_tuned(tuning)
-        .into_iter()
-        .find(|s| s.name() == normalized)
-}
-
-/// Looks up one registered solver by name, with default parameters.
-pub fn by_name(name: &str) -> Option<Box<dyn Solver>> {
-    by_name_tuned(name, &SolverTuning::default())
+    SOLVERS.iter().find(|s| s.name == normalized)
 }
 
 /// The solver Table 1 prescribes for each problem.
@@ -561,30 +356,33 @@ mod tests {
     fn advertised_support_matches_behaviour() {
         for hybrid in [false, true] {
             let inst = fixture(hybrid);
-            for solver in registry() {
+            for solver in &SOLVERS {
                 for problem in problems(&inst) {
                     match solver.support(problem) {
                         Some(_) => {
-                            let sol = solver.solve(&inst, &problem).unwrap_or_else(|e| {
-                                panic!("{} advertises {problem} but failed: {e}", solver.name())
-                            });
+                            let sol = solver
+                                .solve(&inst, &problem, &SolverTuning::default())
+                                .map(|o| o.solution)
+                                .unwrap_or_else(|e| {
+                                    panic!("{} advertises {problem} but failed: {e}", solver.name)
+                                });
                             assert!(
                                 sol.validate(&inst).is_ok(),
                                 "{} produced an invalid solution for {problem}",
-                                solver.name()
+                                solver.name
                             );
-                            if !solver.hybrid_capable() {
-                                assert_eq!(sol.chunked().count(), 0, "{}", solver.name());
+                            if !solver.hybrid_capable {
+                                assert_eq!(sol.chunked().count(), 0, "{}", solver.name);
                             }
                         }
                         None => {
                             assert!(
                                 matches!(
-                                    solver.solve(&inst, &problem),
+                                    solver.solve(&inst, &problem, &SolverTuning::default()),
                                     Err(SolveError::UnsupportedProblem { .. })
                                 ),
                                 "{} should reject {problem}",
-                                solver.name()
+                                solver.name
                             );
                         }
                     }
@@ -597,7 +395,7 @@ mod tests {
     fn every_problem_has_at_least_three_candidates() {
         let inst = fixture(false);
         for problem in problems(&inst) {
-            let capable = registry()
+            let capable = SOLVERS
                 .iter()
                 .filter(|s| s.support(problem).is_some())
                 .count();
@@ -607,8 +405,8 @@ mod tests {
 
     #[test]
     fn by_name_normalizes() {
-        assert_eq!(by_name("LMG").unwrap().name(), "lmg");
-        assert_eq!(by_name("skip_delta").unwrap().name(), "skip-delta");
+        assert_eq!(by_name("LMG").unwrap().name, "lmg");
+        assert_eq!(by_name("skip_delta").unwrap().name, "skip-delta");
         assert!(by_name("gurobi").is_none());
     }
 
@@ -626,15 +424,24 @@ mod tests {
         let inst = fixture(false);
         let theta = spt::solve(&inst).unwrap().max_recreation() * 2;
         let solver = by_name("ilp").unwrap();
+        let tuning = SolverTuning::default();
         let out = solver
-            .solve_detailed(&inst, &Problem::MinStorageGivenMaxRecreation { theta })
+            .solve(
+                &inst,
+                &Problem::MinStorageGivenMaxRecreation { theta },
+                &tuning,
+            )
             .unwrap();
         assert_eq!(out.proven_optimal, Some(true));
         assert!(out.nodes_explored.unwrap() > 0);
         // Heuristics have no exact metadata.
         let out = by_name("mp")
             .unwrap()
-            .solve_detailed(&inst, &Problem::MinStorageGivenMaxRecreation { theta })
+            .solve(
+                &inst,
+                &Problem::MinStorageGivenMaxRecreation { theta },
+                &tuning,
+            )
             .unwrap();
         assert_eq!(out.proven_optimal, None);
     }

@@ -1,4 +1,4 @@
-//! Blocking client for the `dsvd` protocol, with bounded retry.
+//! Blocking client for the `dsv serve` protocol, with bounded retry.
 //!
 //! [`Client::connect`] dials, performs the versioned handshake, and
 //! returns a connection that issues one request frame per call and reads
@@ -126,7 +126,7 @@ pub fn next_token() -> u64 {
     z.max(1)
 }
 
-/// One protocol connection to a `dsvd` server.
+/// One protocol connection to a `dsv serve` server.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,

@@ -1,4 +1,4 @@
-//! `dsv-net` — the wire layer for the `dsvd` server front end.
+//! `dsv-net` — the wire layer for the `dsv serve` server front end.
 //!
 //! A std-only networking shim in the spirit of `crates/shims/`: blocking
 //! `TcpListener`/`TcpStream` wrapped in the small API subset the rest of

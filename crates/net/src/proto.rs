@@ -1,4 +1,4 @@
-//! Request/response bodies for the `dsvd` protocol.
+//! Request/response bodies for the `dsv serve` protocol.
 //!
 //! Every message is one row of a table — [`Request`] and [`Response`]
 //! below — giving its opcode, its name, and its fields in wire order;

@@ -130,7 +130,7 @@
 //! when the reader has gone away (`dsv log R | head -1`) the command ends
 //! there, silently and with exit 0.
 
-use dsv_core::solvers::{registry, Support};
+use dsv_core::solvers::{Support, SOLVERS};
 use dsv_core::{ChunkerParams, Problem, SolverChoice};
 use dsv_net::proto::{OptimizeSummary, Request, Response, WireMode};
 use dsv_net::server::{Server, ServerOptions};
@@ -744,11 +744,12 @@ fn optimize(args: &Args) -> Result<(), String> {
 fn parse_problem(operands: &[&str]) -> Result<Problem, String> {
     let which = operands.first().copied().unwrap_or("p1");
     let bound = || -> Result<u64, String> {
-        operands
+        let bound = operands
             .get(1)
-            .ok_or_else(|| format!("{which} needs a bound in bytes"))?
-            .parse::<u64>()
-            .map_err(|e| e.to_string())
+            .ok_or_else(|| format!("{which} needs a bound in bytes"))?;
+        bound
+            .parse()
+            .map_err(|_| format!("invalid {which} bound '{bound}'"))
     };
     let problem = match which {
         "p1" => Problem::MinStorage,
@@ -1037,7 +1038,7 @@ fn solvers(_: &Args) -> Result<(), String> {
         "{:<12} {:<8} {:<22} {}",
         header.0, header.1, header.2, header.3
     )?;
-    for solver in registry() {
+    for solver in &SOLVERS {
         let supported: Vec<String> = problems
             .iter()
             .filter_map(|p| match solver.support(*p)? {
@@ -1045,8 +1046,8 @@ fn solvers(_: &Args) -> Result<(), String> {
                 Support::Heuristic => Some(p.number().to_string()),
             })
             .collect();
-        let hybrid = if solver.hybrid_capable() { "yes" } else { "no" };
-        let (name, about) = (solver.name(), solver.description());
+        let hybrid = if solver.hybrid_capable { "yes" } else { "no" };
+        let (name, about) = (solver.name, solver.description);
         writeln!(
             Out,
             "{name:<12} {hybrid:<8} {:<22} {about}",

@@ -162,6 +162,9 @@ impl<S: ObjectStore> Repository<S> {
         if n == 0 {
             return Err(VcsError::EmptyRepository);
         }
+        // A solver choice the planner would refuse is refused before any
+        // version is read.
+        spec.resolve_solvers()?;
         // Resolve the storage-mode policy against the repository: under
         // `Auto`, a chunked-placement repository optimizes in the hybrid
         // model with its own chunker parameters (previously `optimize`
@@ -603,5 +606,45 @@ mod tests {
             repo.optimize_with(&spec(Problem::MinStorage, 2)),
             Err(VcsError::EmptyRepository)
         ));
+    }
+
+    /// A solver choice the planner would refuse fails the repack before
+    /// the store is read: no version is materialized to learn that `lmg`
+    /// does not solve Problem 1 or that `nosuch` is not registered.
+    #[test]
+    fn an_unusable_solver_is_refused_before_any_store_read() {
+        use dsv_core::SolveError;
+        use dsv_storage::fault::{FaultPlan, FaultStore};
+        let sites = FaultPlan::count_sites();
+        let mut repo = Repository::init(FaultStore::new(MemStore::new(false), sites.clone()));
+        for k in 0..3 {
+            let data = format!("id,name\n{k},v{k}\n");
+            repo.commit("main", data.as_bytes(), "c").unwrap();
+        }
+        let before = sites.sites().len();
+        let refused = |choice: SolverChoice| {
+            let spec = spec(Problem::MinStorage, 4).solver(choice);
+            match repo.prepare_repack(&spec) {
+                Err(VcsError::Solve(e)) => e,
+                Err(e) => panic!("{e}"),
+                Ok(_) => panic!("the repack was prepared"),
+            }
+        };
+        assert_eq!(
+            refused(SolverChoice::named("lmg")),
+            SolveError::UnsupportedProblem {
+                solver: "lmg",
+                problem: 1
+            }
+        );
+        assert_eq!(
+            refused(SolverChoice::named("nosuch")),
+            SolveError::UnknownSolver("nosuch".into())
+        );
+        let reads = sites.sites()[before..]
+            .iter()
+            .filter(|s| *s == "store.get")
+            .count();
+        assert_eq!(reads, 0);
     }
 }

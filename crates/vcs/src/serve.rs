@@ -1,4 +1,4 @@
-//! Server-side semantics for the `dsvd` protocol.
+//! Server-side semantics for the `dsv serve` protocol.
 //!
 //! [`Dsvd`] owns one repository behind a [`parking_lot::RwLock`] and
 //! implements the request → response mapping on top of the

@@ -25,11 +25,52 @@
 //! and so does a misspelled flag or a stray operand on any command: one
 //! grammar parses them all. A closed stdout ends `dsv` quietly.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 const DSV: &str = env!("CARGO_BIN_EXE_dsv");
+
+/// How long one `dsv` run may take: a command that never exits fails its
+/// test here instead of stalling the suite.
+const DEADLINE: Duration = Duration::from_secs(120);
+
+/// `cmd.output()` with [`DEADLINE`]: spawns `cmd` with stdin closed,
+/// drains whichever of its stdout and stderr are pipes, and polls for its
+/// exit; past the deadline it kills the child and panics with its argv.
+fn output(cmd: &mut Command) -> Output {
+    fn drain(pipe: Option<impl Read + Send + 'static>) -> JoinHandle<Vec<u8>> {
+        std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            if let Some(mut pipe) = pipe {
+                pipe.read_to_end(&mut bytes).unwrap();
+            }
+            bytes
+        })
+    }
+    let mut child = cmd.stdin(Stdio::null()).spawn().unwrap();
+    let (stdout, stderr) = (drain(child.stdout.take()), drain(child.stderr.take()));
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if start.elapsed() > DEADLINE {
+            let _ = child.kill();
+            let _ = child.wait();
+            let argv: Vec<_> = cmd.get_args().collect();
+            panic!("dsv {argv:?} did not exit within {DEADLINE:?}; killed it");
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    Output {
+        status,
+        stdout: stdout.join().unwrap(),
+        stderr: stderr.join().unwrap(),
+    }
+}
 
 /// A scratch directory holding two identical repositories — `L`, driven
 /// locally, and `R`, served by a spawned `dsv serve` — plus the version
@@ -120,7 +161,7 @@ impl Sandbox {
             Some(spec) => cmd.env("DSV_FAULT", spec),
             None => cmd.env_remove("DSV_FAULT"),
         };
-        let out = cmd.output().unwrap();
+        let out = output(cmd.stdout(Stdio::piped()).stderr(Stdio::piped()));
         Ran {
             code: out.status.code().unwrap_or(-1),
             stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -460,6 +501,7 @@ fn both_backends_reject_the_same_mistakes() {
         "usage: dsv commit <repo> <file> [-b <branch>] [-m <message>] [--online] \
          [--online-hops <n>] [--theta <bytes>] (no <repo> with --remote)",
     );
+    both_reject(s, &["optimize", "p3", "abc"], "invalid p3 bound 'abc'");
     both_reject(
         s,
         &["optimize", "p1", "--bogus"],
@@ -730,6 +772,27 @@ const SERVE_USAGE: &str = "dsv serve <dir> [--addr <host:port>] [--workers <n>] 
                            [--cache-bytes <n>] [--max-frame <bytes>] [--read-timeout-ms <n>] \
                            [--store-server]";
 
+/// `dsv solvers` prints the registry's rows: their names, whether each is
+/// hybrid-capable, the problems each supports (exactly or heuristically)
+/// and its description, in registry order.
+#[test]
+fn solvers_lists_every_registered_row() {
+    let s = Sandbox::new("solvers");
+    assert_eq!(
+        s.ok(&["solvers"]).stdout,
+        "name         hybrid   problems               description\n\
+         mst          yes      1(exact) 3 4 5 6       minimum spanning tree / min-cost arborescence (exact minimum storage)\n\
+         spt          yes      2(exact) 3 4 5 6       shortest-path tree over Φ (exact minimum recreation)\n\
+         ilp          yes      6(exact)               exact branch-and-bound for Problem 6 (stands in for the §2.3 ILP)\n\
+         lmg          yes      3 5                    Local Move Greedy (§4.1), workload-aware when weights are present\n\
+         mp           yes      4 6                    Modified Prim's (§4.2) for max-recreation bounds\n\
+         last         yes      1 2 3 4 5 6            Khuller et al. LAST (§4.3): α-balanced MST/SPT blend\n\
+         gith         yes      1 2 3 4 5 6            Git repack heuristic (§4.4, Appendix A): windowed delta search\n\
+         hop          yes      6                      bounded-hop variant (Φ ≡ 1, §3): limits delta-chain length\n\
+         skip-delta   no       1                      SVN FSFS skip-delta baseline (§5.2); needs a linear history's skip pairs revealed\n"
+    );
+}
+
 /// One grammar for every command: a misspelled flag, a repeated one and
 /// a stray operand each fail with one `dsv:` line, print nothing and
 /// change nothing, and help lists every command the parser knows.
@@ -827,15 +890,15 @@ fn a_closed_stdout_ends_dsv_quietly() {
     ] {
         let (reader, writer) = std::io::pipe().unwrap();
         drop(reader);
-        let out = Command::new(DSV)
-            .current_dir(&s.dir)
-            .args(args)
-            .env_remove("DSV_TRACE")
-            .env_remove("DSV_FAULT")
-            .stdout(writer)
-            .stderr(Stdio::piped())
-            .output()
-            .unwrap();
+        let out = output(
+            Command::new(DSV)
+                .current_dir(&s.dir)
+                .args(args)
+                .env_remove("DSV_TRACE")
+                .env_remove("DSV_FAULT")
+                .stdout(writer)
+                .stderr(Stdio::piped()),
+        );
         assert_eq!(out.status.code(), Some(0), "{args:?}");
         assert_eq!(String::from_utf8_lossy(&out.stderr), "", "{args:?}");
     }

@@ -1,4 +1,4 @@
-//! Loopback integration tests for the `dsvd` server front end: the
+//! Loopback integration tests for the `dsv serve` front end: the
 //! served conversation and concurrent clients as rows of the model
 //! harness (`common::model`), and protocol abuse (bad version, unknown
 //! opcode, oversized frame, stalled client) answered with structured
@@ -15,9 +15,9 @@ use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// A `dsvd` driven over loopback by `Client` answers exactly what
-/// `Dsvd::handle` in process answers, step for step, and ends with the
-/// same objects.
+/// A `dsv serve` front end driven over loopback by `Client` answers
+/// exactly what `Dsvd::handle` in process answers, step for step, and
+/// ends with the same objects.
 #[test]
 fn remote_conversation_matches_local_byte_for_byte() {
     let configs = ["mem", "served"].map(model::config);
@@ -25,10 +25,10 @@ fn remote_conversation_matches_local_byte_for_byte() {
     model::check("served", &ops, |ops| model::lockstep(&configs, ops));
 }
 
-/// Four clients at once on one `dsvd`, over a local store and over
-/// remote store shards: commit ids come out distinct and dense, every
-/// checkout returns the bytes committed under its id, and a restart from
-/// disk finds every version.
+/// Four clients at once on one `dsv serve` front end, over a local store
+/// and over remote store shards: commit ids come out distinct and dense,
+/// every checkout returns the bytes committed under its id, and a restart
+/// from disk finds every version.
 #[test]
 fn concurrent_clients_over_local_and_remote_sharded_stores() {
     for name in ["concurrent", "concurrent-remote"] {
