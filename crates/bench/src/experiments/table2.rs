@@ -46,7 +46,6 @@ pub fn all_pairs_instance(n: usize, seed: u64) -> ProblemInstance {
                 ..EditParams::default()
             },
             reveal_hops: n, // all pairs: every version within n hops
-            cost_model: dsv_delta::cost::CostModel::Proportional,
             directed: true,
             keep_contents: false,
         },

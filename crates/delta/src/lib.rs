@@ -6,9 +6,13 @@
 //! construct `Vj` given `Vi`. The paper lists several mechanisms (UNIX-style
 //! line diffs, XOR, cell-level tabular diffs, generating scripts); this
 //! crate implements the line, byte and cell-level ones with real bytes so
-//! that storage costs (`Δ` = the encoded delta size) and recreation costs
-//! (`Φ` = work to apply it) come from an actual differencing algorithm
-//! rather than synthetic numbers:
+//! that the `⟨Δ, Φ⟩` costs of §2.1 come from an actual differencing
+//! algorithm rather than synthetic numbers. Costs are bytes, `Φ = Δ`: a
+//! delta's encoded size is both what storing it costs and what recreating
+//! through it reads. The crate prices nothing itself: the workload
+//! builders reveal matrices from line-script sizes (dsv-workloads'
+//! `line_matrix`), and the version store prices stored objects in one
+//! place (dsv-vcs' `Repository::price`).
 //!
 //! - [`myers`]: the Myers O(ND) greedy LCS diff on arbitrary token
 //!   sequences.
@@ -20,18 +24,14 @@
 //! - [`similarity`]: shingle/min-hash resemblance sketches for choosing
 //!   which matrix entries to reveal between version-graph-distant versions
 //!   (the paper's pointer to Douglis & Iyengar, ref.\&nbsp;19).
-//! - [`cost`]: turns any delta into the `⟨Δ, Φ⟩` annotation used by the
-//!   optimizer.
 
 pub mod bytes_delta;
-pub mod cost;
 pub mod myers;
 pub mod script;
 pub mod similarity;
 pub mod tabular;
 
 pub use bytes_delta::{apply as apply_delta, diff as byte_diff, DeltaError, DeltaOp};
-pub use cost::{delta_annotation, full_annotation, CostAnnotation, CostModel};
 pub use myers::{diff_slices, DiffOp};
 pub use script::{line_diff, LineScript};
 pub use similarity::ResemblanceSketch;

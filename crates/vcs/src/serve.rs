@@ -50,7 +50,7 @@ use dsv_net::proto::{
 };
 use dsv_net::server::{session, Server};
 use dsv_obs as obs;
-use dsv_storage::{CheckoutCache, ObjectStore};
+use dsv_storage::{CheckoutCache, ObjectStore, DEFAULT_CACHE_BUDGET};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -72,7 +72,7 @@ pub struct DsvdConfig {
 impl Default for DsvdConfig {
     fn default() -> Self {
         DsvdConfig {
-            cache_bytes: 256 * 1024 * 1024,
+            cache_bytes: DEFAULT_CACHE_BUDGET,
             max_frame: dsv_net::DEFAULT_MAX_FRAME,
             read_timeout: Some(Duration::from_secs(30)),
         }

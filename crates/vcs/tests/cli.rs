@@ -27,15 +27,34 @@
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdout, Command, Output, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Output, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const DSV: &str = env!("CARGO_BIN_EXE_dsv");
 
-/// How long one `dsv` run may take: a command that never exits fails its
-/// test here instead of stalling the suite.
+/// How long one `dsv` run, or a server's exit after its shutdown, may
+/// take: a process that never exits fails its test here instead of
+/// stalling the suite.
 const DEADLINE: Duration = Duration::from_secs(120);
+
+/// Polls `child` for its exit until [`DEADLINE`]; past it, kills and
+/// reaps the child and returns `None`. Never panics, so a `Drop` may call
+/// it while a failed test unwinds.
+fn reap(child: &mut Child) -> Option<ExitStatus> {
+    let start = Instant::now();
+    loop {
+        if let Ok(Some(status)) = child.try_wait() {
+            return Some(status);
+        }
+        if start.elapsed() > DEADLINE {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
 
 /// `cmd.output()` with [`DEADLINE`]: spawns `cmd` with stdin closed,
 /// drains whichever of its stdout and stderr are pipes, and polls for its
@@ -52,18 +71,9 @@ fn output(cmd: &mut Command) -> Output {
     }
     let mut child = cmd.stdin(Stdio::null()).spawn().unwrap();
     let (stdout, stderr) = (drain(child.stdout.take()), drain(child.stderr.take()));
-    let start = Instant::now();
-    let status = loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            break status;
-        }
-        if start.elapsed() > DEADLINE {
-            let _ = child.kill();
-            let _ = child.wait();
-            let argv: Vec<_> = cmd.get_args().collect();
-            panic!("dsv {argv:?} did not exit within {DEADLINE:?}; killed it");
-        }
-        std::thread::sleep(Duration::from_millis(2));
+    let Some(status) = reap(&mut child) else {
+        let argv: Vec<_> = cmd.get_args().collect();
+        panic!("dsv {argv:?} did not exit within {DEADLINE:?}; killed it");
     };
     Output {
         status,
@@ -216,10 +226,17 @@ impl Daemon {
         }
     }
 
-    /// Waits for a server that was asked to shut down.
+    /// Waits for a server that was asked to shut down; past [`DEADLINE`]
+    /// it kills the server and fails the test.
     fn wait(mut self) -> i32 {
         let (mut child, _stdout) = self.child.take().unwrap();
-        child.wait().unwrap().code().unwrap_or(-1)
+        let Some(status) = reap(&mut child) else {
+            panic!(
+                "dsv serve at {} did not exit within {DEADLINE:?} of its shutdown; killed it",
+                self.addr
+            );
+        };
+        status.code().unwrap_or(-1)
     }
 
     /// Hands the child to a caller that stops it itself.
@@ -261,7 +278,12 @@ impl Drop for Sandbox {
             if self.remote(&["shutdown"]).code != 0 {
                 let _ = server.kill();
             }
-            let _ = server.wait();
+            if reap(&mut server).is_none() {
+                eprintln!(
+                    "dsv serve at {} did not exit within {DEADLINE:?} of its shutdown; killed it",
+                    self.addr
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&self.dir);
     }

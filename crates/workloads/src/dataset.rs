@@ -3,14 +3,15 @@
 //! Step one generates a [`VersionGraph`]; step two derives each version's
 //! CSV content from its (first) parent via random edit commands, then
 //! computes **real deltas** — line scripts over the serialized tables —
-//! between every pair of versions within `reveal_hops` of each other,
-//! populating the `Δ`/`Φ` matrices under the chosen [`CostModel`].
+//! between every pair of versions within `reveal_hops` of each other.
+//! `line_matrix`, shared with the fork and dedup builders, reveals the
+//! `Δ`/`Φ` matrix from them: `Φ = Δ` = bytes, a version's length on the
+//! diagonal and a script's encoded size off it.
 
 use crate::table_gen::{base_table, random_commit, EditParams};
 use crate::version_graph::{GraphParams, VersionGraph};
 use crate::zipf::zipf_weights;
 use dsv_core::{ChunkerParams, CostMatrix, CostPair, ProblemInstance};
-use dsv_delta::cost::{delta_annotation, full_annotation, CostModel};
 use dsv_delta::script::line_diff;
 use dsv_obs as obs;
 use dsv_storage::chunk::chunked_cost_pairs;
@@ -27,8 +28,6 @@ pub struct DatasetParams {
     /// Reveal deltas between all pairs within this hop distance in the
     /// version graph (the paper uses 10 for DC, 25 for LC).
     pub reveal_hops: usize,
-    /// How bytes map to `⟨Δ, Φ⟩`.
-    pub cost_model: CostModel,
     /// Directed (one-way line scripts, asymmetric) or undirected
     /// (concatenated two-way scripts, symmetric).
     pub directed: bool,
@@ -43,7 +42,6 @@ impl Default for DatasetParams {
             graph: GraphParams::default(),
             edits: EditParams::default(),
             reveal_hops: 5,
-            cost_model: CostModel::Proportional,
             directed: true,
             keep_contents: false,
         }
@@ -129,7 +127,7 @@ impl Dataset {
 /// Builds a dataset: generates the version graph and contents, computes
 /// the deltas, and assembles the matrices.
 pub fn build(name: &str, params: &DatasetParams, seed: u64) -> Dataset {
-    let build_span = obs::span!("build", versions = params.graph.commits).entered();
+    let _build = obs::span!("build", versions = params.graph.commits).entered();
     let graph = VersionGraph::generate(&params.graph, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
 
@@ -150,49 +148,10 @@ pub fn build(name: &str, params: &DatasetParams, seed: u64) -> Dataset {
     drop(contents_span);
     let sizes: Vec<u64> = contents.iter().map(|c| c.len() as u64).collect();
 
-    // Matrices: diagonal from full contents, off-diagonal from real diffs
-    // within the reveal neighbourhood.
-    let diag: Vec<CostPair> = contents
-        .iter()
-        .map(|c| to_pair(full_annotation(params.cost_model, c)))
-        .collect();
-    let mut matrix = if params.directed {
-        CostMatrix::directed(diag)
-    } else {
-        CostMatrix::undirected(diag)
-    };
-    // Deltas are independent per pair: compute them on the dsv-par
-    // runtime (thread count from `DSV_THREADS` / overrides),
-    // reveal sequentially (reveal order does not affect the matrix).
+    // Undirected delta = concatenation of the two directional scripts
+    // (§5.3's construction for DC/LC).
     let pairs = graph.pairs_within_hops(params.reveal_hops);
-    let model = params.cost_model;
-    let reveal_span = obs::span!("reveal", pairs = pairs.len()).entered();
-    let annotated = dsv_par::par_map(&pairs, |&(a, b)| {
-        let (ca, cb) = (&contents[a as usize], &contents[b as usize]);
-        if params.directed {
-            let fwd = line_diff(ca, cb).encode();
-            let rev = line_diff(cb, ca).encode();
-            (
-                to_pair(delta_annotation(model, &fwd, cb.len())),
-                Some(to_pair(delta_annotation(model, &rev, ca.len()))),
-            )
-        } else {
-            // Undirected delta = concatenation of the two directional
-            // scripts (§5.3's construction for DC/LC).
-            let mut both = line_diff(ca, cb).encode();
-            both.extend_from_slice(&line_diff(cb, ca).encode());
-            let target = ca.len().max(cb.len());
-            (to_pair(delta_annotation(model, &both, target)), None)
-        }
-    });
-    for (&(a, b), (fwd, rev)) in pairs.iter().zip(annotated) {
-        matrix.reveal(a, b, fwd);
-        if let Some(rev) = rev {
-            matrix.reveal(b, a, rev);
-        }
-    }
-    drop(reveal_span);
-    drop(build_span);
+    let matrix = line_matrix(&contents, &pairs, params.directed, |f, r| f + r);
 
     Dataset {
         name: name.to_owned(),
@@ -203,8 +162,42 @@ pub fn build(name: &str, params: &DatasetParams, seed: u64) -> Dataset {
     }
 }
 
-pub(crate) fn to_pair(ann: dsv_delta::cost::CostAnnotation) -> CostPair {
-    CostPair::new(ann.storage, ann.recreation)
+/// The reveal every content builder shares: the diagonal is each
+/// version's length, each pair's entries are the sizes of its two
+/// directional line scripts (`Φ = Δ` = bytes throughout). A directed
+/// matrix reveals both directions; an undirected one reveals
+/// `symmetric(forward, reverse)` once. The scripts are diffed on the
+/// dsv-par runtime (thread count from `DSV_THREADS` / overrides).
+pub(crate) fn line_matrix(
+    contents: &[Vec<u8>],
+    pairs: &[(u32, u32)],
+    directed: bool,
+    symmetric: fn(u64, u64) -> u64,
+) -> CostMatrix {
+    let diag = contents
+        .iter()
+        .map(|c| CostPair::proportional(c.len() as u64))
+        .collect();
+    let mut matrix = if directed {
+        CostMatrix::directed(diag)
+    } else {
+        CostMatrix::undirected(diag)
+    };
+    let _reveal = obs::span!("reveal", pairs = pairs.len()).entered();
+    let sizes = dsv_par::par_map(pairs, |&(a, b)| {
+        let (ca, cb) = (&contents[a as usize], &contents[b as usize]);
+        let size = |src, dst| line_diff(src, dst).encoded_size() as u64;
+        (size(ca, cb), size(cb, ca))
+    });
+    for (&(a, b), (fwd, rev)) in pairs.iter().zip(sizes) {
+        if directed {
+            matrix.reveal(a, b, CostPair::proportional(fwd));
+            matrix.reveal(b, a, CostPair::proportional(rev));
+        } else {
+            matrix.reveal(a, b, CostPair::proportional(symmetric(fwd, rev)));
+        }
+    }
+    matrix
 }
 
 #[cfg(test)]
@@ -231,7 +224,6 @@ mod tests {
                 ..EditParams::default()
             },
             reveal_hops: 4,
-            cost_model: CostModel::Proportional,
             directed: true,
             keep_contents: true,
         }
@@ -351,35 +343,5 @@ mod tests {
         let b = build("b", &small_params(), 123);
         assert_eq!(a.sizes, b.sizes);
         assert_eq!(a.matrix.revealed_count(), b.matrix.revealed_count());
-    }
-
-    #[test]
-    fn cost_model_changes_phi_delta_relationship() {
-        let mut p = small_params();
-        p.cost_model = CostModel::CompressedStorage;
-        let compressed = build("c", &p, 21);
-        // Diagonal: compressed storage never exceeds raw recreation (the
-        // store falls back to raw payloads), and strictly improves for
-        // most versions. Random-hex cell values are nearly incompressible
-        // by construction, so the *margin* is small; the invariant that
-        // matters is storage <= recreation with strict improvement being
-        // the norm.
-        let mut total_storage = 0u64;
-        let mut total_recreation = 0u64;
-        let mut strictly_below = 0usize;
-        for i in 0..compressed.version_count() as u32 {
-            let m = compressed.matrix.materialization(i);
-            assert!(
-                m.storage <= m.recreation,
-                "v{i}: {} > {}",
-                m.storage,
-                m.recreation
-            );
-            strictly_below += usize::from(m.storage < m.recreation);
-            total_storage += m.storage;
-            total_recreation += m.recreation;
-        }
-        assert!(total_storage < total_recreation);
-        assert!(strictly_below * 2 > compressed.version_count());
     }
 }

@@ -8,11 +8,10 @@
 //! home turf of content-defined chunking, while still giving the paper's
 //! delta regime small line-diffs — exactly the workload on which the
 //! three substrates (Full / Delta / Chunked) are meaningfully compared.
+//! The chain edges are revealed by the shared `line_matrix` (`Φ = Δ` =
+//! bytes).
 
-use crate::dataset::{to_pair, Dataset};
-use dsv_core::{CostMatrix, CostPair};
-use dsv_delta::cost::{delta_annotation, full_annotation, CostModel};
-use dsv_delta::script::line_diff;
+use crate::dataset::{line_matrix, Dataset};
 use dsv_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,8 +29,6 @@ pub struct DedupParams {
     pub rows_per_edit: usize,
     /// Probability that an edit deletes rows instead of inserting.
     pub delete_prob: f64,
-    /// How bytes map to `⟨Δ, Φ⟩`.
-    pub cost_model: CostModel,
     /// Keep raw contents (needed to feed the object store).
     pub keep_contents: bool,
     /// Directed (asymmetric) or undirected deltas.
@@ -46,7 +43,6 @@ impl Default for DedupParams {
             edits_per_version: 3,
             rows_per_edit: 4,
             delete_prob: 0.25,
-            cost_model: CostModel::Proportional,
             keep_contents: false,
             directed: true,
         }
@@ -120,34 +116,10 @@ pub fn build(name: &str, params: &DedupParams, seed: u64) -> Dataset {
     }
     let sizes: Vec<u64> = contents.iter().map(|c| c.len() as u64).collect();
 
-    // Matrix: diagonal from full contents; chain edges revealed from real
-    // line diffs (the spanning structure every solver needs).
-    let diag: Vec<CostPair> = contents
-        .iter()
-        .map(|c| to_pair(full_annotation(params.cost_model, c)))
-        .collect();
-    let mut matrix = if params.directed {
-        CostMatrix::directed(diag)
-    } else {
-        CostMatrix::undirected(diag)
-    };
-    let model = params.cost_model;
-    let reveal_span = obs::span!("reveal", pairs = params.versions.saturating_sub(1)).entered();
-    for v in 1..params.versions as u32 {
-        let (prev, cur) = (&contents[v as usize - 1], &contents[v as usize]);
-        if params.directed {
-            let fwd = line_diff(prev, cur).encode();
-            let rev = line_diff(cur, prev).encode();
-            matrix.reveal(v - 1, v, to_pair(delta_annotation(model, &fwd, cur.len())));
-            matrix.reveal(v, v - 1, to_pair(delta_annotation(model, &rev, prev.len())));
-        } else {
-            let mut both = line_diff(prev, cur).encode();
-            both.extend_from_slice(&line_diff(cur, prev).encode());
-            let target = prev.len().max(cur.len());
-            matrix.reveal(v - 1, v, to_pair(delta_annotation(model, &both, target)));
-        }
-    }
-    drop(reveal_span);
+    // Chain edges revealed from real line diffs (the spanning structure
+    // every solver needs); undirected ones are two-way scripts.
+    let chain: Vec<(u32, u32)> = (1..params.versions as u32).map(|v| (v - 1, v)).collect();
+    let matrix = line_matrix(&contents, &chain, params.directed, |f, r| f + r);
 
     Dataset {
         name: name.to_owned(),

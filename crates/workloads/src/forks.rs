@@ -8,13 +8,11 @@
 //! available here, so this generator reproduces those structural
 //! properties: one common ancestor, per-fork divergence of varying depth
 //! (fork activity is heavy-tailed), **no version graph**, and all-pairs
-//! deltas under a size-difference threshold.
+//! deltas under a size-difference threshold, revealed as line-script
+//! sizes by the shared `line_matrix` (`Φ = Δ` = bytes).
 
-use crate::dataset::{to_pair, Dataset};
+use crate::dataset::{line_matrix, Dataset};
 use crate::table_gen::{base_table, random_commit, EditParams};
-use dsv_core::{CostMatrix, CostPair};
-use dsv_delta::cost::{delta_annotation, full_annotation, CostModel};
-use dsv_delta::script::line_diff;
 use dsv_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,8 +41,6 @@ pub struct ForkParams {
     pub size_diff_threshold: u64,
     /// Directed or undirected deltas.
     pub directed: bool,
-    /// Cost model.
-    pub cost_model: CostModel,
     /// Keep raw contents.
     pub keep_contents: bool,
 }
@@ -60,7 +56,6 @@ impl Default for ForkParams {
             cluster_spread_commits: 0,
             size_diff_threshold: 64 * 1024,
             directed: true,
-            cost_model: CostModel::Proportional,
             keep_contents: false,
         }
     }
@@ -106,18 +101,9 @@ pub fn build(name: &str, params: &ForkParams, seed: u64) -> Dataset {
     }
     let sizes: Vec<u64> = contents.iter().map(|c| c.len() as u64).collect();
 
-    let diag: Vec<CostPair> = contents
-        .iter()
-        .map(|c| to_pair(full_annotation(params.cost_model, c)))
-        .collect();
-    let mut matrix = if params.directed {
-        CostMatrix::directed(diag)
-    } else {
-        CostMatrix::undirected(diag)
-    };
-
-    // All-pairs deltas under the size-difference threshold, computed in
-    // parallel (independent per pair).
+    // All-pairs deltas under the size-difference threshold. BF's
+    // undirected deltas come from diff itself: the larger direction is the
+    // symmetric cost.
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     for a in 0..params.forks as u32 {
         for b in (a + 1)..params.forks as u32 {
@@ -126,32 +112,7 @@ pub fn build(name: &str, params: &ForkParams, seed: u64) -> Dataset {
             }
         }
     }
-    let model = params.cost_model;
-    let reveal_span = obs::span!("reveal", pairs = pairs.len()).entered();
-    let annotated = dsv_par::par_map(&pairs, |&(a, b)| {
-        let (ca, cb) = (&contents[a as usize], &contents[b as usize]);
-        let fwd = line_diff(ca, cb).encode();
-        let rev = line_diff(cb, ca).encode();
-        if params.directed {
-            (
-                to_pair(delta_annotation(model, &fwd, cb.len())),
-                Some(to_pair(delta_annotation(model, &rev, ca.len()))),
-            )
-        } else {
-            // BF's undirected deltas come from diff itself; use the
-            // larger direction as the symmetric cost.
-            let target = ca.len().max(cb.len());
-            let bigger = if fwd.len() >= rev.len() { fwd } else { rev };
-            (to_pair(delta_annotation(model, &bigger, target)), None)
-        }
-    });
-    for (&(a, b), (fwd, rev)) in pairs.iter().zip(annotated) {
-        matrix.reveal(a, b, fwd);
-        if let Some(rev) = rev {
-            matrix.reveal(b, a, rev);
-        }
-    }
-    drop(reveal_span);
+    let matrix = line_matrix(&contents, &pairs, params.directed, u64::max);
 
     Dataset {
         name: name.to_owned(),

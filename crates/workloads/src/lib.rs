@@ -28,6 +28,13 @@
 //!   is compared against Full/Delta plans. Preset
 //!   [`presets::dedup_chain`] (DD).
 //!
+//! The three content builders (DC/LC, BF/LF, DD) differ only in which
+//! pairs they diff: graph hops, a size threshold, chain edges. One shared
+//! reveal, `dataset::line_matrix`, turns those pairs into the matrix:
+//! `Φ = Δ` = bytes, a version's length on the diagonal and a line
+//! script's encoded size off it (for undirected matrices, both scripts
+//! concatenated for DC/LC/DD and the larger direction for BF/LF).
+//!
 //! All generators are deterministic given a seed.
 
 pub mod dataset;

@@ -16,7 +16,6 @@ use crate::dedup::{self, DedupParams};
 use crate::forks::{self, ForkParams};
 use crate::table_gen::EditParams;
 use crate::version_graph::GraphParams;
-use dsv_delta::cost::CostModel;
 
 /// Which of the four paper datasets a preset mimics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +85,6 @@ impl Preset {
                         ..EditParams::default()
                     },
                     reveal_hops: 10,
-                    cost_model: CostModel::Proportional,
                     directed: self.directed,
                     keep_contents: self.keep_contents,
                 },
@@ -110,7 +108,6 @@ impl Preset {
                         ..EditParams::default()
                     },
                     reveal_hops: 25,
-                    cost_model: CostModel::Proportional,
                     directed: self.directed,
                     keep_contents: self.keep_contents,
                 },
@@ -132,7 +129,6 @@ impl Preset {
                     cluster_spread_commits: 8,
                     size_diff_threshold: 2 * 1024,
                     directed: self.directed,
-                    cost_model: CostModel::Proportional,
                     keep_contents: self.keep_contents,
                 },
                 seed,
@@ -153,7 +149,6 @@ impl Preset {
                     cluster_spread_commits: 40,
                     size_diff_threshold: 48 * 1024,
                     directed: self.directed,
-                    cost_model: CostModel::Proportional,
                     keep_contents: self.keep_contents,
                 },
                 seed,
@@ -162,7 +157,6 @@ impl Preset {
                 self.name,
                 &DedupParams {
                     versions: self.scale,
-                    cost_model: CostModel::Proportional,
                     keep_contents: self.keep_contents,
                     directed: self.directed,
                     ..DedupParams::default()

@@ -8,7 +8,8 @@
 //! around a configurable mean, and k-hop pair deltas grow with hop
 //! distance (deltas between distant versions are bigger, as in the
 //! materialized datasets). Distributions were tuned to match the
-//! materializing builder on small instances (see the crate tests).
+//! materializing builder on small instances (see the crate tests). As in
+//! the content builders' `line_matrix`, every entry has `Φ = Δ` = bytes.
 
 use crate::dataset::Dataset;
 use crate::version_graph::{GraphParams, VersionGraph};
@@ -30,9 +31,6 @@ pub struct SyntheticParams {
     pub delta_mean: u64,
     /// Directed (asymmetric jitter per direction) or undirected.
     pub directed: bool,
-    /// `Φ = Δ` when 1.0; larger values make recreation proportionally
-    /// more expensive than storage (crudely modelling compressed deltas).
-    pub phi_factor: f64,
 }
 
 impl Default for SyntheticParams {
@@ -43,7 +41,6 @@ impl Default for SyntheticParams {
             base_size: 400_000,
             delta_mean: 4_000,
             directed: true,
-            phi_factor: 1.0,
         }
     }
 }
@@ -72,11 +69,7 @@ pub fn build(name: &str, params: &SyntheticParams, seed: u64) -> Dataset {
         };
     }
 
-    let phi = |delta: u64, f: f64| -> u64 { (delta as f64 * f).round() as u64 };
-    let diag: Vec<CostPair> = sizes
-        .iter()
-        .map(|&s| CostPair::new(s, phi(s, params.phi_factor.max(1.0))))
-        .collect();
+    let diag: Vec<CostPair> = sizes.iter().map(|&s| CostPair::proportional(s)).collect();
     let mut matrix = if params.directed {
         CostMatrix::directed(diag)
     } else {
@@ -95,12 +88,12 @@ pub fn build(name: &str, params: &SyntheticParams, seed: u64) -> Dataset {
     for (a, b, hops) in pairs {
         if params.directed {
             let fwd = delta_for(hops, a, b, &mut rng);
-            matrix.reveal(a, b, CostPair::new(fwd, phi(fwd, params.phi_factor)));
+            matrix.reveal(a, b, CostPair::proportional(fwd));
             let rev = delta_for(hops, a, b, &mut rng);
-            matrix.reveal(b, a, CostPair::new(rev, phi(rev, params.phi_factor)));
+            matrix.reveal(b, a, CostPair::proportional(rev));
         } else {
             let d = delta_for(hops, a, b, &mut rng);
-            matrix.reveal(a, b, CostPair::new(d, phi(d, params.phi_factor)));
+            matrix.reveal(a, b, CostPair::proportional(d));
         }
     }
     drop(reveal_span);
@@ -185,22 +178,6 @@ mod tests {
             v.iter().sum::<u64>() as f64 / v.len().max(1) as f64
         };
         assert!(avg(8) > avg(1) * 3.0);
-    }
-
-    #[test]
-    fn phi_factor_splits_the_matrices() {
-        let params = SyntheticParams {
-            graph: GraphParams {
-                commits: 50,
-                ..GraphParams::default()
-            },
-            phi_factor: 3.0,
-            ..SyntheticParams::default()
-        };
-        let ds = build("syn", &params, 4);
-        let (i, j, pair) = ds.matrix.revealed_entries().next().unwrap();
-        let _ = (i, j);
-        assert!(pair.recreation >= pair.storage * 2);
     }
 
     #[test]
