@@ -55,14 +55,17 @@
 //! needs — no literal is copied anywhere). [`encode`] feeds ops through
 //! the same byte sink, so the wire format is written down once.
 //!
-//! **Reveal by source.** [`pair_sizes`], [`pair_costs`] and
-//! [`encode_pairs`] group their jobs by source version and run one
+//! **Reveal by source.** [`pair_sizes`], [`pair_costs_from`] and
+//! [`encode_pairs_from`] group their jobs by source version and run one
 //! `dsv_par` task per *source*: the task builds that source's index, scans
 //! every target it is paired with, and drops the index before taking the
 //! next source. At most one index per worker is alive (an index is about
 //! three times its source's size), so peak memory does not grow with the
 //! number of versions or pairs, while each version is still indexed once
-//! instead of once per pair.
+//! instead of once per pair. The versions come from a [`Versions`]
+//! source: a slice of them ([`pair_costs`] and [`encode_pairs`] take one),
+//! or a history that derives each when a run asks for it, so that a
+//! reveal need not hold every version at once.
 
 use dsv_compress::lz::common_prefix;
 use dsv_compress::varint::{decode_u64, encode_u64, encoded_len};
@@ -433,27 +436,94 @@ pub fn diff(src: &[u8], dst: &[u8]) -> Vec<DeltaOp> {
     SourceIndex::new(src).diff(dst)
 }
 
-/// Runs `f(index of contents[src], contents[dst])` for every `(src, dst)`
-/// job and returns the results in job order. One `dsv_par` task per
-/// distinct source: it builds that source's index, serves every job of
-/// the source, and drops the index — at most one live index per worker.
-/// For a pure `f` the output is identical at every thread count.
-fn map_by_source<T: Send>(
-    contents: &[Vec<u8>],
+/// Versions by number, as a reveal or a packer reads them: held in
+/// memory (`[Vec<u8>]`), or derived on demand from a stored history
+/// (`dsv_storage::VersionWalk` holds deltas and replays them). A source is read
+/// in *runs*: one source version, then the targets paired with it.
+pub trait Versions: Sync {
+    /// What one worker reads through; it may keep what one run derived
+    /// for the next.
+    type Reader<'a>: Reader
+    where
+        Self: 'a;
+
+    /// A reader for one worker.
+    fn reader(&self) -> Self::Reader<'_>;
+
+    /// Where runs with source `v` are best read among the others (their
+    /// sources' order): plan-tree order for a derived history, so that
+    /// one run starts near where the last one ended.
+    fn rank(&self, v: u32) -> usize {
+        v as usize
+    }
+}
+
+/// One worker's reads from a [`Versions`] source.
+pub trait Reader {
+    /// A run's source version, held by the caller while the run lasts.
+    type Source: std::ops::Deref<Target = [u8]> + Into<Vec<u8>>;
+
+    /// Starts a run: the bytes of version `v`.
+    fn source(&mut self, v: u32) -> Self::Source;
+
+    /// Ends the run that `source` started: `visit(i, bytes of
+    /// targets[i])` once for every target, in an order of the reader's
+    /// choosing (a reader may derive a target from the source).
+    fn targets(&mut self, source: &Self::Source, targets: &[u32], visit: impl FnMut(usize, &[u8]));
+}
+
+impl Versions for [Vec<u8>] {
+    type Reader<'a> = &'a [Vec<u8>];
+
+    fn reader(&self) -> &[Vec<u8>] {
+        self
+    }
+}
+
+impl<'a> Reader for &'a [Vec<u8>] {
+    type Source = &'a [u8];
+
+    fn source(&mut self, v: u32) -> &'a [u8] {
+        &self[v as usize]
+    }
+
+    fn targets(&mut self, _: &&'a [u8], targets: &[u32], mut visit: impl FnMut(usize, &[u8])) {
+        for (i, &t) in targets.iter().enumerate() {
+            visit(i, &self[t as usize]);
+        }
+    }
+}
+
+/// Runs `f(index of src, dst)` for every `(src, dst)` job over `versions`
+/// and returns the results in job order. One `dsv_par` task per distinct
+/// source, in the source's [rank](Versions::rank) order: it builds that
+/// source's index, serves every job of the source, and drops the index —
+/// at most one live index per worker. For a pure `f` the output is
+/// identical at every thread count.
+fn map_by_source<V: Versions + ?Sized, T: Send>(
+    versions: &V,
     jobs: &[(u32, u32)],
     f: impl Fn(&SourceIndex<'_>, &[u8]) -> T + Sync,
 ) -> Vec<T> {
     let mut by_source: Vec<usize> = (0..jobs.len()).collect();
-    by_source.sort_by_key(|&job| jobs[job].0);
+    by_source.sort_by_key(|&job| (versions.rank(jobs[job].0), jobs[job].0));
     let runs: Vec<&[usize]> = by_source
         .chunk_by(|&x, &y| jobs[x].0 == jobs[y].0)
         .collect();
-    let results = dsv_par::par_map(&runs, |run| {
-        let index = SourceIndex::new(&contents[jobs[run[0]].0 as usize]);
-        run.iter()
-            .map(|&job| f(&index, &contents[jobs[job].1 as usize]))
-            .collect::<Vec<T>>()
-    });
+    let results = dsv_par::par_map_init(
+        &runs,
+        || versions.reader(),
+        |reader, run| {
+            let source = reader.source(jobs[run[0]].0);
+            let index = SourceIndex::new(&source);
+            let targets: Vec<u32> = run.iter().map(|&job| jobs[job].1).collect();
+            let mut out: Vec<Option<T>> = run.iter().map(|_| None).collect();
+            reader.targets(&source, &targets, |i, dst| out[i] = Some(f(&index, dst)));
+            out.into_iter()
+                .map(|result| result.expect("a reader visits every target"))
+                .collect::<Vec<T>>()
+        },
+    );
     // Results arrive in `by_source` order; put them back in job order.
     let mut tagged: Vec<(usize, T)> = by_source
         .iter()
@@ -467,13 +537,13 @@ fn map_by_source<T: Send>(
 /// Runs `f` for both directions of every pair — for `(a, b)` the jobs
 /// `a → b` and `b → a` — one index per version (see "Reveal by source" in
 /// the [module docs](self)); results in pair order.
-fn map_both_ways<T: Send>(
-    contents: &[Vec<u8>],
+fn map_both_ways<V: Versions + ?Sized, T: Send>(
+    versions: &V,
     pairs: &[(u32, u32)],
     f: impl Fn(&SourceIndex<'_>, &[u8]) -> T + Sync,
 ) -> Vec<(T, T)> {
     let jobs: Vec<(u32, u32)> = pairs.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
-    let mut results = map_by_source(contents, &jobs, f).into_iter();
+    let mut results = map_by_source(versions, &jobs, f).into_iter();
     std::iter::from_fn(|| Some((results.next()?, results.next()?))).collect()
 }
 
@@ -485,20 +555,29 @@ pub fn pair_sizes(contents: &[Vec<u8>], pairs: &[(u32, u32)]) -> Vec<(u64, u64)>
     map_both_ways(contents, pairs, |index, dst| index.diff_encoded_len(dst))
 }
 
-/// Reveals both directions of every pair through `price`: for `(a, b)`
-/// what `price` makes of the encoded deltas `a → b` and `b → a` — exactly
-/// `encode(&diff(..))` for each — in pair order. For a caller whose cost
-/// of a delta is not its length: a store that codes payloads prices a
-/// delta by its bytes. For a pure `price`, identical at every thread
-/// count.
+/// [`pair_costs_from`] over versions held in memory.
 pub fn pair_costs<T: Send>(
     contents: &[Vec<u8>],
     pairs: &[(u32, u32)],
     price: impl Fn(&[u8]) -> T + Sync,
 ) -> Vec<(T, T)> {
+    pair_costs_from(contents, pairs, price)
+}
+
+/// Reveals both directions of every pair through `price`: for `(a, b)`
+/// what `price` makes of the encoded deltas `a → b` and `b → a` — exactly
+/// `encode(&diff(..))` for each — in pair order. For a caller whose cost
+/// of a delta is not its length: a store that codes payloads prices a
+/// delta by its bytes. For a pure `price`, identical at every thread
+/// count and from every source of the same versions.
+pub fn pair_costs_from<V: Versions + ?Sized, T: Send>(
+    versions: &V,
+    pairs: &[(u32, u32)],
+    price: impl Fn(&[u8]) -> T + Sync,
+) -> Vec<(T, T)> {
     // One buffer per worker thread, grown to the largest delta it meets.
     thread_local!(static DELTA: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) });
-    map_both_ways(contents, pairs, |index, dst| {
+    map_both_ways(versions, pairs, |index, dst| {
         DELTA.with_borrow_mut(|delta| {
             index.diff_encoded_into(dst, delta);
             price(delta)
@@ -506,12 +585,18 @@ pub fn pair_costs<T: Send>(
     })
 }
 
-/// The encoded delta `contents[src] → contents[dst]` for every
-/// `(src, dst)` job, in job order — exactly `encode(&diff(..))` for each,
-/// sharing one index among all jobs of a source (a packer's parent and
-/// its children). Bitwise identical at every thread count.
+/// [`encode_pairs_from`] over versions held in memory.
 pub fn encode_pairs(contents: &[Vec<u8>], jobs: &[(u32, u32)]) -> Vec<Vec<u8>> {
-    map_by_source(contents, jobs, |index, dst| index.diff_encoded(dst))
+    encode_pairs_from(contents, jobs)
+}
+
+/// The encoded delta `src → dst` for every `(src, dst)` job, in job order
+/// — exactly `encode(&diff(..))` for each, sharing one index among all
+/// jobs of a source (a packer's parent and its children). Bitwise
+/// identical at every thread count and from every source of the same
+/// versions.
+pub fn encode_pairs_from<V: Versions + ?Sized>(versions: &V, jobs: &[(u32, u32)]) -> Vec<Vec<u8>> {
+    map_by_source(versions, jobs, |index, dst| index.diff_encoded(dst))
 }
 
 /// Applies delta `ops` to `src`, reconstructing the target.
@@ -618,6 +703,17 @@ fn tokens(mut rest: &[u8]) -> impl Iterator<Item = Result<Token<'_>, DeltaError>
 /// for a stream [`decode`] rejects (wherever the damage is), otherwise
 /// [`DeltaError::CopyOutOfRange`] for a copy outside `src`.
 pub fn apply_encoded(src: &[u8], delta: &[u8]) -> Result<Vec<u8>, DeltaError> {
+    let mut out = Vec::new();
+    apply_encoded_into(src, delta, &mut out)?;
+    Ok(out)
+}
+
+/// [`apply_encoded`] into `out`, whose earlier contents are replaced and
+/// whose buffer is reused when it is large enough: a caller deriving
+/// many versions one after another writes each into the memory the last
+/// one it let go of. On an error `out` is left empty.
+pub fn apply_encoded_into(src: &[u8], delta: &[u8], out: &mut Vec<u8>) -> Result<(), DeltaError> {
+    out.clear();
     let mut produced = Some(0usize);
     for token in tokens(delta) {
         let bytes = match token? {
@@ -631,7 +727,7 @@ pub fn apply_encoded(src: &[u8], delta: &[u8]) -> Result<Vec<u8>, DeltaError> {
             .zip(bytes)
             .and_then(|(total, bytes)| total.checked_add(bytes));
     }
-    let mut out = Vec::with_capacity(produced.ok_or(DeltaError::CopyOutOfRange)?);
+    out.reserve_exact(produced.ok_or(DeltaError::CopyOutOfRange)?);
     for token in tokens(delta) {
         match token? {
             Token::Copy { offset, len } => {
@@ -640,7 +736,7 @@ pub fn apply_encoded(src: &[u8], delta: &[u8]) -> Result<Vec<u8>, DeltaError> {
             Token::Insert(bytes) => out.extend_from_slice(bytes),
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

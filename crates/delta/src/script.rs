@@ -8,7 +8,7 @@
 //! many lines is tiny, its reverse must embed them all.
 
 use crate::myers::{diff_slices, DiffOp};
-use dsv_compress::varint::{decode_u64, encode_u64};
+use dsv_compress::varint::{decode_u64, encode_u64, encoded_len};
 
 /// One instruction of a line script.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,9 +199,20 @@ impl LineScript {
     }
 
     /// Size in bytes of the encoded script — the delta's storage cost `Δ`
-    /// in the uncompressed-diff model.
+    /// in the uncompressed-diff model: [`encode`](Self::encode)'s length,
+    /// counted without building it.
     pub fn encoded_size(&self) -> usize {
-        self.encode().len()
+        let ops: usize = self
+            .ops
+            .iter()
+            .map(|op| match op {
+                LineOp::Copy { src_line, count } => {
+                    encoded_len(u64::from(*count) << 1) + encoded_len(u64::from(*src_line))
+                }
+                LineOp::Insert { text } => encoded_len(((text.len() as u64) << 1) | 1) + text.len(),
+            })
+            .sum();
+        encoded_len(self.ops.len() as u64) + ops
     }
 
     /// Number of literal bytes the script inserts.
@@ -308,6 +319,56 @@ mod tests {
     fn two_way_size_is_symmetric() {
         let b = b"alpha\nbravo\nCHARLIE\ndelta\n";
         assert_eq!(two_way_size(SRC, b), two_way_size(b, SRC));
+    }
+
+    #[test]
+    fn encoded_size_is_the_encoding_length() {
+        // Every script this module's tests build, and ones whose varints
+        // take several bytes: long copies, far sources, long inserts.
+        let long: Vec<u8> = b"x".repeat(300);
+        let mut scripts: Vec<LineScript> = [
+            (
+                SRC,
+                b"alpha\nBRAVO\ncharlie\ndelta\necho\nfoxtrot\n".as_ref(),
+            ),
+            (SRC, SRC),
+            (SRC, b"alpha\necho\n"),
+            (b"alpha\necho\n", SRC),
+            (SRC, b"zero\nalpha\ncharlie\nnew tail"),
+            (SRC, b"alpha\nNEW\n"),
+            (b"", b""),
+            (b"", b"data\n"),
+            (b"data\n", b""),
+            (b"one\ntwo", b"one\ntwo\nthree"),
+        ]
+        .into_iter()
+        .map(|(a, b)| line_diff(a, b))
+        .collect();
+        scripts.push(LineScript {
+            ops: vec![
+                LineOp::Copy {
+                    src_line: 1 << 20,
+                    count: 70_000,
+                },
+                LineOp::Insert { text: long },
+                LineOp::Copy {
+                    src_line: u32::MAX,
+                    count: u32::MAX,
+                },
+            ],
+        });
+        scripts.push(LineScript {
+            ops: vec![
+                LineOp::Copy {
+                    src_line: 0,
+                    count: 1
+                };
+                200
+            ],
+        });
+        for script in &scripts {
+            assert_eq!(script.encoded_size(), script.encode().len(), "{script:?}");
+        }
     }
 
     #[test]

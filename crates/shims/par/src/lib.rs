@@ -9,6 +9,7 @@
 //! | shim | rayon equivalent |
 //! |---|---|
 //! | [`par_map`]`(items, f)` | `items.par_iter().map(f).collect()` |
+//! | [`par_map_init`]`(items, init, f)` | `items.par_iter().map_init(init, f).collect()` |
 //! | [`current_threads`]`()` | `rayon::current_num_threads()` |
 //! | [`with_thread_count`]`(n, f)` | `ThreadPoolBuilder::new().num_threads(n).build().install(f)` |
 //! | [`set_thread_count`]`(n)` | `ThreadPoolBuilder::num_threads(n).build_global()` |
@@ -90,7 +91,20 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// Applies `f` to every item across [`current_threads`] workers,
 /// returning results in input order.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    par_map_threads(items, current_threads(), f)
+    par_map_init(items, || (), |(), item| f(item))
+}
+
+/// [`par_map`] with per-worker state: each worker calls `init` once and
+/// hands the state to `f` for every item it claims, so a worker can keep
+/// what one item leaves behind for the next (the sequential path makes
+/// one state for all items). For an `f` whose result does not depend on
+/// the state, output is identical at every thread count.
+pub fn par_map_init<T: Sync, S, R: Send>(
+    items: &[T],
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> R + Sync,
+) -> Vec<R> {
+    par_map_threads(items, current_threads(), init, f)
 }
 
 /// Applies `f` to every item across up to `threads` workers, returning
@@ -102,26 +116,29 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 /// item: the callers' items are coarse (whole diffs, whole solver runs —
 /// a portfolio is ~10 items of seconds each), so an item-count heuristic
 /// would serialize exactly the workloads that benefit most.
-fn par_map_threads<T: Sync, R: Send>(
+fn par_map_threads<T: Sync, S, R: Send>(
     items: &[T],
     threads: usize,
-    f: impl Fn(&T) -> R + Sync,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R> {
     let threads = threads.max(1).min(items.len());
     if threads <= 1 {
-        return items.iter().map(f).collect();
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
     // The counter hands out indices and publishes nothing else: results
     // reach this thread through `join`.
     let next = AtomicUsize::new(0);
     let worker = || {
+        let mut state = init();
         let mut out = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(item) = items.get(i) else {
                 return out;
             };
-            out.push((i, f(item)));
+            out.push((i, f(&mut state, item)));
         }
     };
     let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
@@ -147,7 +164,7 @@ mod tests {
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..10_000).collect();
-        let out = par_map_threads(&items, 8, |&x| x * 2);
+        let out = par_map_threads(&items, 8, || (), |(), &x| x * 2);
         assert_eq!(out.len(), items.len());
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as u64 * 2);
@@ -158,10 +175,15 @@ mod tests {
     fn every_item_computed_exactly_once() {
         let items: Vec<usize> = (0..5_000).collect();
         let counts: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
-        let out = par_map_threads(&items, 7, |&i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
-            i
-        });
+        let out = par_map_threads(
+            &items,
+            7,
+            || (),
+            |(), &i| {
+                counts[i].fetch_add(1, Ordering::Relaxed);
+                i
+            },
+        );
         assert_eq!(out, items);
         for (i, c) in counts.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "item {i}");
@@ -173,7 +195,10 @@ mod tests {
         let items: Vec<String> = (0..500).map(|i| format!("item-{i}")).collect();
         let seq: Vec<usize> = items.iter().map(|s| s.len()).collect();
         for threads in [1, 2, 3, 8] {
-            assert_eq!(par_map_threads(&items, threads, |s| s.len()), seq);
+            assert_eq!(
+                par_map_threads(&items, threads, || (), |(), s| s.len()),
+                seq
+            );
         }
     }
 
@@ -183,30 +208,67 @@ mod tests {
         // claims nothing else for a while and the other workers drain the
         // remainder; the result must still be complete and ordered.
         let items: Vec<u64> = (0..2_000).collect();
-        let out = par_map_threads(&items, 4, |&x| {
-            let spins = if x == 0 { 2_000_000 } else { 2_000 };
-            let mut acc = x;
-            for _ in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            std::hint::black_box(acc);
-            x
-        });
+        let out = par_map_threads(
+            &items,
+            4,
+            || (),
+            |(), &x| {
+                let spins = if x == 0 { 2_000_000 } else { 2_000 };
+                let mut acc = x;
+                for _ in 0..spins {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                }
+                std::hint::black_box(acc);
+                x
+            },
+        );
         assert_eq!(out, items);
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
         let empty: Vec<u32> = vec![];
-        assert!(par_map_threads(&empty, 4, |&x| x).is_empty());
-        assert_eq!(par_map_threads(&[9], 4, |&x| x + 1), vec![10]);
-        assert_eq!(par_map_threads(&[1, 2, 3], 8, |&x| x + 1), vec![2, 3, 4]);
+        assert!(par_map_threads(&empty, 4, || (), |(), &x| x).is_empty());
+        assert_eq!(par_map_threads(&[9], 4, || (), |(), &x| x + 1), vec![10]);
+        assert_eq!(
+            par_map_threads(&[1, 2, 3], 8, || (), |(), &x| x + 1),
+            vec![2, 3, 4]
+        );
+    }
+
+    #[test]
+    fn each_worker_keeps_one_state() {
+        // A state that counts the items its worker claimed: one state per
+        // worker, so the counts add up to the items and no more states
+        // are made than workers.
+        let items: Vec<u32> = (0..1_000).collect();
+        let states = AtomicUsize::new(0);
+        for threads in [1, 2, 5] {
+            states.store(0, Ordering::Relaxed);
+            let out = par_map_threads(
+                &items,
+                threads,
+                || {
+                    states.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |claimed, &x| {
+                    *claimed += 1;
+                    (x, *claimed)
+                },
+            );
+            assert!(states.load(Ordering::Relaxed) <= threads);
+            assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), items);
+            if threads == 1 {
+                assert_eq!(out.last(), Some(&(999, 1_000)), "one state for all");
+            }
+        }
     }
 
     #[test]
     fn single_thread_is_sequential() {
         let items: Vec<u32> = (0..100).collect();
-        assert_eq!(par_map_threads(&items, 1, |&x| x), items);
+        assert_eq!(par_map_threads(&items, 1, || (), |(), &x| x), items);
     }
 
     // Tests only read `current_threads()` inside a `with_thread_count`

@@ -68,9 +68,11 @@ pub mod store;
 pub use cache::{CacheStats, CheckoutCache, DEFAULT_CACHE_BUDGET};
 pub use fault::{FaultKind, FaultPlan, FaultStore};
 pub use hash::ObjectId;
-pub use materialize::{Materializer, RecreationWork};
+pub use materialize::{Materializer, RecreationWork, VersionWalk, WalkReader, WalkVersion};
 pub use object::{stored_len, Object, Priced, StoreError};
-pub use repack::{pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES};
+pub use repack::{
+    pack_from, pack_versions, BatchWriter, PackOptions, PackedVersions, PACK_FLUSH_BYTES,
+};
 pub use sharded::{shard_index, ShardedStore, MAX_SHARDS};
 pub use store::{Counters, FileStore, MemStore, ObjectStore, OpCounters, ShardStats, StoreStats};
 

@@ -11,7 +11,7 @@ use crate::hash::ObjectId;
 use crate::materialize::{Materializer, RecreationWork};
 use crate::object::{Object, StoreError};
 use crate::store::ObjectStore;
-use dsv_delta::bytes_delta;
+use dsv_delta::bytes_delta::{self, Reader, Versions};
 use dsv_obs as obs;
 
 /// Payload bytes a [`BatchWriter`] buffers before flushing (32 MiB).
@@ -168,20 +168,33 @@ fn dependency_order(plan: &[Option<u32>]) -> Result<Vec<u32>, StoreError> {
     Ok(order)
 }
 
-/// Packs `contents` into `store` following `plan`.
-///
-/// The plan must be a valid forest over the versions (every delta chain
-/// ends at a materialized version); [`StoreError::ChainTooLong`] is
-/// returned otherwise.
+/// Packs `contents` into `store` following `plan`: [`pack_from`] over
+/// versions held in memory.
 pub fn pack_versions<S: ObjectStore + ?Sized>(
     store: &S,
     contents: &[Vec<u8>],
     plan: &[Option<u32>],
     _opts: PackOptions,
 ) -> Result<PackedVersions, StoreError> {
-    let _pack = obs::span!("pack", versions = contents.len(), packer = "binary").entered();
-    let unresolved = vec![None; contents.len()];
-    pack_resolved(store, contents, plan, unresolved, Vec::new())
+    assert_eq!(contents.len(), plan.len(), "one plan entry per version");
+    pack_from(store, contents, plan)
+}
+
+/// Packs version `v` of `versions`, for every `v` in `plan`, into `store`
+/// following `plan`. The objects are the same bytes whatever the source
+/// of the versions.
+///
+/// The plan must be a valid forest over the versions (every delta chain
+/// ends at a materialized version); [`StoreError::ChainTooLong`] is
+/// returned otherwise.
+pub fn pack_from<S: ObjectStore + ?Sized, V: Versions + ?Sized>(
+    store: &S,
+    versions: &V,
+    plan: &[Option<u32>],
+) -> Result<PackedVersions, StoreError> {
+    let _pack = obs::span!("pack", versions = plan.len(), packer = "binary").entered();
+    let unresolved = vec![None; plan.len()];
+    pack_resolved(store, versions, plan, unresolved, Vec::new())
 }
 
 /// The pack loop behind every packer: `plan`'s deltas and full objects,
@@ -190,15 +203,14 @@ pub fn pack_versions<S: ObjectStore + ?Sized>(
 /// packer's chunk manifests — and `queued` holds those objects (and the
 /// chunks they name), written ahead of the rest; deltas may chain off
 /// them like off any other root.
-pub(crate) fn pack_resolved<S: ObjectStore + ?Sized>(
+pub(crate) fn pack_resolved<S: ObjectStore + ?Sized, V: Versions + ?Sized>(
     store: &S,
-    contents: &[Vec<u8>],
+    versions: &V,
     plan: &[Option<u32>],
     mut ids: Vec<Option<ObjectId>>,
     queued: Vec<Object>,
 ) -> Result<PackedVersions, StoreError> {
-    assert_eq!(contents.len(), plan.len(), "one plan entry per version");
-    let n = contents.len();
+    let n = plan.len();
     let order = dependency_order(plan)?;
 
     // Delta payloads depend only on the raw contents (not on stored
@@ -210,7 +222,7 @@ pub(crate) fn pack_resolved<S: ObjectStore + ?Sized>(
         .filter_map(|v| plan[v as usize].map(|p| (p, v)))
         .collect();
     let encoded = obs::span!("encode", deltas = edges.len())
-        .in_scope(|| bytes_delta::encode_pairs(contents, &edges));
+        .in_scope(|| bytes_delta::encode_pairs_from(versions, &edges));
     let mut deltas: Vec<Option<Vec<u8>>> = vec![None; n];
     for (&(_, v), enc) in edges.iter().zip(encoded) {
         deltas[v as usize] = Some(enc);
@@ -219,8 +231,10 @@ pub(crate) fn pack_resolved<S: ObjectStore + ?Sized>(
     // Object ids are content addresses, so the whole plan's objects can
     // be constructed — delta children resolving their parent's id from
     // the object just built, no store round-trip — and streamed through
-    // the writer's bounded `put_batch` flushes.
+    // the writer's bounded `put_batch` flushes. A root's object takes the
+    // version's bytes as its source hands them out.
     let _write = obs::span!("write").entered();
+    let mut reader = versions.reader();
     let mut writer = BatchWriter::new(store);
     writer.extend(queued)?;
     for v in order {
@@ -229,7 +243,7 @@ pub(crate) fn pack_resolved<S: ObjectStore + ?Sized>(
         }
         let obj = match plan[v as usize] {
             None => Object::Full {
-                data: contents[v as usize].clone(),
+                data: reader.source(v).into(),
             },
             Some(p) => {
                 let base_id = ids[p as usize].expect("parents packed first");

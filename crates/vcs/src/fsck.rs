@@ -14,11 +14,10 @@
 //!   objects no version references. A store that cannot enumerate, or a
 //!   manifest that cannot be read, is recorded and makes the report not
 //!   clean — orphans are never guessed from an incomplete picture. The
-//!   rebuild is one pass with
-//!   a pass-local memo: every object on every version's path is still
-//!   read from the store and every version is still fully rebuilt within
-//!   the pass; what is gone is reading and decoding the same object again
-//!   for each version above it (a chain's root once per version).
+//!   rebuild reads every object on every version's path from the store
+//!   once, keeps the stored form, and rebuilds every version from it in
+//!   plan-tree order, holding only the versions whose children are still
+//!   to be rebuilt: memory follows the stored history, not its versions.
 //! - [`recover`] resolves a pending repack journal: if the loaded
 //!   metadata already references the journaled new plan the repack is
 //!   rolled *forward* (the interrupted GC finishes); otherwise it is
@@ -41,7 +40,7 @@ use crate::persist;
 use crate::repo::Repository;
 use dsv_net::proto::{FsckSummary, WireRecovery};
 use dsv_obs as obs;
-use dsv_storage::{ObjectId, ObjectStore, StoreError};
+use dsv_storage::{ObjectId, ObjectStore, StoreError, VersionWalk};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
@@ -194,18 +193,22 @@ fn check<S: ObjectStore>(
     report.bad_addresses.sort();
 
     // 2. Every version must materialize from the cold store: its full
-    // recreation path (delta chain or chunk reassembly) is rebuilt within
-    // this pass, starting from an empty pass-local memo, so every object
-    // on the path is read from the store — once, however many versions
-    // sit above it.
+    // recreation path (delta chain or chunk reassembly) is read once into
+    // a walk — every object on it from the store, once however many
+    // versions sit above it — and every version is rebuilt from it in
+    // plan-tree order, holding only the versions whose children are
+    // still to be rebuilt.
     // A version the closure could not read is unreadable even if the
     // rebuild then gets through (a transient failure).
-    let m = repo.materializer(true, repo.objects.len());
-    for (v, id) in repo.objects.iter().enumerate() {
+    let mut rebuilt: Vec<Result<(), String>> = vec![Ok(()); repo.objects.len()];
+    VersionWalk::load(&repo.store, &repo.objects).each(|v, bytes| {
+        rebuilt[v] = bytes.map(drop).map_err(|e| e.to_string());
+    });
+    for (v, outcome) in rebuilt.into_iter().enumerate() {
         report.versions_checked += 1;
         let outcome = match closure {
             Err((failed, e)) if *failed == v => Err(e.to_string()),
-            _ => m.materialize(*id).map(drop).map_err(|e| e.to_string()),
+            _ => outcome,
         };
         if let Err(e) = outcome {
             report.unreadable.push((v as u32, e));

@@ -14,7 +14,7 @@
 use crate::error::VcsError;
 use crate::gc::{self, Roots};
 use crate::persist::{self, RepackJournal};
-use crate::repo::{unshare, Placement, Repository};
+use crate::repo::{Placement, Repository};
 use dsv_core::{
     plan, ChunkerParams, CostMatrix, CostPair, ModePolicy, PlanSpec, Problem, ProblemInstance,
     Provenance, StorageMode,
@@ -22,7 +22,7 @@ use dsv_core::{
 use dsv_delta::bytes_delta;
 use dsv_obs as obs;
 use dsv_storage::chunk::{chunked_cost_pairs, pack_versions_hybrid};
-use dsv_storage::{pack_versions, ObjectId, ObjectStore, PackOptions, Priced};
+use dsv_storage::{pack_from, ObjectId, ObjectStore, Priced, VersionWalk};
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -181,40 +181,42 @@ impl<S: ObjectStore> Repository<S> {
         let storage_before = self.store.total_bytes();
         obs::counter!("optimize.runs", 1);
 
-        // Materialize every version once, as one pass. The pass's memo
-        // shares chain prefixes: it holds at most `PASS_MEMO_BYTES` of
-        // versions, only this pass's walks read it (each stops at the
-        // deepest version it holds), and every version it holds is also
-        // one of the `Arc`s collected here. It is dropped before they
-        // are unwrapped, so each version is held once instead of copied
-        // out of the memo. With a checkout cache installed the pass reads
-        // through that instead, and a version the cache holds is copied.
-        // The Materializer's own per-call "materialize" spans aggregate
-        // as one n-count child of the optimize span.
-        let contents: Vec<Vec<u8>> = {
-            let m = self.materializer(false, n);
-            let shared = self
-                .objects
-                .iter()
-                .map(|id| m.materialize(*id))
-                .collect::<Result<Vec<_>, _>>()?;
-            drop(m);
-            shared.into_iter().map(unshare).collect()
-        };
+        // Read the history once, as its stored form: every object the
+        // versions' recreation paths need is fetched and decoded once,
+        // and a version is derived from the deltas when a step asks for
+        // it (see `VersionWalk`). The diagonal derives every version once
+        // in plan-tree order, and a store that cannot give one back stops
+        // the repack here, before anything is written. The hybrid
+        // estimator and packer still take every version as a slice.
+        let price = self.price(chunking.is_some());
+        let walk = VersionWalk::load(&self.store, &self.objects);
+        let mut diag: Vec<Option<CostPair>> = vec![None; n];
+        let mut contents: Vec<Vec<u8>> = Vec::new();
+        if chunking.is_some() {
+            contents.resize(n, Vec::new());
+        }
+        walk.try_each(|v, bytes| {
+            diag[v] = Some(price(Priced::Full, bytes));
+            if chunking.is_some() {
+                contents[v] = bytes.to_vec();
+            }
+        })?;
+        let diag = diag.into_iter().map(|c| c.expect("every version derived"));
+        let mut matrix = CostMatrix::directed(diag.collect());
 
         // Build the instance over real byte deltas, priced as a commit
-        // prices them.
-        let price = self.price(chunking.is_some());
-        let diag: Vec<CostPair> = contents.iter().map(|c| price(Priced::Full, c)).collect();
-        let mut matrix = CostMatrix::directed(diag);
-        // The all-pairs reveal is the optimize hot path (§5.1's "real
-        // deltas between every pair"): encode and price both directions of
-        // every pair on the dsv-par runtime, one source index per version,
-        // then reveal sequentially (reveal order does not affect the
-        // matrix).
+        // prices them. The all-pairs reveal is the optimize hot path
+        // (§5.1's "real deltas between every pair"): encode and price
+        // both directions of every pair on the dsv-par runtime, one source
+        // index per version, then reveal sequentially (reveal order does
+        // not affect the matrix).
         let pairs = self.pairs_within_hops(reveal_hops);
         let reveal_span = obs::span!("reveal", pairs = pairs.len()).entered();
-        let costs = bytes_delta::pair_costs(&contents, &pairs, |delta| price(Priced::Delta, delta));
+        let priced = |delta: &[u8]| price(Priced::Delta, delta);
+        let costs = match chunking {
+            Some(_) => bytes_delta::pair_costs(&contents, &pairs, priced),
+            None => bytes_delta::pair_costs_from(&walk, &pairs, priced),
+        };
         for (&(a, b), (fwd, rev)) in pairs.iter().zip(costs) {
             matrix.reveal(a, b, fwd);
             matrix.reveal(b, a, rev);
@@ -232,26 +234,21 @@ impl<S: ObjectStore> Repository<S> {
         let chosen = plan(&instance, spec)?;
         let solution = chosen.solution;
 
-        // Collect the old plan's reference closure *before* repacking
-        // (so re-packing a chunked repository reclaims its chunks instead
-        // of leaking them, and an unreadable store stops the repack before
-        // it writes). The extra decode per version is noise next to the
-        // O(n²) diff phase above. New objects are packed alongside the old
-        // ones and stale objects are removed only after the pack succeeds —
-        // a failed or interrupted repack must never destroy a store that
-        // is the only copy of the history (`ObjectStore::clear` would).
-        let old = gc::closure(&self.store, &self.objects, Roots::Referenced).map_err(|(_, e)| e)?;
+        // The old plan's reference closure is what the walk read: the
+        // versions' objects and the chunks of their manifests (so
+        // re-packing a chunked repository reclaims its chunks instead of
+        // leaking them). New objects are packed alongside the old ones
+        // and stale objects are removed only after the pack succeeds — a
+        // failed or interrupted repack must never destroy a store that is
+        // the only copy of the history (`ObjectStore::clear` would).
+        let old: HashSet<ObjectId> = walk.referenced().collect();
         let packed = match chunking {
             Some(params) => {
                 pack_versions_hybrid(&self.store, &contents, solution.modes(), params)?.0
             }
-            None => pack_versions(
-                &self.store,
-                &contents,
-                solution.parents(),
-                PackOptions::default(),
-            )?,
+            None => pack_from(&self.store, &walk, solution.parents())?,
         };
+        drop(walk);
         let live = gc::closure(&self.store, &packed.ids, Roots::Referenced).map_err(|(_, e)| e)?;
         let stale: Vec<_> = old.difference(&live).copied().collect();
         Ok(PreparedRepack {

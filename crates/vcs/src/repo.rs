@@ -17,15 +17,14 @@ use dsv_obs as obs;
 use dsv_storage::chunk::ChunkStore;
 use dsv_storage::{
     stored_len, CheckoutCache, Materializer, MemStore, Object, ObjectId, ObjectStore, Priced,
-    RecreationWork,
+    RecreationWork, VersionWalk,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Byte budget of a job-local memo (see [`Repository::materializer`])
-/// and of the repository's recent commits: room for the few dozen
-/// versions a pass revisits.
-const PASS_MEMO_BYTES: u64 = 4 << 20;
+/// How many bytes the repository's recent commits may hold together
+/// (see `Repository::recent`).
+const RECENT_BYTES: u64 = 4 << 20;
 
 /// How many of its newest commits a repository holds the bytes of (see
 /// `Repository::recent`): enough for the heads of the few branches a
@@ -128,8 +127,8 @@ pub struct Repository<S: ObjectStore> {
     checkout_cache: Option<Arc<CheckoutCache>>,
     /// The bytes of the newest delta-placed commits, oldest first, keyed
     /// by the object each is stored as: at most [`RECENT_COMMITS`] of
-    /// them and [`PASS_MEMO_BYTES`] together (a version larger than that
-    /// is not held). The next commit's placement reads its candidates
+    /// them and [`RECENT_BYTES`] together (a version larger than that is
+    /// not held). The next commit's placement reads its candidates
     /// here before it asks the store, so a commit on a recent head does
     /// not replay the head's chain. Nothing else reads it: a checkout
     /// goes to the store (or the checkout cache), and a θ-budgeted
@@ -205,32 +204,14 @@ impl<S: ObjectStore> Repository<S> {
         self.checkout_cache.as_ref()
     }
 
-    /// The one way this crate reads versions back: a materializer for a
-    /// job that recreates `chains` versions. When their chains can overlap
-    /// (`fsck`, a many-candidate reveal, `prepare_repack`) every object
-    /// of the union is fetched and decoded once per job instead of once
-    /// per version above it: the walk stops at the deepest ancestor the
-    /// job has already rebuilt.
-    ///
-    /// A `cold` job must see the store itself — `fsck` verifies it, a
-    /// budgeted placement prices it — so it never touches the shared
-    /// checkout cache and starts from an empty job-local memo. The cold
-    /// cost of a walk is then `bytes_read + bytes_saved`: what it fetched
-    /// plus what the memoized ancestor had cost to fetch, the same sum
-    /// whatever the memo holds. Other jobs read through the shared cache
-    /// when one is installed and through a memo otherwise. The memo of a
-    /// single chain (a checkout, a plain commit) has no room: nothing in
-    /// it could be met twice, and every intermediate is freed as the
-    /// replay moves past it.
-    pub(crate) fn materializer(&self, cold: bool, chains: usize) -> Materializer<'_, S> {
-        let cache = match &self.checkout_cache {
-            Some(shared) if !cold => Arc::clone(shared),
-            _ => Arc::new(CheckoutCache::new(match chains {
-                0 | 1 => 0,
-                _ => PASS_MEMO_BYTES,
-            })),
-        };
-        Materializer::with_checkout_cache(&self.store, cache)
+    /// How this crate reads one version back: through the shared
+    /// checkout cache when one is installed, from the store otherwise.
+    /// A pass over many versions — `fsck`, `prepare_repack`, a placement
+    /// weighing several bases without a cache — reads through a
+    /// [`VersionWalk`] instead, which reads each object once and holds
+    /// the stored form of the history rather than its versions.
+    pub(crate) fn materializer(&self) -> Materializer<'_, S> {
+        Materializer::with_cache(&self.store, self.checkout_cache.clone())
     }
 
     /// The price ⟨Δ, Φ⟩ of an edge, as a function of the object it would
@@ -457,35 +438,55 @@ impl<S: ObjectStore> Repository<S> {
         }
         let neighborhood = self.neighborhood(parents, options.hops, options.max_candidates);
         let reveal = obs::span!("reveal", candidates = neighborhood.len()).entered();
-        let mut candidates = Vec::with_capacity(neighborhood.len());
-        let mut encodings = BTreeMap::new();
-        // A recent commit's bytes are at hand; the rest come from one
-        // pass over the union of the candidates' chains. Only a θ reads
-        // `base_recreation`, and it must be the cold cost, so a budgeted
-        // placement walks every chain.
-        let budgeted = options.max_recreation_bytes.is_some();
-        let m = self.materializer(budgeted, neighborhood.len());
         let price = self.price(false);
-        for &u in &neighborhood {
-            let id = self.objects[u as usize];
-            let fetched;
-            let (base, base_recreation) = match self.recent_bytes(id).filter(|_| !budgeted) {
-                Some(held) => (held, 0),
-                None => {
-                    let (bytes, work) = m.materialize_measured(id)?;
-                    fetched = bytes;
-                    let cold = work.bytes_read + work.bytes_saved;
-                    (fetched.as_slice(), if budgeted { cold } else { 0 })
-                }
-            };
+        let reveal_one = |u: u32, base: &[u8], base_recreation: u64| {
             let encoded = SourceIndex::new(base).diff_encoded(data);
-            candidates.push(OnlineCandidate {
+            let candidate = OnlineCandidate {
                 base: u,
                 cost: price(Priced::Delta, &encoded),
                 base_recreation,
-            });
-            encodings.insert(u, encoded);
+            };
+            (candidate, encoded)
+        };
+        // A recent commit's bytes are at hand, and under `dsv serve` the
+        // rest are read through the checkout cache. Otherwise they come
+        // from one walk over the union of the candidates' chains. Only a
+        // θ reads `base_recreation`, and it must be the cold cost, so a
+        // budgeted placement walks every chain.
+        let budgeted = options.max_recreation_bytes.is_some();
+        let shared = self.checkout_cache.is_some() && !budgeted;
+        let mut revealed: Vec<Option<(OnlineCandidate, Vec<u8>)>> =
+            neighborhood.iter().map(|_| None).collect();
+        let mut cold: Vec<usize> = Vec::new();
+        for (i, &u) in neighborhood.iter().enumerate() {
+            let id = self.objects[u as usize];
+            if let Some(held) = self.recent_bytes(id).filter(|_| !budgeted) {
+                revealed[i] = Some(reveal_one(u, held, 0));
+            } else if shared {
+                revealed[i] = Some(reveal_one(u, &self.materializer().materialize(id)?, 0));
+            } else {
+                cold.push(i);
+            }
         }
+        if !cold.is_empty() {
+            let ids: Vec<ObjectId> = cold
+                .iter()
+                .map(|&i| self.objects[neighborhood[i] as usize])
+                .collect();
+            let walk = VersionWalk::load(&self.store, &ids);
+            walk.try_each(|j, bytes| {
+                let recreation = if budgeted { walk.cold_read(j) } else { 0 };
+                let i = cold[j];
+                revealed[i] = Some(reveal_one(neighborhood[i], bytes, recreation));
+            })?;
+        }
+        let (candidates, mut encodings): (Vec<OnlineCandidate>, BTreeMap<u32, Vec<u8>>) = revealed
+            .into_iter()
+            .map(|r| {
+                let (candidate, encoded) = r.expect("every candidate is revealed");
+                (candidate, (candidate.base, encoded))
+            })
+            .unzip();
         drop(reveal);
         let _place = obs::span!("place").entered();
         let policy = match options.max_recreation_bytes {
@@ -565,11 +566,11 @@ impl<S: ObjectStore> Repository<S> {
     /// letting the oldest go while the memo would pass either bound.
     fn remember(&mut self, id: ObjectId, data: &[u8]) {
         let len = data.len() as u64;
-        if len > PASS_MEMO_BYTES {
+        if len > RECENT_BYTES {
             return;
         }
         let mut held: u64 = self.recent.iter().map(|(_, d)| d.len() as u64).sum();
-        while self.recent.len() >= RECENT_COMMITS || held + len > PASS_MEMO_BYTES {
+        while self.recent.len() >= RECENT_COMMITS || held + len > RECENT_BYTES {
             let (_, oldest) = self
                 .recent
                 .pop_front()
@@ -610,8 +611,9 @@ impl<S: ObjectStore> Repository<S> {
         self.meta(id)?;
         let _span = obs::span!("checkout").entered();
         obs::counter!("vcs.checkouts", 1);
-        let m = self.materializer(false, 1);
-        Ok(m.materialize_measured(self.objects[id.index()])?)
+        Ok(self
+            .materializer()
+            .materialize_measured(self.objects[id.index()])?)
     }
 
     /// First-parent history of a branch, newest first.
