@@ -17,8 +17,7 @@
 //!
 //! Absolute numbers differ from the paper (scaled workloads, different
 //! hardware, our own substrates); the *shape* of each result — orderings,
-//! ratios, crossovers — is the reproduction target. EXPERIMENTS.md in the
-//! workspace root records measured-vs-paper for each experiment.
+//! ratios, crossovers — is the reproduction target.
 
 pub mod experiments;
 pub mod report;
@@ -35,12 +34,12 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 }
 
 /// Experiment scale: `--quick` shrinks the workloads (useful for smoke
-/// tests and CI), default mirrors EXPERIMENTS.md.
+/// tests and CI); the default runs them at full size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small versions of every workload (seconds).
     Quick,
-    /// The scale EXPERIMENTS.md records (minutes).
+    /// Every workload at full size (minutes).
     Full,
 }
 

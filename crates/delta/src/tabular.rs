@@ -8,30 +8,34 @@
 //! workload generator can both *produce* version contents and *know* the
 //! precise delta between adjacent versions.
 //!
-//! # Shared rows
+//! # Rows are lines
 //!
-//! A version edits a few rows of its parent, so a [`Table`] holds its rows
-//! behind [`Arc`]s and cloning one copies row pointers, not cells: a
-//! generated history keeps each unedited row once however many versions
-//! contain it (as OrpheusDB stores versions as sets of shared record
-//! ids). [`TableDelta::apply`] is the one edit path. It clones its input
-//! and edits the clone copy-on-write — `AddRows` allocates only the new
-//! rows, `ModifyCells` copies only the rows it touches
-//! ([`Arc::make_mut`]), and a column command copies every row, since every
+//! A [`Table`] holds each row as its CSV line — its cells joined by `,`,
+//! without the newline — behind an [`Arc`], so cloning a table copies row
+//! pointers, not text: a generated history keeps each unedited row once
+//! however many versions contain it (as OrpheusDB stores versions as sets
+//! of shared record ids), and [`Table::to_csv`] copies each row in one
+//! piece. A row's cells are found by splitting its line at the commas,
+//! `columns.len()` of them. [`TableDelta::apply_in_place`] is the one
+//! edit path ([`TableDelta::apply`] runs it on a clone). An edit never
+//! writes into a line; it replaces the lines it changes — `AddRows`
+//! joins each new row once, `ModifyCells` splices the new value over the
+//! cell's bytes, and a column command rewrites every line, since every
 //! row changes — so no edit can reach another version through a row they
 //! share.
 //!
 //! [`Table::to_csv`] writes every version out in full and must keep both
-//! its exact bytes and its growth: a `Vec::new()` that doubles. An
-//! exact-size buffer was tried once and cut a serving benchmark's
-//! requests/s from ~27 k to ~8 k. A ~115 KB CSV doubles into a 128 KiB
-//! buffer, which glibc maps with `mmap`; freeing it raises glibc's
-//! dynamic mmap threshold, so the server's later buffers of that size
-//! come from the heap. An exact-size buffer stays under the threshold,
-//! the threshold never rises, and every large reply buffer becomes a
-//! fresh `mmap` / `munmap` pair.
+//! its exact bytes and its growth: a `Vec::new()` that doubles, as it did
+//! when it was written a cell at a time. An exact-size buffer was tried
+//! once and cut a serving benchmark's requests/s from ~27 k to ~8 k. A
+//! ~115 KB CSV doubles into a 128 KiB buffer, which glibc maps with
+//! `mmap`; freeing it raises glibc's dynamic mmap threshold, so the
+//! server's later buffers of that size come from the heap. An exact-size
+//! buffer stays under the threshold, the threshold never rises, and every
+//! large reply buffer becomes a fresh `mmap` / `munmap` pair.
 
 use dsv_compress::varint::{decode_u64, encode_u64};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// An in-memory ordered table: a header row plus data rows of equal arity.
@@ -39,9 +43,10 @@ use std::sync::Arc;
 pub struct Table {
     /// Column names.
     pub columns: Vec<String>,
-    /// Rows; every row has `columns.len()` cells. A row may be shared
-    /// with other tables (see [Shared rows](self#shared-rows)).
-    pub rows: Vec<Arc<Vec<String>>>,
+    /// Rows, each its CSV line (`columns.len()` cells joined by `,`, no
+    /// newline). A row may be shared with other tables (see
+    /// [Rows are lines](self#rows-are-lines)).
+    pub rows: Vec<Arc<str>>,
 }
 
 /// Errors applying a [`TableDelta`] or parsing a table.
@@ -67,6 +72,46 @@ impl std::fmt::Display for TableError {
 
 impl std::error::Error for TableError {}
 
+/// Cells are never quoted, so a cell must hold no comma or newline
+/// (asserted in debug builds).
+fn debug_check_cell(cell: &str) {
+    debug_assert!(
+        !cell.contains(',') && !cell.contains('\n'),
+        "cells must be comma/newline free"
+    );
+}
+
+/// `cells` joined by `,`: a row's line, written through `buf`.
+fn line<S: AsRef<str>>(buf: &mut String, cells: &[S]) -> Arc<str> {
+    buf.clear();
+    for (i, c) in cells.iter().enumerate() {
+        debug_check_cell(c.as_ref());
+        if i > 0 {
+            buf.push(',');
+        }
+        buf.push_str(c.as_ref());
+    }
+    Arc::from(buf.as_str())
+}
+
+/// `parts` concatenated, written through `buf`: an edited line.
+fn rebuilt(buf: &mut String, parts: &[&str]) -> Arc<str> {
+    buf.clear();
+    parts.iter().for_each(|p| buf.push_str(p));
+    Arc::from(buf.as_str())
+}
+
+/// The byte span of cell `c` in a row's `line`; `c` must be below the
+/// row's cell count.
+fn cell_span(line: &str, c: usize) -> Range<usize> {
+    let mut start = 0;
+    for _ in 0..c {
+        start += line[start..].find(',').expect("cell index within the row") + 1;
+    }
+    let end = line[start..].find(',').map_or(line.len(), |i| start + i);
+    start..end
+}
+
 impl Table {
     /// Creates an empty table with the given columns.
     pub fn new(columns: Vec<String>) -> Self {
@@ -84,30 +129,36 @@ impl Table {
         if row.len() != self.columns.len() {
             return Err(TableError::Ragged);
         }
-        self.rows.push(Arc::new(row));
+        self.rows.push(line(&mut String::new(), &row));
         Ok(())
     }
 
     /// Serializes to CSV bytes (no quoting: generator cells never contain
     /// commas or newlines; asserted in debug builds).
     pub fn to_csv(&self) -> Vec<u8> {
+        // The header goes a cell at a time into a `Vec::new()`, and the
+        // buffer then doubles whenever the next row would overflow it:
+        // the capacities a cell-at-a-time writer reached (module docs).
         let mut out = Vec::new();
-        let write_row = |cells: &[String], out: &mut Vec<u8>| {
-            for (i, c) in cells.iter().enumerate() {
-                debug_assert!(
-                    !c.contains(',') && !c.contains('\n'),
-                    "cells must be comma/newline free"
-                );
-                if i > 0 {
-                    out.push(b',');
-                }
-                out.extend_from_slice(c.as_bytes());
+        for (i, c) in self.columns.iter().enumerate() {
+            debug_check_cell(c);
+            if i > 0 {
+                out.push(b',');
             }
-            out.push(b'\n');
-        };
-        write_row(&self.columns, &mut out);
+            out.extend_from_slice(c.as_bytes());
+        }
+        out.push(b'\n');
         for row in &self.rows {
-            write_row(row, &mut out);
+            let needed = out.len() + row.len() + 1;
+            if needed > out.capacity() {
+                let mut capacity = out.capacity();
+                while capacity < needed {
+                    capacity *= 2;
+                }
+                out.reserve_exact(capacity - out.len());
+            }
+            out.extend_from_slice(row.as_bytes());
+            out.push(b'\n');
         }
         out
     }
@@ -119,19 +170,13 @@ impl Table {
         let header = lines.next().ok_or(TableError::Malformed)?;
         let columns: Vec<String> = header.split(',').map(str::to_owned).collect();
         let mut rows = Vec::new();
-        for line in lines {
-            let row: Vec<String> = line.split(',').map(str::to_owned).collect();
-            if row.len() != columns.len() {
+        for row in lines {
+            if row.bytes().filter(|&b| b == b',').count() + 1 != columns.len() {
                 return Err(TableError::Ragged);
             }
-            rows.push(Arc::new(row));
+            rows.push(Arc::from(row));
         }
         Ok(Table { columns, rows })
-    }
-
-    /// Total bytes of the CSV serialization (a table's materialized size).
-    pub fn byte_size(&self) -> usize {
-        self.to_csv().len()
     }
 }
 
@@ -185,63 +230,118 @@ pub struct TableDelta {
 impl TableDelta {
     /// Applies the edits to `table`, producing the target version. The
     /// result shares every row no edit touches with `table` (see
-    /// [Shared rows](self#shared-rows)).
+    /// [Rows are lines](self#rows-are-lines)).
     pub fn apply(&self, table: &Table) -> Result<Table, TableError> {
         let mut t = table.clone();
+        self.apply_in_place(&mut t)?;
+        Ok(t)
+    }
+
+    /// Applies the edits to `table` itself, replacing only the rows they
+    /// change. The edits are checked against the shape each leaves before
+    /// any is applied, so on an error `table` is left as it was.
+    pub fn apply_in_place(&self, table: &mut Table) -> Result<(), TableError> {
+        self.check(table.rows.len(), table.columns.len())?;
+        let mut buf = String::new();
         for edit in &self.edits {
             match edit {
                 TableEdit::AddRows { at, rows } => {
                     let at = *at as usize;
-                    if at > t.rows.len() {
-                        return Err(TableError::OutOfRange);
-                    }
-                    for r in rows {
-                        if r.len() != t.columns.len() {
-                            return Err(TableError::Ragged);
-                        }
-                    }
-                    t.rows.splice(at..at, rows.iter().cloned().map(Arc::new));
+                    table
+                        .rows
+                        .splice(at..at, rows.iter().map(|r| line(&mut buf, r)));
                 }
                 TableEdit::DeleteRows { at, count } => {
                     let at = *at as usize;
-                    let end = at + *count as usize;
-                    if end > t.rows.len() {
-                        return Err(TableError::OutOfRange);
-                    }
-                    t.rows.drain(at..end);
+                    table.rows.drain(at..at + *count as usize);
                 }
                 TableEdit::AddColumn { at, name, values } => {
-                    let at = *at as usize;
-                    if at > t.columns.len() || values.len() != t.rows.len() {
-                        return Err(TableError::OutOfRange);
+                    let (at, cols) = (*at as usize, table.columns.len());
+                    for (row, v) in table.rows.iter_mut().zip(values) {
+                        debug_check_cell(v);
+                        *row = if cols == 0 {
+                            rebuilt(&mut buf, &[v])
+                        } else if at == cols {
+                            rebuilt(&mut buf, &[row, ",", v])
+                        } else {
+                            let (head, tail) = row.split_at(cell_span(row, at).start);
+                            rebuilt(&mut buf, &[head, v, ",", tail])
+                        };
                     }
-                    t.columns.insert(at, name.clone());
-                    for (row, v) in t.rows.iter_mut().zip(values) {
-                        Arc::make_mut(row).insert(at, v.clone());
-                    }
+                    table.columns.insert(at, name.clone());
                 }
                 TableEdit::RemoveColumn { at } => {
-                    let at = *at as usize;
-                    if at >= t.columns.len() {
-                        return Err(TableError::OutOfRange);
+                    let (at, cols) = (*at as usize, table.columns.len());
+                    for row in &mut table.rows {
+                        let cell = cell_span(row, at);
+                        // The cell and one comma beside it, if any.
+                        let gone = if cols == 1 {
+                            cell
+                        } else if at + 1 < cols {
+                            cell.start..cell.end + 1
+                        } else {
+                            cell.start - 1..cell.end
+                        };
+                        *row = rebuilt(&mut buf, &[&row[..gone.start], &row[gone.end..]]);
                     }
-                    t.columns.remove(at);
-                    for row in &mut t.rows {
-                        Arc::make_mut(row).remove(at);
-                    }
+                    table.columns.remove(at);
                 }
                 TableEdit::ModifyCells { cells } => {
                     for (r, c, v) in cells {
-                        let (r, c) = (*r as usize, *c as usize);
-                        if r >= t.rows.len() || c >= t.columns.len() {
-                            return Err(TableError::OutOfRange);
-                        }
-                        Arc::make_mut(&mut t.rows[r])[c] = v.clone();
+                        debug_check_cell(v);
+                        let row = &mut table.rows[*r as usize];
+                        let cell = cell_span(row, *c as usize);
+                        *row = rebuilt(&mut buf, &[&row[..cell.start], v, &row[cell.end..]]);
                     }
                 }
             }
         }
-        Ok(t)
+        Ok(())
+    }
+
+    /// Checks every edit against the shape (`rows` × `cols`) the edits
+    /// before it leave: the first one that does not fit is the error.
+    fn check(&self, mut rows: usize, mut cols: usize) -> Result<(), TableError> {
+        for edit in &self.edits {
+            match edit {
+                TableEdit::AddRows { at, rows: new } => {
+                    if *at as usize > rows {
+                        return Err(TableError::OutOfRange);
+                    }
+                    if new.iter().any(|r| r.len() != cols) {
+                        return Err(TableError::Ragged);
+                    }
+                    rows += new.len();
+                }
+                TableEdit::DeleteRows { at, count } => {
+                    if *at as usize + *count as usize > rows {
+                        return Err(TableError::OutOfRange);
+                    }
+                    rows -= *count as usize;
+                }
+                TableEdit::AddColumn { at, values, .. } => {
+                    if *at as usize > cols || values.len() != rows {
+                        return Err(TableError::OutOfRange);
+                    }
+                    cols += 1;
+                }
+                TableEdit::RemoveColumn { at } => {
+                    if *at as usize >= cols {
+                        return Err(TableError::OutOfRange);
+                    }
+                    cols -= 1;
+                }
+                TableEdit::ModifyCells { cells } => {
+                    if cells
+                        .iter()
+                        .any(|&(r, c, _)| r as usize >= rows || c as usize >= cols)
+                    {
+                        return Err(TableError::OutOfRange);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Serialized size in bytes — the cell-level storage cost `Δ`.
@@ -396,6 +496,11 @@ impl TableDelta {
 mod tests {
     use super::*;
 
+    /// A row's cells.
+    fn cells(row: &str) -> Vec<&str> {
+        row.split(',').collect()
+    }
+
     fn sample() -> Table {
         let mut t = Table::new(vec!["id".into(), "name".into(), "age".into()]);
         for i in 0..5 {
@@ -415,7 +520,54 @@ mod tests {
         let csv = t.to_csv();
         let t2 = Table::from_csv(&csv).unwrap();
         assert_eq!(t, t2);
-        assert_eq!(t.byte_size(), csv.len());
+        assert_eq!(t2.to_csv(), csv);
+    }
+
+    /// The CSV of `t` written a cell at a time into a `Vec::new()`, as
+    /// [`Table::to_csv`] was before rows were lines.
+    fn csv_a_cell_at_a_time(t: &Table) -> Vec<u8> {
+        let mut out = Vec::new();
+        let header = t.columns.join(",");
+        for row in std::iter::once(header.as_str()).chain(t.rows.iter().map(|r| &**r)) {
+            for (i, c) in row.split(',').enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                out.extend_from_slice(c.as_bytes());
+            }
+            out.push(b'\n');
+        }
+        out
+    }
+
+    #[test]
+    fn to_csv_grows_its_buffer_as_a_cell_at_a_time_writer_did() {
+        // The buffer's final capacity decides which of glibc's arenas a
+        // version's CSV, and the serving buffers after it, come from
+        // (module docs): the same bytes in the same capacity.
+        let mut wide = Table::new((0..10).map(|c| format!("col{c}")).collect());
+        for r in 0..1000u32 {
+            let row = (0..10u32)
+                .map(|c| format!("x{:08x}", (r * 10 + c).wrapping_mul(0x9e37_79b9)))
+                .collect();
+            wide.push_row(row).unwrap();
+        }
+        // A drawn column name first: the header then grows off the powers
+        // of two.
+        let renamed = TableDelta {
+            edits: vec![TableEdit::AddColumn {
+                at: 0,
+                name: "col_x1234abcd".into(),
+                values: vec!["x0000beef".into(); 1000],
+            }],
+        }
+        .apply(&wide)
+        .unwrap();
+        for t in [sample(), Table::new(vec!["id".into()]), wide, renamed] {
+            let (csv, reference) = (t.to_csv(), csv_a_cell_at_a_time(&t));
+            assert_eq!(csv, reference);
+            assert_eq!(csv.capacity(), reference.capacity(), "{} bytes", csv.len());
+        }
     }
 
     #[test]
@@ -432,7 +584,7 @@ mod tests {
         };
         let t2 = d.apply(&t).unwrap();
         assert_eq!(t2.rows.len(), 5);
-        assert_eq!(t2.rows[1][1], "new");
+        assert_eq!(cells(&t2.rows[1])[1], "new");
     }
 
     #[test]
@@ -450,7 +602,7 @@ mod tests {
         };
         let t2 = d.apply(&t).unwrap();
         assert_eq!(t2.columns, vec!["id", "email", "name"]);
-        assert_eq!(*t2.rows[0], vec!["0", "u0@x.org", "user0"]);
+        assert_eq!(cells(&t2.rows[0]), vec!["0", "u0@x.org", "user0"]);
     }
 
     #[test]
@@ -462,8 +614,8 @@ mod tests {
             }],
         };
         let t2 = d.apply(&t).unwrap();
-        assert_eq!(t2.rows[0][2], "99");
-        assert_eq!(t2.rows[4][1], "renamed");
+        assert_eq!(cells(&t2.rows[0])[2], "99");
+        assert_eq!(cells(&t2.rows[4])[1], "renamed");
     }
 
     #[test]
@@ -619,7 +771,11 @@ mod tests {
     /// version must read as, whatever rows it shares with others.
     fn deep_replay(base: &Table, chain: &[&TableDelta]) -> Vec<u8> {
         let mut columns = base.columns.clone();
-        let mut rows: Vec<Vec<String>> = base.rows.iter().map(|r| r.to_vec()).collect();
+        let mut rows: Vec<Vec<String>> = base
+            .rows
+            .iter()
+            .map(|r| cells(r).into_iter().map(str::to_owned).collect())
+            .collect();
         for edit in chain.iter().flat_map(|d| &d.edits) {
             match edit.clone() {
                 TableEdit::AddRows { at, rows: new } => {
@@ -737,6 +893,6 @@ mod tests {
         let t2 = d.apply(&t).unwrap();
         assert_eq!(t2.rows.len(), 100);
         assert!(d.encoded_size() < 16);
-        assert!(t.byte_size() - t2.byte_size() > 5000);
+        assert!(t.to_csv().len() - t2.to_csv().len() > 5000);
     }
 }

@@ -226,3 +226,321 @@ proptest! {
         prop_assert_eq!(Table::from_csv(&expected.to_csv()).unwrap(), expected);
     }
 }
+
+/// A table as a plain cell grid: the reference a table of line rows
+/// must read as after every edit.
+#[derive(Debug, Clone, PartialEq)]
+struct Grid {
+    columns: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Grid {
+    /// `edit` applied cell by cell, or the error it must fail with.
+    fn apply(&self, edit: &TableEdit) -> Result<Grid, dsv_delta::tabular::TableError> {
+        use dsv_delta::tabular::TableError::{OutOfRange, Ragged};
+        let mut g = self.clone();
+        match edit.clone() {
+            TableEdit::AddRows { at, rows } => {
+                if at as usize > g.rows.len() {
+                    return Err(OutOfRange);
+                }
+                if rows.iter().any(|r| r.len() != g.columns.len()) {
+                    return Err(Ragged);
+                }
+                g.rows.splice(at as usize..at as usize, rows);
+            }
+            TableEdit::DeleteRows { at, count } => {
+                let end = at as usize + count as usize;
+                if end > g.rows.len() {
+                    return Err(OutOfRange);
+                }
+                g.rows.drain(at as usize..end);
+            }
+            TableEdit::AddColumn { at, name, values } => {
+                if at as usize > g.columns.len() || values.len() != g.rows.len() {
+                    return Err(OutOfRange);
+                }
+                g.columns.insert(at as usize, name);
+                for (row, v) in g.rows.iter_mut().zip(values) {
+                    row.insert(at as usize, v);
+                }
+            }
+            TableEdit::RemoveColumn { at } => {
+                if at as usize >= g.columns.len() {
+                    return Err(OutOfRange);
+                }
+                g.columns.remove(at as usize);
+                for row in &mut g.rows {
+                    row.remove(at as usize);
+                }
+            }
+            TableEdit::ModifyCells { cells } => {
+                for (r, c, v) in cells {
+                    if r as usize >= g.rows.len() || c as usize >= g.columns.len() {
+                        return Err(OutOfRange);
+                    }
+                    g.rows[r as usize][c as usize] = v;
+                }
+            }
+        }
+        Ok(g)
+    }
+
+    /// Whether `table` holds exactly this grid: the same columns, and
+    /// every row the line of its cells.
+    fn is(&self, table: &Table) -> bool {
+        table.columns == self.columns
+            && table.rows.len() == self.rows.len()
+            && table
+                .rows
+                .iter()
+                .zip(&self.rows)
+                .all(|(line, cells)| **line == cells.join(","))
+    }
+}
+
+/// Applies `edits` one at a time to `base` through [`Table`]'s line rows
+/// and through [`Grid`], which must agree edit for edit: `apply`,
+/// `apply_in_place` and a CSV round trip give the grid's table, and an
+/// edit the grid refuses fails with the grid's error and leaves its
+/// input as it was. The edits that applied then do the same as one delta.
+fn agrees_with_the_grid(base: &Table, edits: &[TableEdit]) -> Result<(), String> {
+    let mut grid = Grid {
+        columns: base.columns.clone(),
+        rows: base
+            .rows
+            .iter()
+            .map(|r| match base.columns.len() {
+                0 => Vec::new(),
+                _ => r.split(',').map(str::to_owned).collect(),
+            })
+            .collect(),
+    };
+    prop_assert!(grid.is(base));
+    let mut table = base.clone();
+    let mut applied = Vec::new();
+    for edit in edits {
+        let step = TableDelta {
+            edits: vec![edit.clone()],
+        };
+        let mut in_place = table.clone();
+        let result = step.apply_in_place(&mut in_place);
+        match grid.apply(edit) {
+            Err(e) => {
+                prop_assert_eq!(step.apply(&table), Err(e.clone()), "{:?}", edit);
+                prop_assert_eq!(result, Err(e), "{:?}", edit);
+                prop_assert_eq!(&in_place, &table, "a refused edit changed its input");
+            }
+            Ok(next) => {
+                prop_assert_eq!(result, Ok(()), "{:?}", edit);
+                prop_assert!(next.is(&in_place), "{:?} in place: {:?}", edit, in_place);
+                prop_assert_eq!(step.apply(&table).unwrap(), in_place.clone());
+                grid = next;
+                table = in_place;
+                applied.push(edit.clone());
+            }
+        }
+        let csv = table.to_csv();
+        let mut lines = vec![grid.columns.join(",")];
+        lines.extend(grid.rows.iter().map(|r| r.join(",")));
+        prop_assert_eq!(&csv, &(lines.join("\n") + "\n").into_bytes());
+        let parsed = Table::from_csv(&csv).unwrap();
+        prop_assert_eq!(parsed.to_csv(), csv);
+        // With no column left, a row's line is empty and reads back as
+        // one empty cell, as the CSV itself does.
+        if !grid.columns.is_empty() {
+            prop_assert_eq!(&parsed, &table);
+        }
+    }
+    // The edits that applied, as one delta and through its encoding; an
+    // edit out of range at its end leaves the input untouched.
+    let delta = TableDelta { edits: applied };
+    prop_assert!(grid.is(&delta.apply(base).unwrap()));
+    prop_assert!(grid.is(&TableDelta::decode(&delta.encode())
+        .unwrap()
+        .apply(base)
+        .unwrap()));
+    let mut in_place = base.clone();
+    delta.apply_in_place(&mut in_place).unwrap();
+    prop_assert!(grid.is(&in_place));
+    let mut spoiled = delta;
+    spoiled.edits.push(TableEdit::DeleteRows {
+        at: grid.rows.len() as u32,
+        count: 1,
+    });
+    let mut untouched = base.clone();
+    prop_assert!(spoiled.apply_in_place(&mut untouched).is_err());
+    prop_assert_eq!(&untouched, base);
+    Ok(())
+}
+
+/// An edit drawn from `word` against a `rows` × `cols` table; about one
+/// in seven is out of range or ragged. Cells are sometimes empty, so
+/// lines hold empty cells at either end and between commas.
+fn edit_from(word: u64, rows: usize, cols: usize) -> TableEdit {
+    let pick = |n: usize| (word >> 8) as usize % n.max(1);
+    let cell = |k: u64| {
+        if (word >> k).is_multiple_of(5) {
+            String::new()
+        } else {
+            format!("w{}", (word >> k) % 1000)
+        }
+    };
+    let (rows32, cols32) = (rows as u32, cols as u32);
+    match word % 14 {
+        0 | 1 => TableEdit::AddRows {
+            at: pick(rows + 1) as u32,
+            rows: (0..1 + word % 2)
+                .map(|r| (0..cols as u64).map(|c| cell(16 + r + c)).collect())
+                .collect(),
+        },
+        2 if rows > 0 => {
+            let at = pick(rows);
+            TableEdit::DeleteRows {
+                at: at as u32,
+                count: 1 + ((word >> 20) as usize % (rows - at)) as u32,
+            }
+        }
+        3 | 4 => TableEdit::AddColumn {
+            // At the start, at the end, or between.
+            at: match (word >> 4) % 3 {
+                0 => 0,
+                1 => cols32,
+                _ => pick(cols + 1) as u32,
+            },
+            name: format!("n{}", word % 97),
+            values: (0..rows as u64).map(|r| cell(12 + r % 40)).collect(),
+        },
+        5 | 6 if cols > 0 => TableEdit::RemoveColumn {
+            // The first, the last, or any (the only one, if just one).
+            at: match (word >> 4) % 3 {
+                0 => 0,
+                1 => cols32 - 1,
+                _ => pick(cols) as u32,
+            },
+        },
+        7..=11 if rows > 0 && cols > 0 => {
+            // Two cells of one row, then one anywhere.
+            let r = pick(rows) as u32;
+            let c = |k: u64| ((word >> k) % cols as u64) as u32;
+            TableEdit::ModifyCells {
+                cells: vec![
+                    (r, c(24), cell(30)),
+                    (r, c(36), cell(42)),
+                    (((word >> 48) % rows as u64) as u32, c(54), cell(60)),
+                ],
+            }
+        }
+        12 | 13 => match (word >> 4) % 7 {
+            0 => TableEdit::AddRows {
+                at: rows32 + 1,
+                rows: vec![],
+            },
+            1 => TableEdit::AddRows {
+                at: 0,
+                rows: vec![vec!["r".into(); cols + 1]],
+            },
+            2 => TableEdit::DeleteRows {
+                at: rows32,
+                count: 1,
+            },
+            3 => TableEdit::AddColumn {
+                at: cols32 + 1,
+                name: "late".into(),
+                values: vec![String::new(); rows],
+            },
+            4 => TableEdit::AddColumn {
+                at: 0,
+                name: "short".into(),
+                values: vec!["v".into(); rows + 1],
+            },
+            5 => TableEdit::RemoveColumn { at: cols32 },
+            _ => TableEdit::ModifyCells {
+                cells: vec![(0, 0, "ok".into()), (rows32, 0, "x".into())],
+            },
+        },
+        _ => TableEdit::ModifyCells { cells: vec![] },
+    }
+}
+
+proptest! {
+    /// Random edit sequences, valid and not, give through line rows
+    /// exactly what they give through a cell grid.
+    #[test]
+    fn line_rows_agree_with_a_cell_grid(
+        (cols, rows) in (0usize..4, 0usize..6),
+        words in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let mut base = Table::new((0..cols).map(|c| format!("c{c}")).collect());
+        for r in 0..rows {
+            let cell = |c: usize| match (r + c) % 4 {
+                0 => String::new(),
+                _ => format!("{r}.{c}"),
+            };
+            base.push_row((0..cols).map(cell).collect()).unwrap();
+        }
+        // The shape each valid edit leaves, for the next one to be drawn
+        // against.
+        let mut shape = Grid {
+            columns: base.columns.clone(),
+            rows: vec![vec![String::new(); cols]; rows],
+        };
+        let mut edits = Vec::new();
+        for &word in &words {
+            let edit = edit_from(word, shape.rows.len(), shape.columns.len());
+            if let Ok(next) = shape.apply(&edit) {
+                shape = next;
+            }
+            edits.push(edit);
+        }
+        agrees_with_the_grid(&base, &edits)?;
+    }
+}
+
+#[test]
+fn line_rows_agree_with_a_cell_grid_on_the_edge_cases() {
+    let mut base = Table::new(vec!["a".into(), "b".into(), "c".into()]);
+    for r in 0..3 {
+        base.push_row(vec![format!("{r}a"), String::new(), format!("{r}c")])
+            .unwrap();
+    }
+    let add_column = |at: u32, name: &str| TableEdit::AddColumn {
+        at,
+        name: name.into(),
+        values: (0..3).map(|r| format!("{name}{r}")).collect(),
+    };
+    let edits = [
+        add_column(0, "first"),
+        add_column(4, "last"),
+        TableEdit::ModifyCells {
+            cells: vec![(1, 0, "x".into()), (1, 4, "y".into()), (1, 0, "".into())],
+        },
+        TableEdit::RemoveColumn { at: 0 },
+        TableEdit::RemoveColumn { at: 3 },
+        TableEdit::RemoveColumn { at: 9 },
+        TableEdit::ModifyCells {
+            cells: vec![(0, 0, "ok".into()), (3, 0, "past the end".into())],
+        },
+        TableEdit::RemoveColumn { at: 1 },
+        TableEdit::RemoveColumn { at: 0 },
+        TableEdit::RemoveColumn { at: 0 },
+        // The only column left.
+        TableEdit::RemoveColumn { at: 0 },
+        TableEdit::RemoveColumn { at: 0 },
+        TableEdit::ModifyCells {
+            cells: vec![(0, 0, "none".into())],
+        },
+        TableEdit::AddRows {
+            at: 3,
+            rows: vec![vec![]],
+        },
+        add_column(0, "again"),
+        TableEdit::AddRows {
+            at: 5,
+            rows: vec![vec!["far".into()]],
+        },
+        TableEdit::DeleteRows { at: 2, count: 3 },
+    ];
+    agrees_with_the_grid(&base, &edits).unwrap();
+}

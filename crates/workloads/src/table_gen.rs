@@ -8,6 +8,7 @@
 use dsv_delta::tabular::{Table, TableDelta, TableEdit};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Parameters for initial tables and edit scripts.
 #[derive(Debug, Clone, Copy)]
@@ -44,20 +45,38 @@ impl Default for EditParams {
 
 /// Deterministic cell content: short, comma/newline-free.
 fn cell_value(rng: &mut StdRng) -> String {
+    let mut cell = String::with_capacity(9);
+    push_cell(&mut cell, rng);
+    cell
+}
+
+/// Appends one drawn cell, `x` and eight lowercase hex digits, to `out`.
+fn push_cell(out: &mut String, rng: &mut StdRng) {
     let v: u32 = rng.gen();
-    format!("x{v:08x}")
+    out.push('x');
+    for shift in (0..32).step_by(4).rev() {
+        out.push(char::from(b"0123456789abcdef"[(v >> shift) as usize & 0xf]));
+    }
 }
 
 fn fresh_row(rng: &mut StdRng, cols: usize) -> Vec<String> {
     (0..cols).map(|_| cell_value(rng)).collect()
 }
 
-/// Generates the initial (root) table.
+/// Generates the initial (root) table, writing each row's line as its
+/// cells are drawn.
 pub fn base_table(params: &EditParams, rng: &mut StdRng) -> Table {
     let mut t = Table::new((0..params.base_cols).map(|c| format!("col{c}")).collect());
+    let mut line = String::with_capacity(params.base_cols * 10);
     for _ in 0..params.base_rows {
-        let row = fresh_row(rng, params.base_cols);
-        t.push_row(row).expect("arity matches by construction");
+        line.clear();
+        for c in 0..params.base_cols {
+            if c > 0 {
+                line.push(',');
+            }
+            push_cell(&mut line, rng);
+        }
+        t.rows.push(Arc::from(line.as_str()));
     }
     t
 }
@@ -123,7 +142,7 @@ pub fn random_edit(params: &EditParams, table: &Table, rng: &mut StdRng) -> Tabl
 /// A commit's worth of edits: `edits_per_commit` commands, each generated
 /// against the table state left by the previous one. Returns the delta and
 /// the resulting table, which shares every row the edits leave alone with
-/// `table`.
+/// `table`. The table is cloned once and edited in place.
 pub fn random_commit(params: &EditParams, table: &Table, rng: &mut StdRng) -> (TableDelta, Table) {
     let mut current = table.clone();
     let mut edits = Vec::with_capacity(params.edits_per_commit);
@@ -131,8 +150,7 @@ pub fn random_commit(params: &EditParams, table: &Table, rng: &mut StdRng) -> (T
         let step = TableDelta {
             edits: vec![random_edit(params, &current, rng)],
         };
-        current = step
-            .apply(&current)
+        step.apply_in_place(&mut current)
             .expect("generated edits are valid for the current shape");
         edits.extend(step.edits);
     }
@@ -144,7 +162,6 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use std::collections::HashSet;
-    use std::sync::Arc;
 
     #[test]
     fn base_table_has_requested_shape() {
@@ -340,8 +357,8 @@ mod tests {
 
     /// Row allocations `delta` makes applied to a table of `rows` rows
     /// that its result still holds: each row it adds, and each inherited
-    /// row it edits, once — a cell command copies the rows it touches, a
-    /// column command every row.
+    /// row it edits, once — a cell command rewrites the lines it touches,
+    /// a column command every line.
     fn rows_made(delta: &TableDelta, rows: usize) -> usize {
         // `true`: a row this delta allocated (added, or already copied).
         let mut made = vec![false; rows];
@@ -405,7 +422,7 @@ mod tests {
                 .count();
             tables.push(next);
         }
-        let distinct: HashSet<*const Vec<String>> = tables
+        let distinct: HashSet<*const str> = tables
             .iter()
             .flat_map(|t| t.rows.iter().map(Arc::as_ptr))
             .collect();

@@ -50,7 +50,7 @@ fn build_history(
     // user-performed merge: concatenate rows of both tips
     let mut merged = main_table.clone();
     for row in &table.rows {
-        if row.len() == merged.columns.len() {
+        if row.split(',').count() == merged.columns.len() {
             merged.rows.push(row.clone());
         }
     }
